@@ -123,7 +123,7 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | No
     return source, target
 
 
-def _train_method(cfg: ExperimentConfig, source: DomainSet, seed: int, n_jobs: int):
+def _train_method(cfg: ExperimentConfig, source: DomainSet, seed: int):
     train_cfg = cfg.train_config(seed=seed)
     method = cfg.method
     if method == "erm":
@@ -132,10 +132,7 @@ def _train_method(cfg: ExperimentConfig, source: DomainSet, seed: int, n_jobs: i
         return train_mixup(source, train_cfg, cfg.mixup_config(seed)), None
     if method == "groupdro":
         return train_groupdro(source, train_cfg, eta=cfg.groupdro_eta), None
-    model, fict = train_gradframe(
-        source, cfg.penalties(), cfg.ascent_config(), train_cfg, n_jobs=n_jobs
-    )
-    return model, fict
+    return train_gradframe(source, cfg.penalties(), cfg.ascent_config(), train_cfg)
 
 
 def _save_scaler(stats: Standardization | None, out: Path) -> None:
@@ -156,7 +153,7 @@ def _load_scaler(path: Path) -> Standardization:
     )
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     source = _simulate_source(cfg, cfg.seed)
     target = _simulate_target(cfg, cfg.seed)
@@ -174,10 +171,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
     return 0
 
 
-def cmd_train(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
+def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     source, target = _load_data(cfg, cfg.seed)
-    model, fict = _train_method(cfg, source, cfg.seed, n_jobs)
+    model, fict = _train_method(cfg, source, cfg.seed)
     save_model(model, out / "model.txt")
     _save_scaler(source.standardization, out)
     if fict is not None:
@@ -198,10 +195,9 @@ def _single_shift_run(
     source: DomainSet,
     gammas: PenaltyParams,
     seed: int,
-    n_jobs: int,
 ) -> dict:
     train_cfg = cfg.train_config(seed=seed)
-    model, fict = train_gradframe(source, gammas, cfg.ascent_config(), train_cfg, n_jobs=n_jobs)
+    model, fict = train_gradframe(source, gammas, cfg.ascent_config(), train_cfg)
     source_model = train_erm(source, train_cfg)
     ratios = covariate_shift_ratio(source, fict, source_model)
     deltas = concept_shift_delta(source, fict, train_cfg)
@@ -214,13 +210,10 @@ def _single_shift_run(
     likelihood = likelihood_difference(source_model, fict_model, fict_domain)
     source_x = source.pooled().feature_matrix()
     fict_x = fict.feature_matrix()
-    ks_table = {
-        f"x{j}": {
-            "statistic": ks_two_sample(source_x[:, j], fict_x[:, j]).statistic,
-            "p_value": ks_two_sample(source_x[:, j], fict_x[:, j]).p_value,
-        }
-        for j in range(source_x.shape[1])
-    }
+    ks_table = {}
+    for j in range(source_x.shape[1]):
+        ks = ks_two_sample(source_x[:, j], fict_x[:, j])
+        ks_table[f"x{j}"] = {"statistic": ks.statistic, "p_value": ks.p_value}
     return {
         "gamma1": gammas.gamma1,
         "gamma2": gammas.gamma2,
@@ -231,7 +224,7 @@ def _single_shift_run(
     }
 
 
-def cmd_shift_report(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
+def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     source, _ = _load_data(cfg, cfg.seed)
     sweep_key = cfg.values["shift.sweep"].strip()
@@ -247,9 +240,9 @@ def cmd_shift_report(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
                 if sweep_key == "gamma1"
                 else PenaltyParams(base.gamma1, v)
             )
-            runs.append(_single_shift_run(cfg, source, gammas, cfg.seed, n_jobs))
+            runs.append(_single_shift_run(cfg, source, gammas, cfg.seed))
     else:
-        runs.append(_single_shift_run(cfg, source, base, cfg.seed, n_jobs))
+        runs.append(_single_shift_run(cfg, source, base, cfg.seed))
 
     primary = runs[0]
     report = ShiftReport(
@@ -274,7 +267,7 @@ def cmd_shift_report(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
     return 0
 
 
-def cmd_select_k(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
+def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     if cfg.values["dataset.kind"] != "csv":
         raise ConfigError("select-k requires dataset.kind=csv with a key column")
@@ -310,7 +303,7 @@ def cmd_select_k(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
     return 0
 
 
-def cmd_lodo(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
+def cmd_lodo(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     source, _ = _load_data(cfg, cfg.seed)
     result = lodo_cv_search(source, cfg.grid_pairs(), cfg.ascent_config(), cfg.train_config())
@@ -327,7 +320,7 @@ def cmd_lodo(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
     return 0
 
 
-def cmd_compare(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
+def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     methods = [m.strip() for m in cfg.values["compare.methods"].split(",") if m.strip()]
     for m in methods:
@@ -341,7 +334,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
             raise DataError("compare requires a target dataset")
         for m in methods:
             method_cfg = ExperimentConfig(values={**cfg.values, "method": m})
-            model, _ = _train_method(method_cfg, source, seed, n_jobs)
+            model, _ = _train_method(method_cfg, source, seed)
             report = evaluate(model, target)
             if report.auroc is None:
                 raise NumericError("target domain has a single class; AUROC undefined")
@@ -374,7 +367,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: ExperimentConfig, out: Path, n_jobs: int) -> int:
+def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     model_path = out / "model.txt"
     if not model_path.exists():
@@ -418,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="flat key-value config file")
     parser.add_argument("--out", default=None, help="output directory (default: config output.dir)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N", help="worker threads")
     return parser
 
 
@@ -432,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides["output.dir"] = args.out
         cfg = ExperimentConfig.load(args.config, overrides)
         out = Path(cfg.values["output.dir"])
-        return COMMANDS[args.command](cfg, out, max(args.parallel, 1))
+        return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -18,7 +17,14 @@ import numpy as np
 
 from .data import Domain, DomainSet, LabeledPoint
 from .errors import ConfigError, ShapeError
-from .nn import MlpModel, bce_loss, grad_input, representation
+from .nn import (
+    MlpModel,
+    bce_loss,
+    bce_rows,
+    input_grad_rows,
+    representation,
+    representations_batch,
+)
 from .rng import derive_seed, rng_for
 from .training import TrainConfig, fit_domain, fit_minibatch
 
@@ -145,21 +151,92 @@ def surrogate_value(
     )
 
 
-def _objective(
+def _objective_rows(
     x: np.ndarray,
-    y: int,
+    y: np.ndarray,
     z_anchor: np.ndarray,
     model_i: MlpModel,
     model_j: MlpModel,
     gammas: PenaltyParams,
-) -> float:
-    value = bce_loss(model_i, x, y)
+) -> np.ndarray:
+    """Row-wise ``surrogate_value``; a zero-weight penalty term is skipped."""
+    value, acts = bce_rows(model_i, x, y)
     if gammas.gamma1 != 0.0:
-        z = representation(model_i, x)
-        value -= gammas.gamma1 * float(0.5 * np.sum((z - z_anchor) ** 2))
+        z = acts[model_i.rep_layer_index]
+        value = value - gammas.gamma1 * (0.5 * np.sum((z - z_anchor) ** 2, axis=1))
     if gammas.gamma2 != 0.0:
-        value -= gammas.gamma2 * bce_loss(model_j, x, y)
+        value = value - gammas.gamma2 * bce_rows(model_j, x, y)[0]
     return value
+
+
+def _ascend(
+    x0: np.ndarray,
+    y: np.ndarray,
+    model_i: MlpModel,
+    model_j: MlpModel,
+    gammas: PenaltyParams,
+    cfg: AscentConfig,
+) -> tuple[np.ndarray, list[tuple[float, ...]], np.ndarray]:
+    """Masked gradient ascent of every row of ``x0``; see ``inner_maximize``.
+
+    Rows share the models but not their fate: each row leaves the active set
+    when it stops, and the step halvings, acceptance test and stopping rule
+    are applied row by row.  Returns the final iterates, the per-row
+    objective traces and the per-row abort flags.
+    """
+    z_anchor = representations_batch(model_i, x0)  # also checks x0 against model_i
+    if model_j.input_dim != model_i.input_dim:
+        raise ShapeError(
+            f"partner model expects dimension {model_j.input_dim}, "
+            f"origin model expects {model_i.input_dim}"
+        )
+    n = x0.shape[0]
+    x = x0.copy()
+    values = np.empty((n, cfg.max_steps + 1))
+    values[:, 0] = _objective_rows(x, y, z_anchor, model_i, model_j, gammas)
+    lengths = np.ones(n, dtype=np.intp)
+    aborted = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    for step_no in range(1, cfg.max_steps + 1):
+        if live.size == 0:
+            break
+        g = input_grad_rows(
+            model_i,
+            x[live],
+            y[live],
+            anchor=(z_anchor[live], gammas.gamma1),
+            concept=(model_j, gammas.gamma2),
+        )
+        accepted = np.zeros(live.size, dtype=bool)
+        trying = np.arange(live.size)  # positions in ``live`` still halving
+        step = cfg.alpha
+        for _ in range(4):  # initial step plus up to three halvings
+            rows = live[trying]
+            candidate = x[rows] + step * g[trying]
+            value = np.full(rows.size, np.nan)
+            finite = np.all(np.isfinite(candidate), axis=1)
+            value[finite] = _objective_rows(
+                candidate[finite], y[rows[finite]], z_anchor[rows[finite]], model_i, model_j, gammas
+            )
+            bad = ~np.isfinite(value)
+            up = ~bad & (value >= values[rows, step_no - 1])
+            aborted[rows[bad]] = True
+            x[rows[up]] = candidate[up]
+            values[rows[up], step_no] = value[up]
+            accepted[trying[up]] = True
+            trying = trying[~bad & ~up]
+            if trying.size == 0:
+                break
+            step *= 0.5
+        lengths[live[accepted]] = step_no + 1
+        if step_no >= cfg.min_steps:
+            moved = live[accepted]
+            prev = values[moved, step_no - 1]
+            rel = (values[moved, step_no] - prev) / np.maximum(np.abs(prev), _REL_FLOOR)
+            accepted[accepted] = ~(rel < cfg.rel_tolerance)
+        live = live[accepted]
+    traces = [tuple(values[r, : lengths[r]].tolist()) for r in range(n)]
+    return x, traces, aborted
 
 
 def inner_maximize(
@@ -178,58 +255,25 @@ def inner_maximize(
     that would lower the objective is retried with a halved step size up to
     three times, then the ascent stops; after ``min_steps`` accepted steps the
     ascent also stops once the relative improvement falls under
-    ``rel_tolerance``.  A non-finite objective aborts the ascent, returning
-    the last finite iterate flagged as aborted.
+    ``rel_tolerance``.  A non-finite candidate or objective aborts the
+    ascent, returning the last finite iterate flagged as aborted.
     """
-    if origin.features.shape[0] != model_i.input_dim:
-        raise ShapeError(
-            f"origin has dimension {origin.features.shape[0]}, model expects {model_i.input_dim}"
-        )
-    x = origin.features.copy()
-    y = origin.label
-    z_anchor = representation(model_i, origin.features)
-    trace = [_objective(x, y, z_anchor, model_i, model_j, gammas)]
-    aborted = False
-    for step_no in range(1, cfg.max_steps + 1):
-        g = grad_input(
-            model_i,
-            x,
-            y,
-            anchor=(z_anchor, gammas.gamma1),
-            concept=(model_j, gammas.gamma2),
-        )
-        step = cfg.alpha
-        accepted = False
-        for _ in range(4):  # initial step plus up to three halvings
-            candidate = x + step * g
-            if not np.all(np.isfinite(candidate)):
-                aborted = True
-                break
-            value = _objective(candidate, y, z_anchor, model_i, model_j, gammas)
-            if not math.isfinite(value):
-                aborted = True
-                break
-            if value >= trace[-1]:
-                x = candidate
-                trace.append(value)
-                accepted = True
-                break
-            step *= 0.5
-        if aborted or not accepted:
-            break
-        if step_no >= cfg.min_steps:
-            prev = trace[-2]
-            rel = (trace[-1] - prev) / max(abs(prev), _REL_FLOOR)
-            if rel < cfg.rel_tolerance:
-                break
+    x_star, traces, aborted = _ascend(
+        origin.features[None, :],
+        np.array([float(origin.label)]),
+        model_i,
+        model_j,
+        gammas,
+        cfg,
+    )
     return FictitiousPoint(
         origin_domain=origin_domain,
         origin_index=origin_index,
-        x_star=x,
-        y_star=y,
-        objective_trace=tuple(trace),
+        x_star=x_star[0],
+        y_star=origin.label,
+        objective_trace=traces[0],
         partner_domain=partner_domain,
-        aborted=aborted,
+        aborted=bool(aborted[0]),
     )
 
 
@@ -255,47 +299,46 @@ def generate_fictitious_set(
     gammas: PenaltyParams,
     ascent_cfg: AscentConfig,
     train_cfg: TrainConfig,
-    n_jobs: int = 1,
     models: dict[str, MlpModel] | None = None,
 ) -> FictitiousSet:
     """One fictitious point per training point, in origin order.
 
     Partner domains rotate round-robin over the other domains with a seeded
-    starting offset per origin domain.  Points are independent, so ``n_jobs``
-    > 1 fans the ascents out over a thread pool; results are merged in origin
-    order either way.
+    starting offset per origin domain.  The points of one origin domain that
+    share a partner ascend together as one batch (``inner_maximize``'s rules,
+    applied row by row); the results are put back in origin order.
     """
     if models is None:
         models = pretrain_domain_models(ds, train_cfg)
     elif ds.k < 2:
         raise ConfigError(f"need at least 2 domains, got K={ds.k}")
     ids = [d.id for d in ds.domains]
-    tasks = []
+    points: list[FictitiousPoint] = []
     for dom in ds.domains:
         others = [i for i in ids if i != dom.id]
         offset = int(rng_for(train_cfg.seed, "partner", dom.id).integers(len(others)))
-        for idx, point in enumerate(dom.points):
-            partner = others[(offset + idx) % len(others)]
-            tasks.append((point, dom.id, idx, partner))
-
-    def run(task) -> FictitiousPoint:
-        point, dom_id, idx, partner = task
-        return inner_maximize(
-            point,
-            models[dom_id],
-            models[partner],
-            gammas,
-            ascent_cfg,
-            origin_domain=dom_id,
-            origin_index=idx,
-            partner_domain=partner,
-        )
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            points = list(pool.map(run, tasks))
-    else:
-        points = [run(t) for t in tasks]
+        slots = (offset + np.arange(len(dom))) % len(others)
+        x = dom.feature_matrix()
+        y = dom.label_vector()
+        dom_points: list[FictitiousPoint | None] = [None] * len(dom)
+        for slot, partner in enumerate(others):
+            rows = np.flatnonzero(slots == slot)
+            if rows.size == 0:
+                continue
+            x_star, traces, aborted = _ascend(
+                x[rows], y[rows], models[dom.id], models[partner], gammas, ascent_cfg
+            )
+            for r, idx in enumerate(rows.tolist()):
+                dom_points[idx] = FictitiousPoint(
+                    origin_domain=dom.id,
+                    origin_index=idx,
+                    x_star=x_star[r],
+                    y_star=dom.points[idx].label,
+                    objective_trace=traces[r],
+                    partner_domain=partner,
+                    aborted=bool(aborted[r]),
+                )
+        points.extend(dom_points)
     return FictitiousSet(tuple(points))
 
 
@@ -304,14 +347,13 @@ def train_gradframe(
     gammas: PenaltyParams,
     ascent_cfg: AscentConfig,
     train_cfg: TrainConfig,
-    n_jobs: int = 1,
 ) -> tuple[MlpModel, FictitiousSet]:
     """Full pipeline: pretrain, generate fictitious data, retrain from scratch.
 
     The final pass runs the shared minibatch loop on the original points
     followed by the fictitious points, with a fresh seeded init.
     """
-    fict = generate_fictitious_set(ds, gammas, ascent_cfg, train_cfg, n_jobs=n_jobs)
+    fict = generate_fictitious_set(ds, gammas, ascent_cfg, train_cfg)
     pooled = ds.pooled()
     x = np.vstack([pooled.feature_matrix(), fict.feature_matrix()])
     y = np.concatenate([pooled.label_vector(), fict.label_vector()])

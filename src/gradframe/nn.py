@@ -184,11 +184,16 @@ def _check_label(y: float | int) -> float:
     return yf
 
 
+def bce_rows(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-row BCE and per-layer activations of an ``(n, d)`` input the caller has checked."""
+    acts, p1_raw = _forward_acts(model, x)
+    p1 = np.clip(p1_raw, P_MIN, P_MAX)
+    return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1)), acts
+
+
 def bce_loss_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample binary cross-entropy; accepts soft targets in [0, 1]."""
-    y = np.asarray(y, dtype=np.float64)
-    p1 = probs_batch(model, x)
-    return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1))
+    return bce_rows(model, _check_matrix(model, x), np.asarray(y, dtype=np.float64))[0]
 
 
 def bce_loss(model: MlpModel, x: np.ndarray, y: float | int) -> float:
@@ -251,6 +256,31 @@ def _input_grad_from_rep(model: MlpModel, acts: list[np.ndarray], d_rep: np.ndar
     return d
 
 
+def input_grad_rows(
+    model: MlpModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    anchor: tuple[np.ndarray, float] | None = None,
+    concept: tuple[MlpModel, float] | None = None,
+) -> np.ndarray:
+    """Row-wise ``grad_input`` of an ``(n, d)`` input the caller has checked.
+
+    ``anchor`` carries one anchor representation per row.
+    """
+    acts, p1_raw = _forward_acts(model, x)
+    _, g = _backward(model, acts, _score_grads(p1_raw, y))
+    if anchor is not None:
+        z_anchor, weight_a = anchor
+        d_rep = acts[model.rep_layer_index] - z_anchor
+        g = g - float(weight_a) * _input_grad_from_rep(model, acts, d_rep)
+    if concept is not None:
+        concept_model, weight_c = concept
+        c_acts, c_p1 = _forward_acts(concept_model, x)
+        _, c_input = _backward(concept_model, c_acts, _score_grads(c_p1, y))
+        g = g - float(weight_c) * c_input
+    return g
+
+
 def grad_input(
     model: MlpModel,
     x: np.ndarray,
@@ -270,36 +300,20 @@ def grad_input(
     """
     x = _check_vector(model, x)
     yf = _check_label(y)
-    xb = x[None, :]
-    yb = np.array([yf])
-
-    acts, p1_raw = _forward_acts(model, xb)
-    _, d_input = _backward(model, acts, _score_grads(p1_raw, yb))
-    g = d_input[0]
-
     if anchor is not None:
         z_anchor, weight_a = anchor
         z_anchor = np.asarray(z_anchor, dtype=np.float64)
-        z = acts[model.rep_layer_index][0]
-        if z_anchor.shape != z.shape:
+        if z_anchor.shape != (model.rep_dim,):
             raise ShapeError(
-                f"anchor has shape {z_anchor.shape}, representation has shape {z.shape}"
+                f"anchor has shape {z_anchor.shape}, representation has shape {(model.rep_dim,)}"
             )
-        d_rep = (z - z_anchor)[None, :]
-        g = g - float(weight_a) * _input_grad_from_rep(model, acts, d_rep)[0]
-
-    if concept is not None:
-        concept_model, weight_c = concept
-        if concept_model.input_dim != model.input_dim:
-            raise ShapeError(
-                f"concept model expects dimension {concept_model.input_dim}, "
-                f"main model expects {model.input_dim}"
-            )
-        c_acts, c_p1 = _forward_acts(concept_model, xb)
-        _, c_input = _backward(concept_model, c_acts, _score_grads(c_p1, yb))
-        g = g - float(weight_c) * c_input[0]
-
-    return g
+        anchor = (z_anchor[None, :], weight_a)
+    if concept is not None and concept[0].input_dim != model.input_dim:
+        raise ShapeError(
+            f"concept model expects dimension {concept[0].input_dim}, "
+            f"main model expects {model.input_dim}"
+        )
+    return input_grad_rows(model, x[None, :], np.array([yf]), anchor, concept)[0]
 
 
 def init_adam_state(

@@ -362,3 +362,10 @@ output.dir = {tmp_path}/o
         assert main(["simulate", "--config", str(cfg), "--seed", "9"]) == 0
         echoed = (out / "effective_config.txt").read_text()
         assert "seed = 9" in echoed
+
+    def test_removed_parallel_flag_is_usage_error(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", f"dataset.kind = simulate\noutput.dir = {tmp_path}/o\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--parallel", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()

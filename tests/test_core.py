@@ -9,6 +9,7 @@ from conftest import build_model, separable_blobs, zero_model
 
 from gradframe.core import (
     AscentConfig,
+    FictitiousPoint,
     PenaltyParams,
     c_conc,
     c_cov,
@@ -18,9 +19,11 @@ from gradframe.core import (
     surrogate_value,
     train_gradframe,
 )
+from gradframe.config import SIM_ASCENT, SIM_TRAIN
 from gradframe.data import Domain, DomainSet, LabeledPoint, simulation_source
-from gradframe.errors import ConfigError
-from gradframe.nn import bce_loss, grad_input, probs_batch, representation
+from gradframe.errors import ConfigError, ShapeError
+from gradframe.nn import bce_loss, grad_input, init_mlp, probs_batch, representation
+from gradframe.rng import rng_for
 from gradframe.training import TrainConfig, fit_pooled
 
 
@@ -211,14 +214,26 @@ class TestGenerateFictitiousSet:
         assert np.array_equal(fict.feature_matrix(), src.pooled().feature_matrix())
         assert np.array_equal(fict.label_vector(), src.pooled().label_vector())
 
-    def test_order_deterministic_and_parallel_safe(self):
+    def test_order_deterministic_and_run_to_run_identical(self):
         src = DomainSet((separable_blobs("A", seed=5, n_per_blob=20), separable_blobs("B", seed=6, n_per_blob=20)))
         cfg = TrainConfig(seed=4, beta=0.01, epochs=30, batch_size=32, pretrain_epochs=15)
         asc = AscentConfig(alpha=0.1, max_steps=5)
-        serial = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg, n_jobs=1)
-        threaded = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg, n_jobs=4)
-        assert np.array_equal(serial.feature_matrix(), threaded.feature_matrix())
-        assert [p.origin_index for p in serial.points] == [p.origin_index for p in threaded.points]
+        first = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg)
+        second = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg)
+        assert first.feature_matrix().tobytes() == second.feature_matrix().tobytes()
+        assert [p.objective_trace for p in first.points] == [p.objective_trace for p in second.points]
+        assert [(p.origin_domain, p.origin_index) for p in first.points] == [
+            (d.id, i) for d in src.domains for i in range(len(d))
+        ]
+
+    # Domain A ascends first, so a 3-input model for A fails as the origin
+    # model and one for B fails as A's partner model.
+    @pytest.mark.parametrize("wide", ["A", "B"], ids=["origin", "partner"])
+    def test_model_dimension_mismatch_is_shape_error(self, wide):
+        src = DomainSet((separable_blobs("A", seed=5, n_per_blob=5), separable_blobs("B", seed=6, n_per_blob=5)))
+        models = {d: init_mlp((3 if d == wide else 2, 2, 2), 1, seed=0) for d in ("A", "B")}
+        with pytest.raises(ShapeError):
+            generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(), TrainConfig(), models=models)
 
     def test_csv_export_columns(self, tmp_path):
         src = simulation_source(3)
@@ -317,3 +332,168 @@ class TestTrainGradframe:
         score_aug = auroc(probs_batch(model, tgt.feature_matrix()), y)
         score_erm = auroc(probs_batch(erm, tgt.feature_matrix()), y)
         assert abs(score_aug - score_erm) <= 0.02
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the one-point-at-a-time ascent loop that the batched kernel in
+# gradframe.core replaced.  The body is unchanged; only the names, the type
+# annotations and the inlined 1e-12 relative-improvement floor differ.
+
+
+def _scalar_objective(x, y, z_anchor, model_i, model_j, gammas):
+    value = bce_loss(model_i, x, y)
+    if gammas.gamma1 != 0.0:
+        z = representation(model_i, x)
+        value -= gammas.gamma1 * float(0.5 * np.sum((z - z_anchor) ** 2))
+    if gammas.gamma2 != 0.0:
+        value -= gammas.gamma2 * bce_loss(model_j, x, y)
+    return value
+
+
+def _scalar_inner_maximize(
+    origin, model_i, model_j, gammas, cfg, origin_domain="", origin_index=0, partner_domain=""
+):
+    if origin.features.shape[0] != model_i.input_dim:
+        raise ShapeError(
+            f"origin has dimension {origin.features.shape[0]}, model expects {model_i.input_dim}"
+        )
+    x = origin.features.copy()
+    y = origin.label
+    z_anchor = representation(model_i, origin.features)
+    trace = [_scalar_objective(x, y, z_anchor, model_i, model_j, gammas)]
+    aborted = False
+    for step_no in range(1, cfg.max_steps + 1):
+        g = grad_input(
+            model_i,
+            x,
+            y,
+            anchor=(z_anchor, gammas.gamma1),
+            concept=(model_j, gammas.gamma2),
+        )
+        step = cfg.alpha
+        accepted = False
+        for _ in range(4):  # initial step plus up to three halvings
+            candidate = x + step * g
+            if not np.all(np.isfinite(candidate)):
+                aborted = True
+                break
+            value = _scalar_objective(candidate, y, z_anchor, model_i, model_j, gammas)
+            if not math.isfinite(value):
+                aborted = True
+                break
+            if value >= trace[-1]:
+                x = candidate
+                trace.append(value)
+                accepted = True
+                break
+            step *= 0.5
+        if aborted or not accepted:
+            break
+        if step_no >= cfg.min_steps:
+            prev = trace[-2]
+            rel = (trace[-1] - prev) / max(abs(prev), 1e-12)
+            if rel < cfg.rel_tolerance:
+                break
+    return FictitiousPoint(
+        origin_domain=origin_domain,
+        origin_index=origin_index,
+        x_star=x,
+        y_star=y,
+        objective_trace=tuple(trace),
+        partner_domain=partner_domain,
+        aborted=aborted,
+    )
+
+
+def _scalar_generate(ds, models, gammas, asc, seed):
+    ids = [d.id for d in ds.domains]
+    points = []
+    for dom in ds.domains:
+        others = [i for i in ids if i != dom.id]
+        offset = int(rng_for(seed, "partner", dom.id).integers(len(others)))
+        for idx, point in enumerate(dom.points):
+            partner = others[(offset + idx) % len(others)]
+            points.append(
+                _scalar_inner_maximize(
+                    point, models[dom.id], models[partner], gammas, asc, dom.id, idx, partner
+                )
+            )
+    return points
+
+
+def _compare_with_oracle(ds, models, gammas, asc, seed):
+    """Assert identical provenance and stop decisions, and return (max |dx*|, max |dtrace|)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = generate_fictitious_set(ds, gammas, asc, TrainConfig(seed=seed), models=models).points
+        want = _scalar_generate(ds, models, gammas, asc, seed)
+    assert len(got) == len(want)
+    dx = dt = 0.0
+    for a, b in zip(got, want):
+        assert (a.origin_domain, a.origin_index, a.partner_domain, a.y_star, a.aborted) == (
+            b.origin_domain,
+            b.origin_index,
+            b.partner_domain,
+            b.y_star,
+            b.aborted,
+        )
+        assert len(a.objective_trace) == len(b.objective_trace)
+        dx = max(dx, float(np.max(np.abs(a.x_star - b.x_star))))
+        dt = max(dt, float(np.max(np.abs(np.subtract(a.objective_trace, b.objective_trace)))))
+    assert dx <= 1e-12
+    assert dt <= 1e-12
+    return got
+
+
+class TestBatchedAscentOracle:
+    @pytest.fixture(scope="class")
+    def sim(self):
+        src = simulation_source(0)
+        cfg = TrainConfig(seed=0, **SIM_TRAIN)
+        return src, pretrain_domain_models(src, cfg)
+
+    def test_canonical_simulation_defaults(self, sim):
+        src, models = sim
+        got = _compare_with_oracle(src, models, PenaltyParams(1.0, 10.0), AscentConfig(**SIM_ASCENT), 0)
+        assert max(len(p.objective_trace) for p in got) > 2
+
+    def test_three_domains_split_over_two_partners(self):
+        src = DomainSet(
+            tuple(separable_blobs(d, seed=s, n_per_blob=15) for d, s in (("A", 1), ("B", 2), ("C", 3)))
+        )
+        cfg = TrainConfig(seed=2, beta=0.01, epochs=30, batch_size=32, pretrain_epochs=15)
+        models = pretrain_domain_models(src, cfg)
+        got = _compare_with_oracle(src, models, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5), 2)
+        for dom in src.domains:
+            partners = {p.partner_domain for p in got if p.origin_domain == dom.id}
+            assert len(partners) == 2
+
+    @pytest.mark.parametrize("gammas", [PenaltyParams(0.0, 10.0), PenaltyParams(1.0, 0.0)])
+    def test_zero_penalty_terms(self, sim, gammas):
+        src, models = sim
+        _compare_with_oracle(src, models, gammas, AscentConfig(**SIM_ASCENT), 0)
+
+    def test_zero_steps(self, sim):
+        src, models = sim
+        got = _compare_with_oracle(
+            src, models, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), 0
+        )
+        assert all(len(p.objective_trace) == 1 for p in got)
+
+    def test_some_rows_abort_others_do_not(self):
+        # Under identity_rep_model a point with negative coordinates has a zero
+        # input gradient and stays put; a positive one is thrown past the
+        # float range by alpha = 1e308 and aborts.
+        def domain(domain_id, rows):
+            return Domain(domain_id, tuple(LabeledPoint(np.array(x), y) for x, y in rows))
+
+        src = DomainSet(
+            (
+                domain("A", [([-1.0, -0.5], 0), ([0.5, 0.25], 0), ([-0.3, -2.0], 1), ([1.0, 0.4], 1)]),
+                domain("B", [([-0.2, -0.1], 1), ([-1.5, -0.7], 0)]),
+            )
+        )
+        models = {"A": identity_rep_model(), "B": zero_model((2, 2, 2))}
+        got = _compare_with_oracle(
+            src, models, PenaltyParams(1.0, 1.0), AscentConfig(alpha=1e308, max_steps=5, min_steps=0), 0
+        )
+        assert [p.aborted for p in got] == [False, True, False, True, False, False]
