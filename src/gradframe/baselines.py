@@ -9,17 +9,9 @@ import numpy as np
 
 from .data import DomainSet, LabeledPoint
 from .errors import ConfigError, ShapeError
-from .nn import (
-    MlpModel,
-    ParamGrads,
-    adam_step,
-    bce_loss_batch,
-    grad_params_batch,
-    init_adam_state,
-    init_mlp,
-)
-from .rng import derive_seed, rng_for
-from .training import TrainConfig, fit_pooled
+from .nn import MlpModel, bce_grad_batch, grad_params_batch
+from .rng import rng_for
+from .training import TrainConfig, descend, fit_pooled, minibatches
 
 
 @dataclass(frozen=True)
@@ -85,21 +77,17 @@ def train_mixup(ds: DomainSet, cfg: TrainConfig, mixup: MixupConfig) -> MlpModel
     x = pooled.feature_matrix()
     y = pooled.label_vector()
     n = x.shape[0]
-    model = init_mlp(cfg.layer_dims(x.shape[1]), cfg.rep_layer_index, derive_seed(cfg.seed, "init"))
-    state = init_adam_state(model)
-    shuffle = rng_for(cfg.seed, "batch")
     mix_rng = rng_for(mixup.seed, "mixup")
-    for _ in range(cfg.epochs):
-        order = shuffle.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+
+    def epoch(shuffle):
+        for idx in minibatches(shuffle, n, cfg.batch_size):
             partners = mix_rng.integers(0, n, size=idx.shape[0])
             lam = draw_lambdas(mixup, mix_rng, idx.shape[0])[:, None]
             x_mix = lam * x[idx] + (1.0 - lam) * x[partners]
             y_mix = lam[:, 0] * y[idx] + (1.0 - lam[:, 0]) * y[partners]
-            grads = grad_params_batch(model, x_mix, y_mix)
-            model, state = adam_step(model, state, grads, cfg.beta)
-    return model
+            yield x_mix, y_mix
+
+    return descend(x.shape[1], cfg, epoch, grad_params_batch)
 
 
 def train_groupdro(
@@ -117,36 +105,28 @@ def train_groupdro(
     state = GroupDroState(q=np.full(ds.k, 1.0 / ds.k), eta=eta)
     xs = [d.feature_matrix() for d in ds.domains]
     ys = [d.label_vector() for d in ds.domains]
-    model = init_mlp(
-        cfg.layer_dims(ds.feature_dim), cfg.rep_layer_index, derive_seed(cfg.seed, "init")
-    )
-    adam = init_adam_state(model)
-    shuffle = rng_for(cfg.seed, "batch")
     steps_per_epoch = max(int(np.ceil(max(len(x) for x in xs) / cfg.batch_size)), 1)
     step_no = 0
-    for _ in range(cfg.epochs):
+
+    def epoch(shuffle):
         orders = [shuffle.permutation(len(x)) for x in xs]
         for s in range(steps_per_epoch):
-            losses = np.empty(ds.k)
-            grads_per_domain = []
-            for i, (x, y, order) in enumerate(zip(xs, ys, orders)):
-                take = np.arange(s * cfg.batch_size, (s + 1) * cfg.batch_size) % len(x)
-                idx = order[take]
-                losses[i] = float(bce_loss_batch(model, x[idx], y[idx]).mean())
-                grads_per_domain.append(grad_params_batch(model, x[idx], y[idx]))
-            q = state.q * np.exp(state.eta * losses)
-            q = q / q.sum()
-            state = GroupDroState(q=q, eta=state.eta)
-            step_no += 1
-            if on_step is not None:
-                on_step(step_no, state.q.copy(), losses.copy())
-            weighted_w = tuple(
-                sum(q[i] * g.weights[k] for i, g in enumerate(grads_per_domain))
-                for k in range(model.n_layers)
-            )
-            weighted_b = tuple(
-                sum(q[i] * g.biases[k] for i, g in enumerate(grads_per_domain))
-                for k in range(model.n_layers)
-            )
-            model, adam = adam_step(model, adam, ParamGrads(weighted_w, weighted_b), cfg.beta)
-    return model
+            take = np.arange(s * cfg.batch_size, (s + 1) * cfg.batch_size)
+            yield tuple(order[take % len(order)] for order in orders)
+
+    def weighted_grad(model, *idxs):
+        nonlocal state, step_no
+        losses = np.empty(ds.k)
+        grads = []
+        for i, (x, y, idx) in enumerate(zip(xs, ys, idxs)):
+            losses[i], g = bce_grad_batch(model, x[idx], y[idx])
+            grads.append(g)
+        q = state.q * np.exp(state.eta * losses)
+        q = q / q.sum()
+        state = GroupDroState(q=q, eta=state.eta)
+        step_no += 1
+        if on_step is not None:
+            on_step(step_no, state.q.copy(), losses.copy())
+        return sum(qi * g for qi, g in zip(q, grads))
+
+    return descend(ds.feature_dim, cfg, epoch, weighted_grad)

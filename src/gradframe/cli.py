@@ -27,16 +27,14 @@ from .core import PenaltyParams, train_gradframe
 from .data import (
     Domain,
     DomainSet,
-    GaussianSpec,
-    SIM_SOURCE_BLOBS,
-    SIM_TARGET_BLOBS,
     Standardization,
     apply_standardization,
-    generate_gaussian_domain,
     load_csv_dataset,
     read_ordinal_column,
     save_csv_dataset,
     save_csv_domain,
+    simulation_source,
+    simulation_target,
 )
 from .errors import ConfigError, DataError, GradframeError, NumericError
 from .evaluation import evaluate, lodo_cv_search, welch_t_one_tailed
@@ -73,38 +71,12 @@ def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
     (out / "effective_config.txt").write_text(render_config(cfg.values), encoding="utf-8")
 
 
-def _simulate_source(cfg: ExperimentConfig, seed: int) -> DomainSet:
-    source_boundary, _ = cfg.sim_boundaries()
-    domains = []
-    for domain_id, blobs in SIM_SOURCE_BLOBS.items():
-        specs = [
-            GaussianSpec(np.array(mean), var * np.eye(2), cfg.sim_points_per_blob)
-            for mean, var in blobs
-        ]
-        domains.append(
-            generate_gaussian_domain(
-                domain_id, specs, source_boundary, derive_seed(seed, "data", domain_id)
-            )
-        )
-    return DomainSet(tuple(domains))
-
-
-def _simulate_target(cfg: ExperimentConfig, seed: int) -> Domain:
-    _, target_boundary = cfg.sim_boundaries()
-    specs = [
-        GaussianSpec(np.array(mean), var * np.eye(2), cfg.sim_target_points_per_blob)
-        for mean, var in SIM_TARGET_BLOBS
-    ]
-    return generate_gaussian_domain(
-        "target", specs, target_boundary, derive_seed(seed, "data", "target")
-    )
-
-
 def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | None]:
     """Source domains plus the optional evaluation target, standardized if configured."""
     if cfg.values["dataset.kind"] == "simulate":
-        source = _simulate_source(cfg, seed)
-        target = _simulate_target(cfg, seed)
+        source_boundary, target_boundary = cfg.sim_boundaries()
+        source = simulation_source(seed, cfg.sim_points_per_blob, source_boundary)
+        target = simulation_target(seed, cfg.sim_target_points_per_blob, target_boundary)
     else:
         src_path = cfg.values["data.source_csv"].strip()
         if not src_path:
@@ -145,18 +117,25 @@ def _save_scaler(stats: Standardization | None, out: Path) -> None:
     (out / "scaler.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_scaler(path: Path) -> Standardization:
+def _load_scaler(path: Path, input_dim: int) -> Standardization:
+    """The mean and std rows ``_save_scaler`` wrote, one value per model input."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    return Standardization(
-        mean=np.array([float(v) for v in lines[0].split()]),
-        std=np.array([float(v) for v in lines[1].split()]),
-    )
+    try:
+        mean, std = (np.array([float(v) for v in line.split()]) for line in lines[:2])
+    except ValueError:
+        raise DataError(f"{path}: expected a mean row and a std row of numbers") from None
+    if mean.shape != (input_dim,) or std.shape != (input_dim,):
+        raise DataError(
+            f"{path}: mean has {mean.size} and std {std.size} values, the model takes {input_dim} inputs"
+        )
+    return Standardization(mean=mean, std=std)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
-    source = _simulate_source(cfg, cfg.seed)
-    target = _simulate_target(cfg, cfg.seed)
+    source_boundary, target_boundary = cfg.sim_boundaries()
+    source = simulation_source(cfg.seed, cfg.sim_points_per_blob, source_boundary)
+    target = simulation_target(cfg.seed, cfg.sim_target_points_per_blob, target_boundary)
     save_csv_dataset(source, out / "source.csv")
     save_csv_domain(target, out / "target.csv")
     _write_json(
@@ -233,8 +212,7 @@ def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
     if sweep_key:
         if sweep_key not in ("gamma1", "gamma2"):
             raise ConfigError("config key 'shift.sweep': expected gamma1 or gamma2")
-        values = [float(v) for v in cfg.values["shift.sweep_values"].split(",")]
-        for v in values:
+        for v in cfg.shift_sweep_values:
             gammas = (
                 PenaltyParams(v, base.gamma2)
                 if sweep_key == "gamma1"
@@ -379,7 +357,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     domain = load_csv_dataset(eval_path, cfg.csv_schema()).pooled("eval")
     scaler_path = out / "scaler.txt"
     if scaler_path.exists():
-        domain = apply_standardization(domain, _load_scaler(scaler_path))
+        domain = apply_standardization(domain, _load_scaler(scaler_path, model.input_dim))
     _write_json(
         out / "eval_report.json",
         {

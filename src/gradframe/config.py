@@ -270,6 +270,13 @@ class ExperimentConfig:
         return ks
 
     @property
+    def shift_sweep_values(self) -> list[float]:
+        values = _as_float_list(self.values, "shift.sweep_values")
+        if not values:
+            raise ConfigError("config key 'shift.sweep_values' must list at least one value")
+        return values
+
+    @property
     def sim_points_per_blob(self) -> int:
         return _as_int(self.values, "simulate.points_per_blob")
 

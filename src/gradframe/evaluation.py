@@ -9,7 +9,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc
 
 from .core import AscentConfig, PenaltyParams, train_gradframe
 from .data import Domain, DomainSet
@@ -68,17 +67,9 @@ class GammaGrid:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.shape[0])
-    sorted_vals = values[order]
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, ties sharing the mean of their positions (``rankdata``'s "average")."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def auroc(scores, labels) -> float:
@@ -123,17 +114,13 @@ def welch_t_one_tailed(a, b) -> tuple[float, float, float]:
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise DataError("each sample needs at least two values")
-    va = a.var(ddof=1)
-    vb = b.var(ddof=1)
-    if va == 0.0 and vb == 0.0:
+    if a.var(ddof=1) == 0.0 and b.var(ddof=1) == 0.0:
         raise NumericError("both samples have zero variance; the test is degenerate")
-    sa = va / a.size
-    sb = vb / b.size
-    t = (a.mean() - b.mean()) / math.sqrt(sa + sb)
-    dof = (sa + sb) ** 2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
-    tail = 0.5 * betainc(dof / 2.0, 0.5, dof / (dof + t * t))
-    p = tail if t >= 0 else 1.0 - tail
-    return float(t), float(dof), float(p)
+    # scipy.stats costs about 0.65 s and 45 MB to import; only compare needs it
+    from scipy.stats import ttest_ind
+
+    res = ttest_ind(a, b, equal_var=False, alternative="greater")
+    return float(res.statistic), float(res.df), float(res.pvalue)
 
 
 def split_domain(domain: Domain, fraction: float, seed: int) -> tuple[Domain, Domain]:

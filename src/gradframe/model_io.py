@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .nn import MlpModel, _readonly
+from .nn import MlpModel, flatten_params
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
@@ -46,6 +46,8 @@ def load_model(path: str | Path) -> MlpModel:
         for k in range(len(dims) - 1):
             _, rows_s, cols_s = lines[pos].split()
             rows, cols = int(rows_s), int(cols_s)
+            if (rows, cols) != dims[k : k + 2]:
+                raise DataError(f"{path}: block W{k} is {rows}x{cols}, dims say {dims[k : k + 2]}")
             pos += 1
             w = np.array(
                 [[float(v) for v in lines[pos + r].split()] for r in range(rows)]
@@ -56,11 +58,11 @@ def load_model(path: str | Path) -> MlpModel:
             n_b = int(lines[pos].split()[1])
             pos += 1
             b = np.array([float(v) for v in lines[pos].split()])
-            if b.shape != (n_b,):
+            if n_b != cols or b.shape != (n_b,):
                 raise DataError(f"{path}: malformed bias block b{k}")
             pos += 1
-            weights.append(_readonly(w))
-            biases.append(_readonly(b))
+            weights.append(w)
+            biases.append(b)
+        return MlpModel(dims, flatten_params(weights, biases), rep)
     except (IndexError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from None
-    return MlpModel(dims, tuple(weights), tuple(biases), rep)

@@ -6,13 +6,16 @@ component is the predicted probability.  One hidden layer is designated as
 the representation layer; its post-activation output is the vector ``z``
 used by the covariate-shift machinery.
 
-Models are immutable values: updates return new models.  All arrays are
-float64 and marked read-only, so models are safe to share across threads.
+Parameters live in one flat float64 vector, layer by layer: ``W0`` row-major
+(``layer_dims[0] x layer_dims[1]``), then ``b0``, then ``W1``, ``b1`` and so
+on.  ``weights`` and ``biases`` are read-only views into it, parameter
+gradients and Adam moments use the same layout, and an Adam step updates the
+whole vector at once.  Models are immutable values: updates return new models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -34,20 +37,50 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def param_views(
+    layer_dims: tuple[int, ...], flat: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer weight and bias views into a flat vector in the model layout."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return tuple(weights), tuple(biases)
+
+
+def flatten_params(weights, biases) -> np.ndarray:
+    """Per-layer weights and biases packed into one flat vector in the model layout."""
+    return np.concatenate([np.ravel(a) for pair in zip(weights, biases) for a in pair])
+
+
 @dataclass(frozen=True)
 class MlpModel:
     """Feed-forward network parameters.
 
-    ``weights[k]`` has shape ``(layer_dims[k], layer_dims[k+1])`` and maps the
-    layer-k activation to layer k+1 pre-activations; ``rep_layer_index``
-    addresses a hidden layer (1-based over weight layers) whose activation is
-    the representation z.
+    ``params`` is the flat parameter vector.  ``weights[k]`` has shape
+    ``(layer_dims[k], layer_dims[k+1])`` and maps the layer-k activation to
+    layer k+1 pre-activations; ``rep_layer_index`` addresses a hidden layer
+    (1-based over weight layers) whose activation is the representation z.
     """
 
     layer_dims: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    params: np.ndarray
     rep_layer_index: int
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dims = self.layer_dims
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+        params = _readonly(self.params)
+        if params.shape != (size,):
+            raise ShapeError(f"layer dims {dims} need {size} parameters, got shape {params.shape}")
+        weights, biases = param_views(dims, params)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
 
     @property
     def n_layers(self) -> int:
@@ -64,33 +97,19 @@ class MlpModel:
     def with_params(
         self, weights: tuple[np.ndarray, ...], biases: tuple[np.ndarray, ...]
     ) -> "MlpModel":
-        return MlpModel(
-            layer_dims=self.layer_dims,
-            weights=tuple(_readonly(w) for w in weights),
-            biases=tuple(_readonly(b) for b in biases),
-            rep_layer_index=self.rep_layer_index,
-        )
+        old = [a.shape for a in (*self.weights, *self.biases)]
+        new = [np.shape(a) for a in (*weights, *biases)]
+        if new != old:
+            raise ShapeError(f"parameter shapes {new} do not match the model's {old}")
+        return MlpModel(self.layer_dims, flatten_params(weights, biases), self.rep_layer_index)
 
 
-class ParamGrads(NamedTuple):
-    """Per-parameter gradients, shaped exactly like the model parameters."""
+class AdamState(NamedTuple):
+    """First and second moment vectors, laid out like ``MlpModel.params``, and the step count."""
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """First/second moment accumulators plus the step counter."""
-
-    m_weights: tuple[np.ndarray, ...]
-    v_weights: tuple[np.ndarray, ...]
-    m_biases: tuple[np.ndarray, ...]
-    v_biases: tuple[np.ndarray, ...]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    epsilon: float = ADAM_EPSILON
 
 
 def init_mlp(layer_dims: list[int] | tuple[int, ...], rep_layer_index: int, seed: int) -> MlpModel:
@@ -110,12 +129,11 @@ def init_mlp(layer_dims: list[int] | tuple[int, ...], rep_layer_index: int, seed
         )
     rng = np.random.default_rng(int(seed))
     weights = []
-    biases = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(_readonly(rng.uniform(-bound, bound, size=(fan_in, fan_out))))
-        biases.append(_readonly(np.zeros(fan_out)))
-    return MlpModel(dims, tuple(weights), tuple(biases), int(rep_layer_index))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+    biases = [np.zeros(fan_out) for fan_out in dims[1:]]
+    return MlpModel(dims, flatten_params(weights, biases), int(rep_layer_index))
 
 
 def _check_matrix(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -184,11 +202,15 @@ def _check_label(y: float | int) -> float:
     return yf
 
 
+def _bce(p1_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
+    p1 = np.clip(p1_raw, P_MIN, P_MAX)
+    return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1))
+
+
 def bce_rows(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per-row BCE and per-layer activations of an ``(n, d)`` input the caller has checked."""
     acts, p1_raw = _forward_acts(model, x)
-    p1 = np.clip(p1_raw, P_MIN, P_MAX)
-    return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1)), acts
+    return _bce(p1_raw, y), acts
 
 
 def bce_loss_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -214,34 +236,48 @@ def _score_grads(p1_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _backward(
-    model: MlpModel, acts: list[np.ndarray], d_scores: np.ndarray
-) -> tuple[ParamGrads, np.ndarray]:
-    """Backprop from output-score gradients; returns parameter and input grads."""
-    g_w: list[np.ndarray] = [np.empty(0)] * model.n_layers
-    g_b: list[np.ndarray] = [np.empty(0)] * model.n_layers
+    model: MlpModel, acts: list[np.ndarray], d_scores: np.ndarray, grad: np.ndarray | None = None
+) -> np.ndarray:
+    """Backprop from output-score gradients to the input gradient.
+
+    When ``grad`` (a flat vector in the model layout) is given, the parameter
+    gradients are written into it on the way.
+    """
+    if grad is not None:
+        g_w, g_b = param_views(model.layer_dims, grad)
     d = d_scores
-    g_w[-1] = acts[-1].T @ d
-    g_b[-1] = d.sum(axis=0)
-    d = d @ model.weights[-1].T
-    for k in range(model.n_layers - 2, -1, -1):
-        d = d * (acts[k + 1] > 0.0)
-        g_w[k] = acts[k].T @ d
-        g_b[k] = d.sum(axis=0)
+    for k in range(model.n_layers - 1, -1, -1):
+        if k < model.n_layers - 1:
+            d = d * (acts[k + 1] > 0.0)
+        if grad is not None:
+            np.matmul(acts[k].T, d, out=g_w[k])
+            d.sum(axis=0, out=g_b[k])
         d = d @ model.weights[k].T
-    return ParamGrads(tuple(g_w), tuple(g_b)), d
+    return d
 
 
-def grad_params_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> ParamGrads:
-    """Gradient of the mean BCE over the batch w.r.t. all weights and biases."""
+def _forward_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw class-1 probabilities and the flat gradient of the mean BCE, from one forward pass."""
     x = _check_matrix(model, x)
-    y = np.asarray(y, dtype=np.float64)
     acts, p1_raw = _forward_acts(model, x)
-    d_scores = _score_grads(p1_raw, y) / x.shape[0]
-    grads, _ = _backward(model, acts, d_scores)
-    return grads
+    grad = np.empty(model.params.shape)
+    _backward(model, acts, _score_grads(p1_raw, y) / x.shape[0], grad)
+    return p1_raw, grad
 
 
-def grad_params(model: MlpModel, x: np.ndarray, y: float | int) -> ParamGrads:
+def grad_params_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the mean BCE over the batch, laid out like ``model.params``."""
+    return _forward_grad(model, x, np.asarray(y, dtype=np.float64))[1]
+
+
+def bce_grad_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean BCE over the batch and its ``grad_params_batch`` gradient, from one forward pass."""
+    y = np.asarray(y, dtype=np.float64)
+    p1_raw, grad = _forward_grad(model, x, y)
+    return float(_bce(p1_raw, y).mean()), grad
+
+
+def grad_params(model: MlpModel, x: np.ndarray, y: float | int) -> np.ndarray:
     x = _check_vector(model, x)
     yf = _check_label(y)
     return grad_params_batch(model, x[None, :], np.array([yf]))
@@ -268,7 +304,7 @@ def input_grad_rows(
     ``anchor`` carries one anchor representation per row.
     """
     acts, p1_raw = _forward_acts(model, x)
-    _, g = _backward(model, acts, _score_grads(p1_raw, y))
+    g = _backward(model, acts, _score_grads(p1_raw, y))
     if anchor is not None:
         z_anchor, weight_a = anchor
         d_rep = acts[model.rep_layer_index] - z_anchor
@@ -276,7 +312,7 @@ def input_grad_rows(
     if concept is not None:
         concept_model, weight_c = concept
         c_acts, c_p1 = _forward_acts(concept_model, x)
-        _, c_input = _backward(concept_model, c_acts, _score_grads(c_p1, y))
+        c_input = _backward(concept_model, c_acts, _score_grads(c_p1, y))
         g = g - float(weight_c) * c_input
     return g
 
@@ -316,68 +352,24 @@ def grad_input(
     return input_grad_rows(model, x[None, :], np.array([yf]), anchor, concept)[0]
 
 
-def init_adam_state(
-    model: MlpModel,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    epsilon: float = ADAM_EPSILON,
-) -> AdamState:
-    zeros_w = tuple(np.zeros_like(w) for w in model.weights)
-    zeros_b = tuple(np.zeros_like(b) for b in model.biases)
-    return AdamState(
-        m_weights=zeros_w,
-        v_weights=tuple(np.zeros_like(w) for w in model.weights),
-        m_biases=zeros_b,
-        v_biases=tuple(np.zeros_like(b) for b in model.biases),
-        step=0,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
+def init_adam_state(model: MlpModel) -> AdamState:
+    return AdamState(m=np.zeros(model.params.shape), v=np.zeros(model.params.shape))
 
 
 def adam_step(
-    model: MlpModel, state: AdamState, grads: ParamGrads, lr: float
+    model: MlpModel, state: AdamState, grads: np.ndarray, lr: float
 ) -> tuple[MlpModel, AdamState]:
     """One Adam update with bias correction; returns the new model and state."""
     if not lr > 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
+    if np.shape(grads) != model.params.shape:
+        raise ShapeError(
+            f"gradient shape {np.shape(grads)} does not match parameter shape {model.params.shape}"
+        )
     t = state.step + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-
-    def _update(p, m, v, g):
-        m_new = state.beta1 * m + (1.0 - state.beta1) * g
-        v_new = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        p_new = p - lr * (m_new / c1) / (np.sqrt(v_new / c2) + state.epsilon)
-        return p_new, m_new, v_new
-
-    new_w, m_w, v_w = [], [], []
-    for p, m, v, g in zip(model.weights, state.m_weights, state.v_weights, grads.weights):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-        pn, mn, vn = _update(p, m, v, g)
-        new_w.append(pn)
-        m_w.append(mn)
-        v_w.append(vn)
-    new_b, m_b, v_b = [], [], []
-    for p, m, v, g in zip(model.biases, state.m_biases, state.v_biases, grads.biases):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-        pn, mn, vn = _update(p, m, v, g)
-        new_b.append(pn)
-        m_b.append(mn)
-        v_b.append(vn)
-
-    new_model = model.with_params(tuple(new_w), tuple(new_b))
-    new_state = AdamState(
-        m_weights=tuple(m_w),
-        v_weights=tuple(v_w),
-        m_biases=tuple(m_b),
-        v_biases=tuple(v_b),
-        step=t,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-    )
-    return new_model, new_state
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grads * grads)
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
+    params = model.params - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
+    return MlpModel(model.layer_dims, params, model.rep_layer_index), AdamState(m, v, t)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import kolmogorov, logsumexp
 
 from .core import FictitiousSet
 from .data import Domain, DomainSet, split_into_k_domains
@@ -195,22 +195,6 @@ class KsResult:
             raise DataError(f"p-value out of range: {self.p_value}")
 
 
-def _kolmogorov_sf(t: float, terms: int = 100) -> float:
-    """Asymptotic Kolmogorov survival function, series truncated at ``terms``."""
-    if t < 0.18:
-        # Series is numerically useless near zero; the survival value is ~1.
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for k in range(1, terms + 1):
-        term = math.exp(-2.0 * (k * t) ** 2)
-        total += sign * term
-        sign = -sign
-        if term < 1e-18:
-            break
-    return min(max(2.0 * total, 0.0), 1.0)
-
-
 def ks_two_sample(a, b) -> KsResult:
     """Exact ECDF supremum plus the asymptotic p-value."""
     a = np.sort(np.asarray(a, dtype=np.float64))
@@ -222,7 +206,7 @@ def ks_two_sample(a, b) -> KsResult:
     cdf_b = np.searchsorted(b, everything, side="right") / b.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     effective = a.size * b.size / (a.size + b.size)
-    p = _kolmogorov_sf(math.sqrt(effective) * d)
+    p = float(kolmogorov(math.sqrt(effective) * d))
     return KsResult(statistic=d, p_value=p)
 
 

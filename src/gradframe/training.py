@@ -1,8 +1,9 @@
-"""Shared minibatch training loop and its configuration."""
+"""The one training loop behind every model in the package, and its configuration."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -41,6 +42,33 @@ class TrainConfig:
         return (int(input_dim), *self.hidden_dims, 2)
 
 
+def descend(
+    input_dim: int,
+    cfg: TrainConfig,
+    epoch: Callable[[np.random.Generator], Iterable[tuple]],
+    grad: Callable[..., np.ndarray],
+) -> MlpModel:
+    """Seeded init, then one Adam step per batch for ``cfg.epochs`` epochs.
+
+    ``epoch(shuffle)`` yields one epoch's batches, drawing their order from
+    the seeded ``shuffle`` stream; each batch takes one step along
+    ``grad(model, *batch)``.
+    """
+    model = init_mlp(cfg.layer_dims(input_dim), cfg.rep_layer_index, derive_seed(cfg.seed, "init"))
+    state = init_adam_state(model)
+    shuffle = rng_for(cfg.seed, "batch")
+    for _ in range(cfg.epochs):
+        for batch in epoch(shuffle):
+            model, state = adam_step(model, state, grad(model, *batch), cfg.beta)
+    return model
+
+
+def minibatches(shuffle: np.random.Generator, n: int, batch_size: int) -> Iterator[np.ndarray]:
+    """Index batches of one shuffled pass over ``n`` rows; the last may be short."""
+    order = shuffle.permutation(n)
+    return (order[start : start + batch_size] for start in range(0, n, batch_size))
+
+
 def fit_minibatch(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
     """Train a fresh model on pooled arrays with seeded shuffling.
 
@@ -50,17 +78,11 @@ def fit_minibatch(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    model = init_mlp(cfg.layer_dims(x.shape[1]), cfg.rep_layer_index, derive_seed(cfg.seed, "init"))
-    state = init_adam_state(model)
-    shuffle = rng_for(cfg.seed, "batch")
-    n = x.shape[0]
-    for _ in range(cfg.epochs):
-        order = shuffle.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            grads = grad_params_batch(model, x[idx], y[idx])
-            model, state = adam_step(model, state, grads, cfg.beta)
-    return model
+
+    def epoch(shuffle):
+        return ((x[idx], y[idx]) for idx in minibatches(shuffle, x.shape[0], cfg.batch_size))
+
+    return descend(x.shape[1], cfg, epoch, grad_params_batch)
 
 
 def fit_domain(domain: Domain, cfg: TrainConfig) -> MlpModel:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradframe.data import Boundary, Domain, GaussianSpec, generate_gaussian_domain
-from gradframe.nn import MlpModel, _readonly, init_mlp
+from gradframe.nn import MlpModel, flatten_params, init_mlp
 
 
 def build_model(weights, biases, rep_layer_index=1) -> MlpModel:
@@ -12,12 +12,7 @@ def build_model(weights, biases, rep_layer_index=1) -> MlpModel:
     weights = [np.asarray(w, dtype=np.float64) for w in weights]
     biases = [np.asarray(b, dtype=np.float64) for b in biases]
     dims = tuple([weights[0].shape[0]] + [w.shape[1] for w in weights])
-    return MlpModel(
-        layer_dims=dims,
-        weights=tuple(_readonly(w) for w in weights),
-        biases=tuple(_readonly(b) for b in biases),
-        rep_layer_index=rep_layer_index,
-    )
+    return MlpModel(dims, flatten_params(weights, biases), rep_layer_index)
 
 
 def zero_model(layer_dims, rep_layer_index=1) -> MlpModel:

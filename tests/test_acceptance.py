@@ -23,7 +23,7 @@ import gradframe as gf
 from gradframe.core import AscentConfig, PenaltyParams, generate_fictitious_set, pretrain_domain_models, train_gradframe
 from gradframe.data import Domain, DomainSet, LabeledPoint, simulation_source, simulation_target
 from gradframe.evaluation import auroc, evaluate, lodo_cv_search
-from gradframe.nn import bce_loss, grad_input, grad_params, init_mlp, probs_batch, representation
+from gradframe.nn import bce_loss, grad_input, grad_params, init_mlp, param_views, probs_batch, representation
 from gradframe.rng import rng_for
 from gradframe.shift import concept_shift_delta, covariate_shift_ratio, ks_two_sample, shapley_attribution
 from gradframe.training import TrainConfig, fit_pooled
@@ -177,10 +177,10 @@ class TestCriterion6:
             # the probability clamp; resample such configurations
             if not _fd_safe(mi, x) or not _fd_safe(mj, x):
                 continue
-            gp = grad_params(mi, x, y)
+            gw, gb = param_views(mi.layer_dims, grad_params(mi, x, y))
             fw, fb = fd_param_grads(lambda m: bce_loss(m, x, y), mi)
             for k in range(mi.n_layers):
-                worst = max(worst, rel_err(gp.weights[k], fw[k]), rel_err(gp.biases[k], fb[k]))
+                worst = max(worst, rel_err(gw[k], fw[k]), rel_err(gb[k], fb[k]))
             gi = grad_input(mi, x, y, anchor=(anchor, g1), concept=(mj, g2))
 
             def objective(q):

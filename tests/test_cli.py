@@ -363,6 +363,32 @@ output.dir = {tmp_path}/o
         echoed = (out / "effective_config.txt").read_text()
         assert "seed = 9" in echoed
 
+    def test_bad_sweep_value_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"shift.sweep = gamma1\nshift.sweep_values = 0.1,abc\noutput.dir = {tmp_path}/o\n",
+        )
+        assert main(["shift-report", "--config", str(cfg)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scaler",
+        ["0 0\n", "0 x\n1 1\n", "0 0\n1\n", "0 0 0\n1 1 1\n"],
+        ids=["missing-line", "non-numeric", "length-mismatch", "wrong-dimension"],
+    )
+    def test_malformed_scaler_is_data_error(self, tmp_path, capsys, scaler):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "c.cfg", TINY_TRAIN.format(method="erm", out=out))
+        assert main(["train", "--config", str(cfg)]) == 0
+        (out / "scaler.txt").write_text(scaler)
+        tgt = tmp_path / "tgt.csv"
+        tgt.write_text("x0,x1,label\n0.5,0.5,1\n-0.6,-0.4,0\n")
+        eval_cfg = write_cfg(
+            tmp_path / "e.cfg", f"dataset.kind = csv\ndata.target_csv = {tgt}\noutput.dir = {out}\n"
+        )
+        assert main(["evaluate", "--config", str(eval_cfg)]) == 3
+        assert "scaler.txt" in capsys.readouterr().err
+
     def test_removed_parallel_flag_is_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", f"dataset.kind = simulate\noutput.dir = {tmp_path}/o\n")
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ import pytest
 from conftest import build_model, fd_input_grad, fd_param_grads, rel_err, zero_model
 
 from gradframe.errors import ConfigError, DataError, ShapeError
+from gradframe.model_io import load_model, save_model
 from gradframe.nn import (
     P_MIN,
     adam_step,
@@ -18,6 +19,7 @@ from gradframe.nn import (
     grad_params_batch,
     init_adam_state,
     init_mlp,
+    param_views,
     representation,
 )
 
@@ -164,11 +166,11 @@ class TestGradParams:
             m = init_mlp([2, 8, 2], 1, seed=100 + trial)
             x = rng.normal(size=2)
             y = int(rng.integers(2))
-            g = grad_params(m, x, y)
+            gw, gb = param_views(m.layer_dims, grad_params(m, x, y))
             fw, fb = fd_param_grads(lambda mm: bce_loss(mm, x, y), m)
             for k in range(m.n_layers):
-                assert rel_err(g.weights[k], fw[k]) < 1e-5
-                assert rel_err(g.biases[k], fb[k]) < 1e-5
+                assert rel_err(gw[k], fw[k]) < 1e-5
+                assert rel_err(gb[k], fb[k]) < 1e-5
 
     def test_saturated_gradient_vanishes(self):
         m = build_model(
@@ -179,10 +181,7 @@ class TestGradParams:
         p1, _ = forward(m, x)
         assert p1 < 1e-6  # deeply saturated toward class 0
         g = grad_params(m, x, 0)
-        norm = math.sqrt(
-            sum(float(np.sum(w**2)) for w in g.weights)
-            + sum(float(np.sum(b**2)) for b in g.biases)
-        )
+        norm = math.sqrt(float(np.sum(g**2)))
         assert norm < 1e-6
 
     def test_batch_mean_linearity(self):
@@ -190,8 +189,7 @@ class TestGradParams:
         x = np.array([0.3, -0.8])
         single = grad_params(m, x, 1)
         duplicated = grad_params_batch(m, np.stack([x, x]), np.array([1.0, 1.0]))
-        for a, b in zip(single.weights, duplicated.weights):
-            assert np.allclose(a, b, atol=1e-15)
+        assert np.allclose(single, duplicated, atol=1e-15)
 
 
 class TestGradInput:
@@ -242,11 +240,12 @@ class TestAdam:
         state = init_adam_state(m)
         grads = grad_params_batch(m, np.array([[1.0, 1.0]]), np.array([1.0]))
         # replace with a synthetic constant gradient on one matrix
-        gw = [np.zeros_like(w) for w in m.weights]
+        gw, _ = param_views(m.layer_dims, grads)
+        gw[0][...] = 0.0
         gw[0][0, 0] = 0.37
-        from gradframe.nn import ParamGrads
+        gw[1][...] = 0.0
 
-        new_m, new_state = adam_step(m, state, ParamGrads(tuple(gw), grads.biases), lr=0.01)
+        new_m, new_state = adam_step(m, state, grads, lr=0.01)
         delta = new_m.weights[0][0, 0] - m.weights[0][0, 0]
         assert new_state.step == 1
         assert abs(abs(delta) - 0.01) < 1e-6
@@ -254,13 +253,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         m = init_mlp([2, 3, 2], 1, seed=5)
         state = init_adam_state(m)
-        from gradframe.nn import ParamGrads
-
-        zeros = ParamGrads(
-            tuple(np.zeros_like(w) for w in m.weights),
-            tuple(np.zeros_like(b) for b in m.biases),
-        )
-        new_m, new_state = adam_step(m, state, zeros, lr=0.1)
+        new_m, new_state = adam_step(m, state, np.zeros_like(m.params), lr=0.1)
         assert new_state.step == 1
         for a, b in zip(m.weights, new_m.weights):
             assert np.array_equal(a, b)
@@ -268,17 +261,15 @@ class TestAdam:
     def test_quadratic_descent(self):
         m = init_mlp([2, 2, 2], 1, seed=6)
         state = init_adam_state(m)
-        from gradframe.nn import ParamGrads
 
         def objective(model):
             return (model.weights[0][0, 0] - 3.0) ** 2
 
         start = objective(m)
         for _ in range(100):
-            gw = [np.zeros_like(w) for w in m.weights]
-            gw[0][0, 0] = 2.0 * (m.weights[0][0, 0] - 3.0)
-            gb = [np.zeros_like(b) for b in m.biases]
-            m, state = adam_step(m, state, ParamGrads(tuple(gw), tuple(gb)), lr=0.1)
+            g = np.zeros_like(m.params)
+            param_views(m.layer_dims, g)[0][0][0, 0] = 2.0 * (m.weights[0][0, 0] - 3.0)
+            m, state = adam_step(m, state, g, lr=0.1)
         assert objective(m) < start
 
     def test_rejects_bad_lr(self):
@@ -287,3 +278,20 @@ class TestAdam:
         grads = grad_params(m, np.array([0.0, 0.0]), 0)
         with pytest.raises(ConfigError):
             adam_step(m, state, grads, lr=0.0)
+
+
+class TestModelFile:
+    def test_round_trip_keeps_every_parameter(self, tmp_path):
+        m = init_mlp([3, 4, 2, 2], 2, seed=8)
+        save_model(m, tmp_path / "m.txt")
+        loaded = load_model(tmp_path / "m.txt")
+        assert loaded.layer_dims == m.layer_dims
+        assert loaded.rep_layer_index == 2
+        assert loaded.params.tobytes() == m.params.tobytes()
+
+    def test_blocks_disagreeing_with_dims_header(self, tmp_path):
+        save_model(init_mlp([2, 3, 2], 1, seed=8), tmp_path / "m.txt")
+        text = (tmp_path / "m.txt").read_text().replace("dims 2,3,2", "dims 3,2,2")
+        (tmp_path / "m.txt").write_text(text)
+        with pytest.raises(DataError):
+            load_model(tmp_path / "m.txt")

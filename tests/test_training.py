@@ -1,0 +1,204 @@
+"""Bit-identity oracle for the shared training loop.
+
+The reference below is the per-layer formulation the flat-parameter loop
+replaced: its own init, per-layer backprop, an Adam update over separate
+weight and bias tuples, and one hand-written loop each for minibatch ERM,
+mixup and GroupDRO.  The arithmetic is the same, so every weight and bias
+must match byte for byte.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from gradframe.baselines import MixupConfig, draw_lambdas, train_groupdro, train_mixup
+from gradframe.data import Domain, DomainSet, LabeledPoint
+from gradframe.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, P_MAX, P_MIN
+from gradframe.rng import derive_seed, rng_for
+from gradframe.training import TrainConfig, fit_minibatch
+
+
+def _ref_init(dims, seed):
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return weights, biases
+
+
+def _ref_loss_and_grads(weights, biases, x, y):
+    """Mean BCE and per-layer parameter gradients of the mean BCE."""
+    acts = [x]
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+        acts.append(h)
+    scores = h @ weights[-1] + biases[-1]
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    p1_raw = e[:, 1] / (e[:, 0] + e[:, 1])
+    p1 = np.clip(p1_raw, P_MIN, P_MAX)
+    loss = float((-(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1))).mean())
+    d1 = p1_raw - y
+    d = np.stack([-d1, d1], axis=1) / x.shape[0]
+    n = len(weights)
+    g_w, g_b = [None] * n, [None] * n
+    g_w[-1] = acts[-1].T @ d
+    g_b[-1] = d.sum(axis=0)
+    d = d @ weights[-1].T
+    for k in range(n - 2, -1, -1):
+        d = d * (acts[k + 1] > 0.0)
+        g_w[k] = acts[k].T @ d
+        g_b[k] = d.sum(axis=0)
+        d = d @ weights[k].T
+    return loss, g_w, g_b
+
+
+class _RefAdam:
+    """Adam over separate weight and bias lists, one layer at a time."""
+
+    def __init__(self, weights, biases):
+        self.m_w = [np.zeros_like(w) for w in weights]
+        self.v_w = [np.zeros_like(w) for w in weights]
+        self.m_b = [np.zeros_like(b) for b in biases]
+        self.v_b = [np.zeros_like(b) for b in biases]
+        self.step = 0
+
+    def update(self, weights, biases, g_w, g_b, lr):
+        self.step += 1
+        c1 = 1.0 - ADAM_BETA1**self.step
+        c2 = 1.0 - ADAM_BETA2**self.step
+
+        def one(p, m, v, g):
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+            return p - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON), m, v
+
+        for k in range(len(weights)):
+            weights[k], self.m_w[k], self.v_w[k] = one(weights[k], self.m_w[k], self.v_w[k], g_w[k])
+        for k in range(len(biases)):
+            biases[k], self.m_b[k], self.v_b[k] = one(biases[k], self.m_b[k], self.v_b[k], g_b[k])
+
+
+def _ref_start(input_dim, cfg):
+    weights, biases = _ref_init(cfg.layer_dims(input_dim), derive_seed(cfg.seed, "init"))
+    return weights, biases, _RefAdam(weights, biases), rng_for(cfg.seed, "batch")
+
+
+def ref_fit_minibatch(x, y, cfg):
+    weights, biases, adam, shuffle = _ref_start(x.shape[1], cfg)
+    n = x.shape[0]
+    for _ in range(cfg.epochs):
+        order = shuffle.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            _, g_w, g_b = _ref_loss_and_grads(weights, biases, x[idx], y[idx])
+            adam.update(weights, biases, g_w, g_b, cfg.beta)
+    return weights, biases
+
+
+def ref_train_mixup(ds, cfg, mixup):
+    pooled = ds.pooled()
+    x = pooled.feature_matrix()
+    y = pooled.label_vector()
+    n = x.shape[0]
+    weights, biases, adam, shuffle = _ref_start(x.shape[1], cfg)
+    mix_rng = rng_for(mixup.seed, "mixup")
+    for _ in range(cfg.epochs):
+        order = shuffle.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            partners = mix_rng.integers(0, n, size=idx.shape[0])
+            lam = draw_lambdas(mixup, mix_rng, idx.shape[0])[:, None]
+            x_mix = lam * x[idx] + (1.0 - lam) * x[partners]
+            y_mix = lam[:, 0] * y[idx] + (1.0 - lam[:, 0]) * y[partners]
+            _, g_w, g_b = _ref_loss_and_grads(weights, biases, x_mix, y_mix)
+            adam.update(weights, biases, g_w, g_b, cfg.beta)
+    return weights, biases
+
+
+def ref_train_groupdro(ds, cfg, eta, on_step):
+    xs = [d.feature_matrix() for d in ds.domains]
+    ys = [d.label_vector() for d in ds.domains]
+    weights, biases, adam, shuffle = _ref_start(ds.feature_dim, cfg)
+    q = np.full(ds.k, 1.0 / ds.k)
+    steps_per_epoch = max(int(np.ceil(max(len(x) for x in xs) / cfg.batch_size)), 1)
+    step_no = 0
+    for _ in range(cfg.epochs):
+        orders = [shuffle.permutation(len(x)) for x in xs]
+        for s in range(steps_per_epoch):
+            losses = np.empty(ds.k)
+            per_domain = []
+            for i, (x, y, order) in enumerate(zip(xs, ys, orders)):
+                idx = order[np.arange(s * cfg.batch_size, (s + 1) * cfg.batch_size) % len(x)]
+                losses[i], g_w, g_b = _ref_loss_and_grads(weights, biases, x[idx], y[idx])
+                per_domain.append((g_w, g_b))
+            q = q * np.exp(eta * losses)
+            q = q / q.sum()
+            step_no += 1
+            on_step(step_no, q.copy(), losses.copy())
+            g_w = [sum(q[i] * g[0][k] for i, g in enumerate(per_domain)) for k in range(len(weights))]
+            g_b = [sum(q[i] * g[1][k] for i, g in enumerate(per_domain)) for k in range(len(biases))]
+            adam.update(weights, biases, g_w, g_b, cfg.beta)
+    return weights, biases
+
+
+def _assert_same_bytes(model, ref):
+    weights, biases = ref
+    assert len(model.weights) == len(weights)
+    for got, want in zip((*model.weights, *model.biases), (*weights, *biases)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _noisy_domain(domain_id, n, seed):
+    """Overlapping classes, so gradients stay alive for the whole run."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    y = (x[:, 0] - 0.5 * x[:, 1] + rng.normal(scale=0.7, size=n) > 0).astype(int)
+    return Domain(domain_id, tuple(LabeledPoint(xi, int(yi)) for xi, yi in zip(x, y)))
+
+
+def _three_domains():
+    return DomainSet(
+        (_noisy_domain("a", 37, 1), _noisy_domain("b", 52, 2), _noisy_domain("c", 21, 3))
+    )
+
+
+class TestFitMinibatchOracle:
+    @pytest.mark.parametrize("hidden,rep", [((2,), 1), ((8, 4), 2)])
+    @pytest.mark.parametrize("batch_size", [50, 16], ids=["full-batch", "ragged"])
+    def test_bit_identical(self, hidden, rep, batch_size):
+        dom = _noisy_domain("train", 50, 7)
+        x, y = dom.feature_matrix(), dom.label_vector()
+        cfg = TrainConfig(
+            beta=0.05, epochs=40, batch_size=batch_size, seed=4, hidden_dims=hidden, rep_layer_index=rep
+        )
+        _assert_same_bytes(fit_minibatch(x, y, cfg), ref_fit_minibatch(x, y, cfg))
+
+
+class TestTrainMixupOracle:
+    @pytest.mark.parametrize("fixed_lambda", [None, 0.3], ids=["beta-drawn", "fixed"])
+    def test_bit_identical(self, fixed_lambda):
+        ds = _three_domains()
+        cfg = TrainConfig(beta=0.05, epochs=15, batch_size=16, seed=2)
+        mixup = MixupConfig(beta_shape=(2.0, 2.0), seed=5, fixed_lambda=fixed_lambda)
+        _assert_same_bytes(train_mixup(ds, cfg, mixup), ref_train_mixup(ds, cfg, mixup))
+
+
+class TestTrainGroupDroOracle:
+    @pytest.mark.parametrize("eta", [0.01, 1.0])
+    def test_bit_identical_with_same_step_sequence(self, eta):
+        ds = _three_domains()
+        cfg = TrainConfig(beta=0.05, epochs=15, batch_size=16, seed=3, hidden_dims=(4,))
+        got_steps, want_steps = [], []
+        model = train_groupdro(ds, cfg, eta=eta, on_step=lambda *a: got_steps.append(a))
+        ref = ref_train_groupdro(ds, cfg, eta, lambda *a: want_steps.append(a))
+        _assert_same_bytes(model, ref)
+        assert len(got_steps) == len(want_steps) == 15 * 4
+        for (s, q, losses), (s_ref, q_ref, losses_ref) in zip(got_steps, want_steps):
+            assert s == s_ref
+            assert q.tobytes() == q_ref.tobytes()
+            assert losses.tobytes() == losses_ref.tobytes()
