@@ -36,7 +36,7 @@ from .data import (
     simulation_source,
     simulation_target,
 )
-from .errors import ConfigError, DataError, GradframeError, NumericError
+from .errors import ConfigError, DataError, GradframeError, NumericError, ShapeError
 from .evaluation import evaluate, lodo_cv_search, welch_t_one_tailed
 from .model_io import load_model, save_model
 from .nn import MlpModel
@@ -261,7 +261,7 @@ def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
         cfg.select_k_candidates,
         keys,
         cfg.train_config(),
-        m_samples=int(cfg.values["select_k.m_samples"]),
+        m_samples=cfg.select_k_m_samples,
     )
     with (out / "k_table.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -355,6 +355,10 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     if not eval_path:
         raise ConfigError("evaluate requires data.target_csv or data.source_csv")
     domain = load_csv_dataset(eval_path, cfg.csv_schema()).pooled("eval")
+    if domain.feature_dim != model.input_dim:
+        raise ShapeError(
+            f"{eval_path}: {domain.feature_dim} features, the model takes {model.input_dim} inputs"
+        )
     scaler_path = out / "scaler.txt"
     if scaler_path.exists():
         domain = apply_standardization(domain, _load_scaler(scaler_path, model.input_dim))

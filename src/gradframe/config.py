@@ -255,7 +255,7 @@ class ExperimentConfig:
         return MixupConfig(
             beta_shape=(shape[0], shape[1]),
             seed=seed,
-            fixed_lambda=float(fixed) if fixed else None,
+            fixed_lambda=_as_float(self.values, "mixup.fixed_lambda") if fixed else None,
         )
 
     @property
@@ -268,6 +268,13 @@ class ExperimentConfig:
         if len(ks) < 2:
             raise ConfigError("config key 'select_k.candidates' needs at least two values")
         return ks
+
+    @property
+    def select_k_m_samples(self) -> int:
+        m = _as_int(self.values, "select_k.m_samples")
+        if m < 1:
+            raise ConfigError(f"config key 'select_k.m_samples' must be >= 1, got {m}")
+        return m
 
     @property
     def shift_sweep_values(self) -> list[float]:

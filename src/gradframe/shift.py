@@ -29,6 +29,11 @@ from .training import TrainConfig, fit_domain, fit_minibatch, fit_pooled
 BANDWIDTH_FLOOR = 1e-3
 RATIO_DENOM_FLOOR = 1e-6
 
+# Work-array sizes, which bound memory and leave results unchanged: kernel values per KDE
+# query block (128 KB stays in cache; larger ran slower), coalition rows per Shapley chunk.
+KDE_BLOCK_ELEMENTS = 1 << 14
+SHAPLEY_CHUNK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class KdeModel:
@@ -55,18 +60,26 @@ def kde_fit(samples: np.ndarray, bandwidth_rule: str | float | np.ndarray = "sco
 
 
 def kde_log_density(model: KdeModel, query: np.ndarray) -> float | np.ndarray:
-    """Log of the mean of Gaussian kernels centered at the samples."""
+    """Log of the mean of Gaussian kernels centered at the samples, in O(block·n) memory."""
     query = np.asarray(query, dtype=np.float64)
     single = query.ndim == 1
     q = np.atleast_2d(query)
     n, d = model.samples.shape
     if q.shape[1] != d:
         raise ShapeError(f"query dimension {q.shape[1]} does not match samples dimension {d}")
-    # (m, n) quadratic forms over broadcast differences.
-    diffs = (q[:, None, :] - model.samples[None, :, :]) / model.bandwidth
-    quad = -0.5 * np.sum(diffs * diffs, axis=2)
+    # the broadcast's squared scaled differences, summed one feature at a time
+    # over (block, n) arrays instead of an (m, n, d) tensor
+    out = np.empty(q.shape[0])
+    rows = max(1, KDE_BLOCK_ELEMENTS // n)
+    for start in range(0, q.shape[0], rows):
+        block = q[start : start + rows]
+        quad = np.zeros((block.shape[0], n))
+        for j in range(d):
+            diff = (block[:, j, None] - model.samples[:, j]) / model.bandwidth[j]
+            quad += diff * diff
+        out[start : start + rows] = logsumexp(-0.5 * quad, axis=1)
     log_norm = -np.sum(np.log(model.bandwidth)) - 0.5 * d * np.log(2.0 * np.pi)
-    out = logsumexp(quad, axis=1) + log_norm - np.log(n)
+    out = out + log_norm - np.log(n)
     return float(out[0]) if single else out
 
 
@@ -143,6 +156,35 @@ def likelihood_difference(model_a: MlpModel, model_b: MlpModel, eval_domain: Dom
     return float(np.abs(probs_batch(model_a, x) - probs_batch(model_b, x)).mean())
 
 
+def _shapley_batch(model: MlpModel, x, baseline, m_samples: int, seeds, return_samples=False):
+    """Shapley attributions (P, d) for the P rows of ``x``, a chunk of points at a time.
+
+    Row p draws its m permutations from ``rng_for(seeds[p], "shapley")``; with
+    ``return_samples`` the per-permutation contributions (P, m, d) come back too.
+    """
+    if m_samples < 1:
+        raise ConfigError(f"m_samples must be >= 1, got {m_samples}")
+    n_points, d = x.shape
+    order = np.tile(np.arange(d), (m_samples, 1))
+    attributions = np.empty((n_points, d))
+    samples = np.empty((n_points, m_samples, d)) if return_samples else None
+    per_chunk = max(1, SHAPLEY_CHUNK_ROWS // (m_samples * (d + 1)))
+    for start in range(0, n_points, per_chunk):
+        chunk = slice(start, start + per_chunk)
+        # row-wise `permuted` makes the same draws as m calls of `rng.permutation(d)`
+        perms = [rng_for(seed, "shapley").permuted(order, axis=1) for seed in seeds[chunk]]
+        ranks = np.argsort(np.stack(perms), axis=2)
+        # coalition `step` holds the features ranked below it; feature j adds diff[ranks[j]]
+        joined = ranks[:, :, None, :] < np.arange(d + 1)[:, None]
+        rows = np.where(joined, x[chunk, None, None, :], baseline)
+        values = probs_batch(model, rows.reshape(-1, d)).reshape(-1, m_samples, d + 1)
+        contrib = np.take_along_axis(np.diff(values, axis=2), ranks, axis=2)
+        attributions[chunk] = contrib.mean(axis=1)
+        if return_samples:
+            samples[chunk] = contrib
+    return attributions, samples
+
+
 def shapley_attribution(
     model: MlpModel,
     background: Domain,
@@ -158,29 +200,12 @@ def shapley_attribution(
     ``return_samples`` the per-permutation contribution matrix (m, d) comes
     back too, for standard-error estimates.
     """
-    if m_samples < 1:
-        raise ConfigError(f"m_samples must be >= 1, got {m_samples}")
     x = np.asarray(point, dtype=np.float64)
     baseline = background.feature_matrix().mean(axis=0)
     if x.shape != baseline.shape:
         raise ShapeError(f"point shape {x.shape} does not match background dim {baseline.shape}")
-    d = x.shape[0]
-    rng = rng_for(seed, "shapley")
-    samples = np.empty((m_samples, d))
-    for m in range(m_samples):
-        perm = rng.permutation(d)
-        rows = np.tile(baseline, (d + 1, 1))
-        mask = np.zeros(d, dtype=bool)
-        for step, j in enumerate(perm, start=1):
-            mask[j] = True
-            rows[step, mask] = x[mask]
-        values = probs_batch(model, rows)
-        contrib = values[1:] - values[:-1]
-        samples[m, perm] = contrib
-    attributions = samples.mean(axis=0)
-    if return_samples:
-        return attributions, samples
-    return attributions
+    attr, samples = _shapley_batch(model, x[None, :], baseline, m_samples, [seed], return_samples)
+    return (attr[0], samples[0]) if return_samples else attr[0]
 
 
 @dataclass(frozen=True)
@@ -253,19 +278,9 @@ def select_domain_count(
             # one shared seed per candidate k: group models then differ only
             # through their data, not through the init/shuffle draw
             model = fit_domain(group, replace(cfg, seed=derive_seed(cfg.seed, "selectk", k)))
-            rows = np.stack(
-                [
-                    shapley_attribution(
-                        model,
-                        group,
-                        p.features,
-                        m_samples=m_samples,
-                        seed=derive_seed(cfg.seed, "selectk-shap", k, g_idx, i),
-                    )
-                    for i, p in enumerate(group.points)
-                ]
-            )
-            shap_per_group.append(rows)
+            x = group.feature_matrix()
+            seeds = [derive_seed(cfg.seed, "selectk-shap", k, g_idx, i) for i in range(len(x))]
+            shap_per_group.append(_shapley_batch(model, x, x.mean(axis=0), m_samples, seeds)[0])
         p_values = []
         for i in range(len(shap_per_group)):
             for j in range(i + 1, len(shap_per_group)):

@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .data import Domain, DomainSet
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .nn import MlpModel, adam_step, grad_params_batch, init_adam_state, init_mlp
 from .rng import derive_seed, rng_for
 
@@ -52,7 +52,8 @@ def descend(
 
     ``epoch(shuffle)`` yields one epoch's batches, drawing their order from
     the seeded ``shuffle`` stream; each batch takes one step along
-    ``grad(model, *batch)``.
+    ``grad(model, *batch)``.  A model with a non-finite parameter at the end
+    raises ``NumericError``, so a diverged fit is never returned.
     """
     model = init_mlp(cfg.layer_dims(input_dim), cfg.rep_layer_index, derive_seed(cfg.seed, "init"))
     state = init_adam_state(model)
@@ -60,6 +61,8 @@ def descend(
     for _ in range(cfg.epochs):
         for batch in epoch(shuffle):
             model, state = adam_step(model, state, grad(model, *batch), cfg.beta)
+    if not np.isfinite(model.params).all():
+        raise NumericError("training diverged: the fitted parameters are not all finite")
     return model
 
 

@@ -389,6 +389,58 @@ output.dir = {tmp_path}/o
         assert main(["evaluate", "--config", str(eval_cfg)]) == 3
         assert "scaler.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_m_samples_is_config_error(self, tmp_path, capsys, value):
+        data = tmp_path / "keyed.csv"
+        data.write_text("x0,x1,label,month\n0,0,0,1\n1,1,1,2\n0,1,0,3\n1,0,1,4\n")
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = csv
+data.source_csv = {data}
+csv.feature_columns = x0,x1
+csv.domain_column =
+select_k.key_column = month
+select_k.m_samples = {value}
+output.dir = {tmp_path}/o
+""",
+        )
+        assert main(["select-k", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "select_k.m_samples" in err
+        assert "Traceback" not in err
+
+    def test_bad_fixed_lambda_is_config_error(self, tmp_path, capsys):
+        body = TINY_TRAIN.format(method="mixup", out=tmp_path / "o") + "mixup.fixed_lambda = abc\n"
+        cfg = write_cfg(tmp_path / "c.cfg", body)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mixup.fixed_lambda" in err
+        assert "Traceback" not in err
+
+    def test_evaluate_width_mismatch_is_shape_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "c.cfg", TINY_TRAIN.format(method="erm", out=out))
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert (out / "scaler.txt").exists()
+        tgt = tmp_path / "tgt.csv"
+        tgt.write_text("x0,x1,x2,label\n0.5,0.5,0.1,1\n-0.6,-0.4,0.2,0\n")
+        eval_cfg = write_cfg(
+            tmp_path / "e.cfg", f"dataset.kind = csv\ndata.target_csv = {tgt}\noutput.dir = {out}\n"
+        )
+        assert main(["evaluate", "--config", str(eval_cfg)]) == 3
+        assert "3 features, the model takes 2 inputs" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+
+    def test_diverged_training_is_numeric_failure(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        body = TINY_TRAIN.format(method="erm", out=out).replace("0.02", "1e308")
+        cfg = write_cfg(tmp_path / "c.cfg", body)
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(cfg)]) == 4
+        assert "diverged" in capsys.readouterr().err
+        assert not (out / "model.txt").exists()
+
     def test_removed_parallel_flag_is_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", f"dataset.kind = simulate\noutput.dir = {tmp_path}/o\n")
         with pytest.raises(SystemExit) as exc:

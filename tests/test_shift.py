@@ -2,14 +2,23 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import build_model, constant_prob_model, separable_blobs
 
+import gradframe.shift as shift
 from gradframe.core import AscentConfig, PenaltyParams, generate_fictitious_set
-from gradframe.data import Domain, DomainSet, LabeledPoint, simulation_source
+from gradframe.data import (
+    Domain,
+    DomainSet,
+    LabeledPoint,
+    simulation_source,
+    split_into_k_domains,
+)
 from gradframe.errors import ConfigError, DataError
 from gradframe.nn import init_mlp, probs_batch
 from gradframe.shift import (
@@ -23,7 +32,35 @@ from gradframe.shift import (
     select_domain_count,
     shapley_attribution,
 )
-from gradframe.training import TrainConfig
+from gradframe.rng import derive_seed, rng_for
+from gradframe.training import TrainConfig, fit_domain
+
+
+def broadcast_kde_log_density(model, query):
+    """Reference KDE over the full (m, n, d) difference tensor."""
+    q = np.atleast_2d(np.asarray(query, dtype=np.float64))
+    n, d = model.samples.shape
+    diffs = (q[:, None, :] - model.samples[None, :, :]) / model.bandwidth
+    quad = -0.5 * np.sum(diffs * diffs, axis=2)
+    log_norm = -np.sum(np.log(model.bandwidth)) - 0.5 * d * np.log(2.0 * np.pi)
+    return logsumexp(quad, axis=1) + log_norm - np.log(n)
+
+
+def loop_shapley(model, baseline, x, m_samples, seed):
+    """Reference Shapley estimate: one permutation at a time, coalitions grown by masking."""
+    d = x.shape[0]
+    rng = rng_for(seed, "shapley")
+    samples = np.empty((m_samples, d))
+    for m in range(m_samples):
+        perm = rng.permutation(d)
+        rows = np.tile(baseline, (d + 1, 1))
+        mask = np.zeros(d, dtype=bool)
+        for step, j in enumerate(perm, start=1):
+            mask[j] = True
+            rows[step, mask] = x[mask]
+        values = probs_batch(model, rows)
+        samples[m, perm] = values[1:] - values[:-1]
+    return samples.mean(axis=0), samples
 
 
 def brute_force_ks(a, b) -> float:
@@ -71,6 +108,42 @@ class TestKde:
     def test_empty_samples_rejected(self):
         with pytest.raises(DataError):
             kde_fit(np.empty((0, 1)))
+
+    @pytest.mark.parametrize("block", [shift.KDE_BLOCK_ELEMENTS, 7 * 50])
+    def test_matches_broadcast_oracle(self, rng, monkeypatch, block):
+        # block = 7 sample rows' worth: 300 queries in ragged blocks of 7
+        monkeypatch.setattr(shift, "KDE_BLOCK_ELEMENTS", block)
+        loc, scale = [0.0, 3.0, -1.0, 0.5, 2.0, 0.0], [1.0, 2.0, 0.5, 1.0, 3.0, 0.1]
+        x = rng.normal(loc=loc, scale=scale, size=(350, 6))
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        model = kde_fit(x[:50])
+        query = np.vstack([x[50:], rng.normal(scale=3.0, size=(10, 6))])
+        got = kde_log_density(model, query)
+        assert got.shape == (310,)
+        assert np.max(np.abs(got - broadcast_kde_log_density(model, query))) <= 1e-12
+
+    def test_far_query_matches_oracle(self, rng):
+        model = kde_fit(rng.normal(size=(10, 2)))
+        far = np.array([1e3, -1e3])
+        got = kde_log_density(model, far)
+        ref = broadcast_kde_log_density(model, far)[0]
+        assert np.isfinite(got)
+        assert abs(got - ref) <= 1e-9 * abs(ref)
+
+    def test_memory_is_blockwise(self, rng):
+        import tracemalloc
+
+        model = kde_fit(rng.normal(size=(5000, 10)))
+        query = rng.normal(size=(5000, 10))
+        tracemalloc.start()
+        try:
+            out = kde_log_density(model, query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out))
+        # the (m, n, d) broadcast would need 5000 * 5000 * 10 * 8 B = 2 GB
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_scott_bandwidth_floor(self):
         model = kde_fit(np.array([[1.0], [1.0], [1.0]]))
@@ -257,6 +330,71 @@ class TestShapley:
         a = shapley_attribution(m, background, x, m_samples=12, seed=9)
         b = shapley_attribution(m, background, x, m_samples=12, seed=9)
         assert np.array_equal(a, b)
+
+
+class TestShapleyBatchOracle:
+    @pytest.mark.parametrize("m_samples", [1, 8, 64])
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_single_point_matches_loop(self, rng, d, m_samples):
+        m = init_mlp([d, 5, 3, 2], 2, seed=d)
+        background = Domain("bg", tuple(LabeledPoint(rng.normal(size=d), 0) for _ in range(9)))
+        x = rng.normal(size=d)
+        attr, samples = shapley_attribution(
+            m, background, x, m_samples=m_samples, seed=3, return_samples=True
+        )
+        baseline = background.feature_matrix().mean(axis=0)
+        ref_attr, ref_samples = loop_shapley(m, baseline, x, m_samples, 3)
+        assert samples.shape == (m_samples, d)
+        assert np.max(np.abs(samples - ref_samples)) <= 1e-12
+        assert np.max(np.abs(attr - ref_attr)) <= 1e-12
+
+    def test_group_with_chunk_boundaries_mid_group(self, rng, monkeypatch):
+        # chunks of 3 points (168 coalition rows) split the 7-point group as 3 + 3 + 1
+        d, m_samples = 6, 8
+        monkeypatch.setattr(shift, "SHAPLEY_CHUNK_ROWS", 3 * m_samples * (d + 1))
+        m = init_mlp([d, 4, 2], 1, seed=1)
+        x = rng.normal(size=(7, d))
+        baseline = x.mean(axis=0)
+        seeds = [derive_seed(4, "g", i) for i in range(len(x))]
+        attr, samples = shift._shapley_batch(m, x, baseline, m_samples, seeds, return_samples=True)
+        assert attr.shape == (7, d) and samples.shape == (7, m_samples, d)
+        for i in range(len(x)):
+            ref_attr, ref = loop_shapley(m, baseline, x[i], m_samples, seeds[i])
+            assert np.max(np.abs(samples[i] - ref)) <= 1e-12
+            assert np.max(np.abs(attr[i] - ref_attr)) <= 1e-12
+        assert np.array_equal(shift._shapley_batch(m, x, baseline, m_samples, seeds)[0], attr)
+
+    def test_select_domain_count_matches_per_point_oracle(self):
+        dom, keys = TestSelectDomainCount()._keyed_domain([False, True, False, True], n_per_key=9)
+        cfg = TrainConfig(seed=2, beta=0.05, epochs=20, batch_size=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = select_domain_count(dom, [2, 4], keys, cfg, m_samples=8)
+        expected = {}
+        for k in (2, 4):
+            per_group = []
+            for g_idx, group in enumerate(split_into_k_domains(dom, k, keys).domains):
+                model = fit_domain(group, replace(cfg, seed=derive_seed(cfg.seed, "selectk", k)))
+                baseline = group.feature_matrix().mean(axis=0)
+                seeds = [
+                    derive_seed(cfg.seed, "selectk-shap", k, g_idx, i) for i in range(len(group))
+                ]
+                per_group.append(
+                    np.stack(
+                        [
+                            loop_shapley(model, baseline, p.features, 8, seed)[0]
+                            for p, seed in zip(group.points, seeds)
+                        ]
+                    )
+                )
+            p_values = [
+                ks_two_sample(per_group[i][:, f], per_group[j][:, f]).p_value
+                for i in range(len(per_group))
+                for j in range(i + 1, len(per_group))
+                for f in range(dom.feature_dim)
+            ]
+            expected[k] = float(np.mean(p_values))
+        assert result.table == expected
 
 
 class TestKsTwoSample:
