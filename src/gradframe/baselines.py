@@ -7,8 +7,8 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DomainSet, LabeledPoint
-from .errors import ConfigError, ShapeError
+from .data import DomainSet
+from .errors import ConfigError
 from .nn import MlpModel, bce_grad_batch, grad_params_batch
 from .rng import rng_for
 from .training import TrainConfig, descend, fit_pooled, minibatches
@@ -48,19 +48,6 @@ class GroupDroState:
 def train_erm(ds: DomainSet, cfg: TrainConfig) -> MlpModel:
     """Minibatch training on all source domains pooled together."""
     return fit_pooled(ds, cfg)
-
-
-def mixup_pair(
-    p1: LabeledPoint, p2: LabeledPoint, lam: float
-) -> tuple[np.ndarray, float]:
-    """Convex combination of two points: features and a soft label."""
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"mixing ratio must lie in [0, 1], got {lam}")
-    if p1.features.shape != p2.features.shape:
-        raise ShapeError("mixup requires points of equal dimension")
-    features = lam * p1.features + (1.0 - lam) * p2.features
-    soft_label = lam * p1.label + (1.0 - lam) * p2.label
-    return features, float(soft_label)
 
 
 def draw_lambdas(mixup: MixupConfig, rng: np.random.Generator, n: int) -> np.ndarray:

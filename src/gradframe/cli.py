@@ -31,6 +31,7 @@ from .data import (
     apply_standardization,
     load_csv_dataset,
     read_ordinal_column,
+    read_text,
     save_csv_dataset,
     save_csv_domain,
     simulation_source,
@@ -39,7 +40,6 @@ from .data import (
 from .errors import ConfigError, DataError, GradframeError, NumericError, ShapeError
 from .evaluation import evaluate, lodo_cv_search, welch_t_one_tailed
 from .model_io import load_model, save_model
-from .nn import MlpModel
 from .rng import derive_seed
 from .shift import (
     ShiftReport,
@@ -71,6 +71,13 @@ def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
     (out / "effective_config.txt").write_text(render_config(cfg.values), encoding="utf-8")
 
 
+def _source_path(cfg: ExperimentConfig) -> str:
+    src_path = cfg.values["data.source_csv"].strip()
+    if not src_path:
+        raise ConfigError("config key 'data.source_csv' is required for dataset.kind=csv")
+    return src_path
+
+
 def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | None]:
     """Source domains plus the optional evaluation target, standardized if configured."""
     if cfg.values["dataset.kind"] == "simulate":
@@ -78,10 +85,7 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | No
         source = simulation_source(seed, cfg.sim_points_per_blob, source_boundary)
         target = simulation_target(seed, cfg.sim_target_points_per_blob, target_boundary)
     else:
-        src_path = cfg.values["data.source_csv"].strip()
-        if not src_path:
-            raise ConfigError("config key 'data.source_csv' is required for dataset.kind=csv")
-        source = load_csv_dataset(src_path, cfg.csv_schema())
+        source = load_csv_dataset(_source_path(cfg), cfg.csv_schema())
         tgt_path = cfg.values["data.target_csv"].strip()
         target = None
         if tgt_path:
@@ -119,7 +123,7 @@ def _save_scaler(stats: Standardization | None, out: Path) -> None:
 
 def _load_scaler(path: Path, input_dim: int) -> Standardization:
     """The mean and std rows ``_save_scaler`` wrote, one value per model input."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     try:
         mean, std = (np.array([float(v) for v in line.split()]) for line in lines[:2])
     except ValueError:
@@ -180,18 +184,18 @@ def _single_shift_run(
     source_model = train_erm(source, train_cfg)
     ratios = covariate_shift_ratio(source, fict, source_model)
     deltas = concept_shift_delta(source, fict, train_cfg)
-    fict_domain = fict.to_domain()
     fict_model = fit_minibatch(
-        fict.feature_matrix(),
-        fict.label_vector(),
+        fict.x_star,
+        fict.y_star,
         replace(train_cfg, seed=derive_seed(train_cfg.seed, "shift", "fict-model")),
     )
-    likelihood = likelihood_difference(source_model, fict_model, fict_domain)
+    likelihood = likelihood_difference(
+        source_model, fict_model, Domain("fictitious", fict.x_star, fict.y_star)
+    )
     source_x = source.pooled().feature_matrix()
-    fict_x = fict.feature_matrix()
     ks_table = {}
     for j in range(source_x.shape[1]):
-        ks = ks_two_sample(source_x[:, j], fict_x[:, j])
+        ks = ks_two_sample(source_x[:, j], fict.x_star[:, j])
         ks_table[f"x{j}"] = {"statistic": ks.statistic, "p_value": ks.p_value}
     return {
         "gamma1": gammas.gamma1,
@@ -249,7 +253,7 @@ def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     if cfg.values["dataset.kind"] != "csv":
         raise ConfigError("select-k requires dataset.kind=csv with a key column")
-    src_path = cfg.values["data.source_csv"].strip()
+    src_path = _source_path(cfg)
     schema = cfg.csv_schema()
     if schema.feature_columns is None:
         # keep the grouping key out of the feature matrix
@@ -347,10 +351,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
-    model_path = out / "model.txt"
-    if not model_path.exists():
-        raise DataError(f"model file not found: {model_path}")
-    model: MlpModel = load_model(model_path)
+    model = load_model(out / "model.txt")
     eval_path = cfg.values["data.target_csv"].strip() or cfg.values["data.source_csv"].strip()
     if not eval_path:
         raise ConfigError("evaluate requires data.target_csv or data.source_csv")

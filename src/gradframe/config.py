@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import AscentConfig, PenaltyParams
-from .data import CsvSchema
+from .data import CsvSchema, read_text
 from .errors import ConfigError
 from .training import TrainConfig
 
@@ -70,10 +70,8 @@ METHODS = ("erm", "mixup", "groupdro", "gradframe")
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -15,16 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Domain, DomainSet, LabeledPoint
+from .data import DomainSet
 from .errors import ConfigError, ShapeError
-from .nn import (
-    MlpModel,
-    bce_loss,
-    bce_rows,
-    input_grad_rows,
-    representation,
-    representations_batch,
-)
+from .nn import MlpModel, bce_rows, input_grad_rows, representations_batch
 from .rng import derive_seed, rng_for
 from .training import TrainConfig, fit_domain, fit_minibatch
 
@@ -65,90 +58,54 @@ class AscentConfig:
             raise ConfigError(f"rel_tolerance must be >= 0, got {self.rel_tolerance}")
 
 
-@dataclass(frozen=True)
-class FictitiousPoint:
-    """One worst-case sample with its provenance and per-step objective trace."""
-
-    origin_domain: str
-    origin_index: int
-    x_star: np.ndarray
-    y_star: int
-    objective_trace: tuple[float, ...]
-    partner_domain: str
-    aborted: bool = False
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FictitiousSet:
-    points: tuple[FictitiousPoint, ...]
+    """One fictitious row per training row, in origin order, as parallel arrays.
+
+    Row r is the point ``x_star[r]`` with its origin's label ``y_star[r]``,
+    made from row ``origin_index[r]`` of domain ``origin_domain[r]`` against
+    the model of ``partner_domain[r]``.  ``objective_trace[r, :trace_length[r]]``
+    holds the objective before the first and after each accepted step; the
+    rest of the row is NaN padding.  ``aborted[r]`` flags an ascent stopped by
+    a non-finite candidate or objective.
+    """
+
+    x_star: np.ndarray
+    y_star: np.ndarray
+    origin_domain: np.ndarray
+    origin_index: np.ndarray
+    partner_domain: np.ndarray
+    objective_trace: np.ndarray
+    trace_length: np.ndarray
+    aborted: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.points[0].x_star.shape[0]
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.stack([p.x_star for p in self.points])
-
-    def label_vector(self) -> np.ndarray:
-        return np.array([p.y_star for p in self.points], dtype=np.float64)
-
-    def to_domain(self, domain_id: str = "fictitious") -> Domain:
-        return Domain(
-            domain_id,
-            tuple(LabeledPoint(p.x_star, p.y_star) for p in self.points),
-        )
+        return self.x_star.shape[0]
 
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        d = self.feature_dim
+        final = self.objective_trace[np.arange(len(self)), self.trace_length - 1]
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["origin_domain", "origin_index", "partner_domain", "y_star"]
-                + [f"x_star_{j}" for j in range(d)]
+                + [f"x_star_{j}" for j in range(self.x_star.shape[1])]
                 + ["final_objective"]
             )
-            for p in self.points:
+            for origin, index, partner, label, x, objective in zip(
+                self.origin_domain.tolist(),
+                self.origin_index.tolist(),
+                self.partner_domain.tolist(),
+                self.y_star.tolist(),
+                self.x_star.tolist(),
+                final.tolist(),
+            ):
                 writer.writerow(
-                    [p.origin_domain, p.origin_index, p.partner_domain, p.y_star]
-                    + ["%.17g" % v for v in p.x_star]
-                    + ["%.17g" % p.objective_trace[-1]]
+                    [origin, index, partner, "%d" % label]
+                    + ["%.17g" % v for v in x]
+                    + ["%.17g" % objective]
                 )
-
-
-def c_cov(star: LabeledPoint, origin: LabeledPoint, model_i: MlpModel) -> float:
-    """Half squared distance between the two representations; +inf if labels differ."""
-    if star.label != origin.label:
-        return math.inf
-    z_star = representation(model_i, star.features)
-    z = representation(model_i, origin.features)
-    return float(0.5 * np.sum((z - z_star) ** 2))
-
-
-def c_conc(star: LabeledPoint, model_j: MlpModel) -> float:
-    """Loss of the fictitious point under the partner domain's model."""
-    return bce_loss(model_j, star.features, star.label)
-
-
-def surrogate_value(
-    star: LabeledPoint,
-    origin: LabeledPoint,
-    model_i: MlpModel,
-    model_j: MlpModel,
-    gammas: PenaltyParams,
-) -> float:
-    """Ascent objective: adversarial loss minus the two weighted constraints."""
-    if star.label != origin.label:
-        return -math.inf
-    return (
-        bce_loss(model_i, star.features, star.label)
-        - gammas.gamma1 * c_cov(star, origin, model_i)
-        - gammas.gamma2 * c_conc(star, model_j)
-    )
 
 
 def _objective_rows(
@@ -159,7 +116,9 @@ def _objective_rows(
     model_j: MlpModel,
     gammas: PenaltyParams,
 ) -> np.ndarray:
-    """Row-wise ``surrogate_value``; a zero-weight penalty term is skipped."""
+    """Ascent objective of each row: the origin model's loss, minus gamma1 times half the
+    squared distance of its representation to ``z_anchor``, minus gamma2 times the
+    partner model's loss.  A zero-weight penalty term is skipped."""
     value, acts = bce_rows(model_i, x, y)
     if gammas.gamma1 != 0.0:
         z = acts[model_i.rep_layer_index]
@@ -176,13 +135,18 @@ def _ascend(
     model_j: MlpModel,
     gammas: PenaltyParams,
     cfg: AscentConfig,
-) -> tuple[np.ndarray, list[tuple[float, ...]], np.ndarray]:
-    """Masked gradient ascent of every row of ``x0``; see ``inner_maximize``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient ascent of the penalized objective from every row of ``x0``, labels kept.
 
-    Rows share the models but not their fate: each row leaves the active set
-    when it stops, and the step halvings, acceptance test and stopping rule
-    are applied row by row.  Returns the final iterates, the per-row
-    objective traces and the per-row abort flags.
+    A step that would lower a row's objective is retried with a halved step
+    size up to three times, then that row stops; after ``min_steps`` accepted
+    steps a row also stops once its relative improvement falls under
+    ``rel_tolerance``.  A non-finite candidate or objective stops the row at
+    its last finite iterate, flagged as aborted.  Rows share the models but
+    not their fate: each leaves the active set when it stops.
+
+    Returns the final iterates, the NaN-padded (n, max_steps + 1) objective
+    traces, the trace lengths and the abort flags.
     """
     z_anchor = representations_batch(model_i, x0)  # also checks x0 against model_i
     if model_j.input_dim != model_i.input_dim:
@@ -192,7 +156,7 @@ def _ascend(
         )
     n = x0.shape[0]
     x = x0.copy()
-    values = np.empty((n, cfg.max_steps + 1))
+    values = np.full((n, cfg.max_steps + 1), np.nan)
     values[:, 0] = _objective_rows(x, y, z_anchor, model_i, model_j, gammas)
     lengths = np.ones(n, dtype=np.intp)
     aborted = np.zeros(n, dtype=bool)
@@ -235,46 +199,7 @@ def _ascend(
             rel = (values[moved, step_no] - prev) / np.maximum(np.abs(prev), _REL_FLOOR)
             accepted[accepted] = ~(rel < cfg.rel_tolerance)
         live = live[accepted]
-    traces = [tuple(values[r, : lengths[r]].tolist()) for r in range(n)]
-    return x, traces, aborted
-
-
-def inner_maximize(
-    origin: LabeledPoint,
-    model_i: MlpModel,
-    model_j: MlpModel,
-    gammas: PenaltyParams,
-    cfg: AscentConfig,
-    origin_domain: str = "",
-    origin_index: int = 0,
-    partner_domain: str = "",
-) -> FictitiousPoint:
-    """Gradient ascent from the origin point on the penalized surrogate.
-
-    The iterate starts at the origin's features and keeps its label.  A step
-    that would lower the objective is retried with a halved step size up to
-    three times, then the ascent stops; after ``min_steps`` accepted steps the
-    ascent also stops once the relative improvement falls under
-    ``rel_tolerance``.  A non-finite candidate or objective aborts the
-    ascent, returning the last finite iterate flagged as aborted.
-    """
-    x_star, traces, aborted = _ascend(
-        origin.features[None, :],
-        np.array([float(origin.label)]),
-        model_i,
-        model_j,
-        gammas,
-        cfg,
-    )
-    return FictitiousPoint(
-        origin_domain=origin_domain,
-        origin_index=origin_index,
-        x_star=x_star[0],
-        y_star=origin.label,
-        objective_trace=traces[0],
-        partner_domain=partner_domain,
-        aborted=bool(aborted[0]),
-    )
+    return x, values, lengths, aborted
 
 
 def pretrain_domain_models(ds: DomainSet, cfg: TrainConfig) -> dict[str, MlpModel]:
@@ -305,41 +230,37 @@ def generate_fictitious_set(
 
     Partner domains rotate round-robin over the other domains with a seeded
     starting offset per origin domain.  The points of one origin domain that
-    share a partner ascend together as one batch (``inner_maximize``'s rules,
-    applied row by row); the results are put back in origin order.
+    share a partner ascend together as one batch (``_ascend``); the results
+    are put back in origin order.
     """
     if models is None:
         models = pretrain_domain_models(ds, train_cfg)
     elif ds.k < 2:
         raise ConfigError(f"need at least 2 domains, got K={ds.k}")
     ids = [d.id for d in ds.domains]
-    points: list[FictitiousPoint] = []
+    pooled = ds.pooled()
+    n = len(pooled)
+    x_star = np.empty_like(pooled.x)
+    trace = np.empty((n, ascent_cfg.max_steps + 1))
+    length = np.empty(n, dtype=np.intp)
+    aborted = np.empty(n, dtype=bool)
+    origin = np.repeat(ids, [len(d) for d in ds.domains])
+    partner = np.empty_like(origin)
+    start = 0
     for dom in ds.domains:
         others = [i for i in ids if i != dom.id]
         offset = int(rng_for(train_cfg.seed, "partner", dom.id).integers(len(others)))
         slots = (offset + np.arange(len(dom))) % len(others)
-        x = dom.feature_matrix()
-        y = dom.label_vector()
-        dom_points: list[FictitiousPoint | None] = [None] * len(dom)
-        for slot, partner in enumerate(others):
-            rows = np.flatnonzero(slots == slot)
-            if rows.size == 0:
-                continue
-            x_star, traces, aborted = _ascend(
-                x[rows], y[rows], models[dom.id], models[partner], gammas, ascent_cfg
-            )
-            for r, idx in enumerate(rows.tolist()):
-                dom_points[idx] = FictitiousPoint(
-                    origin_domain=dom.id,
-                    origin_index=idx,
-                    x_star=x_star[r],
-                    y_star=dom.points[idx].label,
-                    objective_trace=traces[r],
-                    partner_domain=partner,
-                    aborted=bool(aborted[r]),
+        partner[start : start + len(dom)] = np.array(others)[slots]
+        for slot, partner_id in enumerate(others):
+            rows = start + np.flatnonzero(slots == slot)
+            if rows.size:
+                x_star[rows], trace[rows], length[rows], aborted[rows] = _ascend(
+                    pooled.x[rows], pooled.y[rows], models[dom.id], models[partner_id], gammas, ascent_cfg
                 )
-        points.extend(dom_points)
-    return FictitiousSet(tuple(points))
+        start += len(dom)
+    origin_index = np.concatenate([np.arange(len(d)) for d in ds.domains])
+    return FictitiousSet(x_star, pooled.y, origin, origin_index, partner, trace, length, aborted)
 
 
 def train_gradframe(
@@ -355,7 +276,7 @@ def train_gradframe(
     """
     fict = generate_fictitious_set(ds, gammas, ascent_cfg, train_cfg)
     pooled = ds.pooled()
-    x = np.vstack([pooled.feature_matrix(), fict.feature_matrix()])
-    y = np.concatenate([pooled.label_vector(), fict.label_vector()])
+    x = np.vstack([pooled.x, fict.x_star])
+    y = np.concatenate([pooled.y, fict.y_star])
     model = fit_minibatch(x, y, train_cfg)
     return model, fict

@@ -3,58 +3,59 @@
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, GradframeError, ShapeError
 from .rng import derive_seed
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 1:
-            raise ShapeError(f"features must be a vector, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise DataError("non-finite feature value")
-        if self.label not in (0, 1):
-            raise DataError(f"label must be 0 or 1, got {self.label!r}")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "label", int(self.label))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
+    """One domain's points: an (n, d) feature matrix ``x`` and an (n,) 0/1 label vector ``y``.
+
+    Both are float64 copies of the arguments, validated once and stored read-only.
+    """
+
     id: str
-    points: tuple[LabeledPoint, ...]
+    x: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        if not pts:
+        x = np.array(self.x, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64)
+        if x.ndim != 2 or y.shape != x.shape[:1]:
+            raise ShapeError(
+                f"domain {self.id!r} needs an (n, d) feature matrix and n labels, "
+                f"got shapes {x.shape} and {y.shape}"
+            )
+        if x.shape[0] == 0:
             raise DataError(f"domain {self.id!r} is empty")
-        dim = pts[0].features.shape[0]
-        if any(p.features.shape[0] != dim for p in pts):
-            raise ShapeError(f"domain {self.id!r} mixes feature dimensions")
-        object.__setattr__(self, "points", pts)
+        if not np.isfinite(x).all():
+            raise DataError(f"domain {self.id!r} has a non-finite feature value")
+        if not np.isin(y, (0.0, 1.0)).all():
+            raise DataError(f"domain {self.id!r} has a label other than 0 or 1")
+        x.flags.writeable = False
+        y.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def feature_dim(self) -> int:
-        return self.points[0].features.shape[0]
+        return self.x.shape[1]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.x.shape[0]
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([p.features for p in self.points])
+        return self.x
 
     def label_vector(self) -> np.ndarray:
-        return np.array([p.label for p in self.points], dtype=np.float64)
+        return self.y
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,11 @@ class DomainSet:
 
     def pooled(self, pooled_id: str = "pooled") -> Domain:
         """All points of all domains concatenated in domain order."""
-        points: list[LabeledPoint] = []
-        for d in self.domains:
-            points.extend(d.points)
-        return Domain(pooled_id, tuple(points))
+        return Domain(
+            pooled_id,
+            np.concatenate([d.x for d in self.domains]),
+            np.concatenate([d.y for d in self.domains]),
+        )
 
 
 @dataclass(frozen=True)
@@ -140,11 +142,12 @@ class Boundary:
             raise DataError("boundary coefficients must be finite")
 
 
-def label_by_boundary(x: np.ndarray, boundary: Boundary) -> int:
+def label_by_boundary(x: np.ndarray, boundary: Boundary) -> np.ndarray:
+    """Label of each 2-vector row of ``x``: 0.0 on or under the line, 1.0 above it."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (2,):
-        raise ShapeError(f"boundary labeling needs a 2-vector, got shape {x.shape}")
-    return 0 if x[1] <= boundary.a * x[0] + boundary.b else 1
+    if x.shape[-1:] != (2,):
+        raise ShapeError(f"boundary labeling needs 2-vectors, got shape {x.shape}")
+    return np.where(x[..., 1] <= boundary.a * x[..., 0] + boundary.b, 0.0, 1.0)
 
 
 def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
@@ -164,14 +167,13 @@ def generate_gaussian_domain(
     if any(s.mean.shape[0] != 2 for s in specs):
         raise ShapeError("Gaussian domain generation is 2-dimensional")
     rng = np.random.default_rng(int(seed))
-    points: list[LabeledPoint] = []
-    for spec in specs:
-        factor = _cholesky_factor(spec.covariance)
-        raw = rng.standard_normal((spec.count, 2))
-        samples = spec.mean + raw @ factor.T
-        for row in samples:
-            points.append(LabeledPoint(row, label_by_boundary(row, boundary)))
-    return Domain(domain_id, tuple(points))
+    x = np.vstack(
+        [
+            spec.mean + rng.standard_normal((spec.count, 2)) @ _cholesky_factor(spec.covariance).T
+            for spec in specs
+        ]
+    )
+    return Domain(domain_id, x, label_by_boundary(x, boundary))
 
 
 # Canonical simulation setup: two source domains of two blobs each on a
@@ -233,60 +235,77 @@ class CsvSchema:
     feature_columns: tuple[str, ...] | None = None
 
 
+def read_text(path: str | Path, error: type[GradframeError] = DataError) -> str:
+    """The text of a UTF-8 file; a missing, unreadable or non-UTF-8 file raises ``error``."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"file not found or not a regular file: {path}")
+    try:
+        return path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: cannot read as UTF-8 text ({exc})") from None
+
+
+def _feature_cell(path: Path, row_no: int, column: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"{path}: row {row_no}, column {column!r}: non-numeric value {text!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}: row {row_no}, column {column!r}: non-finite value {text!r}")
+    return value
+
+
 def load_csv_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> DomainSet:
     """One Domain per distinct domain-column value, rows kept in file order."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        col_index = {name: i for i, name in enumerate(header)}
-        if schema.label_column not in col_index:
-            raise DataError(f"{path}: missing label column {schema.label_column!r}")
-        domain_col: int | None = None
-        if schema.domain_column is not None:
-            domain_col = col_index.get(schema.domain_column)
-        if schema.feature_columns is None:
-            skip = {schema.label_column, schema.domain_column}
-            feature_names = [name for name in header if name not in skip]
-        else:
-            feature_names = list(schema.feature_columns)
-            for name in feature_names:
-                if name not in col_index:
-                    raise DataError(f"{path}: missing feature column {name!r}")
-        if not feature_names:
-            raise DataError(f"{path}: no feature columns")
-        feat_idx = [col_index[name] for name in feature_names]
-        label_idx = col_index[schema.label_column]
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: file is empty")
+    col_index = {name: i for i, name in enumerate(header)}
+    if schema.label_column not in col_index:
+        raise DataError(f"{path}: missing label column {schema.label_column!r}")
+    domain_col: int | None = None
+    if schema.domain_column is not None:
+        domain_col = col_index.get(schema.domain_column)
+    if schema.feature_columns is None:
+        skip = {schema.label_column, schema.domain_column}
+        feature_names = [name for name in header if name not in skip]
+    else:
+        feature_names = list(schema.feature_columns)
+        for name in feature_names:
+            if name not in col_index:
+                raise DataError(f"{path}: missing feature column {name!r}")
+    if not feature_names:
+        raise DataError(f"{path}: no feature columns")
+    feat_idx = [col_index[name] for name in feature_names]
+    label_idx = col_index[schema.label_column]
 
-        grouped: dict[str, list[LabeledPoint]] = {}
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-            feats = np.empty(len(feat_idx))
-            for j, (name, idx) in enumerate(zip(feature_names, feat_idx)):
-                try:
-                    feats[j] = float(row[idx])
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {row_no}, column {name!r}: non-numeric value {row[idx]!r}"
-                    ) from None
-            raw_label = row[label_idx].strip()
-            if raw_label not in ("0", "1"):
-                raise DataError(
-                    f"{path}: row {row_no}, column {schema.label_column!r}: "
-                    f"label must be 0 or 1, got {raw_label!r}"
-                )
-            domain_id = row[domain_col] if domain_col is not None else "all"
-            grouped.setdefault(domain_id, []).append(LabeledPoint(feats, int(raw_label)))
+    features: list[list[float]] = []
+    labels: list[float] = []
+    grouped: dict[str, list[int]] = {}  # file rows of each domain
+    for row_no, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+        features.append(
+            [_feature_cell(path, row_no, name, row[i]) for name, i in zip(feature_names, feat_idx)]
+        )
+        raw_label = row[label_idx].strip()
+        if raw_label not in ("0", "1"):
+            raise DataError(
+                f"{path}: row {row_no}, column {schema.label_column!r}: "
+                f"label must be 0 or 1, got {raw_label!r}"
+            )
+        labels.append(float(raw_label))
+        domain_id = row[domain_col] if domain_col is not None else "all"
+        grouped.setdefault(domain_id, []).append(row_no - 1)
 
     if not grouped:
         raise DataError(f"{path}: no data rows")
-    return DomainSet(tuple(Domain(did, tuple(pts)) for did, pts in grouped.items()))
+    x = np.array(features)
+    y = np.array(labels)
+    return DomainSet(tuple(Domain(did, x[rows], y[rows]) for did, rows in grouped.items()))
 
 
 def save_csv_dataset(ds: DomainSet, path: str | Path) -> None:
@@ -298,8 +317,8 @@ def save_csv_dataset(ds: DomainSet, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow([f"x{j}" for j in range(d)] + ["label", "domain"])
         for dom in ds.domains:
-            for p in dom.points:
-                writer.writerow(["%.17g" % v for v in p.features] + [str(p.label), dom.id])
+            for features, label in zip(dom.x.tolist(), dom.y.tolist()):
+                writer.writerow(["%.17g" % v for v in features] + ["%d" % label, dom.id])
 
 
 def save_csv_domain(domain: Domain, path: str | Path) -> None:
@@ -312,10 +331,8 @@ def standardize(ds: DomainSet) -> DomainSet:
     Uses population standard deviation; zero-variance features map to 0.
     The fitted stats ride along on the returned set for held-out data.
     """
-    x = np.vstack([d.feature_matrix() for d in ds.domains])
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    stats = Standardization(mean=mean, std=std)
+    x = np.vstack([d.x for d in ds.domains])
+    stats = Standardization(mean=x.mean(axis=0), std=x.std(axis=0))
     return DomainSet(
         tuple(apply_standardization(d, stats) for d in ds.domains),
         standardization=stats,
@@ -323,13 +340,9 @@ def standardize(ds: DomainSet) -> DomainSet:
 
 
 def apply_standardization(domain: Domain, stats: Standardization) -> Domain:
-    scale = np.where(stats.std > 0, stats.std, 1.0)
     keep = stats.std > 0
-    points = tuple(
-        LabeledPoint(np.where(keep, (p.features - stats.mean) / scale, 0.0), p.label)
-        for p in domain.points
-    )
-    return Domain(domain.id, points)
+    scale = np.where(keep, stats.std, 1.0)
+    return Domain(domain.id, np.where(keep, (domain.x - stats.mean) / scale, 0.0), domain.y)
 
 
 def split_into_k_domains(domain: Domain, k: int, keys) -> DomainSet:
@@ -340,43 +353,35 @@ def split_into_k_domains(domain: Domain, k: int, keys) -> DomainSet:
     """
     if k < 2:
         raise ConfigError(f"need k >= 2, got {k}")
-    keys = [int(v) for v in keys]
+    keys = np.array([int(v) for v in keys])
     if len(keys) != len(domain):
         raise DataError(f"got {len(keys)} keys for {len(domain)} points")
-    distinct = sorted(set(keys))
+    distinct = np.unique(keys)
     if k > len(distinct):
         raise DataError(f"k={k} exceeds the {len(distinct)} distinct key values")
     base, rem = divmod(len(distinct), k)
-    sizes = [base] * (k - rem) + [base + 1] * rem
-    key_to_group = {}
-    pos = 0
-    for g, size in enumerate(sizes):
-        for key in distinct[pos : pos + size]:
-            key_to_group[key] = g
-        pos += size
-    buckets: list[list[LabeledPoint]] = [[] for _ in range(k)]
-    for point, key in zip(domain.points, keys):
-        buckets[key_to_group[key]].append(point)
+    group_of_key = np.repeat(np.arange(k), [base] * (k - rem) + [base + 1] * rem)
+    group = group_of_key[np.searchsorted(distinct, keys)]
     return DomainSet(
-        tuple(Domain(f"{domain.id}_g{g + 1}", tuple(pts)) for g, pts in enumerate(buckets))
+        tuple(
+            Domain(f"{domain.id}_g{g + 1}", domain.x[group == g], domain.y[group == g])
+            for g in range(k)
+        )
     )
 
 
 def read_ordinal_column(path: str | Path, column: str) -> list[int]:
     """Read one integer column from a CSV file, e.g. a month index for grouping."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    if reader.fieldnames is None or column not in reader.fieldnames:
+        raise DataError(f"{path}: missing column {column!r}")
     values: list[int] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise DataError(f"{path}: missing column {column!r}")
-        for row_no, row in enumerate(reader, start=1):
-            try:
-                values.append(int(float(row[column])))
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {row_no}, column {column!r}: non-numeric value {row[column]!r}"
-                ) from None
+    for row_no, row in enumerate(reader, start=1):
+        try:
+            values.append(int(float(row[column])))
+        except (ValueError, OverflowError, TypeError):
+            raise DataError(
+                f"{path}: row {row_no}, column {column!r}: not a finite number: {row[column]!r}"
+            ) from None
     return values

@@ -132,9 +132,11 @@ def split_domain(domain: Domain, fraction: float, seed: int) -> tuple[Domain, Do
     if n_train == 0 or n_train == n:
         raise DataError(f"split of {n} points at fraction {fraction} leaves an empty side")
     order = rng_for(seed, "cf-split").permutation(n)
-    train_pts = tuple(domain.points[i] for i in order[:n_train])
-    test_pts = tuple(domain.points[i] for i in order[n_train:])
-    return Domain(f"{domain.id}_train", train_pts), Domain(f"{domain.id}_test", test_pts)
+    train, test = order[:n_train], order[n_train:]
+    return (
+        Domain(f"{domain.id}_train", domain.x[train], domain.y[train]),
+        Domain(f"{domain.id}_test", domain.x[test], domain.y[test]),
+    )
 
 
 def counterfactual_in_domain(domain: Domain, split_fraction: float, cfg: TrainConfig) -> EvalReport:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import read_text
 from .errors import DataError
 from .nn import MlpModel, flatten_params
 
@@ -32,9 +33,7 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> MlpModel:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"model file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     try:
         if lines[0].strip() != "mlp v1":
             raise DataError(f"{path}: unsupported model format header {lines[0]!r}")

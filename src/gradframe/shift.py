@@ -83,22 +83,16 @@ def kde_log_density(model: KdeModel, query: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _origin_lookup(source: DomainSet | Domain) -> dict[tuple[str, int], np.ndarray]:
-    if isinstance(source, Domain):
-        domains: tuple[Domain, ...] = (source,)
-    else:
-        domains = source.domains
-    lookup = {}
+def _origin_rows(domains: tuple[Domain, ...], fict: FictitiousSet) -> np.ndarray:
+    """Row of each fictitious point's origin in the stacked features of ``domains``."""
+    offset = np.full(len(fict), -1)
+    start = 0
     for dom in domains:
-        for idx, p in enumerate(dom.points):
-            lookup[(dom.id, idx)] = p.features
-    return lookup
-
-
-def _pooled_features(source: DomainSet | Domain) -> np.ndarray:
-    if isinstance(source, Domain):
-        return source.feature_matrix()
-    return source.pooled().feature_matrix()
+        offset[fict.origin_domain == dom.id] = start
+        start += len(dom)
+    if (offset < 0).any():
+        raise DataError("a fictitious point names an origin domain missing from the source")
+    return offset + fict.origin_index
 
 
 def covariate_shift_ratio(
@@ -111,16 +105,15 @@ def covariate_shift_ratio(
     source representations of ``model``, floored to avoid blow-ups when the
     representations coincide.
     """
-    lookup = _origin_lookup(source)
-    source_x = _pooled_features(source)
-    fict_x = fict.feature_matrix()
+    domains = (source,) if isinstance(source, Domain) else source.domains
+    source_x = np.vstack([d.x for d in domains])
+    fict_x = fict.x_star
     p_source = kde_fit(source_x)
     p_fict = kde_fit(fict_x)
     p_rep = kde_fit(representations_batch(model, source_x))
 
     numer = np.abs(kde_log_density(p_fict, fict_x) - kde_log_density(p_source, fict_x))
-    origin_x = np.stack([lookup[(p.origin_domain, p.origin_index)] for p in fict.points])
-    z_origin = representations_batch(model, origin_x)
+    z_origin = representations_batch(model, source_x[_origin_rows(domains, fict)])
     z_star = representations_batch(model, fict_x)
     denom = np.abs(kde_log_density(p_rep, z_origin) - kde_log_density(p_rep, z_star))
     return numer / np.maximum(denom, RATIO_DENOM_FLOOR)
@@ -134,13 +127,12 @@ def concept_shift_delta(
     Both models share the same derived seed, so the divergence they exhibit
     comes from the data, not from the draw of initial weights.
     """
-    labels = fict.label_vector()
+    x_star, labels = fict.x_star, fict.y_star
     if len(set(labels.tolist())) < 2:
         warnings.warn("fictitious set is single-class; concept model may be degenerate")
     model_cfg = replace(cfg, seed=derive_seed(cfg.seed, "concept"))
     f_source = fit_pooled(source, model_cfg)
-    f_fict = fit_minibatch(fict.feature_matrix(), labels, model_cfg)
-    x_star = fict.feature_matrix()
+    f_fict = fit_minibatch(x_star, labels, model_cfg)
     p_source = probs_batch(f_source, x_star)
     p_fict = probs_batch(f_fict, x_star)
     cond_source = np.where(labels == 1.0, p_source, 1.0 - p_source)

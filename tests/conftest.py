@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gradframe.core import FictitiousSet
 from gradframe.data import Boundary, Domain, GaussianSpec, generate_gaussian_domain
 from gradframe.nn import MlpModel, flatten_params, init_mlp
 
@@ -39,6 +40,28 @@ def separable_blobs(domain_id: str, seed: int, n_per_blob: int = 60) -> Domain:
         GaussianSpec(np.array([2.0, 2.0]), 0.2 * np.eye(2), n_per_blob),
     ]
     return generate_gaussian_domain(domain_id, specs, Boundary(-1.0, 0.0), seed)
+
+
+def domain_of_rows(domain_id: str, rows) -> Domain:
+    """Domain from an iterable of (features, label) pairs, drawn in order."""
+    rows = list(rows)
+    return Domain(domain_id, [f for f, _ in rows], [label for _, label in rows])
+
+
+def fictitious_set(domain_id: str, x_star, y_star) -> FictitiousSet:
+    """Hand-made fictitious rows of one domain in origin order, each with a one-entry trace of 0."""
+    n = len(x_star)
+    ids = np.full(n, domain_id)
+    return FictitiousSet(
+        np.asarray(x_star, dtype=np.float64),
+        np.asarray(y_star, dtype=np.float64),
+        ids,
+        np.arange(n),
+        ids,
+        np.zeros((n, 1)),
+        np.ones(n, dtype=np.intp),
+        np.zeros(n, dtype=bool),
+    )
 
 
 def fd_param_grads(loss_fn, model: MlpModel, h: float = 1e-5):

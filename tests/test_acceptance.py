@@ -17,11 +17,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fd_input_grad, fd_param_grads, rel_err
+from conftest import domain_of_rows, fd_input_grad, fd_param_grads, rel_err
 
 import gradframe as gf
 from gradframe.core import AscentConfig, PenaltyParams, generate_fictitious_set, pretrain_domain_models, train_gradframe
-from gradframe.data import Domain, DomainSet, LabeledPoint, simulation_source, simulation_target
+from gradframe.data import Domain, DomainSet, simulation_source, simulation_target
 from gradframe.evaluation import auroc, evaluate, lodo_cv_search
 from gradframe.nn import bce_loss, grad_input, grad_params, init_mlp, param_views, probs_batch, representation
 from gradframe.rng import rng_for
@@ -275,9 +275,8 @@ class TestCriterion9:
         for case in range(100):
             d = int(rng.integers(2, 6))
             model = init_mlp([d, 5, 2], 1, seed=int(rng.integers(1 << 30)))
-            background = Domain(
-                "bg",
-                tuple(LabeledPoint(rng.normal(size=d), int(rng.integers(2))) for _ in range(12)),
+            background = domain_of_rows(
+                "bg", ((rng.normal(size=d), int(rng.integers(2))) for _ in range(12))
             )
             x = rng.normal(size=d)
             attr, samples = shapley_attribution(
@@ -316,9 +315,8 @@ def _feature_symmetric_model(rng):
 
 
 def _symmetric_background():
-    return Domain(
-        "bg",
-        tuple(LabeledPoint(np.array([v, v], dtype=float), abs(v) % 2) for v in (-2, -1, 0, 1, 2)),
+    return domain_of_rows(
+        "bg", ((np.array([v, v], dtype=float), abs(v) % 2) for v in (-2, -1, 0, 1, 2))
     )
 
 
@@ -351,7 +349,7 @@ def _concept_domain(domain_id: str, seed: int, angle_deg: float, n: int = 60) ->
     x = rng.normal(scale=1.8, size=(n, 2))
     theta = np.deg2rad(angle_deg)
     w = np.array([np.cos(theta), np.sin(theta)])
-    return Domain(domain_id, tuple(LabeledPoint(r, int(l)) for r, l in zip(x, (x @ w > 0).astype(int))))
+    return Domain(domain_id, x, (x @ w > 0).astype(int))
 
 
 class TestCriterion11:
@@ -364,21 +362,22 @@ class TestCriterion11:
                 src, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), cfg
             )
             pooled = src.pooled()
-            doubled = DomainSet((Domain("doubled", pooled.points + pooled.points),))
+            doubled = DomainSet((Domain("doubled", np.vstack([pooled.x] * 2), np.tile(pooled.y, 2)),))
             erm_doubled = fit_pooled(doubled, cfg)
             for wa, wb in zip(model.weights, erm_doubled.weights):
                 matches = matches and wa.tobytes() == wb.tobytes()
             for ba, bb in zip(model.biases, erm_doubled.biases):
                 matches = matches and ba.tobytes() == bb.tobytes()
-            matches = matches and np.array_equal(fict.feature_matrix(), pooled.feature_matrix())
+            matches = matches and np.array_equal(fict.x_star, pooled.feature_matrix())
         preserved = 0
         total = 0
         for seed in SEEDS:
             fict = sim_runs[seed]["fict_strong"]
             src = sim_runs[seed]["src"]
-            for fp in fict.points:
-                origin = src.domain(fp.origin_domain).points[fp.origin_index]
-                preserved += fp.y_star == origin.label
+            for origin_domain, origin_index, y_star in zip(
+                fict.origin_domain, fict.origin_index, fict.y_star
+            ):
+                preserved += y_star == src.domain(origin_domain).y[origin_index]
                 total += 1
         ok = matches and preserved == total
         report(

@@ -8,12 +8,11 @@ from conftest import separable_blobs
 from gradframe.baselines import (
     MixupConfig,
     draw_lambdas,
-    mixup_pair,
     train_erm,
     train_groupdro,
     train_mixup,
 )
-from gradframe.data import Domain, DomainSet, LabeledPoint, simulation_source, simulation_target
+from gradframe.data import Domain, DomainSet, simulation_source, simulation_target
 from gradframe.errors import ConfigError
 from gradframe.evaluation import auroc
 from gradframe.nn import probs_batch
@@ -38,8 +37,8 @@ class TestTrainErm:
         n = len(src.pooled())
         cfg = TrainConfig(seed=7, beta=0.02, epochs=10, batch_size=n)
         base = train_erm(src, cfg)
-        doubled_points = src.pooled().points + src.pooled().points
-        doubled = DomainSet((Domain("doubled", doubled_points),))
+        pooled = src.pooled()
+        doubled = DomainSet((Domain("doubled", np.vstack([pooled.x] * 2), np.tile(pooled.y, 2)),))
         cfg2 = TrainConfig(seed=7, beta=0.02, epochs=10, batch_size=2 * n)
         twice = train_erm(doubled, cfg2)
         for wa, wb in zip(base.weights, twice.weights):
@@ -52,39 +51,6 @@ class TestTrainErm:
         b = train_erm(src, cfg)
         for wa, wb in zip(a.weights, b.weights):
             assert wa.tobytes() == wb.tobytes()
-
-
-class TestMixupPair:
-    def test_endpoint_identity(self):
-        a = LabeledPoint(np.array([1.0, 2.0]), 0)
-        b = LabeledPoint(np.array([5.0, -3.0]), 1)
-        feats, label = mixup_pair(a, b, 1.0)
-        assert np.array_equal(feats, a.features)
-        assert label == 0.0
-
-    def test_midpoint(self):
-        a = LabeledPoint(np.array([0.0, 0.0]), 0)
-        b = LabeledPoint(np.array([2.0, 2.0]), 1)
-        feats, label = mixup_pair(a, b, 0.5)
-        assert np.array_equal(feats, [1.0, 1.0])
-        assert label == 0.5
-
-    def test_convexity(self, rng):
-        for _ in range(50):
-            a = LabeledPoint(rng.normal(size=3), 0)
-            b = LabeledPoint(rng.normal(size=3), 1)
-            lam = float(rng.uniform())
-            feats, label = mixup_pair(a, b, lam)
-            lo = np.minimum(a.features, b.features)
-            hi = np.maximum(a.features, b.features)
-            assert np.all(feats >= lo - 1e-12) and np.all(feats <= hi + 1e-12)
-            assert 0.0 <= label <= 1.0
-
-    def test_lambda_out_of_range(self):
-        a = LabeledPoint(np.array([0.0]), 0)
-        b = LabeledPoint(np.array([1.0]), 1)
-        with pytest.raises(ConfigError):
-            mixup_pair(a, b, 1.5)
 
 
 class TestTrainMixup:
@@ -125,10 +91,8 @@ class TestTrainMixup:
 class TestTrainGroupDro:
     def _unbalanced_set(self):
         easy = separable_blobs("easy", seed=11, n_per_blob=40)
-        flipped_points = tuple(
-            LabeledPoint(p.features, 1 - p.label) for p in separable_blobs("h", seed=12, n_per_blob=40).points
-        )
-        hard = Domain("hard", flipped_points)
+        flipped = separable_blobs("h", seed=12, n_per_blob=40)
+        hard = Domain("hard", flipped.x, 1 - flipped.y)
         return DomainSet((easy, hard))
 
     def test_eta_zero_keeps_uniform_weights(self):

@@ -66,8 +66,8 @@ class TestSimulate:
         ds = load_csv_dataset(tmp_path / "o" / "source.csv")
         boundary = Boundary(-2.0, 0.0)
         for dom in ds.domains:
-            for p in dom.points:
-                assert p.label == label_by_boundary(p.features, boundary)
+            for features, label in zip(dom.x, dom.y):
+                assert label == label_by_boundary(features, boundary)
 
     def test_missing_output_dir_created(self, tmp_path):
         nested = tmp_path / "deep" / "nested" / "dir"
@@ -440,6 +440,42 @@ output.dir = {tmp_path}/o
             assert main(["train", "--config", str(cfg)]) == 4
         assert "diverged" in capsys.readouterr().err
         assert not (out / "model.txt").exists()
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            ("source-csv-is-directory", 3),
+            ("config-is-directory", 2),
+            ("csv-not-utf8", 3),
+            ("non-finite-feature", 3),
+            ("key-cell-inf", 3),
+            ("select-k-without-source", 2),
+        ],
+    )
+    def test_bad_input_file_is_typed_error(self, tmp_path, capsys, case, code):
+        data = tmp_path / "data.csv"
+        rows = ["0,0,0,1", "1,1,1,2", "0,1,0,3", "1,0,1,4"]
+        if case == "non-finite-feature":
+            rows[1] = "1,inf,1,2"
+        if case == "key-cell-inf":
+            rows[1] = "1,1,1,inf"
+        data.write_text("x0,x1,label,month\n" + "\n".join(rows) + "\n")
+        if case == "csv-not-utf8":
+            data.write_bytes(b"x0,x1,label\n0,\xff,1\n")
+        source = {"source-csv-is-directory": tmp_path, "select-k-without-source": ""}.get(case, data)
+        body = f"dataset.kind = csv\ndata.source_csv = {source}\noutput.dir = {tmp_path}/o\n"
+        command = "train"
+        if case in ("key-cell-inf", "select-k-without-source"):
+            command = "select-k"
+            body += "csv.feature_columns = x0,x1\ncsv.domain_column =\nselect_k.key_column = month\n"
+        else:
+            body += "csv.domain_column = month\n"
+        cfg = tmp_path if case == "config-is-directory" else write_cfg(tmp_path / "c.cfg", body)
+        assert main([command, "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if case == "non-finite-feature":
+            assert "row 2, column 'x1'" in err
 
     def test_removed_parallel_flag_is_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", f"dataset.kind = simulate\noutput.dir = {tmp_path}/o\n")

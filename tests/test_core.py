@@ -9,20 +9,24 @@ from conftest import build_model, separable_blobs, zero_model
 
 from gradframe.core import (
     AscentConfig,
-    FictitiousPoint,
     PenaltyParams,
-    c_conc,
-    c_cov,
+    _ascend,
+    _objective_rows,
     generate_fictitious_set,
-    inner_maximize,
     pretrain_domain_models,
-    surrogate_value,
     train_gradframe,
 )
 from gradframe.config import SIM_ASCENT, SIM_TRAIN
-from gradframe.data import Domain, DomainSet, LabeledPoint, simulation_source
+from gradframe.data import Domain, DomainSet, simulation_source
 from gradframe.errors import ConfigError, ShapeError
-from gradframe.nn import bce_loss, grad_input, init_mlp, probs_batch, representation
+from gradframe.nn import (
+    bce_loss,
+    grad_input,
+    init_mlp,
+    probs_batch,
+    representation,
+    representations_batch,
+)
 from gradframe.rng import rng_for
 from gradframe.training import TrainConfig, fit_pooled
 
@@ -35,66 +39,81 @@ def identity_rep_model():
     )
 
 
+def _one_row(features, label):
+    return np.asarray(features, dtype=np.float64)[None, :], np.array([float(label)])
+
+
+def _objective(star, origin, label, model_i, model_j, gammas):
+    """``_objective_rows`` for one row, anchored at the origin's representation."""
+    x, y = _one_row(star, label)
+    anchor = representations_batch(model_i, np.asarray(origin, dtype=np.float64)[None, :])
+    return float(_objective_rows(x, y, anchor, model_i, model_j, gammas)[0])
+
+
+def _penalty(star, origin, label, model_i, model_j, gammas):
+    """The weighted penalty terms of one row: the objective without them minus with them."""
+    return _objective(star, origin, label, model_i, model_j, PenaltyParams(0.0, 0.0)) - _objective(
+        star, origin, label, model_i, model_j, gammas
+    )
+
+
+def c_cov(star, origin, label, model_i):
+    """Half the squared distance between the two representations, as the gamma1 = 1 term."""
+    return _penalty(star, origin, label, model_i, model_i, PenaltyParams(1.0, 0.0))
+
+
+def c_conc(star, label, model_j):
+    """The partner model's loss at the row, as the gamma2 = 1 term."""
+    return _penalty(star, star, label, model_j, model_j, PenaltyParams(0.0, 1.0))
+
+
 class TestConstraints:
     def test_c_cov_zero_at_identity(self):
         m = identity_rep_model()
-        p = LabeledPoint(np.array([1.0, 0.5]), 1)
-        assert c_cov(p, p, m) == 0.0
-
-    def test_c_cov_infinite_on_label_mismatch(self):
-        m = identity_rep_model()
-        a = LabeledPoint(np.array([1.0, 0.5]), 1)
-        b = LabeledPoint(np.array([1.0, 0.5]), 0)
-        assert c_cov(a, b, m) == math.inf
+        p = np.array([1.0, 0.5])
+        assert c_cov(p, p, 1, m) == 0.0
 
     def test_c_cov_hand_value(self):
         m = identity_rep_model()
-        star = LabeledPoint(np.array([0.0, 1.0]), 0)  # z* = (0, 1)
-        origin = LabeledPoint(np.array([1.0, 0.0]), 0)  # z = (1, 0)
-        assert abs(c_cov(star, origin, m) - 1.0) < 1e-12
+        star = np.array([0.0, 1.0])  # z* = (0, 1)
+        origin = np.array([1.0, 0.0])  # z = (1, 0)
+        assert abs(c_cov(star, origin, 0, m) - 1.0) < 1e-12
 
     def test_c_conc_equals_partner_loss(self):
         m = zero_model((2, 2, 2))
-        p = LabeledPoint(np.array([0.3, -0.4]), 1)
-        assert abs(c_conc(p, m) - math.log(2.0)) < 1e-12
+        p = np.array([0.3, -0.4])
+        assert abs(c_conc(p, 1, m) - math.log(2.0)) < 1e-12
 
     def test_c_conc_saturated_toward_label(self):
         m = build_model(
             weights=[np.eye(2), np.array([[-8.0, 8.0], [-8.0, 8.0]])],
             biases=[np.zeros(2), np.zeros(2)],
         )
-        p = LabeledPoint(np.array([2.0, 2.0]), 1)
-        assert c_conc(p, m) < 1e-6
+        p = np.array([2.0, 2.0])
+        assert c_conc(p, 1, m) < 1e-6
 
     def test_c_conc_hand_value(self):
         m = identity_rep_model()
-        p = LabeledPoint(np.array([0.7, 0.2]), 0)
-        assert abs(c_conc(p, m) - bce_loss(m, p.features, 0)) < 1e-12
+        p = np.array([0.7, 0.2])
+        assert abs(c_conc(p, 0, m) - bce_loss(m, p, 0)) < 1e-12
 
 
 class TestSurrogate:
     def test_identity_point_drops_covariate_term(self):
         mi = identity_rep_model()
         mj = zero_model((2, 2, 2))
-        p = LabeledPoint(np.array([0.5, -0.5]), 1)
+        p = np.array([0.5, -0.5])
         gammas = PenaltyParams(2.0, 3.0)
-        expected = bce_loss(mi, p.features, 1) - 3.0 * bce_loss(mj, p.features, 1)
-        assert abs(surrogate_value(p, p, mi, mj, gammas) - expected) < 1e-12
+        expected = bce_loss(mi, p, 1) - 3.0 * bce_loss(mj, p, 1)
+        assert abs(_objective(p, p, 1, mi, mj, gammas) - expected) < 1e-12
 
     def test_zero_penalties_reduce_to_adversarial(self):
         mi = identity_rep_model()
         mj = zero_model((2, 2, 2))
-        star = LabeledPoint(np.array([1.0, 1.0]), 0)
-        origin = LabeledPoint(np.array([0.5, 0.5]), 0)
-        v = surrogate_value(star, origin, mi, mj, PenaltyParams(0.0, 0.0))
-        assert abs(v - bce_loss(mi, star.features, 0)) < 1e-12
-
-    def test_label_mismatch_is_minus_infinity(self):
-        mi = identity_rep_model()
-        mj = zero_model((2, 2, 2))
-        star = LabeledPoint(np.array([1.0, 1.0]), 1)
-        origin = LabeledPoint(np.array([0.5, 0.5]), 0)
-        assert surrogate_value(star, origin, mi, mj, PenaltyParams(1.0, 1.0)) == -math.inf
+        star = np.array([1.0, 1.0])
+        origin = np.array([0.5, 0.5])
+        v = _objective(star, origin, 0, mi, mj, PenaltyParams(0.0, 0.0))
+        assert abs(v - bce_loss(mi, star, 0)) < 1e-12
 
     def test_term_wise_recomposition(self):
         mi = identity_rep_model()
@@ -102,36 +121,43 @@ class TestSurrogate:
             weights=[np.array([[0.2, -0.6], [0.4, 0.1]]), np.array([[0.9, 0.3], [-0.2, 0.7]])],
             biases=[np.array([0.1, -0.1]), np.zeros(2)],
         )
-        star = LabeledPoint(np.array([0.4, 0.9]), 1)
-        origin = LabeledPoint(np.array([-0.2, 0.6]), 1)
+        star = np.array([0.4, 0.9])
+        origin = np.array([-0.2, 0.6])
         gammas = PenaltyParams(1.7, 0.4)
         expected = (
-            bce_loss(mi, star.features, 1)
-            - 1.7 * c_cov(star, origin, mi)
-            - 0.4 * c_conc(star, mj)
+            bce_loss(mi, star, 1)
+            - 1.7 * c_cov(star, origin, 1, mi)
+            - 0.4 * c_conc(star, 1, mj)
         )
-        assert abs(surrogate_value(star, origin, mi, mj, gammas) - expected) < 1e-12
+        assert abs(_objective(star, origin, 1, mi, mj, gammas) - expected) < 1e-12
+
+
+def _ascend_one(features, label, model_i, model_j, gammas, cfg):
+    """``_ascend`` on one row: its final iterate, its objective trace and its abort flag."""
+    x, trace, length, aborted = _ascend(*_one_row(features, label), model_i, model_j, gammas, cfg)
+    return x[0], trace[0, : length[0]], bool(aborted[0])
 
 
 class TestInnerMaximize:
     def test_zero_steps_is_identity(self):
         mi = identity_rep_model()
         mj = zero_model((2, 2, 2))
-        origin = LabeledPoint(np.array([0.5, -0.25]), 0)
-        fp = inner_maximize(origin, mi, mj, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0))
-        assert np.array_equal(fp.x_star, origin.features)
-        assert len(fp.objective_trace) == 1
-        assert fp.y_star == 0
+        origin = np.array([0.5, -0.25])
+        x_star, trace, _ = _ascend_one(
+            origin, 0, mi, mj, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0)
+        )
+        assert np.array_equal(x_star, origin)
+        assert len(trace) == 1
 
     def test_single_step_identity_with_zero_penalties(self):
         mi = identity_rep_model()
         mj = zero_model((2, 2, 2))
-        origin = LabeledPoint(np.array([0.5, 0.25]), 0)
+        origin = np.array([0.5, 0.25])
         alpha = 1e-3
         cfg = AscentConfig(alpha=alpha, max_steps=1, min_steps=0, rel_tolerance=0.0)
-        fp = inner_maximize(origin, mi, mj, PenaltyParams(0.0, 0.0), cfg)
-        g = grad_input(mi, origin.features, 0)
-        assert np.allclose(fp.x_star, origin.features + alpha * g, atol=1e-15)
+        x_star, _, _ = _ascend_one(origin, 0, mi, mj, PenaltyParams(0.0, 0.0), cfg)
+        g = grad_input(mi, origin, 0)
+        assert np.allclose(x_star, origin + alpha * g, atol=1e-15)
 
     def test_trace_monotone_and_label_preserved(self):
         src = simulation_source(0)
@@ -141,24 +167,24 @@ class TestInnerMaximize:
         gammas = PenaltyParams(1.0, 10.0)
         checked = 0
         for dom, partner in (("S1", "S2"), ("S2", "S1")):
-            for p in src.domain(dom).points[:50]:
-                fp = inner_maximize(p, models[dom], models[partner], gammas, asc)
-                diffs = np.diff(fp.objective_trace)
+            origin = src.domain(dom)
+            for features, label in zip(origin.x[:50], origin.y[:50]):
+                _, trace, _ = _ascend_one(features, label, models[dom], models[partner], gammas, asc)
+                diffs = np.diff(trace)
                 assert np.all(diffs >= -1e-9)
-                assert fp.y_star == p.label
-                assert len(fp.objective_trace) <= asc.max_steps + 1
+                assert len(trace) <= asc.max_steps + 1
                 checked += 1
         assert checked == 100
 
     def test_non_finite_objective_aborts_with_flag(self):
         mi = identity_rep_model()
         mj = zero_model((2, 2, 2))
-        origin = LabeledPoint(np.array([0.5, 0.25]), 0)
+        origin = np.array([0.5, 0.25])
         cfg = AscentConfig(alpha=1e308, max_steps=5, min_steps=0)
         with np.errstate(over="ignore"):
-            fp = inner_maximize(origin, mi, mj, PenaltyParams(1.0, 0.0), cfg)
-        assert fp.aborted
-        assert np.all(np.isfinite(fp.x_star))
+            x_star, _, aborted = _ascend_one(origin, 0, mi, mj, PenaltyParams(1.0, 0.0), cfg)
+        assert aborted
+        assert np.all(np.isfinite(x_star))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -198,21 +224,26 @@ class TestPretrain:
             pretrain_domain_models(ds, cfg)
 
 
+def _traces(fict):
+    """Each row's objective trace without the padding."""
+    return [tuple(t[:n].tolist()) for t, n in zip(fict.objective_trace, fict.trace_length)]
+
+
 class TestGenerateFictitiousSet:
     def test_simulation_partner_assignment(self):
         src = simulation_source(1)
         cfg = TrainConfig(seed=1, beta=0.01, epochs=50, batch_size=400, pretrain_epochs=20)
         fict = generate_fictitious_set(src, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), cfg)
         assert len(fict) == 400
-        for fp in fict.points:
-            assert fp.partner_domain == ("S2" if fp.origin_domain == "S1" else "S1")
+        for origin, partner in zip(fict.origin_domain, fict.partner_domain):
+            assert partner == ("S2" if origin == "S1" else "S1")
 
     def test_zero_steps_reproduces_inputs(self):
         src = simulation_source(2)
         cfg = TrainConfig(seed=2, beta=0.01, epochs=50, batch_size=400, pretrain_epochs=20)
         fict = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg)
-        assert np.array_equal(fict.feature_matrix(), src.pooled().feature_matrix())
-        assert np.array_equal(fict.label_vector(), src.pooled().label_vector())
+        assert np.array_equal(fict.x_star, src.pooled().feature_matrix())
+        assert np.array_equal(fict.y_star, src.pooled().label_vector())
 
     def test_order_deterministic_and_run_to_run_identical(self):
         src = DomainSet((separable_blobs("A", seed=5, n_per_blob=20), separable_blobs("B", seed=6, n_per_blob=20)))
@@ -220,9 +251,9 @@ class TestGenerateFictitiousSet:
         asc = AscentConfig(alpha=0.1, max_steps=5)
         first = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg)
         second = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg)
-        assert first.feature_matrix().tobytes() == second.feature_matrix().tobytes()
-        assert [p.objective_trace for p in first.points] == [p.objective_trace for p in second.points]
-        assert [(p.origin_domain, p.origin_index) for p in first.points] == [
+        assert first.x_star.tobytes() == second.x_star.tobytes()
+        assert _traces(first) == _traces(second)
+        assert list(zip(first.origin_domain.tolist(), first.origin_index.tolist())) == [
             (d.id, i) for d in src.domains for i in range(len(d))
         ]
 
@@ -256,11 +287,12 @@ class TestPenaltyMonotonicity:
         for g1 in (0.1, 1.0, 10.0):
             fict = generate_fictitious_set(src, PenaltyParams(g1, 1.0), asc, cfg, models=models)
             total = 0.0
-            for fp in fict.points:
-                model = models[fp.origin_domain]
-                origin = src.domain(fp.origin_domain).points[fp.origin_index]
-                z0 = representation(model, origin.features)
-                z1 = representation(model, fp.x_star)
+            for origin_domain, origin_index, x_star in zip(
+                fict.origin_domain, fict.origin_index, fict.x_star
+            ):
+                model = models[origin_domain]
+                z0 = representation(model, src.domain(origin_domain).x[origin_index])
+                z1 = representation(model, x_star)
                 total += float(np.linalg.norm(z1 - z0))
             drifts.append(total / len(fict))
         assert drifts[0] >= drifts[1] >= drifts[2]
@@ -274,8 +306,8 @@ class TestPenaltyMonotonicity:
         for g2 in (0.1, 1.0, 10.0):
             fict = generate_fictitious_set(src, PenaltyParams(1.0, g2), asc, cfg, models=models)
             vals = [
-                c_conc(LabeledPoint(fp.x_star, fp.y_star), models[fp.partner_domain])
-                for fp in fict.points
+                c_conc(x_star, y_star, models[partner])
+                for x_star, y_star, partner in zip(fict.x_star, fict.y_star, fict.partner_domain)
             ]
             losses.append(float(np.mean(vals)))
         assert losses[0] >= losses[1] >= losses[2]
@@ -289,22 +321,23 @@ class TestTrainGradframe:
             src, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), cfg
         )
         pooled = src.pooled()
-        doubled = Domain("doubled", pooled.points + pooled.points)
+        doubled = Domain("doubled", np.vstack([pooled.x] * 2), np.tile(pooled.y, 2))
         erm_doubled = fit_pooled(DomainSet((doubled,)), cfg)
         for wa, wb in zip(model.weights, erm_doubled.weights):
             assert wa.tobytes() == wb.tobytes()
         for ba, bb in zip(model.biases, erm_doubled.biases):
             assert ba.tobytes() == bb.tobytes()
-        assert np.array_equal(fict.feature_matrix(), pooled.feature_matrix())
+        assert np.array_equal(fict.x_star, pooled.feature_matrix())
 
     def test_label_preservation_everywhere(self):
         src = simulation_source(5)
         cfg = TrainConfig(seed=5, beta=0.01, epochs=30, batch_size=400, pretrain_epochs=30)
         _, fict = train_gradframe(src, PenaltyParams(1.0, 10.0), AscentConfig(alpha=0.5, max_steps=10), cfg)
         pooled = src.pooled()
-        for fp in fict.points:
-            origin = src.domain(fp.origin_domain).points[fp.origin_index]
-            assert fp.y_star == origin.label
+        for origin_domain, origin_index, y_star in zip(
+            fict.origin_domain, fict.origin_index, fict.y_star
+        ):
+            assert y_star == src.domain(origin_domain).y[origin_index]
 
     def test_determinism(self):
         src = simulation_source(6)
@@ -313,7 +346,7 @@ class TestTrainGradframe:
         b, fb = train_gradframe(src, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5, max_steps=5), cfg)
         for wa, wb in zip(a.weights, b.weights):
             assert wa.tobytes() == wb.tobytes()
-        assert np.array_equal(fa.feature_matrix(), fb.feature_matrix())
+        assert np.array_equal(fa.x_star, fb.x_star)
 
     def test_no_op_ascent_behaves_like_plain_erm(self):
         from gradframe.baselines import train_erm
@@ -337,7 +370,8 @@ class TestTrainGradframe:
 # ---------------------------------------------------------------------------
 # Oracle: the one-point-at-a-time ascent loop that the batched kernel in
 # gradframe.core replaced.  The body is unchanged; only the names, the type
-# annotations and the inlined 1e-12 relative-improvement floor differ.
+# annotations, the inlined 1e-12 relative-improvement floor and the return
+# value (a tuple per point) differ.
 
 
 def _scalar_objective(x, y, z_anchor, model_i, model_j, gammas):
@@ -351,15 +385,15 @@ def _scalar_objective(x, y, z_anchor, model_i, model_j, gammas):
 
 
 def _scalar_inner_maximize(
-    origin, model_i, model_j, gammas, cfg, origin_domain="", origin_index=0, partner_domain=""
+    features, label, model_i, model_j, gammas, cfg, origin_domain="", origin_index=0, partner_domain=""
 ):
-    if origin.features.shape[0] != model_i.input_dim:
+    if features.shape[0] != model_i.input_dim:
         raise ShapeError(
-            f"origin has dimension {origin.features.shape[0]}, model expects {model_i.input_dim}"
+            f"origin has dimension {features.shape[0]}, model expects {model_i.input_dim}"
         )
-    x = origin.features.copy()
-    y = origin.label
-    z_anchor = representation(model_i, origin.features)
+    x = features.copy()
+    y = label
+    z_anchor = representation(model_i, features)
     trace = [_scalar_objective(x, y, z_anchor, model_i, model_j, gammas)]
     aborted = False
     for step_no in range(1, cfg.max_steps + 1):
@@ -394,15 +428,7 @@ def _scalar_inner_maximize(
             rel = (trace[-1] - prev) / max(abs(prev), 1e-12)
             if rel < cfg.rel_tolerance:
                 break
-    return FictitiousPoint(
-        origin_domain=origin_domain,
-        origin_index=origin_index,
-        x_star=x,
-        y_star=y,
-        objective_trace=tuple(trace),
-        partner_domain=partner_domain,
-        aborted=aborted,
-    )
+    return (origin_domain, origin_index, partner_domain, y, aborted), x, tuple(trace)
 
 
 def _scalar_generate(ds, models, gammas, asc, seed):
@@ -411,11 +437,11 @@ def _scalar_generate(ds, models, gammas, asc, seed):
     for dom in ds.domains:
         others = [i for i in ids if i != dom.id]
         offset = int(rng_for(seed, "partner", dom.id).integers(len(others)))
-        for idx, point in enumerate(dom.points):
+        for idx, (features, label) in enumerate(zip(dom.x, dom.y)):
             partner = others[(offset + idx) % len(others)]
             points.append(
                 _scalar_inner_maximize(
-                    point, models[dom.id], models[partner], gammas, asc, dom.id, idx, partner
+                    features, label, models[dom.id], models[partner], gammas, asc, dom.id, idx, partner
                 )
             )
     return points
@@ -424,21 +450,24 @@ def _scalar_generate(ds, models, gammas, asc, seed):
 def _compare_with_oracle(ds, models, gammas, asc, seed):
     """Assert identical provenance and stop decisions, and return (max |dx*|, max |dtrace|)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        got = generate_fictitious_set(ds, gammas, asc, TrainConfig(seed=seed), models=models).points
+        got = generate_fictitious_set(ds, gammas, asc, TrainConfig(seed=seed), models=models)
         want = _scalar_generate(ds, models, gammas, asc, seed)
     assert len(got) == len(want)
     dx = dt = 0.0
-    for a, b in zip(got, want):
-        assert (a.origin_domain, a.origin_index, a.partner_domain, a.y_star, a.aborted) == (
-            b.origin_domain,
-            b.origin_index,
-            b.partner_domain,
-            b.y_star,
-            b.aborted,
-        )
-        assert len(a.objective_trace) == len(b.objective_trace)
-        dx = max(dx, float(np.max(np.abs(a.x_star - b.x_star))))
-        dt = max(dt, float(np.max(np.abs(np.subtract(a.objective_trace, b.objective_trace)))))
+    rows = zip(
+        got.origin_domain.tolist(),
+        got.origin_index.tolist(),
+        got.partner_domain.tolist(),
+        got.y_star.tolist(),
+        got.aborted.tolist(),
+        got.x_star,
+        _traces(got),
+    )
+    for (*provenance, x_star, trace), (want_provenance, want_x, want_trace) in zip(rows, want):
+        assert tuple(provenance) == want_provenance
+        assert len(trace) == len(want_trace)
+        dx = max(dx, float(np.max(np.abs(x_star - want_x))))
+        dt = max(dt, float(np.max(np.abs(np.subtract(trace, want_trace)))))
     assert dx <= 1e-12
     assert dt <= 1e-12
     return got
@@ -454,7 +483,7 @@ class TestBatchedAscentOracle:
     def test_canonical_simulation_defaults(self, sim):
         src, models = sim
         got = _compare_with_oracle(src, models, PenaltyParams(1.0, 10.0), AscentConfig(**SIM_ASCENT), 0)
-        assert max(len(p.objective_trace) for p in got) > 2
+        assert got.trace_length.max() > 2
 
     def test_three_domains_split_over_two_partners(self):
         src = DomainSet(
@@ -464,7 +493,7 @@ class TestBatchedAscentOracle:
         models = pretrain_domain_models(src, cfg)
         got = _compare_with_oracle(src, models, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5), 2)
         for dom in src.domains:
-            partners = {p.partner_domain for p in got if p.origin_domain == dom.id}
+            partners = set(got.partner_domain[got.origin_domain == dom.id].tolist())
             assert len(partners) == 2
 
     @pytest.mark.parametrize("gammas", [PenaltyParams(0.0, 10.0), PenaltyParams(1.0, 0.0)])
@@ -477,14 +506,14 @@ class TestBatchedAscentOracle:
         got = _compare_with_oracle(
             src, models, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), 0
         )
-        assert all(len(p.objective_trace) == 1 for p in got)
+        assert all(got.trace_length == 1)
 
     def test_some_rows_abort_others_do_not(self):
         # Under identity_rep_model a point with negative coordinates has a zero
         # input gradient and stays put; a positive one is thrown past the
         # float range by alpha = 1e308 and aborts.
         def domain(domain_id, rows):
-            return Domain(domain_id, tuple(LabeledPoint(np.array(x), y) for x, y in rows))
+            return Domain(domain_id, [x for x, _ in rows], [y for _, y in rows])
 
         src = DomainSet(
             (
@@ -496,4 +525,4 @@ class TestBatchedAscentOracle:
         got = _compare_with_oracle(
             src, models, PenaltyParams(1.0, 1.0), AscentConfig(alpha=1e308, max_steps=5, min_steps=0), 0
         )
-        assert [p.aborted for p in got] == [False, True, False, True, False, False]
+        assert got.aborted.tolist() == [False, True, False, True, False, False]

@@ -9,7 +9,6 @@ from gradframe.data import (
     Domain,
     DomainSet,
     GaussianSpec,
-    LabeledPoint,
     apply_standardization,
     generate_gaussian_domain,
     label_by_boundary,
@@ -46,8 +45,8 @@ class TestGaussianGeneration:
         boundary = Boundary(-1.0, 0.0)
         dom = generate_gaussian_domain("S1", [spec_a, spec_b], boundary, seed=42)
         assert len(dom) == 200
-        for p in dom.points:
-            assert p.label == label_by_boundary(p.features, boundary)
+        for features, label in zip(dom.x, dom.y):
+            assert label == label_by_boundary(features, boundary)
 
     def test_sample_mean_converges(self):
         mean = np.array([1.0, -2.0])
@@ -61,7 +60,7 @@ class TestGaussianGeneration:
         spec = GaussianSpec(np.array([1.5, 1.5]), np.zeros((2, 2)), 20)
         dom = generate_gaussian_domain("d", [spec], Boundary(-1.0, 0.0), seed=1)
         assert np.allclose(dom.feature_matrix(), [1.5, 1.5], atol=1e-4)
-        assert len({p.label for p in dom.points}) == 1
+        assert len(set(dom.y.tolist())) == 1
 
     def test_non_psd_covariance_rejected(self):
         with pytest.raises(DataError):
@@ -156,8 +155,7 @@ class TestCsvRoundTrip:
 
 class TestStandardize:
     def _ds(self, rows):
-        points = tuple(LabeledPoint(np.array(r, dtype=float), i % 2) for i, r in enumerate(rows))
-        return DomainSet((Domain("d", points),))
+        return DomainSet((Domain("d", rows, [i % 2 for i in range(len(rows))]),))
 
     def test_constant_feature_maps_to_zero(self):
         ds = standardize(self._ds([[5.0, 1.0], [5.0, 3.0]]))
@@ -187,16 +185,14 @@ class TestStandardize:
 
 class TestSplitIntoKDomains:
     def _domain_with_keys(self, keys):
-        points = tuple(
-            LabeledPoint(np.array([float(k), 0.0]), i % 2) for i, k in enumerate(keys)
-        )
-        return Domain("base", points), list(keys)
+        x = [[float(k), 0.0] for k in keys]
+        return Domain("base", x, [i % 2 for i in range(len(keys))]), list(keys)
 
     def test_nine_months_into_four(self):
         keys = [m for m in range(1, 10) for _ in range(3)]
         dom, ks = self._domain_with_keys(keys)
         groups = split_into_k_domains(dom, 4, ks)
-        spans = [sorted({int(p.features[0]) for p in g.points}) for g in groups.domains]
+        spans = [sorted({int(v) for v in g.x[:, 0]}) for g in groups.domains]
         assert spans == [[1, 2], [3, 4], [5, 6], [7, 8, 9]]
 
     def test_k_equals_distinct(self):
@@ -210,7 +206,7 @@ class TestSplitIntoKDomains:
         keys = list(range(1, 11))
         dom, ks = self._domain_with_keys(keys)
         groups = split_into_k_domains(dom, 2, ks)
-        spans = [sorted({int(p.features[0]) for p in g.points}) for g in groups.domains]
+        spans = [sorted({int(v) for v in g.x[:, 0]}) for g in groups.domains]
         assert spans == [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
 
     def test_partition_property(self):
@@ -236,17 +232,43 @@ class TestSplitIntoKDomains:
 class TestDomainTypes:
     def test_empty_domain_rejected(self):
         with pytest.raises(DataError):
-            Domain("empty", ())
+            Domain("empty", np.empty((0, 1)), np.empty(0))
 
     def test_duplicate_ids_rejected(self):
-        p = (LabeledPoint(np.array([1.0]), 0),)
         with pytest.raises(DataError):
-            DomainSet((Domain("a", p), Domain("a", p)))
+            DomainSet((Domain("a", [[1.0]], [0]), Domain("a", [[1.0]], [0])))
 
     def test_label_validation(self):
         with pytest.raises(DataError):
-            LabeledPoint(np.array([1.0]), 3)
+            Domain("a", [[1.0]], [3])
 
     def test_non_finite_features_rejected(self):
         with pytest.raises(DataError):
-            LabeledPoint(np.array([np.inf]), 0)
+            Domain("a", [[np.inf]], [0])
+
+
+class TestDomain:
+    @pytest.mark.parametrize(
+        "x, y, error",
+        [
+            ([[0.0, np.nan]], [0], DataError),
+            ([[0.0, 1.0]], [2], DataError),
+            ([[0.0, 1.0], [1.0, 2.0]], [0], ShapeError),
+            ([0.0, 1.0], [0, 1], ShapeError),
+            (np.empty((0, 2)), np.empty(0), DataError),
+        ],
+        ids=["non-finite", "label-2", "length-mismatch", "one-dimensional", "empty"],
+    )
+    def test_invalid_arrays_rejected(self, x, y, error):
+        with pytest.raises(error):
+            Domain("d", x, y)
+
+    def test_arrays_are_read_only_copies(self):
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        dom = Domain("d", x, [0, 1])
+        x[0, 0] = 99.0
+        assert dom.feature_matrix()[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            dom.feature_matrix()[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            dom.label_vector()[0] = 1.0

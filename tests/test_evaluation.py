@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import separable_blobs, zero_model
+from conftest import domain_of_rows, separable_blobs, zero_model
 
 from gradframe.core import AscentConfig
-from gradframe.data import Domain, DomainSet, LabeledPoint
+from gradframe.data import DomainSet
 from gradframe.errors import ConfigError, DataError, NumericError
 from gradframe.evaluation import (
     GammaGrid,
@@ -84,10 +84,9 @@ class TestEvaluate:
 
     def test_per_class_losses_recombine(self):
         m = zero_model((2, 2, 2))
-        points = tuple(
-            LabeledPoint(np.array([float(i), 0.0]), 1 if i < 3 else 0) for i in range(10)
+        dom = domain_of_rows(
+            "d", ((np.array([float(i), 0.0]), 1 if i < 3 else 0) for i in range(10))
         )
-        dom = Domain("d", points)
         report = evaluate(m, dom)
         n1, n0 = 3, 7
         recombined = (n0 * report.per_class_loss[0] + n1 * report.per_class_loss[1]) / 10
@@ -95,8 +94,8 @@ class TestEvaluate:
 
     def test_single_class_gives_loss_only(self):
         m = zero_model((2, 2, 2))
-        points = tuple(LabeledPoint(np.array([float(i), 0.0]), 1) for i in range(5))
-        report = evaluate(m, Domain("d", points))
+        dom = domain_of_rows("d", ((np.array([float(i), 0.0]), 1) for i in range(5)))
+        report = evaluate(m, dom)
         assert report.auroc is None
         assert math.isnan(report.per_class_loss[0])
 

@@ -8,14 +8,19 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import build_model, constant_prob_model, separable_blobs
+from conftest import (
+    build_model,
+    constant_prob_model,
+    domain_of_rows,
+    fictitious_set,
+    separable_blobs,
+)
 
 import gradframe.shift as shift
 from gradframe.core import AscentConfig, PenaltyParams, generate_fictitious_set
 from gradframe.data import (
     Domain,
     DomainSet,
-    LabeledPoint,
     simulation_source,
     split_into_k_domains,
 )
@@ -162,19 +167,13 @@ class TestCovariateShiftRatio:
         assert np.all(ratios == 0.0)
 
     def test_matches_direct_formula_on_tiny_dataset(self):
-        points = tuple(LabeledPoint(np.array(v), l) for v, l in [([0.0, 0.0], 0), ([1.0, 0.5], 1), ([-1.0, 2.0], 1)])
-        src = DomainSet((Domain("d", points),))
+        labels = [0, 1, 1]
+        src = DomainSet((Domain("d", [[0.0, 0.0], [1.0, 0.5], [-1.0, 2.0]], labels),))
         cfg = TrainConfig(seed=1, beta=0.01, epochs=10, batch_size=3, pretrain_epochs=5)
         model = init_mlp([2, 3, 2], 1, seed=5)
-        from gradframe.core import FictitiousPoint, FictitiousSet
 
         moved = [np.array([0.2, -0.1]), np.array([1.4, 0.9]), np.array([-0.8, 2.5])]
-        fict = FictitiousSet(
-            tuple(
-                FictitiousPoint("d", i, moved[i], points[i].label, (0.0,), "d")
-                for i in range(3)
-            )
-        )
+        fict = fictitious_set("d", moved, labels)
         ratios = covariate_shift_ratio(src, fict, model)
 
         # independent high-precision scalar recomputation of the definition
@@ -233,14 +232,8 @@ class TestConceptShiftDelta:
 
     def test_single_class_fictitious_warns(self):
         src = DomainSet((separable_blobs("A", seed=2, n_per_blob=15),))
-        from gradframe.core import FictitiousPoint, FictitiousSet
-
-        fict = FictitiousSet(
-            tuple(
-                FictitiousPoint("A", i, p.features, 0, (0.0,), "A")
-                for i, p in enumerate(src.pooled().points)
-            )
-        )
+        x = src.pooled().x
+        fict = fictitious_set("A", x, np.zeros(len(x)))
         cfg = TrainConfig(seed=0, beta=0.01, epochs=5, batch_size=16, pretrain_epochs=5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -283,9 +276,7 @@ class TestLikelihoodDifference:
 class TestShapley:
     def test_single_feature_attribution_is_prediction_gap(self):
         m = init_mlp([1, 3, 2], 1, seed=4)
-        background = Domain(
-            "bg", tuple(LabeledPoint(np.array([float(v)]), v % 2) for v in range(5))
-        )
+        background = domain_of_rows("bg", ((np.array([float(v)]), v % 2) for v in range(5)))
         x = np.array([3.0])
         attr = shapley_attribution(m, background, x, m_samples=8, seed=0)
         baseline = background.feature_matrix().mean(axis=0)
@@ -294,8 +285,8 @@ class TestShapley:
 
     def test_efficiency_exact_per_run(self, rng):
         m = init_mlp([4, 6, 2], 1, seed=5)
-        background = Domain(
-            "bg", tuple(LabeledPoint(rng.normal(size=4), int(rng.integers(2))) for _ in range(20))
+        background = domain_of_rows(
+            "bg", ((rng.normal(size=4), int(rng.integers(2))) for _ in range(20))
         )
         x = rng.normal(size=4)
         attr = shapley_attribution(m, background, x, m_samples=16, seed=1)
@@ -309,11 +300,8 @@ class TestShapley:
             weights=[np.array([[0.7, -0.4], [0.7, -0.4]]), np.array([[0.9, -0.3], [0.2, 0.5]])],
             biases=[np.zeros(2), np.zeros(2)],
         )
-        background = Domain(
-            "bg",
-            tuple(
-                LabeledPoint(np.array([v, v], dtype=float), v % 2) for v in (-1, 0, 1, 2)
-            ),
+        background = domain_of_rows(
+            "bg", ((np.array([v, v], dtype=float), v % 2) for v in (-1, 0, 1, 2))
         )
         x = np.array([1.5, 1.5])
         attr, samples = shapley_attribution(m, background, x, m_samples=128, seed=2, return_samples=True)
@@ -323,9 +311,7 @@ class TestShapley:
 
     def test_deterministic_per_seed(self, rng):
         m = init_mlp([3, 4, 2], 1, seed=6)
-        background = Domain(
-            "bg", tuple(LabeledPoint(rng.normal(size=3), 0) for _ in range(6))
-        )
+        background = domain_of_rows("bg", ((rng.normal(size=3), 0) for _ in range(6)))
         x = rng.normal(size=3)
         a = shapley_attribution(m, background, x, m_samples=12, seed=9)
         b = shapley_attribution(m, background, x, m_samples=12, seed=9)
@@ -337,7 +323,7 @@ class TestShapleyBatchOracle:
     @pytest.mark.parametrize("d", [1, 2, 6])
     def test_single_point_matches_loop(self, rng, d, m_samples):
         m = init_mlp([d, 5, 3, 2], 2, seed=d)
-        background = Domain("bg", tuple(LabeledPoint(rng.normal(size=d), 0) for _ in range(9)))
+        background = domain_of_rows("bg", ((rng.normal(size=d), 0) for _ in range(9)))
         x = rng.normal(size=d)
         attr, samples = shapley_attribution(
             m, background, x, m_samples=m_samples, seed=3, return_samples=True
@@ -382,8 +368,8 @@ class TestShapleyBatchOracle:
                 per_group.append(
                     np.stack(
                         [
-                            loop_shapley(model, baseline, p.features, 8, seed)[0]
-                            for p, seed in zip(group.points, seeds)
+                            loop_shapley(model, baseline, features, 8, seed)[0]
+                            for features, seed in zip(group.x, seeds)
                         ]
                     )
                 )
@@ -450,9 +436,9 @@ class TestSelectDomainCount:
             if flip:
                 labels = 1 - labels
             for row, lab in zip(x, labels):
-                points.append(LabeledPoint(row, int(lab)))
+                points.append((row, int(lab)))
                 keys.append(key)
-        return Domain("keyed", tuple(points)), keys
+        return domain_of_rows("keyed", points), keys
 
     def test_table_covers_candidates_and_bounds(self):
         dom, keys = self._keyed_domain([False, False, True, True], n_per_key=10)
@@ -488,9 +474,9 @@ class TestSelectDomainCount:
             x = rng.normal(scale=1.5, size=(n_per_key, 2))
             labels = (x[:, 1] > 0).astype(int) if middle else (x[:, 0] > 0).astype(int)
             for row, lab in zip(x, labels):
-                points.append(LabeledPoint(row, int(lab)))
+                points.append((row, int(lab)))
                 keys.append(key)
-        return Domain("planted", tuple(points)), keys
+        return domain_of_rows("planted", points), keys
 
     def test_planted_three_regime_recovery(self):
         hits = 0

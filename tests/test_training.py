@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gradframe.baselines import MixupConfig, draw_lambdas, train_groupdro, train_mixup
-from gradframe.data import Domain, DomainSet, LabeledPoint
+from gradframe.data import Domain, DomainSet
 from gradframe.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, P_MAX, P_MIN
 from gradframe.rng import derive_seed, rng_for
 from gradframe.training import TrainConfig, fit_minibatch
@@ -158,7 +158,7 @@ def _noisy_domain(domain_id, n, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 2))
     y = (x[:, 0] - 0.5 * x[:, 1] + rng.normal(scale=0.7, size=n) > 0).astype(int)
-    return Domain(domain_id, tuple(LabeledPoint(xi, int(yi)) for xi, yi in zip(x, y)))
+    return Domain(domain_id, x, y)
 
 
 def _three_domains():
