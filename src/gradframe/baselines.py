@@ -8,8 +8,8 @@ from typing import Callable
 import numpy as np
 
 from .data import DomainSet
-from .errors import ConfigError
-from .nn import MlpModel, bce_grad_batch, grad_params_batch
+from .errors import ConfigError, DataError, NumericError
+from .nn import MlpModel, param_count, param_views
 from .rng import rng_for
 from .training import TrainConfig, descend, fit_pooled, minibatches
 
@@ -39,7 +39,7 @@ class GroupDroState:
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
-        if np.any(self.q < 0) or abs(self.q.sum() - 1.0) > 1e-9:
+        if not np.isfinite(self.q).all() or np.any(self.q < 0) or abs(self.q.sum() - 1.0) > 1e-9:
             raise ConfigError(f"group weights must be a probability vector, got {self.q}")
         if self.eta < 0:
             raise ConfigError(f"eta must be >= 0, got {self.eta}")
@@ -66,15 +66,20 @@ def train_mixup(ds: DomainSet, cfg: TrainConfig, mixup: MixupConfig) -> MlpModel
     n = x.shape[0]
     mix_rng = rng_for(mixup.seed, "mixup")
 
-    def epoch(shuffle):
-        for idx in minibatches(shuffle, n, cfg.batch_size):
-            partners = mix_rng.integers(0, n, size=idx.shape[0])
-            lam = draw_lambdas(mixup, mix_rng, idx.shape[0])[:, None]
-            x_mix = lam * x[idx] + (1.0 - lam) * x[partners]
-            y_mix = lam[:, 0] * y[idx] + (1.0 - lam[:, 0]) * y[partners]
-            yield x_mix, y_mix
+    def mixed_grad(buffers, idx):
+        ws = buffers.workspace(idx.shape[0])
+        partners = mix_rng.integers(0, n, size=idx.shape[0])
+        lam = draw_lambdas(mixup, mix_rng, idx.shape[0])[:, None]
+        np.add(lam * x[idx], (1.0 - lam) * x[partners], out=ws.x)
+        np.add(lam[:, 0] * y[idx], (1.0 - lam[:, 0]) * y[partners], out=ws.y)
+        if not np.isfinite(ws.x).all():
+            raise DataError("non-finite value in model input")
+        buffers.mean_bce_grad(ws)
 
-    return descend(x.shape[1], cfg, epoch, grad_params_batch)
+    def epoch(shuffle):
+        return minibatches(shuffle, n, cfg.batch_size)
+
+    return descend(x.shape[1], cfg, epoch, mixed_grad)
 
 
 def train_groupdro(
@@ -88,12 +93,17 @@ def train_groupdro(
     Each step draws one minibatch per domain, upweights domains in proportion
     to exp(eta * loss), renormalizes, and descends on the weighted mean
     gradient.  ``on_step`` (if given) observes (step, q, per-domain losses).
+    A step whose reweighting is not finite (``exp`` overflows for a large
+    ``eta``) raises ``NumericError``.
     """
     state = GroupDroState(q=np.full(ds.k, 1.0 / ds.k), eta=eta)
     xs = [d.feature_matrix() for d in ds.domains]
     ys = [d.label_vector() for d in ds.domains]
     steps_per_epoch = max(int(np.ceil(max(len(x) for x in xs) / cfg.batch_size)), 1)
     step_no = 0
+    dims = cfg.layer_dims(ds.feature_dim)
+    domain_grads = np.empty((ds.k, param_count(dims)))
+    domain_views = [param_views(dims, g) for g in domain_grads]
 
     def epoch(shuffle):
         orders = [shuffle.permutation(len(x)) for x in xs]
@@ -101,19 +111,29 @@ def train_groupdro(
             take = np.arange(s * cfg.batch_size, (s + 1) * cfg.batch_size)
             yield tuple(order[take % len(order)] for order in orders)
 
-    def weighted_grad(model, *idxs):
+    def weighted_grad(buffers, idxs):
         nonlocal state, step_no
+        ws = buffers.workspace(cfg.batch_size)
         losses = np.empty(ds.k)
-        grads = []
         for i, (x, y, idx) in enumerate(zip(xs, ys, idxs)):
-            losses[i], g = bce_grad_batch(model, x[idx], y[idx])
-            grads.append(g)
-        q = state.q * np.exp(state.eta * losses)
-        q = q / q.sum()
+            ws.gather(x, y, idx)
+            buffers.mean_bce_grad(ws, domain_views[i])
+            losses[i] = ws.mean_bce()
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = state.q * np.exp(state.eta * losses)
+            q = q / q.sum()
+        if not np.isfinite(q).all():
+            raise NumericError(
+                f"GroupDRO group weights are not finite at step {step_no + 1} "
+                f"(eta {state.eta}, domain losses {losses.tolist()})"
+            )
         state = GroupDroState(q=q, eta=state.eta)
         step_no += 1
         if on_step is not None:
             on_step(step_no, state.q.copy(), losses.copy())
-        return sum(qi * g for qi, g in zip(q, grads))
+        buffers.grad.fill(0.0)
+        for qi, g in zip(q, domain_grads):
+            g *= qi
+            buffers.grad += g
 
     return descend(ds.feature_dim, cfg, epoch, weighted_grad)

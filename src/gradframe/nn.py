@@ -10,12 +10,19 @@ Parameters live in one flat float64 vector, layer by layer: ``W0`` row-major
 (``layer_dims[0] x layer_dims[1]``), then ``b0``, then ``W1``, ``b1`` and so
 on.  ``weights`` and ``biases`` are read-only views into it, parameter
 gradients and Adam moments use the same layout, and an Adam step updates the
-whole vector at once.  Models are immutable values: updates return new models.
+whole vector at once.
+
+Models are immutable values, and the public functions are pure: they return
+new arrays and new models.  The arithmetic behind them runs in place on the
+buffers of a ``Workspace`` (forward and backward) and in ``adam_update``; the
+public functions hand these kernels fresh buffers.  ``training.descend`` alone
+keeps its buffers for a whole fit and updates them in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,10 +38,19 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _frozen(a) -> np.ndarray:
+    """``a`` itself if it is a read-only contiguous float64 array, else a read-only copy."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous:
+        if not a.flags.writeable:
+            return a
+    a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
+
+
+def param_count(layer_dims: tuple[int, ...]) -> int:
+    """Length of the flat parameter vector of a network with these layer widths."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
 
 
 def param_views(
@@ -59,7 +75,8 @@ def flatten_params(weights, biases) -> np.ndarray:
 class MlpModel:
     """Feed-forward network parameters.
 
-    ``params`` is the flat parameter vector.  ``weights[k]`` has shape
+    ``params`` is the flat parameter vector; the model keeps a read-only copy
+    of it, or the array itself when it is already read-only.  ``weights[k]`` has shape
     ``(layer_dims[k], layer_dims[k+1])`` and maps the layer-k activation to
     layer k+1 pre-activations; ``rep_layer_index`` addresses a hidden layer
     (1-based over weight layers) whose activation is the representation z.
@@ -73,8 +90,8 @@ class MlpModel:
 
     def __post_init__(self):
         dims = self.layer_dims
-        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-        params = _readonly(self.params)
+        size = param_count(dims)
+        params = _frozen(self.params)
         if params.shape != (size,):
             raise ShapeError(f"layer dims {dims} need {size} parameters, got shape {params.shape}")
         weights, biases = param_views(dims, params)
@@ -154,25 +171,122 @@ def _check_vector(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_acts(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Activations per layer (index 0 is the input) and raw class-1 probabilities."""
-    acts = [x]
-    h = x
-    for k in range(model.n_layers - 1):
-        h = np.maximum(h @ model.weights[k] + model.biases[k], 0.0)
-        acts.append(h)
-    scores = h @ model.weights[-1] + model.biases[-1]
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p1_raw = e[:, 1] / (e[:, 0] + e[:, 1])
-    return acts, p1_raw
+class Workspace:
+    """Forward and backward buffers for a batch of ``rows`` inputs to a network of ``layer_dims``.
+
+    ``acts[0]`` is the input and ``acts[k]`` the layer-k activation; ``y``
+    holds the targets and ``p1`` the raw class-1 probabilities.  After
+    ``score_grads``, ``deltas[n_layers]`` holds the gradient at the output
+    scores; ``backward`` fills ``deltas[k]`` with the gradient at the layer-k
+    activation on its way down (``deltas[0]`` is unused).  A caller may hand
+    over its own ``x`` and ``y``, which are only read.
+    """
+
+    def __init__(self, layer_dims: tuple[int, ...], rows: int, x=None, y=None):
+        self.acts = [np.empty((rows, layer_dims[0])) if x is None else x]
+        self.acts += [np.empty((rows, width)) for width in layer_dims[1:-1]]
+        self.y = np.empty(rows) if y is None else y
+        self.scores = np.empty((rows, 2))
+        self.row_max = np.empty(rows)
+        self.exp = np.empty((rows, 2))
+        self.p1 = np.empty(rows)
+        self._rows, self._dims = rows, layer_dims
+
+    # The backward buffers are made on first use, so forward-only calls skip them.
+    @cached_property
+    def deltas(self) -> list[np.ndarray | None]:
+        return [None] + [np.empty((self._rows, width)) for width in self._dims[1:]]
+
+    @cached_property
+    def masks(self) -> list[np.ndarray]:
+        return [np.empty((self._rows, width), dtype=bool) for width in self._dims[1:-1]]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.acts[0]
+
+    def gather(self, x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> None:
+        """Copy ``x[rows]`` and ``y[rows]`` into the input and target buffers.
+
+        ``rows`` must index within ``x``; mode "clip" then never acts, and it
+        spares the temporary copy that mode "raise" makes with ``out``.
+        """
+        x.take(rows, axis=0, out=self.acts[0], mode="clip")
+        y.take(rows, out=self.y, mode="clip")
+
+    def forward(self, weights, biases) -> None:
+        """Activations and raw class-1 probabilities of ``x``."""
+        h = self.acts[0]
+        for w, b, out in zip(weights, biases, self.acts[1:]):
+            np.matmul(h, w, out=out)
+            out += b
+            np.maximum(out, 0.0, out=out)
+            h = out
+        s = self.scores
+        np.matmul(h, weights[-1], out=s)
+        s += biases[-1]
+        np.maximum(s[:, 0], s[:, 1], out=self.row_max)
+        s -= self.row_max[:, None]
+        # out of place, as in the plain expression, so numpy picks the same exp loop
+        e = np.exp(s, out=self.exp)
+        np.add(e[:, 0], e[:, 1], out=self.p1)
+        np.divide(e[:, 1], self.p1, out=self.p1)
+
+    def score_grads(self, mean: bool) -> None:
+        """Gradient of the BCE w.r.t. the two output scores, per row, or of the mean BCE.
+
+        The exponential-normalization/BCE composite gradient is ``p - y`` per
+        score; it decays smoothly to zero at saturation, so it is already
+        bounded and needs no clamping of its own.
+        """
+        d = self.deltas[-1]
+        np.subtract(self.p1, self.y, out=d[:, 1])
+        np.negative(d[:, 1], out=d[:, 0])
+        if mean:
+            d /= d.shape[0]
+
+    def backward(self, weights, top: int, grads=None) -> np.ndarray | None:
+        """Backprop ``deltas[top]`` down to the input.
+
+        With ``grads`` (weight and bias views into a flat gradient), the
+        parameter gradients are written there; otherwise the input gradient
+        is returned as a new array.
+        """
+        n_layers = len(weights)
+        for k in range(top - 1, -1, -1):
+            d = self.deltas[k + 1]
+            if k < n_layers - 1:
+                np.greater(self.acts[k + 1], 0.0, out=self.masks[k])
+                d *= self.masks[k]
+            if grads is not None:
+                np.matmul(self.acts[k].T, d, out=grads[0][k])
+                d.sum(axis=0, out=grads[1][k])
+            if k > 0:
+                np.matmul(d, weights[k].T, out=self.deltas[k])
+        return None if grads is not None else d @ weights[0].T
+
+    def mean_bce_grad(self, weights, biases, grads) -> None:
+        """Gradient of the mean BCE of ``x`` against ``y``, written into ``grads``."""
+        self.forward(weights, biases)
+        self.score_grads(mean=True)
+        self.backward(weights, len(weights), grads)
+
+    def mean_bce(self) -> float:
+        """Mean BCE of the last ``forward``."""
+        return float(_bce(self.p1, self.y).mean())
+
+
+def _forward(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> Workspace:
+    """A fresh workspace holding the forward pass of ``x`` (targets ``y``, if given)."""
+    ws = Workspace(model.layer_dims, x.shape[0], x, y)
+    ws.forward(model.weights, model.biases)
+    return ws
 
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Clamped class-1 probabilities and per-layer activations for a batch."""
-    x = _check_matrix(model, x)
-    acts, p1_raw = _forward_acts(model, x)
-    return np.clip(p1_raw, P_MIN, P_MAX), acts
+    ws = _forward(model, _check_matrix(model, x))
+    return np.clip(ws.p1, P_MIN, P_MAX), ws.acts
 
 
 def forward(model: MlpModel, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
@@ -209,8 +323,8 @@ def _bce(p1_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def bce_rows(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per-row BCE and per-layer activations of an ``(n, d)`` input the caller has checked."""
-    acts, p1_raw = _forward_acts(model, x)
-    return _bce(p1_raw, y), acts
+    ws = _forward(model, x)
+    return _bce(ws.p1, y), ws.acts
 
 
 def bce_loss_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -224,72 +338,30 @@ def bce_loss(model: MlpModel, x: np.ndarray, y: float | int) -> float:
     return float(bce_loss_batch(model, x[None, :], np.array([yf]))[0])
 
 
-def _score_grads(p1_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the BCE w.r.t. the two output scores, per sample.
-
-    The exponential-normalization/BCE composite gradient is ``p - y`` per
-    score; it decays smoothly to zero at saturation, so it is already bounded
-    and needs no clamping of its own.
-    """
-    d1 = p1_raw - y
-    return np.stack([-d1, d1], axis=1)
-
-
-def _backward(
-    model: MlpModel, acts: list[np.ndarray], d_scores: np.ndarray, grad: np.ndarray | None = None
-) -> np.ndarray:
-    """Backprop from output-score gradients to the input gradient.
-
-    When ``grad`` (a flat vector in the model layout) is given, the parameter
-    gradients are written into it on the way.
-    """
-    if grad is not None:
-        g_w, g_b = param_views(model.layer_dims, grad)
-    d = d_scores
-    for k in range(model.n_layers - 1, -1, -1):
-        if k < model.n_layers - 1:
-            d = d * (acts[k + 1] > 0.0)
-        if grad is not None:
-            np.matmul(acts[k].T, d, out=g_w[k])
-            d.sum(axis=0, out=g_b[k])
-        d = d @ model.weights[k].T
-    return d
-
-
-def _forward_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw class-1 probabilities and the flat gradient of the mean BCE, from one forward pass."""
+def _forward_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[Workspace, np.ndarray]:
+    """The forward pass and the flat gradient of the mean BCE, on fresh buffers."""
     x = _check_matrix(model, x)
-    acts, p1_raw = _forward_acts(model, x)
+    ws = Workspace(model.layer_dims, x.shape[0], x, np.asarray(y, dtype=np.float64))
     grad = np.empty(model.params.shape)
-    _backward(model, acts, _score_grads(p1_raw, y) / x.shape[0], grad)
-    return p1_raw, grad
+    ws.mean_bce_grad(model.weights, model.biases, param_views(model.layer_dims, grad))
+    return ws, grad
 
 
 def grad_params_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean BCE over the batch, laid out like ``model.params``."""
-    return _forward_grad(model, x, np.asarray(y, dtype=np.float64))[1]
+    return _forward_grad(model, x, y)[1]
 
 
 def bce_grad_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean BCE over the batch and its ``grad_params_batch`` gradient, from one forward pass."""
-    y = np.asarray(y, dtype=np.float64)
-    p1_raw, grad = _forward_grad(model, x, y)
-    return float(_bce(p1_raw, y).mean()), grad
+    ws, grad = _forward_grad(model, x, y)
+    return ws.mean_bce(), grad
 
 
 def grad_params(model: MlpModel, x: np.ndarray, y: float | int) -> np.ndarray:
     x = _check_vector(model, x)
     yf = _check_label(y)
     return grad_params_batch(model, x[None, :], np.array([yf]))
-
-
-def _input_grad_from_rep(model: MlpModel, acts: list[np.ndarray], d_rep: np.ndarray) -> np.ndarray:
-    """Backprop a gradient at the representation layer's activation down to the input."""
-    d = d_rep
-    for k in range(model.rep_layer_index - 1, -1, -1):
-        d = d * (acts[k + 1] > 0.0)
-        d = d @ model.weights[k].T
-    return d
 
 
 def input_grad_rows(
@@ -303,17 +375,19 @@ def input_grad_rows(
 
     ``anchor`` carries one anchor representation per row.
     """
-    acts, p1_raw = _forward_acts(model, x)
-    g = _backward(model, acts, _score_grads(p1_raw, y))
+    ws = _forward(model, x, y)
+    ws.score_grads(mean=False)
+    g = ws.backward(model.weights, model.n_layers)
     if anchor is not None:
         z_anchor, weight_a = anchor
-        d_rep = acts[model.rep_layer_index] - z_anchor
-        g = g - float(weight_a) * _input_grad_from_rep(model, acts, d_rep)
+        rep = model.rep_layer_index
+        np.subtract(ws.acts[rep], z_anchor, out=ws.deltas[rep])
+        g = g - float(weight_a) * ws.backward(model.weights, rep)
     if concept is not None:
         concept_model, weight_c = concept
-        c_acts, c_p1 = _forward_acts(concept_model, x)
-        c_input = _backward(concept_model, c_acts, _score_grads(c_p1, y))
-        g = g - float(weight_c) * c_input
+        c_ws = _forward(concept_model, x, y)
+        c_ws.score_grads(mean=False)
+        g = g - float(weight_c) * c_ws.backward(concept_model.weights, concept_model.n_layers)
     return g
 
 
@@ -356,6 +430,28 @@ def init_adam_state(model: MlpModel) -> AdamState:
     return AdamState(m=np.zeros(model.params.shape), v=np.zeros(model.params.shape))
 
 
+def adam_update(params, m, v, grads, step: int, lr: float, tmp, tmp2) -> None:
+    """Adam update number ``step`` (from 1), with bias correction, in place.
+
+    ``params``, ``m`` and ``v`` are updated; ``tmp`` and ``tmp2`` are scratch
+    vectors of the same shape.
+    """
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=tmp)
+    m += tmp
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(grads, grads, out=tmp)
+    tmp *= 1.0 - ADAM_BETA2
+    v += tmp
+    np.divide(m, 1.0 - ADAM_BETA1**step, out=tmp)
+    tmp *= lr
+    np.divide(v, 1.0 - ADAM_BETA2**step, out=tmp2)
+    np.sqrt(tmp2, out=tmp2)
+    tmp2 += ADAM_EPSILON
+    tmp /= tmp2
+    params -= tmp
+
+
 def adam_step(
     model: MlpModel, state: AdamState, grads: np.ndarray, lr: float
 ) -> tuple[MlpModel, AdamState]:
@@ -366,10 +462,10 @@ def adam_step(
         raise ShapeError(
             f"gradient shape {np.shape(grads)} does not match parameter shape {model.params.shape}"
         )
+    params = np.array(model.params)
+    m = np.array(state.m, dtype=np.float64)
+    v = np.array(state.v, dtype=np.float64)
     t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grads * grads)
-    c1 = 1.0 - ADAM_BETA1**t
-    c2 = 1.0 - ADAM_BETA2**t
-    params = model.params - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
+    adam_update(params, m, v, grads, t, lr, np.empty_like(params), np.empty_like(params))
+    params.setflags(write=False)
     return MlpModel(model.layer_dims, params, model.rep_layer_index), AdamState(m, v, t)

@@ -8,8 +8,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .data import Domain, DomainSet
-from .errors import ConfigError, NumericError
-from .nn import MlpModel, adam_step, grad_params_batch, init_adam_state, init_mlp
+from .errors import ConfigError, DataError, NumericError, ShapeError
+from .nn import MlpModel, Workspace, adam_update, init_mlp, param_views
 from .rng import derive_seed, rng_for
 
 
@@ -42,28 +42,66 @@ class TrainConfig:
         return (int(input_dim), *self.hidden_dims, 2)
 
 
+class DescentBuffers:
+    """The parameters of one ``descend`` call, its gradient and its workspaces.
+
+    ``params`` and ``grad`` are flat vectors in the model layout, and
+    ``weights``/``biases`` and ``grads`` are per-layer views into them, built
+    once.  ``workspace(rows)`` keeps one set of forward and backward buffers
+    per batch row count, so full batches share one and a short last batch has
+    its own.
+    """
+
+    def __init__(self, model: MlpModel):
+        self.layer_dims = model.layer_dims
+        self.params = np.array(model.params)
+        self.grad = np.empty_like(self.params)
+        self.weights, self.biases = param_views(self.layer_dims, self.params)
+        self.grads = param_views(self.layer_dims, self.grad)
+        self._workspaces: dict[int, Workspace] = {}
+
+    def workspace(self, rows: int) -> Workspace:
+        ws = self._workspaces.get(rows)
+        if ws is None:
+            ws = self._workspaces[rows] = Workspace(self.layer_dims, rows)
+        return ws
+
+    def mean_bce_grad(self, ws: Workspace, grads=None) -> None:
+        """Gradient of the mean BCE of ``ws.x`` against ``ws.y``, into ``grads`` or ``self.grads``."""
+        ws.mean_bce_grad(self.weights, self.biases, self.grads if grads is None else grads)
+
+
 def descend(
     input_dim: int,
     cfg: TrainConfig,
-    epoch: Callable[[np.random.Generator], Iterable[tuple]],
-    grad: Callable[..., np.ndarray],
+    epoch: Callable[[np.random.Generator], Iterable],
+    grad: Callable[[DescentBuffers, object], None],
 ) -> MlpModel:
     """Seeded init, then one Adam step per batch for ``cfg.epochs`` epochs.
 
     ``epoch(shuffle)`` yields one epoch's batches, drawing their order from
-    the seeded ``shuffle`` stream; each batch takes one step along
-    ``grad(model, *batch)``.  A model with a non-finite parameter at the end
-    raises ``NumericError``, so a diverged fit is never returned.
+    the seeded ``shuffle`` stream.  For each batch, ``grad(buffers, batch)``
+    writes the batch gradient into ``buffers.grad``, and one Adam step
+    follows.  The parameters, the Adam moments and every buffer belong to
+    this call and are updated in place; the only model built is the returned
+    one, which takes over the final parameter vector.  A non-finite parameter
+    at the end raises ``NumericError``, so a diverged fit is never returned.
     """
     model = init_mlp(cfg.layer_dims(input_dim), cfg.rep_layer_index, derive_seed(cfg.seed, "init"))
-    state = init_adam_state(model)
+    buffers = DescentBuffers(model)
+    params = buffers.params
+    m, v, tmp, tmp2 = (np.zeros_like(params) for _ in range(4))
     shuffle = rng_for(cfg.seed, "batch")
+    step = 0
     for _ in range(cfg.epochs):
         for batch in epoch(shuffle):
-            model, state = adam_step(model, state, grad(model, *batch), cfg.beta)
-    if not np.isfinite(model.params).all():
+            grad(buffers, batch)
+            step += 1
+            adam_update(params, m, v, buffers.grad, step, cfg.beta, tmp, tmp2)
+    if not np.isfinite(params).all():
         raise NumericError("training diverged: the fitted parameters are not all finite")
-    return model
+    params.setflags(write=False)
+    return MlpModel(model.layer_dims, params, model.rep_layer_index)
 
 
 def minibatches(shuffle: np.random.Generator, n: int, batch_size: int) -> Iterator[np.ndarray]:
@@ -77,15 +115,29 @@ def fit_minibatch(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
 
     Weight init and per-epoch batch order derive only from ``cfg.seed`` and
     the array length, so two callers handing over identical arrays and config
-    get bit-identical models.
+    get bit-identical models.  ``x`` is checked once, here: it must be a
+    finite ``(n, d)`` matrix with ``n`` labels (``ShapeError``/``DataError``),
+    and every batch is a subset of its rows.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0 or y.shape != x.shape[:1]:
+        raise ShapeError(
+            f"expected an (n, d) input matrix with d >= 1 and n labels, "
+            f"got shapes {x.shape} and {y.shape}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise DataError("non-finite value in model input")
+
+    def batch_grad(buffers, idx):
+        ws = buffers.workspace(idx.shape[0])
+        ws.gather(x, y, idx)
+        buffers.mean_bce_grad(ws)
 
     def epoch(shuffle):
-        return ((x[idx], y[idx]) for idx in minibatches(shuffle, x.shape[0], cfg.batch_size))
+        return minibatches(shuffle, x.shape[0], cfg.batch_size)
 
-    return descend(x.shape[1], cfg, epoch, grad_params_batch)
+    return descend(x.shape[1], cfg, epoch, batch_grad)
 
 
 def fit_domain(domain: Domain, cfg: TrainConfig) -> MlpModel:

@@ -201,9 +201,9 @@ class TestCriterion6:
 
 
 def _fd_safe(model, x, h=1e-4) -> bool:
-    from gradframe.nn import P_MIN, _forward_acts
+    from gradframe.nn import P_MIN, forward_batch
 
-    acts, p1 = _forward_acts(model, np.asarray(x, dtype=float)[None, :])
+    p1, acts = forward_batch(model, np.asarray(x, dtype=float)[None, :])
     if not (10 * P_MIN < p1[0] < 1.0 - 10 * P_MIN):
         return False
     pre = acts[0]

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import separable_blobs
 
 from gradframe.baselines import (
+    GroupDroState,
     MixupConfig,
     draw_lambdas,
     train_erm,
@@ -13,7 +16,7 @@ from gradframe.baselines import (
     train_mixup,
 )
 from gradframe.data import Domain, DomainSet, simulation_source, simulation_target
-from gradframe.errors import ConfigError
+from gradframe.errors import ConfigError, NumericError
 from gradframe.evaluation import auroc
 from gradframe.nn import probs_batch
 from gradframe.rng import rng_for
@@ -134,3 +137,18 @@ class TestTrainGroupDro:
         for wa, wb in zip(a.weights, b.weights):
             assert np.all(np.isfinite(wa))
             assert wa.tobytes() == wb.tobytes()
+
+    @pytest.mark.parametrize("q", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_state_rejects_non_finite_weights(self, q):
+        with pytest.raises(ConfigError):
+            GroupDroState(q=q, eta=0.01)
+
+    def test_overflowing_reweighting_stops_at_first_step(self):
+        ds = self._unbalanced_set()
+        cfg = TrainConfig(seed=0, beta=0.01, epochs=50, batch_size=32)
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match="step 1"):
+                train_groupdro(ds, cfg, eta=1e6, on_step=lambda *a: seen.append(a))
+        assert seen == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,17 @@ output.dir = {tmp_path}/o
         with np.errstate(all="ignore"):
             assert main(["train", "--config", str(cfg)]) == 4
         assert "diverged" in capsys.readouterr().err
+        assert not (out / "model.txt").exists()
+
+    def test_groupdro_weight_overflow_is_numeric_failure(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        body = TINY_TRAIN.format(method="groupdro", out=out).replace("epochs = 25", "epochs = 50")
+        cfg = write_cfg(tmp_path / "c.cfg", body + "groupdro.eta = 1e6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["train", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not (out / "model.txt").exists()
 
     @pytest.mark.parametrize(

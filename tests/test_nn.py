@@ -11,8 +11,11 @@ from gradframe.errors import ConfigError, DataError, ShapeError
 from gradframe.model_io import load_model, save_model
 from gradframe.nn import (
     P_MIN,
+    MlpModel,
     adam_step,
+    bce_grad_batch,
     bce_loss,
+    bce_loss_batch,
     forward,
     grad_input,
     grad_params,
@@ -47,6 +50,18 @@ class TestInit:
         m = init_mlp([100, 50, 2], 1, seed=3)
         bound = np.sqrt(6.0 / 150)
         assert np.abs(m.weights[0]).max() <= bound
+
+    def test_model_keeps_its_own_read_only_params(self):
+        a = np.arange(12.0)
+        m = MlpModel((2, 2, 2), a, 1)
+        assert a.flags.writeable
+        assert not np.shares_memory(a, m.params)
+        assert not m.params.flags.writeable
+        a[0] = 99.0
+        assert m.params[0] == 0.0
+        frozen = np.arange(12.0)
+        frozen.setflags(write=False)
+        assert MlpModel((2, 2, 2), frozen, 1).params is frozen
 
     @pytest.mark.parametrize(
         "dims,rep",
@@ -190,6 +205,14 @@ class TestGradParams:
         single = grad_params(m, x, 1)
         duplicated = grad_params_batch(m, np.stack([x, x]), np.array([1.0, 1.0]))
         assert np.allclose(single, duplicated, atol=1e-15)
+
+    def test_bce_grad_batch_is_mean_loss_and_batch_gradient(self, rng):
+        m = init_mlp([3, 5, 4, 2], 2, seed=9)
+        x = rng.normal(size=(7, 3))
+        y = np.array([0.0, 1.0, 1.0, 0.3, 0.0, 1.0, 0.8])
+        loss, grad = bce_grad_batch(m, x, y)
+        assert loss == float(bce_loss_batch(m, x, y).mean())
+        assert grad.tobytes() == grad_params_batch(m, x, y).tobytes()
 
 
 class TestGradInput:

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from gradframe.baselines import MixupConfig, draw_lambdas, train_groupdro, train_mixup
+from gradframe import training
 from gradframe.data import Domain, DomainSet
+from gradframe.errors import DataError, ShapeError
 from gradframe.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, P_MAX, P_MIN
 from gradframe.rng import derive_seed, rng_for
 from gradframe.training import TrainConfig, fit_minibatch
@@ -167,16 +169,49 @@ def _three_domains():
     )
 
 
+# (rows, hidden_dims, rep_layer_index, batch_size) of fits run back to back in
+# one process; each must match its own reference fit.  "hidden0" is (2,) and
+# "hidden1" is (8, 4).
+FIT_CASES = {
+    "full-batch-hidden0-1": [(50, (2,), 1, 50)],
+    "full-batch-hidden1-2": [(50, (8, 4), 2, 50)],
+    "ragged-hidden0-1": [(50, (2,), 1, 16)],
+    "ragged-hidden1-2": [(50, (8, 4), 2, 16)],
+    "one-row-last-batch": [(33, (2,), 1, 32)],
+    "batch-larger-than-n": [(20, (2,), 1, 64)],
+    "train-sim-shape": [(800, (2,), 1, 400)],
+    "back-to-back-shapes": [(50, (8, 4), 2, 16), (33, (2,), 1, 32), (50, (8, 4), 2, 16)],
+}
+
+
 class TestFitMinibatchOracle:
-    @pytest.mark.parametrize("hidden,rep", [((2,), 1), ((8, 4), 2)])
-    @pytest.mark.parametrize("batch_size", [50, 16], ids=["full-batch", "ragged"])
-    def test_bit_identical(self, hidden, rep, batch_size):
-        dom = _noisy_domain("train", 50, 7)
-        x, y = dom.feature_matrix(), dom.label_vector()
-        cfg = TrainConfig(
-            beta=0.05, epochs=40, batch_size=batch_size, seed=4, hidden_dims=hidden, rep_layer_index=rep
-        )
-        _assert_same_bytes(fit_minibatch(x, y, cfg), ref_fit_minibatch(x, y, cfg))
+    @pytest.mark.parametrize("fits", list(FIT_CASES.values()), ids=list(FIT_CASES))
+    def test_bit_identical(self, fits):
+        for rows, hidden, rep, batch_size in fits:
+            dom = _noisy_domain("train", rows, 7)
+            x, y = dom.feature_matrix(), dom.label_vector()
+            cfg = TrainConfig(
+                beta=0.05, epochs=40, batch_size=batch_size, seed=4, hidden_dims=hidden, rep_layer_index=rep
+            )
+            _assert_same_bytes(fit_minibatch(x, y, cfg), ref_fit_minibatch(x, y, cfg))
+
+    @pytest.mark.parametrize(
+        "x, y, error",
+        [
+            ([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]], [0, 1, 0], DataError),
+            ([0.0, 1.0, 2.0], [0, 1, 0], ShapeError),
+            (np.zeros((3, 0)), [0, 1, 0], ShapeError),
+            ([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 1], ShapeError),
+        ],
+        ids=["nan-row", "one-dimensional", "zero-width", "label-count"],
+    )
+    def test_bad_input_rejected_before_any_step(self, monkeypatch, x, y, error):
+        def no_descent(*args):
+            raise AssertionError("the descent started on bad input")
+
+        monkeypatch.setattr(training, "descend", no_descent)
+        with pytest.raises(error):
+            fit_minibatch(np.asarray(x), np.asarray(y), TrainConfig(epochs=2, batch_size=2))
 
 
 class TestTrainMixupOracle:
