@@ -24,8 +24,10 @@ class MixupConfig:
 
     def __post_init__(self):
         a, b = self.beta_shape
-        if not (a > 0 and b > 0):
-            raise ConfigError(f"beta_shape entries must be positive, got {self.beta_shape}")
+        if not (np.isfinite(self.beta_shape).all() and a > 0 and b > 0):
+            raise ConfigError(
+                f"beta_shape entries must be finite and positive, got {self.beta_shape}"
+            )
         if self.fixed_lambda is not None and not 0.0 <= self.fixed_lambda <= 1.0:
             raise ConfigError(f"fixed_lambda must lie in [0, 1], got {self.fixed_lambda}")
 
@@ -41,8 +43,8 @@ class GroupDroState:
         self.q = np.asarray(self.q, dtype=np.float64)
         if not np.isfinite(self.q).all() or np.any(self.q < 0) or abs(self.q.sum() - 1.0) > 1e-9:
             raise ConfigError(f"group weights must be a probability vector, got {self.q}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        if not (np.isfinite(self.eta) and self.eta >= 0):
+            raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
 
 
 def train_erm(ds: DomainSet, cfg: TrainConfig) -> MlpModel:

@@ -72,24 +72,21 @@ def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def _source_path(cfg: ExperimentConfig) -> str:
-    src_path = cfg.values["data.source_csv"].strip()
-    if not src_path:
+    if not cfg.source_csv:
         raise ConfigError("config key 'data.source_csv' is required for dataset.kind=csv")
-    return src_path
+    return cfg.source_csv
 
 
 def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | None]:
     """Source domains plus the optional evaluation target, standardized if configured."""
-    if cfg.values["dataset.kind"] == "simulate":
-        source_boundary, target_boundary = cfg.sim_boundaries()
-        source = simulation_source(seed, cfg.sim_points_per_blob, source_boundary)
-        target = simulation_target(seed, cfg.sim_target_points_per_blob, target_boundary)
+    if cfg.dataset_kind == "simulate":
+        source = simulation_source(seed, cfg.sim_points_per_blob, cfg.source_boundary)
+        target = simulation_target(seed, cfg.sim_target_points_per_blob, cfg.target_boundary)
     else:
-        source = load_csv_dataset(_source_path(cfg), cfg.csv_schema())
-        tgt_path = cfg.values["data.target_csv"].strip()
+        source = load_csv_dataset(_source_path(cfg), cfg.csv_schema)
         target = None
-        if tgt_path:
-            target = load_csv_dataset(tgt_path, cfg.csv_schema()).pooled("target")
+        if cfg.target_csv:
+            target = load_csv_dataset(cfg.target_csv, cfg.csv_schema).pooled("target")
     if cfg.standardize:
         from .data import standardize as _standardize
 
@@ -99,16 +96,15 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | No
     return source, target
 
 
-def _train_method(cfg: ExperimentConfig, source: DomainSet, seed: int):
-    train_cfg = cfg.train_config(seed=seed)
-    method = cfg.method
+def _train_method(cfg: ExperimentConfig, method: str, source: DomainSet, seed: int):
+    train_cfg = replace(cfg.train, seed=seed)
     if method == "erm":
         return train_erm(source, train_cfg), None
     if method == "mixup":
-        return train_mixup(source, train_cfg, cfg.mixup_config(seed)), None
+        return train_mixup(source, train_cfg, replace(cfg.mixup, seed=seed)), None
     if method == "groupdro":
         return train_groupdro(source, train_cfg, eta=cfg.groupdro_eta), None
-    return train_gradframe(source, cfg.penalties(), cfg.ascent_config(), train_cfg)
+    return train_gradframe(source, cfg.penalties, cfg.ascent, train_cfg)
 
 
 def _save_scaler(stats: Standardization | None, out: Path) -> None:
@@ -137,9 +133,8 @@ def _load_scaler(path: Path, input_dim: int) -> Standardization:
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
-    source_boundary, target_boundary = cfg.sim_boundaries()
-    source = simulation_source(cfg.seed, cfg.sim_points_per_blob, source_boundary)
-    target = simulation_target(cfg.seed, cfg.sim_target_points_per_blob, target_boundary)
+    source = simulation_source(cfg.seed, cfg.sim_points_per_blob, cfg.source_boundary)
+    target = simulation_target(cfg.seed, cfg.sim_target_points_per_blob, cfg.target_boundary)
     save_csv_dataset(source, out / "source.csv")
     save_csv_domain(target, out / "target.csv")
     _write_json(
@@ -157,7 +152,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     source, target = _load_data(cfg, cfg.seed)
-    model, fict = _train_method(cfg, source, cfg.seed)
+    model, fict = _train_method(cfg, cfg.method, source, cfg.seed)
     save_model(model, out / "model.txt")
     _save_scaler(source.standardization, out)
     if fict is not None:
@@ -173,14 +168,9 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _single_shift_run(
-    cfg: ExperimentConfig,
-    source: DomainSet,
-    gammas: PenaltyParams,
-    seed: int,
-) -> dict:
-    train_cfg = cfg.train_config(seed=seed)
-    model, fict = train_gradframe(source, gammas, cfg.ascent_config(), train_cfg)
+def _single_shift_run(cfg: ExperimentConfig, source: DomainSet, gammas: PenaltyParams) -> dict:
+    train_cfg = cfg.train
+    model, fict = train_gradframe(source, gammas, cfg.ascent, train_cfg)
     source_model = train_erm(source, train_cfg)
     ratios = covariate_shift_ratio(source, fict, source_model)
     deltas = concept_shift_delta(source, fict, train_cfg)
@@ -210,22 +200,7 @@ def _single_shift_run(
 def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     source, _ = _load_data(cfg, cfg.seed)
-    sweep_key = cfg.values["shift.sweep"].strip()
-    base = cfg.penalties()
-    runs = []
-    if sweep_key:
-        if sweep_key not in ("gamma1", "gamma2"):
-            raise ConfigError("config key 'shift.sweep': expected gamma1 or gamma2")
-        for v in cfg.shift_sweep_values:
-            gammas = (
-                PenaltyParams(v, base.gamma2)
-                if sweep_key == "gamma1"
-                else PenaltyParams(base.gamma1, v)
-            )
-            runs.append(_single_shift_run(cfg, source, gammas, cfg.seed))
-    else:
-        runs.append(_single_shift_run(cfg, source, base, cfg.seed))
-
+    runs = [_single_shift_run(cfg, source, gammas) for gammas in cfg.shift_runs]
     primary = runs[0]
     report = ShiftReport(
         covariate_ratios=primary["covariate_ratios"],
@@ -251,21 +226,16 @@ def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
-    if cfg.values["dataset.kind"] != "csv":
+    if cfg.dataset_kind != "csv":
         raise ConfigError("select-k requires dataset.kind=csv with a key column")
     src_path = _source_path(cfg)
-    schema = cfg.csv_schema()
-    if schema.feature_columns is None:
+    if cfg.csv_schema.feature_columns is None:
         # keep the grouping key out of the feature matrix
         raise ConfigError("select-k requires explicit csv.feature_columns (excluding the key column)")
-    source = load_csv_dataset(src_path, schema).pooled("all")
-    keys = read_ordinal_column(src_path, cfg.values["select_k.key_column"])
+    source = load_csv_dataset(src_path, cfg.csv_schema).pooled("all")
+    keys = read_ordinal_column(src_path, cfg.select_k_key_column)
     result = select_domain_count(
-        source,
-        cfg.select_k_candidates,
-        keys,
-        cfg.train_config(),
-        m_samples=cfg.select_k_m_samples,
+        source, cfg.select_k_candidates, keys, cfg.train, m_samples=cfg.select_k_m_samples
     )
     with (out / "k_table.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -288,7 +258,7 @@ def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_lodo(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     source, _ = _load_data(cfg, cfg.seed)
-    result = lodo_cv_search(source, cfg.grid_pairs(), cfg.ascent_config(), cfg.train_config())
+    result = lodo_cv_search(source, cfg.grid_pairs, cfg.ascent, cfg.train)
     result.write_csv(out / "lodo_table.csv")
     _write_json(
         out / "lodo_choice.json",
@@ -304,19 +274,14 @@ def cmd_lodo(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
-    methods = [m.strip() for m in cfg.values["compare.methods"].split(",") if m.strip()]
-    for m in methods:
-        if m not in ("erm", "mixup", "groupdro", "gradframe"):
-            raise ConfigError(f"compare.methods: unknown method {m!r}")
-    seeds = cfg.seeds
+    methods, seeds = cfg.compare_methods, cfg.seeds
     scores: dict[str, list[float]] = {m: [] for m in methods}
     for seed in seeds:
         source, target = _load_data(cfg, seed)
         if target is None:
             raise DataError("compare requires a target dataset")
         for m in methods:
-            method_cfg = ExperimentConfig(values={**cfg.values, "method": m})
-            model, _ = _train_method(method_cfg, source, seed)
+            model, _ = _train_method(cfg, m, source, seed)
             report = evaluate(model, target)
             if report.auroc is None:
                 raise NumericError("target domain has a single class; AUROC undefined")
@@ -352,10 +317,10 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     model = load_model(out / "model.txt")
-    eval_path = cfg.values["data.target_csv"].strip() or cfg.values["data.source_csv"].strip()
+    eval_path = cfg.target_csv or cfg.source_csv
     if not eval_path:
         raise ConfigError("evaluate requires data.target_csv or data.source_csv")
-    domain = load_csv_dataset(eval_path, cfg.csv_schema()).pooled("eval")
+    domain = load_csv_dataset(eval_path, cfg.csv_schema).pooled("eval")
     if domain.feature_dim != model.input_dim:
         raise ShapeError(
             f"{eval_path}: {domain.feature_dim} features, the model takes {model.input_dim} inputs"
@@ -406,8 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             overrides["output.dir"] = args.out
         cfg = ExperimentConfig.load(args.config, overrides)
-        out = Path(cfg.values["output.dir"])
-        return COMMANDS[args.command](cfg, out)
+        return COMMANDS[args.command](cfg, cfg.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -2,18 +2,26 @@
 
 Config files are plain text: one ``key = value`` per line, ``#`` comments,
 dotted section keys (e.g. ``ascent.alpha``).  Unknown keys are rejected so
-typos fail fast.  ``render_config`` writes the fully-resolved form back out;
+typos fail fast.  ``KEYS`` gives every key its default string and its parser;
+``ExperimentConfig.load`` parses every key once and builds the library config
+types from them, so a bad value is a ``ConfigError`` at load, whatever the
+command.  ``render_config`` writes the fully-resolved form back out;
 re-running from that echo reproduces the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
+from typing import Callable
 
+from .baselines import GroupDroState, MixupConfig
 from .core import AscentConfig, PenaltyParams
-from .data import CsvSchema, read_text
+from .data import Boundary, CsvSchema, read_text
 from .errors import ConfigError
+from .nn import init_mlp
 from .training import TrainConfig
 
 # Canonical two-domain simulation protocol: full-batch training to a
@@ -21,51 +29,138 @@ from .training import TrainConfig
 SIM_TRAIN = dict(beta=0.01, epochs=5000, batch_size=400, pretrain_epochs=50)
 SIM_ASCENT = dict(alpha=1.0, max_steps=15, rel_tolerance=1e-4, min_steps=3)
 
-DEFAULTS: dict[str, str] = {
-    "dataset.kind": "simulate",
-    "data.source_csv": "",
-    "data.target_csv": "",
-    "data.standardize": "true",
-    "csv.label_column": "label",
-    "csv.domain_column": "domain",
-    "csv.feature_columns": "",
-    "simulate.points_per_blob": "100",
-    "simulate.target.points_per_blob": "50",
-    "simulate.boundary.a": "-1",
-    "simulate.boundary.b": "0",
-    "simulate.target.boundary.a": "-2",
-    "simulate.target.boundary.b": "0",
-    "method": "gradframe",
-    "penalty.gamma1": "1",
-    "penalty.gamma2": "10",
-    "ascent.alpha": str(SIM_ASCENT["alpha"]),
-    "ascent.max_steps": str(SIM_ASCENT["max_steps"]),
-    "ascent.rel_tolerance": str(SIM_ASCENT["rel_tolerance"]),
-    "ascent.min_steps": str(SIM_ASCENT["min_steps"]),
-    "train.beta": str(SIM_TRAIN["beta"]),
-    "train.epochs": str(SIM_TRAIN["epochs"]),
-    "train.batch_size": str(SIM_TRAIN["batch_size"]),
-    "train.pretrain_epochs": str(SIM_TRAIN["pretrain_epochs"]),
-    "train.hidden_dims": "2",
-    "train.rep_layer_index": "1",
-    "mixup.beta_shape": "2,2",
-    "mixup.fixed_lambda": "",
-    "groupdro.eta": "0.01",
-    "grid.gamma1_values": "0.1,1",
-    "grid.gamma2_values": "0.1,10",
-    "grid.pairs": "",
-    "select_k.candidates": "2,3,4",
-    "select_k.key_column": "key",
-    "select_k.m_samples": "64",
-    "shift.sweep": "",
-    "shift.sweep_values": "0.1,1,10",
-    "compare.methods": "erm,gradframe",
-    "seed": "0",
-    "seeds": "0,1,2,3,4,5,6,7,8,9",
-    "output.dir": "out",
-}
-
 METHODS = ("erm", "mixup", "groupdro", "gradframe")
+
+# Each parser takes a stripped value and returns it typed, or raises a
+# ValueError saying what it expected; ``ExperimentConfig.load`` names the key.
+
+
+def _number(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _integer(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError("expected an integer") from None
+
+
+def _positive_integer(raw: str) -> int:
+    value = _integer(raw)
+    if value < 1:
+        raise ValueError("expected an integer >= 1")
+    return value
+
+
+def _flag(raw: str) -> bool:
+    value = raw.lower()
+    if value not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError("expected true/false")
+    return value in ("true", "1", "yes")
+
+
+def _name(raw: str) -> str:
+    if not raw:
+        raise ValueError("expected a non-empty name")
+    return raw
+
+
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {options}")
+        return raw
+
+    return parse
+
+
+def _optional(parse: Callable) -> Callable:
+    """Empty means None; anything else goes through ``parse``."""
+    return lambda raw: parse(raw) if raw else None
+
+
+def _list(item: Callable, at_least: int = 0, distinct: bool = False) -> Callable[[str], tuple]:
+    """Comma-separated values, each through ``item``; empty is the empty tuple."""
+
+    def parse(raw: str) -> tuple:
+        values = tuple(item(v.strip()) for v in raw.split(",")) if raw else ()
+        if len(values) < at_least:
+            raise ValueError(f"expected at least {at_least} comma-separated values")
+        if distinct and len(set(values)) < len(values):
+            raise ValueError("expected distinct values")
+        return values
+
+    return parse
+
+
+def _two_numbers(raw: str) -> tuple[float, float]:
+    values = _list(_number)(raw)
+    if len(values) != 2:
+        raise ValueError("expected two comma-separated numbers")
+    return values
+
+
+def _pairs(raw: str) -> tuple[tuple[float, float], ...]:
+    pairs = [part.split(":") for part in raw.split(";")] if raw else []
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("expected 'g1:g2;g1:g2;...'")
+    return tuple((_number(g1), _number(g2)) for g1, g2 in pairs)
+
+
+# key -> (default string, parser).  The keys of a section named after a
+# library config type (``train.``, ``ascent.``, ``penalty.``, ``mixup.``,
+# ``csv.``, ``simulate.boundary.``) are that type's fields; the type's own
+# range checks run when ``load`` builds it.
+KEYS: dict[str, tuple[str, Callable]] = {
+    "dataset.kind": ("simulate", _choice("simulate", "csv")),
+    "data.source_csv": ("", str),
+    "data.target_csv": ("", str),
+    "data.standardize": ("true", _flag),
+    "csv.label_column": ("label", _name),
+    "csv.domain_column": ("domain", _optional(str)),
+    "csv.feature_columns": ("", _optional(_list(_name))),
+    "simulate.points_per_blob": ("100", _integer),
+    "simulate.target.points_per_blob": ("50", _integer),
+    "simulate.boundary.a": ("-1", _number),
+    "simulate.boundary.b": ("0", _number),
+    "simulate.target.boundary.a": ("-2", _number),
+    "simulate.target.boundary.b": ("0", _number),
+    "method": ("gradframe", _choice(*METHODS)),
+    "penalty.gamma1": ("1", _number),
+    "penalty.gamma2": ("10", _number),
+    "ascent.alpha": (str(SIM_ASCENT["alpha"]), _number),
+    "ascent.max_steps": (str(SIM_ASCENT["max_steps"]), _integer),
+    "ascent.rel_tolerance": (str(SIM_ASCENT["rel_tolerance"]), _number),
+    "ascent.min_steps": (str(SIM_ASCENT["min_steps"]), _integer),
+    "train.beta": (str(SIM_TRAIN["beta"]), _number),
+    "train.epochs": (str(SIM_TRAIN["epochs"]), _integer),
+    "train.batch_size": (str(SIM_TRAIN["batch_size"]), _integer),
+    "train.pretrain_epochs": (str(SIM_TRAIN["pretrain_epochs"]), _integer),
+    "train.hidden_dims": ("2", _list(_integer, at_least=1)),
+    "train.rep_layer_index": ("1", _integer),
+    "mixup.beta_shape": ("2,2", _two_numbers),
+    "mixup.fixed_lambda": ("", _optional(_number)),
+    "groupdro.eta": ("0.01", _number),
+    "grid.gamma1_values": ("0.1,1", _list(_number)),
+    "grid.gamma2_values": ("0.1,10", _list(_number)),
+    "grid.pairs": ("", _pairs),
+    "select_k.candidates": ("2,3,4", _list(_integer, at_least=2, distinct=True)),
+    "select_k.key_column": ("key", _name),
+    "select_k.m_samples": ("64", _positive_integer),
+    "shift.sweep": ("", _choice("", "gamma1", "gamma2")),
+    "shift.sweep_values": ("0.1,1,10", _list(_number, at_least=1)),
+    "compare.methods": ("erm,gradframe", _list(_choice(*METHODS), at_least=1, distinct=True)),
+    "seed": ("0", _integer),
+    "seeds": ("0,1,2,3,4,5,6,7,8,9", _list(_integer, at_least=1, distinct=True)),
+    "output.dir": ("out", Path),
+}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -79,7 +174,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in DEFAULTS:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -90,215 +185,110 @@ def render_config(values: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _as_float(values: dict[str, str], key: str) -> float:
+def _section(parsed: dict[str, object], prefix: str) -> dict[str, object]:
+    """The parsed keys under ``prefix``, keyed by the rest of their name."""
+    return {key[len(prefix) :]: v for key, v in parsed.items() if key.startswith(prefix)}
+
+
+def _build(keys: str, factory: Callable, *args, **fields):
+    """``factory(*args, **fields)``, with its ``ConfigError`` naming the config ``keys``."""
     try:
-        return float(values[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected a number, got {values[key]!r}") from None
+        return factory(*args, **fields)
+    except ConfigError as exc:
+        raise ConfigError(f"config keys {keys}: {exc}") from None
 
 
-def _as_int(values: dict[str, str], key: str) -> int:
-    try:
-        return int(values[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected an integer, got {values[key]!r}") from None
-
-
-def _as_bool(values: dict[str, str], key: str) -> bool:
-    v = values[key].lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"config key {key!r}: expected true/false, got {values[key]!r}")
-
-
-def _as_float_list(values: dict[str, str], key: str) -> list[float]:
-    raw = values[key].strip()
-    if not raw:
-        return []
-    try:
-        return [float(v) for v in raw.split(",")]
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected comma-separated numbers") from None
-
-
-def _as_int_list(values: dict[str, str], key: str) -> list[int]:
-    raw = values[key].strip()
-    if not raw:
-        return []
-    try:
-        return [int(v) for v in raw.split(",")]
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected comma-separated integers") from None
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Typed view over the resolved flat key-value mapping."""
+    """Every config key parsed, checked and typed, plus the raw strings it came from.
 
-    values: dict[str, str] = field(default_factory=dict)
+    ``values`` is the resolved key -> string mapping, kept only to be echoed.
+    ``shift_runs`` holds the penalties of each ``shift-report`` run: the
+    configured pair, or one pair per sweep value.
+    """
+
+    values: dict[str, str]
+    dataset_kind: str
+    source_csv: str
+    target_csv: str
+    standardize: bool
+    csv_schema: CsvSchema
+    sim_points_per_blob: int
+    sim_target_points_per_blob: int
+    source_boundary: Boundary
+    target_boundary: Boundary
+    method: str
+    penalties: PenaltyParams
+    ascent: AscentConfig
+    train: TrainConfig
+    mixup: MixupConfig
+    groupdro_eta: float
+    grid_pairs: tuple[tuple[float, float], ...]
+    select_k_candidates: tuple[int, ...]
+    select_k_key_column: str
+    select_k_m_samples: int
+    shift_runs: tuple[PenaltyParams, ...]
+    compare_methods: tuple[str, ...]
+    seed: int
+    seeds: tuple[int, ...]
+    output_dir: Path
 
     @classmethod
     def load(cls, path: str | Path, overrides: dict[str, str] | None = None) -> "ExperimentConfig":
-        values = dict(DEFAULTS)
+        values = {key: default for key, (default, _) in KEYS.items()}
         values.update(parse_config_file(path))
-        if overrides:
-            for key, value in overrides.items():
-                if key not in DEFAULTS:
-                    raise ConfigError(f"unknown config key {key!r}")
-                values[key] = value
-        cfg = cls(values=values)
-        cfg.validate()
-        return cfg
+        for key, value in (overrides or {}).items():
+            if key not in KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
+            values[key] = value
+        p = {}
+        for key, (_, parse) in KEYS.items():
+            try:
+                p[key] = parse(values[key])
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}, got {values[key]!r}") from None
 
-    def validate(self) -> None:
-        if self.values["dataset.kind"] not in ("simulate", "csv"):
-            raise ConfigError(
-                f"config key 'dataset.kind': expected simulate or csv, got "
-                f"{self.values['dataset.kind']!r}"
+        penalties = _build("penalty.*", PenaltyParams, **_section(p, "penalty."))
+        shift_runs = (penalties,)
+        if p["shift.sweep"]:
+            shift_runs = tuple(
+                _build("shift.sweep_values", replace, penalties, **{p["shift.sweep"]: v})
+                for v in p["shift.sweep_values"]
             )
-        if self.values["method"] not in METHODS:
-            raise ConfigError(
-                f"config key 'method': expected one of {METHODS}, got {self.values['method']!r}"
-            )
-        self.train_config()
-        self.ascent_config()
-        self.penalties()
-
-    @property
-    def seed(self) -> int:
-        return _as_int(self.values, "seed")
-
-    @property
-    def seeds(self) -> list[int]:
-        seeds = _as_int_list(self.values, "seeds")
-        if not seeds:
-            raise ConfigError("config key 'seeds' must list at least one seed")
-        return seeds
-
-    @property
-    def method(self) -> str:
-        return self.values["method"]
-
-    @property
-    def standardize(self) -> bool:
-        return _as_bool(self.values, "data.standardize")
-
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        hidden = _as_int_list(self.values, "train.hidden_dims")
-        if not hidden:
-            raise ConfigError("config key 'train.hidden_dims' must list at least one layer")
-        return TrainConfig(
-            beta=_as_float(self.values, "train.beta"),
-            epochs=_as_int(self.values, "train.epochs"),
-            batch_size=_as_int(self.values, "train.batch_size"),
-            seed=self.seed if seed is None else seed,
-            pretrain_epochs=_as_int(self.values, "train.pretrain_epochs"),
-            hidden_dims=tuple(hidden),
-            rep_layer_index=_as_int(self.values, "train.rep_layer_index"),
-        )
-
-    def ascent_config(self) -> AscentConfig:
-        return AscentConfig(
-            alpha=_as_float(self.values, "ascent.alpha"),
-            max_steps=_as_int(self.values, "ascent.max_steps"),
-            rel_tolerance=_as_float(self.values, "ascent.rel_tolerance"),
-            min_steps=_as_int(self.values, "ascent.min_steps"),
-        )
-
-    def penalties(self) -> PenaltyParams:
-        return PenaltyParams(
-            gamma1=_as_float(self.values, "penalty.gamma1"),
-            gamma2=_as_float(self.values, "penalty.gamma2"),
-        )
-
-    def csv_schema(self) -> CsvSchema:
-        feature_cols = self.values["csv.feature_columns"].strip()
-        domain_col = self.values["csv.domain_column"].strip()
-        return CsvSchema(
-            label_column=self.values["csv.label_column"],
-            domain_column=domain_col or None,
-            feature_columns=tuple(c.strip() for c in feature_cols.split(",")) if feature_cols else None,
-        )
-
-    def grid_pairs(self) -> list[tuple[float, float]]:
-        raw_pairs = self.values["grid.pairs"].strip()
-        if raw_pairs:
-            pairs = []
-            for part in raw_pairs.split(";"):
-                try:
-                    g1, g2 = part.split(":")
-                    pairs.append((float(g1), float(g2)))
-                except ValueError:
-                    raise ConfigError(
-                        "config key 'grid.pairs': expected 'g1:g2;g1:g2;...'"
-                    ) from None
-            return pairs
-        from itertools import product
-
-        g1s = _as_float_list(self.values, "grid.gamma1_values")
-        g2s = _as_float_list(self.values, "grid.gamma2_values")
-        if not g1s or not g2s:
+        grid_axes = (p["grid.gamma1_values"], p["grid.gamma2_values"])
+        grid_pairs = p["grid.pairs"] or tuple(product(*grid_axes))
+        if not grid_pairs:
             raise ConfigError("grid.gamma1_values and grid.gamma2_values must be non-empty")
-        return list(product(g1s, g2s))
-
-    def mixup_config(self, seed: int):
-        from .baselines import MixupConfig
-
-        shape = _as_float_list(self.values, "mixup.beta_shape")
-        if len(shape) != 2:
-            raise ConfigError("config key 'mixup.beta_shape': expected two numbers")
-        fixed = self.values["mixup.fixed_lambda"].strip()
-        return MixupConfig(
-            beta_shape=(shape[0], shape[1]),
-            seed=seed,
-            fixed_lambda=_as_float(self.values, "mixup.fixed_lambda") if fixed else None,
-        )
-
-    @property
-    def groupdro_eta(self) -> float:
-        return _as_float(self.values, "groupdro.eta")
-
-    @property
-    def select_k_candidates(self) -> list[int]:
-        ks = _as_int_list(self.values, "select_k.candidates")
-        if len(ks) < 2:
-            raise ConfigError("config key 'select_k.candidates' needs at least two values")
-        return ks
-
-    @property
-    def select_k_m_samples(self) -> int:
-        m = _as_int(self.values, "select_k.m_samples")
-        if m < 1:
-            raise ConfigError(f"config key 'select_k.m_samples' must be >= 1, got {m}")
-        return m
-
-    @property
-    def shift_sweep_values(self) -> list[float]:
-        values = _as_float_list(self.values, "shift.sweep_values")
-        if not values:
-            raise ConfigError("config key 'shift.sweep_values' must list at least one value")
-        return values
-
-    @property
-    def sim_points_per_blob(self) -> int:
-        return _as_int(self.values, "simulate.points_per_blob")
-
-    @property
-    def sim_target_points_per_blob(self) -> int:
-        return _as_int(self.values, "simulate.target.points_per_blob")
-
-    def sim_boundaries(self):
-        from .data import Boundary
-
-        return (
-            Boundary(
-                a=_as_float(self.values, "simulate.boundary.a"),
-                b=_as_float(self.values, "simulate.boundary.b"),
-            ),
-            Boundary(
-                a=_as_float(self.values, "simulate.target.boundary.a"),
-                b=_as_float(self.values, "simulate.target.boundary.b"),
-            ),
+        for pair in grid_pairs:
+            _build("grid.*", PenaltyParams, *pair)
+        train = _build("train.*", TrainConfig, seed=p["seed"], **_section(p, "train."))
+        # the network's and GroupDRO's own checks, on a stand-in input width and group
+        _build("train.*", init_mlp, train.layer_dims(1), train.rep_layer_index, train.seed)
+        _build("groupdro.eta", GroupDroState, q=(1.0,), eta=p["groupdro.eta"])
+        return cls(
+            values=values,
+            dataset_kind=p["dataset.kind"],
+            source_csv=p["data.source_csv"],
+            target_csv=p["data.target_csv"],
+            standardize=p["data.standardize"],
+            csv_schema=CsvSchema(**_section(p, "csv.")),
+            sim_points_per_blob=p["simulate.points_per_blob"],
+            sim_target_points_per_blob=p["simulate.target.points_per_blob"],
+            source_boundary=Boundary(**_section(p, "simulate.boundary.")),
+            target_boundary=Boundary(**_section(p, "simulate.target.boundary.")),
+            method=p["method"],
+            penalties=penalties,
+            ascent=_build("ascent.*", AscentConfig, **_section(p, "ascent.")),
+            train=train,
+            mixup=_build("mixup.*", MixupConfig, seed=p["seed"], **_section(p, "mixup.")),
+            groupdro_eta=p["groupdro.eta"],
+            grid_pairs=grid_pairs,
+            select_k_candidates=p["select_k.candidates"],
+            select_k_key_column=p["select_k.key_column"],
+            select_k_m_samples=p["select_k.m_samples"],
+            shift_runs=shift_runs,
+            compare_methods=p["compare.methods"],
+            seed=p["seed"],
+            seeds=p["seeds"],
+            output_dir=p["output.dir"],
         )

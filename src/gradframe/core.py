@@ -48,14 +48,14 @@ class AscentConfig:
     min_steps: int = 3
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
         if self.max_steps < 0 or self.min_steps < 0 or self.max_steps < self.min_steps:
             raise ConfigError(
                 f"need 0 <= min_steps <= max_steps, got {self.min_steps}, {self.max_steps}"
             )
-        if self.rel_tolerance < 0:
-            raise ConfigError(f"rel_tolerance must be >= 0, got {self.rel_tolerance}")
+        if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance >= 0):
+            raise ConfigError(f"rel_tolerance must be finite and >= 0, got {self.rel_tolerance}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,8 +32,8 @@ class TrainConfig:
     rep_layer_index: int = 1
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise ConfigError(f"beta must be finite and positive, got {self.beta}")
         if self.epochs <= 0 or self.batch_size <= 0 or self.pretrain_epochs <= 0:
             raise ConfigError("epochs, batch_size, and pretrain_epochs must be positive")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))

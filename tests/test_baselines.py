@@ -90,6 +90,11 @@ class TestTrainMixup:
         with pytest.raises(ConfigError):
             MixupConfig(fixed_lambda=1.5)
 
+    @pytest.mark.parametrize("shape", [(np.inf, 2.0), (2.0, np.nan)])
+    def test_rejects_non_finite_beta_shape(self, shape):
+        with pytest.raises(ConfigError, match="beta_shape"):
+            MixupConfig(beta_shape=shape)
+
 
 class TestTrainGroupDro:
     def _unbalanced_set(self):
@@ -142,6 +147,14 @@ class TestTrainGroupDro:
     def test_state_rejects_non_finite_weights(self, q):
         with pytest.raises(ConfigError):
             GroupDroState(q=q, eta=0.01)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_non_finite_eta_rejected_before_any_step(self, eta):
+        cfg = TrainConfig(seed=0, beta=0.01, epochs=5, batch_size=32)
+        seen = []
+        with pytest.raises(ConfigError, match="eta"):
+            train_groupdro(self._unbalanced_set(), cfg, eta=eta, on_step=lambda *a: seen.append(a))
+        assert seen == []
 
     def test_overflowing_reweighting_stops_at_first_step(self):
         ds = self._unbalanced_set()

@@ -194,6 +194,14 @@ class TestInnerMaximize:
         with pytest.raises(ConfigError):
             PenaltyParams(-1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", math.inf), ("alpha", math.nan), ("rel_tolerance", math.nan), ("rel_tolerance", math.inf)],
+    )
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            AscentConfig(**{field: value})
+
 
 class TestPretrain:
     def _two_domain_set(self):

@@ -15,7 +15,7 @@ import pytest
 from gradframe.baselines import MixupConfig, draw_lambdas, train_groupdro, train_mixup
 from gradframe import training
 from gradframe.data import Domain, DomainSet
-from gradframe.errors import DataError, ShapeError
+from gradframe.errors import ConfigError, DataError, ShapeError
 from gradframe.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, P_MAX, P_MIN
 from gradframe.rng import derive_seed, rng_for
 from gradframe.training import TrainConfig, fit_minibatch
@@ -237,3 +237,10 @@ class TestTrainGroupDroOracle:
             assert s == s_ref
             assert q.tobytes() == q_ref.tobytes()
             assert losses.tobytes() == losses_ref.tobytes()
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ConfigError, match="beta"):
+            TrainConfig(beta=beta)
