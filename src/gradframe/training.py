@@ -37,6 +37,13 @@ class TrainConfig:
         if self.epochs <= 0 or self.batch_size <= 0 or self.pretrain_epochs <= 0:
             raise ConfigError("epochs, batch_size, and pretrain_epochs must be positive")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        if not self.hidden_dims or min(self.hidden_dims) <= 0:
+            raise ConfigError(f"hidden_dims must be non-empty and positive, got {self.hidden_dims}")
+        if not 1 <= self.rep_layer_index <= len(self.hidden_dims):
+            raise ConfigError(
+                f"rep_layer_index {self.rep_layer_index} does not address a hidden layer "
+                f"(valid range 1..{len(self.hidden_dims)})"
+            )
 
     def layer_dims(self, input_dim: int) -> tuple[int, ...]:
         return (int(input_dim), *self.hidden_dims, 2)

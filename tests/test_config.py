@@ -127,6 +127,19 @@ class TestLoadTimeErrors:
     def test_library_range_checks_run_at_load(self, tmp_path, body, named):
         assert_load_error(tmp_path, "simulate", body, named)
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("key", ["simulate.points_per_blob", "simulate.target.points_per_blob"])
+    def test_non_positive_blob_count_exits_at_load(self, tmp_path, key, value):
+        assert_load_error(tmp_path, "simulate", f"{key} = {value}\n", repr(key))
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_negative_seed_runs(tmp_path, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"train.epochs = 5\noutput.dir = {tmp_path / 'o'}\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--seed", "-1"]) == 0
+    assert "seed = -1\n" in (tmp_path / "o" / "effective_config.txt").read_text(encoding="utf-8")
+
 
 def test_readme_lists_the_table():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -220,8 +233,8 @@ VALID = {
     "compare.methods": st.permutations(METHODS).flatmap(
         lambda ms: st.integers(1, len(ms)).map(lambda n: ",".join(ms[:n]))
     ),
-    "seed": st.integers(0, 2**31).map(str),
-    "seeds": st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True).map(
+    "seed": st.integers(-(2**31), 2**31).map(str),
+    "seeds": st.lists(st.integers(-99, 99), min_size=1, max_size=4, unique=True).map(
         lambda seeds: ",".join(map(str, seeds))
     ),
     "output.dir": NAME,

@@ -244,3 +244,17 @@ class TestTrainConfig:
     def test_rejects_non_finite_beta(self, beta):
         with pytest.raises(ConfigError, match="beta"):
             TrainConfig(beta=beta)
+
+    @pytest.mark.parametrize(
+        "hidden_dims, rep_layer_index, match",
+        [
+            ((), 1, "hidden_dims"),
+            ((4, 0), 1, "hidden_dims"),
+            ((4,), 0, "rep_layer_index"),
+            ((4,), 2, "rep_layer_index"),
+            ((8, 4), 3, "rep_layer_index"),
+        ],
+    )
+    def test_rejects_bad_architecture(self, hidden_dims, rep_layer_index, match):
+        with pytest.raises(ConfigError, match=match):
+            TrainConfig(hidden_dims=hidden_dims, rep_layer_index=rep_layer_index)
