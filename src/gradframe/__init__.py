@@ -41,14 +41,13 @@ from .evaluation import (
     welch_t_one_tailed,
 )
 from .nn import (
-    AdamState,
     MlpModel,
-    adam_step,
-    bce_loss,
-    forward,
-    grad_input,
-    grad_params,
+    bce_loss_batch,
+    grad_input_batch,
+    grad_params_batch,
     init_mlp,
+    probs_batch,
+    representations_batch,
 )
 from .shift import (
     KdeModel,
@@ -68,7 +67,6 @@ from .training import TrainConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "AscentConfig",
     "Boundary",
     "ConfigError",
@@ -90,18 +88,16 @@ __all__ = [
     "ShapeError",
     "ShiftReport",
     "TrainConfig",
-    "adam_step",
     "auroc",
-    "bce_loss",
+    "bce_loss_batch",
     "concept_shift_delta",
     "counterfactual_in_domain",
     "covariate_shift_ratio",
     "evaluate",
-    "forward",
     "generate_fictitious_set",
     "generate_gaussian_domain",
-    "grad_input",
-    "grad_params",
+    "grad_input_batch",
+    "grad_params_batch",
     "init_mlp",
     "kde_fit",
     "kde_log_density",
@@ -111,6 +107,8 @@ __all__ = [
     "load_csv_dataset",
     "lodo_cv_search",
     "pretrain_domain_models",
+    "probs_batch",
+    "representations_batch",
     "save_csv_dataset",
     "select_domain_count",
     "shapley_attribution",

@@ -298,8 +298,13 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
         diagnostics.append("fewer than 2 seeds; t-tests skipped")
     else:
         for other in methods[1:]:
-            t, dof, p = welch_t_one_tailed(scores[methods[0]], scores[other])
-            tests[f"{methods[0]}_vs_{other}"] = {"t": t, "dof": dof, "p_one_tailed": p}
+            pair = f"{methods[0]}_vs_{other}"
+            try:
+                t, dof, p = welch_t_one_tailed(scores[methods[0]], scores[other])
+            except NumericError as exc:  # both methods scored the same on every seed
+                diagnostics.append(f"{pair}: t-test skipped, {exc}")
+                continue
+            tests[pair] = {"t": t, "dof": dof, "p_one_tailed": p}
     _write_json(
         out / "compare_report.json",
         {

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import read_text
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .nn import MlpModel, flatten_params
 
 
@@ -63,5 +63,5 @@ def load_model(path: str | Path) -> MlpModel:
             weights.append(w)
             biases.append(b)
         return MlpModel(dims, flatten_params(weights, biases), rep)
-    except (IndexError, ValueError) as exc:
+    except (ConfigError, IndexError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from None

@@ -12,18 +12,27 @@ on.  ``weights`` and ``biases`` are read-only views into it, parameter
 gradients and Adam moments use the same layout, and an Adam step updates the
 whole vector at once.
 
-Models are immutable values, and the public functions are pure: they return
-new arrays and new models.  The arithmetic behind them runs in place on the
-buffers of a ``Workspace`` (forward and backward) and in ``adam_update``; the
-public functions hand these kernels fresh buffers.  ``training.descend`` alone
-keeps its buffers for a whole fit and updates them in place.
+Models are immutable values.  The public functions take an ``(n, d)`` input
+matrix and return new arrays: ``probs_batch`` (clamped class-1 probabilities),
+``representations_batch`` (z), ``bce_loss_batch`` (per-row BCE),
+``grad_params_batch`` (gradient of the mean BCE, laid out like ``params``) and
+``grad_input_batch`` (per-row input gradient of the ascent objective).  Each
+checks its input matrix (``_check_matrix``) and any targets it takes
+(``_check_targets``: n finite values in [0, 1]); ``grad_input_batch`` also
+checks the anchor shape and the concept model's input width.  ``bce_rows`` and
+``input_grad_rows`` check nothing: they serve the ascent, which checks its
+inputs once.  ``check_architecture`` is the one architecture rule; ``MlpModel``
+runs it on every model it builds, and ``TrainConfig`` on its own fields.
+
+The arithmetic runs in place on the buffers of a ``Workspace`` and in
+``adam_update``, the one Adam step.  The public functions hand these kernels
+fresh buffers; only ``training.descend`` keeps its buffers for a whole fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +75,21 @@ def param_views(
     return tuple(weights), tuple(biases)
 
 
+def check_architecture(layer_dims: tuple[int, ...], rep_layer_index: int) -> None:
+    """The architecture rule, ``ConfigError`` if broken: a positive input width, one or
+    more positive hidden widths, 2 output units and a hidden representation layer."""
+    if len(layer_dims) < 2 or layer_dims[0] <= 0 or layer_dims[-1] != 2:
+        raise ConfigError(f"need a positive input width and 2 output units, got dims {layer_dims}")
+    hidden = tuple(layer_dims[1:-1])
+    if not hidden or min(hidden) <= 0:
+        raise ConfigError(f"hidden_dims must be non-empty and positive, got {hidden}")
+    if not 1 <= rep_layer_index <= len(hidden):
+        raise ConfigError(
+            f"rep_layer_index {rep_layer_index} does not address a hidden layer "
+            f"(valid range 1..{len(hidden)})"
+        )
+
+
 def flatten_params(weights, biases) -> np.ndarray:
     """Per-layer weights and biases packed into one flat vector in the model layout."""
     return np.concatenate([np.ravel(a) for pair in zip(weights, biases) for a in pair])
@@ -80,6 +104,7 @@ class MlpModel:
     ``(layer_dims[k], layer_dims[k+1])`` and maps the layer-k activation to
     layer k+1 pre-activations; ``rep_layer_index`` addresses a hidden layer
     (1-based over weight layers) whose activation is the representation z.
+    Every model passes ``check_architecture`` when it is built.
     """
 
     layer_dims: tuple[int, ...]
@@ -90,6 +115,7 @@ class MlpModel:
 
     def __post_init__(self):
         dims = self.layer_dims
+        check_architecture(dims, self.rep_layer_index)
         size = param_count(dims)
         params = _frozen(self.params)
         if params.shape != (size,):
@@ -121,29 +147,10 @@ class MlpModel:
         return MlpModel(self.layer_dims, flatten_params(weights, biases), self.rep_layer_index)
 
 
-class AdamState(NamedTuple):
-    """First and second moment vectors, laid out like ``MlpModel.params``, and the step count."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-
-
 def init_mlp(layer_dims: list[int] | tuple[int, ...], rep_layer_index: int, seed: int) -> MlpModel:
     """Build a model with seeded uniform init in +-sqrt(6 / (fan_in + fan_out))."""
     dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 3:
-        raise ConfigError(f"need at least input, one hidden, and output layer, got dims {dims}")
-    if any(d <= 0 for d in dims):
-        raise ConfigError(f"layer dimensions must be positive, got {dims}")
-    if dims[-1] != 2:
-        raise ConfigError(f"output layer must have 2 units, got {dims[-1]}")
-    n_layers = len(dims) - 1
-    if not 1 <= rep_layer_index <= n_layers - 1:
-        raise ConfigError(
-            f"rep_layer_index {rep_layer_index} does not address a hidden layer "
-            f"(valid range 1..{n_layers - 1})"
-        )
+    check_architecture(dims, rep_layer_index)  # before the draws, which need valid widths
     rng = np.random.default_rng(int(seed))
     weights = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -162,13 +169,13 @@ def _check_matrix(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_vector(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.input_dim:
-        raise ShapeError(f"expected an input vector of length {model.input_dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("non-finite value in model input")
-    return x
+def _check_targets(x: np.ndarray, y) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != x.shape[:1]:
+        raise ShapeError(f"expected {x.shape[0]} targets, got shape {y.shape}")
+    if not np.all((y >= 0.0) & (y <= 1.0)):  # NaN fails both comparisons
+        raise DataError("targets must be finite and in [0, 1]")
+    return y
 
 
 class Workspace:
@@ -283,37 +290,14 @@ def _forward(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> Wor
     return ws
 
 
-def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Clamped class-1 probabilities and per-layer activations for a batch."""
-    ws = _forward(model, _check_matrix(model, x))
-    return np.clip(ws.p1, P_MIN, P_MAX), ws.acts
-
-
-def forward(model: MlpModel, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """Class-1 probability and per-layer activations; ``reps[rep_layer_index]`` is z."""
-    x = _check_vector(model, x)
-    p1, acts = forward_batch(model, x[None, :])
-    return float(p1[0]), [a[0] for a in acts]
-
-
 def probs_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    return forward_batch(model, x)[0]
-
-
-def representation(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """The designated hidden-layer activation z for a single input."""
-    return forward(model, x)[1][model.rep_layer_index]
+    """Clamped class-1 probability of each row."""
+    return np.clip(_forward(model, _check_matrix(model, x)).p1, P_MIN, P_MAX)
 
 
 def representations_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    return forward_batch(model, x)[1][model.rep_layer_index]
-
-
-def _check_label(y: float | int) -> float:
-    yf = float(y)
-    if yf not in (0.0, 1.0):
-        raise DataError(f"label must be 0 or 1, got {y!r}")
-    return yf
+    """The designated hidden-layer activation z of each row."""
+    return _forward(model, _check_matrix(model, x)).acts[model.rep_layer_index]
 
 
 def _bce(p1_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -328,40 +312,18 @@ def bce_rows(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
 
 
 def bce_loss_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample binary cross-entropy; accepts soft targets in [0, 1]."""
-    return bce_rows(model, _check_matrix(model, x), np.asarray(y, dtype=np.float64))[0]
-
-
-def bce_loss(model: MlpModel, x: np.ndarray, y: float | int) -> float:
-    x = _check_vector(model, x)
-    yf = _check_label(y)
-    return float(bce_loss_batch(model, x[None, :], np.array([yf]))[0])
-
-
-def _forward_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[Workspace, np.ndarray]:
-    """The forward pass and the flat gradient of the mean BCE, on fresh buffers."""
+    """Per-row binary cross-entropy; accepts soft targets in [0, 1]."""
     x = _check_matrix(model, x)
-    ws = Workspace(model.layer_dims, x.shape[0], x, np.asarray(y, dtype=np.float64))
-    grad = np.empty(model.params.shape)
-    ws.mean_bce_grad(model.weights, model.biases, param_views(model.layer_dims, grad))
-    return ws, grad
+    return bce_rows(model, x, _check_targets(x, y))[0]
 
 
 def grad_params_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the mean BCE over the batch, laid out like ``model.params``."""
-    return _forward_grad(model, x, y)[1]
-
-
-def bce_grad_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean BCE over the batch and its ``grad_params_batch`` gradient, from one forward pass."""
-    ws, grad = _forward_grad(model, x, y)
-    return ws.mean_bce(), grad
-
-
-def grad_params(model: MlpModel, x: np.ndarray, y: float | int) -> np.ndarray:
-    x = _check_vector(model, x)
-    yf = _check_label(y)
-    return grad_params_batch(model, x[None, :], np.array([yf]))
+    """Gradient of the mean BCE over the rows, laid out like ``model.params``."""
+    x = _check_matrix(model, x)
+    ws = Workspace(model.layer_dims, x.shape[0], x, _check_targets(x, y))
+    grad = np.empty(model.params.shape)
+    ws.mean_bce_grad(model.weights, model.biases, param_views(model.layer_dims, grad))
+    return grad
 
 
 def input_grad_rows(
@@ -371,10 +333,7 @@ def input_grad_rows(
     anchor: tuple[np.ndarray, float] | None = None,
     concept: tuple[MlpModel, float] | None = None,
 ) -> np.ndarray:
-    """Row-wise ``grad_input`` of an ``(n, d)`` input the caller has checked.
-
-    ``anchor`` carries one anchor representation per row.
-    """
+    """``grad_input_batch`` of inputs the caller has checked."""
     ws = _forward(model, x, y)
     ws.score_grads(mean=False)
     g = ws.backward(model.weights, model.n_layers)
@@ -391,43 +350,31 @@ def input_grad_rows(
     return g
 
 
-def grad_input(
+def grad_input_batch(
     model: MlpModel,
     x: np.ndarray,
-    y: float | int,
+    y: np.ndarray,
     anchor: tuple[np.ndarray, float] | None = None,
     concept: tuple[MlpModel, float] | None = None,
 ) -> np.ndarray:
-    """Input gradient of the weighted ascent objective.
+    """Per-row input gradient of the weighted ascent objective.
 
-    Returns the gradient w.r.t. ``x`` of
-
-        bce(model; x, y)
-        - weight_a * 0.5 * ||z(x) - z_anchor||^2      (if ``anchor`` given)
-        - weight_c * bce(concept_model; x, y)          (if ``concept`` given)
-
-    where z is the representation under ``model``.
+    Row r is the gradient w.r.t. ``x[r]`` of ``bce(model; x[r], y[r])``, minus
+    ``weight_a * 0.5 * ||z(x[r]) - z_anchor[r]||^2`` if ``anchor`` is given and
+    ``weight_c * bce(concept_model; x[r], y[r])`` if ``concept`` is given; z is
+    the representation under ``model``.
     """
-    x = _check_vector(model, x)
-    yf = _check_label(y)
-    if anchor is not None:
-        z_anchor, weight_a = anchor
-        z_anchor = np.asarray(z_anchor, dtype=np.float64)
-        if z_anchor.shape != (model.rep_dim,):
-            raise ShapeError(
-                f"anchor has shape {z_anchor.shape}, representation has shape {(model.rep_dim,)}"
-            )
-        anchor = (z_anchor[None, :], weight_a)
+    x = _check_matrix(model, x)
+    y = _check_targets(x, y)
+    want = (x.shape[0], model.rep_dim)
+    if anchor is not None and np.shape(anchor[0]) != want:
+        raise ShapeError(f"anchor has shape {np.shape(anchor[0])}, expected {want}")
     if concept is not None and concept[0].input_dim != model.input_dim:
         raise ShapeError(
             f"concept model expects dimension {concept[0].input_dim}, "
             f"main model expects {model.input_dim}"
         )
-    return input_grad_rows(model, x[None, :], np.array([yf]), anchor, concept)[0]
-
-
-def init_adam_state(model: MlpModel) -> AdamState:
-    return AdamState(m=np.zeros(model.params.shape), v=np.zeros(model.params.shape))
+    return input_grad_rows(model, x, y, anchor, concept)
 
 
 def adam_update(params, m, v, grads, step: int, lr: float, tmp, tmp2) -> None:
@@ -450,22 +397,3 @@ def adam_update(params, m, v, grads, step: int, lr: float, tmp, tmp2) -> None:
     tmp2 += ADAM_EPSILON
     tmp /= tmp2
     params -= tmp
-
-
-def adam_step(
-    model: MlpModel, state: AdamState, grads: np.ndarray, lr: float
-) -> tuple[MlpModel, AdamState]:
-    """One Adam update with bias correction; returns the new model and state."""
-    if not lr > 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
-    if np.shape(grads) != model.params.shape:
-        raise ShapeError(
-            f"gradient shape {np.shape(grads)} does not match parameter shape {model.params.shape}"
-        )
-    params = np.array(model.params)
-    m = np.array(state.m, dtype=np.float64)
-    v = np.array(state.v, dtype=np.float64)
-    t = state.step + 1
-    adam_update(params, m, v, grads, t, lr, np.empty_like(params), np.empty_like(params))
-    params.setflags(write=False)
-    return MlpModel(model.layer_dims, params, model.rep_layer_index), AdamState(m, v, t)

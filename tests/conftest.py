@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from gradframe.core import FictitiousSet
 from gradframe.data import Boundary, Domain, GaussianSpec, generate_gaussian_domain
-from gradframe.nn import MlpModel, flatten_params, init_mlp
+from gradframe.nn import MlpModel, bce_loss_batch, flatten_params, init_mlp, representations_batch
 
 
 def build_model(weights, biases, rep_layer_index=1) -> MlpModel:
@@ -22,6 +24,16 @@ def zero_model(layer_dims, rep_layer_index=1) -> MlpModel:
         tuple(np.zeros_like(w) for w in m.weights),
         tuple(np.zeros_like(b) for b in m.biases),
     )
+
+
+def one_row_bce(model: MlpModel, x, y) -> float:
+    """``bce_loss_batch`` on the one-row matrix of the point ``x`` with target ``y``."""
+    return float(bce_loss_batch(model, np.asarray(x, dtype=np.float64)[None, :], [y])[0])
+
+
+def one_row_rep(model: MlpModel, x) -> np.ndarray:
+    """``representations_batch`` on the one-row matrix of the point ``x``."""
+    return representations_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def constant_prob_model(p1: float, input_dim: int = 2) -> MlpModel:
@@ -62,6 +74,18 @@ def fictitious_set(domain_id: str, x_star, y_star) -> FictitiousSet:
         np.ones(n, dtype=np.intp),
         np.zeros(n, dtype=bool),
     )
+
+
+def model_text(dims, rep, values) -> str:
+    """A ``mlp v1`` model file with blocks shaped by ``dims``, filled from ``values`` in turn."""
+    fill = itertools.cycle(values)
+    lines = ["mlp v1", "dims " + ",".join(str(d) for d in dims), f"rep {rep}"]
+    for k, (rows, cols) in enumerate(zip(dims[:-1], dims[1:])):
+        lines.append(f"W{k} {rows} {cols}")
+        lines += [" ".join("%.17g" % next(fill) for _ in range(cols)) for _ in range(rows)]
+        lines.append(f"b{k} {cols}")
+        lines.append(" ".join("%.17g" % next(fill) for _ in range(cols)))
+    return "\n".join(lines) + "\n"
 
 
 def fd_param_grads(loss_fn, model: MlpModel, h: float = 1e-5):

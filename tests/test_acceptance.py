@@ -17,13 +17,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import domain_of_rows, fd_input_grad, fd_param_grads, rel_err
+from conftest import domain_of_rows, fd_input_grad, fd_param_grads, one_row_bce, one_row_rep, rel_err
 
 import gradframe as gf
 from gradframe.core import AscentConfig, PenaltyParams, generate_fictitious_set, pretrain_domain_models, train_gradframe
 from gradframe.data import Domain, DomainSet, simulation_source, simulation_target
 from gradframe.evaluation import auroc, evaluate, lodo_cv_search
-from gradframe.nn import bce_loss, grad_input, grad_params, init_mlp, param_views, probs_batch, representation
+from gradframe.nn import grad_input_batch, grad_params_batch, init_mlp, param_views, probs_batch
 from gradframe.rng import rng_for
 from gradframe.shift import concept_shift_delta, covariate_shift_ratio, ks_two_sample, shapley_attribution
 from gradframe.training import TrainConfig, fit_pooled
@@ -172,23 +172,24 @@ class TestCriterion6:
             y = int(rng.integers(2))
             g1 = float(rng.uniform(0.0, 5.0))
             g2 = float(rng.uniform(0.0, 5.0))
-            anchor = representation(mi, rng.normal(size=3))
+            anchor = one_row_rep(mi, rng.normal(size=3))
             # finite differences are invalid within h of a rectifier kink or
             # the probability clamp; resample such configurations
             if not _fd_safe(mi, x) or not _fd_safe(mj, x):
                 continue
-            gw, gb = param_views(mi.layer_dims, grad_params(mi, x, y))
-            fw, fb = fd_param_grads(lambda m: bce_loss(m, x, y), mi)
+            gw, gb = param_views(mi.layer_dims, grad_params_batch(mi, x[None, :], [y]))
+            fw, fb = fd_param_grads(lambda m: one_row_bce(m, x, y), mi)
             for k in range(mi.n_layers):
                 worst = max(worst, rel_err(gw[k], fw[k]), rel_err(gb[k], fb[k]))
-            gi = grad_input(mi, x, y, anchor=(anchor, g1), concept=(mj, g2))
+            anchor_row = (anchor[None, :], g1)
+            gi = grad_input_batch(mi, x[None, :], [y], anchor=anchor_row, concept=(mj, g2))[0]
 
             def objective(q):
-                z = representation(mi, q)
+                z = one_row_rep(mi, q)
                 return (
-                    bce_loss(mi, q, y)
+                    one_row_bce(mi, q, y)
                     - g1 * 0.5 * float(np.sum((z - anchor) ** 2))
-                    - g2 * bce_loss(mj, q, y)
+                    - g2 * one_row_bce(mj, q, y)
                 )
 
             worst = max(worst, rel_err(gi, fd_input_grad(objective, x)))
@@ -201,13 +202,12 @@ class TestCriterion6:
 
 
 def _fd_safe(model, x, h=1e-4) -> bool:
-    from gradframe.nn import P_MIN, forward_batch
+    from gradframe.nn import P_MIN
 
-    p1, acts = forward_batch(model, np.asarray(x, dtype=float)[None, :])
+    cur = np.asarray(x, dtype=float)[None, :]
+    p1 = probs_batch(model, cur)
     if not (10 * P_MIN < p1[0] < 1.0 - 10 * P_MIN):
         return False
-    pre = acts[0]
-    cur = acts[0]
     for k in range(model.n_layers - 1):
         pre = cur @ model.weights[k] + model.biases[k]
         if np.any(np.abs(pre) < h):

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import model_text
+
 from gradframe.cli import main
 from gradframe.data import Boundary, label_by_boundary, load_csv_dataset
 from gradframe.shift import SHIFT_REPORT_SCHEMA
@@ -294,6 +296,27 @@ output.dir = {out}
         assert report["welch_tests"] == {}
         assert report["diagnostics"]
 
+    def test_tied_methods_skip_their_test_with_diagnostic(self, tmp_path, capsys):
+        out = tmp_path / "tie"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = simulate
+compare.methods = erm,groupdro
+seeds = 0,1
+train.epochs = 50
+output.dir = {out}
+""",
+        )
+        assert main(["compare", "--config", str(cfg)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "compare_report.json").read_text())
+        assert report["mean_auroc"] == {"erm": 1.0, "groupdro": 1.0}
+        assert report["welch_tests"] == {}
+        assert report["diagnostics"] == [
+            "erm_vs_groupdro: t-test skipped, both samples have zero variance; the test is degenerate"
+        ]
+
 
 class TestEvaluateCommand:
     def test_model_round_trip_evaluation(self, tmp_path):
@@ -431,6 +454,21 @@ output.dir = {tmp_path}/o
         )
         assert main(["evaluate", "--config", str(eval_cfg)]) == 3
         assert "3 features, the model takes 2 inputs" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("dims, rep", [((2, 2, 3), 1), ((2, 2, 2), 7)], ids=["three-outputs", "rep-7"])
+    def test_evaluate_model_outside_the_architecture_rule(self, tmp_path, capsys, dims, rep):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "model.txt").write_text(model_text(dims, rep, [0.5, -0.25]))
+        tgt = tmp_path / "tgt.csv"
+        tgt.write_text("x0,x1,label\n0.5,0.5,1\n-0.6,-0.4,0\n")
+        eval_cfg = write_cfg(
+            tmp_path / "e.cfg", f"dataset.kind = csv\ndata.target_csv = {tgt}\noutput.dir = {out}\n"
+        )
+        assert main(["evaluate", "--config", str(eval_cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "model.txt" in err and "Traceback" not in err
         assert not (out / "eval_report.json").exists()
 
     def test_diverged_training_is_numeric_failure(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_model, separable_blobs, zero_model
+from conftest import build_model, one_row_bce, one_row_rep, separable_blobs, zero_model
 
 from gradframe.core import (
     AscentConfig,
@@ -19,14 +19,7 @@ from gradframe.core import (
 from gradframe.config import SIM_ASCENT, SIM_TRAIN
 from gradframe.data import Domain, DomainSet, simulation_source
 from gradframe.errors import ConfigError, ShapeError
-from gradframe.nn import (
-    bce_loss,
-    grad_input,
-    init_mlp,
-    probs_batch,
-    representation,
-    representations_batch,
-)
+from gradframe.nn import grad_input_batch, init_mlp, probs_batch, representations_batch
 from gradframe.rng import rng_for
 from gradframe.training import TrainConfig, fit_pooled
 
@@ -95,7 +88,7 @@ class TestConstraints:
     def test_c_conc_hand_value(self):
         m = identity_rep_model()
         p = np.array([0.7, 0.2])
-        assert abs(c_conc(p, 0, m) - bce_loss(m, p, 0)) < 1e-12
+        assert abs(c_conc(p, 0, m) - one_row_bce(m, p, 0)) < 1e-12
 
 
 class TestSurrogate:
@@ -104,7 +97,7 @@ class TestSurrogate:
         mj = zero_model((2, 2, 2))
         p = np.array([0.5, -0.5])
         gammas = PenaltyParams(2.0, 3.0)
-        expected = bce_loss(mi, p, 1) - 3.0 * bce_loss(mj, p, 1)
+        expected = one_row_bce(mi, p, 1) - 3.0 * one_row_bce(mj, p, 1)
         assert abs(_objective(p, p, 1, mi, mj, gammas) - expected) < 1e-12
 
     def test_zero_penalties_reduce_to_adversarial(self):
@@ -113,7 +106,7 @@ class TestSurrogate:
         star = np.array([1.0, 1.0])
         origin = np.array([0.5, 0.5])
         v = _objective(star, origin, 0, mi, mj, PenaltyParams(0.0, 0.0))
-        assert abs(v - bce_loss(mi, star, 0)) < 1e-12
+        assert abs(v - one_row_bce(mi, star, 0)) < 1e-12
 
     def test_term_wise_recomposition(self):
         mi = identity_rep_model()
@@ -125,7 +118,7 @@ class TestSurrogate:
         origin = np.array([-0.2, 0.6])
         gammas = PenaltyParams(1.7, 0.4)
         expected = (
-            bce_loss(mi, star, 1)
+            one_row_bce(mi, star, 1)
             - 1.7 * c_cov(star, origin, 1, mi)
             - 0.4 * c_conc(star, 1, mj)
         )
@@ -156,7 +149,7 @@ class TestInnerMaximize:
         alpha = 1e-3
         cfg = AscentConfig(alpha=alpha, max_steps=1, min_steps=0, rel_tolerance=0.0)
         x_star, _, _ = _ascend_one(origin, 0, mi, mj, PenaltyParams(0.0, 0.0), cfg)
-        g = grad_input(mi, origin, 0)
+        g = grad_input_batch(mi, *_one_row(origin, 0))[0]
         assert np.allclose(x_star, origin + alpha * g, atol=1e-15)
 
     def test_trace_monotone_and_label_preserved(self):
@@ -299,8 +292,8 @@ class TestPenaltyMonotonicity:
                 fict.origin_domain, fict.origin_index, fict.x_star
             ):
                 model = models[origin_domain]
-                z0 = representation(model, src.domain(origin_domain).x[origin_index])
-                z1 = representation(model, x_star)
+                z0 = one_row_rep(model, src.domain(origin_domain).x[origin_index])
+                z1 = one_row_rep(model, x_star)
                 total += float(np.linalg.norm(z1 - z0))
             drifts.append(total / len(fict))
         assert drifts[0] >= drifts[1] >= drifts[2]
@@ -383,12 +376,12 @@ class TestTrainGradframe:
 
 
 def _scalar_objective(x, y, z_anchor, model_i, model_j, gammas):
-    value = bce_loss(model_i, x, y)
+    value = one_row_bce(model_i, x, y)
     if gammas.gamma1 != 0.0:
-        z = representation(model_i, x)
+        z = one_row_rep(model_i, x)
         value -= gammas.gamma1 * float(0.5 * np.sum((z - z_anchor) ** 2))
     if gammas.gamma2 != 0.0:
-        value -= gammas.gamma2 * bce_loss(model_j, x, y)
+        value -= gammas.gamma2 * one_row_bce(model_j, x, y)
     return value
 
 
@@ -401,17 +394,16 @@ def _scalar_inner_maximize(
         )
     x = features.copy()
     y = label
-    z_anchor = representation(model_i, features)
+    z_anchor = one_row_rep(model_i, features)
     trace = [_scalar_objective(x, y, z_anchor, model_i, model_j, gammas)]
     aborted = False
     for step_no in range(1, cfg.max_steps + 1):
-        g = grad_input(
+        g = grad_input_batch(
             model_i,
-            x,
-            y,
-            anchor=(z_anchor, gammas.gamma1),
+            *_one_row(x, y),
+            anchor=(z_anchor[None, :], gammas.gamma1),
             concept=(model_j, gammas.gamma2),
-        )
+        )[0]
         step = cfg.alpha
         accepted = False
         for _ in range(4):  # initial step plus up to three halvings

@@ -4,27 +4,60 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import build_model, fd_input_grad, fd_param_grads, rel_err, zero_model
+from conftest import (
+    build_model,
+    fd_input_grad,
+    fd_param_grads,
+    model_text,
+    one_row_bce,
+    one_row_rep,
+    rel_err,
+    zero_model,
+)
 
 from gradframe.errors import ConfigError, DataError, ShapeError
 from gradframe.model_io import load_model, save_model
 from gradframe.nn import (
     P_MIN,
     MlpModel,
-    adam_step,
-    bce_grad_batch,
-    bce_loss,
+    adam_update,
     bce_loss_batch,
-    forward,
-    grad_input,
-    grad_params,
+    grad_input_batch,
     grad_params_batch,
-    init_adam_state,
     init_mlp,
+    param_count,
     param_views,
-    representation,
+    probs_batch,
+    representations_batch,
 )
+from gradframe.training import TrainConfig
+
+
+def one_row_prob(model, x) -> float:
+    return float(probs_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0])
+
+
+def one_row_grad_params(model, x, y) -> np.ndarray:
+    return grad_params_batch(model, np.asarray(x, dtype=np.float64)[None, :], [y])
+
+
+def one_row_grad_input(model, x, y, anchor=None, concept=None) -> np.ndarray:
+    if anchor is not None:
+        anchor = (np.asarray(anchor[0])[None, :], anchor[1])
+    return grad_input_batch(model, np.asarray(x)[None, :], [y], anchor, concept)[0]
+
+
+def _invalid_architectures():
+    """Each case through ``init_mlp`` (under its original id), ``MlpModel`` and ``TrainConfig``."""
+    cases = [([2, 0, 2], 1), ([2, -1, 2], 1), ([2, 2], 1), ([2, 2, 3], 1), ([2, 2, 2], 2), ([2, 2, 2], 0)]
+    for i, (dims, rep) in enumerate(cases):
+        yield pytest.param("init_mlp", dims, rep, id=f"dims{i}-{rep}")
+        yield pytest.param("MlpModel", dims, rep, id=f"MlpModel-dims{i}-{rep}")
+        if dims[-1] == 2:  # TrainConfig fixes the output layer at 2 units
+            yield pytest.param("TrainConfig", dims, rep, id=f"TrainConfig-dims{i}-{rep}")
 
 
 class TestInit:
@@ -63,20 +96,21 @@ class TestInit:
         frozen.setflags(write=False)
         assert MlpModel((2, 2, 2), frozen, 1).params is frozen
 
-    @pytest.mark.parametrize(
-        "dims,rep",
-        [([2, 0, 2], 1), ([2, -1, 2], 1), ([2, 2], 1), ([2, 2, 3], 1), ([2, 2, 2], 2), ([2, 2, 2], 0)],
-    )
-    def test_invalid_architecture(self, dims, rep):
+    @pytest.mark.parametrize("how,dims,rep", _invalid_architectures())
+    def test_invalid_architecture(self, how, dims, rep):
         with pytest.raises(ConfigError):
-            init_mlp(dims, rep, seed=0)
+            if how == "init_mlp":
+                init_mlp(dims, rep, seed=0)
+            elif how == "MlpModel":
+                MlpModel(tuple(dims), np.zeros(max(param_count(dims), 0)), rep)
+            else:
+                TrainConfig(hidden_dims=tuple(dims[1:-1]), rep_layer_index=rep)
 
 
 class TestForward:
     def test_zero_weights_give_half(self):
         m = zero_model((2, 2, 2))
-        p1, _ = forward(m, np.array([3.0, -4.0]))
-        assert p1 == 0.5
+        assert one_row_prob(m, np.array([3.0, -4.0])) == 0.5
 
     def test_hand_network_chain_rule(self):
         m = build_model(
@@ -84,29 +118,31 @@ class TestForward:
             biases=[np.array([0.1]), np.array([0.4, -0.1])],
         )
         x = np.array([1.0, -1.0])
-        p1, reps = forward(m, x)
+        p1 = one_row_prob(m, x)
         h = max(0.3 * 1.0 + (-0.7) * (-1.0) + 0.1, 0.0)
         s0 = h * 0.5 + 0.4
         s1 = h * (-0.2) - 0.1
         expected = math.exp(s1) / (math.exp(s0) + math.exp(s1))
         assert abs(p1 - expected) < 1e-12
-        assert np.allclose(reps[1], [h])
+        assert np.allclose(one_row_rep(m, x), [h])
 
     def test_zero_scaled_input_matches_zero_vector(self):
         m = init_mlp([3, 4, 2], 1, seed=5)
         m = m.with_params(m.weights, tuple(np.zeros_like(b) for b in m.biases))
         x = np.array([2.0, -1.0, 0.5])
-        assert forward(m, 0.0 * x)[0] == forward(m, np.zeros(3))[0]
+        assert one_row_prob(m, 0.0 * x) == one_row_prob(m, np.zeros(3))
 
     def test_dimension_mismatch(self):
         m = init_mlp([2, 2, 2], 1, seed=0)
         with pytest.raises(ShapeError):
-            forward(m, np.array([1.0, 2.0, 3.0]))
+            probs_batch(m, np.array([[1.0, 2.0, 3.0]]))
+        with pytest.raises(ShapeError):
+            probs_batch(m, np.array([1.0, 2.0]))
 
     def test_non_finite_input(self):
         m = init_mlp([2, 2, 2], 1, seed=0)
         with pytest.raises(DataError):
-            forward(m, np.array([1.0, np.nan]))
+            representations_batch(m, np.array([[1.0, np.nan]]))
 
     def test_probability_sanity_after_clamp(self, rng):
         for trial in range(20):
@@ -115,33 +151,31 @@ class TestForward:
                 tuple(50.0 * w for w in m.weights), m.biases
             )
             x = rng.normal(scale=1e6, size=2)
-            p1, _ = forward(big, x)
+            p1 = one_row_prob(big, x)
             assert P_MIN <= p1 <= 1.0 - P_MIN
             assert 0.0 < p1 < 1.0
 
     def test_determinism_bytes(self):
         m = init_mlp([4, 5, 2], 1, seed=9)
         x = np.array([0.1, -0.2, 0.3, 0.4])
-        a = forward(m, x)
-        b = forward(m, x)
-        assert a[0] == b[0]
-        assert all(np.array_equal(ra, rb) for ra, rb in zip(a[1], b[1]))
+        assert one_row_prob(m, x) == one_row_prob(m, x)
+        assert np.array_equal(one_row_rep(m, x), one_row_rep(m, x))
 
     def test_representation_locality(self):
         m = init_mlp([2, 3, 4, 2], 2, seed=11)
         x = np.array([0.5, -1.5])
-        z = representation(m, x)
+        z = one_row_rep(m, x)
         weights = list(m.weights)
         weights[2] = weights[2] + 10.0  # above the rep layer
         m2 = m.with_params(tuple(weights), m.biases)
-        assert np.array_equal(representation(m2, x), z)
+        assert np.array_equal(one_row_rep(m2, x), z)
 
 
 class TestBceLoss:
     def test_half_prob_gives_ln2(self):
         m = zero_model((2, 2, 2))
         for y in (0, 1):
-            assert abs(bce_loss(m, np.array([1.0, 2.0]), y) - math.log(2.0)) < 1e-12
+            assert abs(one_row_bce(m, np.array([1.0, 2.0]), y) - math.log(2.0)) < 1e-12
 
     def test_loss_decreases_toward_saturation(self):
         base = init_mlp([2, 2, 2], 1, seed=2)
@@ -149,12 +183,9 @@ class TestBceLoss:
         losses = []
         for scale in (1.0, 2.0, 4.0, 8.0):
             m = base.with_params(tuple(scale * w for w in base.weights), base.biases)
-            p1, _ = forward(m, x)
-            y = 1 if p1 > 0.5 else 0
             # fix the label at the model's preferred class so scaling saturates it
-            losses.append(bce_loss(m, x, 1))
-        p1, _ = forward(base, x)
-        if p1 > 0.5:
+            losses.append(one_row_bce(m, x, 1))
+        if one_row_prob(base, x) > 0.5:
             assert losses == sorted(losses, reverse=True)
 
     def test_hand_value(self):
@@ -167,12 +198,29 @@ class TestBceLoss:
         s = h @ np.array([[1.0, -0.5], [0.3, 0.8]]) + np.array([0.2, -0.2])
         p1 = math.exp(s[1]) / (math.exp(s[0]) + math.exp(s[1]))
         expected = -math.log(1.0 - p1)
-        assert abs(bce_loss(m, x, 0) - expected) < 1e-10
+        assert abs(one_row_bce(m, x, 0) - expected) < 1e-10
 
     def test_bad_label(self):
         m = zero_model((2, 2, 2))
         with pytest.raises(DataError):
-            bce_loss(m, np.array([0.0, 0.0]), 2)
+            one_row_bce(m, np.array([0.0, 0.0]), 2)
+
+    @pytest.mark.parametrize("fn", [bce_loss_batch, grad_params_batch, grad_input_batch])
+    @pytest.mark.parametrize(
+        "y, error",
+        [([0.0, 2.0], DataError), ([0.0, -0.1], DataError), ([0.0, np.nan], DataError),
+         ([1.0, np.inf], DataError), ([1.0], ShapeError), ([[1.0, 0.0]], ShapeError)],
+        ids=["above-one", "negative", "nan", "inf", "too-few", "not-a-vector"],
+    )
+    def test_row_functions_reject_bad_targets(self, fn, y, error):
+        m = init_mlp([2, 3, 2], 1, seed=0)
+        with pytest.raises(error):
+            fn(m, np.zeros((2, 2)), y)
+
+    def test_soft_targets_accepted(self):
+        m = zero_model((2, 2, 2))
+        losses = bce_loss_batch(m, np.zeros((3, 2)), [0.0, 0.25, 1.0])
+        assert np.allclose(losses, math.log(2.0), atol=1e-12)
 
 
 class TestGradParams:
@@ -181,8 +229,8 @@ class TestGradParams:
             m = init_mlp([2, 8, 2], 1, seed=100 + trial)
             x = rng.normal(size=2)
             y = int(rng.integers(2))
-            gw, gb = param_views(m.layer_dims, grad_params(m, x, y))
-            fw, fb = fd_param_grads(lambda mm: bce_loss(mm, x, y), m)
+            gw, gb = param_views(m.layer_dims, one_row_grad_params(m, x, y))
+            fw, fb = fd_param_grads(lambda mm: one_row_bce(mm, x, y), m)
             for k in range(m.n_layers):
                 assert rel_err(gw[k], fw[k]) < 1e-5
                 assert rel_err(gb[k], fb[k]) < 1e-5
@@ -193,58 +241,50 @@ class TestGradParams:
             biases=[np.zeros(2), np.zeros(2)],
         )
         x = np.array([2.0, 2.0])
-        p1, _ = forward(m, x)
-        assert p1 < 1e-6  # deeply saturated toward class 0
-        g = grad_params(m, x, 0)
+        assert one_row_prob(m, x) < 1e-6  # deeply saturated toward class 0
+        g = one_row_grad_params(m, x, 0)
         norm = math.sqrt(float(np.sum(g**2)))
         assert norm < 1e-6
 
     def test_batch_mean_linearity(self):
         m = init_mlp([2, 4, 2], 1, seed=4)
         x = np.array([0.3, -0.8])
-        single = grad_params(m, x, 1)
+        single = one_row_grad_params(m, x, 1)
         duplicated = grad_params_batch(m, np.stack([x, x]), np.array([1.0, 1.0]))
         assert np.allclose(single, duplicated, atol=1e-15)
 
-    def test_bce_grad_batch_is_mean_loss_and_batch_gradient(self, rng):
-        m = init_mlp([3, 5, 4, 2], 2, seed=9)
-        x = rng.normal(size=(7, 3))
-        y = np.array([0.0, 1.0, 1.0, 0.3, 0.0, 1.0, 0.8])
-        loss, grad = bce_grad_batch(m, x, y)
-        assert loss == float(bce_loss_batch(m, x, y).mean())
-        assert grad.tobytes() == grad_params_batch(m, x, y).tobytes()
 
 
 class TestGradInput:
     def test_plain_matches_fd(self, rng):
         m = init_mlp([3, 6, 2], 1, seed=21)
         x = rng.normal(size=3)
-        g = grad_input(m, x, 1)
-        fd = fd_input_grad(lambda q: bce_loss(m, q, 1), x)
+        g = one_row_grad_input(m, x, 1)
+        fd = fd_input_grad(lambda q: one_row_bce(m, q, 1), x)
         assert rel_err(g, fd) < 1e-5
 
     def test_anchor_at_own_representation_is_inert(self):
         m = init_mlp([3, 5, 2], 1, seed=22)
         x = np.array([0.2, -0.4, 1.0])
-        z = representation(m, x)
-        with_anchor = grad_input(m, x, 0, anchor=(z, 3.5))
-        without = grad_input(m, x, 0)
+        z = one_row_rep(m, x)
+        with_anchor = one_row_grad_input(m, x, 0, anchor=(z, 3.5))
+        without = one_row_grad_input(m, x, 0)
         assert np.allclose(with_anchor, without, atol=1e-14)
 
     def test_three_term_matches_fd(self, rng):
         mi = init_mlp([3, 5, 4, 2], 1, seed=23)
         mj = init_mlp([3, 6, 2], 1, seed=24)
         x = rng.normal(size=3)
-        anchor = representation(mi, rng.normal(size=3))
+        anchor = one_row_rep(mi, rng.normal(size=3))
         g1, g2 = 1.3, 4.2
-        g = grad_input(mi, x, 1, anchor=(anchor, g1), concept=(mj, g2))
+        g = one_row_grad_input(mi, x, 1, anchor=(anchor, g1), concept=(mj, g2))
 
         def objective(q):
-            z = representation(mi, q)
+            z = one_row_rep(mi, q)
             return (
-                bce_loss(mi, q, 1)
+                one_row_bce(mi, q, 1)
                 - g1 * 0.5 * float(np.sum((z - anchor) ** 2))
-                - g2 * bce_loss(mj, q, 1)
+                - g2 * one_row_bce(mj, q, 1)
             )
 
         fd = fd_input_grad(objective, x)
@@ -254,13 +294,37 @@ class TestGradInput:
         mi = init_mlp([3, 4, 2], 1, seed=0)
         mj = init_mlp([2, 4, 2], 1, seed=0)
         with pytest.raises(ShapeError):
-            grad_input(mi, np.zeros(3), 0, concept=(mj, 1.0))
+            one_row_grad_input(mi, np.zeros(3), 0, concept=(mj, 1.0))
+
+    def test_anchor_shape_mismatch(self):
+        m = init_mlp([3, 4, 2], 1, seed=0)
+        with pytest.raises(ShapeError):
+            grad_input_batch(m, np.zeros((2, 3)), [0, 1], anchor=(np.zeros((1, 4)), 1.0))
+
+    def test_rows_match_one_row_calls(self, rng):
+        mi = init_mlp([3, 5, 2], 1, seed=25)
+        mj = init_mlp([3, 4, 2], 1, seed=26)
+        x = rng.normal(size=(6, 3))
+        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+        z = rng.normal(size=(6, 5))
+        rows = grad_input_batch(mi, x, y, anchor=(z, 0.7), concept=(mj, 2.0))
+        for r in range(6):
+            one = one_row_grad_input(mi, x[r], y[r], anchor=(z[r], 0.7), concept=(mj, 2.0))
+            assert np.allclose(rows[r], one, rtol=0.0, atol=1e-15)
+
+
+def run_adam(params, grad, lr, steps=1) -> np.ndarray:
+    """``steps`` calls of ``adam_update`` from zero moments; ``grad(params)`` gives each gradient."""
+    params = np.array(params)
+    m, v, tmp, tmp2 = (np.zeros_like(params) for _ in range(4))
+    for step in range(1, steps + 1):
+        adam_update(params, m, v, grad(params), step, lr, tmp, tmp2)
+    return params
 
 
 class TestAdam:
     def test_first_step_magnitude(self):
         m = zero_model((2, 2, 2))
-        state = init_adam_state(m)
         grads = grad_params_batch(m, np.array([[1.0, 1.0]]), np.array([1.0]))
         # replace with a synthetic constant gradient on one matrix
         gw, _ = param_views(m.layer_dims, grads)
@@ -268,39 +332,28 @@ class TestAdam:
         gw[0][0, 0] = 0.37
         gw[1][...] = 0.0
 
-        new_m, new_state = adam_step(m, state, grads, lr=0.01)
-        delta = new_m.weights[0][0, 0] - m.weights[0][0, 0]
-        assert new_state.step == 1
+        new_params = run_adam(m.params, lambda p: grads, lr=0.01)
+        delta = param_views(m.layer_dims, new_params)[0][0][0, 0] - m.weights[0][0, 0]
         assert abs(abs(delta) - 0.01) < 1e-6
 
     def test_zero_gradient_keeps_parameters(self):
         m = init_mlp([2, 3, 2], 1, seed=5)
-        state = init_adam_state(m)
-        new_m, new_state = adam_step(m, state, np.zeros_like(m.params), lr=0.1)
-        assert new_state.step == 1
-        for a, b in zip(m.weights, new_m.weights):
-            assert np.array_equal(a, b)
+        new_params = run_adam(m.params, np.zeros_like, lr=0.1)
+        assert np.array_equal(new_params, m.params)
 
     def test_quadratic_descent(self):
         m = init_mlp([2, 2, 2], 1, seed=6)
-        state = init_adam_state(m)
 
-        def objective(model):
-            return (model.weights[0][0, 0] - 3.0) ** 2
+        def w00(params):
+            return param_views(m.layer_dims, params)[0][0][0, 0]
 
-        start = objective(m)
-        for _ in range(100):
-            g = np.zeros_like(m.params)
-            param_views(m.layer_dims, g)[0][0][0, 0] = 2.0 * (m.weights[0][0, 0] - 3.0)
-            m, state = adam_step(m, state, g, lr=0.1)
-        assert objective(m) < start
+        def grad(params):
+            g = np.zeros_like(params)
+            param_views(m.layer_dims, g)[0][0][0, 0] = 2.0 * (w00(params) - 3.0)
+            return g
 
-    def test_rejects_bad_lr(self):
-        m = init_mlp([2, 2, 2], 1, seed=0)
-        state = init_adam_state(m)
-        grads = grad_params(m, np.array([0.0, 0.0]), 0)
-        with pytest.raises(ConfigError):
-            adam_step(m, state, grads, lr=0.0)
+        new_params = run_adam(m.params, grad, lr=0.1, steps=100)
+        assert (w00(new_params) - 3.0) ** 2 < (w00(m.params) - 3.0) ** 2
 
 
 class TestModelFile:
@@ -318,3 +371,42 @@ class TestModelFile:
         (tmp_path / "m.txt").write_text(text)
         with pytest.raises(DataError):
             load_model(tmp_path / "m.txt")
+
+    @pytest.mark.parametrize(
+        "dims, rep",
+        [((2, 2, 3), 1), ((2, 2, 2), 7), ((2, 2, 2), 0)],
+        ids=["three-outputs", "rep-7", "rep-0"],
+    )
+    def test_architecture_outside_the_rule(self, tmp_path, dims, rep):
+        (tmp_path / "m.txt").write_text(model_text(dims, rep, [0.5]))
+        with pytest.raises(DataError, match="m.txt"):
+            load_model(tmp_path / "m.txt")
+
+    def test_model_text_matches_save_model(self, tmp_path):
+        m = init_mlp([3, 4, 2], 1, seed=2)
+        save_model(m, tmp_path / "m.txt")
+        assert (tmp_path / "m.txt").read_text() == model_text(m.layer_dims, 1, m.params)
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("models")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=st.lists(st.integers(-1, 4), min_size=1, max_size=5),
+    rep=st.integers(-1, 5),
+    values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+)
+def test_drawn_model_file_runs_or_is_data_error(model_dir, dims, rep, values):
+    path = model_dir / "drawn.txt"
+    path.write_text(model_text(dims, rep, values))
+    try:
+        model = load_model(path)
+    except DataError:
+        return
+    x = np.linspace(-1.0, 1.0, 2 * model.input_dim).reshape(2, model.input_dim)
+    p1 = probs_batch(model, x)
+    assert p1.shape == (2,) and np.all((p1 >= P_MIN) & (p1 <= 1.0 - P_MIN))
+    assert representations_batch(model, x).shape == (2, model.rep_dim)
