@@ -72,16 +72,16 @@ def train_mixup(ds: DomainSet, cfg: TrainConfig, mixup: MixupConfig) -> MlpModel
         ws = buffers.workspace(idx.shape[0])
         partners = mix_rng.integers(0, n, size=idx.shape[0])
         lam = draw_lambdas(mixup, mix_rng, idx.shape[0])[:, None]
-        np.add(lam * x[idx], (1.0 - lam) * x[partners], out=ws.x)
-        np.add(lam[:, 0] * y[idx], (1.0 - lam[:, 0]) * y[partners], out=ws.y)
+        np.add(lam * x[idx], (1.0 - lam) * x[partners], out=ws.x[0])  # the one fit's rows
+        np.add(lam[:, 0] * y[idx], (1.0 - lam[:, 0]) * y[partners], out=ws.y[0])
         if not np.isfinite(ws.x).all():
             raise DataError("non-finite value in model input")
         buffers.mean_bce_grad(ws)
 
-    def epoch(shuffle):
-        return minibatches(shuffle, n, cfg.batch_size)
+    def epoch(shuffles):
+        return minibatches(shuffles[0], n, cfg.batch_size)
 
-    return descend(x.shape[1], cfg, epoch, mixed_grad)
+    return descend(x.shape[1], [cfg], epoch, mixed_grad)[0]
 
 
 def train_groupdro(
@@ -104,14 +104,14 @@ def train_groupdro(
     steps_per_epoch = max(int(np.ceil(max(len(x) for x in xs) / cfg.batch_size)), 1)
     step_no = 0
     dims = cfg.layer_dims(ds.feature_dim)
-    domain_grads = np.empty((ds.k, param_count(dims)))
+    domain_grads = np.empty((ds.k, 1, param_count(dims)))  # a stack of one per domain
     domain_views = [param_views(dims, g) for g in domain_grads]
 
-    def epoch(shuffle):
-        orders = [shuffle.permutation(len(x)) for x in xs]
+    def epoch(shuffles):
+        orders = [shuffles[0].permutation(len(x)) for x in xs]
         for s in range(steps_per_epoch):
             take = np.arange(s * cfg.batch_size, (s + 1) * cfg.batch_size)
-            yield tuple(order[take % len(order)] for order in orders)
+            yield tuple(order[take % len(order)][None] for order in orders)
 
     def weighted_grad(buffers, idxs):
         nonlocal state, step_no
@@ -138,4 +138,4 @@ def train_groupdro(
             g *= qi
             buffers.grad += g
 
-    return descend(ds.feature_dim, cfg, epoch, weighted_grad)
+    return descend(ds.feature_dim, [cfg], epoch, weighted_grad)[0]

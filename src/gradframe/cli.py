@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -36,6 +35,7 @@ from .data import (
     save_csv_domain,
     simulation_source,
     simulation_target,
+    write_json,
 )
 from .errors import ConfigError, DataError, GradframeError, NumericError, ShapeError
 from .evaluation import evaluate, lodo_cv_search, welch_t_one_tailed
@@ -59,11 +59,6 @@ def _metadata(cfg: ExperimentConfig, command: str) -> dict:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
     }
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
@@ -137,7 +132,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     target = simulation_target(cfg.seed, cfg.sim_target_points_per_blob, cfg.target_boundary)
     save_csv_dataset(source, out / "source.csv")
     save_csv_domain(target, out / "target.csv")
-    _write_json(
+    write_json(
         out / "simulate.json",
         {
             "source_rows": sum(len(d) for d in source.domains),
@@ -164,7 +159,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     }
     if target is not None:
         payload["eval_target"] = evaluate(model, target).to_payload()
-    _write_json(out / "train_report.json", payload)
+    write_json(out / "train_report.json", payload)
     return 0
 
 
@@ -212,7 +207,7 @@ def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
     payload = report.to_payload(config=dict(cfg.values))
     if len(runs) > 1:
         payload["sweep"] = runs
-    _write_json(out / "shift_report.json", payload)
+    write_json(out / "shift_report.json", payload)
     with (out / "shift_series.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma1", "gamma2", "point_index", "covariate_ratio", "concept_delta"])
@@ -242,7 +237,7 @@ def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
         writer.writerow(["k", "avg_p_value"])
         for k in sorted(result.table):
             writer.writerow([k, "%.17g" % result.table[k]])
-    _write_json(
+    write_json(
         out / "selection.json",
         {
             "best_k": result.best_k,
@@ -260,7 +255,7 @@ def cmd_lodo(cfg: ExperimentConfig, out: Path) -> int:
     source, _ = _load_data(cfg, cfg.seed)
     result = lodo_cv_search(source, cfg.grid_pairs, cfg.ascent, cfg.train)
     result.write_csv(out / "lodo_table.csv")
-    _write_json(
+    write_json(
         out / "lodo_choice.json",
         {
             "gamma1": result.best.gamma1,
@@ -299,13 +294,15 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
     else:
         for other in methods[1:]:
             pair = f"{methods[0]}_vs_{other}"
+            notes: list[str] = []
             try:
-                t, dof, p = welch_t_one_tailed(scores[methods[0]], scores[other])
+                t, dof, p = welch_t_one_tailed(scores[methods[0]], scores[other], notes)
             except NumericError as exc:  # both methods scored the same on every seed
                 diagnostics.append(f"{pair}: t-test skipped, {exc}")
                 continue
+            diagnostics += [f"{pair}: {note}" for note in notes]
             tests[pair] = {"t": t, "dof": dof, "p_one_tailed": p}
-    _write_json(
+    write_json(
         out / "compare_report.json",
         {
             "methods": methods,
@@ -333,7 +330,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     scaler_path = out / "scaler.txt"
     if scaler_path.exists():
         domain = apply_standardization(domain, _load_scaler(scaler_path, model.input_dim))
-    _write_json(
+    write_json(
         out / "eval_report.json",
         {
             "dataset": eval_path,

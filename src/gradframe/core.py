@@ -19,7 +19,7 @@ from .data import DomainSet
 from .errors import ConfigError, ShapeError
 from .nn import MlpModel, bce_rows, input_grad_rows, representations_batch
 from .rng import derive_seed, rng_for
-from .training import TrainConfig, fit_domain, fit_minibatch
+from .training import TrainConfig, fit_minibatch, fit_stack
 
 # Floor for relative-improvement denominators in the ascent stopping rule.
 _REL_FLOOR = 1e-12
@@ -203,20 +203,21 @@ def _ascend(
 
 
 def pretrain_domain_models(ds: DomainSet, cfg: TrainConfig) -> dict[str, MlpModel]:
-    """One model per domain, each trained only on its own domain."""
+    """One model per domain, each trained only on its own domain.
+
+    Domains of equal size train as one stack (``fit_stack``); every model is
+    bit for bit the one ``fit_domain`` gives for its domain alone.
+    """
     if ds.k < 2:
         raise ConfigError(
             f"need at least 2 domains so every domain has a concept partner, got K={ds.k}"
         )
-    models: dict[str, MlpModel] = {}
-    for dom in ds.domains:
-        dom_cfg = replace(
-            cfg,
-            seed=derive_seed(cfg.seed, "pretrain", dom.id),
-            epochs=cfg.pretrain_epochs,
-        )
-        models[dom.id] = fit_domain(dom, dom_cfg)
-    return models
+    cfgs = [
+        replace(cfg, seed=derive_seed(cfg.seed, "pretrain", dom.id), epochs=cfg.pretrain_epochs)
+        for dom in ds.domains
+    ]
+    models = fit_stack([dom.x for dom in ds.domains], [dom.y for dom in ds.domains], cfgs)
+    return {dom.id: model for dom, model in zip(ds.domains, models)}
 
 
 def generate_fictitious_set(

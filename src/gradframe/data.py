@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, GradframeError, ShapeError
+from .errors import ConfigError, DataError, GradframeError, NumericError, ShapeError
 from .rng import derive_seed
 
 
@@ -244,6 +245,21 @@ def read_text(path: str | Path, error: type[GradframeError] = DataError) -> str:
         return path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{path}: cannot read as UTF-8 text ({exc})") from None
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write a report as indented JSON with sorted keys.
+
+    A non-finite number raises ``NumericError`` naming the report, and
+    nothing is written: JSON has no NaN or infinity.
+    """
+    path = Path(path)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericError(f"{path.name}: non-finite number in the report; not written") from None
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _feature_cell(path: Path, row_no: int, column: str, text: str) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -108,8 +109,13 @@ def evaluate(model: MlpModel, domain: Domain) -> EvalReport:
     )
 
 
-def welch_t_one_tailed(a, b) -> tuple[float, float, float]:
-    """Welch statistic, Welch-Satterthwaite dof, and the upper-tail p for mean(a) > mean(b)."""
+def welch_t_one_tailed(a, b, notes: list[str] | None = None) -> tuple[float, float, float]:
+    """Welch statistic, Welch-Satterthwaite dof, and the upper-tail p for mean(a) > mean(b).
+
+    A warning the test raises (scipy's "Precision loss occurred in moment
+    calculation" when the samples are nearly identical) is appended to
+    ``notes`` when it is given, and re-issued otherwise.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
@@ -119,7 +125,14 @@ def welch_t_one_tailed(a, b) -> tuple[float, float, float]:
     # scipy.stats costs about 0.65 s and 45 MB to import; only compare needs it
     from scipy.stats import ttest_ind
 
-    res = ttest_ind(a, b, equal_var=False, alternative="greater")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = ttest_ind(a, b, equal_var=False, alternative="greater")
+    for w in caught:
+        if notes is None:
+            warnings.warn(w.message, w.category, stacklevel=2)
+        else:
+            notes.append(str(w.message))
     return float(res.statistic), float(res.df), float(res.pvalue)
 
 

@@ -53,12 +53,16 @@ def load_model(path: str | Path) -> MlpModel:
             )
             if w.shape != (rows, cols):
                 raise DataError(f"{path}: malformed weight block W{k}")
+            if not np.isfinite(w).all():
+                raise DataError(f"{path}: non-finite value in weight block W{k}")
             pos += rows
             n_b = int(lines[pos].split()[1])
             pos += 1
             b = np.array([float(v) for v in lines[pos].split()])
             if n_b != cols or b.shape != (n_b,):
                 raise DataError(f"{path}: malformed bias block b{k}")
+            if not np.isfinite(b).all():
+                raise DataError(f"{path}: non-finite value in bias block b{k}")
             pos += 1
             weights.append(w)
             biases.append(b)

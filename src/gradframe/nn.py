@@ -27,6 +27,8 @@ runs it on every model it builds, and ``TrainConfig`` on its own fields.
 The arithmetic runs in place on the buffers of a ``Workspace`` and in
 ``adam_update``, the one Adam step.  The public functions hand these kernels
 fresh buffers; only ``training.descend`` keeps its buffers for a whole fit.
+A ``Workspace`` and ``param_views`` also take a leading stack axis, so
+``descend`` runs M fits of the same shape through one kernel call per step.
 """
 
 from __future__ import annotations
@@ -65,12 +67,17 @@ def param_count(layer_dims: tuple[int, ...]) -> int:
 def param_views(
     layer_dims: tuple[int, ...], flat: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer weight and bias views into a flat vector in the model layout."""
+    """Per-layer weight and bias views into flat vectors in the model layout.
+
+    ``flat`` is one vector or a stack of them along leading axes; the views
+    keep those axes, so ``(M, P)`` gives ``(M, fan_in, fan_out)`` weights.
+    """
+    lead = flat.shape[:-1]
     weights, biases, pos = [], [], 0
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        weights.append(flat[..., pos : pos + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
         pos += fan_in * fan_out
-        biases.append(flat[pos : pos + fan_out])
+        biases.append(flat[..., pos : pos + fan_out])
         pos += fan_out
     return tuple(weights), tuple(biases)
 
@@ -178,35 +185,61 @@ def _check_targets(x: np.ndarray, y) -> np.ndarray:
     return y
 
 
-class Workspace:
-    """Forward and backward buffers for a batch of ``rows`` inputs to a network of ``layer_dims``.
+def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-D views of the two columns of a C-contiguous ``(..., 2)`` buffer."""
+    a = a.reshape(-1, 2)
+    return a[:, 0], a[:, 1]
 
-    ``acts[0]`` is the input and ``acts[k]`` the layer-k activation; ``y``
-    holds the targets and ``p1`` the raw class-1 probabilities.  After
-    ``score_grads``, ``deltas[n_layers]`` holds the gradient at the output
-    scores; ``backward`` fills ``deltas[k]`` with the gradient at the layer-k
-    activation on its way down (``deltas[0]`` is unused).  A caller may hand
-    over its own ``x`` and ``y``, which are only read.
+
+class Workspace:
+    """Forward and backward buffers for a batch of inputs to a network of ``layer_dims``.
+
+    ``shape`` is the batch's leading shape: ``(rows,)`` for one network, or
+    ``(M, rows)`` for a stack of M networks of the same dims, each with its
+    own rows and its own ``(M, fan_in, fan_out)`` weight slice.  Every buffer
+    has that leading shape.  ``acts[0]`` is the input and ``acts[k]`` the
+    layer-k activation; ``y`` holds the targets and ``p1`` the raw class-1
+    probabilities.  After ``score_grads``, ``deltas[n_layers]`` holds the
+    gradient at the output scores; ``backward`` fills ``deltas[k]`` with the
+    gradient at the layer-k activation on its way down (``deltas[0]`` is
+    unused).  A caller may hand over its own ``x`` and ``y``, which are only
+    read.
     """
 
-    def __init__(self, layer_dims: tuple[int, ...], rows: int, x=None, y=None):
-        self.acts = [np.empty((rows, layer_dims[0])) if x is None else x]
-        self.acts += [np.empty((rows, width)) for width in layer_dims[1:-1]]
-        self.y = np.empty(rows) if y is None else y
-        self.scores = np.empty((rows, 2))
-        self.row_max = np.empty(rows)
-        self.exp = np.empty((rows, 2))
-        self.p1 = np.empty(rows)
-        self._rows, self._dims = rows, layer_dims
+    def __init__(self, layer_dims: tuple[int, ...], shape: tuple[int, ...], x=None, y=None):
+        self.acts = [np.empty((*shape, layer_dims[0])) if x is None else x]
+        self.acts += [np.empty((*shape, width)) for width in layer_dims[1:-1]]
+        self.y = np.empty(shape) if y is None else y
+        self.scores = np.empty((*shape, 2))
+        self.row_max = np.empty(shape)
+        self.exp = np.empty((*shape, 2))
+        self.p1 = np.empty(shape)
+        self._shape, self._dims = shape, layer_dims
+        # Views the step reuses, made once.  The per-row steps run on 1-D views:
+        # numpy's fast path for strided operands covers 1-D arrays only.
+        self._score_cols = _columns(self.scores)
+        self._exp_cols = _columns(self.exp)
+        self._row_max_flat = self.row_max.reshape(-1)
+        self._p1_flat = self.p1.reshape(-1)
+        self._y_flat = self.y.reshape(-1)
+        self._row_max_col = self.row_max[..., None]
 
     # The backward buffers are made on first use, so forward-only calls skip them.
     @cached_property
     def deltas(self) -> list[np.ndarray | None]:
-        return [None] + [np.empty((self._rows, width)) for width in self._dims[1:]]
+        return [None] + [np.empty((*self._shape, width)) for width in self._dims[1:]]
 
     @cached_property
     def masks(self) -> list[np.ndarray]:
-        return [np.empty((self._rows, width), dtype=bool) for width in self._dims[1:-1]]
+        return [np.empty((*self._shape, width), dtype=bool) for width in self._dims[1:-1]]
+
+    @cached_property
+    def _delta_cols(self) -> tuple[np.ndarray, np.ndarray]:
+        return _columns(self.deltas[-1])
+
+    @cached_property
+    def _acts_t(self) -> list[np.ndarray]:
+        return [a.swapaxes(-1, -2) for a in self.acts]
 
     @property
     def x(self) -> np.ndarray:
@@ -222,7 +255,11 @@ class Workspace:
         y.take(rows, out=self.y, mode="clip")
 
     def forward(self, weights, biases) -> None:
-        """Activations and raw class-1 probabilities of ``x``."""
+        """Activations and raw class-1 probabilities of ``x``.
+
+        ``biases`` must broadcast against the activations: a model's own
+        ``(width,)`` biases do, and a stack passes ``(M, 1, width)`` views.
+        """
         h = self.acts[0]
         for w, b, out in zip(weights, biases, self.acts[1:]):
             np.matmul(h, w, out=out)
@@ -232,12 +269,13 @@ class Workspace:
         s = self.scores
         np.matmul(h, weights[-1], out=s)
         s += biases[-1]
-        np.maximum(s[:, 0], s[:, 1], out=self.row_max)
-        s -= self.row_max[:, None]
+        np.maximum(*self._score_cols, out=self._row_max_flat)
+        s -= self._row_max_col
         # out of place, as in the plain expression, so numpy picks the same exp loop
-        e = np.exp(s, out=self.exp)
-        np.add(e[:, 0], e[:, 1], out=self.p1)
-        np.divide(e[:, 1], self.p1, out=self.p1)
+        np.exp(s, out=self.exp)
+        e0, e1 = self._exp_cols
+        np.add(e0, e1, out=self._p1_flat)
+        np.divide(e1, self._p1_flat, out=self._p1_flat)
 
     def score_grads(self, mean: bool) -> None:
         """Gradient of the BCE w.r.t. the two output scores, per row, or of the mean BCE.
@@ -246,11 +284,12 @@ class Workspace:
         score; it decays smoothly to zero at saturation, so it is already
         bounded and needs no clamping of its own.
         """
-        d = self.deltas[-1]
-        np.subtract(self.p1, self.y, out=d[:, 1])
-        np.negative(d[:, 1], out=d[:, 0])
+        d0, d1 = self._delta_cols
+        np.subtract(self._p1_flat, self._y_flat, out=d1)
+        np.negative(d1, out=d0)
         if mean:
-            d /= d.shape[0]
+            d = self.deltas[-1]
+            d /= self._shape[-1]
 
     def backward(self, weights, top: int, grads=None) -> np.ndarray | None:
         """Backprop ``deltas[top]`` down to the input.
@@ -266,11 +305,11 @@ class Workspace:
                 np.greater(self.acts[k + 1], 0.0, out=self.masks[k])
                 d *= self.masks[k]
             if grads is not None:
-                np.matmul(self.acts[k].T, d, out=grads[0][k])
-                d.sum(axis=0, out=grads[1][k])
+                np.matmul(self._acts_t[k], d, out=grads[0][k])
+                d.sum(axis=-2, out=grads[1][k])
             if k > 0:
-                np.matmul(d, weights[k].T, out=self.deltas[k])
-        return None if grads is not None else d @ weights[0].T
+                np.matmul(d, weights[k].swapaxes(-1, -2), out=self.deltas[k])
+        return None if grads is not None else d @ weights[0].swapaxes(-1, -2)
 
     def mean_bce_grad(self, weights, biases, grads) -> None:
         """Gradient of the mean BCE of ``x`` against ``y``, written into ``grads``."""
@@ -280,12 +319,12 @@ class Workspace:
 
     def mean_bce(self) -> float:
         """Mean BCE of the last ``forward``."""
-        return float(_bce(self.p1, self.y).mean())
+        return float(_bce(self._p1_flat, self._y_flat).mean())
 
 
 def _forward(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> Workspace:
     """A fresh workspace holding the forward pass of ``x`` (targets ``y``, if given)."""
-    ws = Workspace(model.layer_dims, x.shape[0], x, y)
+    ws = Workspace(model.layer_dims, x.shape[:1], x, y)
     ws.forward(model.weights, model.biases)
     return ws
 
@@ -320,7 +359,7 @@ def bce_loss_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def grad_params_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean BCE over the rows, laid out like ``model.params``."""
     x = _check_matrix(model, x)
-    ws = Workspace(model.layer_dims, x.shape[0], x, _check_targets(x, y))
+    ws = Workspace(model.layer_dims, x.shape[:1], x, _check_targets(x, y))
     grad = np.empty(model.params.shape)
     ws.mean_bce_grad(model.weights, model.biases, param_views(model.layer_dims, grad))
     return grad

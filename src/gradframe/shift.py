@@ -9,7 +9,6 @@ selection of the domain count.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -19,11 +18,11 @@ import numpy as np
 from scipy.special import kolmogorov, logsumexp
 
 from .core import FictitiousSet
-from .data import Domain, DomainSet, split_into_k_domains
+from .data import Domain, DomainSet, split_into_k_domains, write_json
 from .errors import ConfigError, DataError, ShapeError
 from .nn import MlpModel, probs_batch, representations_batch
 from .rng import derive_seed, rng_for
-from .training import TrainConfig, fit_domain, fit_minibatch, fit_pooled
+from .training import TrainConfig, fit_minibatch, fit_pooled, fit_stack
 
 # Floors: per-dimension bandwidth and the covariate-ratio denominator.
 BANDWIDTH_FLOOR = 1e-3
@@ -265,11 +264,14 @@ def select_domain_count(
         except (DataError, ConfigError) as exc:
             skipped[k] = str(exc)
             continue
+        # one shared seed per candidate k: group models then differ only
+        # through their data, not through the init/shuffle draw
+        group_cfg = replace(cfg, seed=derive_seed(cfg.seed, "selectk", k))
+        models = fit_stack(
+            [g.x for g in groups.domains], [g.y for g in groups.domains], [group_cfg] * groups.k
+        )
         shap_per_group = []
-        for g_idx, group in enumerate(groups.domains):
-            # one shared seed per candidate k: group models then differ only
-            # through their data, not through the init/shuffle draw
-            model = fit_domain(group, replace(cfg, seed=derive_seed(cfg.seed, "selectk", k)))
+        for g_idx, (group, model) in enumerate(zip(groups.domains, models)):
             x = group.feature_matrix()
             seeds = [derive_seed(cfg.seed, "selectk-shap", k, g_idx, i) for i in range(len(x))]
             shap_per_group.append(_shapley_batch(model, x, x.mean(axis=0), m_samples, seeds)[0])
@@ -311,9 +313,7 @@ class ShiftReport:
         }
 
     def write_json(self, path: str | Path, config: dict | None = None) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_payload(config), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_payload(config))
 
 
 SHIFT_REPORT_SCHEMA = {

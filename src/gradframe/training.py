@@ -1,9 +1,14 @@
-"""The one training loop behind every model in the package, and its configuration."""
+"""The one training loop behind every model in the package, and its configuration.
+
+``descend`` trains a stack of M fits at once; a single fit is a stack of one.
+``fit_stack`` groups fits that can share a descent, and ``fit_minibatch``,
+``fit_domain`` and ``fit_pooled`` are its one-fit cases.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,65 +49,84 @@ class TrainConfig:
 
 
 class DescentBuffers:
-    """The parameters of one ``descend`` call, its gradient and its workspaces.
+    """The parameters of a stack of M fits, their gradients and their workspaces.
 
-    ``params`` and ``grad`` are flat vectors in the model layout, and
-    ``weights``/``biases`` and ``grads`` are per-layer views into them, built
-    once.  ``workspace(rows)`` keeps one set of forward and backward buffers
-    per batch row count, so full batches share one and a short last batch has
-    its own.
+    ``params`` and ``grad`` are ``(M, P)`` matrices, one flat vector per fit
+    in the model layout, and ``weights``/``biases`` and ``grads`` are
+    per-layer views into them with a leading M axis, built once.
+    ``workspace(rows)`` keeps one set of ``(M, rows)`` forward and backward
+    buffers per batch row count, so full batches share one and a short last
+    batch has its own.
     """
 
-    def __init__(self, model: MlpModel):
-        self.layer_dims = model.layer_dims
-        self.params = np.array(model.params)
+    def __init__(self, models: Sequence[MlpModel]):
+        self.layer_dims = models[0].layer_dims
+        self.params = np.stack([model.params for model in models])
         self.grad = np.empty_like(self.params)
-        self.weights, self.biases = param_views(self.layer_dims, self.params)
+        self.weights, biases = param_views(self.layer_dims, self.params)
+        self.biases = tuple(b[:, None, :] for b in biases)  # broadcast over a batch's rows
         self.grads = param_views(self.layer_dims, self.grad)
         self._workspaces: dict[int, Workspace] = {}
 
     def workspace(self, rows: int) -> Workspace:
         ws = self._workspaces.get(rows)
         if ws is None:
-            ws = self._workspaces[rows] = Workspace(self.layer_dims, rows)
+            ws = self._workspaces[rows] = Workspace(self.layer_dims, (len(self.params), rows))
         return ws
 
     def mean_bce_grad(self, ws: Workspace, grads=None) -> None:
-        """Gradient of the mean BCE of ``ws.x`` against ``ws.y``, into ``grads`` or ``self.grads``."""
+        """Each fit's mean-BCE gradient on its rows of ``ws``, into ``grads`` or ``self.grads``."""
         ws.mean_bce_grad(self.weights, self.biases, self.grads if grads is None else grads)
+
+
+def _stack_key(cfg: TrainConfig) -> TrainConfig:
+    """``cfg`` with its seed cleared: fits whose keys match can share one descent."""
+    return replace(cfg, seed=0)
 
 
 def descend(
     input_dim: int,
-    cfg: TrainConfig,
-    epoch: Callable[[np.random.Generator], Iterable],
+    cfgs: Sequence[TrainConfig],
+    epoch: Callable[[list[np.random.Generator]], Iterable],
     grad: Callable[[DescentBuffers, object], None],
-) -> MlpModel:
-    """Seeded init, then one Adam step per batch for ``cfg.epochs`` epochs.
+) -> list[MlpModel]:
+    """A stack of M fits, one per config, each from its own seeded init.
 
-    ``epoch(shuffle)`` yields one epoch's batches, drawing their order from
-    the seeded ``shuffle`` stream.  For each batch, ``grad(buffers, batch)``
-    writes the batch gradient into ``buffers.grad``, and one Adam step
-    follows.  The parameters, the Adam moments and every buffer belong to
-    this call and are updated in place; the only model built is the returned
-    one, which takes over the final parameter vector.  A non-finite parameter
-    at the end raises ``NumericError``, so a diverged fit is never returned.
+    The configs may differ only in ``seed``.  ``epoch(shuffles)`` yields one
+    epoch's batches, drawing each fit's order from its own seeded stream in
+    ``shuffles``.  For each batch, ``grad(buffers, batch)`` writes every fit's
+    gradient into its row of ``buffers.grad``, and one Adam step over the
+    whole stack follows.  The arithmetic is row by row that of a single fit,
+    so each model is bit for bit the one a stack of one gives.  Parameters,
+    Adam moments and buffers are updated in place.  A non-finite parameter at
+    the end raises ``NumericError`` naming the seed of the first fit that
+    diverged, and no model is returned.
     """
-    model = init_mlp(cfg.layer_dims(input_dim), cfg.rep_layer_index, derive_seed(cfg.seed, "init"))
-    buffers = DescentBuffers(model)
+    cfg = cfgs[0]
+    if any(_stack_key(c) != _stack_key(cfg) for c in cfgs):
+        raise ConfigError("the fits of one descent may differ only in their seed")
+    dims = cfg.layer_dims(input_dim)
+    buffers = DescentBuffers(
+        [init_mlp(dims, cfg.rep_layer_index, derive_seed(c.seed, "init")) for c in cfgs]
+    )
     params = buffers.params
     m, v, tmp, tmp2 = (np.zeros_like(params) for _ in range(4))
-    shuffle = rng_for(cfg.seed, "batch")
+    shuffles = [rng_for(c.seed, "batch") for c in cfgs]
     step = 0
     for _ in range(cfg.epochs):
-        for batch in epoch(shuffle):
+        for batch in epoch(shuffles):
             grad(buffers, batch)
             step += 1
             adam_update(params, m, v, buffers.grad, step, cfg.beta, tmp, tmp2)
-    if not np.isfinite(params).all():
-        raise NumericError("training diverged: the fitted parameters are not all finite")
+    finite = np.isfinite(params).all(axis=1)
+    if not finite.all():
+        seed = cfgs[int(np.argmin(finite))].seed
+        raise NumericError(
+            f"training diverged: the fitted parameters of the fit with seed {seed} "
+            "are not all finite"
+        )
     params.setflags(write=False)
-    return MlpModel(model.layer_dims, params, model.rep_layer_index)
+    return [MlpModel(dims, row, cfg.rep_layer_index) for row in params]
 
 
 def minibatches(shuffle: np.random.Generator, n: int, batch_size: int) -> Iterator[np.ndarray]:
@@ -111,15 +135,7 @@ def minibatches(shuffle: np.random.Generator, n: int, batch_size: int) -> Iterat
     return (order[start : start + batch_size] for start in range(0, n, batch_size))
 
 
-def fit_minibatch(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
-    """Train a fresh model on pooled arrays with seeded shuffling.
-
-    Weight init and per-epoch batch order derive only from ``cfg.seed`` and
-    the array length, so two callers handing over identical arrays and config
-    get bit-identical models.  ``x`` is checked once, here: it must be a
-    finite ``(n, d)`` matrix with ``n`` labels (``ShapeError``/``DataError``),
-    and every batch is a subset of its rows.
-    """
+def _check_fit_input(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0 or y.shape != x.shape[:1]:
@@ -129,16 +145,67 @@ def fit_minibatch(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
         )
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite value in model input")
+    return x, y
+
+
+def _descend_stack(data: list[tuple[np.ndarray, np.ndarray]], cfgs: list[TrainConfig]):
+    """One descent over ``(x, y)`` fits that share their ``(n, d)`` shape and their stack key."""
+    n, d = data[0][0].shape
+    x_all = np.concatenate([x for x, _ in data])
+    y_all = np.concatenate([y for _, y in data])
+    rows = np.arange(len(data) * n).reshape(len(data), n)  # fit i's rows in the stacked data
+    order = np.empty_like(rows)
+    batch_size = cfgs[0].batch_size
+
+    def epoch(shuffles):
+        # shuffling a row in place draws the same order as permutation(n) does
+        np.copyto(order, rows)
+        for fit_order, shuffle in zip(order, shuffles):
+            shuffle.shuffle(fit_order)
+        return (order[:, start : start + batch_size] for start in range(0, n, batch_size))
 
     def batch_grad(buffers, idx):
-        ws = buffers.workspace(idx.shape[0])
-        ws.gather(x, y, idx)
+        ws = buffers.workspace(idx.shape[1])
+        ws.gather(x_all, y_all, idx)
         buffers.mean_bce_grad(ws)
 
-    def epoch(shuffle):
-        return minibatches(shuffle, x.shape[0], cfg.batch_size)
+    return descend(d, cfgs, epoch, batch_grad)
 
-    return descend(x.shape[1], cfg, epoch, batch_grad)
+
+def fit_stack(xs: Sequence, ys: Sequence, cfgs: Sequence[TrainConfig]) -> list[MlpModel]:
+    """Train one fresh model per ``(x, y, cfg)``, stacking the fits that can share a descent.
+
+    Fits stack when they have the same row count and input width and their
+    configs differ at most in ``seed``; a fit that matches no other is a stack
+    of one.  Each fit keeps its own seeded init and shuffle stream and its own
+    rows, so every model is bit for bit the one ``fit_minibatch`` gives for its
+    fit alone.  Every ``x`` is checked first, as in ``fit_minibatch``, and the
+    models come back in input order.
+    """
+    if not len(xs) == len(ys) == len(cfgs):
+        raise ShapeError(f"got {len(xs)} inputs, {len(ys)} label vectors and {len(cfgs)} configs")
+    data = [_check_fit_input(x, y) for x, y in zip(xs, ys)]
+    stacks: dict[tuple, list[int]] = {}
+    for i, ((x, _), cfg) in enumerate(zip(data, cfgs)):
+        stacks.setdefault((x.shape, _stack_key(cfg)), []).append(i)
+    models: list[MlpModel | None] = [None] * len(cfgs)
+    for members in stacks.values():
+        fitted = _descend_stack([data[i] for i in members], [cfgs[i] for i in members])
+        for i, model in zip(members, fitted):
+            models[i] = model
+    return models
+
+
+def fit_minibatch(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
+    """Train a fresh model on pooled arrays with seeded shuffling.
+
+    Weight init and per-epoch batch order derive only from ``cfg.seed`` and
+    the array length, so two callers handing over identical arrays and config
+    get bit-identical models.  ``x`` is checked once, here: it must be a
+    finite ``(n, d)`` matrix with ``n`` labels (``ShapeError``/``DataError``),
+    and every batch is a subset of its rows.  This is ``fit_stack`` of one.
+    """
+    return fit_stack([x], [y], [cfg])[0]
 
 
 def fit_domain(domain: Domain, cfg: TrainConfig) -> MlpModel:

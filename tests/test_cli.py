@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import model_text
 
 from gradframe.cli import main
 from gradframe.data import Boundary, label_by_boundary, load_csv_dataset
+from gradframe.evaluation import evaluate
 from gradframe.shift import SHIFT_REPORT_SCHEMA
 
 
@@ -317,6 +319,26 @@ output.dir = {out}
             "erm_vs_groupdro: t-test skipped, both samples have zero variance; the test is degenerate"
         ]
 
+    def test_precision_loss_goes_to_diagnostics(self, tmp_path, capfd):
+        # AUROCs 1, 1 against 0.9996, 1: scipy warns about catastrophic cancellation
+        out = tmp_path / "close"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = simulate
+compare.methods = erm,mixup
+seeds = 0,1
+train.epochs = 50
+output.dir = {out}
+""",
+        )
+        assert main(["compare", "--config", str(cfg)]) == 0
+        assert capfd.readouterr().err == ""
+        report = json.loads((out / "compare_report.json").read_text())
+        assert "erm_vs_mixup" in report["welch_tests"]
+        assert len(report["diagnostics"]) == 1
+        assert report["diagnostics"][0].startswith("erm_vs_mixup: Precision loss occurred")
+
 
 class TestEvaluateCommand:
     def test_model_round_trip_evaluation(self, tmp_path):
@@ -469,6 +491,43 @@ output.dir = {tmp_path}/o
         assert main(["evaluate", "--config", str(eval_cfg)]) == 3
         err = capsys.readouterr().err
         assert "model.txt" in err and "Traceback" not in err
+        assert not (out / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("line, block", [(4, "W0"), (7, "b0")], ids=["weight", "bias"])
+    def test_evaluate_non_finite_model_parameter(self, tmp_path, capsys, line, block):
+        out = tmp_path / "run"
+        out.mkdir()
+        lines = model_text((2, 2, 2), 1, [0.5, -0.25]).splitlines()
+        lines[line] = "nan" + lines[line][lines[line].index(" "):]
+        (out / "model.txt").write_text("\n".join(lines) + "\n")
+        tgt = tmp_path / "tgt.csv"
+        tgt.write_text("x0,x1,label\n0.5,0.5,1\n-0.6,-0.4,0\n")
+        eval_cfg = write_cfg(
+            tmp_path / "e.cfg", f"dataset.kind = csv\ndata.target_csv = {tgt}\noutput.dir = {out}\n"
+        )
+        assert main(["evaluate", "--config", str(eval_cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "model.txt" in err and f"block {block}" in err and "Traceback" not in err
+        assert not (out / "eval_report.json").exists()
+
+    def test_non_finite_report_value_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        import gradframe.cli as cli
+
+        def nan_loss(model, domain):
+            return replace(evaluate(model, domain), mean_loss=float("nan"))
+
+        monkeypatch.setattr(cli, "evaluate", nan_loss)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "model.txt").write_text(model_text((2, 2, 2), 1, [0.5, -0.25]))
+        tgt = tmp_path / "tgt.csv"
+        tgt.write_text("x0,x1,label\n0.5,0.5,1\n-0.6,-0.4,0\n")
+        eval_cfg = write_cfg(
+            tmp_path / "e.cfg", f"dataset.kind = csv\ndata.target_csv = {tgt}\noutput.dir = {out}\n"
+        )
+        assert main(["evaluate", "--config", str(eval_cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "eval_report.json" in err and "non-finite" in err and "Traceback" not in err
         assert not (out / "eval_report.json").exists()
 
     def test_diverged_training_is_numeric_failure(self, tmp_path, capsys):

@@ -20,8 +20,8 @@ from gradframe.config import SIM_ASCENT, SIM_TRAIN
 from gradframe.data import Domain, DomainSet, simulation_source
 from gradframe.errors import ConfigError, ShapeError
 from gradframe.nn import grad_input_batch, init_mlp, probs_batch, representations_batch
-from gradframe.rng import rng_for
-from gradframe.training import TrainConfig, fit_pooled
+from gradframe.rng import derive_seed, rng_for
+from gradframe.training import TrainConfig, fit_domain, fit_pooled
 
 
 def identity_rep_model():
@@ -217,6 +217,20 @@ class TestPretrain:
         for key in a:
             for wa, wb in zip(a[key].weights, b[key].weights):
                 assert wa.tobytes() == wb.tobytes()
+
+    @pytest.mark.parametrize("sizes", [(40, 40, 40), (40, 25, 40)], ids=["equal", "unequal"])
+    def test_matches_per_domain_fits(self, sizes):
+        ds = DomainSet(
+            tuple(separable_blobs(name, i, n // 2) for i, (name, n) in enumerate(zip("ABC", sizes)))
+        )
+        models = pretrain_domain_models(
+            ds, TrainConfig(seed=5, beta=0.05, epochs=9, batch_size=16, pretrain_epochs=12)
+        )
+        assert list(models) == ["A", "B", "C"]
+        for dom in ds.domains:
+            seed = derive_seed(5, "pretrain", dom.id)
+            alone = fit_domain(dom, TrainConfig(seed=seed, beta=0.05, epochs=12, batch_size=16))
+            assert models[dom.id].params.tobytes() == alone.params.tobytes()
 
     def test_single_domain_rejected(self):
         ds = DomainSet((separable_blobs("only", seed=1),))

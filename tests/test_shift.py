@@ -24,10 +24,11 @@ from gradframe.data import (
     simulation_source,
     split_into_k_domains,
 )
-from gradframe.errors import ConfigError, DataError
+from gradframe.errors import ConfigError, DataError, NumericError
 from gradframe.nn import init_mlp, probs_batch
 from gradframe.shift import (
     RATIO_DENOM_FLOOR,
+    ShiftReport,
     concept_shift_delta,
     covariate_shift_ratio,
     kde_fit,
@@ -491,3 +492,22 @@ class TestSelectDomainCount:
             hits += result.best_k == 3
             assert not result.flat
         assert hits >= 8, f"three-regime structure recovered on only {hits}/10 seeds"
+
+
+class TestShiftReportJson:
+    def _report(self, likelihood):
+        return ShiftReport([1.0], [0.5], likelihood, {"x0": {"statistic": 0.1, "p_value": 0.9}})
+
+    def test_finite_report_round_trips(self, tmp_path):
+        import json
+
+        self._report(0.25).write_json(tmp_path / "shift_report.json")
+        payload = json.loads((tmp_path / "shift_report.json").read_text())
+        assert payload["likelihood_difference"] == 0.25
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "shift_report.json"
+        with pytest.raises(NumericError, match="shift_report.json"):
+            self._report(value).write_json(path)
+        assert not path.exists()

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradframe.baselines import MixupConfig, draw_lambdas, train_groupdro, train_mixup
 from gradframe import training
 from gradframe.data import Domain, DomainSet
-from gradframe.errors import ConfigError, DataError, ShapeError
+from gradframe.errors import ConfigError, DataError, NumericError, ShapeError
 from gradframe.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, P_MAX, P_MIN
 from gradframe.rng import derive_seed, rng_for
-from gradframe.training import TrainConfig, fit_minibatch
+from gradframe.training import TrainConfig, descend, fit_minibatch, fit_stack
 
 
 def _ref_init(dims, seed):
@@ -212,6 +214,64 @@ class TestFitMinibatchOracle:
         monkeypatch.setattr(training, "descend", no_descent)
         with pytest.raises(error):
             fit_minibatch(np.asarray(x), np.asarray(y), TrainConfig(epochs=2, batch_size=2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    rows=st.integers(3, 40),
+    deep=st.booleans(),
+    batch_size=st.integers(2, 48),
+    shared_seed=st.booleans(),
+    shared_data=st.booleans(),
+)
+def test_stack_matches_separate_fits(m, rows, deep, batch_size, shared_seed, shared_data):
+    """Every model of a stack is byte for byte its fit alone, with a short last
+    batch whenever ``batch_size`` does not divide ``rows``."""
+    hidden, rep = ((8, 4), 2) if deep else ((2,), 1)
+    data_seeds = [11] * m if shared_data else [11 + i for i in range(m)]
+    doms = [_noisy_domain("train", rows, s) for s in data_seeds]
+    cfgs = [
+        TrainConfig(
+            beta=0.05, epochs=6, batch_size=batch_size, seed=4 if shared_seed else 4 + i,
+            hidden_dims=hidden, rep_layer_index=rep,
+        )
+        for i in range(m)
+    ]
+    models = fit_stack([d.x for d in doms], [d.y for d in doms], cfgs)
+    assert len(models) == m
+    for model, dom, cfg in zip(models, doms, cfgs):
+        _assert_same_bytes(model, ref_fit_minibatch(dom.x, dom.y, cfg))
+
+
+class TestFitStack:
+    def test_mixed_keys_come_back_in_input_order(self):
+        # rows 30, 40, 30, 30 (other epochs), 40: three stacks, interleaved
+        shapes = [(30, 5, 1), (40, 5, 2), (30, 5, 3), (30, 7, 4), (40, 5, 5)]
+        doms = [_noisy_domain("d", rows, seed) for rows, _, seed in shapes]
+        cfgs = [TrainConfig(beta=0.05, epochs=e, batch_size=16, seed=s) for _, e, s in shapes]
+        models = fit_stack([d.x for d in doms], [d.y for d in doms], cfgs)
+        for model, dom, cfg in zip(models, doms, cfgs):
+            _assert_same_bytes(model, ref_fit_minibatch(dom.x, dom.y, cfg))
+
+    def test_diverged_fit_is_named_by_its_seed(self):
+        ok = np.random.default_rng(1).normal(size=(20, 4))
+        # inputs near the float64 limit overflow the first layer under seed 23's init
+        huge = np.full((20, 4), 1e308)
+        y = np.arange(20) % 2
+        cfgs = [TrainConfig(epochs=3, batch_size=8, seed=s) for s in (17, 23, 31)]
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="with seed 23 "):
+            fit_stack([ok, huge, ok], [y, y, y], cfgs)
+
+    def test_descent_rejects_configs_that_differ_beyond_seed(self):
+        cfgs = [TrainConfig(epochs=3), TrainConfig(epochs=4, seed=1)]
+        with pytest.raises(ConfigError, match="seed"):
+            descend(2, cfgs, lambda shuffles: iter(()), lambda buffers, batch: None)
+
+    def test_mismatched_lengths_rejected(self):
+        dom = _noisy_domain("d", 10, 1)
+        with pytest.raises(ShapeError):
+            fit_stack([dom.x, dom.x], [dom.y], [TrainConfig(), TrainConfig(seed=1)])
 
 
 class TestTrainMixupOracle:
