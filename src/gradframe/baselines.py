@@ -11,7 +11,7 @@ from .data import DomainSet
 from .errors import ConfigError, DataError, NumericError
 from .nn import MlpModel, param_count, param_views
 from .rng import rng_for
-from .training import TrainConfig, descend, fit_pooled, minibatches
+from .training import TrainConfig, descend, fit_pooled, shuffled_batches
 
 
 @dataclass(frozen=True)
@@ -69,19 +69,18 @@ def train_mixup(ds: DomainSet, cfg: TrainConfig, mixup: MixupConfig) -> MlpModel
     mix_rng = rng_for(mixup.seed, "mixup")
 
     def mixed_grad(buffers, idx):
+        idx = idx[0]  # the one fit's rows
         ws = buffers.workspace(idx.shape[0])
         partners = mix_rng.integers(0, n, size=idx.shape[0])
         lam = draw_lambdas(mixup, mix_rng, idx.shape[0])[:, None]
-        np.add(lam * x[idx], (1.0 - lam) * x[partners], out=ws.x[0])  # the one fit's rows
+        np.add(lam * x[idx], (1.0 - lam) * x[partners], out=ws.x[0])
         np.add(lam[:, 0] * y[idx], (1.0 - lam[:, 0]) * y[partners], out=ws.y[0])
         if not np.isfinite(ws.x).all():
             raise DataError("non-finite value in model input")
         buffers.mean_bce_grad(ws)
 
-    def epoch(shuffles):
-        return minibatches(shuffles[0], n, cfg.batch_size)
-
-    return descend(x.shape[1], [cfg], epoch, mixed_grad)[0]
+    epoch = shuffled_batches(np.arange(n)[None], cfg.batch_size)
+    return descend(x.shape[1], cfg, [cfg.seed], epoch, mixed_grad)[0]
 
 
 def train_groupdro(
@@ -138,4 +137,4 @@ def train_groupdro(
             g *= qi
             buffers.grad += g
 
-    return descend(ds.feature_dim, [cfg], epoch, weighted_grad)[0]
+    return descend(ds.feature_dim, cfg, [cfg.seed], epoch, weighted_grad)[0]

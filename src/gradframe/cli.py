@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -294,13 +295,15 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
     else:
         for other in methods[1:]:
             pair = f"{methods[0]}_vs_{other}"
-            notes: list[str] = []
             try:
-                t, dof, p = welch_t_one_tailed(scores[methods[0]], scores[other], notes)
+                # scipy warns of precision loss when the samples nearly coincide
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    t, dof, p = welch_t_one_tailed(scores[methods[0]], scores[other])
             except NumericError as exc:  # both methods scored the same on every seed
                 diagnostics.append(f"{pair}: t-test skipped, {exc}")
                 continue
-            diagnostics += [f"{pair}: {note}" for note in notes]
+            diagnostics += [f"{pair}: {w.message}" for w in caught]
             tests[pair] = {"t": t, "dof": dof, "p_one_tailed": p}
     write_json(
         out / "compare_report.json",

@@ -79,39 +79,33 @@ class DescentBuffers:
         ws.mean_bce_grad(self.weights, self.biases, self.grads if grads is None else grads)
 
 
-def _stack_key(cfg: TrainConfig) -> TrainConfig:
-    """``cfg`` with its seed cleared: fits whose keys match can share one descent."""
-    return replace(cfg, seed=0)
-
-
 def descend(
     input_dim: int,
-    cfgs: Sequence[TrainConfig],
+    cfg: TrainConfig,
+    seeds: Sequence[int],
     epoch: Callable[[list[np.random.Generator]], Iterable],
     grad: Callable[[DescentBuffers, object], None],
 ) -> list[MlpModel]:
-    """A stack of M fits, one per config, each from its own seeded init.
+    """A stack of M fits under ``cfg``, one per seed, each from its own seeded init.
 
-    The configs may differ only in ``seed``.  ``epoch(shuffles)`` yields one
-    epoch's batches, drawing each fit's order from its own seeded stream in
-    ``shuffles``.  For each batch, ``grad(buffers, batch)`` writes every fit's
-    gradient into its row of ``buffers.grad``, and one Adam step over the
-    whole stack follows.  The arithmetic is row by row that of a single fit,
-    so each model is bit for bit the one a stack of one gives.  Parameters,
-    Adam moments and buffers are updated in place.  A non-finite parameter at
-    the end raises ``NumericError`` naming the seed of the first fit that
-    diverged, and no model is returned.
+    Fit i draws its init and its shuffle stream from ``seeds[i]``; ``cfg.seed``
+    is not read.  ``epoch(shuffles)`` yields one epoch's batches, drawing each
+    fit's order from its own stream in ``shuffles``.  For each batch,
+    ``grad(buffers, batch)`` writes every fit's gradient into its row of
+    ``buffers.grad``, and one Adam step over the whole stack follows.  The
+    arithmetic is row by row that of a single fit, so each model is bit for
+    bit the one a stack of one gives.  Parameters, Adam moments and buffers
+    are updated in place.  A non-finite parameter at the end raises
+    ``NumericError`` naming the seed of the first fit that diverged, and no
+    model is returned.
     """
-    cfg = cfgs[0]
-    if any(_stack_key(c) != _stack_key(cfg) for c in cfgs):
-        raise ConfigError("the fits of one descent may differ only in their seed")
     dims = cfg.layer_dims(input_dim)
     buffers = DescentBuffers(
-        [init_mlp(dims, cfg.rep_layer_index, derive_seed(c.seed, "init")) for c in cfgs]
+        [init_mlp(dims, cfg.rep_layer_index, derive_seed(seed, "init")) for seed in seeds]
     )
     params = buffers.params
     m, v, tmp, tmp2 = (np.zeros_like(params) for _ in range(4))
-    shuffles = [rng_for(c.seed, "batch") for c in cfgs]
+    shuffles = [rng_for(seed, "batch") for seed in seeds]
     step = 0
     for _ in range(cfg.epochs):
         for batch in epoch(shuffles):
@@ -120,7 +114,7 @@ def descend(
             adam_update(params, m, v, buffers.grad, step, cfg.beta, tmp, tmp2)
     finite = np.isfinite(params).all(axis=1)
     if not finite.all():
-        seed = cfgs[int(np.argmin(finite))].seed
+        seed = seeds[int(np.argmin(finite))]
         raise NumericError(
             f"training diverged: the fitted parameters of the fit with seed {seed} "
             "are not all finite"
@@ -129,10 +123,24 @@ def descend(
     return [MlpModel(dims, row, cfg.rep_layer_index) for row in params]
 
 
-def minibatches(shuffle: np.random.Generator, n: int, batch_size: int) -> Iterator[np.ndarray]:
-    """Index batches of one shuffled pass over ``n`` rows; the last may be short."""
-    order = shuffle.permutation(n)
-    return (order[start : start + batch_size] for start in range(0, n, batch_size))
+def shuffled_batches(rows: np.ndarray, batch_size: int) -> Callable[[list], Iterator]:
+    """``epoch(shuffles)`` for ``descend`` in which fit i passes over row i of ``rows``.
+
+    ``rows`` is an ``(M, n)`` index matrix.  Each epoch shuffles fit i's row
+    with ``shuffles[i]`` and yields ``(M, batch)`` index blocks in order; the
+    last may be short.  The shuffled rows live in one buffer reused in place,
+    and shuffling a row there draws the same order as ``permutation(n)`` does.
+    """
+    order = np.empty_like(rows)
+    n = rows.shape[1]
+
+    def epoch(shuffles):
+        np.copyto(order, rows)
+        for fit_order, shuffle in zip(order, shuffles):
+            shuffle.shuffle(fit_order)
+        return (order[:, start : start + batch_size] for start in range(0, n, batch_size))
+
+    return epoch
 
 
 def _check_fit_input(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -148,28 +156,22 @@ def _check_fit_input(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _descend_stack(data: list[tuple[np.ndarray, np.ndarray]], cfgs: list[TrainConfig]):
-    """One descent over ``(x, y)`` fits that share their ``(n, d)`` shape and their stack key."""
+def _descend_stack(data: list[tuple[np.ndarray, np.ndarray]], cfg: TrainConfig, seeds: list[int]):
+    """One descent over ``(x, y)`` fits that share their ``(n, d)`` shape, one per seed."""
     n, d = data[0][0].shape
-    x_all = np.concatenate([x for x, _ in data])
-    y_all = np.concatenate([y for _, y in data])
-    rows = np.arange(len(data) * n).reshape(len(data), n)  # fit i's rows in the stacked data
-    order = np.empty_like(rows)
-    batch_size = cfgs[0].batch_size
-
-    def epoch(shuffles):
-        # shuffling a row in place draws the same order as permutation(n) does
-        np.copyto(order, rows)
-        for fit_order, shuffle in zip(order, shuffles):
-            shuffle.shuffle(fit_order)
-        return (order[:, start : start + batch_size] for start in range(0, n, batch_size))
+    if len(data) == 1:
+        [(x_all, y_all)] = data
+    else:
+        x_all = np.concatenate([x for x, _ in data])
+        y_all = np.concatenate([y for _, y in data])
+    rows = np.arange(len(data) * n).reshape(len(data), n)  # fit i's rows in x_all
 
     def batch_grad(buffers, idx):
         ws = buffers.workspace(idx.shape[1])
         ws.gather(x_all, y_all, idx)
         buffers.mean_bce_grad(ws)
 
-    return descend(d, cfgs, epoch, batch_grad)
+    return descend(d, cfg, seeds, shuffled_batches(rows, cfg.batch_size), batch_grad)
 
 
 def fit_stack(xs: Sequence, ys: Sequence, cfgs: Sequence[TrainConfig]) -> list[MlpModel]:
@@ -187,10 +189,10 @@ def fit_stack(xs: Sequence, ys: Sequence, cfgs: Sequence[TrainConfig]) -> list[M
     data = [_check_fit_input(x, y) for x, y in zip(xs, ys)]
     stacks: dict[tuple, list[int]] = {}
     for i, ((x, _), cfg) in enumerate(zip(data, cfgs)):
-        stacks.setdefault((x.shape, _stack_key(cfg)), []).append(i)
+        stacks.setdefault((x.shape, replace(cfg, seed=0)), []).append(i)
     models: list[MlpModel | None] = [None] * len(cfgs)
-    for members in stacks.values():
-        fitted = _descend_stack([data[i] for i in members], [cfgs[i] for i in members])
+    for (_, key), members in stacks.items():
+        fitted = _descend_stack([data[i] for i in members], key, [cfgs[i].seed for i in members])
         for i, model in zip(members, fitted):
             models[i] = model
     return models

@@ -20,7 +20,7 @@ from gradframe.data import Domain, DomainSet
 from gradframe.errors import ConfigError, DataError, NumericError, ShapeError
 from gradframe.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, P_MAX, P_MIN
 from gradframe.rng import derive_seed, rng_for
-from gradframe.training import TrainConfig, descend, fit_minibatch, fit_stack
+from gradframe.training import TrainConfig, fit_minibatch, fit_stack
 
 
 def _ref_init(dims, seed):
@@ -262,11 +262,6 @@ class TestFitStack:
         cfgs = [TrainConfig(epochs=3, batch_size=8, seed=s) for s in (17, 23, 31)]
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="with seed 23 "):
             fit_stack([ok, huge, ok], [y, y, y], cfgs)
-
-    def test_descent_rejects_configs_that_differ_beyond_seed(self):
-        cfgs = [TrainConfig(epochs=3), TrainConfig(epochs=4, seed=1)]
-        with pytest.raises(ConfigError, match="seed"):
-            descend(2, cfgs, lambda shuffles: iter(()), lambda buffers, batch: None)
 
     def test_mismatched_lengths_rejected(self):
         dom = _noisy_domain("d", 10, 1)
