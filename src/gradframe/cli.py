@@ -23,7 +23,13 @@ import numpy as np
 from . import __version__
 from .baselines import train_erm, train_groupdro, train_mixup
 from .config import ExperimentConfig, render_config
-from .core import PenaltyParams, train_gradframe
+from .core import (
+    FictitiousSet,
+    PenaltyParams,
+    generate_fictitious_set,
+    pretrain_domain_models,
+    train_gradframe,
+)
 from .data import (
     Domain,
     DomainSet,
@@ -41,16 +47,18 @@ from .data import (
 from .errors import ConfigError, DataError, GradframeError, NumericError, ShapeError
 from .evaluation import evaluate, lodo_cv_search, welch_t_one_tailed
 from .model_io import load_model, save_model
+from .nn import MlpModel
 from .rng import derive_seed
 from .shift import (
     ShiftReport,
+    concept_config,
     concept_shift_delta,
     covariate_shift_ratio,
     ks_two_sample,
     likelihood_difference,
     select_domain_count,
 )
-from .training import fit_minibatch
+from .training import fit_stack
 
 
 def _metadata(cfg: ExperimentConfig, command: str) -> dict:
@@ -164,17 +172,18 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _single_shift_run(cfg: ExperimentConfig, source: DomainSet, gammas: PenaltyParams) -> dict:
-    train_cfg = cfg.train
-    model, fict = train_gradframe(source, gammas, cfg.ascent, train_cfg)
-    source_model = train_erm(source, train_cfg)
+def _shift_run(
+    cfg: ExperimentConfig,
+    source: DomainSet,
+    gammas: PenaltyParams,
+    fict: FictitiousSet,
+    source_model: MlpModel,
+    concept_models: tuple[MlpModel, MlpModel],
+    fict_model: MlpModel,
+) -> dict:
+    """The shift metrics of one penalty pair, from its fictitious set and the fitted models."""
     ratios = covariate_shift_ratio(source, fict, source_model)
-    deltas = concept_shift_delta(source, fict, train_cfg)
-    fict_model = fit_minibatch(
-        fict.x_star,
-        fict.y_star,
-        replace(train_cfg, seed=derive_seed(train_cfg.seed, "shift", "fict-model")),
-    )
+    deltas = concept_shift_delta(source, fict, cfg.train, models=concept_models)
     likelihood = likelihood_difference(
         source_model, fict_model, Domain("fictitious", fict.x_star, fict.y_star)
     )
@@ -196,7 +205,30 @@ def _single_shift_run(cfg: ExperimentConfig, source: DomainSet, gammas: PenaltyP
 def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
     _echo_config(cfg, out)
     source, _ = _load_data(cfg, cfg.seed)
-    runs = [_single_shift_run(cfg, source, gammas) for gammas in cfg.shift_runs]
+    train_cfg = cfg.train
+    # the pretrained models, the train_erm model and the concept source model do
+    # not depend on the penalties, so a sweep trains them once; every fit below
+    # has one row per source row, so they all train as one stack
+    pretrained = pretrain_domain_models(source, train_cfg)
+    ficts = [
+        generate_fictitious_set(source, gammas, cfg.ascent, train_cfg, models=pretrained)
+        for gammas in cfg.shift_runs
+    ]
+    pooled = source.pooled()
+    concept_cfg = concept_config(train_cfg)
+    fict_cfg = replace(train_cfg, seed=derive_seed(train_cfg.seed, "shift", "fict-model"))
+    xs, ys, cfgs = [pooled.x, pooled.x], [pooled.y, pooled.y], [train_cfg, concept_cfg]
+    for fict in ficts:
+        xs += [fict.x_star] * 2
+        ys += [fict.y_star] * 2
+        cfgs += [concept_cfg, fict_cfg]
+    source_model, concept_source, *fict_side = fit_stack(xs, ys, cfgs)
+    runs = [
+        _shift_run(cfg, source, gammas, fict, source_model, (concept_source, concept_fict), fict_model)
+        for gammas, fict, concept_fict, fict_model in zip(
+            cfg.shift_runs, ficts, fict_side[::2], fict_side[1::2]
+        )
+    ]
     primary = runs[0]
     report = ShiftReport(
         covariate_ratios=primary["covariate_ratios"],

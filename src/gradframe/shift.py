@@ -15,14 +15,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import kolmogorov, logsumexp
+from scipy.special import kolmogorov
 
 from .core import FictitiousSet
 from .data import Domain, DomainSet, split_into_k_domains, write_json
 from .errors import ConfigError, DataError, ShapeError
 from .nn import MlpModel, probs_batch, representations_batch
 from .rng import derive_seed, rng_for
-from .training import TrainConfig, fit_minibatch, fit_pooled, fit_stack
+from .training import TrainConfig, fit_stack
 
 # Floors: per-dimension bandwidth and the covariate-ratio denominator.
 BANDWIDTH_FLOOR = 1e-3
@@ -58,8 +58,35 @@ def kde_fit(samples: np.ndarray, bandwidth_rule: str | float | np.ndarray = "sco
     return KdeModel(samples=samples, bandwidth=h)
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=1)`` of a real (m, n) array, bit for bit.
+
+    The same operations in the same order as scipy 1.17's real case, without
+    its per-call array-API overhead: shift by the row maximum with the tied
+    maxima taken out, then ``log1p(s) + log(m) + a_max``.  A row whose result
+    is not finite (all of it -inf, or a NaN or +inf in it) falls back to
+    ``log(sum(exp(a)))``, as scipy's does, computed on those rows only.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a, axis=1, keepdims=True)
+        i_max = a == a_max
+        m = np.sum(i_max, axis=1, keepdims=True, dtype=a.dtype)
+        rest = np.where(i_max, -np.inf, a)
+        s = np.sum(np.exp(rest - a_max), axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
+
+
 def kde_log_density(model: KdeModel, query: np.ndarray) -> float | np.ndarray:
-    """Log of the mean of Gaussian kernels centered at the samples, in O(block·n) memory."""
+    """Log of the mean of Gaussian kernels centered at the samples, in O(block·n) memory.
+
+    Each block's log-sum-exp is ``_logsumexp_rows``, bit for bit scipy's.
+    """
     query = np.asarray(query, dtype=np.float64)
     single = query.ndim == 1
     q = np.atleast_2d(query)
@@ -76,7 +103,8 @@ def kde_log_density(model: KdeModel, query: np.ndarray) -> float | np.ndarray:
         for j in range(d):
             diff = (block[:, j, None] - model.samples[:, j]) / model.bandwidth[j]
             quad += diff * diff
-        out[start : start + rows] = logsumexp(-0.5 * quad, axis=1)
+        quad *= -0.5
+        out[start : start + rows] = _logsumexp_rows(quad)
     log_norm = -np.sum(np.log(model.bandwidth)) - 0.5 * d * np.log(2.0 * np.pi)
     out = out + log_norm - np.log(n)
     return float(out[0]) if single else out
@@ -118,20 +146,33 @@ def covariate_shift_ratio(
     return numer / np.maximum(denom, RATIO_DENOM_FLOOR)
 
 
+def concept_config(cfg: TrainConfig) -> TrainConfig:
+    """The config of both concept-shift models: ``cfg`` under its derived "concept" seed."""
+    return replace(cfg, seed=derive_seed(cfg.seed, "concept"))
+
+
 def concept_shift_delta(
-    source: DomainSet, fict: FictitiousSet, cfg: TrainConfig
+    source: DomainSet,
+    fict: FictitiousSet,
+    cfg: TrainConfig,
+    models: tuple[MlpModel, MlpModel] | None = None,
 ) -> np.ndarray:
     """Per-point |P_fict(y*|x*) - P_source(y*|x*)| from independently trained models.
 
-    Both models share the same derived seed, so the divergence they exhibit
-    comes from the data, not from the draw of initial weights.
+    Both models share the seed of ``concept_config(cfg)``, so the divergence
+    they exhibit comes from the data, not from the draw of initial weights.
+    By default they train here as one ``fit_stack``: the source model on the
+    pooled source, the fictitious one on ``(fict.x_star, fict.y_star)``.
+    ``models`` hands over that (source, fictitious) pair already trained, so
+    a caller can stack the fits with others; the result is the same.
     """
     x_star, labels = fict.x_star, fict.y_star
     if len(set(labels.tolist())) < 2:
         warnings.warn("fictitious set is single-class; concept model may be degenerate")
-    model_cfg = replace(cfg, seed=derive_seed(cfg.seed, "concept"))
-    f_source = fit_pooled(source, model_cfg)
-    f_fict = fit_minibatch(x_star, labels, model_cfg)
+    if models is None:
+        pooled = source.pooled()
+        models = fit_stack([pooled.x, x_star], [pooled.y, labels], [concept_config(cfg)] * 2)
+    f_source, f_fict = models
     p_source = probs_batch(f_source, x_star)
     p_fict = probs_batch(f_fict, x_star)
     cond_source = np.where(labels == 1.0, p_source, 1.0 - p_source)

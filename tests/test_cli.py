@@ -7,11 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import model_text
 
-from gradframe.cli import main
-from gradframe.data import Boundary, label_by_boundary, load_csv_dataset
+from gradframe.cli import _load_scaler, _save_scaler, main
+from gradframe.data import Boundary, Standardization, label_by_boundary, load_csv_dataset
+from gradframe.errors import DataError
 from gradframe.evaluation import evaluate
 from gradframe.shift import SHIFT_REPORT_SCHEMA
 
@@ -182,6 +186,30 @@ output.dir = {out}
         payload = json.loads((out / "shift_report.json").read_text())
         assert len(payload["sweep"]) == 2
         assert payload["sweep"][0]["gamma1"] == 0.5
+
+
+    @pytest.mark.parametrize(
+        "sweep, stacks",
+        [("", [2, 4]), ("shift.sweep = gamma1\nshift.sweep_values = 0.5,1,5\n", [2, 8])],
+        ids=["single", "three-value-sweep"],
+    )
+    def test_fits_train_in_two_descents(self, tmp_path, monkeypatch, sweep, stacks):
+        """Pretraining is one stack; train_erm, the concept source fit and each sweep
+        value's two fictitious-side fits are the other, and no final model trains."""
+        import gradframe.training as training
+
+        sizes = []
+        descend = training.descend
+
+        def counting(input_dim, cfg, seeds, *rest):
+            sizes.append(len(seeds))
+            return descend(input_dim, cfg, seeds, *rest)
+
+        monkeypatch.setattr(training, "descend", counting)
+        out = tmp_path / "o"
+        body = TINY_TRAIN.format(method="gradframe", out=out) + sweep
+        assert main(["shift-report", "--config", str(write_cfg(tmp_path / "c.cfg", body))]) == 0
+        assert sizes == stacks
 
 
 class TestSelectK:
@@ -592,3 +620,43 @@ output.dir = {tmp_path}/o
             main(["simulate", "--config", str(cfg), "--parallel", "2"])
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def scaler_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scaler")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stats=arrays(
+        np.float64, st.tuples(st.just(2), st.integers(1, 6)), elements=st.floats(allow_nan=False)
+    )
+)
+def test_scaler_round_trip_is_bit_exact(scaler_dir, stats):
+    mean, std = stats
+    _save_scaler(Standardization(mean=mean, std=std), scaler_dir)
+    loaded = _load_scaler(scaler_dir / "scaler.txt", mean.size)
+    assert loaded.mean.tobytes() == mean.tobytes()
+    assert loaded.std.tobytes() == std.tobytes()
+
+
+# any bytes, any text, and text made of the scaler's own tokens in any order
+SCALER_TOKENS = st.sampled_from(["0", "1.5", "-2e3", "nan", "inf", "x", " ", "\t", "\n", "\r"])
+SCALER_TEXT = (
+    st.binary(max_size=64)
+    | st.text(max_size=32).map(lambda t: t.encode("utf-8", "surrogatepass"))
+    | st.lists(SCALER_TOKENS, max_size=24).map(lambda tokens: "".join(tokens).encode())
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=SCALER_TEXT, input_dim=st.integers(1, 3))
+def test_any_scaler_text_loads_or_is_data_error(scaler_dir, text, input_dim):
+    path = scaler_dir / "drawn.txt"
+    path.write_bytes(text)
+    try:
+        loaded = _load_scaler(path, input_dim)
+    except DataError:
+        return
+    assert loaded.mean.shape == loaded.std.shape == (input_dim,)

@@ -39,7 +39,7 @@ from gradframe.shift import (
     shapley_attribution,
 )
 from gradframe.rng import derive_seed, rng_for
-from gradframe.training import TrainConfig, fit_domain
+from gradframe.training import TrainConfig, fit_domain, fit_minibatch, fit_pooled
 
 
 def broadcast_kde_log_density(model, query):
@@ -156,6 +156,58 @@ class TestKde:
         assert model.bandwidth[0] == 1e-3
 
 
+class TestLogsumexpRows:
+    """``_logsumexp_rows`` against scipy's ``logsumexp(a, axis=1)``, the reference, bit for bit."""
+
+    @staticmethod
+    def assert_matches_scipy(a):
+        got = shift._logsumexp_rows(a)
+        assert got.shape == (a.shape[0],)
+        assert np.array_equal(got, logsumexp(a, axis=1))
+
+    def test_random_kde_blocks(self, rng):
+        # the shapes and ranges of kde_log_density's blocks: -0.5 * scaled squared distances
+        for scale in (0.01, 1.0, 40.0):
+            self.assert_matches_scipy(-0.5 * scale * rng.chisquare(6, size=(10, 1500)))
+
+    def test_random_signed_blocks(self, rng):
+        self.assert_matches_scipy(rng.normal(scale=50.0, size=(10, 1500)))
+
+    def test_tied_maxima(self, rng):
+        a = rng.normal(size=(4, 40))
+        a[:, [3, 17, 39]] = a.max(axis=1, keepdims=True) + 1.0  # three-way ties
+        a[3] = -2.5  # every entry tied
+        self.assert_matches_scipy(a)
+
+    def test_every_other_term_underflows(self):
+        # exp(a - a_max) is 0 off the maximum, so s == 0 and s / m is skipped
+        a = np.full((3, 25), -1e4)
+        a[0, 4] = 0.0
+        a[1, 0] = -3.0
+        a[2, :2] = 5.0  # a tie whose other terms all underflow
+        self.assert_matches_scipy(a)
+        assert np.array_equal(shift._logsumexp_rows(a), [0.0, -3.0, 5.0 + np.log(2.0)])
+
+    def test_rows_of_minus_infinity(self, rng):
+        a = rng.normal(size=(4, 30))
+        a[1] = -np.inf
+        a[2, ::2] = -np.inf
+        a[3] = -np.inf
+        self.assert_matches_scipy(a)
+        got = shift._logsumexp_rows(a)
+        assert got[1] == got[3] == -np.inf and np.isfinite(got[[0, 2]]).all()
+
+    def test_overflowing_query_is_minus_infinity_as_in_the_oracle(self, rng):
+        # every squared difference overflows to inf, so every kernel term is -inf
+        model = kde_fit(rng.normal(10.0, 2.0, size=(50, 2)))
+        query = np.array([1e200, 0.0])
+        with np.errstate(over="ignore"):
+            got = kde_log_density(model, query)
+            ref = broadcast_kde_log_density(model, query)[0]
+        assert ref == -np.inf
+        assert got == ref
+
+
 class TestCovariateShiftRatio:
     def test_identity_augmentation_gives_zero(self):
         src = simulation_source(0)
@@ -230,6 +282,17 @@ class TestConceptShiftDelta:
         )
         deltas = concept_shift_delta(src, fict, cfg)
         assert np.all((deltas >= 0.0) & (deltas <= 1.0))
+
+    def test_fitted_models_give_the_default_path_bit_for_bit(self):
+        src = simulation_source(4)
+        cfg = TrainConfig(seed=4, beta=0.01, epochs=30, batch_size=64, pretrain_epochs=10)
+        fict = generate_fictitious_set(
+            src, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5, max_steps=5), cfg
+        )
+        model_cfg = replace(cfg, seed=derive_seed(cfg.seed, "concept"))
+        models = (fit_pooled(src, model_cfg), fit_minibatch(fict.x_star, fict.y_star, model_cfg))
+        given = concept_shift_delta(src, fict, cfg, models=models)
+        assert given.tobytes() == concept_shift_delta(src, fict, cfg).tobytes()
 
     def test_single_class_fictitious_warns(self):
         src = DomainSet((separable_blobs("A", seed=2, n_per_blob=15),))
