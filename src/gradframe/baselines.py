@@ -97,7 +97,8 @@ def train_groupdro(
     A step whose reweighting is not finite (``exp`` overflows for a large
     ``eta``) raises ``NumericError``.
     """
-    state = GroupDroState(q=np.full(ds.k, 1.0 / ds.k), eta=eta)
+    # the state checks eta and the starting weights once; each step checks its own q
+    q = GroupDroState(q=np.full(ds.k, 1.0 / ds.k), eta=eta).q
     xs = [d.feature_matrix() for d in ds.domains]
     ys = [d.label_vector() for d in ds.domains]
     steps_per_epoch = max(int(np.ceil(max(len(x) for x in xs) / cfg.batch_size)), 1)
@@ -113,7 +114,7 @@ def train_groupdro(
             yield tuple(order[take % len(order)][None] for order in orders)
 
     def weighted_grad(buffers, idxs):
-        nonlocal state, step_no
+        nonlocal q, step_no
         ws = buffers.workspace(cfg.batch_size)
         losses = np.empty(ds.k)
         for i, (x, y, idx) in enumerate(zip(xs, ys, idxs)):
@@ -121,17 +122,16 @@ def train_groupdro(
             buffers.mean_bce_grad(ws, domain_views[i])
             losses[i] = ws.mean_bce()
         with np.errstate(over="ignore", invalid="ignore"):
-            q = state.q * np.exp(state.eta * losses)
+            q = q * np.exp(eta * losses)
             q = q / q.sum()
         if not np.isfinite(q).all():
             raise NumericError(
                 f"GroupDRO group weights are not finite at step {step_no + 1} "
-                f"(eta {state.eta}, domain losses {losses.tolist()})"
+                f"(eta {eta}, domain losses {losses.tolist()})"
             )
-        state = GroupDroState(q=q, eta=state.eta)
         step_no += 1
         if on_step is not None:
-            on_step(step_no, state.q.copy(), losses.copy())
+            on_step(step_no, q.copy(), losses.copy())
         buffers.grad.fill(0.0)
         for qi, g in zip(q, domain_grads):
             g *= qi

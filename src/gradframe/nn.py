@@ -144,15 +144,6 @@ class MlpModel:
     def rep_dim(self) -> int:
         return self.layer_dims[self.rep_layer_index]
 
-    def with_params(
-        self, weights: tuple[np.ndarray, ...], biases: tuple[np.ndarray, ...]
-    ) -> "MlpModel":
-        old = [a.shape for a in (*self.weights, *self.biases)]
-        new = [np.shape(a) for a in (*weights, *biases)]
-        if new != old:
-            raise ShapeError(f"parameter shapes {new} do not match the model's {old}")
-        return MlpModel(self.layer_dims, flatten_params(weights, biases), self.rep_layer_index)
-
 
 def init_mlp(layer_dims: list[int] | tuple[int, ...], rep_layer_index: int, seed: int) -> MlpModel:
     """Build a model with seeded uniform init in +-sqrt(6 / (fan_in + fan_out))."""

@@ -13,6 +13,12 @@ import hashlib
 
 import numpy as np
 
+# numpy 2 loads its random and masked-array modules on first attribute access.
+# Loading them here keeps that cost in start-up, out of the commands' work:
+# every command draws from a Generator, and ``np.unique`` reaches ``numpy.ma``.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 
 def derive_seed(master: int, *path: str | int) -> int:
     """Stable 63-bit child seed for (master, path)."""

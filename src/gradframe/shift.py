@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from .core import FictitiousSet
 from .data import Domain, DomainSet, split_into_k_domains, write_json
@@ -80,6 +79,49 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
     return out
+
+
+# scipy's ``kolmogorov`` constants: up to pi / sqrt(-8 MIN_LOG) (about 0.0417) the
+# survival function is 1.0 in doubles, ``MIN_LOG`` being log(DBL_MIN); the series
+# switches form at ``_KOLMOG_CUTOVER``.
+_MIN_LOG = -708.3964185322641
+_KOLMOG_CUTOVER = 0.82
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """``scipy.special.kolmogorov(x)``, the Kolmogorov survival function, bit for bit.
+
+    The same operations in the same order as scipy 1.17.1's, in Python floats:
+    at or below the cut-over the theta-function form
+    ``sqrt(2 pi)/x * u * (1 + u^8 + u^24 + u^48)`` with ``u = exp(-pi^2/(8 x^2))``
+    and ``sf = 1 - P``; above it the alternating series
+    ``2 v (1 - v^3 (1 - v^5 (1 - v^7)))`` with ``v = exp(-2 x^2)``.
+    """
+    if math.isnan(x):
+        return math.nan
+    if x <= math.pi / math.sqrt(-_MIN_LOG * 8):  # every x <= 0 too
+        return 1.0
+    p = 1.0
+    if x <= _KOLMOG_CUTOVER:
+        w = math.sqrt(2 * math.pi) / x
+        logu8 = -math.pi * math.pi / (x * x)  # log(u^8)
+        # past the 1.0 region logu8 / 8 > MIN_LOG, so u never underflows to 0 and
+        # scipy's branch for u == 0 is left out
+        u = math.exp(logu8 / 8)
+        u8 = math.exp(logu8)
+        p = 1 + u8**3 * p
+        p = 1 + u8 * u8 * p
+        p = 1 + u8 * p
+        p = w * u * p
+        sf = 1 - p
+    else:
+        v = math.exp(-2 * x * x)
+        vsq = v * v
+        v3 = v**3
+        for vpwr in (v3 * v3 * v, v3 * vsq, v3):
+            p = 1 - vpwr * p
+        sf = 2 * v * p
+    return min(max(sf, 0.0), 1.0)
 
 
 def kde_log_density(model: KdeModel, query: np.ndarray) -> float | np.ndarray:
@@ -263,7 +305,7 @@ def ks_two_sample(a, b) -> KsResult:
     cdf_b = np.searchsorted(b, everything, side="right") / b.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     effective = a.size * b.size / (a.size + b.size)
-    p = float(kolmogorov(math.sqrt(effective) * d))
+    p = _kolmogorov_sf(math.sqrt(effective) * d)
     return KsResult(statistic=d, p_value=p)
 
 

@@ -7,7 +7,13 @@ import pytest
 
 from gradframe.core import FictitiousSet
 from gradframe.data import Boundary, Domain, GaussianSpec, generate_gaussian_domain
-from gradframe.nn import MlpModel, bce_loss_batch, flatten_params, init_mlp, representations_batch
+from gradframe.nn import (
+    MlpModel,
+    bce_loss_batch,
+    flatten_params,
+    param_count,
+    representations_batch,
+)
 
 
 def build_model(weights, biases, rep_layer_index=1) -> MlpModel:
@@ -19,11 +25,8 @@ def build_model(weights, biases, rep_layer_index=1) -> MlpModel:
 
 
 def zero_model(layer_dims, rep_layer_index=1) -> MlpModel:
-    m = init_mlp(layer_dims, rep_layer_index, seed=0)
-    return m.with_params(
-        tuple(np.zeros_like(w) for w in m.weights),
-        tuple(np.zeros_like(b) for b in m.biases),
-    )
+    dims = tuple(layer_dims)
+    return MlpModel(dims, np.zeros(param_count(dims)), rep_layer_index)
 
 
 def one_row_bce(model: MlpModel, x, y) -> float:
@@ -42,7 +45,7 @@ def constant_prob_model(p1: float, input_dim: int = 2) -> MlpModel:
     biases = list(m.biases)
     logit = np.log(p1 / (1.0 - p1))
     biases[-1] = np.array([0.0, logit])
-    return m.with_params(m.weights, tuple(biases))
+    return build_model(m.weights, biases)
 
 
 def separable_blobs(domain_id: str, seed: int, n_per_blob: int = 60) -> Domain:
@@ -104,8 +107,8 @@ def fd_param_grads(loss_fn, model: MlpModel, h: float = 1e-5):
                 ws_m = list(model.weights)
                 ws_m[k] = wm
                 g[i, j] = (
-                    loss_fn(model.with_params(tuple(ws_p), model.biases))
-                    - loss_fn(model.with_params(tuple(ws_m), model.biases))
+                    loss_fn(build_model(ws_p, model.biases, model.rep_layer_index))
+                    - loss_fn(build_model(ws_m, model.biases, model.rep_layer_index))
                 ) / (2 * h)
         g_w.append(g)
     g_b = []
@@ -121,8 +124,8 @@ def fd_param_grads(loss_fn, model: MlpModel, h: float = 1e-5):
             bs_m = list(model.biases)
             bs_m[k] = bm
             g[i] = (
-                loss_fn(model.with_params(model.weights, tuple(bs_p)))
-                - loss_fn(model.with_params(model.weights, tuple(bs_m)))
+                loss_fn(build_model(model.weights, bs_p, model.rep_layer_index))
+                - loss_fn(build_model(model.weights, bs_m, model.rep_layer_index))
             ) / (2 * h)
         g_b.append(g)
     return g_w, g_b

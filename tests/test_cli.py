@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import model_text
 
+import gradframe
 from gradframe.cli import _load_scaler, _save_scaler, main
 from gradframe.data import Boundary, Standardization, label_by_boundary, load_csv_dataset
 from gradframe.errors import DataError
@@ -212,23 +215,22 @@ output.dir = {out}
         assert sizes == stacks
 
 
-class TestSelectK:
-    def test_table_rows_match_candidates(self, tmp_path):
-        rng = np.random.default_rng(0)
-        rows = ["x0,x1,label,month"]
-        for month in range(1, 7):
-            for _ in range(8):
-                x = rng.normal(size=2)
-                label = int(x[0] + x[1] > 0)
-                if month >= 4:
-                    label = 1 - label
-                rows.append(f"{x[0]},{x[1]},{label},{month}")
-        data = tmp_path / "keyed.csv"
-        data.write_text("\n".join(rows) + "\n")
-        out = tmp_path / "selk"
-        cfg = write_cfg(
-            tmp_path / "c.cfg",
-            f"""
+def keyed_csv(path: Path) -> Path:
+    """A two-feature CSV with a six-value ``month`` key whose labels flip from month 4."""
+    rng = np.random.default_rng(0)
+    rows = ["x0,x1,label,month"]
+    for month in range(1, 7):
+        for _ in range(8):
+            x = rng.normal(size=2)
+            label = int(x[0] + x[1] > 0)
+            if month >= 4:
+                label = 1 - label
+            rows.append(f"{x[0]},{x[1]},{label},{month}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+TINY_SELECT_K = """
 dataset.kind = csv
 data.source_csv = {data}
 csv.feature_columns = x0,x1
@@ -239,14 +241,65 @@ select_k.m_samples = 8
 train.epochs = 10
 train.batch_size = 16
 output.dir = {out}
-""",
-        )
+"""
+
+
+class TestSelectK:
+    def test_table_rows_match_candidates(self, tmp_path):
+        out = tmp_path / "selk"
+        body = TINY_SELECT_K.format(data=keyed_csv(tmp_path / "keyed.csv"), out=out)
+        cfg = write_cfg(tmp_path / "c.cfg", body)
         assert main(["select-k", "--config", str(cfg)]) == 0
         table_lines = (out / "k_table.csv").read_text().splitlines()
         assert table_lines[0] == "k,avg_p_value"
         assert len(table_lines) == 3
         selection = json.loads((out / "selection.json").read_text())
         assert selection["best_k"] in (2, 3)
+
+
+# Run in a fresh interpreter: import the CLI, then diff ``sys.modules`` around each
+# ``main`` call.  Prints one JSON object: the scipy modules the import loaded, and per
+# command its exit code and the numpy or scipy modules its ``main`` loaded.
+IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+import gradframe.cli
+loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for cfg in sys.argv[1:]:
+    command = Path(cfg).stem
+    before = set(sys.modules)
+    code = gradframe.cli.main([command, "--config", cfg])
+    new = set(sys.modules) - before
+    loaded[command] = [code, sorted(m for m in new if m.split(".")[0] in ("numpy", "scipy"))]
+print(json.dumps(loaded))
+"""
+
+
+class TestImportCost:
+    def test_cli_loads_no_scipy_and_commands_load_no_numpy_module(self, tmp_path):
+        """Importing the CLI loads no scipy, and each command's ``main`` loads no numpy or
+        scipy module: their import cost stays out of the commands' work."""
+        tiny = TINY_TRAIN.format(method="gradframe", out="{out}")
+        bodies = {
+            "train": tiny,
+            "compare": tiny + "compare.methods = erm,mixup,groupdro,gradframe\nseeds = 0\n",
+            "shift-report": tiny,
+            "select-k": TINY_SELECT_K.format(data=keyed_csv(tmp_path / "k.csv"), out="{out}"),
+        }
+        cfgs = [
+            str(write_cfg(tmp_path / f"{cmd}.cfg", body.format(out=tmp_path / cmd)))
+            for cmd, body in bodies.items()
+        ]
+        src = str(Path(gradframe.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *cfgs],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": ""},
+            check=True,
+        )
+        loaded = json.loads(run.stdout)
+        assert loaded == {"import": [], **{cmd: [0, []] for cmd in bodies}}
 
 
 class TestLodoCommand:

@@ -128,7 +128,7 @@ class TestForward:
 
     def test_zero_scaled_input_matches_zero_vector(self):
         m = init_mlp([3, 4, 2], 1, seed=5)
-        m = m.with_params(m.weights, tuple(np.zeros_like(b) for b in m.biases))
+        m = build_model(m.weights, [np.zeros_like(b) for b in m.biases])
         x = np.array([2.0, -1.0, 0.5])
         assert one_row_prob(m, 0.0 * x) == one_row_prob(m, np.zeros(3))
 
@@ -147,9 +147,7 @@ class TestForward:
     def test_probability_sanity_after_clamp(self, rng):
         for trial in range(20):
             m = init_mlp([2, 3, 2], 1, seed=trial)
-            big = m.with_params(
-                tuple(50.0 * w for w in m.weights), m.biases
-            )
+            big = build_model([50.0 * w for w in m.weights], m.biases)
             x = rng.normal(scale=1e6, size=2)
             p1 = one_row_prob(big, x)
             assert P_MIN <= p1 <= 1.0 - P_MIN
@@ -167,7 +165,7 @@ class TestForward:
         z = one_row_rep(m, x)
         weights = list(m.weights)
         weights[2] = weights[2] + 10.0  # above the rep layer
-        m2 = m.with_params(tuple(weights), m.biases)
+        m2 = build_model(weights, m.biases, m.rep_layer_index)
         assert np.array_equal(one_row_rep(m2, x), z)
 
 
@@ -182,7 +180,7 @@ class TestBceLoss:
         x = np.array([1.0, 1.0])
         losses = []
         for scale in (1.0, 2.0, 4.0, 8.0):
-            m = base.with_params(tuple(scale * w for w in base.weights), base.biases)
+            m = build_model([scale * w for w in base.weights], base.biases)
             # fix the label at the model's preferred class so scaling saturates it
             losses.append(one_row_bce(m, x, 1))
         if one_row_prob(base, x) > 0.5:

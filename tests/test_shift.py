@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import kolmogorov, logsumexp
 
 from conftest import (
     build_model,
@@ -486,6 +486,62 @@ class TestKsTwoSample:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             ks_two_sample([], [1.0])
+
+
+class TestKolmogorovSf:
+    """``_kolmogorov_sf`` against scipy's ``kolmogorov``, the reference, bit for bit."""
+
+    CUT_OFF = math.pi / math.sqrt(-shift._MIN_LOG * 8)
+
+    @staticmethod
+    def assert_matches_scipy(xs):
+        xs = np.asarray(xs, dtype=np.float64)
+        got = np.array([shift._kolmogorov_sf(float(x)) for x in xs])
+        ref = kolmogorov(xs)
+        same = (got.view(np.uint64) == ref.view(np.uint64)) | (np.isnan(got) & np.isnan(ref))
+        assert same.all(), xs[~same]
+
+    @staticmethod
+    def neighbours(x, count=40):
+        out = [x]
+        below = above = x
+        for _ in range(count):
+            below = np.nextafter(below, -np.inf)
+            above = np.nextafter(above, np.inf)
+            out += [below, above]
+        return out
+
+    def test_dense_grid(self):
+        self.assert_matches_scipy(np.arange(0.0, 8.0, 1e-4))
+
+    def test_random_points(self, rng):
+        self.assert_matches_scipy(rng.uniform(0.0, 3.0, size=20000))
+        self.assert_matches_scipy(rng.exponential(1.0, size=20000))
+
+    def test_neighbours_of_the_branch_points(self):
+        self.assert_matches_scipy(self.neighbours(shift._KOLMOG_CUTOVER))
+        self.assert_matches_scipy(self.neighbours(self.CUT_OFF))
+
+    def test_where_scipy_would_underflow_u(self):
+        # u = exp(-pi^2 / (8 x^2)) is 0 only for x below about 0.0407, under the
+        # cut-off, so there the result is 1.0 and the port drops scipy's u == 0 branch
+        xs = [0.0406, 0.04065, 0.0407, self.CUT_OFF]
+        assert all(math.exp(-math.pi * math.pi / (x * x) / 8) == 0 for x in xs[:2])
+        self.assert_matches_scipy(xs)
+        above = float(np.nextafter(self.CUT_OFF, np.inf))
+        assert math.exp(-math.pi * math.pi / (above * above) / 8) > 0
+
+    def test_special_values(self):
+        self.assert_matches_scipy([0.0, -0.0, -1e-300, -1.0, -np.inf, 5e-324, np.inf, 1e10])
+        assert math.isnan(shift._kolmogorov_sf(math.nan))
+
+    def test_ks_two_sample_p_value(self, rng):
+        for n1, n2, loc in [(5, 7, 0.0), (80, 90, 0.7), (300, 40, 0.2), (64, 64, 2.0)]:
+            a = rng.normal(size=n1)
+            b = rng.normal(loc=loc, size=n2)
+            r = ks_two_sample(a, b)
+            en = n1 * n2 / (n1 + n2)
+            assert r.p_value == float(kolmogorov(math.sqrt(en) * r.statistic))
 
 
 class TestSelectDomainCount:
