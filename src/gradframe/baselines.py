@@ -9,9 +9,9 @@ import numpy as np
 
 from .data import DomainSet
 from .errors import ConfigError, DataError, NumericError
-from .nn import MlpModel, param_count, param_views
+from .nn import MlpModel, Workspace, param_count, param_views
 from .rng import rng_for
-from .training import TrainConfig, descend, fit_pooled, shuffled_batches
+from .training import TrainConfig, descend, fit_minibatch, shuffled_batches
 
 
 @dataclass(frozen=True)
@@ -32,24 +32,16 @@ class MixupConfig:
             raise ConfigError(f"fixed_lambda must lie in [0, 1], got {self.fixed_lambda}")
 
 
-@dataclass
-class GroupDroState:
-    """Current group weights (a probability vector over domains) and their step size."""
-
-    q: np.ndarray
-    eta: float
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=np.float64)
-        if not np.isfinite(self.q).all() or np.any(self.q < 0) or abs(self.q.sum() - 1.0) > 1e-9:
-            raise ConfigError(f"group weights must be a probability vector, got {self.q}")
-        if not (np.isfinite(self.eta) and self.eta >= 0):
-            raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
+def check_groupdro_eta(eta: float) -> None:
+    """GroupDRO's step-size rule: ``eta`` finite and >= 0, else ``ConfigError``."""
+    if not (np.isfinite(eta) and eta >= 0):
+        raise ConfigError(f"eta must be finite and >= 0, got {eta}")
 
 
 def train_erm(ds: DomainSet, cfg: TrainConfig) -> MlpModel:
     """Minibatch training on all source domains pooled together."""
-    return fit_pooled(ds, cfg)
+    pooled = ds.pooled()
+    return fit_minibatch(pooled.x, pooled.y, cfg)
 
 
 def draw_lambdas(mixup: MixupConfig, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -77,7 +69,7 @@ def train_mixup(ds: DomainSet, cfg: TrainConfig, mixup: MixupConfig) -> MlpModel
         np.add(lam[:, 0] * y[idx], (1.0 - lam[:, 0]) * y[partners], out=ws.y[0])
         if not np.isfinite(ws.x).all():
             raise DataError("non-finite value in model input")
-        buffers.mean_bce_grad(ws)
+        ws.mean_bce_grad(buffers.weights, buffers.biases, buffers.grads)
 
     epoch = shuffled_batches(np.arange(n)[None], cfg.batch_size)
     return descend(x.shape[1], cfg, [cfg.seed], epoch, mixed_grad)[0]
@@ -97,30 +89,29 @@ def train_groupdro(
     A step whose reweighting is not finite (``exp`` overflows for a large
     ``eta``) raises ``NumericError``.
     """
-    # the state checks eta and the starting weights once; each step checks its own q
-    q = GroupDroState(q=np.full(ds.k, 1.0 / ds.k), eta=eta).q
-    xs = [d.feature_matrix() for d in ds.domains]
-    ys = [d.label_vector() for d in ds.domains]
-    steps_per_epoch = max(int(np.ceil(max(len(x) for x in xs) / cfg.batch_size)), 1)
+    check_groupdro_eta(eta)
+    q = np.full(ds.k, 1.0 / ds.k)
+    pooled = ds.pooled()
+    sizes = [len(d) for d in ds.domains]
+    starts = np.cumsum([0, *sizes[:-1]])
+    steps_per_epoch = max(int(np.ceil(max(sizes) / cfg.batch_size)), 1)
     step_no = 0
     dims = cfg.layer_dims(ds.feature_dim)
-    domain_grads = np.empty((ds.k, 1, param_count(dims)))  # a stack of one per domain
-    domain_views = [param_views(dims, g) for g in domain_grads]
+    ws = Workspace(dims, (ds.k, cfg.batch_size))  # one row block per domain
+    domain_grads = np.empty((ds.k, param_count(dims)))
+    views = param_views(dims, domain_grads)
 
     def epoch(shuffles):
-        orders = [shuffles[0].permutation(len(x)) for x in xs]
+        orders = [start + shuffles[0].permutation(n) for start, n in zip(starts, sizes)]
         for s in range(steps_per_epoch):
             take = np.arange(s * cfg.batch_size, (s + 1) * cfg.batch_size)
-            yield tuple(order[take % len(order)][None] for order in orders)
+            yield np.stack([order[take % len(order)] for order in orders])
 
-    def weighted_grad(buffers, idxs):
+    def weighted_grad(buffers, idx):
         nonlocal q, step_no
-        ws = buffers.workspace(cfg.batch_size)
-        losses = np.empty(ds.k)
-        for i, (x, y, idx) in enumerate(zip(xs, ys, idxs)):
-            ws.gather(x, y, idx)
-            buffers.mean_bce_grad(ws, domain_views[i])
-            losses[i] = ws.mean_bce()
+        ws.gather(pooled.x, pooled.y, idx)
+        ws.mean_bce_grad(buffers.weights, buffers.biases, views)
+        losses = ws.mean_bce()
         with np.errstate(over="ignore", invalid="ignore"):
             q = q * np.exp(eta * losses)
             q = q / q.sum()

@@ -42,6 +42,7 @@ from .data import (
     save_csv_domain,
     simulation_source,
     simulation_target,
+    standardize,
     write_json,
 )
 from .errors import ConfigError, DataError, GradframeError, NumericError, ShapeError
@@ -92,9 +93,7 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | No
         if cfg.target_csv:
             target = load_csv_dataset(cfg.target_csv, cfg.csv_schema).pooled("target")
     if cfg.standardize:
-        from .data import standardize as _standardize
-
-        source = _standardize(source)
+        source = standardize(source)
         if target is not None:
             target = apply_standardization(target, source.standardization)
     return source, target

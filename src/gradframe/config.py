@@ -17,7 +17,7 @@ from itertools import product
 from pathlib import Path
 from typing import Callable
 
-from .baselines import GroupDroState, MixupConfig
+from .baselines import MixupConfig, check_groupdro_eta
 from .core import AscentConfig, PenaltyParams
 from .data import Boundary, CsvSchema, read_text
 from .errors import ConfigError
@@ -261,8 +261,7 @@ class ExperimentConfig:
         for pair in grid_pairs:
             _build("grid.*", PenaltyParams, *pair)
         train = _build("train.*", TrainConfig, seed=p["seed"], **_section(p, "train."))
-        # GroupDRO's own check, on a stand-in group
-        _build("groupdro.eta", GroupDroState, q=(1.0,), eta=p["groupdro.eta"])
+        _build("groupdro.eta", check_groupdro_eta, p["groupdro.eta"])
         return cls(
             values=values,
             dataset_kind=p["dataset.kind"],

@@ -206,7 +206,7 @@ def pretrain_domain_models(ds: DomainSet, cfg: TrainConfig) -> dict[str, MlpMode
     """One model per domain, each trained only on its own domain.
 
     Domains of equal size train as one stack (``fit_stack``); every model is
-    bit for bit the one ``fit_domain`` gives for its domain alone.
+    bit for bit the one ``fit_minibatch`` gives for its domain alone.
     """
     if ds.k < 2:
         raise ConfigError(

@@ -15,7 +15,7 @@ from .data import Domain, DomainSet
 from .errors import ConfigError, DataError, NumericError
 from .nn import MlpModel, bce_loss_batch, probs_batch
 from .rng import derive_seed, rng_for
-from .training import TrainConfig, fit_domain
+from .training import TrainConfig, fit_minibatch
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def split_domain(domain: Domain, fraction: float, seed: int) -> tuple[Domain, Do
 def counterfactual_in_domain(domain: Domain, split_fraction: float, cfg: TrainConfig) -> EvalReport:
     """Train on a seeded fraction of the domain and evaluate on the remainder."""
     train_dom, test_dom = split_domain(domain, split_fraction, cfg.seed)
-    model = fit_domain(train_dom, cfg)
+    model = fit_minibatch(train_dom.x, train_dom.y, cfg)
     return evaluate(model, test_dom)
 
 
@@ -154,16 +154,21 @@ class LodoRow:
     auroc: float
 
 
+def _mean_by_pair(rows) -> dict[tuple[float, float], float]:
+    """Mean held-out AUROC of each (gamma1, gamma2) pair, in first-seen order."""
+    sums: dict[tuple[float, float], list[float]] = {}
+    for row in rows:
+        sums.setdefault((row.gamma1, row.gamma2), []).append(row.auroc)
+    return {pair: float(np.mean(v)) for pair, v in sums.items()}
+
+
 @dataclass(frozen=True)
 class LodoResult:
     best: PenaltyParams
     rows: tuple[LodoRow, ...]
 
     def mean_by_pair(self) -> dict[tuple[float, float], float]:
-        sums: dict[tuple[float, float], list[float]] = {}
-        for row in self.rows:
-            sums.setdefault((row.gamma1, row.gamma2), []).append(row.auroc)
-        return {pair: float(np.mean(v)) for pair, v in sums.items()}
+        return _mean_by_pair(self.rows)
 
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)
@@ -208,7 +213,6 @@ def lodo_cv_search(
             model, _ = train_gradframe(rest, gammas, ascent_cfg, fold_cfg)
             score = auroc(probs_batch(model, fold.feature_matrix()), fold.label_vector())
             rows.append(LodoRow(gamma1=g1, gamma2=g2, fold_domain=fold.id, auroc=score))
-    result = LodoResult(best=PenaltyParams(*pairs[0]), rows=tuple(rows))
-    means = result.mean_by_pair()
+    means = _mean_by_pair(rows)
     best_pair = min(means, key=lambda pair: (-means[pair], pair[0], pair[1]))
     return LodoResult(best=PenaltyParams(*best_pair), rows=tuple(rows))

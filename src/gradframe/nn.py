@@ -28,7 +28,8 @@ The arithmetic runs in place on the buffers of a ``Workspace`` and in
 ``adam_update``, the one Adam step.  The public functions hand these kernels
 fresh buffers; only ``training.descend`` keeps its buffers for a whole fit.
 A ``Workspace`` and ``param_views`` also take a leading stack axis, so
-``descend`` runs M fits of the same shape through one kernel call per step.
+``descend`` runs M fits of the same shape through one kernel call per step,
+and GroupDRO runs its K domains' batches through one.
 """
 
 from __future__ import annotations
@@ -186,15 +187,16 @@ class Workspace:
     """Forward and backward buffers for a batch of inputs to a network of ``layer_dims``.
 
     ``shape`` is the batch's leading shape: ``(rows,)`` for one network, or
-    ``(M, rows)`` for a stack of M networks of the same dims, each with its
-    own rows and its own ``(M, fan_in, fan_out)`` weight slice.  Every buffer
-    has that leading shape.  ``acts[0]`` is the input and ``acts[k]`` the
-    layer-k activation; ``y`` holds the targets and ``p1`` the raw class-1
-    probabilities.  After ``score_grads``, ``deltas[n_layers]`` holds the
-    gradient at the output scores; ``backward`` fills ``deltas[k]`` with the
-    gradient at the layer-k activation on its way down (``deltas[0]`` is
-    unused).  A caller may hand over its own ``x`` and ``y``, which are only
-    read.
+    ``(M, rows)`` for a stack of M row blocks.  The blocks belong to M
+    networks of the same dims, each with its own ``(M, fan_in, fan_out)``
+    weight slice, or to one network whose ``(1, fan_in, fan_out)`` weights
+    broadcast over them.  Every buffer has that leading shape.  ``acts[0]``
+    is the input and ``acts[k]`` the layer-k activation; ``y`` holds the
+    targets and ``p1`` the raw class-1 probabilities.  After
+    ``score_grads``, ``deltas[n_layers]`` holds the gradient at the output
+    scores; ``backward`` fills ``deltas[k]`` with the gradient at the layer-k
+    activation on its way down (``deltas[0]`` is unused).  A caller may hand
+    over its own ``x`` and ``y``, which are only read.
     """
 
     def __init__(self, layer_dims: tuple[int, ...], shape: tuple[int, ...], x=None, y=None):
@@ -308,9 +310,9 @@ class Workspace:
         self.score_grads(mean=True)
         self.backward(weights, len(weights), grads)
 
-    def mean_bce(self) -> float:
-        """Mean BCE of the last ``forward``."""
-        return float(_bce(self._p1_flat, self._y_flat).mean())
+    def mean_bce(self) -> np.ndarray:
+        """Mean BCE of the last ``forward``, one per row block."""
+        return _bce(self.p1, self.y).mean(axis=-1)
 
 
 def _forward(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> Workspace:

@@ -1,8 +1,8 @@
 """The one training loop behind every model in the package, and its configuration.
 
 ``descend`` trains a stack of M fits at once; a single fit is a stack of one.
-``fit_stack`` groups fits that can share a descent, and ``fit_minibatch``,
-``fit_domain`` and ``fit_pooled`` are its one-fit cases.
+``fit_stack`` groups fits that can share a descent, and ``fit_minibatch`` is
+its one-fit case.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import Domain, DomainSet
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nn import MlpModel, Workspace, adam_update, check_architecture, init_mlp, param_views
 from .rng import derive_seed, rng_for
@@ -73,10 +72,6 @@ class DescentBuffers:
         if ws is None:
             ws = self._workspaces[rows] = Workspace(self.layer_dims, (len(self.params), rows))
         return ws
-
-    def mean_bce_grad(self, ws: Workspace, grads=None) -> None:
-        """Each fit's mean-BCE gradient on its rows of ``ws``, into ``grads`` or ``self.grads``."""
-        ws.mean_bce_grad(self.weights, self.biases, self.grads if grads is None else grads)
 
 
 def descend(
@@ -169,7 +164,7 @@ def _descend_stack(data: list[tuple[np.ndarray, np.ndarray]], cfg: TrainConfig, 
     def batch_grad(buffers, idx):
         ws = buffers.workspace(idx.shape[1])
         ws.gather(x_all, y_all, idx)
-        buffers.mean_bce_grad(ws)
+        ws.mean_bce_grad(buffers.weights, buffers.biases, buffers.grads)
 
     return descend(d, cfg, seeds, shuffled_batches(rows, cfg.batch_size), batch_grad)
 
@@ -209,11 +204,3 @@ def fit_minibatch(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
     """
     return fit_stack([x], [y], [cfg])[0]
 
-
-def fit_domain(domain: Domain, cfg: TrainConfig) -> MlpModel:
-    return fit_minibatch(domain.feature_matrix(), domain.label_vector(), cfg)
-
-
-def fit_pooled(ds: DomainSet, cfg: TrainConfig) -> MlpModel:
-    pooled = ds.pooled()
-    return fit_minibatch(pooled.feature_matrix(), pooled.label_vector(), cfg)

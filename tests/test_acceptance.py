@@ -26,7 +26,7 @@ from gradframe.evaluation import auroc, evaluate, lodo_cv_search
 from gradframe.nn import grad_input_batch, grad_params_batch, init_mlp, param_views, probs_batch
 from gradframe.rng import rng_for
 from gradframe.shift import concept_shift_delta, covariate_shift_ratio, ks_two_sample, shapley_attribution
-from gradframe.training import TrainConfig, fit_pooled
+from gradframe.training import TrainConfig
 
 
 # Canonical simulation protocol: full-batch Adam to saturation for the final
@@ -363,7 +363,7 @@ class TestCriterion11:
             )
             pooled = src.pooled()
             doubled = DomainSet((Domain("doubled", np.vstack([pooled.x] * 2), np.tile(pooled.y, 2)),))
-            erm_doubled = fit_pooled(doubled, cfg)
+            erm_doubled = gf.train_erm(doubled, cfg)
             for wa, wb in zip(model.weights, erm_doubled.weights):
                 matches = matches and wa.tobytes() == wb.tobytes()
             for ba, bb in zip(model.biases, erm_doubled.biases):

@@ -21,7 +21,7 @@ from gradframe.data import Domain, DomainSet, simulation_source
 from gradframe.errors import ConfigError, ShapeError
 from gradframe.nn import grad_input_batch, init_mlp, probs_batch, representations_batch
 from gradframe.rng import derive_seed, rng_for
-from gradframe.training import TrainConfig, fit_domain, fit_pooled
+from gradframe.training import TrainConfig, fit_minibatch
 
 
 def identity_rep_model():
@@ -229,7 +229,8 @@ class TestPretrain:
         assert list(models) == ["A", "B", "C"]
         for dom in ds.domains:
             seed = derive_seed(5, "pretrain", dom.id)
-            alone = fit_domain(dom, TrainConfig(seed=seed, beta=0.05, epochs=12, batch_size=16))
+            cfg = TrainConfig(seed=seed, beta=0.05, epochs=12, batch_size=16)
+            alone = fit_minibatch(dom.x, dom.y, cfg)
             assert models[dom.id].params.tobytes() == alone.params.tobytes()
 
     def test_single_domain_rejected(self):
@@ -337,7 +338,7 @@ class TestTrainGradframe:
         )
         pooled = src.pooled()
         doubled = Domain("doubled", np.vstack([pooled.x] * 2), np.tile(pooled.y, 2))
-        erm_doubled = fit_pooled(DomainSet((doubled,)), cfg)
+        erm_doubled = fit_minibatch(doubled.x, doubled.y, cfg)
         for wa, wb in zip(model.weights, erm_doubled.weights):
             assert wa.tobytes() == wb.tobytes()
         for ba, bb in zip(model.biases, erm_doubled.biases):

@@ -39,7 +39,7 @@ from gradframe.shift import (
     shapley_attribution,
 )
 from gradframe.rng import derive_seed, rng_for
-from gradframe.training import TrainConfig, fit_domain, fit_minibatch, fit_pooled
+from gradframe.training import TrainConfig, fit_minibatch
 
 
 def broadcast_kde_log_density(model, query):
@@ -290,7 +290,11 @@ class TestConceptShiftDelta:
             src, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5, max_steps=5), cfg
         )
         model_cfg = replace(cfg, seed=derive_seed(cfg.seed, "concept"))
-        models = (fit_pooled(src, model_cfg), fit_minibatch(fict.x_star, fict.y_star, model_cfg))
+        pooled = src.pooled()
+        models = (
+            fit_minibatch(pooled.x, pooled.y, model_cfg),
+            fit_minibatch(fict.x_star, fict.y_star, model_cfg),
+        )
         given = concept_shift_delta(src, fict, cfg, models=models)
         assert given.tobytes() == concept_shift_delta(src, fict, cfg).tobytes()
 
@@ -319,7 +323,6 @@ class TestLikelihoodDifference:
 
     def test_within_domain_gap_below_cross_domain_gap(self):
         from gradframe.evaluation import split_domain
-        from gradframe.training import fit_domain
 
         src = simulation_source(3).pooled()
         half_a, half_b = split_domain(src, 0.5, seed=3)
@@ -329,9 +332,9 @@ class TestLikelihoodDifference:
         cfg = TrainConfig(seed=3, beta=0.01, epochs=80, batch_size=64)
         from dataclasses import replace
 
-        m_a = fit_domain(half_a, cfg)
-        m_b = fit_domain(half_b, replace(cfg, seed=301))
-        m_t = fit_domain(tgt, replace(cfg, seed=302))
+        m_a = fit_minibatch(half_a.x, half_a.y, cfg)
+        m_b = fit_minibatch(half_b.x, half_b.y, replace(cfg, seed=301))
+        m_t = fit_minibatch(tgt.x, tgt.y, replace(cfg, seed=302))
         within = likelihood_difference(m_a, m_b, src)
         cross = likelihood_difference(m_a, m_t, src)
         assert within < cross
@@ -424,7 +427,8 @@ class TestShapleyBatchOracle:
         for k in (2, 4):
             per_group = []
             for g_idx, group in enumerate(split_into_k_domains(dom, k, keys).domains):
-                model = fit_domain(group, replace(cfg, seed=derive_seed(cfg.seed, "selectk", k)))
+                group_cfg = replace(cfg, seed=derive_seed(cfg.seed, "selectk", k))
+                model = fit_minibatch(group.x, group.y, group_cfg)
                 baseline = group.feature_matrix().mean(axis=0)
                 seeds = [
                     derive_seed(cfg.seed, "selectk-shap", k, g_idx, i) for i in range(len(group))

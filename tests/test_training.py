@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradframe.baselines import MixupConfig, draw_lambdas, train_groupdro, train_mixup
-from gradframe import training
+from gradframe import nn, training
 from gradframe.data import Domain, DomainSet
 from gradframe.errors import ConfigError, DataError, NumericError, ShapeError
 from gradframe.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, P_MAX, P_MIN
@@ -278,20 +278,58 @@ class TestTrainMixupOracle:
         _assert_same_bytes(train_mixup(ds, cfg, mixup), ref_train_mixup(ds, cfg, mixup))
 
 
+# (domain count, hidden_dims, rep_layer_index, batch_size, steps per epoch, eta) of
+# GroupDRO runs on the first K of the 37-, 52- and 21-row domains.
+GROUPDRO_CASES = {
+    "three-domains-eta-0.01": (3, (4,), 1, 16, 4, 0.01),
+    "three-domains-eta-1": (3, (4,), 1, 16, 4, 1.0),
+    "two-hidden-layers": (3, (5, 3), 2, 16, 4, 0.01),
+    "batch-larger-than-every-domain": (3, (4,), 1, 64, 1, 0.01),
+    "two-domains": (2, (4,), 1, 16, 4, 0.01),
+}
+
+
 class TestTrainGroupDroOracle:
-    @pytest.mark.parametrize("eta", [0.01, 1.0])
-    def test_bit_identical_with_same_step_sequence(self, eta):
-        ds = _three_domains()
-        cfg = TrainConfig(beta=0.05, epochs=15, batch_size=16, seed=3, hidden_dims=(4,))
+    @pytest.mark.parametrize(
+        "k, hidden, rep, batch_size, steps_per_epoch, eta",
+        list(GROUPDRO_CASES.values()),
+        ids=list(GROUPDRO_CASES),
+    )
+    def test_bit_identical_with_same_step_sequence(
+        self, k, hidden, rep, batch_size, steps_per_epoch, eta
+    ):
+        ds = DomainSet(_three_domains().domains[:k])
+        cfg = TrainConfig(
+            beta=0.05, epochs=15, batch_size=batch_size, seed=3, hidden_dims=hidden, rep_layer_index=rep
+        )
         got_steps, want_steps = [], []
         model = train_groupdro(ds, cfg, eta=eta, on_step=lambda *a: got_steps.append(a))
         ref = ref_train_groupdro(ds, cfg, eta, lambda *a: want_steps.append(a))
         _assert_same_bytes(model, ref)
-        assert len(got_steps) == len(want_steps) == 15 * 4
+        assert len(got_steps) == len(want_steps) == 15 * steps_per_epoch
         for (s, q, losses), (s_ref, q_ref, losses_ref) in zip(got_steps, want_steps):
             assert s == s_ref
+            assert q.shape == losses.shape == (k,)
             assert q.tobytes() == q_ref.tobytes()
             assert losses.tobytes() == losses_ref.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_forward_per_step_whatever_k(self, monkeypatch, k):
+        """Every step runs the K domains' batches through one kernel call."""
+        forwards = []
+        forward = nn.Workspace.forward
+
+        def counting(self, *args):
+            forwards.append(self.acts[0].shape[0])
+            return forward(self, *args)
+
+        monkeypatch.setattr(nn.Workspace, "forward", counting)
+        ds = DomainSet(_three_domains().domains[:k])
+        cfg = TrainConfig(beta=0.05, epochs=3, batch_size=16, seed=3)
+        steps = []
+        train_groupdro(ds, cfg, eta=0.01, on_step=lambda *a: steps.append(a))
+        assert len(steps) == 3 * 4
+        assert forwards == [k] * len(steps)
 
 
 class TestTrainConfig:
