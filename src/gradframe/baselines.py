@@ -52,6 +52,16 @@ def draw_lambdas(mixup: MixupConfig, rng: np.random.Generator, n: int) -> np.nda
     return rng.beta(a, b, size=n)
 
 
+def _mix_rows(a, idx, partners, lam, rest, out, partner_buf) -> None:
+    """``lam * a[idx] + rest * a[partners]`` into ``out``: the expression's
+    operations, on buffers the caller keeps (``partner_buf`` is scratch)."""
+    a.take(idx, axis=0, out=out, mode="clip")
+    out *= lam
+    a.take(partners, axis=0, out=partner_buf, mode="clip")
+    partner_buf *= rest
+    out += partner_buf
+
+
 def train_mixup(ds: DomainSet, cfg: TrainConfig, mixup: MixupConfig) -> MlpModel:
     """Pooled minibatch training on convex combinations of random pairs."""
     pooled = ds.pooled()
@@ -59,14 +69,20 @@ def train_mixup(ds: DomainSet, cfg: TrainConfig, mixup: MixupConfig) -> MlpModel
     y = pooled.label_vector()
     n = x.shape[0]
     mix_rng = rng_for(mixup.seed, "mixup")
+    scratch = {}  # per batch row count: the partner rows, their labels and 1 - lam
 
     def mixed_grad(buffers, idx):
         idx = idx[0]  # the one fit's rows
-        ws = buffers.workspace(idx.shape[0])
-        partners = mix_rng.integers(0, n, size=idx.shape[0])
-        lam = draw_lambdas(mixup, mix_rng, idx.shape[0])[:, None]
-        np.add(lam * x[idx], (1.0 - lam) * x[partners], out=ws.x[0])
-        np.add(lam[:, 0] * y[idx], (1.0 - lam[:, 0]) * y[partners], out=ws.y[0])
+        rows = idx.shape[0]
+        ws = buffers.workspace(rows)
+        if rows not in scratch:
+            scratch[rows] = (np.empty((rows, x.shape[1])), np.empty(rows), np.empty(rows))
+        x_partner, y_partner, rest = scratch[rows]
+        partners = mix_rng.integers(0, n, size=rows)
+        lam = draw_lambdas(mixup, mix_rng, rows)
+        np.subtract(1.0, lam, out=rest)
+        _mix_rows(x, idx, partners, lam[:, None], rest[:, None], ws.x[0], x_partner)
+        _mix_rows(y, idx, partners, lam, rest, ws.y[0], y_partner)
         if not np.isfinite(ws.x).all():
             raise DataError("non-finite value in model input")
         ws.mean_bce_grad(buffers.weights, buffers.biases, buffers.grads)
@@ -101,11 +117,19 @@ def train_groupdro(
     domain_grads = np.empty((ds.k, param_count(dims)))
     views = param_views(dims, domain_grads)
 
+    # Step s takes positions start_k + (s * batch + j) % n_k of the epoch's order,
+    # which holds each domain's shuffled pooled rows in its own block.
+    take = np.arange(steps_per_epoch * cfg.batch_size).reshape(steps_per_epoch, 1, -1)
+    table = starts[:, None] + take % np.array(sizes)[:, None]
+    rows = np.arange(len(pooled))
+    order = np.empty_like(rows)
+
     def epoch(shuffles):
-        orders = [start + shuffles[0].permutation(n) for start, n in zip(starts, sizes)]
-        for s in range(steps_per_epoch):
-            take = np.arange(s * cfg.batch_size, (s + 1) * cfg.batch_size)
-            yield np.stack([order[take % len(order)] for order in orders])
+        np.copyto(order, rows)
+        for start, n in zip(starts, sizes):
+            # shuffling start + arange(n) in place draws start + permutation(n)
+            shuffles[0].shuffle(order[start : start + n])
+        return order.take(table)
 
     def weighted_grad(buffers, idx):
         nonlocal q, step_no
@@ -123,9 +147,8 @@ def train_groupdro(
         step_no += 1
         if on_step is not None:
             on_step(step_no, q.copy(), losses.copy())
-        buffers.grad.fill(0.0)
-        for qi, g in zip(q, domain_grads):
-            g *= qi
-            buffers.grad += g
+        # sums from +0.0 in domain order, as filling with 0.0 and adding each would
+        np.multiply(domain_grads, q[:, None], out=domain_grads)
+        np.add.reduce(domain_grads, axis=0, out=buffers.grad[0])
 
     return descend(ds.feature_dim, cfg, [cfg.seed], epoch, weighted_grad)[0]

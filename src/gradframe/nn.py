@@ -183,6 +183,12 @@ def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[:, 0], a[:, 1]
 
 
+# Layers up to this width add their bias with rows innermost.  From width 4
+# that is slower than the plain add (2-7x at width 8-64, timeit, numpy 2.4),
+# and at width 3 it is faster on one network but not on a stack.
+_ROWS_FIRST_MAX_WIDTH = 2
+
+
 class Workspace:
     """Forward and backward buffers for a batch of inputs to a network of ``layer_dims``.
 
@@ -197,6 +203,18 @@ class Workspace:
     scores; ``backward`` fills ``deltas[k]`` with the gradient at the layer-k
     activation on its way down (``deltas[0]`` is unused).  A caller may hand
     over its own ``x`` and ``y``, which are only read.
+
+    The bias steps are the costly part of a step on a narrow layer: numpy
+    walks a ``(rows, width)`` broadcast or row sum with the last axis
+    innermost, one short inner loop per row.  So a layer of width up to
+    ``_ROWS_FIRST_MAX_WIDTH`` adds its bias on a rows-first view with
+    ``order="F"`` (a stack is swapped to ``(rows, M, width)`` first), and
+    every layer wider than 1 sums its bias gradient with
+    ``einsum("...ij->...j")``.  Both keep each element's operations and
+    their order, so the bits are those of ``out + b`` and
+    ``d.sum(axis=-2)``.  A width-1 layer keeps ``d.sum(axis=-2)``: there
+    numpy coalesces the axes and sums each block pairwise, an order einsum
+    does not reproduce.
     """
 
     def __init__(self, layer_dims: tuple[int, ...], shape: tuple[int, ...], x=None, y=None):
@@ -215,7 +233,15 @@ class Workspace:
         self._row_max_flat = self.row_max.reshape(-1)
         self._p1_flat = self.p1.reshape(-1)
         self._y_flat = self.y.reshape(-1)
-        self._row_max_col = self.row_max[..., None]
+        # Per layer: the view the bias add runs on, its iteration order and
+        # whether a stack's biases swap to rows-first with it.
+        self._bias_adds = []
+        for out in (*self.acts[1:], self.scores):
+            narrow = out.shape[-1] <= _ROWS_FIRST_MAX_WIDTH
+            swap = narrow and len(shape) == 2
+            view = out.swapaxes(0, 1) if swap else out
+            self._bias_adds.append((view, "F" if narrow else "K", swap))
+        self._sum_pairwise = [width == 1 for width in layer_dims[1:]]
 
     # The backward buffers are made on first use, so forward-only calls skip them.
     @cached_property
@@ -247,6 +273,11 @@ class Workspace:
         x.take(rows, axis=0, out=self.acts[0], mode="clip")
         y.take(rows, out=self.y, mode="clip")
 
+    def _add_bias(self, k: int, b: np.ndarray) -> None:
+        """Add ``b`` to the pre-activations of layer ``k`` (the scores for -1)."""
+        view, order, swap = self._bias_adds[k]
+        np.add(view, b.swapaxes(0, 1) if swap else b, out=view, order=order)
+
     def forward(self, weights, biases) -> None:
         """Activations and raw class-1 probabilities of ``x``.
 
@@ -254,18 +285,19 @@ class Workspace:
         ``(width,)`` biases do, and a stack passes ``(M, 1, width)`` views.
         """
         h = self.acts[0]
-        for w, b, out in zip(weights, biases, self.acts[1:]):
+        for k, (w, b, out) in enumerate(zip(weights, biases, self.acts[1:])):
             np.matmul(h, w, out=out)
-            out += b
+            self._add_bias(k, b)
             np.maximum(out, 0.0, out=out)
             h = out
-        s = self.scores
-        np.matmul(h, weights[-1], out=s)
-        s += biases[-1]
-        np.maximum(*self._score_cols, out=self._row_max_flat)
-        s -= self._row_max_col
+        np.matmul(h, weights[-1], out=self.scores)
+        self._add_bias(-1, biases[-1])
+        s0, s1 = self._score_cols
+        np.maximum(s0, s1, out=self._row_max_flat)
+        np.subtract(s0, self._row_max_flat, out=s0)
+        np.subtract(s1, self._row_max_flat, out=s1)
         # out of place, as in the plain expression, so numpy picks the same exp loop
-        np.exp(s, out=self.exp)
+        np.exp(self.scores, out=self.exp)
         e0, e1 = self._exp_cols
         np.add(e0, e1, out=self._p1_flat)
         np.divide(e1, self._p1_flat, out=self._p1_flat)
@@ -299,7 +331,10 @@ class Workspace:
                 d *= self.masks[k]
             if grads is not None:
                 np.matmul(self._acts_t[k], d, out=grads[0][k])
-                d.sum(axis=-2, out=grads[1][k])
+                if self._sum_pairwise[k]:
+                    d.sum(axis=-2, out=grads[1][k])
+                else:
+                    np.einsum("...ij->...j", d, out=grads[1][k])
             if k > 0:
                 np.matmul(d, weights[k].swapaxes(-1, -2), out=self.deltas[k])
         return None if grads is not None else d @ weights[0].swapaxes(-1, -2)

@@ -148,6 +148,8 @@ def _check_fit_input(x, y) -> tuple[np.ndarray, np.ndarray]:
         )
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite value in model input")
+    if not np.all((y >= 0.0) & (y <= 1.0)):  # NaN fails both comparisons
+        raise DataError("labels must be finite and in [0, 1]")
     return x, y
 
 
@@ -198,9 +200,10 @@ def fit_minibatch(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
 
     Weight init and per-epoch batch order derive only from ``cfg.seed`` and
     the array length, so two callers handing over identical arrays and config
-    get bit-identical models.  ``x`` is checked once, here: it must be a
-    finite ``(n, d)`` matrix with ``n`` labels (``ShapeError``/``DataError``),
-    and every batch is a subset of its rows.  This is ``fit_stack`` of one.
+    get bit-identical models.  ``x`` and ``y`` are checked once, here: ``x``
+    must be a finite ``(n, d)`` matrix with ``n`` labels, each a finite value
+    in [0, 1] (``ShapeError``/``DataError``), and every batch is a subset of
+    its rows.  This is ``fit_stack`` of one.
     """
     return fit_stack([x], [y], [cfg])[0]
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from gradframe.model_io import load_model, save_model
 from gradframe.nn import (
     P_MIN,
     MlpModel,
+    Workspace,
     adam_update,
     bce_loss_batch,
     grad_input_batch,
@@ -251,6 +253,72 @@ class TestGradParams:
         duplicated = grad_params_batch(m, np.stack([x, x]), np.array([1.0, 1.0]))
         assert np.allclose(single, duplicated, atol=1e-15)
 
+
+
+# Row counts on both sides of numpy's pairwise-sum block sizes (8 and 128),
+# and a batch's extremes.
+GUARD_ROWS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 257, 400, 999, 1000)
+# (workspace lead shape, parameter lead shape): one network, stacks of 1-4
+# networks, and three row blocks that share one network, as GroupDRO's do.
+GUARD_LEADS = {
+    "one-network": ((), ()),
+    "stack-1": ((1,), (1,)),
+    "stack-2": ((2,), (2,)),
+    "stack-3": ((3,), (3,)),
+    "stack-4": ((4,), (4,)),
+    "three-blocks-shared": ((3,), (1,)),
+}
+
+
+class TestStepKernelBitsGuard:
+    """The step kernel's bias steps give the bits of the plain expressions.
+
+    The kernel adds biases in another iteration order and sums the bias
+    gradient of a layer wider than 1 with ``einsum``.  Both rely on numpy
+    keeping each element's operations and the row-by-row summation order of
+    ``d.sum(axis=-2)``.  If a numpy upgrade changes either, this fails before
+    any model does.
+    """
+
+    @staticmethod
+    def _kernel(lead, param_lead, width, rows, rng):
+        """A workspace on random inputs, random parameters and gradient views."""
+        dims = (3, width, 2)
+        ws = Workspace(dims, (*lead, rows))
+        ws.x[...] = rng.normal(size=ws.x.shape)
+        weights, biases = param_views(dims, rng.normal(size=(*param_lead, param_count(dims))))
+        if lead:
+            biases = tuple(b[:, None, :] for b in biases)  # broadcast over the rows
+        grads = param_views(dims, np.empty((*lead, param_count(dims))))
+        return ws, weights, biases, grads
+
+    @pytest.mark.parametrize("lead, param_lead", list(GUARD_LEADS.values()), ids=list(GUARD_LEADS))
+    def test_bias_gradient_is_the_row_sum(self, lead, param_lead):
+        rng = np.random.default_rng(0)
+        for width, rows in itertools.product(range(1, 9), GUARD_ROWS):
+            ws, weights, _, grads = self._kernel(lead, param_lead, width, rows, rng)
+            # every hidden unit active, so the ReLU mask keeps each delta as it is
+            ws.acts[1][...] = rng.uniform(0.5, 1.5, size=ws.acts[1].shape)
+            for top in (1, 2):  # the hidden layer's sum alone, then both layers'
+                d = rng.normal(size=ws.deltas[top].shape)
+                d[..., 0] = -0.0  # at width 1 the whole hidden delta
+                ws.deltas[top][...] = d
+                ws.backward(weights, top, grads)
+                for k in range(top):
+                    want = ws.deltas[k + 1].sum(axis=-2)
+                    assert grads[1][k].tobytes() == want.tobytes(), (width, rows, top, k)
+
+    @pytest.mark.parametrize("lead, param_lead", list(GUARD_LEADS.values()), ids=list(GUARD_LEADS))
+    def test_bias_add_is_the_plain_sum(self, lead, param_lead):
+        rng = np.random.default_rng(0)
+        for width, rows in itertools.product(range(1, 9), GUARD_ROWS):
+            ws, weights, biases, _ = self._kernel(lead, param_lead, width, rows, rng)
+            ws.forward(weights, biases)
+            hidden = np.maximum(np.matmul(ws.x, weights[0]) + biases[0], 0.0)
+            assert ws.acts[1].tobytes() == hidden.tobytes(), (width, rows)
+            scores = np.matmul(hidden, weights[1]) + biases[1]
+            scores -= scores.max(axis=-1, keepdims=True)
+            assert ws.scores.tobytes() == scores.tobytes(), (width, rows)
 
 
 class TestGradInput:

@@ -173,7 +173,8 @@ def _three_domains():
 
 # (rows, hidden_dims, rep_layer_index, batch_size) of fits run back to back in
 # one process; each must match its own reference fit.  "hidden0" is (2,) and
-# "hidden1" is (8, 4).
+# "hidden1" is (8, 4).  A width-1 layer is the one width at which numpy sums a
+# layer's bias gradient pairwise, so it has cases of its own.
 FIT_CASES = {
     "full-batch-hidden0-1": [(50, (2,), 1, 50)],
     "full-batch-hidden1-2": [(50, (8, 4), 2, 50)],
@@ -183,6 +184,9 @@ FIT_CASES = {
     "batch-larger-than-n": [(20, (2,), 1, 64)],
     "train-sim-shape": [(800, (2,), 1, 400)],
     "back-to-back-shapes": [(50, (8, 4), 2, 16), (33, (2,), 1, 32), (50, (8, 4), 2, 16)],
+    "width-1-hidden": [(50, (1,), 1, 16)],
+    "width-1-top-hidden": [(50, (4, 1), 2, 16)],
+    "width-1-full-batch": [(800, (1,), 1, 400), (800, (4, 1), 2, 400)],
 }
 
 
@@ -204,8 +208,14 @@ class TestFitMinibatchOracle:
             ([0.0, 1.0, 2.0], [0, 1, 0], ShapeError),
             (np.zeros((3, 0)), [0, 1, 0], ShapeError),
             ([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 1], ShapeError),
+            ([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, np.nan, 1], DataError),
+            ([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 1, np.inf], DataError),
+            ([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 2, 1], DataError),
         ],
-        ids=["nan-row", "one-dimensional", "zero-width", "label-count"],
+        ids=[
+            "nan-row", "one-dimensional", "zero-width", "label-count",
+            "nan-label", "inf-label", "label-above-one",
+        ],
     )
     def test_bad_input_rejected_before_any_step(self, monkeypatch, x, y, error):
         def no_descent(*args):
@@ -220,15 +230,15 @@ class TestFitMinibatchOracle:
 @given(
     m=st.integers(1, 4),
     rows=st.integers(3, 40),
-    deep=st.booleans(),
+    arch=st.sampled_from([((2,), 1), ((8, 4), 2), ((1,), 1), ((4, 1), 2)]),
     batch_size=st.integers(2, 48),
     shared_seed=st.booleans(),
     shared_data=st.booleans(),
 )
-def test_stack_matches_separate_fits(m, rows, deep, batch_size, shared_seed, shared_data):
+def test_stack_matches_separate_fits(m, rows, arch, batch_size, shared_seed, shared_data):
     """Every model of a stack is byte for byte its fit alone, with a short last
     batch whenever ``batch_size`` does not divide ``rows``."""
-    hidden, rep = ((8, 4), 2) if deep else ((2,), 1)
+    hidden, rep = arch
     data_seeds = [11] * m if shared_data else [11 + i for i in range(m)]
     doms = [_noisy_domain("train", rows, s) for s in data_seeds]
     cfgs = [
@@ -269,11 +279,23 @@ class TestFitStack:
             fit_stack([dom.x, dom.x], [dom.y], [TrainConfig(), TrainConfig(seed=1)])
 
 
+# (fixed_lambda, batch_size) of mixup runs on the 110 pooled rows of the three
+# domains; the mix buffers are kept per batch row count.
+MIXUP_CASES = {
+    "beta-drawn": (None, 16),
+    "fixed": (0.3, 16),
+    "one-row-last-batch": (None, 109),
+    "batch-larger-than-pooled": (0.3, 128),
+}
+
+
 class TestTrainMixupOracle:
-    @pytest.mark.parametrize("fixed_lambda", [None, 0.3], ids=["beta-drawn", "fixed"])
-    def test_bit_identical(self, fixed_lambda):
+    @pytest.mark.parametrize(
+        "fixed_lambda, batch_size", list(MIXUP_CASES.values()), ids=list(MIXUP_CASES)
+    )
+    def test_bit_identical(self, fixed_lambda, batch_size):
         ds = _three_domains()
-        cfg = TrainConfig(beta=0.05, epochs=15, batch_size=16, seed=2)
+        cfg = TrainConfig(beta=0.05, epochs=15, batch_size=batch_size, seed=2)
         mixup = MixupConfig(beta_shape=(2.0, 2.0), seed=5, fixed_lambda=fixed_lambda)
         _assert_same_bytes(train_mixup(ds, cfg, mixup), ref_train_mixup(ds, cfg, mixup))
 
@@ -286,6 +308,8 @@ GROUPDRO_CASES = {
     "two-hidden-layers": (3, (5, 3), 2, 16, 4, 0.01),
     "batch-larger-than-every-domain": (3, (4,), 1, 64, 1, 0.01),
     "two-domains": (2, (4,), 1, 16, 4, 0.01),
+    "width-1-hidden": (3, (1,), 1, 16, 4, 0.01),
+    "width-1-top-hidden": (3, (4, 1), 2, 16, 4, 0.01),
 }
 
 
