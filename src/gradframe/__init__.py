@@ -33,9 +33,7 @@ from .data import (
 from .errors import ConfigError, DataError, GradframeError, NumericError, ShapeError
 from .evaluation import (
     EvalReport,
-    GammaGrid,
     auroc,
-    counterfactual_in_domain,
     evaluate,
     lodo_cv_search,
     welch_t_one_tailed,
@@ -52,7 +50,6 @@ from .nn import (
 from .shift import (
     KdeModel,
     KsResult,
-    ShiftReport,
     concept_shift_delta,
     covariate_shift_ratio,
     kde_fit,
@@ -76,7 +73,6 @@ __all__ = [
     "DomainSet",
     "EvalReport",
     "FictitiousSet",
-    "GammaGrid",
     "GaussianSpec",
     "GradframeError",
     "KdeModel",
@@ -86,12 +82,10 @@ __all__ = [
     "NumericError",
     "PenaltyParams",
     "ShapeError",
-    "ShiftReport",
     "TrainConfig",
     "auroc",
     "bce_loss_batch",
     "concept_shift_delta",
-    "counterfactual_in_domain",
     "covariate_shift_ratio",
     "evaluate",
     "generate_fictitious_set",

@@ -51,7 +51,6 @@ from .model_io import load_model, save_model
 from .nn import MlpModel
 from .rng import derive_seed
 from .shift import (
-    ShiftReport,
     concept_config,
     concept_shift_delta,
     covariate_shift_ratio,
@@ -228,15 +227,8 @@ def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
             cfg.shift_runs, ficts, fict_side[::2], fict_side[1::2]
         )
     ]
-    primary = runs[0]
-    report = ShiftReport(
-        covariate_ratios=primary["covariate_ratios"],
-        concept_deltas=primary["concept_deltas"],
-        mean_likelihood_difference=primary["likelihood_difference"],
-        ks_results=primary["ks_table"],
-        metadata=_metadata(cfg, "shift-report"),
-    )
-    payload = report.to_payload(config=dict(cfg.values))
+    payload = {k: v for k, v in runs[0].items() if k not in ("gamma1", "gamma2")}
+    payload.update(config=dict(cfg.values), metadata=_metadata(cfg, "shift-report"))
     if len(runs) > 1:
         payload["sweep"] = runs
     write_json(out / "shift_report.json", payload)
@@ -292,7 +284,7 @@ def cmd_lodo(cfg: ExperimentConfig, out: Path) -> int:
         {
             "gamma1": result.best.gamma1,
             "gamma2": result.best.gamma2,
-            "mean_auroc": result.mean_by_pair()[(result.best.gamma1, result.best.gamma2)],
+            "mean_auroc": result.mean_auroc,
             "metadata": _metadata(cfg, "lodo"),
         },
     )

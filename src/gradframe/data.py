@@ -228,7 +228,8 @@ class CsvSchema:
     """Column mapping for CSV ingestion.
 
     ``feature_columns=None`` takes every column except the label and domain
-    columns, in header order.
+    columns, in header order.  A named domain column must be in the header;
+    ``domain_column=None`` loads the file as one domain, ``"all"``.
     """
 
     label_column: str = "label"
@@ -284,7 +285,12 @@ def load_csv_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Domai
         raise DataError(f"{path}: missing label column {schema.label_column!r}")
     domain_col: int | None = None
     if schema.domain_column is not None:
-        domain_col = col_index.get(schema.domain_column)
+        if schema.domain_column not in col_index:
+            raise DataError(
+                f"{path}: missing domain column {schema.domain_column!r} "
+                "(an empty csv.domain_column loads the file as one domain)"
+            )
+        domain_col = col_index[schema.domain_column]
     if schema.feature_columns is None:
         skip = {schema.label_column, schema.domain_column}
         feature_names = [name for name in header if name not in skip]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +13,8 @@ from .core import AscentConfig, PenaltyParams, train_gradframe
 from .data import Domain, DomainSet
 from .errors import ConfigError, DataError, NumericError
 from .nn import MlpModel, bce_loss_batch, probs_batch
-from .rng import derive_seed, rng_for
-from .training import TrainConfig, fit_minibatch
+from .rng import derive_seed
+from .training import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -39,31 +38,6 @@ class EvalReport:
             "class1_loss": None if math.isnan(self.per_class_loss[1]) else self.per_class_loss[1],
             "n": self.n,
         }
-
-
-@dataclass(frozen=True)
-class GammaGrid:
-    """Axis values for a full product grid over the two penalties."""
-
-    gamma1_values: tuple[float, ...]
-    gamma2_values: tuple[float, ...]
-
-    def __post_init__(self):
-        for name, values in (
-            ("gamma1_values", self.gamma1_values),
-            ("gamma2_values", self.gamma2_values),
-        ):
-            vals = tuple(float(v) for v in values)
-            if not vals:
-                raise ConfigError(f"{name} must be non-empty")
-            if any(v <= 0 for v in vals):
-                raise ConfigError(f"{name} must be positive, got {vals}")
-            if list(vals) != sorted(vals):
-                raise ConfigError(f"{name} must be sorted ascending, got {vals}")
-            object.__setattr__(self, name, vals)
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(product(self.gamma1_values, self.gamma2_values))
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -123,29 +97,6 @@ def welch_t_one_tailed(a, b) -> tuple[float, float, float]:
     return float(res.statistic), float(res.df), float(res.pvalue)
 
 
-def split_domain(domain: Domain, fraction: float, seed: int) -> tuple[Domain, Domain]:
-    """Seeded shuffle split into (train, test) with round(fraction * n) training points."""
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"split fraction must lie strictly in (0, 1), got {fraction}")
-    n = len(domain)
-    n_train = int(round(fraction * n))
-    if n_train == 0 or n_train == n:
-        raise DataError(f"split of {n} points at fraction {fraction} leaves an empty side")
-    order = rng_for(seed, "cf-split").permutation(n)
-    train, test = order[:n_train], order[n_train:]
-    return (
-        Domain(f"{domain.id}_train", domain.x[train], domain.y[train]),
-        Domain(f"{domain.id}_test", domain.x[test], domain.y[test]),
-    )
-
-
-def counterfactual_in_domain(domain: Domain, split_fraction: float, cfg: TrainConfig) -> EvalReport:
-    """Train on a seeded fraction of the domain and evaluate on the remainder."""
-    train_dom, test_dom = split_domain(domain, split_fraction, cfg.seed)
-    model = fit_minibatch(train_dom.x, train_dom.y, cfg)
-    return evaluate(model, test_dom)
-
-
 @dataclass(frozen=True)
 class LodoRow:
     gamma1: float
@@ -154,21 +105,13 @@ class LodoRow:
     auroc: float
 
 
-def _mean_by_pair(rows) -> dict[tuple[float, float], float]:
-    """Mean held-out AUROC of each (gamma1, gamma2) pair, in first-seen order."""
-    sums: dict[tuple[float, float], list[float]] = {}
-    for row in rows:
-        sums.setdefault((row.gamma1, row.gamma2), []).append(row.auroc)
-    return {pair: float(np.mean(v)) for pair, v in sums.items()}
-
-
 @dataclass(frozen=True)
 class LodoResult:
-    best: PenaltyParams
-    rows: tuple[LodoRow, ...]
+    """The winning pair, its mean held-out AUROC, and every (pair, fold) row."""
 
-    def mean_by_pair(self) -> dict[tuple[float, float], float]:
-        return _mean_by_pair(self.rows)
+    best: PenaltyParams
+    mean_auroc: float
+    rows: tuple[LodoRow, ...]
 
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)
@@ -184,7 +127,7 @@ class LodoResult:
 
 def lodo_cv_search(
     ds: DomainSet,
-    grid: GammaGrid | list[tuple[float, float]],
+    pairs: list[tuple[float, float]],
     ascent_cfg: AscentConfig,
     train_cfg: TrainConfig,
 ) -> LodoResult:
@@ -199,10 +142,10 @@ def lodo_cv_search(
             f"LODO-CV needs at least 3 domains (each fold must keep 2 for the "
             f"concept partner); got K={ds.k}"
         )
-    pairs = grid.pairs() if isinstance(grid, GammaGrid) else [tuple(p) for p in grid]
     if not pairs:
         raise ConfigError("empty penalty grid")
     rows: list[LodoRow] = []
+    scores: dict[tuple[float, float], list[float]] = {}
     for pair_idx, (g1, g2) in enumerate(pairs):
         gammas = PenaltyParams(g1, g2)
         for fold in ds.domains:
@@ -213,6 +156,7 @@ def lodo_cv_search(
             model, _ = train_gradframe(rest, gammas, ascent_cfg, fold_cfg)
             score = auroc(probs_batch(model, fold.feature_matrix()), fold.label_vector())
             rows.append(LodoRow(gamma1=g1, gamma2=g2, fold_domain=fold.id, auroc=score))
-    means = _mean_by_pair(rows)
+            scores.setdefault((g1, g2), []).append(score)
+    means = {pair: float(np.mean(v)) for pair, v in scores.items()}
     best_pair = min(means, key=lambda pair: (-means[pair], pair[0], pair[1]))
-    return LodoResult(best=PenaltyParams(*best_pair), rows=tuple(rows))
+    return LodoResult(PenaltyParams(*best_pair), means[best_pair], tuple(rows))

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .core import FictitiousSet
-from .data import Domain, DomainSet, split_into_k_domains, write_json
+from .data import Domain, DomainSet, split_into_k_domains
 from .errors import ConfigError, DataError, ShapeError
 from .nn import MlpModel, probs_batch, representations_batch
 from .rng import derive_seed, rng_for
@@ -41,20 +40,14 @@ class KdeModel:
     bandwidth: np.ndarray
 
 
-def kde_fit(samples: np.ndarray, bandwidth_rule: str | float | np.ndarray = "scott") -> KdeModel:
-    """Fit a KDE; ``bandwidth_rule`` is "scott", a scalar, or per-dim values."""
+def kde_fit(samples: np.ndarray) -> KdeModel:
+    """Fit a KDE with Scott's-rule bandwidths, floored at ``BANDWIDTH_FLOOR``."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n, d = samples.shape
     if n < 1:
         raise DataError("cannot fit a density to zero samples")
-    if isinstance(bandwidth_rule, str):
-        if bandwidth_rule != "scott":
-            raise ConfigError(f"unknown bandwidth rule {bandwidth_rule!r}")
-        h = n ** (-1.0 / (d + 4)) * samples.std(axis=0)
-    else:
-        h = np.broadcast_to(np.asarray(bandwidth_rule, dtype=np.float64), (d,)).copy()
-    h = np.maximum(h, BANDWIDTH_FLOOR)
-    return KdeModel(samples=samples, bandwidth=h)
+    h = n ** (-1.0 / (d + 4)) * samples.std(axis=0)
+    return KdeModel(samples=samples, bandwidth=np.maximum(h, BANDWIDTH_FLOOR))
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -164,9 +157,7 @@ def _origin_rows(domains: tuple[Domain, ...], fict: FictitiousSet) -> np.ndarray
     return offset + fict.origin_index
 
 
-def covariate_shift_ratio(
-    source: DomainSet | Domain, fict: FictitiousSet, model: MlpModel
-) -> np.ndarray:
+def covariate_shift_ratio(source: DomainSet, fict: FictitiousSet, model: MlpModel) -> np.ndarray:
     """Per-point ratio of input-density change to representation-density change.
 
     Numerator: |log P_fict(x*) - log P_source(x*)| with KDEs over the two
@@ -174,15 +165,14 @@ def covariate_shift_ratio(
     source representations of ``model``, floored to avoid blow-ups when the
     representations coincide.
     """
-    domains = (source,) if isinstance(source, Domain) else source.domains
-    source_x = np.vstack([d.x for d in domains])
+    source_x = np.vstack([d.x for d in source.domains])
     fict_x = fict.x_star
     p_source = kde_fit(source_x)
     p_fict = kde_fit(fict_x)
     p_rep = kde_fit(representations_batch(model, source_x))
 
     numer = np.abs(kde_log_density(p_fict, fict_x) - kde_log_density(p_source, fict_x))
-    z_origin = representations_batch(model, source_x[_origin_rows(domains, fict)])
+    z_origin = representations_batch(model, source_x[_origin_rows(source.domains, fict)])
     z_star = representations_batch(model, fict_x)
     denom = np.abs(kde_log_density(p_rep, z_origin) - kde_log_density(p_rep, z_star))
     return numer / np.maximum(denom, RATIO_DENOM_FLOOR)
@@ -373,30 +363,6 @@ def select_domain_count(
     if spread_flat:
         warnings.warn("domain-count table is flat; no granularity stands out")
     return KSelectionResult(best_k=best_k, table=table, flat=spread_flat, skipped=skipped)
-
-
-@dataclass
-class ShiftReport:
-    """Serializable bundle of shift metrics for one configuration."""
-
-    covariate_ratios: list[float]
-    concept_deltas: list[float]
-    mean_likelihood_difference: float
-    ks_results: dict[str, dict[str, float]]
-    metadata: dict = field(default_factory=dict)
-
-    def to_payload(self, config: dict | None = None) -> dict:
-        return {
-            "covariate_ratios": [float(v) for v in self.covariate_ratios],
-            "concept_deltas": [float(v) for v in self.concept_deltas],
-            "likelihood_difference": float(self.mean_likelihood_difference),
-            "ks_table": self.ks_results,
-            "config": config if config is not None else {},
-            "metadata": self.metadata,
-        }
-
-    def write_json(self, path: str | Path, config: dict | None = None) -> None:
-        write_json(path, self.to_payload(config))
 
 
 SHIFT_REPORT_SCHEMA = {

@@ -214,6 +214,20 @@ output.dir = {out}
         assert main(["shift-report", "--config", str(write_cfg(tmp_path / "c.cfg", body))]) == 0
         assert sizes == stacks
 
+    @pytest.mark.parametrize(
+        "sweep, extra",
+        [("", set()), ("shift.sweep = gamma1\nshift.sweep_values = 0.5,5\n", {"sweep"})],
+        ids=["single", "sweep"],
+    )
+    def test_top_level_keys(self, tmp_path, sweep, extra):
+        """The primary run's metrics, config and metadata; a sweep adds only its runs."""
+        out = tmp_path / "o"
+        body = TINY_TRAIN.format(method="gradframe", out=out) + sweep
+        assert main(["shift-report", "--config", str(write_cfg(tmp_path / "c.cfg", body))]) == 0
+        payload = json.loads((out / "shift_report.json").read_text())
+        metrics = {"covariate_ratios", "concept_deltas", "likelihood_difference", "ks_table"}
+        assert set(payload) == metrics | {"config", "metadata"} | extra
+
 
 def keyed_csv(path: Path) -> Path:
     """A two-feature CSV with a six-value ``month`` key whose labels flip from month 4."""
@@ -444,6 +458,10 @@ output.dir = {out}
         assert 0.0 <= payload["report"]["auroc"] <= 1.0
 
 
+# `evaluate` on a hand-made CSV without a domain column
+EVAL_ONE_DOMAIN = "dataset.kind = csv\ndata.target_csv = {tgt}\ncsv.domain_column =\noutput.dir = {out}\n"
+
+
 class TestExitCodes:
     def test_unknown_method_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "method = boosting\n")
@@ -463,11 +481,32 @@ class TestExitCodes:
         )
         assert main(["train", "--config", str(cfg)]) == 3
 
+    def test_misnamed_domain_column_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "regions.csv"
+        data.write_text("x0,x1,region,label\n0,0,1,0\n1,1,1,1\n0,1,2,0\n1,0,2,1\n")
+        out = tmp_path / "o"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = csv
+data.source_csv = {data}
+csv.domain_column = regoin
+method = erm
+train.epochs = 3
+train.batch_size = 4
+output.dir = {out}
+""",
+        )
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "'regoin'" in err and "one domain" in err and "Traceback" not in err
+        assert not (out / "model.txt").exists()
+
     def test_single_class_target_is_numeric_failure(self, tmp_path):
         src = tmp_path / "src.csv"
         src.write_text("x0,x1,label,domain\n0,0,0,A\n1,1,1,A\n0,1,0,B\n1,0,1,B\n" * 1)
         tgt = tmp_path / "tgt.csv"
-        tgt.write_text("x0,x1,label\n0.5,0.5,1\n0.6,0.4,1\n")
+        tgt.write_text("x0,x1,label,domain\n0.5,0.5,1,T\n0.6,0.4,1,T\n")
         cfg = write_cfg(
             tmp_path / "c.cfg",
             f"""
@@ -510,9 +549,7 @@ output.dir = {tmp_path}/o
         (out / "scaler.txt").write_text(scaler)
         tgt = tmp_path / "tgt.csv"
         tgt.write_text("x0,x1,label\n0.5,0.5,1\n-0.6,-0.4,0\n")
-        eval_cfg = write_cfg(
-            tmp_path / "e.cfg", f"dataset.kind = csv\ndata.target_csv = {tgt}\noutput.dir = {out}\n"
-        )
+        eval_cfg = write_cfg(tmp_path / "e.cfg", EVAL_ONE_DOMAIN.format(tgt=tgt, out=out))
         assert main(["evaluate", "--config", str(eval_cfg)]) == 3
         assert "scaler.txt" in capsys.readouterr().err
 
@@ -552,9 +589,7 @@ output.dir = {tmp_path}/o
         assert (out / "scaler.txt").exists()
         tgt = tmp_path / "tgt.csv"
         tgt.write_text("x0,x1,x2,label\n0.5,0.5,0.1,1\n-0.6,-0.4,0.2,0\n")
-        eval_cfg = write_cfg(
-            tmp_path / "e.cfg", f"dataset.kind = csv\ndata.target_csv = {tgt}\noutput.dir = {out}\n"
-        )
+        eval_cfg = write_cfg(tmp_path / "e.cfg", EVAL_ONE_DOMAIN.format(tgt=tgt, out=out))
         assert main(["evaluate", "--config", str(eval_cfg)]) == 3
         assert "3 features, the model takes 2 inputs" in capsys.readouterr().err
         assert not (out / "eval_report.json").exists()
@@ -566,9 +601,7 @@ output.dir = {tmp_path}/o
         (out / "model.txt").write_text(model_text(dims, rep, [0.5, -0.25]))
         tgt = tmp_path / "tgt.csv"
         tgt.write_text("x0,x1,label\n0.5,0.5,1\n-0.6,-0.4,0\n")
-        eval_cfg = write_cfg(
-            tmp_path / "e.cfg", f"dataset.kind = csv\ndata.target_csv = {tgt}\noutput.dir = {out}\n"
-        )
+        eval_cfg = write_cfg(tmp_path / "e.cfg", EVAL_ONE_DOMAIN.format(tgt=tgt, out=out))
         assert main(["evaluate", "--config", str(eval_cfg)]) == 3
         err = capsys.readouterr().err
         assert "model.txt" in err and "Traceback" not in err
@@ -583,9 +616,7 @@ output.dir = {tmp_path}/o
         (out / "model.txt").write_text("\n".join(lines) + "\n")
         tgt = tmp_path / "tgt.csv"
         tgt.write_text("x0,x1,label\n0.5,0.5,1\n-0.6,-0.4,0\n")
-        eval_cfg = write_cfg(
-            tmp_path / "e.cfg", f"dataset.kind = csv\ndata.target_csv = {tgt}\noutput.dir = {out}\n"
-        )
+        eval_cfg = write_cfg(tmp_path / "e.cfg", EVAL_ONE_DOMAIN.format(tgt=tgt, out=out))
         assert main(["evaluate", "--config", str(eval_cfg)]) == 3
         err = capsys.readouterr().err
         assert "model.txt" in err and f"block {block}" in err and "Traceback" not in err
@@ -603,9 +634,7 @@ output.dir = {tmp_path}/o
         (out / "model.txt").write_text(model_text((2, 2, 2), 1, [0.5, -0.25]))
         tgt = tmp_path / "tgt.csv"
         tgt.write_text("x0,x1,label\n0.5,0.5,1\n-0.6,-0.4,0\n")
-        eval_cfg = write_cfg(
-            tmp_path / "e.cfg", f"dataset.kind = csv\ndata.target_csv = {tgt}\noutput.dir = {out}\n"
-        )
+        eval_cfg = write_cfg(tmp_path / "e.cfg", EVAL_ONE_DOMAIN.format(tgt=tgt, out=out))
         assert main(["evaluate", "--config", str(eval_cfg)]) == 4
         err = capsys.readouterr().err
         assert "eval_report.json" in err and "non-finite" in err and "Traceback" not in err

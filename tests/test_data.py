@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +25,9 @@ from gradframe.data import (
     simulation_target,
     split_into_k_domains,
     standardize,
+    write_json,
 )
-from gradframe.errors import ConfigError, DataError, ShapeError
+from gradframe.errors import ConfigError, DataError, NumericError, ShapeError
 
 
 class TestBoundaryLabeling:
@@ -119,14 +123,22 @@ class TestCsvRoundTrip:
     def test_without_domain_column(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("x0,x1,label\n1,2,0\n3,4,1\n")
-        ds = load_csv_dataset(path)
+        ds = load_csv_dataset(path, CsvSchema(domain_column=None))
         assert ds.k == 1
+        assert ds.domains[0].id == "all"
+
+    @pytest.mark.parametrize("column", ["domain", "regoin"])
+    def test_missing_domain_column_rejected(self, tmp_path, column):
+        path = tmp_path / "nodomain.csv"
+        path.write_text("x0,region,label\n1,2,0\n3,4,1\n")
+        with pytest.raises(DataError, match=f"domain column '{column}'.*empty.*one domain"):
+            load_csv_dataset(path, CsvSchema(domain_column=column))
 
     def test_bad_label_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,x1,label\n1,2,0\n3,4,1\n5,6,2\n")
         with pytest.raises(DataError, match="row 3"):
-            load_csv_dataset(path)
+            load_csv_dataset(path, CsvSchema(domain_column=None))
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "missing.csv"
@@ -138,7 +150,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "nn.csv"
         path.write_text("x0,x1,label\n1,2,0\n1,oops,1\n")
         with pytest.raises(DataError, match="row 2.*x1"):
-            load_csv_dataset(path)
+            load_csv_dataset(path, CsvSchema(domain_column=None))
 
     def test_missing_file(self):
         with pytest.raises(DataError):
@@ -154,6 +166,25 @@ class TestCsvRoundTrip:
         path = tmp_path / "keys.csv"
         path.write_text("x0,label,month\n1,0,3\n2,1,1\n")
         assert read_ordinal_column(path, "month") == [3, 1]
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "out" / "report.json"
+        with pytest.raises(NumericError, match="report.json"):
+            write_json(path, {"a": 1.0, "nested": {"values": [0.5, value]}})
+        assert not path.parent.exists()
+
+    def test_finite_payload_round_trips_with_sorted_keys(self, tmp_path):
+        path = tmp_path / "report.json"
+        payload = {"b": [0.1, -2.5e-300], "a": {"z": None, "y": 3}, "c": "text"}
+        write_json(path, payload)
+        text = path.read_text(encoding="utf-8")
+        assert json.loads(text) == payload
+        assert list(json.loads(text)) == ["a", "b", "c"]
+        assert list(json.loads(text)["a"]) == ["y", "z"]
+        assert text.endswith("}\n")
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
