@@ -50,27 +50,39 @@ def kde_fit(samples: np.ndarray) -> KdeModel:
     return KdeModel(samples=samples, bandwidth=np.maximum(h, BANDWIDTH_FLOOR))
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+def _logsumexp_rows(
+    a: np.ndarray, scratch: np.ndarray | None = None, mask: np.ndarray | None = None
+) -> np.ndarray:
     """``scipy.special.logsumexp(a, axis=1)`` of a real (m, n) array, bit for bit.
 
-    The same operations in the same order as scipy 1.17's real case, without
-    its per-call array-API overhead: shift by the row maximum with the tied
-    maxima taken out, then ``log1p(s) + log(m) + a_max``.  A row whose result
-    is not finite (all of it -inf, or a NaN or +inf in it) falls back to
-    ``log(sum(exp(a)))``, as scipy's does, computed on those rows only.
+    The same operations on the same values as scipy 1.17's real case, in
+    fewer passes: ``exp(a - a_max)`` with the tied maxima's terms set to 0,
+    which is scipy's ``exp(-inf - a_max)`` there while ``a_max`` is finite;
+    their count ``m``; then ``log1p(s / m) + log(m) + a_max``.  A row whose
+    ``a_max`` is not finite (all of it -inf, or a NaN or +inf in it) ends
+    non-finite and falls back to ``log(sum(exp(a)))``, as scipy's does,
+    computed on those rows only.
+
+    ``scratch`` (float) and ``mask`` (bool), both shaped like ``a``, are work
+    buffers for a caller that reuses them; such a caller sets numpy's error
+    state, since non-finite rows raise its divide and invalid warnings.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_max = np.max(a, axis=1, keepdims=True)
-        i_max = a == a_max
-        m = np.sum(i_max, axis=1, keepdims=True, dtype=a.dtype)
-        rest = np.where(i_max, -np.inf, a)
-        s = np.sum(np.exp(rest - a_max), axis=1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
-    bad = ~np.isfinite(out)
-    if bad.any():
+    if scratch is None:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+            return _logsumexp_rows(a, np.empty_like(a), np.empty(a.shape, dtype=bool))
+    a_max = a.max(axis=1, keepdims=True)
+    np.equal(a, a_max, out=mask)
+    m = np.count_nonzero(mask, axis=1)
+    np.subtract(a, a_max, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.copyto(scratch, 0.0, where=mask)
+    # scipy skips the division where s == 0, but there 0 / m is that same +0
+    s = scratch.sum(axis=1) / m
+    a_max = a_max[:, 0]
+    out = np.log1p(s) + np.log(m) + a_max
+    bad = ~np.isfinite(a_max)
+    if bad.any():
+        out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
     return out
 
 
@@ -128,19 +140,32 @@ def kde_log_density(model: KdeModel, query: np.ndarray) -> float | np.ndarray:
     n, d = model.samples.shape
     if q.shape[1] != d:
         raise ShapeError(f"query dimension {q.shape[1]} does not match samples dimension {d}")
-    # the broadcast's squared scaled differences, summed one feature at a time
-    # over (block, n) arrays instead of an (m, n, d) tensor
+    # The broadcast's squared scaled differences, summed one feature at a time
+    # over (block, n) buffers made once per call instead of an (m, n, d) tensor.
+    # Feature-major samples make each feature's row contiguous.  The difference
+    # is s - q, the negation of q - s, whose square has the same bits; the first
+    # square goes straight into the sum, as 0.0 + x is x for every x >= +0.
+    s = np.ascontiguousarray(model.samples.T)
+    h = model.bandwidth
     out = np.empty(q.shape[0])
     rows = max(1, KDE_BLOCK_ELEMENTS // n)
-    for start in range(0, q.shape[0], rows):
-        block = q[start : start + rows]
-        quad = np.zeros((block.shape[0], n))
-        for j in range(d):
-            diff = (block[:, j, None] - model.samples[:, j]) / model.bandwidth[j]
-            quad += diff * diff
-        quad *= -0.5
-        out[start : start + rows] = _logsumexp_rows(quad)
-    log_norm = -np.sum(np.log(model.bandwidth)) - 0.5 * d * np.log(2.0 * np.pi)
+    size = (min(rows, q.shape[0]), n)
+    # zeros for d = 0 only, where no feature writes the sum
+    quad, diff, mask = np.zeros(size), np.empty(size), np.empty(size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, q.shape[0], rows):
+            block = q[start : start + rows]
+            acc, work = quad[: len(block)], diff[: len(block)]
+            for j in range(d):
+                dst = acc if j == 0 else work
+                np.subtract(s[j], block[:, j, None], out=dst)
+                np.divide(dst, h[j], out=dst)
+                np.multiply(dst, dst, out=dst)
+                if j:
+                    np.add(acc, work, out=acc)
+            acc *= -0.5
+            out[start : start + rows] = _logsumexp_rows(acc, work, mask[: len(block)])
+    log_norm = -np.sum(np.log(h)) - 0.5 * d * np.log(2.0 * np.pi)
     out = out + log_norm - np.log(n)
     return float(out[0]) if single else out
 
@@ -169,10 +194,16 @@ def covariate_shift_ratio(source: DomainSet, fict: FictitiousSet, model: MlpMode
     fict_x = fict.x_star
     p_source = kde_fit(source_x)
     p_fict = kde_fit(fict_x)
-    p_rep = kde_fit(representations_batch(model, source_x))
+    z_source = representations_batch(model, source_x)
+    p_rep = kde_fit(z_source)
 
     numer = np.abs(kde_log_density(p_fict, fict_x) - kde_log_density(p_source, fict_x))
-    z_origin = representations_batch(model, source_x[_origin_rows(source.domains, fict)])
+    origin = _origin_rows(source.domains, fict)
+    # a set from generate_fictitious_set is in origin order: its origins are the source rows
+    if np.array_equal(origin, np.arange(len(source_x))):
+        z_origin = z_source
+    else:
+        z_origin = representations_batch(model, source_x[origin])
     z_star = representations_batch(model, fict_x)
     denom = np.abs(kde_log_density(p_rep, z_origin) - kde_log_density(p_rep, z_star))
     return numer / np.maximum(denom, RATIO_DENOM_FLOOR)

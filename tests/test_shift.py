@@ -25,7 +25,7 @@ from gradframe.data import (
     split_into_k_domains,
 )
 from gradframe.errors import ConfigError, DataError
-from gradframe.nn import init_mlp, probs_batch
+from gradframe.nn import init_mlp, probs_batch, representations_batch
 from gradframe.shift import (
     RATIO_DENOM_FLOOR,
     KdeModel,
@@ -50,6 +50,28 @@ def broadcast_kde_log_density(model, query):
     quad = -0.5 * np.sum(diffs * diffs, axis=2)
     log_norm = -np.sum(np.log(model.bandwidth)) - 0.5 * d * np.log(2.0 * np.pi)
     return logsumexp(quad, axis=1) + log_norm - np.log(n)
+
+
+def plain_loop_kde_log_density(model, query):
+    """Reference KDE: the plain block loop, with new arrays per block and sample-major samples.
+
+    Per block: zeros, then ``quad += diff * diff`` per feature with
+    ``diff = (q - s) / h``, then ``*= -0.5`` and scipy's ``logsumexp``.
+    """
+    q = np.atleast_2d(np.asarray(query, dtype=np.float64))
+    n, d = model.samples.shape
+    out = np.empty(q.shape[0])
+    rows = max(1, shift.KDE_BLOCK_ELEMENTS // n)
+    for start in range(0, q.shape[0], rows):
+        block = q[start : start + rows]
+        quad = np.zeros((block.shape[0], n))
+        for j in range(d):
+            diff = (block[:, j, None] - model.samples[:, j]) / model.bandwidth[j]
+            quad += diff * diff
+        quad *= -0.5
+        out[start : start + rows] = logsumexp(quad, axis=1)
+    log_norm = -np.sum(np.log(model.bandwidth)) - 0.5 * d * np.log(2.0 * np.pi)
+    return out + log_norm - np.log(n)
 
 
 def loop_shapley(model, baseline, x, m_samples, seed):
@@ -128,6 +150,38 @@ class TestKde:
         assert got.shape == (310,)
         assert np.max(np.abs(got - broadcast_kde_log_density(model, query))) <= 1e-12
 
+    @pytest.mark.parametrize("block", [shift.KDE_BLOCK_ELEMENTS, 7 * 50])
+    @pytest.mark.parametrize(
+        "case", ["self-6", "cross-6", "self-2", "far-in-last-block", "no-features"]
+    )
+    def test_matches_plain_loop_bit_for_bit(self, rng, monkeypatch, block, case):
+        # at 7 * 50 the 50-sample case runs 7-row blocks and a ragged last one of 2,
+        # which works in slices of the buffers the full blocks used
+        monkeypatch.setattr(shift, "KDE_BLOCK_ELEMENTS", block)
+        loc, scale = [0.0, 3.0, -1.0, 0.5, 2.0, 0.0], [1.0, 2.0, 0.5, 1.0, 3.0, 0.1]
+        x = rng.normal(loc=loc, scale=scale, size=(1500, 6))
+        if case == "self-6":
+            model, query = kde_fit(x), x
+        elif case == "cross-6":
+            model, query = kde_fit(x), rng.normal(scale=2.0, size=(1503, 6))
+        elif case == "self-2":
+            model = kde_fit(x[:, :2] * x[:, 2:4])
+            query = model.samples
+        elif case == "no-features":
+            # no feature writes the sum: every kernel term is exp(0), the empty product
+            model, query = kde_fit(x[:50, :0]), x[50:360, :0]
+        else:
+            model = kde_fit(x[:50])
+            # a far query, a row of -inf kernel terms, after finite blocks
+            query = np.vstack([x[50:359], [1e200, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            got = kde_log_density(model, query)
+            ref = plain_loop_kde_log_density(model, query)
+        assert got.shape == (len(query),)
+        assert np.array_equal(got, ref)
+        if case == "far-in-last-block":
+            assert got[-1] == -np.inf and np.isfinite(got[:-1]).all()
+
     def test_far_query_matches_oracle(self, rng):
         model = kde_fit(rng.normal(size=(10, 2)))
         far = np.array([1e3, -1e3])
@@ -149,7 +203,9 @@ class TestKde:
             tracemalloc.stop()
         assert np.all(np.isfinite(out))
         # the (m, n, d) broadcast would need 5000 * 5000 * 10 * 8 B = 2 GB
-        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        # about 0.75 MB: the feature-major samples and the block buffers; a (block, n, d)
+        # cube of differences per block peaks at 3.5 MB
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_scott_bandwidth_floor(self):
         model = kde_fit(np.array([[1.0], [1.0], [1.0]]))
@@ -197,6 +253,22 @@ class TestLogsumexpRows:
         got = shift._logsumexp_rows(a)
         assert got[1] == got[3] == -np.inf and np.isfinite(got[[0, 2]]).all()
 
+    def test_reused_buffers(self, rng):
+        # finite rows first, then rows of -inf, NaN and +inf in the same buffers
+        finite = -0.5 * rng.chisquare(6, size=(5, 300))
+        finite[2, [4, 90]] = finite[2].max() + 1.0
+        special = rng.normal(scale=20.0, size=(5, 300))
+        special[0] = -np.inf
+        special[1, 7] = np.nan
+        special[2, 11] = np.inf
+        special[3, ::2] = -np.inf
+        special[4, [0, 5]] = [np.inf, np.nan]
+        scratch, mask = np.empty_like(finite), np.empty(finite.shape, dtype=bool)
+        for a in (finite, special):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = shift._logsumexp_rows(a, scratch, mask)
+            assert np.array_equal(got, logsumexp(a, axis=1), equal_nan=True)
+
     def test_overflowing_query_is_minus_infinity_as_in_the_oracle(self, rng):
         # every squared difference overflows to inf, so every kernel term is -inf
         model = kde_fit(rng.normal(10.0, 2.0, size=(50, 2)))
@@ -219,7 +291,7 @@ class TestCovariateShiftRatio:
         ratios = covariate_shift_ratio(src, fict, model)
         assert np.all(ratios == 0.0)
 
-    def test_matches_direct_formula_on_tiny_dataset(self):
+    def test_matches_direct_formula_on_tiny_dataset(self, monkeypatch):
         labels = [0, 1, 1]
         src = DomainSet((Domain("d", [[0.0, 0.0], [1.0, 0.5], [-1.0, 2.0]], labels),))
         cfg = TrainConfig(seed=1, beta=0.01, epochs=10, batch_size=3, pretrain_epochs=5)
@@ -227,12 +299,29 @@ class TestCovariateShiftRatio:
 
         moved = [np.array([0.2, -0.1]), np.array([1.4, 0.9]), np.array([-0.8, 2.5])]
         fict = fictitious_set("d", moved, labels)
+        # a permuted copy: its origins are not the source rows in order, so the
+        # representations of the origins take a forward pass of their own
+        perm = np.array([2, 0, 1])
+        permuted = replace(
+            fict,
+            x_star=fict.x_star[perm],
+            y_star=fict.y_star[perm],
+            origin_index=fict.origin_index[perm],
+        )
+        forwards = []
+
+        def counted_forward(m, x):
+            forwards.append(len(x))
+            return representations_batch(m, x)
+
+        monkeypatch.setattr(shift, "representations_batch", counted_forward)
         ratios = covariate_shift_ratio(src, fict, model)
+        assert forwards == [3, 3]  # source and x_star; the origins reuse the source's
+        ratios_permuted = covariate_shift_ratio(src, permuted, model)
+        assert forwards[2:] == [3, 3, 3]
 
         # independent high-precision scalar recomputation of the definition
         import mpmath
-
-        from gradframe.nn import representations_batch
 
         mpmath.mp.dps = 50
 
@@ -262,6 +351,8 @@ class TestCovariateShiftRatio:
             den = abs(log_kde(reps, h_rep, z0) - log_kde(reps, h_rep, z1))
             expected = num / max(den, RATIO_DENOM_FLOOR)
             assert abs(ratios[i] - expected) / max(abs(expected), 1.0) < 1e-9
+            got = ratios_permuted[np.flatnonzero(perm == i)[0]]
+            assert abs(got - expected) / max(abs(expected), 1.0) < 1e-9
 
 
 class TestConceptShiftDelta:
