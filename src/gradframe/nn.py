@@ -34,7 +34,6 @@ and GroupDRO runs its K domains' batches through one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -188,11 +187,6 @@ def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # that is slower than the plain add (2-7x at width 8-64, timeit, numpy 2.4),
 # and at width 3 it is faster on one network but not on a stack.
 _ROWS_FIRST_MAX_WIDTH = 2
-# Under this many rows in all (a stack's M x rows) ``d.sum(axis=-2)`` sums a
-# bias gradient faster than einsum, and from it einsum is faster: einsum
-# against sum took 4.2/3.2 us at (1, 32, 2), 4.6/5.2 us at (1, 128, 2) and
-# 5.4/9.9 us at (4, 75, 2) (timeit, numpy 2.4).
-_EINSUM_MIN_ROWS = 96
 
 
 class Workspace:
@@ -216,11 +210,11 @@ class Workspace:
     ``_ROWS_FIRST_MAX_WIDTH`` adds its bias on a rows-first view with
     ``order="F"`` (a stack is swapped to ``(rows, M, width)`` first), and
     every layer wider than 1 sums its bias gradient with
-    ``einsum("...ij->...j")`` once the batch has ``_EINSUM_MIN_ROWS`` rows in
-    all.  Both keep each element's operations and their order, so the bits
-    are those of ``out + b`` and ``d.sum(axis=-2)``.  A width-1 layer keeps
-    ``d.sum(axis=-2)``: there numpy coalesces the axes and sums each block
-    pairwise, an order einsum does not reproduce.
+    ``einsum("...ij->...j")``.  Both keep each element's operations and
+    their order, so the bits are those of ``out + b`` and
+    ``d.sum(axis=-2)``.  A width-1 layer keeps ``d.sum(axis=-2)``: there
+    numpy coalesces the axes and sums each block pairwise, an order einsum
+    does not reproduce.
     """
 
     def __init__(self, layer_dims: tuple[int, ...], shape: tuple[int, ...], x=None, y=None):
@@ -247,8 +241,7 @@ class Workspace:
             swap = narrow and len(shape) == 2
             view = out.swapaxes(0, 1) if swap else out
             self._bias_adds.append((view, "F" if narrow else "K", swap))
-        few_rows = math.prod(shape) < _EINSUM_MIN_ROWS
-        self._plain_bias_sum = [few_rows or width == 1 for width in layer_dims[1:]]
+        self._sum_pairwise = [width == 1 for width in layer_dims[1:]]
 
     # The backward buffers are made on first use, so forward-only calls skip them.
     @cached_property
@@ -338,7 +331,7 @@ class Workspace:
                 d *= self.masks[k]
             if grads is not None:
                 np.matmul(self._acts_t[k], d, out=grads[0][k])
-                if self._plain_bias_sum[k]:
+                if self._sum_pairwise[k]:
                     d.sum(axis=-2, out=grads[1][k])
                 else:
                     np.einsum("...ij->...j", d, out=grads[1][k])

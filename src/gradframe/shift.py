@@ -50,9 +50,7 @@ def kde_fit(samples: np.ndarray) -> KdeModel:
     return KdeModel(samples=samples, bandwidth=np.maximum(h, BANDWIDTH_FLOOR))
 
 
-def _logsumexp_rows(
-    a: np.ndarray, scratch: np.ndarray | None = None, mask: np.ndarray | None = None
-) -> np.ndarray:
+def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``scipy.special.logsumexp(a, axis=1)`` of a real (m, n) array, bit for bit.
 
     The same operations on the same values as scipy 1.17's real case, in
@@ -64,25 +62,22 @@ def _logsumexp_rows(
     computed on those rows only.
 
     ``scratch`` (float) and ``mask`` (bool), both shaped like ``a``, are work
-    buffers for a caller that reuses them; such a caller sets numpy's error
-    state, since non-finite rows raise its divide and invalid warnings.
+    buffers, so a caller can reuse them from call to call.
     """
-    if scratch is None:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _logsumexp_rows(a, np.empty_like(a), np.empty(a.shape, dtype=bool))
-    a_max = a.max(axis=1, keepdims=True)
-    np.equal(a, a_max, out=mask)
-    m = np.count_nonzero(mask, axis=1)
-    np.subtract(a, a_max, out=scratch)
-    np.exp(scratch, out=scratch)
-    np.copyto(scratch, 0.0, where=mask)
-    # scipy skips the division where s == 0, but there 0 / m is that same +0
-    s = scratch.sum(axis=1) / m
-    a_max = a_max[:, 0]
-    out = np.log1p(s) + np.log(m) + a_max
-    bad = ~np.isfinite(a_max)
-    if bad.any():
-        out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=1, keepdims=True)
+        np.equal(a, a_max, out=mask)
+        m = np.count_nonzero(mask, axis=1)
+        np.subtract(a, a_max, out=scratch)
+        np.exp(scratch, out=scratch)
+        np.copyto(scratch, 0.0, where=mask)
+        # scipy skips the division where s == 0, but there 0 / m is that same +0
+        s = scratch.sum(axis=1) / m
+        a_max = a_max[:, 0]
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(a_max)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
     return out
 
 
@@ -152,19 +147,18 @@ def kde_log_density(model: KdeModel, query: np.ndarray) -> float | np.ndarray:
     size = (min(rows, q.shape[0]), n)
     # zeros for d = 0 only, where no feature writes the sum
     quad, diff, mask = np.zeros(size), np.empty(size), np.empty(size, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, q.shape[0], rows):
-            block = q[start : start + rows]
-            acc, work = quad[: len(block)], diff[: len(block)]
-            for j in range(d):
-                dst = acc if j == 0 else work
-                np.subtract(s[j], block[:, j, None], out=dst)
-                np.divide(dst, h[j], out=dst)
-                np.multiply(dst, dst, out=dst)
-                if j:
-                    np.add(acc, work, out=acc)
-            acc *= -0.5
-            out[start : start + rows] = _logsumexp_rows(acc, work, mask[: len(block)])
+    for start in range(0, q.shape[0], rows):
+        block = q[start : start + rows]
+        acc, work = quad[: len(block)], diff[: len(block)]
+        for j in range(d):
+            dst = acc if j == 0 else work
+            np.subtract(s[j], block[:, j, None], out=dst)
+            np.divide(dst, h[j], out=dst)
+            np.multiply(dst, dst, out=dst)
+            if j:
+                np.add(acc, work, out=acc)
+        acc *= -0.5
+        out[start : start + rows] = _logsumexp_rows(acc, work, mask[: len(block)])
     log_norm = -np.sum(np.log(h)) - 0.5 * d * np.log(2.0 * np.pi)
     out = out + log_norm - np.log(n)
     return float(out[0]) if single else out
@@ -198,12 +192,7 @@ def covariate_shift_ratio(source: DomainSet, fict: FictitiousSet, model: MlpMode
     p_rep = kde_fit(z_source)
 
     numer = np.abs(kde_log_density(p_fict, fict_x) - kde_log_density(p_source, fict_x))
-    origin = _origin_rows(source.domains, fict)
-    # a set from generate_fictitious_set is in origin order: its origins are the source rows
-    if np.array_equal(origin, np.arange(len(source_x))):
-        z_origin = z_source
-    else:
-        z_origin = representations_batch(model, source_x[origin])
+    z_origin = z_source[_origin_rows(source.domains, fict)]
     z_star = representations_batch(model, fict_x)
     denom = np.abs(kde_log_density(p_rep, z_origin) - kde_log_density(p_rep, z_star))
     return numer / np.maximum(denom, RATIO_DENOM_FLOOR)
