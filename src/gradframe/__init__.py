@@ -20,7 +20,6 @@ from .data import (
     CsvSchema,
     Domain,
     DomainSet,
-    GaussianSpec,
     generate_gaussian_domain,
     label_by_boundary,
     load_csv_dataset,
@@ -73,7 +72,6 @@ __all__ = [
     "DomainSet",
     "EvalReport",
     "FictitiousSet",
-    "GaussianSpec",
     "GradframeError",
     "KdeModel",
     "KsResult",

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import warnings
 from dataclasses import replace
@@ -39,10 +38,10 @@ from .data import (
     read_ordinal_column,
     read_text,
     save_csv_dataset,
-    save_csv_domain,
     simulation_source,
     simulation_target,
     standardize,
+    write_csv,
     write_json,
 )
 from .errors import ConfigError, DataError, GradframeError, NumericError, ShapeError
@@ -138,7 +137,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     source = simulation_source(cfg.seed, cfg.sim_points_per_blob, cfg.source_boundary)
     target = simulation_target(cfg.seed, cfg.sim_target_points_per_blob, cfg.target_boundary)
     save_csv_dataset(source, out / "source.csv")
-    save_csv_domain(target, out / "target.csv")
+    save_csv_dataset(DomainSet((target,)), out / "target.csv")
     write_json(
         out / "simulate.json",
         {
@@ -232,14 +231,15 @@ def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
     if len(runs) > 1:
         payload["sweep"] = runs
     write_json(out / "shift_report.json", payload)
-    with (out / "shift_series.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma1", "gamma2", "point_index", "covariate_ratio", "concept_delta"])
-        for run in runs:
-            for i, (r, d) in enumerate(zip(run["covariate_ratios"], run["concept_deltas"])):
-                writer.writerow(
-                    ["%.17g" % run["gamma1"], "%.17g" % run["gamma2"], i, "%.17g" % r, "%.17g" % d]
-                )
+    write_csv(
+        out / "shift_series.csv",
+        ["gamma1", "gamma2", "point_index", "covariate_ratio", "concept_delta"],
+        (
+            [run["gamma1"], run["gamma2"], i, r, d]
+            for run in runs
+            for i, (r, d) in enumerate(zip(run["covariate_ratios"], run["concept_deltas"]))
+        ),
+    )
     return 0
 
 
@@ -251,23 +251,21 @@ def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.csv_schema.feature_columns is None:
         # keep the grouping key out of the feature matrix
         raise ConfigError("select-k requires explicit csv.feature_columns (excluding the key column)")
-    source = load_csv_dataset(src_path, cfg.csv_schema).pooled("all")
+    # one domain in file order, so row i stays paired with key i
+    source = load_csv_dataset(src_path, replace(cfg.csv_schema, domain_column=None)).pooled("all")
     keys = read_ordinal_column(src_path, cfg.select_k_key_column)
     result = select_domain_count(
         source, cfg.select_k_candidates, keys, cfg.train, m_samples=cfg.select_k_m_samples
     )
-    with (out / "k_table.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "avg_p_value"])
-        for k in sorted(result.table):
-            writer.writerow([k, "%.17g" % result.table[k]])
+    table = [[k, result.table[k]] for k in sorted(result.table)]
+    write_csv(out / "k_table.csv", ["k", "avg_p_value"], table)
     write_json(
         out / "selection.json",
         {
             "best_k": result.best_k,
             "flat_table": result.flat,
             "skipped": {str(k): v for k, v in result.skipped.items()},
-            "table": {str(k): result.table[k] for k in sorted(result.table)},
+            "table": {str(k): v for k, v in table},
             "metadata": _metadata(cfg, "select-k"),
         },
     )
@@ -305,12 +303,11 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
             if report.auroc is None:
                 raise NumericError("target domain has a single class; AUROC undefined")
             scores[m].append(report.auroc)
-    with (out / "compare_matrix.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "seed", "auroc"])
-        for m in methods:
-            for seed, score in zip(seeds, scores[m]):
-                writer.writerow([m, seed, "%.17g" % score])
+    write_csv(
+        out / "compare_matrix.csv",
+        ["method", "seed", "auroc"],
+        ([m, seed, score] for m in methods for seed, score in zip(seeds, scores[m])),
+    )
     tests = {}
     diagnostics = []
     if len(seeds) < 2:

@@ -8,14 +8,13 @@ data.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import DomainSet
+from .data import DomainSet, write_csv
 from .errors import ConfigError, ShapeError
 from .nn import MlpModel, bce_rows, input_grad_rows, representations_batch
 from .rng import derive_seed, rng_for
@@ -83,29 +82,12 @@ class FictitiousSet:
         return self.x_star.shape[0]
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         final = self.objective_trace[np.arange(len(self)), self.trace_length - 1]
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["origin_domain", "origin_index", "partner_domain", "y_star"]
-                + [f"x_star_{j}" for j in range(self.x_star.shape[1])]
-                + ["final_objective"]
-            )
-            for origin, index, partner, label, x, objective in zip(
-                self.origin_domain.tolist(),
-                self.origin_index.tolist(),
-                self.partner_domain.tolist(),
-                self.y_star.tolist(),
-                self.x_star.tolist(),
-                final.tolist(),
-            ):
-                writer.writerow(
-                    [origin, index, partner, "%d" % label]
-                    + ["%.17g" % v for v in x]
-                    + ["%.17g" % objective]
-                )
+        header = ["origin_domain", "origin_index", "partner_domain", "y_star"]
+        header += [f"x_star_{j}" for j in range(self.x_star.shape[1])] + ["final_objective"]
+        columns = (self.origin_domain, self.origin_index, self.partner_domain, self.y_star, self.x_star)
+        rows = zip(*(c.tolist() for c in columns), final.tolist())
+        write_csv(path, header, ([o, i, p, y, *x, f] for o, i, p, y, x, f in rows))
 
 
 def _objective_rows(
@@ -225,18 +207,17 @@ def generate_fictitious_set(
     gammas: PenaltyParams,
     ascent_cfg: AscentConfig,
     train_cfg: TrainConfig,
-    models: dict[str, MlpModel] | None = None,
+    models: dict[str, MlpModel],
 ) -> FictitiousSet:
-    """One fictitious point per training point, in origin order.
+    """One fictitious point per training point, in origin order, from the
+    per-domain ``models`` of ``pretrain_domain_models``.
 
     Partner domains rotate round-robin over the other domains with a seeded
     starting offset per origin domain.  The points of one origin domain that
     share a partner ascend together as one batch (``_ascend``); the results
     are put back in origin order.
     """
-    if models is None:
-        models = pretrain_domain_models(ds, train_cfg)
-    elif ds.k < 2:
+    if ds.k < 2:
         raise ConfigError(f"need at least 2 domains, got K={ds.k}")
     ids = [d.id for d in ds.domains]
     pooled = ds.pooled()
@@ -275,7 +256,8 @@ def train_gradframe(
     The final pass runs the shared minibatch loop on the original points
     followed by the fictitious points, with a fresh seeded init.
     """
-    fict = generate_fictitious_set(ds, gammas, ascent_cfg, train_cfg)
+    models = pretrain_domain_models(ds, train_cfg)
+    fict = generate_fictitious_set(ds, gammas, ascent_cfg, train_cfg, models)
     pooled = ds.pooled()
     x = np.vstack([pooled.x, fict.x_star])
     y = np.concatenate([pooled.y, fict.y_star])

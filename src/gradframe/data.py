@@ -19,7 +19,8 @@ from .rng import derive_seed
 class Domain:
     """One domain's points: an (n, d) feature matrix ``x`` and an (n,) 0/1 label vector ``y``.
 
-    Both are float64 copies of the arguments, validated once and stored read-only.
+    Both are float64 copies of the arguments, validated once and stored read-only;
+    a -0.0 label is stored as 0.0, so it is written as ``0``.
     """
 
     id: str
@@ -28,7 +29,7 @@ class Domain:
 
     def __post_init__(self):
         x = np.array(self.x, dtype=np.float64)
-        y = np.array(self.y, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.float64) + 0.0
         if x.ndim != 2 or y.shape != x.shape[:1]:
             raise ShapeError(
                 f"domain {self.id!r} needs an (n, d) feature matrix and n labels, "
@@ -106,32 +107,6 @@ class DomainSet:
 
 
 @dataclass(frozen=True)
-class GaussianSpec:
-    mean: np.ndarray
-    covariance: np.ndarray
-    count: int
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.covariance, dtype=np.float64)
-        if mean.ndim != 1:
-            raise ShapeError(f"mean must be a vector, got shape {mean.shape}")
-        d = mean.shape[0]
-        if cov.shape != (d, d):
-            raise ShapeError(f"covariance shape {cov.shape} does not match mean dimension {d}")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise DataError("covariance matrix is not symmetric")
-        eigvals = np.linalg.eigvalsh(cov)
-        if eigvals.min() < -1e-10:
-            raise DataError(f"covariance matrix is not PSD (min eigenvalue {eigvals.min():g})")
-        if self.count <= 0:
-            raise ConfigError(f"sample count must be positive, got {self.count}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "count", int(self.count))
-
-
-@dataclass(frozen=True)
 class Boundary:
     """Linear labeling rule: label 0 iff x2 <= a*x1 + b."""
 
@@ -151,29 +126,21 @@ def label_by_boundary(x: np.ndarray, boundary: Boundary) -> np.ndarray:
     return np.where(x[..., 1] <= boundary.a * x[..., 0] + boundary.b, 0.0, 1.0)
 
 
-def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
-    # Diagonal jitter covers PSD-but-singular covariances (incl. the zero matrix).
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return np.linalg.cholesky(cov + 1e-12 * np.eye(cov.shape[0]))
-
-
-def generate_gaussian_domain(
-    domain_id: str, specs: list[GaussianSpec], boundary: Boundary, seed: int
-) -> Domain:
-    """Sample each Gaussian blob in order and label every point by the boundary."""
-    if not specs:
-        raise ConfigError("need at least one Gaussian spec")
-    if any(s.mean.shape[0] != 2 for s in specs):
-        raise ShapeError("Gaussian domain generation is 2-dimensional")
+def generate_gaussian_domain(domain_id: str, blobs, count: int, boundary: Boundary, seed: int) -> Domain:
+    """Sample ``count`` points of each isotropic 2-D blob, a ``(mean, variance)`` pair,
+    in order, and label every point by the boundary."""
+    if not blobs or count < 1:
+        raise ConfigError(f"need at least one blob and a positive sample count, got {count}")
     rng = np.random.default_rng(int(seed))
-    x = np.vstack(
-        [
-            spec.mean + rng.standard_normal((spec.count, 2)) @ _cholesky_factor(spec.covariance).T
-            for spec in specs
-        ]
-    )
+    parts = []
+    for mean, var in blobs:
+        mean = np.asarray(mean, dtype=np.float64)
+        if mean.shape != (2,):
+            raise ShapeError(f"blob mean must be a 2-vector, got shape {mean.shape}")
+        if not (math.isfinite(var) and var >= 0):
+            raise DataError(f"blob variance must be finite and >= 0, got {var}")
+        parts.append(mean + math.sqrt(var) * rng.standard_normal((count, 2)))
+    x = np.vstack(parts)
     return Domain(domain_id, x, label_by_boundary(x, boundary))
 
 
@@ -195,17 +162,10 @@ def simulation_source(
     points_per_blob: int = SIM_POINTS_PER_BLOB,
     boundary: Boundary = SIM_SOURCE_BOUNDARY,
 ) -> DomainSet:
-    domains = []
-    for domain_id, blobs in SIM_SOURCE_BLOBS.items():
-        specs = [
-            GaussianSpec(np.array(mean), var * np.eye(2), points_per_blob)
-            for mean, var in blobs
-        ]
-        domains.append(
-            generate_gaussian_domain(
-                domain_id, specs, boundary, derive_seed(seed, "data", domain_id)
-            )
-        )
+    domains = [
+        generate_gaussian_domain(did, blobs, points_per_blob, boundary, derive_seed(seed, "data", did))
+        for did, blobs in SIM_SOURCE_BLOBS.items()
+    ]
     return DomainSet(tuple(domains))
 
 
@@ -214,12 +174,8 @@ def simulation_target(
     points_per_blob: int = SIM_TARGET_POINTS_PER_BLOB,
     boundary: Boundary = SIM_TARGET_BOUNDARY,
 ) -> Domain:
-    specs = [
-        GaussianSpec(np.array(mean), var * np.eye(2), points_per_blob)
-        for mean, var in SIM_TARGET_BLOBS
-    ]
     return generate_gaussian_domain(
-        "target", specs, boundary, derive_seed(seed, "data", "target")
+        "target", SIM_TARGET_BLOBS, points_per_blob, boundary, derive_seed(seed, "data", "target")
     )
 
 
@@ -261,6 +217,17 @@ def write_json(path: str | Path, payload: dict) -> None:
         raise NumericError(f"{path.name}: non-finite number in the report; not written") from None
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write a header row, then the rows: each ``float`` cell (``np.float64`` too) as ``%.17g``,
+    which ``float()`` reads back bit for bit, and any other cell as ``csv`` writes it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _feature_cell(path: Path, row_no: int, column: str, text: str) -> float:
@@ -332,19 +299,8 @@ def load_csv_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Domai
 
 def save_csv_dataset(ds: DomainSet, path: str | Path) -> None:
     """Write features as x0..x{d-1} plus label and domain columns."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    d = ds.feature_dim
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(d)] + ["label", "domain"])
-        for dom in ds.domains:
-            for features, label in zip(dom.x.tolist(), dom.y.tolist()):
-                writer.writerow(["%.17g" % v for v in features] + ["%d" % label, dom.id])
-
-
-def save_csv_domain(domain: Domain, path: str | Path) -> None:
-    save_csv_dataset(DomainSet((domain,)), path)
+    rows = ([*x, y, dom.id] for dom in ds.domains for x, y in zip(dom.x.tolist(), dom.y.tolist()))
+    write_csv(path, [f"x{j}" for j in range(ds.feature_dim)] + ["label", "domain"], rows)
 
 
 def standardize(ds: DomainSet) -> DomainSet:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -10,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import AscentConfig, PenaltyParams, train_gradframe
-from .data import Domain, DomainSet
+from .data import Domain, DomainSet, write_csv
 from .errors import ConfigError, DataError, NumericError
 from .nn import MlpModel, bce_loss_batch, probs_batch
 from .rng import derive_seed
@@ -114,15 +113,8 @@ class LodoResult:
     rows: tuple[LodoRow, ...]
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma1", "gamma2", "fold_domain", "auroc"])
-            for row in self.rows:
-                writer.writerow(
-                    ["%.17g" % row.gamma1, "%.17g" % row.gamma2, row.fold_domain, "%.17g" % row.auroc]
-                )
+        rows = ([r.gamma1, r.gamma2, r.fold_domain, r.auroc] for r in self.rows)
+        write_csv(path, ["gamma1", "gamma2", "fold_domain", "auroc"], rows)
 
 
 def lodo_cv_search(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradframe.core import FictitiousSet
-from gradframe.data import Boundary, Domain, GaussianSpec, generate_gaussian_domain
+from gradframe.data import Boundary, Domain, generate_gaussian_domain
 from gradframe.nn import (
     MlpModel,
     bce_loss_batch,
@@ -50,11 +50,8 @@ def constant_prob_model(p1: float, input_dim: int = 2) -> MlpModel:
 
 def separable_blobs(domain_id: str, seed: int, n_per_blob: int = 60) -> Domain:
     """Two tight blobs on opposite sides of the diagonal labeling rule."""
-    specs = [
-        GaussianSpec(np.array([-2.0, -2.0]), 0.2 * np.eye(2), n_per_blob),
-        GaussianSpec(np.array([2.0, 2.0]), 0.2 * np.eye(2), n_per_blob),
-    ]
-    return generate_gaussian_domain(domain_id, specs, Boundary(-1.0, 0.0), seed)
+    blobs = (((-2.0, -2.0), 0.2), ((2.0, 2.0), 0.2))
+    return generate_gaussian_domain(domain_id, blobs, n_per_blob, Boundary(-1.0, 0.0), seed)
 
 
 def domain_of_rows(domain_id: str, rows) -> Domain:

@@ -270,6 +270,20 @@ class TestSelectK:
         selection = json.loads((out / "selection.json").read_text())
         assert selection["best_k"] in (2, 3)
 
+    def test_domain_column_does_not_reorder_rows(self, tmp_path):
+        # the rows alternate between domains A and B; grouping them by domain
+        # would pair a row's features with another row's month
+        plain = keyed_csv(tmp_path / "plain.csv")
+        header, *rows = plain.read_text().splitlines()
+        tagged = tmp_path / "tagged.csv"
+        tagged.write_text(f"{header},domain\n" + "".join(f"{r},{'AB'[i % 2]}\n" for i, r in enumerate(rows)))
+        tables = []
+        for name, data, schema in (("plain", plain, "csv.domain_column =\n"), ("tagged", tagged, "")):
+            body = TINY_SELECT_K.replace("csv.domain_column =\n", schema).format(data=data, out=tmp_path / name)
+            assert main(["select-k", "--config", str(write_cfg(tmp_path / f"{name}.cfg", body))]) == 0
+            tables.append((tmp_path / name / "k_table.csv").read_bytes())
+        assert tables[0] == tables[1]
+
 
 # Run in a fresh interpreter: import the CLI, then diff ``sys.modules`` around each
 # ``main`` call.  Prints one JSON object: the scipy modules the import loaded, and per

@@ -249,7 +249,8 @@ class TestGenerateFictitiousSet:
     def test_simulation_partner_assignment(self):
         src = simulation_source(1)
         cfg = TrainConfig(seed=1, beta=0.01, epochs=50, batch_size=400, pretrain_epochs=20)
-        fict = generate_fictitious_set(src, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), cfg)
+        models = pretrain_domain_models(src, cfg)
+        fict = generate_fictitious_set(src, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), cfg, models)
         assert len(fict) == 400
         for origin, partner in zip(fict.origin_domain, fict.partner_domain):
             assert partner == ("S2" if origin == "S1" else "S1")
@@ -257,7 +258,8 @@ class TestGenerateFictitiousSet:
     def test_zero_steps_reproduces_inputs(self):
         src = simulation_source(2)
         cfg = TrainConfig(seed=2, beta=0.01, epochs=50, batch_size=400, pretrain_epochs=20)
-        fict = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg)
+        models = pretrain_domain_models(src, cfg)
+        fict = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg, models)
         assert np.array_equal(fict.x_star, src.pooled().feature_matrix())
         assert np.array_equal(fict.y_star, src.pooled().label_vector())
 
@@ -265,8 +267,8 @@ class TestGenerateFictitiousSet:
         src = DomainSet((separable_blobs("A", seed=5, n_per_blob=20), separable_blobs("B", seed=6, n_per_blob=20)))
         cfg = TrainConfig(seed=4, beta=0.01, epochs=30, batch_size=32, pretrain_epochs=15)
         asc = AscentConfig(alpha=0.1, max_steps=5)
-        first = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg)
-        second = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg)
+        first = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg, pretrain_domain_models(src, cfg))
+        second = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg, pretrain_domain_models(src, cfg))
         assert first.x_star.tobytes() == second.x_star.tobytes()
         assert _traces(first) == _traces(second)
         assert list(zip(first.origin_domain.tolist(), first.origin_index.tolist())) == [
@@ -285,7 +287,8 @@ class TestGenerateFictitiousSet:
     def test_csv_export_columns(self, tmp_path):
         src = simulation_source(3)
         cfg = TrainConfig(seed=3, beta=0.01, epochs=30, batch_size=400, pretrain_epochs=10)
-        fict = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg)
+        models = pretrain_domain_models(src, cfg)
+        fict = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg, models)
         path = tmp_path / "fict.csv"
         fict.write_csv(path)
         lines = path.read_text().splitlines()

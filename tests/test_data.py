@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gradframe.data import (
+    SIM_SOURCE_BLOBS,
+    SIM_TARGET_BLOBS,
     Boundary,
     CsvSchema,
     Domain,
     DomainSet,
-    GaussianSpec,
     apply_standardization,
     generate_gaussian_domain,
     label_by_boundary,
@@ -25,9 +27,11 @@ from gradframe.data import (
     simulation_target,
     split_into_k_domains,
     standardize,
+    write_csv,
     write_json,
 )
 from gradframe.errors import ConfigError, DataError, NumericError, ShapeError
+from gradframe.rng import derive_seed
 
 
 class TestBoundaryLabeling:
@@ -45,43 +49,73 @@ class TestBoundaryLabeling:
             label_by_boundary(np.array([1.0, 2.0, 3.0]), Boundary(-1.0, 0.0))
 
 
+BOUNDARY = Boundary(-1.0, 0.0)
+
+
 class TestGaussianGeneration:
     def test_counts_and_exact_label_consistency(self):
-        spec_a = GaussianSpec(np.array([-2.5, -2.5]), 0.5 * np.eye(2), 100)
-        spec_b = GaussianSpec(np.array([2.5, 2.5]), 0.5 * np.eye(2), 100)
-        boundary = Boundary(-1.0, 0.0)
-        dom = generate_gaussian_domain("S1", [spec_a, spec_b], boundary, seed=42)
+        blobs = (((-2.5, -2.5), 0.5), ((2.5, 2.5), 0.5))
+        dom = generate_gaussian_domain("S1", blobs, 100, BOUNDARY, seed=42)
         assert len(dom) == 200
         for features, label in zip(dom.x, dom.y):
-            assert label == label_by_boundary(features, boundary)
+            assert label == label_by_boundary(features, BOUNDARY)
 
     def test_sample_mean_converges(self):
         mean = np.array([1.0, -2.0])
-        spec = GaussianSpec(mean, 0.25 * np.eye(2), 4000)
-        dom = generate_gaussian_domain("g", [spec], Boundary(-1.0, 0.0), seed=7)
+        dom = generate_gaussian_domain("g", [(mean, 0.25)], 4000, BOUNDARY, seed=7)
         sample_mean = dom.feature_matrix().mean(axis=0)
         tol = 4.0 * 0.5 / np.sqrt(4000)
         assert np.all(np.abs(sample_mean - mean) < tol)
 
     def test_zero_covariance_degenerates_to_mean(self):
-        spec = GaussianSpec(np.array([1.5, 1.5]), np.zeros((2, 2)), 20)
-        dom = generate_gaussian_domain("d", [spec], Boundary(-1.0, 0.0), seed=1)
-        assert np.allclose(dom.feature_matrix(), [1.5, 1.5], atol=1e-4)
+        dom = generate_gaussian_domain("d", [((1.5, 1.5), 0.0)], 20, BOUNDARY, seed=1)
+        assert np.array_equal(dom.feature_matrix(), np.full((20, 2), 1.5))
         assert len(set(dom.y.tolist())) == 1
 
-    def test_non_psd_covariance_rejected(self):
-        with pytest.raises(DataError):
-            GaussianSpec(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 5)
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_non_positive_count_rejected(self, count):
+        with pytest.raises(ConfigError):
+            generate_gaussian_domain("d", [((0.0, 0.0), 1.0)], count, BOUNDARY, seed=1)
 
-    def test_asymmetric_covariance_rejected(self):
+    @pytest.mark.parametrize("var", [-0.5, math.nan, math.inf])
+    def test_invalid_variance_rejected(self, var):
         with pytest.raises(DataError):
-            GaussianSpec(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), 5)
+            generate_gaussian_domain("d", [((0.0, 0.0), var)], 5, BOUNDARY, seed=1)
+
+    @pytest.mark.parametrize("mean", [(0.0,), (0.0, 0.0, 0.0), ((0.0, 0.0),)])
+    def test_mean_not_a_2_vector_rejected(self, mean):
+        with pytest.raises(ShapeError):
+            generate_gaussian_domain("d", [(mean, 1.0)], 5, BOUNDARY, seed=1)
 
     def test_seeded_reproducibility(self):
-        spec = GaussianSpec(np.zeros(2), np.eye(2), 50)
-        a = generate_gaussian_domain("a", [spec], Boundary(-1.0, 0.0), seed=3)
-        b = generate_gaussian_domain("a", [spec], Boundary(-1.0, 0.0), seed=3)
+        blobs = [((0.0, 0.0), 1.0)]
+        a = generate_gaussian_domain("a", blobs, 50, BOUNDARY, seed=3)
+        b = generate_gaussian_domain("a", blobs, 50, BOUNDARY, seed=3)
         assert np.array_equal(a.feature_matrix(), b.feature_matrix())
+
+
+def cholesky_blobs(blobs, count: int, seed: int) -> np.ndarray:
+    """Points of each (mean, variance) blob by the full-covariance form,
+    ``mean + z @ cholesky(var * I).T``, from the same generator stream."""
+    rng = np.random.default_rng(seed)
+    return np.vstack(
+        [
+            np.asarray(mean) + rng.standard_normal((count, 2)) @ np.linalg.cholesky(var * np.eye(2)).T
+            for mean, var in blobs
+        ]
+    )
+
+
+@pytest.mark.parametrize("per_blob", [7, 50, 100])
+def test_simulation_matches_the_cholesky_form_bit_for_bit(per_blob):
+    for seed in range(50):
+        source = simulation_source(seed, per_blob)
+        for dom in source.domains:
+            ref = cholesky_blobs(SIM_SOURCE_BLOBS[dom.id], per_blob, derive_seed(seed, "data", dom.id))
+            assert np.array_equal(dom.x, ref)
+        target = simulation_target(seed, per_blob)
+        ref = cholesky_blobs(SIM_TARGET_BLOBS, per_blob, derive_seed(seed, "data", "target"))
+        assert np.array_equal(target.x, ref)
 
 
 class TestSimulationPresets:
@@ -188,6 +222,37 @@ class TestWriteJson:
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SUBNORMAL = st.sampled_from([5e-324, -5e-324, 2.2250738585072009e-308, -1e-310])
+
+
+class TestWriteCsv:
+    def test_header_first_then_cells_as_csv_writes_them(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["name", "n", "value"], [["a,b", 7, np.float64(0.1)], ["c", -2, 1.0]])
+        assert path.read_bytes() == b'name,n,value\r\n"a,b",7,0.10000000000000001\r\nc,-2,1\r\n'
+
+    def test_missing_parent_directory_is_created(self, tmp_path):
+        path = tmp_path / "a" / "b" / "t.csv"
+        write_csv(path, ["x"], [[0.5]])
+        assert path.read_text(encoding="utf-8").splitlines() == ["x", "0.5"]
+
+    def test_negative_zero_label_is_written_as_zero(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_csv_dataset(DomainSet((Domain("d", [[1.0]], [-0.0]),)), path)
+        assert path.read_text(encoding="utf-8").splitlines()[1] == "1,0,d"
+        assert load_csv_dataset(path).domains[0].y.tolist() == [0.0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(FINITE | SUBNORMAL | st.just(-0.0), min_size=1, max_size=6))
+    def test_floats_read_back_bit_for_bit(self, csv_dir, values):
+        path = csv_dir / "floats.csv"
+        write_csv(path, [f"c{j}" for j in range(len(values))], [values])
+        with path.open(newline="", encoding="utf-8") as fh:
+            header, row = list(csv.reader(fh))
+        assert header == [f"c{j}" for j in range(len(values))]
+        assert np.array([float(v) for v in row]).tobytes() == np.array(values).tobytes()
+
+
 # any text a UTF-8 file can hold: every character but the lone surrogates
 DOMAIN_ID = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 

@@ -17,7 +17,7 @@ from conftest import (
 )
 
 import gradframe.shift as shift
-from gradframe.core import AscentConfig, PenaltyParams, generate_fictitious_set
+from gradframe.core import AscentConfig, PenaltyParams, generate_fictitious_set, pretrain_domain_models
 from gradframe.data import (
     Domain,
     DomainSet,
@@ -287,7 +287,8 @@ class TestCovariateShiftRatio:
         src = simulation_source(0)
         cfg = TrainConfig(seed=0, beta=0.01, epochs=30, batch_size=400, pretrain_epochs=10)
         fict = generate_fictitious_set(
-            src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg
+            src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg,
+            pretrain_domain_models(src, cfg),
         )
         model = init_mlp([2, 2, 2], 1, seed=0)
         ratios = covariate_shift_ratio(src, fict, model)
@@ -362,7 +363,8 @@ class TestConceptShiftDelta:
         src = simulation_source(1)
         cfg = TrainConfig(seed=1, beta=0.01, epochs=60, batch_size=400, pretrain_epochs=10)
         fict = generate_fictitious_set(
-            src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg
+            src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg,
+            pretrain_domain_models(src, cfg),
         )
         deltas = concept_shift_delta(src, fict, cfg)
         assert float(np.mean(deltas)) < 0.02
@@ -371,7 +373,8 @@ class TestConceptShiftDelta:
         src = simulation_source(2)
         cfg = TrainConfig(seed=2, beta=0.01, epochs=30, batch_size=400, pretrain_epochs=10)
         fict = generate_fictitious_set(
-            src, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5, max_steps=5), cfg
+            src, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5, max_steps=5), cfg,
+            pretrain_domain_models(src, cfg),
         )
         deltas = concept_shift_delta(src, fict, cfg)
         assert np.all((deltas >= 0.0) & (deltas <= 1.0))
@@ -380,7 +383,8 @@ class TestConceptShiftDelta:
         src = simulation_source(4)
         cfg = TrainConfig(seed=4, beta=0.01, epochs=30, batch_size=64, pretrain_epochs=10)
         fict = generate_fictitious_set(
-            src, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5, max_steps=5), cfg
+            src, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5, max_steps=5), cfg,
+            pretrain_domain_models(src, cfg),
         )
         model_cfg = replace(cfg, seed=derive_seed(cfg.seed, "concept"))
         pooled = src.pooled()
