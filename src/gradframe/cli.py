@@ -69,11 +69,6 @@ def _metadata(cfg: ExperimentConfig, command: str) -> dict:
     }
 
 
-def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "effective_config.txt").write_text(render_config(cfg.values), encoding="utf-8")
-
-
 def _source_path(cfg: ExperimentConfig) -> str:
     if not cfg.source_csv:
         raise ConfigError("config key 'data.source_csv' is required for dataset.kind=csv")
@@ -133,7 +128,6 @@ def _load_scaler(path: Path, input_dim: int) -> Standardization:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     source = simulation_source(cfg.seed, cfg.sim_points_per_blob, cfg.source_boundary)
     target = simulation_target(cfg.seed, cfg.sim_target_points_per_blob, cfg.target_boundary)
     save_csv_dataset(source, out / "source.csv")
@@ -151,7 +145,6 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     source, target = _load_data(cfg, cfg.seed)
     model, fict = _train_method(cfg, cfg.method, source, cfg.seed)
     save_model(model, out / "model.txt")
@@ -200,7 +193,6 @@ def _shift_run(
 
 
 def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     source, _ = _load_data(cfg, cfg.seed)
     train_cfg = cfg.train
     # the pretrained models, the train_erm model and the concept source model do
@@ -244,11 +236,11 @@ def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     if cfg.dataset_kind != "csv":
         raise ConfigError("select-k requires dataset.kind=csv with a key column")
     src_path = _source_path(cfg)
-    if cfg.csv_schema.feature_columns is None:
+    features = cfg.csv_schema.feature_columns
+    if features is None or cfg.select_k_key_column in features:
         # keep the grouping key out of the feature matrix
         raise ConfigError("select-k requires explicit csv.feature_columns (excluding the key column)")
     # one domain in file order, so row i stays paired with key i
@@ -273,7 +265,6 @@ def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_lodo(cfg: ExperimentConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     source, _ = _load_data(cfg, cfg.seed)
     result = lodo_cv_search(source, cfg.grid_pairs, cfg.ascent, cfg.train)
     result.write_csv(out / "lodo_table.csv")
@@ -290,7 +281,6 @@ def cmd_lodo(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     methods, seeds = cfg.compare_methods, cfg.seeds
     scores: dict[str, list[float]] = {m: [] for m in methods}
     for seed in seeds:
@@ -340,7 +330,6 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
-    _echo_config(cfg, out)
     model = load_model(out / "model.txt")
     eval_path = cfg.target_csv or cfg.source_csv
     if not eval_path:
@@ -396,7 +385,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             overrides["output.dir"] = args.out
         cfg = ExperimentConfig.load(args.config, overrides)
-        return COMMANDS[args.command](cfg, cfg.output_dir)
+        out = cfg.output_dir
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "effective_config.txt").write_text(render_config(cfg.values), encoding="utf-8")
+        return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

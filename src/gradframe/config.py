@@ -268,7 +268,7 @@ class ExperimentConfig:
             source_csv=p["data.source_csv"],
             target_csv=p["data.target_csv"],
             standardize=p["data.standardize"],
-            csv_schema=CsvSchema(**_section(p, "csv.")),
+            csv_schema=_build("csv.*", CsvSchema, **_section(p, "csv.")),
             sim_points_per_blob=p["simulate.points_per_blob"],
             sim_target_points_per_blob=p["simulate.target.points_per_blob"],
             source_boundary=Boundary(**_section(p, "simulate.boundary.")),

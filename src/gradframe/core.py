@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import DomainSet, write_csv
-from .errors import ConfigError, ShapeError
-from .nn import MlpModel, bce_rows, input_grad_rows, representations_batch
+from .errors import ConfigError
+from .nn import MlpModel, bce_loss_batch, bce_rows, grad_input_batch, representations_batch
 from .rng import derive_seed, rng_for
 from .training import TrainConfig, fit_minibatch, fit_stack
 
@@ -106,7 +106,7 @@ def _objective_rows(
         z = acts[model_i.rep_layer_index]
         value = value - gammas.gamma1 * (0.5 * np.sum((z - z_anchor) ** 2, axis=1))
     if gammas.gamma2 != 0.0:
-        value = value - gammas.gamma2 * bce_rows(model_j, x, y)[0]
+        value = value - gammas.gamma2 * bce_loss_batch(model_j, x, y)
     return value
 
 
@@ -131,11 +131,6 @@ def _ascend(
     traces, the trace lengths and the abort flags.
     """
     z_anchor = representations_batch(model_i, x0)  # also checks x0 against model_i
-    if model_j.input_dim != model_i.input_dim:
-        raise ShapeError(
-            f"partner model expects dimension {model_j.input_dim}, "
-            f"origin model expects {model_i.input_dim}"
-        )
     n = x0.shape[0]
     x = x0.copy()
     values = np.full((n, cfg.max_steps + 1), np.nan)
@@ -146,7 +141,7 @@ def _ascend(
     for step_no in range(1, cfg.max_steps + 1):
         if live.size == 0:
             break
-        g = input_grad_rows(
+        g = grad_input_batch(
             model_i,
             x[live],
             y[live],

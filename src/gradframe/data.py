@@ -185,12 +185,23 @@ class CsvSchema:
 
     ``feature_columns=None`` takes every column except the label and domain
     columns, in header order.  A named domain column must be in the header;
-    ``domain_column=None`` loads the file as one domain, ``"all"``.
+    ``domain_column=None`` loads the file as one domain, ``"all"``.  The three
+    roles must not share a column, and no feature is named twice (``ConfigError``).
     """
 
     label_column: str = "label"
     domain_column: str | None = "domain"
     feature_columns: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if self.domain_column == self.label_column:
+            raise ConfigError(f"{self.label_column!r} is both the label and the domain column")
+        features = self.feature_columns or ()
+        for name in (self.label_column, self.domain_column):
+            if name in features:
+                raise ConfigError(f"feature_columns include the label or domain column {name!r}")
+        if len(set(features)) < len(features):
+            raise ConfigError(f"feature_columns name a column more than once: {list(features)}")
 
 
 def read_text(path: str | Path, error: type[GradframeError] = DataError) -> str:
@@ -228,6 +239,13 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _check_unique(path: Path, header: list[str], names) -> None:
+    """``DataError`` if one of the ``names`` a load reads appears more than once in ``header``."""
+    for name in names:
+        if header.count(name) > 1:
+            raise DataError(f"{path}: column {name!r} appears more than once in the header")
 
 
 def _feature_cell(path: Path, row_no: int, column: str, text: str) -> float:
@@ -268,6 +286,7 @@ def load_csv_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Domai
                 raise DataError(f"{path}: missing feature column {name!r}")
     if not feature_names:
         raise DataError(f"{path}: no feature columns")
+    _check_unique(path, header, [schema.label_column, schema.domain_column, *feature_names])
     feat_idx = [col_index[name] for name in feature_names]
     label_idx = col_index[schema.label_column]
 
@@ -354,6 +373,7 @@ def read_ordinal_column(path: str | Path, column: str) -> list[int]:
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     if reader.fieldnames is None or column not in reader.fieldnames:
         raise DataError(f"{path}: missing column {column!r}")
+    _check_unique(path, reader.fieldnames, [column])
     values: list[int] = []
     for row_no, row in enumerate(reader, start=1):
         try:

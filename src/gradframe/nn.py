@@ -17,12 +17,12 @@ matrix and return new arrays: ``probs_batch`` (clamped class-1 probabilities),
 ``representations_batch`` (z), ``bce_loss_batch`` (per-row BCE),
 ``grad_params_batch`` (gradient of the mean BCE, laid out like ``params``) and
 ``grad_input_batch`` (per-row input gradient of the ascent objective).  Each
-checks its input matrix (``_check_matrix``) and any targets it takes
-(``_check_targets``: n finite values in [0, 1]); ``grad_input_batch`` also
-checks the anchor shape and the concept model's input width.  ``bce_rows`` and
-``input_grad_rows`` check nothing: they serve the ascent, which checks its
-inputs once.  ``check_architecture`` is the one architecture rule; ``MlpModel``
-runs it on every model it builds, and ``TrainConfig`` on its own fields.
+runs ``check_input``, the one model-input rule, as ``training.fit_stack``
+does; ``grad_input_batch`` also checks the anchor shape and the concept
+model's width.  ``bce_rows`` checks nothing: the ascent's objective needs the
+activations it returns, for its anchor term.  ``check_architecture`` is the
+one architecture rule; ``MlpModel`` runs it on every model it builds, and
+``TrainConfig`` on its own fields.
 
 The arithmetic runs in place on the buffers of a ``Workspace`` and in
 ``adam_update``, the one Adam step.  The public functions hand these kernels
@@ -159,22 +159,23 @@ def init_mlp(layer_dims: list[int] | tuple[int, ...], rep_layer_index: int, seed
     return MlpModel(dims, flatten_params(weights, biases), int(rep_layer_index))
 
 
-def _check_matrix(model: MlpModel, x: np.ndarray) -> np.ndarray:
+def check_input(model: MlpModel | None, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """``x`` and ``y`` as float64 arrays, checked: ``x`` an ``(n, d)`` matrix (d the input
+    width of ``model``, or any d >= 1 without one) and ``y``, if given, n targets, else
+    ``ShapeError``; a non-finite input or a target outside [0, 1] raises ``DataError``."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ShapeError(f"expected inputs of dimension {model.input_dim}, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] == 0 or (model is not None and x.shape[1] != model.input_dim):
+        want = "d >= 1" if model is None else f"d = {model.input_dim}"
+        raise ShapeError(f"expected an (n, d) input matrix with {want}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite value in model input")
-    return x
-
-
-def _check_targets(x: np.ndarray, y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != x.shape[:1]:
-        raise ShapeError(f"expected {x.shape[0]} targets, got shape {y.shape}")
-    if not np.all((y >= 0.0) & (y <= 1.0)):  # NaN fails both comparisons
-        raise DataError("targets must be finite and in [0, 1]")
-    return y
+    if y is not None:
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != x.shape[:1]:
+            raise ShapeError(f"expected {x.shape[0]} targets, got shape {y.shape}")
+        if not np.all((y >= 0.0) & (y <= 1.0)):  # NaN fails both comparisons
+            raise DataError("targets must be finite and in [0, 1]")
+    return x, y
 
 
 def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,12 +360,12 @@ def _forward(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> Wor
 
 def probs_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Clamped class-1 probability of each row."""
-    return np.clip(_forward(model, _check_matrix(model, x)).p1, P_MIN, P_MAX)
+    return np.clip(_forward(model, check_input(model, x)[0]).p1, P_MIN, P_MAX)
 
 
 def representations_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """The designated hidden-layer activation z of each row."""
-    return _forward(model, _check_matrix(model, x)).acts[model.rep_layer_index]
+    return _forward(model, check_input(model, x)[0]).acts[model.rep_layer_index]
 
 
 def _bce(p1_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -373,48 +374,24 @@ def _bce(p1_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def bce_rows(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-row BCE and per-layer activations of an ``(n, d)`` input the caller has checked."""
+    """Per-row BCE and per-layer activations of ``x``, unchecked: the ascent's objective
+    needs the activations for its anchor term, on points it has found finite."""
     ws = _forward(model, x)
     return _bce(ws.p1, y), ws.acts
 
 
 def bce_loss_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row binary cross-entropy; accepts soft targets in [0, 1]."""
-    x = _check_matrix(model, x)
-    return bce_rows(model, x, _check_targets(x, y))[0]
+    return bce_rows(model, *check_input(model, x, y))[0]
 
 
 def grad_params_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean BCE over the rows, laid out like ``model.params``."""
-    x = _check_matrix(model, x)
-    ws = Workspace(model.layer_dims, x.shape[:1], x, _check_targets(x, y))
+    x, y = check_input(model, x, y)
+    ws = Workspace(model.layer_dims, x.shape[:1], x, y)
     grad = np.empty(model.params.shape)
     ws.mean_bce_grad(model.weights, model.biases, param_views(model.layer_dims, grad))
     return grad
-
-
-def input_grad_rows(
-    model: MlpModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    anchor: tuple[np.ndarray, float] | None = None,
-    concept: tuple[MlpModel, float] | None = None,
-) -> np.ndarray:
-    """``grad_input_batch`` of inputs the caller has checked."""
-    ws = _forward(model, x, y)
-    ws.score_grads(mean=False)
-    g = ws.backward(model.weights, model.n_layers)
-    if anchor is not None:
-        z_anchor, weight_a = anchor
-        rep = model.rep_layer_index
-        np.subtract(ws.acts[rep], z_anchor, out=ws.deltas[rep])
-        g = g - float(weight_a) * ws.backward(model.weights, rep)
-    if concept is not None:
-        concept_model, weight_c = concept
-        c_ws = _forward(concept_model, x, y)
-        c_ws.score_grads(mean=False)
-        g = g - float(weight_c) * c_ws.backward(concept_model.weights, concept_model.n_layers)
-    return g
 
 
 def grad_input_batch(
@@ -431,8 +408,7 @@ def grad_input_batch(
     ``weight_c * bce(concept_model; x[r], y[r])`` if ``concept`` is given; z is
     the representation under ``model``.
     """
-    x = _check_matrix(model, x)
-    y = _check_targets(x, y)
+    x, y = check_input(model, x, y)
     want = (x.shape[0], model.rep_dim)
     if anchor is not None and np.shape(anchor[0]) != want:
         raise ShapeError(f"anchor has shape {np.shape(anchor[0])}, expected {want}")
@@ -441,7 +417,20 @@ def grad_input_batch(
             f"concept model expects dimension {concept[0].input_dim}, "
             f"main model expects {model.input_dim}"
         )
-    return input_grad_rows(model, x, y, anchor, concept)
+    ws = _forward(model, x, y)
+    ws.score_grads(mean=False)
+    g = ws.backward(model.weights, model.n_layers)
+    if anchor is not None:
+        z_anchor, weight_a = anchor
+        rep = model.rep_layer_index
+        np.subtract(ws.acts[rep], z_anchor, out=ws.deltas[rep])
+        g = g - float(weight_a) * ws.backward(model.weights, rep)
+    if concept is not None:
+        concept_model, weight_c = concept
+        c_ws = _forward(concept_model, x, y)
+        c_ws.score_grads(mean=False)
+        g = g - float(weight_c) * c_ws.backward(concept_model.weights, concept_model.n_layers)
+    return g
 
 
 def adam_update(params, m, v, grads, step: int, lr: float, tmp, tmp2) -> None:

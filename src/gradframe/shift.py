@@ -9,6 +9,7 @@ selection of the domain count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -368,13 +369,11 @@ def select_domain_count(
             x = group.feature_matrix()
             seeds = [derive_seed(cfg.seed, "selectk-shap", k, g_idx, i) for i in range(len(x))]
             shap_per_group.append(_shapley_batch(model, x, x.mean(axis=0), m_samples, seeds)[0])
-        p_values = []
-        for i in range(len(shap_per_group)):
-            for j in range(i + 1, len(shap_per_group)):
-                for f in range(domain.feature_dim):
-                    p_values.append(
-                        ks_two_sample(shap_per_group[i][:, f], shap_per_group[j][:, f]).p_value
-                    )
+        p_values = [
+            ks_two_sample(a[:, f], b[:, f]).p_value
+            for a, b in itertools.combinations(shap_per_group, 2)
+            for f in range(domain.feature_dim)
+        ]
         table[k] = float(np.mean(p_values))
     if not table:
         raise DataError("every candidate k was infeasible")

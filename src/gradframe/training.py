@@ -12,8 +12,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError
-from .nn import MlpModel, Workspace, adam_update, check_architecture, init_mlp, param_views
+from .errors import ConfigError, NumericError, ShapeError
+from .nn import MlpModel, Workspace, adam_update, check_architecture, check_input, init_mlp, param_views
 from .rng import derive_seed, rng_for
 
 
@@ -138,29 +138,11 @@ def shuffled_batches(rows: np.ndarray, batch_size: int) -> Callable[[list], Iter
     return epoch
 
 
-def _check_fit_input(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] == 0 or y.shape != x.shape[:1]:
-        raise ShapeError(
-            f"expected an (n, d) input matrix with d >= 1 and n labels, "
-            f"got shapes {x.shape} and {y.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise DataError("non-finite value in model input")
-    if not np.all((y >= 0.0) & (y <= 1.0)):  # NaN fails both comparisons
-        raise DataError("labels must be finite and in [0, 1]")
-    return x, y
-
-
 def _descend_stack(data: list[tuple[np.ndarray, np.ndarray]], cfg: TrainConfig, seeds: list[int]):
     """One descent over ``(x, y)`` fits that share their ``(n, d)`` shape, one per seed."""
     n, d = data[0][0].shape
-    if len(data) == 1:
-        [(x_all, y_all)] = data
-    else:
-        x_all = np.concatenate([x for x, _ in data])
-        y_all = np.concatenate([y for _, y in data])
+    x_all = np.concatenate([x for x, _ in data])
+    y_all = np.concatenate([y for _, y in data])
     rows = np.arange(len(data) * n).reshape(len(data), n)  # fit i's rows in x_all
 
     def batch_grad(buffers, idx):
@@ -178,12 +160,12 @@ def fit_stack(xs: Sequence, ys: Sequence, cfgs: Sequence[TrainConfig]) -> list[M
     configs differ at most in ``seed``; a fit that matches no other is a stack
     of one.  Each fit keeps its own seeded init and shuffle stream and its own
     rows, so every model is bit for bit the one ``fit_minibatch`` gives for its
-    fit alone.  Every ``x`` is checked first, as in ``fit_minibatch``, and the
-    models come back in input order.
+    fit alone.  Every ``(x, y)`` passes ``check_input`` first, and the models
+    come back in input order.
     """
     if not len(xs) == len(ys) == len(cfgs):
         raise ShapeError(f"got {len(xs)} inputs, {len(ys)} label vectors and {len(cfgs)} configs")
-    data = [_check_fit_input(x, y) for x, y in zip(xs, ys)]
+    data = [check_input(None, x, y) for x, y in zip(xs, ys)]
     stacks: dict[tuple, list[int]] = {}
     for i, ((x, _), cfg) in enumerate(zip(data, cfgs)):
         stacks.setdefault((x.shape, replace(cfg, seed=0)), []).append(i)

@@ -16,7 +16,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import model_text
 
 import gradframe
-from gradframe.cli import _load_scaler, _save_scaler, main
+from gradframe.cli import COMMANDS, _load_scaler, _save_scaler, main
+from gradframe.config import ExperimentConfig, render_config
 from gradframe.data import Boundary, Standardization, label_by_boundary, load_csv_dataset
 from gradframe.errors import DataError
 from gradframe.evaluation import evaluate
@@ -283,6 +284,46 @@ class TestSelectK:
             assert main(["select-k", "--config", str(write_cfg(tmp_path / f"{name}.cfg", body))]) == 0
             tables.append((tmp_path / name / "k_table.csv").read_bytes())
         assert tables[0] == tables[1]
+
+
+    def test_key_column_among_features_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "selk"
+        body = TINY_SELECT_K.format(data=keyed_csv(tmp_path / "keyed.csv"), out=out)
+        cfg = write_cfg(tmp_path / "c.cfg", body.replace("x0,x1", "x0,x1,month"))
+        assert main(["select-k", "--config", str(cfg)]) == 2
+        assert "excluding the key column" in capsys.readouterr().err
+        assert not (out / "k_table.csv").exists()
+
+
+# Small enough that each command runs in well under a second.  Three of them stop
+# after the load: ``select-k`` needs a CSV key column, ``lodo`` three domains and
+# ``evaluate`` a ``model.txt``.
+TINY_ECHO = """
+dataset.kind = simulate
+simulate.points_per_blob = 8
+simulate.target.points_per_blob = 8
+method = erm
+train.epochs = 2
+train.pretrain_epochs = 2
+ascent.max_steps = 1
+ascent.min_steps = 1
+compare.methods = erm
+seeds = 0
+output.dir = {out}
+"""
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_echoes_its_resolved_config(self, tmp_path, command):
+        """``main`` writes the echo after the load and before the command runs, so a
+        command that fails later still leaves it."""
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path / "c.cfg", TINY_ECHO.format(out=out))
+        code = main([command, "--config", str(cfg), "--seed", "3"])
+        assert code == {"select-k": 2, "lodo": 2, "evaluate": 3}.get(command, 0)
+        resolved = ExperimentConfig.load(cfg, {"seed": "3"}).values
+        assert (out / "effective_config.txt").read_text(encoding="utf-8") == render_config(resolved)
 
 
 # Run in a fresh interpreter: import the CLI, then diff ``sys.modules`` around each
@@ -709,6 +750,31 @@ output.dir = {tmp_path}/o
         assert "Traceback" not in err
         if case == "non-finite-feature":
             assert "row 2, column 'x1'" in err
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["csv.feature_columns = x0,label", "csv.feature_columns = x0,domain", "csv.domain_column = label"],
+        ids=["feature-is-label", "feature-is-domain", "domain-is-label"],
+    )
+    def test_overlapping_csv_columns_are_config_error(self, tmp_path, capsys, setting):
+        data = tmp_path / "data.csv"
+        data.write_text("x0,x1,label,domain\n0,0,0,A\n1,1,1,A\n0,1,0,B\n1,0,1,B\n")
+        out = tmp_path / "o"
+        body = f"dataset.kind = csv\ndata.source_csv = {data}\nmethod = erm\n{setting}\noutput.dir = {out}\n"
+        assert main(["train", "--config", str(write_cfg(tmp_path / "c.cfg", body))]) == 2
+        err = capsys.readouterr().err
+        assert "config keys csv.*" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_repeated_csv_column_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x0,x0,label,domain\n0,0,0,A\n1,1,1,A\n0,1,0,B\n1,0,1,B\n")
+        out = tmp_path / "o"
+        body = f"dataset.kind = csv\ndata.source_csv = {data}\nmethod = erm\noutput.dir = {out}\n"
+        assert main(["train", "--config", str(write_cfg(tmp_path / "c.cfg", body))]) == 3
+        err = capsys.readouterr().err
+        assert "column 'x0' appears more than once" in err and "Traceback" not in err
+        assert not (out / "model.txt").exists()
 
     def test_removed_parallel_flag_is_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", f"dataset.kind = simulate\noutput.dir = {tmp_path}/o\n")

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from gradframe.cli import main
 from gradframe.config import KEYS, METHODS, ExperimentConfig, parse_config_file, render_config
+from gradframe.errors import ConfigError
 
 FREE_FORM = {
     "data.source_csv",
@@ -122,6 +123,9 @@ class TestLoadTimeErrors:
             ("grid.pairs = -1:1\n", "grid.*"),
             ("grid.gamma1_values =\n", "grid.gamma1_values"),
             ("shift.sweep = gamma2\nshift.sweep_values = 1,-1\n", "shift.sweep_values"),
+            ("csv.feature_columns = x0,label\n", "csv.*"),
+            ("csv.domain_column = label\n", "csv.*"),
+            ("csv.feature_columns = x0,x1,x0\n", "csv.*"),
         ],
     )
     def test_library_range_checks_run_at_load(self, tmp_path, body, named):
@@ -245,12 +249,25 @@ def test_valid_strategies_cover_the_table():
     assert set(VALID) == set(KEYS)
 
 
+def _csv_roles_clash(values: dict[str, str]) -> bool:
+    """Whether the drawn ``csv.*`` keys share a column between roles or repeat a feature."""
+    label = values.get("csv.label_column", "label")
+    domain = values.get("csv.domain_column", "domain") or None
+    features = [name for name in values.get("csv.feature_columns", "").split(",") if name]
+    shared = domain == label or label in features or domain in features
+    return shared or len(set(features)) < len(features)
+
+
 @settings(max_examples=150, deadline=None)
 @given(values=st.fixed_dictionaries({}, optional=VALID))
 def test_render_parse_round_trip(workdir, values):
     path = workdir / "drawn.cfg"
     path.write_text(render_config(values), encoding="utf-8")
     assert parse_config_file(path) == values
+    if _csv_roles_clash(values):
+        with pytest.raises(ConfigError, match=r"csv\.\*"):
+            ExperimentConfig.load(path)
+        return
     cfg = ExperimentConfig.load(path)
     echo = workdir / "echo.cfg"
     echo.write_text(render_config(cfg.values), encoding="utf-8")

@@ -196,6 +196,54 @@ class TestCsvRoundTrip:
         ds = load_csv_dataset(path, CsvSchema(feature_columns=("a", "b"), domain_column=None))
         assert ds.feature_dim == 2
 
+    @pytest.mark.parametrize(
+        "header, schema, name",
+        [
+            ("x,x,label,domain", CsvSchema(), "x"),
+            ("x,x,label,domain", CsvSchema(feature_columns=("x",)), "x"),
+            ("x,y,label,label,domain", CsvSchema(), "label"),
+            ("x,y,label,domain,domain", CsvSchema(), "domain"),
+        ],
+        ids=["default-feature", "named-feature", "label", "domain"],
+    )
+    def test_repeated_header_name_that_is_read_rejected(self, tmp_path, header, schema, name):
+        # the last ``x`` used to win: the row ``1,2,0,0`` loaded as features [2, 2]
+        path = tmp_path / "dup.csv"
+        row = ",".join(["1", "2", "0", "0", "A"][: header.count(",") + 1])
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(DataError, match=f"column '{name}' appears more than once"):
+            load_csv_dataset(path, schema)
+
+    def test_repeated_header_name_that_is_not_read_is_ignored(self, tmp_path):
+        path = tmp_path / "notes.csv"
+        path.write_text("x,notes,notes,label,domain\n1,a,b,0,A\n2,c,d,1,A\n")
+        ds = load_csv_dataset(path, CsvSchema(feature_columns=("x",)))
+        assert np.array_equal(ds.domains[0].x, [[1.0], [2.0]])
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"feature_columns": ("x", "label")},
+            {"feature_columns": ("x", "domain")},
+            {"feature_columns": ("x", "region"), "domain_column": "region"},
+            {"domain_column": "label"},
+            {"feature_columns": ("x", "y", "x")},
+        ],
+        ids=[
+            "feature-is-label", "feature-is-domain", "feature-is-named-domain",
+            "domain-is-label", "feature-twice",
+        ],
+    )
+    def test_overlapping_schema_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            CsvSchema(**fields)
+
+    def test_read_ordinal_column_rejects_repeated_key(self, tmp_path):
+        path = tmp_path / "keys.csv"
+        path.write_text("month,x0,month,label\n3,1,4,0\n")
+        with pytest.raises(DataError, match="column 'month' appears more than once"):
+            read_ordinal_column(path, "month")
+
     def test_read_ordinal_column(self, tmp_path):
         path = tmp_path / "keys.csv"
         path.write_text("x0,label,month\n1,0,3\n2,1,1\n")

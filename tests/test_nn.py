@@ -35,7 +35,7 @@ from gradframe.nn import (
     probs_batch,
     representations_batch,
 )
-from gradframe.training import TrainConfig
+from gradframe.training import TrainConfig, fit_stack
 
 
 def one_row_prob(model, x) -> float:
@@ -50,6 +50,22 @@ def one_row_grad_input(model, x, y, anchor=None, concept=None) -> np.ndarray:
     if anchor is not None:
         anchor = (np.asarray(anchor[0])[None, :], anchor[1])
     return grad_input_batch(model, np.asarray(x)[None, :], [y], anchor, concept)[0]
+
+
+def fit_stack_of_one(model, x, y):
+    """``fit_stack`` of one fit; it takes no model, so ``model`` is not used."""
+    return fit_stack([x], [y], [TrainConfig(epochs=1)])[0]
+
+
+# Every entry that runs ``check_input``, as ``fn(model, x, y)``.
+INPUT_ENTRIES = {
+    "probs_batch": lambda model, x, y: probs_batch(model, x),
+    "representations_batch": lambda model, x, y: representations_batch(model, x),
+    "bce_loss_batch": bce_loss_batch,
+    "grad_params_batch": grad_params_batch,
+    "grad_input_batch": grad_input_batch,
+    "fit_stack": fit_stack_of_one,
+}
 
 
 def _invalid_architectures():
@@ -205,7 +221,9 @@ class TestBceLoss:
         with pytest.raises(DataError):
             one_row_bce(m, np.array([0.0, 0.0]), 2)
 
-    @pytest.mark.parametrize("fn", [bce_loss_batch, grad_params_batch, grad_input_batch])
+    @pytest.mark.parametrize(
+        "fn", [bce_loss_batch, grad_params_batch, grad_input_batch, fit_stack_of_one]
+    )
     @pytest.mark.parametrize(
         "y, error",
         [([0.0, 2.0], DataError), ([0.0, -0.1], DataError), ([0.0, np.nan], DataError),
@@ -216,6 +234,31 @@ class TestBceLoss:
         m = init_mlp([2, 3, 2], 1, seed=0)
         with pytest.raises(error):
             fn(m, np.zeros((2, 2)), y)
+
+    @pytest.mark.parametrize("entry", sorted(INPUT_ENTRIES))
+    @pytest.mark.parametrize(
+        "x, error",
+        [
+            (np.zeros(2), ShapeError),
+            (np.zeros((2, 2, 1)), ShapeError),
+            (np.zeros((2, 0)), ShapeError),
+            (np.zeros((2, 3)), ShapeError),
+            ([[0.0, 1.0], [np.nan, 0.0]], DataError),
+            ([[0.0, 1.0], [np.inf, 0.0]], DataError),
+            ([[0.0, -np.inf], [1.0, 0.0]], DataError),
+        ],
+        ids=["1-d", "3-d", "zero-width", "wrong-width", "nan", "inf", "minus-inf"],
+    )
+    def test_every_entry_rejects_bad_inputs(self, entry, x, error):
+        """One rule for every model input: the width is the model's, or any d >= 1 for
+        ``fit_stack``, which takes no model and so trains on the 3-wide matrix."""
+        m = init_mlp([2, 3, 2], 1, seed=0)
+        fn = INPUT_ENTRIES[entry]
+        if entry == "fit_stack" and np.shape(x) == (2, 3):
+            assert fn(m, x, [0.0, 1.0]).input_dim == 3
+            return
+        with pytest.raises(error):
+            fn(m, x, [0.0, 1.0])
 
     def test_soft_targets_accepted(self):
         m = zero_model((2, 2, 2))
