@@ -2,34 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .data import DomainSet
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, NumericError
 from .nn import MlpModel, Workspace, param_count, param_views
-from .rng import rng_for
-from .training import TrainConfig, descend, fit_minibatch, shuffled_batches
-
-
-@dataclass(frozen=True)
-class MixupConfig:
-    """Beta-distribution shape for the mixing ratio, plus an optional fixed override."""
-
-    beta_shape: tuple[float, float] = (2.0, 2.0)
-    seed: int = 0
-    fixed_lambda: float | None = None
-
-    def __post_init__(self):
-        a, b = self.beta_shape
-        if not (np.isfinite(self.beta_shape).all() and a > 0 and b > 0):
-            raise ConfigError(
-                f"beta_shape entries must be finite and positive, got {self.beta_shape}"
-            )
-        if self.fixed_lambda is not None and not 0.0 <= self.fixed_lambda <= 1.0:
-            raise ConfigError(f"fixed_lambda must lie in [0, 1], got {self.fixed_lambda}")
+from .training import MixupConfig, TrainConfig, descend, fit_minibatch, fit_stack
+from .training import draw_lambdas  # noqa: F401  (mixup's ratio draw, kept importable here)
 
 
 def check_groupdro_eta(eta: float) -> None:
@@ -44,51 +25,11 @@ def train_erm(ds: DomainSet, cfg: TrainConfig) -> MlpModel:
     return fit_minibatch(pooled.x, pooled.y, cfg)
 
 
-def draw_lambdas(mixup: MixupConfig, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Per-pair mixing ratios; a fixed override bypasses the Beta draw."""
-    if mixup.fixed_lambda is not None:
-        return np.full(n, mixup.fixed_lambda)
-    a, b = mixup.beta_shape
-    return rng.beta(a, b, size=n)
-
-
-def _mix_rows(a, idx, partners, lam, rest, out, partner_buf) -> None:
-    """``lam * a[idx] + rest * a[partners]`` into ``out``: the expression's
-    operations, on buffers the caller keeps (``partner_buf`` is scratch)."""
-    a.take(idx, axis=0, out=out, mode="clip")
-    out *= lam
-    a.take(partners, axis=0, out=partner_buf, mode="clip")
-    partner_buf *= rest
-    out += partner_buf
-
-
 def train_mixup(ds: DomainSet, cfg: TrainConfig, mixup: MixupConfig) -> MlpModel:
-    """Pooled minibatch training on convex combinations of random pairs."""
+    """Pooled minibatch training on convex combinations of random pairs: ``fit_stack``
+    of one mixup fit."""
     pooled = ds.pooled()
-    x = pooled.feature_matrix()
-    y = pooled.label_vector()
-    n = x.shape[0]
-    mix_rng = rng_for(mixup.seed, "mixup")
-    scratch = {}  # per batch row count: the partner rows, their labels and 1 - lam
-
-    def mixed_grad(buffers, idx):
-        idx = idx[0]  # the one fit's rows
-        rows = idx.shape[0]
-        ws = buffers.workspace(rows)
-        if rows not in scratch:
-            scratch[rows] = (np.empty((rows, x.shape[1])), np.empty(rows), np.empty(rows))
-        x_partner, y_partner, rest = scratch[rows]
-        partners = mix_rng.integers(0, n, size=rows)
-        lam = draw_lambdas(mixup, mix_rng, rows)
-        np.subtract(1.0, lam, out=rest)
-        _mix_rows(x, idx, partners, lam[:, None], rest[:, None], ws.x[0], x_partner)
-        _mix_rows(y, idx, partners, lam, rest, ws.y[0], y_partner)
-        if not np.isfinite(ws.x).all():
-            raise DataError("non-finite value in model input")
-        ws.mean_bce_grad(buffers.weights, buffers.biases, buffers.grads)
-
-    epoch = shuffled_batches(np.arange(n)[None], cfg.batch_size)
-    return descend(x.shape[1], cfg, [cfg.seed], epoch, mixed_grad)[0]
+    return fit_stack([pooled.x], [pooled.y], [cfg], [mixup])[0]
 
 
 def train_groupdro(

@@ -243,6 +243,11 @@ def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
     if features is None or cfg.select_k_key_column in features:
         # keep the grouping key out of the feature matrix
         raise ConfigError("select-k requires explicit csv.feature_columns (excluding the key column)")
+    if cfg.select_k_key_column == cfg.csv_schema.label_column:
+        # grouping by the label would split the rows by class
+        raise ConfigError(
+            f"select_k.key_column {cfg.select_k_key_column!r} is also csv.label_column"
+        )
     # one domain in file order, so row i stays paired with key i
     source = load_csv_dataset(src_path, replace(cfg.csv_schema, domain_column=None)).pooled("all")
     keys = read_ordinal_column(src_path, cfg.select_k_key_column)
@@ -282,13 +287,25 @@ def cmd_lodo(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
     methods, seeds = cfg.compare_methods, cfg.seeds
+    runs = [_load_data(cfg, seed) for seed in seeds]
+    if any(target is None for _, target in runs):
+        raise DataError("compare requires a target dataset")
+    # ERM and mixup fit each seed's pooled rows under one config, so all of them
+    # train as one stack; each fit keeps its own seeded streams, so every model
+    # is the one its method trains alone
+    stacked = [(m, i) for m in methods if m in ("erm", "mixup") for i in range(len(seeds))]
+    pooled = [source.pooled() for source, _ in runs]
+    fitted = fit_stack(
+        [pooled[i].x for _, i in stacked],
+        [pooled[i].y for _, i in stacked],
+        [replace(cfg.train, seed=seeds[i]) for _, i in stacked],
+        [replace(cfg.mixup, seed=seeds[i]) if m == "mixup" else None for m, i in stacked],
+    )
+    models = dict(zip(stacked, fitted))
     scores: dict[str, list[float]] = {m: [] for m in methods}
-    for seed in seeds:
-        source, target = _load_data(cfg, seed)
-        if target is None:
-            raise DataError("compare requires a target dataset")
-        for m in methods:
-            model, _ = _train_method(cfg, m, source, seed)
+    for m in methods:
+        for i, (seed, (source, target)) in enumerate(zip(seeds, runs)):
+            model = models[m, i] if (m, i) in models else _train_method(cfg, m, source, seed)[0]
             report = evaluate(model, target)
             if report.auroc is None:
                 raise NumericError("target domain has a single class; AUROC undefined")

@@ -353,7 +353,9 @@ def split_into_k_domains(domain: Domain, k: int, keys) -> DomainSet:
     keys = np.array([int(v) for v in keys])
     if len(keys) != len(domain):
         raise DataError(f"got {len(keys)} keys for {len(domain)} points")
-    distinct = np.unique(keys)
+    # np.unique would do, but on this path it loads numpy.ma, which nothing else needs
+    ordered = np.sort(keys)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
     if k > len(distinct):
         raise DataError(f"k={k} exceeds the {len(distinct)} distinct key values")
     base, rem = divmod(len(distinct), k)
@@ -368,7 +370,11 @@ def split_into_k_domains(domain: Domain, k: int, keys) -> DomainSet:
 
 
 def read_ordinal_column(path: str | Path, column: str) -> list[int]:
-    """Read one integer column from a CSV file, e.g. a month index for grouping."""
+    """Read one integer column from a CSV file, e.g. a month index for grouping.
+
+    A cell such as ``2.0`` reads as 2; one that is not a whole number, such as
+    ``1.7``, is a ``DataError`` naming its row and column.
+    """
     path = Path(path)
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     if reader.fieldnames is None or column not in reader.fieldnames:
@@ -376,10 +382,15 @@ def read_ordinal_column(path: str | Path, column: str) -> list[int]:
     _check_unique(path, reader.fieldnames, [column])
     values: list[int] = []
     for row_no, row in enumerate(reader, start=1):
+        cell = row[column]
         try:
-            values.append(int(float(row[column])))
+            value = float(cell)
+            key = int(value)
         except (ValueError, OverflowError, TypeError):
             raise DataError(
-                f"{path}: row {row_no}, column {column!r}: not a finite number: {row[column]!r}"
+                f"{path}: row {row_no}, column {column!r}: not a finite number: {cell!r}"
             ) from None
+        if key != value:
+            raise DataError(f"{path}: row {row_no}, column {column!r}: not an integer: {cell!r}")
+        values.append(key)
     return values

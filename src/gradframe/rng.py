@@ -13,10 +13,9 @@ import hashlib
 
 import numpy as np
 
-# numpy 2 loads its random and masked-array modules on first attribute access.
-# Loading them here keeps that cost in start-up, out of the commands' work:
-# every command draws from a Generator, and ``np.unique`` reaches ``numpy.ma``.
-import numpy.ma  # noqa: F401
+# numpy 2 loads its random module on first attribute access.  Loading it here
+# keeps that cost in start-up, out of the commands' work: every command draws
+# from a Generator.
 import numpy.random  # noqa: F401
 
 

@@ -57,26 +57,35 @@ def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray, mask: np.ndarray) -> np.
     The same operations on the same values as scipy 1.17's real case, in
     fewer passes: ``exp(a - a_max)`` with the tied maxima's terms set to 0,
     which is scipy's ``exp(-inf - a_max)`` there while ``a_max`` is finite;
-    their count ``m``; then ``log1p(s / m) + log(m) + a_max``.  A row whose
-    ``a_max`` is not finite (all of it -inf, or a NaN or +inf in it) ends
-    non-finite and falls back to ``log(sum(exp(a)))``, as scipy's does,
-    computed on those rows only.
+    their count ``m``; then ``log1p(s / m) + log(m) + a_max``.  A tie is a
+    zero of ``a - a_max``, which for finite values is exactly ``a == a_max``.
+    When every ``a_max`` is finite and the block holds one tie per row, every
+    ``m`` is 1, and ``s / 1`` and ``+ log(1)`` change no bit, so they are
+    skipped.  A row whose ``a_max`` is not finite (all of it -inf, or a NaN
+    or +inf in it) ends non-finite and falls back to ``log(sum(exp(a)))``,
+    as scipy's does, computed on those rows only.
 
     ``scratch`` (float) and ``mask`` (bool), both shaped like ``a``, are work
     buffers, so a caller can reuse them from call to call.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max(axis=1, keepdims=True)
-        np.equal(a, a_max, out=mask)
-        m = np.count_nonzero(mask, axis=1)
         np.subtract(a, a_max, out=scratch)
+        np.equal(scratch, 0.0, out=mask)
         np.exp(scratch, out=scratch)
         np.copyto(scratch, 0.0, where=mask)
-        # scipy skips the division where s == 0, but there 0 / m is that same +0
-        s = scratch.sum(axis=1) / m
+        s = scratch.sum(axis=1)
         a_max = a_max[:, 0]
-        out = np.log1p(s) + np.log(m) + a_max
-        bad = ~np.isfinite(a_max)
+        finite = np.isfinite(a_max)
+        # a finite row has at least its maximum as a tie, so the count says
+        # whether each has exactly one; an all -inf row has none
+        if np.count_nonzero(mask) == len(a_max) and finite.all():
+            out = np.log1p(s) + a_max
+        else:
+            m = np.count_nonzero(mask, axis=1)
+            # scipy skips the division where s == 0, but there 0 / m is that same +0
+            out = np.log1p(s / m) + np.log(m) + a_max
+        bad = ~finite
         if bad.any():
             out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
     return out

@@ -1,8 +1,8 @@
 """The one training loop behind every model in the package, and its configuration.
 
 ``descend`` trains a stack of M fits at once; a single fit is a stack of one.
-``fit_stack`` groups fits that can share a descent, and ``fit_minibatch`` is
-its one-fit case.
+``fit_stack`` groups fits that can share a descent, plain and mixup fits
+alike, and ``fit_minibatch`` is its one-fit case.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nn import MlpModel, Workspace, adam_update, check_architecture, check_input, init_mlp, param_views
 from .rng import derive_seed, rng_for
 
@@ -45,6 +45,32 @@ class TrainConfig:
 
     def layer_dims(self, input_dim: int) -> tuple[int, ...]:
         return (int(input_dim), *self.hidden_dims, 2)
+
+
+@dataclass(frozen=True)
+class MixupConfig:
+    """Beta-distribution shape for the mixing ratio, plus an optional fixed override."""
+
+    beta_shape: tuple[float, float] = (2.0, 2.0)
+    seed: int = 0
+    fixed_lambda: float | None = None
+
+    def __post_init__(self):
+        a, b = self.beta_shape
+        if not (np.isfinite(self.beta_shape).all() and a > 0 and b > 0):
+            raise ConfigError(
+                f"beta_shape entries must be finite and positive, got {self.beta_shape}"
+            )
+        if self.fixed_lambda is not None and not 0.0 <= self.fixed_lambda <= 1.0:
+            raise ConfigError(f"fixed_lambda must lie in [0, 1], got {self.fixed_lambda}")
+
+
+def draw_lambdas(mixup: MixupConfig, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Per-pair mixing ratios; a fixed override bypasses the Beta draw."""
+    if mixup.fixed_lambda is not None:
+        return np.full(n, mixup.fixed_lambda)
+    a, b = mixup.beta_shape
+    return rng.beta(a, b, size=n)
 
 
 class DescentBuffers:
@@ -138,40 +164,86 @@ def shuffled_batches(rows: np.ndarray, batch_size: int) -> Callable[[list], Iter
     return epoch
 
 
-def _descend_stack(data: list[tuple[np.ndarray, np.ndarray]], cfg: TrainConfig, seeds: list[int]):
-    """One descent over ``(x, y)`` fits that share their ``(n, d)`` shape, one per seed."""
+def _mix_rows(out, a, partners, lam, rest, partner_buf) -> None:
+    """``lam * out + rest * a[partners]`` into ``out``, which holds a batch's rows of
+    ``a``: the expression's operations, on buffers the caller keeps."""
+    out *= lam
+    a.take(partners, axis=0, out=partner_buf, mode="clip")
+    partner_buf *= rest
+    out += partner_buf
+
+
+def _descend_stack(
+    data: list[tuple[np.ndarray, np.ndarray]],
+    cfg: TrainConfig,
+    seeds: list[int],
+    mixups: list[MixupConfig | None],
+):
+    """One descent over ``(x, y)`` fits that share their ``(n, d)`` shape, one per seed.
+
+    A fit with a ``MixupConfig`` trains on mixed batches: after each step's
+    gather it draws its partner rows, then its ratios, from its own
+    ``rng_for(mixup.seed, "mixup")`` stream and mixes its block in place.
+    """
     n, d = data[0][0].shape
     x_all = np.concatenate([x for x, _ in data])
     y_all = np.concatenate([y for _, y in data])
     rows = np.arange(len(data) * n).reshape(len(data), n)  # fit i's rows in x_all
+    mixing = [(i, mix, rng_for(mix.seed, "mixup")) for i, mix in enumerate(mixups) if mix is not None]
+    most = min(cfg.batch_size, n)  # the rows of the largest batch
+    x_partner, y_partner, rest = np.empty((most, d)), np.empty(most), np.empty(most)
 
     def batch_grad(buffers, idx):
-        ws = buffers.workspace(idx.shape[1])
+        size = idx.shape[1]
+        ws = buffers.workspace(size)
         ws.gather(x_all, y_all, idx)
+        for i, mixup, rng in mixing:
+            partners = rng.integers(0, n, size=size)
+            lam = draw_lambdas(mixup, rng, size)
+            partners += i * n  # fit i's own rows in x_all
+            fit_rest = rest[:size]
+            np.subtract(1.0, lam, out=fit_rest)
+            _mix_rows(ws.x[i], x_all, partners, lam[:, None], fit_rest[:, None], x_partner[:size])
+            _mix_rows(ws.y[i], y_all, partners, lam, fit_rest, y_partner[:size])
+            if not np.isfinite(ws.x[i]).all():
+                raise DataError("non-finite value in model input")
         ws.mean_bce_grad(buffers.weights, buffers.biases, buffers.grads)
 
     return descend(d, cfg, seeds, shuffled_batches(rows, cfg.batch_size), batch_grad)
 
 
-def fit_stack(xs: Sequence, ys: Sequence, cfgs: Sequence[TrainConfig]) -> list[MlpModel]:
+def fit_stack(
+    xs: Sequence,
+    ys: Sequence,
+    cfgs: Sequence[TrainConfig],
+    mixups: Sequence[MixupConfig | None] | None = None,
+) -> list[MlpModel]:
     """Train one fresh model per ``(x, y, cfg)``, stacking the fits that can share a descent.
 
     Fits stack when they have the same row count and input width and their
     configs differ at most in ``seed``; a fit that matches no other is a stack
-    of one.  Each fit keeps its own seeded init and shuffle stream and its own
-    rows, so every model is bit for bit the one ``fit_minibatch`` gives for its
-    fit alone.  Every ``(x, y)`` passes ``check_input`` first, and the models
-    come back in input order.
+    of one.  ``mixups`` gives each fit a ``MixupConfig``, or ``None`` for a
+    plain fit (all plain when omitted), so mixup and plain fits share stacks.
+    Each fit keeps its own seeded init, shuffle and mixup streams and its own
+    rows, so every model is bit for bit the one ``fit_minibatch`` or
+    ``train_mixup`` gives for its fit alone.  Every ``(x, y)`` passes
+    ``check_input`` first, and the models come back in input order.
     """
-    if not len(xs) == len(ys) == len(cfgs):
-        raise ShapeError(f"got {len(xs)} inputs, {len(ys)} label vectors and {len(cfgs)} configs")
+    if mixups is None:
+        mixups = [None] * len(cfgs)
+    if not len(xs) == len(ys) == len(cfgs) == len(mixups):
+        raise ShapeError(
+            f"got {len(xs)} inputs, {len(ys)} label vectors, {len(cfgs)} configs "
+            f"and {len(mixups)} mixup settings"
+        )
     data = [check_input(None, x, y) for x, y in zip(xs, ys)]
     stacks: dict[tuple, list[int]] = {}
     for i, ((x, _), cfg) in enumerate(zip(data, cfgs)):
         stacks.setdefault((x.shape, replace(cfg, seed=0)), []).append(i)
     models: list[MlpModel | None] = [None] * len(cfgs)
     for (_, key), members in stacks.items():
-        fitted = _descend_stack([data[i] for i in members], key, [cfgs[i].seed for i in members])
+        seeds = [cfgs[i].seed for i in members]
+        fitted = _descend_stack([data[i] for i in members], key, seeds, [mixups[i] for i in members])
         for i, model in zip(members, fitted):
             models[i] = model
     return models

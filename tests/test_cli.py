@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import model_text
 
 import gradframe
-from gradframe.cli import COMMANDS, _load_scaler, _save_scaler, main
+from gradframe.cli import COMMANDS, _load_data, _load_scaler, _save_scaler, _train_method, main
 from gradframe.config import ExperimentConfig, render_config
 from gradframe.data import Boundary, Standardization, label_by_boundary, load_csv_dataset
 from gradframe.errors import DataError
@@ -294,6 +294,14 @@ class TestSelectK:
         assert "excluding the key column" in capsys.readouterr().err
         assert not (out / "k_table.csv").exists()
 
+    def test_key_column_equal_to_label_column_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "selk"
+        body = TINY_SELECT_K.format(data=keyed_csv(tmp_path / "keyed.csv"), out=out)
+        cfg = write_cfg(tmp_path / "c.cfg", body.replace("key_column = month", "key_column = label"))
+        assert main(["select-k", "--config", str(cfg)]) == 2
+        assert "'label' is also csv.label_column" in capsys.readouterr().err
+        assert not (out / "k_table.csv").exists()
+
 
 # Small enough that each command runs in well under a second.  Three of them stop
 # after the load: ``select-k`` needs a CSV key column, ``lodo`` three domains and
@@ -327,13 +335,17 @@ class TestConfigEcho:
 
 
 # Run in a fresh interpreter: import the CLI, then diff ``sys.modules`` around each
-# ``main`` call.  Prints one JSON object: the scipy modules the import loaded, and per
-# command its exit code and the numpy or scipy modules its ``main`` loaded.
+# ``main`` call.  Prints one JSON object: the scipy and ``numpy.ma`` modules the import
+# loaded, and per command its exit code and the numpy or scipy modules its ``main`` loaded.
 IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
 import gradframe.cli
-loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+loaded = {
+    "import": sorted(
+        m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]
+    )
+}
 for cfg in sys.argv[1:]:
     command = Path(cfg).stem
     before = set(sys.modules)
@@ -346,8 +358,8 @@ print(json.dumps(loaded))
 
 class TestImportCost:
     def test_cli_loads_no_scipy_and_commands_load_no_numpy_module(self, tmp_path):
-        """Importing the CLI loads no scipy, and each command's ``main`` loads no numpy or
-        scipy module: their import cost stays out of the commands' work."""
+        """Importing the CLI loads no scipy and no ``numpy.ma``, and each command's ``main``
+        loads no numpy or scipy module: their import cost stays out of the commands' work."""
         tiny = TINY_TRAIN.format(method="gradframe", out="{out}")
         bodies = {
             "train": tiny,
@@ -404,6 +416,31 @@ output.dir = {out}
 
 
 class TestCompare:
+    def test_stacked_fits_score_as_fits_trained_alone(self, tmp_path):
+        """ERM and mixup of both seeds train as one stack; every score is that of the
+        model ``_train_method`` trains for its method and seed alone."""
+        out = tmp_path / "cmp"
+        cfg_path = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = simulate
+compare.methods = erm,mixup,groupdro
+seeds = 0,1
+train.epochs = 15
+train.batch_size = 64
+output.dir = {out}
+""",
+        )
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        cfg = ExperimentConfig.load(cfg_path)
+        want = ["method,seed,auroc"]
+        for method in ("erm", "mixup", "groupdro"):
+            for seed in (0, 1):
+                source, target = _load_data(cfg, seed)
+                model, _ = _train_method(cfg, method, source, seed)
+                want.append(f"{method},{seed},{evaluate(model, target).auroc:.17g}")
+        assert (out / "compare_matrix.csv").read_text().splitlines() == want
+
     def test_matrix_and_p_values(self, tmp_path):
         out = tmp_path / "cmp"
         cfg = write_cfg(

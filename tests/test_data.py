@@ -246,8 +246,16 @@ class TestCsvRoundTrip:
 
     def test_read_ordinal_column(self, tmp_path):
         path = tmp_path / "keys.csv"
-        path.write_text("x0,label,month\n1,0,3\n2,1,1\n")
-        assert read_ordinal_column(path, "month") == [3, 1]
+        path.write_text("x0,label,month\n1,0,3\n2,1,1\n3,0,2.0\n")
+        assert read_ordinal_column(path, "month") == [3, 1, 2]
+
+    @pytest.mark.parametrize("cell", ["1.7", "-0.5", "3.000001"])
+    def test_read_ordinal_column_rejects_a_non_integer_key(self, tmp_path, cell):
+        # truncating would group a month of 1.7 with month 1
+        path = tmp_path / "keys.csv"
+        path.write_text(f"x0,label,month\n1,0,3\n2,1,{cell}\n")
+        with pytest.raises(DataError, match=r"row 2, column 'month': not an integer"):
+            read_ordinal_column(path, "month")
 
 
 class TestWriteJson:

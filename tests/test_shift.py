@@ -256,6 +256,14 @@ class TestLogsumexpRows:
         got = self.logsumexp_rows(a)
         assert got[1] == got[3] == -np.inf and np.isfinite(got[[0, 2]]).all()
 
+    def test_tied_row_next_to_a_row_of_minus_infinity(self, rng):
+        # two ties in row 0 and none in the -inf row: the block's tie count equals
+        # its row count, yet row 0 needs m = 2
+        a = rng.normal(size=(2, 30))
+        a[0, [3, 17]] = a[0].max() + 1.0
+        a[1] = -np.inf
+        self.assert_matches_scipy(a)
+
     def test_reused_buffers(self, rng):
         # finite rows first, then rows of -inf, NaN and +inf in the same buffers
         finite = -0.5 * rng.chisquare(6, size=(5, 300))

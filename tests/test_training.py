@@ -273,10 +273,43 @@ class TestFitStack:
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="with seed 23 "):
             fit_stack([ok, huge, ok], [y, y, y], cfgs)
 
+    def test_plain_and_mixup_fits_share_one_stack(self, monkeypatch):
+        """Two seeds, each with a plain fit and a mixup fit (one with a fixed ratio, one
+        drawing from a Beta), train as one descent; each model is its fit alone."""
+        pooled = _three_domains().pooled()  # 110 rows: a short last batch of 14
+        cfgs = [TrainConfig(beta=0.05, epochs=12, batch_size=16, seed=s) for s in (2, 5, 2, 5)]
+        mixups = [
+            None,
+            None,
+            MixupConfig(seed=2, fixed_lambda=0.3),
+            MixupConfig(beta_shape=(0.5, 3.0), seed=5),
+        ]
+        stacks = []
+        descend = training.descend
+
+        def recording(input_dim, cfg, seeds, *args):
+            stacks.append(list(seeds))
+            return descend(input_dim, cfg, seeds, *args)
+
+        monkeypatch.setattr(training, "descend", recording)
+        models = fit_stack([pooled.x] * 4, [pooled.y] * 4, cfgs, mixups)
+        assert stacks == [[2, 5, 2, 5]]
+        monkeypatch.setattr(training, "descend", descend)
+        ds = DomainSet((pooled,))
+        for model, cfg, mixup in zip(models, cfgs, mixups):
+            if mixup is None:
+                alone = fit_minibatch(pooled.x, pooled.y, cfg)
+            else:
+                alone = train_mixup(ds, cfg, mixup)
+            assert np.array_equal(model.params, alone.params)
+        assert not np.array_equal(models[0].params, models[2].params)
+
     def test_mismatched_lengths_rejected(self):
         dom = _noisy_domain("d", 10, 1)
         with pytest.raises(ShapeError):
             fit_stack([dom.x, dom.x], [dom.y], [TrainConfig(), TrainConfig(seed=1)])
+        with pytest.raises(ShapeError):
+            fit_stack([dom.x], [dom.y], [TrainConfig()], [None, MixupConfig()])
 
 
 # (fixed_lambda, batch_size) of mixup runs on the 110 pooled rows of the three
