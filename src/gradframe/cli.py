@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import train_erm, train_groupdro, train_mixup
 from .config import ExperimentConfig, render_config
 from .core import (
     FictitiousSet,
@@ -57,7 +56,7 @@ from .shift import (
     likelihood_difference,
     select_domain_count,
 )
-from .training import fit_stack
+from .training import GroupDroRule, fit_stack
 
 
 def _metadata(cfg: ExperimentConfig, command: str) -> dict:
@@ -85,6 +84,11 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | No
         target = None
         if cfg.target_csv:
             target = load_csv_dataset(cfg.target_csv, cfg.csv_schema).pooled("target")
+            if target.feature_dim != source.feature_dim:
+                raise DataError(
+                    f"{cfg.target_csv}: {target.feature_dim} features, "
+                    f"the source has {source.feature_dim}"
+                )
     if cfg.standardize:
         source = standardize(source)
         if target is not None:
@@ -92,15 +96,21 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | No
     return source, target
 
 
+def _batch_rule(cfg: ExperimentConfig, method: str, source: DomainSet, seed: int):
+    """The ``fit_stack`` batch rule of a baseline method's fit on ``source``."""
+    if method == "mixup":
+        return replace(cfg.mixup, seed=seed)
+    if method == "groupdro":
+        return GroupDroRule(tuple(len(d) for d in source.domains), cfg.groupdro_eta)
+    return None
+
+
 def _train_method(cfg: ExperimentConfig, method: str, source: DomainSet, seed: int):
     train_cfg = replace(cfg.train, seed=seed)
-    if method == "erm":
-        return train_erm(source, train_cfg), None
-    if method == "mixup":
-        return train_mixup(source, train_cfg, replace(cfg.mixup, seed=seed)), None
-    if method == "groupdro":
-        return train_groupdro(source, train_cfg, eta=cfg.groupdro_eta), None
-    return train_gradframe(source, cfg.penalties, cfg.ascent, train_cfg)
+    if method == "gradframe":
+        return train_gradframe(source, cfg.penalties, cfg.ascent, train_cfg)
+    pooled, rule = source.pooled(), _batch_rule(cfg, method, source, seed)
+    return fit_stack([pooled.x], [pooled.y], [train_cfg], [rule])[0], None
 
 
 def _save_scaler(stats: Standardization | None, out: Path) -> None:
@@ -287,19 +297,23 @@ def cmd_lodo(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
     methods, seeds = cfg.compare_methods, cfg.seeds
-    runs = [_load_data(cfg, seed) for seed in seeds]
+    # a CSV run reads the same files whatever the seed, so it loads them once
+    simulated = cfg.dataset_kind == "simulate"
+    runs = [_load_data(cfg, seed) for seed in (seeds if simulated else seeds[:1])]
     if any(target is None for _, target in runs):
         raise DataError("compare requires a target dataset")
-    # ERM and mixup fit each seed's pooled rows under one config, so all of them
-    # train as one stack; each fit keeps its own seeded streams, so every model
-    # is the one its method trains alone
-    stacked = [(m, i) for m in methods if m in ("erm", "mixup") for i in range(len(seeds))]
     pooled = [source.pooled() for source, _ in runs]
+    if not simulated:
+        runs, pooled = runs * len(seeds), pooled * len(seeds)
+    # ERM, mixup and GroupDRO fit each seed's pooled rows under one config, so
+    # their fits stack wherever their step blocks match; each fit keeps its own
+    # seeded streams, so every model is the one its method trains alone
+    stacked = [(m, i) for m in methods if m != "gradframe" for i in range(len(seeds))]
     fitted = fit_stack(
         [pooled[i].x for _, i in stacked],
         [pooled[i].y for _, i in stacked],
         [replace(cfg.train, seed=seeds[i]) for _, i in stacked],
-        [replace(cfg.mixup, seed=seeds[i]) if m == "mixup" else None for m, i in stacked],
+        [_batch_rule(cfg, m, runs[i][0], seeds[i]) for m, i in stacked],
     )
     models = dict(zip(stacked, fitted))
     scores: dict[str, list[float]] = {m: [] for m in methods}

@@ -17,11 +17,10 @@ from itertools import product
 from pathlib import Path
 from typing import Callable
 
-from .baselines import check_groupdro_eta
 from .core import AscentConfig, PenaltyParams
 from .data import Boundary, CsvSchema, read_text
 from .errors import ConfigError
-from .training import MixupConfig, TrainConfig
+from .training import MixupConfig, TrainConfig, check_groupdro_eta
 
 # Canonical two-domain simulation protocol: full-batch training to a
 # saturated fit, light pretraining so ascent gradients stay alive.

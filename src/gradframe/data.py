@@ -326,10 +326,15 @@ def standardize(ds: DomainSet) -> DomainSet:
     """Shift/scale features by moments pooled over all source domains.
 
     Uses population standard deviation; zero-variance features map to 0.
-    The fitted stats ride along on the returned set for held-out data.
+    The fitted stats ride along on the returned set for held-out data.  A
+    feature whose pooled mean or std overflows is a ``DataError``.
     """
     x = np.vstack([d.x for d in ds.domains])
-    stats = Standardization(mean=x.mean(axis=0), std=x.std(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = Standardization(mean=x.mean(axis=0), std=x.std(axis=0))
+    bad = ~(np.isfinite(stats.mean) & np.isfinite(stats.std))
+    if bad.any():
+        raise DataError(f"feature column {int(np.argmax(bad))} (0-based): pooled mean or std not finite")
     return DomainSet(
         tuple(apply_standardization(d, stats) for d in ds.domains),
         standardization=stats,
@@ -337,6 +342,11 @@ def standardize(ds: DomainSet) -> DomainSet:
 
 
 def apply_standardization(domain: Domain, stats: Standardization) -> Domain:
+    if domain.feature_dim != len(stats.mean):
+        raise ShapeError(
+            f"domain {domain.id!r} has {domain.feature_dim} features, "
+            f"the standardization {len(stats.mean)}"
+        )
     keep = stats.std > 0
     scale = np.where(keep, stats.std, 1.0)
     return Domain(domain.id, np.where(keep, (domain.x - stats.mean) / scale, 0.0), domain.y)

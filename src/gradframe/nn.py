@@ -12,24 +12,16 @@ on.  ``weights`` and ``biases`` are read-only views into it, parameter
 gradients and Adam moments use the same layout, and an Adam step updates the
 whole vector at once.
 
-Models are immutable values.  The public functions take an ``(n, d)`` input
-matrix and return new arrays: ``probs_batch`` (clamped class-1 probabilities),
-``representations_batch`` (z), ``bce_loss_batch`` (per-row BCE),
-``grad_params_batch`` (gradient of the mean BCE, laid out like ``params``) and
-``grad_input_batch`` (per-row input gradient of the ascent objective).  Each
-runs ``check_input``, the one model-input rule, as ``training.fit_stack``
-does; ``grad_input_batch`` also checks the anchor shape and the concept
-model's width.  ``bce_rows`` checks nothing: the ascent's objective needs the
-activations it returns, for its anchor term.  ``check_architecture`` is the
-one architecture rule; ``MlpModel`` runs it on every model it builds, and
-``TrainConfig`` on its own fields.
+Models are immutable values.  The public ``*_batch`` functions take an
+``(n, d)`` input matrix, return new arrays and run ``check_input``, the one
+model-input rule, as ``training.fit_stack`` does; only ``bce_rows`` skips it,
+for the ascent's anchor term.  ``check_architecture`` is the one architecture
+rule, run on every ``MlpModel`` and on ``TrainConfig``'s fields.
 
-The arithmetic runs in place on the buffers of a ``Workspace`` and in
-``adam_update``, the one Adam step.  The public functions hand these kernels
-fresh buffers; only ``training.descend`` keeps its buffers for a whole fit.
-A ``Workspace`` and ``param_views`` also take a leading stack axis, so
-``descend`` runs M fits of the same shape through one kernel call per step,
-and GroupDRO runs its K domains' batches through one.
+The arithmetic runs in place on a ``Workspace``'s buffers and in
+``adam_update``, the one Adam step; only ``training.descend`` keeps them for
+a whole fit.  Both take a leading stack axis, so ``descend`` runs M rows of
+one shape through one kernel call per step.
 """
 
 from __future__ import annotations
@@ -194,10 +186,9 @@ class Workspace:
     """Forward and backward buffers for a batch of inputs to a network of ``layer_dims``.
 
     ``shape`` is the batch's leading shape: ``(rows,)`` for one network, or
-    ``(M, rows)`` for a stack of M row blocks.  The blocks belong to M
-    networks of the same dims, each with its own ``(M, fan_in, fan_out)``
-    weight slice, or to one network whose ``(1, fan_in, fan_out)`` weights
-    broadcast over them.  Every buffer has that leading shape.  ``acts[0]``
+    ``(M, rows)`` for a stack of M row blocks, one per network of the same
+    dims, each with its own ``(M, fan_in, fan_out)`` weight slice.  Every
+    buffer has that leading shape.  ``acts[0]``
     is the input and ``acts[k]`` the layer-k activation; ``y`` holds the
     targets and ``p1`` the raw class-1 probabilities.  After
     ``score_grads``, ``deltas[n_layers]`` holds the gradient at the output
@@ -280,11 +271,8 @@ class Workspace:
         np.add(view, b.swapaxes(0, 1) if swap else b, out=view, order=order)
 
     def forward(self, weights, biases) -> None:
-        """Activations and raw class-1 probabilities of ``x``.
-
-        ``biases`` must broadcast against the activations: a model's own
-        ``(width,)`` biases do, and a stack passes ``(M, 1, width)`` views.
-        """
+        """Activations and raw class-1 probabilities of ``x``; ``biases`` are a model's
+        own ``(width,)`` vectors or a stack's ``(M, 1, width)`` views."""
         h = self.acts[0]
         for k, (w, b, out) in enumerate(zip(weights, biases, self.acts[1:])):
             np.matmul(h, w, out=out)
@@ -304,12 +292,8 @@ class Workspace:
         np.divide(e1, self._p1_flat, out=self._p1_flat)
 
     def score_grads(self, mean: bool) -> None:
-        """Gradient of the BCE w.r.t. the two output scores, per row, or of the mean BCE.
-
-        The exponential-normalization/BCE composite gradient is ``p - y`` per
-        score; it decays smoothly to zero at saturation, so it is already
-        bounded and needs no clamping of its own.
-        """
+        """Gradient of the BCE w.r.t. the two output scores, per row or of the mean BCE:
+        ``p - y``, which is bounded at saturation and needs no clamp."""
         d0, d1 = self._delta_cols
         np.subtract(self._p1_flat, self._y_flat, out=d1)
         np.negative(d1, out=d0)
@@ -318,12 +302,8 @@ class Workspace:
             d /= self._shape[-1]
 
     def backward(self, weights, top: int, grads=None) -> np.ndarray | None:
-        """Backprop ``deltas[top]`` down to the input.
-
-        With ``grads`` (weight and bias views into a flat gradient), the
-        parameter gradients are written there; otherwise the input gradient
-        is returned as a new array.
-        """
+        """Backprop ``deltas[top]`` down to the input: into ``grads`` (weight and bias
+        views of a flat gradient) if given, else returning the input gradient."""
         n_layers = len(weights)
         for k in range(top - 1, -1, -1):
             d = self.deltas[k + 1]
@@ -346,9 +326,9 @@ class Workspace:
         self.score_grads(mean=True)
         self.backward(weights, len(weights), grads)
 
-    def mean_bce(self) -> np.ndarray:
-        """Mean BCE of the last ``forward``, one per row block."""
-        return _bce(self.p1, self.y).mean(axis=-1)
+    def mean_bce(self, blocks: slice) -> np.ndarray:
+        """Mean BCE of the last ``forward``, one per row block of ``blocks``."""
+        return _bce(self.p1[blocks], self.y[blocks]).mean(axis=-1)
 
 
 def _forward(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> Workspace:
@@ -434,11 +414,8 @@ def grad_input_batch(
 
 
 def adam_update(params, m, v, grads, step: int, lr: float, tmp, tmp2) -> None:
-    """Adam update number ``step`` (from 1), with bias correction, in place.
-
-    ``params``, ``m`` and ``v`` are updated; ``tmp`` and ``tmp2`` are scratch
-    vectors of the same shape.
-    """
+    """Adam update number ``step`` (from 1), with bias correction, in place on ``params``,
+    ``m`` and ``v``; ``tmp`` and ``tmp2`` are scratch arrays of their shape."""
     np.multiply(m, ADAM_BETA1, out=m)
     np.multiply(grads, 1.0 - ADAM_BETA1, out=tmp)
     m += tmp

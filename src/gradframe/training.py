@@ -1,14 +1,14 @@
 """The one training loop behind every model in the package, and its configuration.
 
 ``descend`` trains a stack of M fits at once; a single fit is a stack of one.
-``fit_stack`` groups fits that can share a descent, plain and mixup fits
-alike, and ``fit_minibatch`` is its one-fit case.
+``fit_stack`` groups fits that can share a descent, plain, mixup and GroupDRO
+fits alike, and ``fit_minibatch`` is its one-fit case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,95 +73,28 @@ def draw_lambdas(mixup: MixupConfig, rng: np.random.Generator, n: int) -> np.nda
     return rng.beta(a, b, size=n)
 
 
-class DescentBuffers:
-    """The parameters of a stack of M fits, their gradients and their workspaces.
+def check_groupdro_eta(eta: float) -> None:
+    """GroupDRO's step-size rule: ``eta`` finite and >= 0, else ``ConfigError``."""
+    if not (np.isfinite(eta) and eta >= 0):
+        raise ConfigError(f"eta must be finite and >= 0, got {eta}")
 
-    ``params`` and ``grad`` are ``(M, P)`` matrices, one flat vector per fit
-    in the model layout, and ``weights``/``biases`` and ``grads`` are
-    per-layer views into them with a leading M axis, built once.
-    ``workspace(rows)`` keeps one set of ``(M, rows)`` forward and backward
-    buffers per batch row count, so full batches share one and a short last
-    batch has its own.
+
+@dataclass(frozen=True)
+class GroupDroRule:
+    """GroupDRO's batch rule for a fit whose rows are its domains' rows, domain by domain.
+
+    ``sizes`` are the domains' row counts.  Each step draws one batch per
+    domain, upweights the domains in proportion to exp(eta * loss),
+    renormalizes, and descends on the weighted mean gradient.  ``on_step`` (if
+    given) observes (step, q, per-domain losses).
     """
 
-    def __init__(self, models: Sequence[MlpModel]):
-        self.layer_dims = models[0].layer_dims
-        self.params = np.stack([model.params for model in models])
-        self.grad = np.empty_like(self.params)
-        self.weights, biases = param_views(self.layer_dims, self.params)
-        self.biases = tuple(b[:, None, :] for b in biases)  # broadcast over a batch's rows
-        self.grads = param_views(self.layer_dims, self.grad)
-        self._workspaces: dict[int, Workspace] = {}
+    sizes: tuple[int, ...]
+    eta: float = 0.01
+    on_step: Callable[[int, np.ndarray, np.ndarray], None] | None = None
 
-    def workspace(self, rows: int) -> Workspace:
-        ws = self._workspaces.get(rows)
-        if ws is None:
-            ws = self._workspaces[rows] = Workspace(self.layer_dims, (len(self.params), rows))
-        return ws
-
-
-def descend(
-    input_dim: int,
-    cfg: TrainConfig,
-    seeds: Sequence[int],
-    epoch: Callable[[list[np.random.Generator]], Iterable],
-    grad: Callable[[DescentBuffers, object], None],
-) -> list[MlpModel]:
-    """A stack of M fits under ``cfg``, one per seed, each from its own seeded init.
-
-    Fit i draws its init and its shuffle stream from ``seeds[i]``; ``cfg.seed``
-    is not read.  ``epoch(shuffles)`` yields one epoch's batches, drawing each
-    fit's order from its own stream in ``shuffles``.  For each batch,
-    ``grad(buffers, batch)`` writes every fit's gradient into its row of
-    ``buffers.grad``, and one Adam step over the whole stack follows.  The
-    arithmetic is row by row that of a single fit, so each model is bit for
-    bit the one a stack of one gives.  Parameters, Adam moments and buffers
-    are updated in place.  A non-finite parameter at the end raises
-    ``NumericError`` naming the seed of the first fit that diverged, and no
-    model is returned.
-    """
-    dims = cfg.layer_dims(input_dim)
-    buffers = DescentBuffers(
-        [init_mlp(dims, cfg.rep_layer_index, derive_seed(seed, "init")) for seed in seeds]
-    )
-    params = buffers.params
-    m, v, tmp, tmp2 = (np.zeros_like(params) for _ in range(4))
-    shuffles = [rng_for(seed, "batch") for seed in seeds]
-    step = 0
-    for _ in range(cfg.epochs):
-        for batch in epoch(shuffles):
-            grad(buffers, batch)
-            step += 1
-            adam_update(params, m, v, buffers.grad, step, cfg.beta, tmp, tmp2)
-    finite = np.isfinite(params).all(axis=1)
-    if not finite.all():
-        seed = seeds[int(np.argmin(finite))]
-        raise NumericError(
-            f"training diverged: the fitted parameters of the fit with seed {seed} "
-            "are not all finite"
-        )
-    params.setflags(write=False)
-    return [MlpModel(dims, row, cfg.rep_layer_index) for row in params]
-
-
-def shuffled_batches(rows: np.ndarray, batch_size: int) -> Callable[[list], Iterator]:
-    """``epoch(shuffles)`` for ``descend`` in which fit i passes over row i of ``rows``.
-
-    ``rows`` is an ``(M, n)`` index matrix.  Each epoch shuffles fit i's row
-    with ``shuffles[i]`` and yields ``(M, batch)`` index blocks in order; the
-    last may be short.  The shuffled rows live in one buffer reused in place,
-    and shuffling a row there draws the same order as ``permutation(n)`` does.
-    """
-    order = np.empty_like(rows)
-    n = rows.shape[1]
-
-    def epoch(shuffles):
-        np.copyto(order, rows)
-        for fit_order, shuffle in zip(order, shuffles):
-            shuffle.shuffle(fit_order)
-        return (order[:, start : start + batch_size] for start in range(0, n, batch_size))
-
-    return epoch
+    def __post_init__(self):
+        check_groupdro_eta(self.eta)
 
 
 def _mix_rows(out, a, partners, lam, rest, partner_buf) -> None:
@@ -173,91 +106,210 @@ def _mix_rows(out, a, partners, lam, rest, partner_buf) -> None:
     out += partner_buf
 
 
-def _descend_stack(
+class _Reweighting:
+    """A GroupDRO fit in a descent: its stack rows, one per domain, and its group weights.
+
+    Each epoch shuffles every domain's block of the fit's rows in place with
+    the fit's stream, in domain order (shuffling ``start + arange(n)`` draws
+    ``start + permutation(n)``); row j of step s then takes positions
+    ``start_j + (s * batch + c) % n_j`` of that order.
+    """
+
+    def __init__(self, rule: GroupDroRule, rows: slice, fit_rows, length: int, shuffle, n_params: int):
+        self.rule, self.rows, self.fit_rows, self.shuffle = rule, rows, fit_rows, shuffle
+        starts = np.cumsum([0, *rule.sizes[:-1]])
+        self.table = starts[:, None] + np.arange(length) % np.array(rule.sizes)[:, None]
+        self.shuffled = np.empty_like(fit_rows)
+        self.blocks = [self.shuffled[start : start + n] for start, n in zip(starts, rule.sizes)]
+        self.q = np.full(len(rule.sizes), 1.0 / len(rule.sizes))
+        self.step = 0
+        self.total = np.empty(n_params)
+
+    def draw(self, order: np.ndarray) -> None:
+        """Write the fit's rows of an epoch's index matrix."""
+        np.copyto(self.shuffled, self.fit_rows)
+        for block in self.blocks:
+            self.shuffle.shuffle(block)
+        self.shuffled.take(self.table, out=order[self.rows], mode="clip")
+
+    def reweigh(self, ws: Workspace, grad: np.ndarray) -> None:
+        """Update ``q`` from the step's domain losses; write the q-weighted gradient
+        sum into every row of the fit."""
+        eta = self.rule.eta
+        losses = ws.mean_bce(self.rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = self.q * np.exp(eta * losses)
+            q = q / q.sum()
+        self.step += 1
+        if not np.isfinite(q).all():
+            raise NumericError(
+                f"GroupDRO group weights are not finite at step {self.step} "
+                f"(eta {eta}, domain losses {losses.tolist()})"
+            )
+        self.q = q
+        if self.rule.on_step is not None:
+            self.rule.on_step(self.step, q.copy(), losses.copy())
+        g = grad[self.rows]
+        # sums from +0.0 in domain order, as filling with 0.0 and adding each would
+        np.multiply(g, q[:, None], out=g)
+        np.add.reduce(g, axis=0, out=self.total)
+        g[...] = self.total
+
+
+def _blocks(n: int, rule, batch_size: int) -> tuple[int, int]:
+    """Steps per epoch, and the rows of the last step's block, of a fit of ``n`` rows
+    under ``rule``; every other block has ``batch_size`` rows."""
+    if isinstance(rule, GroupDroRule):  # a full batch per domain, wrapping round it
+        return -(-max(rule.sizes) // batch_size), batch_size
+    steps = -(-n // batch_size)
+    return steps, n - (steps - 1) * batch_size
+
+
+def descend(
     data: list[tuple[np.ndarray, np.ndarray]],
     cfg: TrainConfig,
     seeds: list[int],
-    mixups: list[MixupConfig | None],
-):
-    """One descent over ``(x, y)`` fits that share their ``(n, d)`` shape, one per seed.
+    rules: list,
+    blocks: tuple[int, int],
+) -> list[MlpModel]:
+    """One stacked descent under ``cfg`` over ``(x, y)`` fits of one width and ``_blocks``.
 
-    A fit with a ``MixupConfig`` trains on mixed batches: after each step's
-    gather it draws its partner rows, then its ratios, from its own
-    ``rng_for(mixup.seed, "mixup")`` stream and mixes its block in place.
+    Fit i draws its init and shuffle stream from ``seeds[i]`` (``cfg.seed`` is
+    not read) and takes one row of the stack; a GroupDRO fit takes one per
+    domain, replicas that start equal and stay equal, as each step writes one
+    weighted gradient into all of them and Adam is element-wise.  A mixup fit
+    mixes its block in place after each step's gather, with partners, then
+    ratios, from its own ``rng_for(mixup.seed, "mixup")`` stream.  Each epoch's
+    index matrix is built once; each step is one forward, backward and Adam
+    step of the whole stack, row by row that of a fit alone, so every model is
+    bit for bit the one a stack of one gives.  A non-finite parameter at the
+    end raises ``NumericError`` naming the first diverged fit's seed.
     """
-    n, d = data[0][0].shape
+    d = data[0][0].shape[1]
+    dims = cfg.layer_dims(d)
+    steps, last = blocks
+    batch = cfg.batch_size
+    length = (steps - 1) * batch + last  # index columns of a stack row per epoch
     x_all = np.concatenate([x for x, _ in data])
     y_all = np.concatenate([y for _, y in data])
-    rows = np.arange(len(data) * n).reshape(len(data), n)  # fit i's rows in x_all
-    mixing = [(i, mix, rng_for(mix.seed, "mixup")) for i, mix in enumerate(mixups) if mix is not None]
-    most = min(cfg.batch_size, n)  # the rows of the largest batch
+    widths = [len(rule.sizes) if isinstance(rule, GroupDroRule) else 1 for rule in rules]
+    firsts = np.cumsum([0, *widths[:-1]]).tolist()  # each fit's first stack row
+    row_seeds = [seed for seed, width in zip(seeds, widths) for _ in range(width)]
+    params = np.stack(
+        [init_mlp(dims, cfg.rep_layer_index, derive_seed(seed, "init")).params for seed in row_seeds]
+    )
+    grad = np.empty_like(params)
+    m, v, tmp, tmp2 = (np.zeros_like(params) for _ in range(4))
+    weights, biases = param_views(dims, params)
+    biases = tuple(b[:, None, :] for b in biases)  # broadcast over a batch's rows
+    grads = param_views(dims, grad)
+    workspaces: dict[int, Workspace] = {}
+    rows = np.zeros((len(row_seeds), length), dtype=np.intp)  # each plain fit's rows in x_all
+    order = np.empty_like(rows)
+    plain, mixing, reweighting = [], [], []
+    base = 0  # the fit's first row in x_all
+    for (x, _), row, seed, rule in zip(data, firsts, seeds, rules):
+        fit_rows = np.arange(base, base + len(x))
+        shuffle = rng_for(seed, "batch")
+        if isinstance(rule, GroupDroRule):
+            fit = slice(row, row + len(rule.sizes))
+            reweighting.append(_Reweighting(rule, fit, fit_rows, length, shuffle, params.shape[1]))
+        else:
+            rows[row] = fit_rows
+            plain.append((row, shuffle))
+            if rule is not None:
+                mixing.append((row, base, rule, rng_for(rule.seed, "mixup")))
+        base += len(x)
+    most = min(batch, length)  # the rows of the largest block
     x_partner, y_partner, rest = np.empty((most, d)), np.empty(most), np.empty(most)
-
-    def batch_grad(buffers, idx):
-        size = idx.shape[1]
-        ws = buffers.workspace(size)
-        ws.gather(x_all, y_all, idx)
-        for i, mixup, rng in mixing:
-            partners = rng.integers(0, n, size=size)
-            lam = draw_lambdas(mixup, rng, size)
-            partners += i * n  # fit i's own rows in x_all
-            fit_rest = rest[:size]
-            np.subtract(1.0, lam, out=fit_rest)
-            _mix_rows(ws.x[i], x_all, partners, lam[:, None], fit_rest[:, None], x_partner[:size])
-            _mix_rows(ws.y[i], y_all, partners, lam, fit_rest, y_partner[:size])
-            if not np.isfinite(ws.x[i]).all():
-                raise DataError("non-finite value in model input")
-        ws.mean_bce_grad(buffers.weights, buffers.biases, buffers.grads)
-
-    return descend(d, cfg, seeds, shuffled_batches(rows, cfg.batch_size), batch_grad)
+    step = 0
+    for _ in range(cfg.epochs):
+        np.copyto(order, rows)
+        for row, shuffle in plain:
+            shuffle.shuffle(order[row])
+        for fit in reweighting:
+            fit.draw(order)
+        for start in range(0, length, batch):
+            idx = order[:, start : start + batch]
+            size = idx.shape[1]
+            ws = workspaces.get(size)
+            if ws is None:
+                ws = workspaces[size] = Workspace(dims, idx.shape)
+            ws.gather(x_all, y_all, idx)
+            for row, base, mixup, rng in mixing:
+                partners = rng.integers(0, length, size=size)
+                lam = draw_lambdas(mixup, rng, size)
+                partners += base  # the fit's own rows in x_all
+                fit_rest = rest[:size]
+                np.subtract(1.0, lam, out=fit_rest)
+                _mix_rows(ws.x[row], x_all, partners, lam[:, None], fit_rest[:, None], x_partner[:size])
+                _mix_rows(ws.y[row], y_all, partners, lam, fit_rest, y_partner[:size])
+                if not np.isfinite(ws.x[row]).all():
+                    raise DataError("non-finite value in model input")
+            ws.mean_bce_grad(weights, biases, grads)
+            for fit in reweighting:
+                fit.reweigh(ws, grad)
+            step += 1
+            adam_update(params, m, v, grad, step, cfg.beta, tmp, tmp2)
+    finite = np.isfinite(params).all(axis=1)
+    if not finite.all():
+        seed = row_seeds[int(np.argmin(finite))]
+        raise NumericError(
+            f"training diverged: the fitted parameters of the fit with seed {seed} "
+            "are not all finite"
+        )
+    params.setflags(write=False)
+    return [MlpModel(dims, params[row], cfg.rep_layer_index) for row in firsts]
 
 
 def fit_stack(
     xs: Sequence,
     ys: Sequence,
     cfgs: Sequence[TrainConfig],
-    mixups: Sequence[MixupConfig | None] | None = None,
+    rules: Sequence[MixupConfig | GroupDroRule | None] | None = None,
 ) -> list[MlpModel]:
     """Train one fresh model per ``(x, y, cfg)``, stacking the fits that can share a descent.
 
-    Fits stack when they have the same row count and input width and their
-    configs differ at most in ``seed``; a fit that matches no other is a stack
-    of one.  ``mixups`` gives each fit a ``MixupConfig``, or ``None`` for a
-    plain fit (all plain when omitted), so mixup and plain fits share stacks.
-    Each fit keeps its own seeded init, shuffle and mixup streams and its own
-    rows, so every model is bit for bit the one ``fit_minibatch`` or
-    ``train_mixup`` gives for its fit alone.  Every ``(x, y)`` passes
-    ``check_input`` first, and the models come back in input order.
+    ``rules`` holds each fit's batch rule: ``None`` (plain; all plain when
+    omitted), a ``MixupConfig``, or a ``GroupDroRule`` over the domains whose
+    rows make up ``x``, in order.  Fits stack when they share input width,
+    config but for ``seed``, and the row count of every step's blocks: n rows
+    give ``batch_size``-row blocks and a short last one, GroupDRO gives
+    ``ceil(max(sizes) / batch_size)`` blocks of ``batch_size`` rows per
+    domain.  Each fit keeps its own seeded streams, state and rows, so every
+    model is bit for bit the one its fit alone gives.  Every ``(x, y)``
+    passes ``check_input`` first; the models come back in input order.
     """
-    if mixups is None:
-        mixups = [None] * len(cfgs)
-    if not len(xs) == len(ys) == len(cfgs) == len(mixups):
+    if rules is None:
+        rules = [None] * len(cfgs)
+    if not len(xs) == len(ys) == len(cfgs) == len(rules):
         raise ShapeError(
             f"got {len(xs)} inputs, {len(ys)} label vectors, {len(cfgs)} configs "
-            f"and {len(mixups)} mixup settings"
+            f"and {len(rules)} batch rules"
         )
     data = [check_input(None, x, y) for x, y in zip(xs, ys)]
     stacks: dict[tuple, list[int]] = {}
-    for i, ((x, _), cfg) in enumerate(zip(data, cfgs)):
-        stacks.setdefault((x.shape, replace(cfg, seed=0)), []).append(i)
+    for i, ((x, _), cfg, rule) in enumerate(zip(data, cfgs, rules)):
+        if isinstance(rule, GroupDroRule) and (sum(rule.sizes) != len(x) or min(rule.sizes) < 1):
+            raise ShapeError(f"GroupDRO domain sizes {rule.sizes} do not split {len(x)} rows")
+        key = (x.shape[1], _blocks(len(x), rule, cfg.batch_size), replace(cfg, seed=0))
+        stacks.setdefault(key, []).append(i)
     models: list[MlpModel | None] = [None] * len(cfgs)
-    for (_, key), members in stacks.items():
+    for (_, blocks, cfg), members in stacks.items():
         seeds = [cfgs[i].seed for i in members]
-        fitted = _descend_stack([data[i] for i in members], key, seeds, [mixups[i] for i in members])
+        fitted = descend([data[i] for i in members], cfg, seeds, [rules[i] for i in members], blocks)
         for i, model in zip(members, fitted):
             models[i] = model
     return models
 
 
 def fit_minibatch(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
-    """Train a fresh model on pooled arrays with seeded shuffling.
+    """Train a fresh model on pooled arrays with seeded shuffling: ``fit_stack`` of one.
 
-    Weight init and per-epoch batch order derive only from ``cfg.seed`` and
-    the array length, so two callers handing over identical arrays and config
-    get bit-identical models.  ``x`` and ``y`` are checked once, here: ``x``
-    must be a finite ``(n, d)`` matrix with ``n`` labels, each a finite value
-    in [0, 1] (``ShapeError``/``DataError``), and every batch is a subset of
-    its rows.  This is ``fit_stack`` of one.
+    Init and batch order derive only from ``cfg.seed`` and the array length,
+    so identical arrays and config give bit-identical models.  ``x`` must be
+    a finite ``(n, d)`` matrix with ``n`` labels in [0, 1] (``ShapeError`` /
+    ``DataError``).
     """
     return fit_stack([x], [y], [cfg])[0]
 

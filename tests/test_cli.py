@@ -205,9 +205,9 @@ output.dir = {out}
         sizes = []
         descend = training.descend
 
-        def counting(input_dim, cfg, seeds, *rest):
+        def counting(data, cfg, seeds, *rest):
             sizes.append(len(seeds))
-            return descend(input_dim, cfg, seeds, *rest)
+            return descend(data, cfg, seeds, *rest)
 
         monkeypatch.setattr(training, "descend", counting)
         out = tmp_path / "o"
@@ -441,6 +441,74 @@ output.dir = {out}
                 want.append(f"{method},{seed},{evaluate(model, target).auroc:.17g}")
         assert (out / "compare_matrix.csv").read_text().splitlines() == want
 
+    def test_three_methods_train_as_one_stack_at_batch_400(self, tmp_path, monkeypatch):
+        """At batch 400 the simulation's 400 pooled rows and GroupDRO's two 200-row
+        domains both take one 400-row block per step, so ERM, mixup and GroupDRO of
+        both seeds are one descent, GroupDRO with one row per domain; every score is
+        that of the model ``_train_method`` trains alone."""
+        import gradframe.training as training
+
+        stacks = []
+        descend = training.descend
+
+        def recording(data, cfg, seeds, *rest):
+            stacks.append(list(seeds))
+            return descend(data, cfg, seeds, *rest)
+
+        out = tmp_path / "cmp"
+        cfg_path = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = simulate
+compare.methods = groupdro,erm,mixup
+seeds = 0,1
+train.epochs = 15
+train.batch_size = 400
+output.dir = {out}
+""",
+        )
+        monkeypatch.setattr(training, "descend", recording)
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        monkeypatch.setattr(training, "descend", descend)
+        assert stacks == [[0, 1, 0, 1, 0, 1]]
+        cfg = ExperimentConfig.load(cfg_path)
+        want = ["method,seed,auroc"]
+        for method in ("groupdro", "erm", "mixup"):
+            for seed in (0, 1):
+                source, target = _load_data(cfg, seed)
+                model, _ = _train_method(cfg, method, source, seed)
+                want.append(f"{method},{seed},{evaluate(model, target).auroc:.17g}")
+        assert (out / "compare_matrix.csv").read_text().splitlines() == want
+
+    def test_csv_files_load_once_for_all_seeds(self, tmp_path, monkeypatch):
+        import gradframe.cli as cli
+
+        loads = []
+
+        def counting(path, schema):
+            loads.append(Path(path).name)
+            return load_csv_dataset(path, schema)
+
+        src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
+        src.write_text("x0,x1,label,domain\n" + "0,0,0,A\n1,1,1,A\n0,1,0,B\n1,0,1,B\n" * 3)
+        tgt.write_text("x0,x1,label,domain\n0.2,0.1,0,T\n0.9,0.8,1,T\n0.1,0.7,0,T\n0.8,0.3,1,T\n")
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = csv
+data.source_csv = {src}
+data.target_csv = {tgt}
+compare.methods = erm,groupdro
+seeds = 0,1,2
+train.epochs = 3
+train.batch_size = 4
+output.dir = {tmp_path}/o
+""",
+        )
+        monkeypatch.setattr(cli, "load_csv_dataset", counting)
+        assert main(["compare", "--config", str(cfg)]) == 0
+        assert loads == ["src.csv", "tgt.csv"]
+
     def test_matrix_and_p_values(self, tmp_path):
         out = tmp_path / "cmp"
         cfg = write_cfg(
@@ -613,6 +681,40 @@ output.dir = {tmp_path}/o
 """,
         )
         assert main(["compare", "--config", str(cfg)]) == 4
+
+    @pytest.mark.parametrize(
+        "width, standardize",
+        [(1, "true"), (3, "true"), (1, "false")],
+        ids=["narrower", "wider", "narrower-unstandardized"],
+    )
+    def test_target_of_another_width_is_data_error_before_training(
+        self, tmp_path, capsys, width, standardize
+    ):
+        src = tmp_path / "src.csv"
+        src.write_text("x0,x1,label\n0,0,0\n1,1,1\n0,1,0\n1,0,1\n")
+        tgt = tmp_path / "tgt.csv"
+        header = ",".join(f"x{j}" for j in range(width))
+        tgt.write_text(f"{header},label\n" + "0.5," * width + "1\n" + "-0.5," * width + "0\n")
+        out = tmp_path / "o"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = csv
+data.source_csv = {src}
+data.target_csv = {tgt}
+data.standardize = {standardize}
+csv.domain_column =
+method = erm
+train.epochs = 3
+train.batch_size = 4
+output.dir = {out}
+""",
+        )
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"tgt.csv: {width} features, the source has 2" in err
+        assert "Traceback" not in err
+        assert not (out / "model.txt").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         out = tmp_path / "s"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,24 @@ class TestStandardize:
         transformed = apply_standardization(held_out, ds.standardization)
         expected = (held_out.feature_matrix() - ds.standardization.mean) / ds.standardization.std
         assert np.allclose(transformed.feature_matrix(), expected)
+
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_held_out_of_another_width_is_shape_error(self, width):
+        ds = standardize(simulation_source(3))
+        held_out = Domain("t", np.zeros((4, width)), [0, 1, 0, 1])
+        with pytest.raises(ShapeError, match=f"has {width} features, the standardization 2"):
+            apply_standardization(held_out, ds.standardization)
+
+    @pytest.mark.parametrize(
+        "column", [[1e300, -1e300, 1e300, -1e300], [1.7e308] * 4], ids=["std", "mean"]
+    )
+    def test_overflowing_moment_is_data_error_naming_the_column(self, column):
+        rows = [[0.5 * i, v] for i, v in enumerate(column)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nor may it warn on the way
+            with pytest.raises(DataError, match="column 1 .*pooled mean or std not finite"):
+                standardize(self._ds(rows))
 
 
 class TestSplitIntoKDomains:

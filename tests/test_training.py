@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradframe.baselines import MixupConfig, draw_lambdas, train_groupdro, train_mixup
+from gradframe.baselines import MixupConfig, train_groupdro, train_mixup
 from gradframe import nn, training
 from gradframe.data import Domain, DomainSet
 from gradframe.errors import ConfigError, DataError, NumericError, ShapeError
 from gradframe.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, P_MAX, P_MIN
 from gradframe.rng import derive_seed, rng_for
-from gradframe.training import TrainConfig, fit_minibatch, fit_stack
+from gradframe.training import TrainConfig, draw_lambdas, fit_minibatch, fit_stack
 
 
 def _ref_init(dims, seed):
@@ -287,9 +287,9 @@ class TestFitStack:
         stacks = []
         descend = training.descend
 
-        def recording(input_dim, cfg, seeds, *args):
+        def recording(data, cfg, seeds, *args):
             stacks.append(list(seeds))
-            return descend(input_dim, cfg, seeds, *args)
+            return descend(data, cfg, seeds, *args)
 
         monkeypatch.setattr(training, "descend", recording)
         models = fit_stack([pooled.x] * 4, [pooled.y] * 4, cfgs, mixups)
@@ -303,6 +303,86 @@ class TestFitStack:
                 alone = train_mixup(ds, cfg, mixup)
             assert np.array_equal(model.params, alone.params)
         assert not np.array_equal(models[0].params, models[2].params)
+
+    def test_plain_mixup_and_groupdro_fits_stack_by_step_blocks(self, monkeypatch):
+        """One call of plain, mixup and GroupDRO fits over two seeds.  At batch 16 a
+        64-row fit and GroupDRO over the 37/52/21 or 37/52 domains both take four
+        16-row blocks per epoch, so they share one descent, each GroupDRO fit one
+        row per domain; the 110 pooled rows (a short last block) and GroupDRO over
+        37/21 (three blocks) do not.  Every model is byte for byte its reference,
+        and every GroupDRO fit reports the reference's (step, q, losses)."""
+        three = _three_domains()
+        domains = {
+            "three": three,
+            "two": DomainSet(three.domains[:2]),
+            "uneven-pair": DomainSet((three.domains[0], three.domains[2])),
+        }
+        rows64 = _noisy_domain("p", 64, 4)
+        pooled = three.pooled()
+        # (seed, data, rule): "plain" and "mixup" are fits on one set of rows,
+        # a domains key is GroupDRO over those domains at that eta
+        fits = [
+            (2, rows64, None),
+            (5, rows64, MixupConfig(beta_shape=(0.5, 3.0), seed=5)),
+            (2, "three", 0.5),
+            (5, "two", 0.01),
+            (5, "three", 0.01),
+            (2, pooled, None),
+            (2, "uneven-pair", 1.0),
+        ]
+        cfgs = [TrainConfig(beta=0.05, epochs=8, batch_size=16, seed=seed) for seed, _, _ in fits]
+        xs, ys, rules, steps = [], [], [], []
+        for seed, data, rule in fits:
+            if isinstance(data, str):
+                ds = domains[data]
+                steps.append([])
+                rule = training.GroupDroRule(
+                    tuple(len(d) for d in ds.domains), rule, lambda *a, seen=steps[-1]: seen.append(a)
+                )
+                data = ds.pooled()
+            xs.append(data.x)
+            ys.append(data.y)
+            rules.append(rule)
+        stacks = []
+        descend = training.descend
+
+        def recording(data, cfg, seeds, *args):
+            stacks.append(list(seeds))
+            return descend(data, cfg, seeds, *args)
+
+        heights = set()
+        forward = nn.Workspace.forward
+
+        def measuring(self, *args):
+            heights.add(self.acts[0].shape[0])
+            return forward(self, *args)
+
+        monkeypatch.setattr(training, "descend", recording)
+        monkeypatch.setattr(nn.Workspace, "forward", measuring)
+        models = fit_stack(xs, ys, cfgs, rules)
+        assert stacks == [[2, 5, 2, 5, 5], [2], [2]]
+        assert heights == {1 + 1 + 3 + 2 + 3, 1, 2}  # stack rows: a GroupDRO fit has one per domain
+        dro_steps = iter(steps)
+        for model, cfg, (_, data, rule), x, y in zip(models, cfgs, fits, xs, ys):
+            if isinstance(data, str):
+                want = []
+                ref = ref_train_groupdro(domains[data], cfg, rule, lambda *a: want.append(a))
+                got = next(dro_steps)
+                assert len(got) == len(want) == 8 * (3 if data == "uneven-pair" else 4)
+                for (s, q, losses), (s_ref, q_ref, losses_ref) in zip(got, want):
+                    assert s == s_ref
+                    assert q.tobytes() == q_ref.tobytes()
+                    assert losses.tobytes() == losses_ref.tobytes()
+            elif rule is None:
+                ref = ref_fit_minibatch(x, y, cfg)
+            else:
+                ref = ref_train_mixup(DomainSet((data,)), cfg, rule)
+            _assert_same_bytes(model, ref)
+
+    def test_groupdro_sizes_must_split_the_rows(self):
+        pooled = _three_domains().pooled()
+        with pytest.raises(ShapeError, match="do not split 110 rows"):
+            fit_stack([pooled.x], [pooled.y], [TrainConfig()], [training.GroupDroRule((37, 52))])
 
     def test_mismatched_lengths_rejected(self):
         dom = _noisy_domain("d", 10, 1)
