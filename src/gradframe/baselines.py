@@ -8,13 +8,13 @@ import numpy as np
 
 from .data import DomainSet
 from .nn import MlpModel
-from .training import GroupDroRule, MixupConfig, TrainConfig, fit_minibatch, fit_stack
+from .training import GroupDroRule, MixupConfig, TrainConfig, fit_stack
 
 
 def train_erm(ds: DomainSet, cfg: TrainConfig) -> MlpModel:
-    """Minibatch training on all source domains pooled together."""
+    """Minibatch training on all source domains pooled: ``fit_stack`` of one plain fit."""
     pooled = ds.pooled()
-    return fit_minibatch(pooled.x, pooled.y, cfg)
+    return fit_stack([pooled.x], [pooled.y], [cfg])[0]
 
 
 def train_mixup(ds: DomainSet, cfg: TrainConfig, mixup: MixupConfig) -> MlpModel:

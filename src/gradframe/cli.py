@@ -96,21 +96,29 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | No
     return source, target
 
 
-def _batch_rule(cfg: ExperimentConfig, method: str, source: DomainSet, seed: int):
-    """The ``fit_stack`` batch rule of a baseline method's fit on ``source``."""
-    if method == "mixup":
-        return replace(cfg.mixup, seed=seed)
-    if method == "groupdro":
-        return GroupDroRule(tuple(len(d) for d in source.domains), cfg.groupdro_eta)
-    return None
-
-
-def _train_method(cfg: ExperimentConfig, method: str, source: DomainSet, seed: int):
-    train_cfg = replace(cfg.train, seed=seed)
-    if method == "gradframe":
-        return train_gradframe(source, cfg.penalties, cfg.ascent, train_cfg)
-    pooled, rule = source.pooled(), _batch_rule(cfg, method, source, seed)
-    return fit_stack([pooled.x], [pooled.y], [train_cfg], [rule])[0], None
+def _train_cells(
+    cfg: ExperimentConfig, cells: list[tuple[str, int, DomainSet]]
+) -> list[tuple[MlpModel, FictitiousSet | None]]:
+    """Each ``(method, seed, source)`` cell's model and fictitious set (None for a
+    baseline), in cell order: the baselines on the pooled source as one ``fit_stack``,
+    the gradframe cells as one ``train_gradframe`` plan, each as it trains alone."""
+    pools, cfgs, rules, plan = [], [], [], []
+    for method, seed, source in cells:
+        train_cfg = replace(cfg.train, seed=seed)
+        if method == "gradframe":
+            plan.append((source, cfg.penalties, train_cfg))
+            continue
+        pools.append(source.pooled())
+        cfgs.append(train_cfg)
+        if method == "mixup":
+            rules.append(replace(cfg.mixup, seed=seed))
+        elif method == "groupdro":
+            rules.append(GroupDroRule(tuple(len(d) for d in source.domains), cfg.groupdro_eta))
+        else:
+            rules.append(None)
+    baselines = iter(fit_stack([p.x for p in pools], [p.y for p in pools], cfgs, rules))
+    ours = iter(train_gradframe(plan, cfg.ascent))
+    return [next(ours) if method == "gradframe" else (next(baselines), None) for method, _, _ in cells]
 
 
 def _save_scaler(stats: Standardization | None, out: Path) -> None:
@@ -156,7 +164,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     source, target = _load_data(cfg, cfg.seed)
-    model, fict = _train_method(cfg, cfg.method, source, cfg.seed)
+    [(model, fict)] = _train_cells(cfg, [(cfg.method, cfg.seed, source)])
     save_model(model, out / "model.txt")
     _save_scaler(source.standardization, out)
     if fict is not None:
@@ -302,28 +310,13 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
     runs = [_load_data(cfg, seed) for seed in (seeds if simulated else seeds[:1])]
     if any(target is None for _, target in runs):
         raise DataError("compare requires a target dataset")
-    pooled = [source.pooled() for source, _ in runs]
+    if not all((target.y == 0).any() and (target.y == 1).any() for _, target in runs):
+        raise NumericError("target domain has a single class; AUROC undefined")
     if not simulated:
-        runs, pooled = runs * len(seeds), pooled * len(seeds)
-    # ERM, mixup and GroupDRO fit each seed's pooled rows under one config, so
-    # their fits stack wherever their step blocks match; each fit keeps its own
-    # seeded streams, so every model is the one its method trains alone
-    stacked = [(m, i) for m in methods if m != "gradframe" for i in range(len(seeds))]
-    fitted = fit_stack(
-        [pooled[i].x for _, i in stacked],
-        [pooled[i].y for _, i in stacked],
-        [replace(cfg.train, seed=seeds[i]) for _, i in stacked],
-        [_batch_rule(cfg, m, runs[i][0], seeds[i]) for m, i in stacked],
-    )
-    models = dict(zip(stacked, fitted))
-    scores: dict[str, list[float]] = {m: [] for m in methods}
-    for m in methods:
-        for i, (seed, (source, target)) in enumerate(zip(seeds, runs)):
-            model = models[m, i] if (m, i) in models else _train_method(cfg, m, source, seed)[0]
-            report = evaluate(model, target)
-            if report.auroc is None:
-                raise NumericError("target domain has a single class; AUROC undefined")
-            scores[m].append(report.auroc)
+        runs *= len(seeds)
+    cells = [(m, seed, source) for m in methods for seed, (source, _) in zip(seeds, runs)]
+    fits = iter(_train_cells(cfg, cells))
+    scores = {m: [evaluate(next(fits)[0], target).auroc for _, target in runs] for m in methods}
     write_csv(
         out / "compare_matrix.csv",
         ["method", "seed", "auroc"],

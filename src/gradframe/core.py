@@ -18,7 +18,7 @@ from .data import DomainSet, write_csv
 from .errors import ConfigError
 from .nn import MlpModel, bce_loss_batch, bce_rows, grad_input_batch, representations_batch
 from .rng import derive_seed, rng_for
-from .training import TrainConfig, fit_minibatch, fit_stack
+from .training import TrainConfig, fit_stack
 
 # Floor for relative-improvement denominators in the ascent stopping rule.
 _REL_FLOOR = 1e-12
@@ -179,22 +179,28 @@ def _ascend(
     return x, values, lengths, aborted
 
 
-def pretrain_domain_models(ds: DomainSet, cfg: TrainConfig) -> dict[str, MlpModel]:
-    """One model per domain, each trained only on its own domain.
-
-    Domains of equal size train as one stack (``fit_stack``); every model is
-    bit for bit the one ``fit_minibatch`` gives for its domain alone.
-    """
-    if ds.k < 2:
-        raise ConfigError(
-            f"need at least 2 domains so every domain has a concept partner, got K={ds.k}"
-        )
+def _pretrain(sets: list[tuple[DomainSet, TrainConfig]]) -> list[dict[str, MlpModel]]:
+    """The per-domain models of every ``(ds, cfg)`` as one ``fit_stack``: each domain
+    trains alone under ``cfg`` with its own seed and ``pretrain_epochs``."""
+    for ds, _ in sets:
+        if ds.k < 2:
+            raise ConfigError(
+                f"need at least 2 domains so every domain has a concept partner, got K={ds.k}"
+            )
+    domains = [dom for ds, _ in sets for dom in ds.domains]
     cfgs = [
         replace(cfg, seed=derive_seed(cfg.seed, "pretrain", dom.id), epochs=cfg.pretrain_epochs)
+        for ds, cfg in sets
         for dom in ds.domains
     ]
-    models = fit_stack([dom.x for dom in ds.domains], [dom.y for dom in ds.domains], cfgs)
-    return {dom.id: model for dom, model in zip(ds.domains, models)}
+    models = iter(fit_stack([dom.x for dom in domains], [dom.y for dom in domains], cfgs))
+    return [{dom.id: next(models) for dom in ds.domains} for ds, _ in sets]
+
+
+def pretrain_domain_models(ds: DomainSet, cfg: TrainConfig) -> dict[str, MlpModel]:
+    """One model per domain, each trained only on its own domain; domains of equal
+    size share one stacked descent, each model bit for bit the one it gives alone."""
+    return _pretrain([(ds, cfg)])[0]
 
 
 def generate_fictitious_set(
@@ -241,20 +247,21 @@ def generate_fictitious_set(
 
 
 def train_gradframe(
-    ds: DomainSet,
-    gammas: PenaltyParams,
-    ascent_cfg: AscentConfig,
-    train_cfg: TrainConfig,
-) -> tuple[MlpModel, FictitiousSet]:
-    """Full pipeline: pretrain, generate fictitious data, retrain from scratch.
-
-    The final pass runs the shared minibatch loop on the original points
-    followed by the fictitious points, with a fresh seeded init.
+    runs: list[tuple[DomainSet, PenaltyParams, TrainConfig]], ascent_cfg: AscentConfig
+) -> list[tuple[MlpModel, FictitiousSet]]:
+    """Full pipeline, one ``(model, fictitious set)`` per ``(source, penalties, config)``
+    run, in input order: one ``fit_stack`` pretrains every run's domain models, each
+    run ascends against its own models, and one ``fit_stack`` retrains every final
+    model from a fresh seeded init on the run's points followed by its fictitious
+    points.  Every result is bit for bit the one its run gives alone.
     """
-    models = pretrain_domain_models(ds, train_cfg)
-    fict = generate_fictitious_set(ds, gammas, ascent_cfg, train_cfg, models)
-    pooled = ds.pooled()
-    x = np.vstack([pooled.x, fict.x_star])
-    y = np.concatenate([pooled.y, fict.y_star])
-    model = fit_minibatch(x, y, train_cfg)
-    return model, fict
+    pretrained = _pretrain([(ds, cfg) for ds, _, cfg in runs])
+    ficts, xs, ys = [], [], []
+    for (ds, gammas, cfg), models in zip(runs, pretrained):
+        fict = generate_fictitious_set(ds, gammas, ascent_cfg, cfg, models)
+        pooled = ds.pooled()
+        ficts.append(fict)
+        xs.append(np.vstack([pooled.x, fict.x_star]))
+        ys.append(np.concatenate([pooled.y, fict.y_star]))
+    finals = fit_stack(xs, ys, [cfg for _, _, cfg in runs])
+    return list(zip(finals, ficts))

@@ -45,16 +45,22 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
+def _class_counts(labels: np.ndarray) -> tuple[int, int]:
+    """The counts of label 1 and label 0; ``NumericError`` unless both occur."""
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    if n_pos == 0 or n_neg == 0:
+        raise NumericError("AUROC is undefined when only one class is present")
+    return n_pos, n_neg
+
+
 def auroc(scores, labels) -> float:
     """Mann-Whitney AUROC with midrank tie handling."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise DataError("scores and labels must have equal length")
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise NumericError("AUROC is undefined when only one class is present")
+    n_pos, n_neg = _class_counts(labels)
     ranks = _midranks(scores)
     rank_sum = float(ranks[labels == 1].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
@@ -125,9 +131,10 @@ def lodo_cv_search(
 ) -> LodoResult:
     """Leave-one-domain-out search over penalty pairs.
 
-    Each (pair, fold) cell trains on the other K-1 domains and scores AUROC
-    on the held-out one.  The winner maximizes mean held-out AUROC; ties
-    break toward the lexicographically smaller pair.
+    Each (pair, fold) cell is one run of a ``train_gradframe`` plan on the other
+    K-1 domains, scored by AUROC on the held-out one (both classes checked first).
+    The winner maximizes mean held-out AUROC; ties break toward the
+    lexicographically smaller pair.
     """
     if ds.k < 3:
         raise ConfigError(
@@ -136,19 +143,23 @@ def lodo_cv_search(
         )
     if not pairs:
         raise ConfigError("empty penalty grid")
-    rows: list[LodoRow] = []
-    scores: dict[tuple[float, float], list[float]] = {}
+    for fold in ds.domains:
+        _class_counts(fold.label_vector())
+    cells, runs = [], []
     for pair_idx, (g1, g2) in enumerate(pairs):
-        gammas = PenaltyParams(g1, g2)
         for fold in ds.domains:
             rest = DomainSet(tuple(d for d in ds.domains if d.id != fold.id))
             fold_cfg = replace(
                 train_cfg, seed=derive_seed(train_cfg.seed, "lodo", pair_idx, fold.id)
             )
-            model, _ = train_gradframe(rest, gammas, ascent_cfg, fold_cfg)
-            score = auroc(probs_batch(model, fold.feature_matrix()), fold.label_vector())
-            rows.append(LodoRow(gamma1=g1, gamma2=g2, fold_domain=fold.id, auroc=score))
-            scores.setdefault((g1, g2), []).append(score)
+            cells.append((g1, g2, fold))
+            runs.append((rest, PenaltyParams(g1, g2), fold_cfg))
+    rows: list[LodoRow] = []
+    scores: dict[tuple[float, float], list[float]] = {}
+    for (g1, g2, fold), (model, _) in zip(cells, train_gradframe(runs, ascent_cfg)):
+        score = auroc(probs_batch(model, fold.feature_matrix()), fold.label_vector())
+        rows.append(LodoRow(gamma1=g1, gamma2=g2, fold_domain=fold.id, auroc=score))
+        scores.setdefault((g1, g2), []).append(score)
     means = {pair: float(np.mean(v)) for pair, v in scores.items()}
     best_pair = min(means, key=lambda pair: (-means[pair], pair[0], pair[1]))
     return LodoResult(PenaltyParams(*best_pair), means[best_pair], tuple(rows))

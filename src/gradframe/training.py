@@ -2,7 +2,7 @@
 
 ``descend`` trains a stack of M fits at once; a single fit is a stack of one.
 ``fit_stack`` groups fits that can share a descent, plain, mixup and GroupDRO
-fits alike, and ``fit_minibatch`` is its one-fit case.
+fits alike.
 """
 
 from __future__ import annotations
@@ -301,15 +301,3 @@ def fit_stack(
         for i, model in zip(members, fitted):
             models[i] = model
     return models
-
-
-def fit_minibatch(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> MlpModel:
-    """Train a fresh model on pooled arrays with seeded shuffling: ``fit_stack`` of one.
-
-    Init and batch order derive only from ``cfg.seed`` and the array length,
-    so identical arrays and config give bit-identical models.  ``x`` must be
-    a finite ``(n, d)`` matrix with ``n`` labels in [0, 1] (``ShapeError`` /
-    ``DataError``).
-    """
-    return fit_stack([x], [y], [cfg])[0]
-

@@ -26,7 +26,7 @@ from gradframe.evaluation import auroc, evaluate, lodo_cv_search
 from gradframe.nn import grad_input_batch, grad_params_batch, init_mlp, param_views, probs_batch
 from gradframe.rng import rng_for
 from gradframe.shift import concept_shift_delta, covariate_shift_ratio, ks_two_sample, shapley_attribution
-from gradframe.training import TrainConfig
+from gradframe.training import TrainConfig, fit_stack
 
 
 # Canonical simulation protocol: full-batch Adam to saturation for the final
@@ -46,25 +46,32 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="session")
 def sim_runs():
-    """Per-seed ERM and strong/weak penalty runs on the two-source simulation."""
+    """Per-seed ERM and strong/weak penalty runs on the two-source simulation: the ten
+    ERM fits as one ``fit_stack``, the strong runs as one ``train_gradframe`` plan and
+    the weak runs as another."""
+    sources = [simulation_source(seed) for seed in SEEDS]
+    cfgs = [sim_cfg(seed) for seed in SEEDS]
+    pools = [src.pooled() for src in sources]
+    t0 = time.time()
+    erms = fit_stack([p.x for p in pools], [p.y for p in pools], cfgs)
+    t_erm = time.time() - t0
+    t0 = time.time()
+    strong = train_gradframe(
+        [(src, PenaltyParams(1.0, 10.0), cfg) for src, cfg in zip(sources, cfgs)], SIM_ASCENT
+    )
+    t_strong = time.time() - t0
+    weak = train_gradframe(
+        [(src, PenaltyParams(0.1, 0.1), cfg) for src, cfg in zip(sources, cfgs)], SIM_ASCENT
+    )
     out = {}
-    t_erm = 0.0
-    t_strong = 0.0
-    for seed in SEEDS:
-        src = simulation_source(seed)
+    for seed, src, erm, (strong_model, fict_strong), (weak_model, _) in zip(
+        SEEDS, sources, erms, strong, weak
+    ):
         tgt = simulation_target(seed)
-        cfg = sim_cfg(seed)
-        t0 = time.time()
-        erm = gf.train_erm(src, cfg)
-        t_erm += time.time() - t0
-        t0 = time.time()
-        strong, fict_strong = train_gradframe(src, PenaltyParams(1.0, 10.0), SIM_ASCENT, cfg)
-        t_strong += time.time() - t0
-        weak, _ = train_gradframe(src, PenaltyParams(0.1, 0.1), SIM_ASCENT, cfg)
         out[seed] = {
             "erm": evaluate(erm, tgt),
-            "strong": evaluate(strong, tgt),
-            "weak": evaluate(weak, tgt),
+            "strong": evaluate(strong_model, tgt),
+            "weak": evaluate(weak_model, tgt),
             "fict_strong": fict_strong,
             "src": src,
         }
@@ -358,8 +365,8 @@ class TestCriterion11:
         for seed in (0, 1):
             src = simulation_source(seed)
             cfg = TrainConfig(seed=seed, beta=0.02, epochs=60, batch_size=64, pretrain_epochs=10)
-            model, fict = train_gradframe(
-                src, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), cfg
+            [(model, fict)] = train_gradframe(
+                [(src, PenaltyParams(1.0, 10.0), cfg)], AscentConfig(max_steps=0, min_steps=0)
             )
             pooled = src.pooled()
             doubled = DomainSet((Domain("doubled", np.vstack([pooled.x] * 2), np.tile(pooled.y, 2)),))

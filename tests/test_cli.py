@@ -16,17 +16,48 @@ from hypothesis.extra.numpy import arrays
 from conftest import model_text
 
 import gradframe
-from gradframe.cli import COMMANDS, _load_data, _load_scaler, _save_scaler, _train_method, main
+from gradframe.baselines import train_erm, train_groupdro, train_mixup
+from gradframe.cli import COMMANDS, _load_data, _load_scaler, _save_scaler, main
 from gradframe.config import ExperimentConfig, render_config
-from gradframe.data import Boundary, Standardization, label_by_boundary, load_csv_dataset
+from gradframe.core import PenaltyParams, train_gradframe
+from gradframe.data import Boundary, DomainSet, Standardization, label_by_boundary, load_csv_dataset
 from gradframe.errors import DataError
-from gradframe.evaluation import evaluate
+from gradframe.evaluation import auroc, evaluate
+from gradframe.nn import probs_batch
+from gradframe.rng import derive_seed
 from gradframe.shift import SHIFT_REPORT_SCHEMA
 
 
 def write_cfg(path: Path, body: str) -> Path:
     path.write_text(body)
     return path
+
+
+def record_descents(monkeypatch) -> list[list[int]]:
+    """Patch ``training.descend`` to record each call's fit seeds, in call order."""
+    import gradframe.training as training
+
+    stacks = []
+    descend = training.descend
+
+    def recording(data, cfg, seeds, *rest):
+        stacks.append(list(seeds))
+        return descend(data, cfg, seeds, *rest)
+
+    monkeypatch.setattr(training, "descend", recording)
+    return stacks
+
+
+def train_alone(cfg: ExperimentConfig, method: str, source, seed: int):
+    """The model that ``method`` trains on ``source`` under ``cfg`` with ``seed``, by itself."""
+    train_cfg = replace(cfg.train, seed=seed)
+    if method == "gradframe":
+        return train_gradframe([(source, cfg.penalties, train_cfg)], cfg.ascent)[0][0]
+    if method == "mixup":
+        return train_mixup(source, train_cfg, replace(cfg.mixup, seed=seed))
+    if method == "groupdro":
+        return train_groupdro(source, train_cfg, cfg.groupdro_eta)
+    return train_erm(source, train_cfg)
 
 
 def strip_timestamps(payload):
@@ -414,11 +445,58 @@ output.dir = {out}
         choice = json.loads((out / "lodo_choice.json").read_text())
         assert (choice["gamma1"], choice["gamma2"]) in [(0.1, 0.1), (1.0, 10.0)]
 
+    GRID_LODO = """
+dataset.kind = csv
+data.source_csv = {data}
+grid.pairs = 0.1:0.1;0.1:10;1:1;1:10
+train.epochs = 4
+train.pretrain_epochs = 3
+train.batch_size = 500
+ascent.max_steps = 3
+output.dir = {out}
+"""
+
+    @staticmethod
+    def _write_domains(path: Path, sizes) -> None:
+        rng = np.random.default_rng(3)
+        rows = ["x0,x1,label,domain"]
+        for dom, n in zip("ABC", sizes):
+            x = rng.normal(size=(n, 2)) + rng.choice([-2.0, 2.0], size=(n, 1))
+            rows += [f"{a:.17g},{b:.17g},{int(a + b > 0)},{dom}" for a, b in x]
+        path.write_text("\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize(
+        "sizes, stacks",
+        [((500, 500, 500), [24, 12]), ((500, 300, 420), [8, 8, 8, 4, 4, 4])],
+        ids=["equal", "unequal"],
+    )
+    def test_cells_train_as_one_plan(self, tmp_path, monkeypatch, sizes, stacks):
+        """Four pairs over three domains: one pretraining descent per domain size and
+        one final descent per fold size, and every row scores the model its cell
+        trains alone."""
+        data, out = tmp_path / "doms.csv", tmp_path / "lodo"
+        self._write_domains(data, sizes)
+        cfg_path = write_cfg(tmp_path / "c.cfg", self.GRID_LODO.format(data=data, out=out))
+        seeds = record_descents(monkeypatch)
+        assert main(["lodo", "--config", str(cfg_path)]) == 0
+        assert [len(s) for s in seeds] == stacks
+        cfg = ExperimentConfig.load(cfg_path)
+        source, _ = _load_data(cfg, cfg.seed)
+        want = ["gamma1,gamma2,fold_domain,auroc"]
+        for i, (g1, g2) in enumerate(cfg.grid_pairs):
+            for fold in source.domains:
+                rest = DomainSet(tuple(d for d in source.domains if d.id != fold.id))
+                fold_cfg = replace(cfg.train, seed=derive_seed(cfg.train.seed, "lodo", i, fold.id))
+                [(model, _)] = train_gradframe([(rest, PenaltyParams(g1, g2), fold_cfg)], cfg.ascent)
+                score = auroc(probs_batch(model, fold.x), fold.y)
+                want.append("%.17g,%.17g,%s,%.17g" % (g1, g2, fold.id, score))
+        assert (out / "lodo_table.csv").read_text().splitlines() == want
+
 
 class TestCompare:
     def test_stacked_fits_score_as_fits_trained_alone(self, tmp_path):
         """ERM and mixup of both seeds train as one stack; every score is that of the
-        model ``_train_method`` trains for its method and seed alone."""
+        model its method trains for its seed alone."""
         out = tmp_path / "cmp"
         cfg_path = write_cfg(
             tmp_path / "c.cfg",
@@ -437,7 +515,7 @@ output.dir = {out}
         for method in ("erm", "mixup", "groupdro"):
             for seed in (0, 1):
                 source, target = _load_data(cfg, seed)
-                model, _ = _train_method(cfg, method, source, seed)
+                model = train_alone(cfg, method, source, seed)
                 want.append(f"{method},{seed},{evaluate(model, target).auroc:.17g}")
         assert (out / "compare_matrix.csv").read_text().splitlines() == want
 
@@ -445,16 +523,7 @@ output.dir = {out}
         """At batch 400 the simulation's 400 pooled rows and GroupDRO's two 200-row
         domains both take one 400-row block per step, so ERM, mixup and GroupDRO of
         both seeds are one descent, GroupDRO with one row per domain; every score is
-        that of the model ``_train_method`` trains alone."""
-        import gradframe.training as training
-
-        stacks = []
-        descend = training.descend
-
-        def recording(data, cfg, seeds, *rest):
-            stacks.append(list(seeds))
-            return descend(data, cfg, seeds, *rest)
-
+        that of the model its method trains alone."""
         out = tmp_path / "cmp"
         cfg_path = write_cfg(
             tmp_path / "c.cfg",
@@ -467,16 +536,45 @@ train.batch_size = 400
 output.dir = {out}
 """,
         )
-        monkeypatch.setattr(training, "descend", recording)
+        stacks = record_descents(monkeypatch)
         assert main(["compare", "--config", str(cfg_path)]) == 0
-        monkeypatch.setattr(training, "descend", descend)
         assert stacks == [[0, 1, 0, 1, 0, 1]]
         cfg = ExperimentConfig.load(cfg_path)
         want = ["method,seed,auroc"]
         for method in ("groupdro", "erm", "mixup"):
             for seed in (0, 1):
                 source, target = _load_data(cfg, seed)
-                model, _ = _train_method(cfg, method, source, seed)
+                model = train_alone(cfg, method, source, seed)
+                want.append(f"{method},{seed},{evaluate(model, target).auroc:.17g}")
+        assert (out / "compare_matrix.csv").read_text().splitlines() == want
+
+    def test_gradframe_and_erm_train_in_three_descents(self, tmp_path, monkeypatch):
+        """A gradframe,erm compare on two seeds: the ERM fits are one descent, the four
+        domain models one, and the two final fits one; every score is that of the
+        model its method trains alone."""
+        out = tmp_path / "cmp"
+        cfg_path = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = simulate
+compare.methods = gradframe,erm
+seeds = 0,1
+train.epochs = 15
+train.pretrain_epochs = 5
+train.batch_size = 64
+ascent.max_steps = 3
+output.dir = {out}
+""",
+        )
+        stacks = record_descents(monkeypatch)
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        assert [len(seeds) for seeds in stacks] == [2, 4, 2]
+        cfg = ExperimentConfig.load(cfg_path)
+        want = ["method,seed,auroc"]
+        for method in ("gradframe", "erm"):
+            for seed in (0, 1):
+                source, target = _load_data(cfg, seed)
+                model = train_alone(cfg, method, source, seed)
                 want.append(f"{method},{seed},{evaluate(model, target).auroc:.17g}")
         assert (out / "compare_matrix.csv").read_text().splitlines() == want
 
@@ -662,7 +760,8 @@ output.dir = {out}
         assert "'regoin'" in err and "one domain" in err and "Traceback" not in err
         assert not (out / "model.txt").exists()
 
-    def test_single_class_target_is_numeric_failure(self, tmp_path):
+    def test_single_class_target_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        """Every seed's target is checked before any fit, so nothing trains."""
         src = tmp_path / "src.csv"
         src.write_text("x0,x1,label,domain\n0,0,0,A\n1,1,1,A\n0,1,0,B\n1,0,1,B\n" * 1)
         tgt = tmp_path / "tgt.csv"
@@ -673,14 +772,17 @@ output.dir = {out}
 dataset.kind = csv
 data.source_csv = {src}
 data.target_csv = {tgt}
-compare.methods = erm
+compare.methods = erm,gradframe
 seeds = 0,1
 train.epochs = 3
 train.batch_size = 4
 output.dir = {tmp_path}/o
 """,
         )
+        stacks = record_descents(monkeypatch)
         assert main(["compare", "--config", str(cfg)]) == 4
+        assert "target domain has a single class; AUROC undefined" in capsys.readouterr().err
+        assert stacks == []
 
     @pytest.mark.parametrize(
         "width, standardize",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import build_model, one_row_bce, one_row_rep, separable_blobs, zer
 
 from gradframe.core import (
     AscentConfig,
+    FictitiousSet,
     PenaltyParams,
     _ascend,
     _objective_rows,
@@ -21,7 +23,7 @@ from gradframe.data import Domain, DomainSet, simulation_source
 from gradframe.errors import ConfigError, ShapeError
 from gradframe.nn import grad_input_batch, init_mlp, probs_batch, representations_batch
 from gradframe.rng import derive_seed, rng_for
-from gradframe.training import TrainConfig, fit_minibatch
+from gradframe.training import TrainConfig, fit_stack
 
 
 def identity_rep_model():
@@ -230,7 +232,7 @@ class TestPretrain:
         for dom in ds.domains:
             seed = derive_seed(5, "pretrain", dom.id)
             cfg = TrainConfig(seed=seed, beta=0.05, epochs=12, batch_size=16)
-            alone = fit_minibatch(dom.x, dom.y, cfg)
+            alone = fit_stack([dom.x], [dom.y], [cfg])[0]
             assert models[dom.id].params.tobytes() == alone.params.tobytes()
 
     def test_single_domain_rejected(self):
@@ -336,12 +338,12 @@ class TestTrainGradframe:
     def test_degenerate_equivalence_with_doubled_erm(self):
         src = simulation_source(4)
         cfg = TrainConfig(seed=4, beta=0.02, epochs=40, batch_size=64, pretrain_epochs=10)
-        model, fict = train_gradframe(
-            src, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), cfg
+        [(model, fict)] = train_gradframe(
+            [(src, PenaltyParams(1.0, 10.0), cfg)], AscentConfig(max_steps=0, min_steps=0)
         )
         pooled = src.pooled()
         doubled = Domain("doubled", np.vstack([pooled.x] * 2), np.tile(pooled.y, 2))
-        erm_doubled = fit_minibatch(doubled.x, doubled.y, cfg)
+        erm_doubled = fit_stack([doubled.x], [doubled.y], [cfg])[0]
         for wa, wb in zip(model.weights, erm_doubled.weights):
             assert wa.tobytes() == wb.tobytes()
         for ba, bb in zip(model.biases, erm_doubled.biases):
@@ -351,7 +353,8 @@ class TestTrainGradframe:
     def test_label_preservation_everywhere(self):
         src = simulation_source(5)
         cfg = TrainConfig(seed=5, beta=0.01, epochs=30, batch_size=400, pretrain_epochs=30)
-        _, fict = train_gradframe(src, PenaltyParams(1.0, 10.0), AscentConfig(alpha=0.5, max_steps=10), cfg)
+        asc = AscentConfig(alpha=0.5, max_steps=10)
+        [(_, fict)] = train_gradframe([(src, PenaltyParams(1.0, 10.0), cfg)], asc)
         pooled = src.pooled()
         for origin_domain, origin_index, y_star in zip(
             fict.origin_domain, fict.origin_index, fict.y_star
@@ -361,11 +364,51 @@ class TestTrainGradframe:
     def test_determinism(self):
         src = simulation_source(6)
         cfg = TrainConfig(seed=6, beta=0.01, epochs=30, batch_size=400, pretrain_epochs=20)
-        a, fa = train_gradframe(src, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5, max_steps=5), cfg)
-        b, fb = train_gradframe(src, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5, max_steps=5), cfg)
+        run, asc = (src, PenaltyParams(1.0, 1.0), cfg), AscentConfig(alpha=0.5, max_steps=5)
+        [(a, fa)] = train_gradframe([run], asc)
+        [(b, fb)] = train_gradframe([run], asc)
         for wa, wb in zip(a.weights, b.weights):
             assert wa.tobytes() == wb.tobytes()
         assert np.array_equal(fa.x_star, fb.x_star)
+
+    def test_plan_matches_each_run_trained_alone(self, monkeypatch):
+        """One call over runs of two and three domains, of unequal sizes, penalties and
+        seeds: the domain models are two descents (40- and 26-row domains), the final
+        fits two (160- and 212-row unions), and every run's model and fictitious set
+        are those of the pipeline by hand, run by run."""
+        import gradframe.training as training
+
+        two = DomainSet((separable_blobs("A", 1, 20), separable_blobs("B", 2, 20)))
+        three = DomainSet(
+            (separable_blobs("A", 3, 20), separable_blobs("B", 4, 13), separable_blobs("C", 5, 20))
+        )
+        base = TrainConfig(beta=0.05, epochs=9, batch_size=16, pretrain_epochs=12)
+        asc = AscentConfig(alpha=0.3, max_steps=4)
+        runs = [
+            (two, PenaltyParams(1.0, 10.0), replace(base, seed=1)),
+            (three, PenaltyParams(0.1, 0.5), replace(base, seed=2)),
+            (two, PenaltyParams(0.0, 1.0), replace(base, seed=3)),
+        ]
+        stacks = []
+        descend = training.descend
+
+        def recording(data, cfg, seeds, *rest):
+            stacks.append(len(seeds))
+            return descend(data, cfg, seeds, *rest)
+
+        monkeypatch.setattr(training, "descend", recording)
+        results = train_gradframe(runs, asc)
+        assert stacks == [6, 1, 2, 1]
+        assert len(results) == len(runs)
+        for (ds, gammas, cfg), (model, fict) in zip(runs, results):
+            ref_fict = generate_fictitious_set(ds, gammas, asc, cfg, pretrain_domain_models(ds, cfg))
+            pooled = ds.pooled()
+            x = np.vstack([pooled.x, ref_fict.x_star])
+            y = np.concatenate([pooled.y, ref_fict.y_star])
+            assert model.params.tobytes() == fit_stack([x], [y], [cfg])[0].params.tobytes()
+            for field in fields(FictitiousSet):
+                got, want = getattr(fict, field.name), getattr(ref_fict, field.name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_no_op_ascent_behaves_like_plain_erm(self):
         from gradframe.baselines import train_erm
@@ -376,8 +419,8 @@ class TestTrainGradframe:
         src = simulation_source(7)
         tgt = simulation_target(7)
         cfg = TrainConfig(seed=7, beta=0.01, epochs=200, batch_size=64, pretrain_epochs=10)
-        model, _ = train_gradframe(
-            src, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), cfg
+        [(model, _)] = train_gradframe(
+            [(src, PenaltyParams(1.0, 10.0), cfg)], AscentConfig(max_steps=0, min_steps=0)
         )
         erm = train_erm(src, cfg)
         y = tgt.label_vector()

@@ -8,7 +8,7 @@ import pytest
 from conftest import domain_of_rows, separable_blobs, zero_model
 
 from gradframe.core import AscentConfig
-from gradframe.data import DomainSet
+from gradframe.data import Domain, DomainSet
 from gradframe.errors import ConfigError, DataError, NumericError
 from gradframe.evaluation import (
     auroc,
@@ -163,6 +163,19 @@ class TestLodo:
         ds = DomainSet((separable_blobs("A", seed=0), separable_blobs("B", seed=1)))
         with pytest.raises(ConfigError, match="3"):
             lodo_cv_search(ds, [(1.0, 1.0)], AscentConfig(max_steps=1, min_steps=0), TrainConfig())
+
+    def test_single_class_fold_fails_before_training(self, monkeypatch):
+        import gradframe.training as training
+
+        ds = _three_domain_set(seed=7)
+        c = ds.domain("C")
+        ds = DomainSet(ds.domains[:2] + (Domain("C", c.x, np.ones(len(c))),))
+        calls = []
+        monkeypatch.setattr(training, "descend", lambda *args: calls.append(args))
+        cfg = TrainConfig(seed=7, epochs=5, batch_size=50, pretrain_epochs=5)
+        with pytest.raises(NumericError, match="only one class"):
+            lodo_cv_search(ds, [(1.0, 1.0)], AscentConfig(max_steps=1, min_steps=0), cfg)
+        assert calls == []
 
     def test_table_shape_grid_times_k(self):
         ds = _three_domain_set(seed=5)

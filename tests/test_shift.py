@@ -39,7 +39,7 @@ from gradframe.shift import (
     shapley_attribution,
 )
 from gradframe.rng import derive_seed, rng_for
-from gradframe.training import TrainConfig, fit_minibatch
+from gradframe.training import TrainConfig, fit_stack
 
 
 def broadcast_kde_log_density(model, query):
@@ -397,8 +397,8 @@ class TestConceptShiftDelta:
         model_cfg = replace(cfg, seed=derive_seed(cfg.seed, "concept"))
         pooled = src.pooled()
         models = (
-            fit_minibatch(pooled.x, pooled.y, model_cfg),
-            fit_minibatch(fict.x_star, fict.y_star, model_cfg),
+            fit_stack([pooled.x], [pooled.y], [model_cfg])[0],
+            fit_stack([fict.x_star], [fict.y_star], [model_cfg])[0],
         )
         given = concept_shift_delta(src, fict, cfg, models=models)
         assert given.tobytes() == concept_shift_delta(src, fict, cfg).tobytes()
@@ -436,9 +436,9 @@ class TestLikelihoodDifference:
         cfg = TrainConfig(seed=3, beta=0.01, epochs=80, batch_size=64)
         from dataclasses import replace
 
-        m_a = fit_minibatch(src.x[half_a], src.y[half_a], cfg)
-        m_b = fit_minibatch(src.x[half_b], src.y[half_b], replace(cfg, seed=301))
-        m_t = fit_minibatch(tgt.x, tgt.y, replace(cfg, seed=302))
+        m_a = fit_stack([src.x[half_a]], [src.y[half_a]], [cfg])[0]
+        m_b = fit_stack([src.x[half_b]], [src.y[half_b]], [replace(cfg, seed=301)])[0]
+        m_t = fit_stack([tgt.x], [tgt.y], [replace(cfg, seed=302)])[0]
         within = likelihood_difference(m_a, m_b, src)
         cross = likelihood_difference(m_a, m_t, src)
         assert within < cross
@@ -532,7 +532,7 @@ class TestShapleyBatchOracle:
             per_group = []
             for g_idx, group in enumerate(split_into_k_domains(dom, k, keys).domains):
                 group_cfg = replace(cfg, seed=derive_seed(cfg.seed, "selectk", k))
-                model = fit_minibatch(group.x, group.y, group_cfg)
+                model = fit_stack([group.x], [group.y], [group_cfg])[0]
                 baseline = group.feature_matrix().mean(axis=0)
                 seeds = [
                     derive_seed(cfg.seed, "selectk-shap", k, g_idx, i) for i in range(len(group))

@@ -20,7 +20,7 @@ from gradframe.data import Domain, DomainSet
 from gradframe.errors import ConfigError, DataError, NumericError, ShapeError
 from gradframe.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, P_MAX, P_MIN
 from gradframe.rng import derive_seed, rng_for
-from gradframe.training import TrainConfig, draw_lambdas, fit_minibatch, fit_stack
+from gradframe.training import TrainConfig, draw_lambdas, fit_stack
 
 
 def _ref_init(dims, seed):
@@ -199,7 +199,7 @@ class TestFitMinibatchOracle:
             cfg = TrainConfig(
                 beta=0.05, epochs=40, batch_size=batch_size, seed=4, hidden_dims=hidden, rep_layer_index=rep
             )
-            _assert_same_bytes(fit_minibatch(x, y, cfg), ref_fit_minibatch(x, y, cfg))
+            _assert_same_bytes(fit_stack([x], [y], [cfg])[0], ref_fit_minibatch(x, y, cfg))
 
     @pytest.mark.parametrize(
         "x, y, error",
@@ -223,7 +223,7 @@ class TestFitMinibatchOracle:
 
         monkeypatch.setattr(training, "descend", no_descent)
         with pytest.raises(error):
-            fit_minibatch(np.asarray(x), np.asarray(y), TrainConfig(epochs=2, batch_size=2))
+            fit_stack([np.asarray(x)], [np.asarray(y)], [TrainConfig(epochs=2, batch_size=2)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,7 +298,7 @@ class TestFitStack:
         ds = DomainSet((pooled,))
         for model, cfg, mixup in zip(models, cfgs, mixups):
             if mixup is None:
-                alone = fit_minibatch(pooled.x, pooled.y, cfg)
+                alone = fit_stack([pooled.x], [pooled.y], [cfg])[0]
             else:
                 alone = train_mixup(ds, cfg, mixup)
             assert np.array_equal(model.params, alone.params)
