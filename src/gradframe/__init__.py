@@ -40,7 +40,6 @@ from .evaluation import (
 from .nn import (
     MlpModel,
     bce_loss_batch,
-    grad_input_batch,
     grad_params_batch,
     init_mlp,
     probs_batch,
@@ -88,7 +87,6 @@ __all__ = [
     "evaluate",
     "generate_fictitious_set",
     "generate_gaussian_domain",
-    "grad_input_batch",
     "grad_params_batch",
     "init_mlp",
     "kde_fit",

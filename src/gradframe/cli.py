@@ -83,12 +83,15 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | No
         source = load_csv_dataset(_source_path(cfg), cfg.csv_schema)
         target = None
         if cfg.target_csv:
-            target = load_csv_dataset(cfg.target_csv, cfg.csv_schema).pooled("target")
-            if target.feature_dim != source.feature_dim:
+            targets = load_csv_dataset(cfg.target_csv, cfg.csv_schema)
+            # a model reads its inputs by position, so the columns must be the same, in order
+            if targets.feature_names != source.feature_names:
                 raise DataError(
-                    f"{cfg.target_csv}: {target.feature_dim} features, "
-                    f"the source has {source.feature_dim}"
+                    f"{cfg.target_csv}: {targets.feature_dim} features, the source has "
+                    f"{source.feature_dim}: {list(targets.feature_names)} against "
+                    f"{list(source.feature_names)}"
                 )
+            target = targets.pooled("target")
     if cfg.standardize:
         source = standardize(source)
         if target is not None:
@@ -166,6 +169,9 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     source, target = _load_data(cfg, cfg.seed)
     [(model, fict)] = _train_cells(cfg, [(cfg.method, cfg.seed, source)])
     save_model(model, out / "model.txt")
+    # a file an earlier run left in ``out`` would be read as this run's
+    (out / "scaler.txt").unlink(missing_ok=True)
+    (out / "fictitious.csv").unlink(missing_ok=True)
     _save_scaler(source.standardization, out)
     if fict is not None:
         fict.write_csv(out / "fictitious.csv")

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import DomainSet, write_csv
-from .errors import ConfigError
-from .nn import MlpModel, bce_loss_batch, bce_rows, grad_input_batch, representations_batch
+from .errors import ConfigError, ShapeError
+from .nn import MlpModel, _bce, _forward, check_input
 from .rng import derive_seed, rng_for
 from .training import TrainConfig, fit_stack
 
@@ -90,24 +90,33 @@ class FictitiousSet:
         write_csv(path, header, ([o, i, p, y, *x, f] for o, i, p, y, x, f in rows))
 
 
-def _objective_rows(
-    x: np.ndarray,
-    y: np.ndarray,
-    z_anchor: np.ndarray,
-    model_i: MlpModel,
-    model_j: MlpModel,
-    gammas: PenaltyParams,
-) -> np.ndarray:
+def _objective_rows(x, y, z_anchor, model_i: MlpModel, model_j: MlpModel, gammas) -> np.ndarray:
     """Ascent objective of each row: the origin model's loss, minus gamma1 times half the
     squared distance of its representation to ``z_anchor``, minus gamma2 times the
     partner model's loss.  A zero-weight penalty term is skipped."""
-    value, acts = bce_rows(model_i, x, y)
+    ws = _forward(model_i, x)
+    value = _bce(ws.p1, y)
     if gammas.gamma1 != 0.0:
-        z = acts[model_i.rep_layer_index]
+        z = ws.acts[model_i.rep_layer_index]
         value = value - gammas.gamma1 * (0.5 * np.sum((z - z_anchor) ** 2, axis=1))
     if gammas.gamma2 != 0.0:
-        value = value - gammas.gamma2 * bce_loss_batch(model_j, x, y)
+        value = value - gammas.gamma2 * _bce(_forward(model_j, x).p1, y)
     return value
+
+
+def _objective_grad(x, y, z_anchor, model_i: MlpModel, model_j: MlpModel, gammas) -> np.ndarray:
+    """Per-row input gradient of ``_objective_rows``, every term kept whatever its weight:
+    the origin model's loss gradient, then the anchor term's backprop from the
+    representation layer, then the partner model's loss gradient."""
+    ws = _forward(model_i, x, y)
+    ws.score_grads(mean=False)
+    g = ws.backward(model_i.weights, model_i.n_layers)
+    rep = model_i.rep_layer_index
+    np.subtract(ws.acts[rep], z_anchor, out=ws.deltas[rep])
+    g = g - gammas.gamma1 * ws.backward(model_i.weights, rep)
+    partner = _forward(model_j, x, y)
+    partner.score_grads(mean=False)
+    return g - gammas.gamma2 * partner.backward(model_j.weights, model_j.n_layers)
 
 
 def _ascend(
@@ -127,10 +136,16 @@ def _ascend(
     its last finite iterate, flagged as aborted.  Rows share the models but
     not their fate: each leaves the active set when it stops.
 
+    The outside input is checked once: ``check_input`` and the partner's width.
+    The iterates, screened for non-finite values, are not checked again.
+
     Returns the final iterates, the NaN-padded (n, max_steps + 1) objective
     traces, the trace lengths and the abort flags.
     """
-    z_anchor = representations_batch(model_i, x0)  # also checks x0 against model_i
+    x0, y = check_input(model_i, x0, y)
+    if model_j.input_dim != model_i.input_dim:
+        raise ShapeError(f"partner model takes {model_j.input_dim} inputs, origin {model_i.input_dim}")
+    z_anchor = _forward(model_i, x0).acts[model_i.rep_layer_index]
     n = x0.shape[0]
     x = x0.copy()
     values = np.full((n, cfg.max_steps + 1), np.nan)
@@ -141,13 +156,7 @@ def _ascend(
     for step_no in range(1, cfg.max_steps + 1):
         if live.size == 0:
             break
-        g = grad_input_batch(
-            model_i,
-            x[live],
-            y[live],
-            anchor=(z_anchor[live], gammas.gamma1),
-            concept=(model_j, gammas.gamma2),
-        )
+        g = _objective_grad(x[live], y[live], z_anchor[live], model_i, model_j, gammas)
         accepted = np.zeros(live.size, dtype=bool)
         trying = np.arange(live.size)  # positions in ``live`` still halving
         step = cfg.alpha

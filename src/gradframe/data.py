@@ -70,6 +70,7 @@ class Standardization:
 class DomainSet:
     domains: tuple[Domain, ...]
     standardization: Standardization | None = None
+    feature_names: tuple[str, ...] | None = None  # the CSV columns; only load_csv_dataset sets them
 
     def __post_init__(self):
         doms = tuple(self.domains)
@@ -313,7 +314,8 @@ def load_csv_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Domai
         raise DataError(f"{path}: no data rows")
     x = np.array(features)
     y = np.array(labels)
-    return DomainSet(tuple(Domain(did, x[rows], y[rows]) for did, rows in grouped.items()))
+    domains = tuple(Domain(did, x[rows], y[rows]) for did, rows in grouped.items())
+    return DomainSet(domains, feature_names=tuple(feature_names))
 
 
 def save_csv_dataset(ds: DomainSet, path: str | Path) -> None:

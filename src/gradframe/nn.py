@@ -14,9 +14,10 @@ whole vector at once.
 
 Models are immutable values.  The public ``*_batch`` functions take an
 ``(n, d)`` input matrix, return new arrays and run ``check_input``, the one
-model-input rule, as ``training.fit_stack`` does; only ``bce_rows`` skips it,
-for the ascent's anchor term.  ``check_architecture`` is the one architecture
-rule, run on every ``MlpModel`` and on ``TrainConfig``'s fields.
+model-input rule, as ``training.fit_stack`` does.  ``check_architecture`` is
+the one architecture rule, run on every ``MlpModel`` and on ``TrainConfig``'s
+fields.  The module knows networks only: the ascent's objective and its input
+gradient are written in ``core`` on ``_forward`` and the ``Workspace`` steps.
 
 The arithmetic runs in place on a ``Workspace``'s buffers and in
 ``adam_update``, the one Adam step; only ``training.descend`` keeps them for
@@ -188,9 +189,9 @@ class Workspace:
     ``shape`` is the batch's leading shape: ``(rows,)`` for one network, or
     ``(M, rows)`` for a stack of M row blocks, one per network of the same
     dims, each with its own ``(M, fan_in, fan_out)`` weight slice.  Every
-    buffer has that leading shape.  ``acts[0]``
-    is the input and ``acts[k]`` the layer-k activation; ``y`` holds the
-    targets and ``p1`` the raw class-1 probabilities.  After
+    buffer has that leading shape.  ``acts[0]`` is the input and ``acts[k]``
+    the layer-k activation; ``y`` holds the targets and ``p1`` the raw
+    class-1 probabilities.  After
     ``score_grads``, ``deltas[n_layers]`` holds the gradient at the output
     scores; ``backward`` fills ``deltas[k]`` with the gradient at the layer-k
     activation on its way down (``deltas[0]`` is unused).  A caller may hand
@@ -353,16 +354,10 @@ def _bce(p1_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1))
 
 
-def bce_rows(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-row BCE and per-layer activations of ``x``, unchecked: the ascent's objective
-    needs the activations for its anchor term, on points it has found finite."""
-    ws = _forward(model, x)
-    return _bce(ws.p1, y), ws.acts
-
-
 def bce_loss_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row binary cross-entropy; accepts soft targets in [0, 1]."""
-    return bce_rows(model, *check_input(model, x, y))[0]
+    x, y = check_input(model, x, y)
+    return _bce(_forward(model, x).p1, y)
 
 
 def grad_params_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -372,45 +367,6 @@ def grad_params_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarr
     grad = np.empty(model.params.shape)
     ws.mean_bce_grad(model.weights, model.biases, param_views(model.layer_dims, grad))
     return grad
-
-
-def grad_input_batch(
-    model: MlpModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    anchor: tuple[np.ndarray, float] | None = None,
-    concept: tuple[MlpModel, float] | None = None,
-) -> np.ndarray:
-    """Per-row input gradient of the weighted ascent objective.
-
-    Row r is the gradient w.r.t. ``x[r]`` of ``bce(model; x[r], y[r])``, minus
-    ``weight_a * 0.5 * ||z(x[r]) - z_anchor[r]||^2`` if ``anchor`` is given and
-    ``weight_c * bce(concept_model; x[r], y[r])`` if ``concept`` is given; z is
-    the representation under ``model``.
-    """
-    x, y = check_input(model, x, y)
-    want = (x.shape[0], model.rep_dim)
-    if anchor is not None and np.shape(anchor[0]) != want:
-        raise ShapeError(f"anchor has shape {np.shape(anchor[0])}, expected {want}")
-    if concept is not None and concept[0].input_dim != model.input_dim:
-        raise ShapeError(
-            f"concept model expects dimension {concept[0].input_dim}, "
-            f"main model expects {model.input_dim}"
-        )
-    ws = _forward(model, x, y)
-    ws.score_grads(mean=False)
-    g = ws.backward(model.weights, model.n_layers)
-    if anchor is not None:
-        z_anchor, weight_a = anchor
-        rep = model.rep_layer_index
-        np.subtract(ws.acts[rep], z_anchor, out=ws.deltas[rep])
-        g = g - float(weight_a) * ws.backward(model.weights, rep)
-    if concept is not None:
-        concept_model, weight_c = concept
-        c_ws = _forward(concept_model, x, y)
-        c_ws.score_grads(mean=False)
-        g = g - float(weight_c) * c_ws.backward(concept_model.weights, concept_model.n_layers)
-    return g
 
 
 def adam_update(params, m, v, grads, step: int, lr: float, tmp, tmp2) -> None:

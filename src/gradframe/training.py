@@ -165,6 +165,7 @@ def _blocks(n: int, rule, batch_size: int) -> tuple[int, int]:
     return steps, n - (steps - 1) * batch_size
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence is caught at the end instead
 def descend(
     data: list[tuple[np.ndarray, np.ndarray]],
     cfg: TrainConfig,
@@ -182,8 +183,9 @@ def descend(
     ratios, from its own ``rng_for(mixup.seed, "mixup")`` stream.  Each epoch's
     index matrix is built once; each step is one forward, backward and Adam
     step of the whole stack, row by row that of a fit alone, so every model is
-    bit for bit the one a stack of one gives.  A non-finite parameter at the
-    end raises ``NumericError`` naming the first diverged fit's seed.
+    bit for bit the one a stack of one gives.  Overflow and invalid-value
+    warnings are off; a non-finite parameter or Adam second moment at the end
+    raises ``NumericError`` naming the first diverged fit's seed.
     """
     d = data[0][0].shape[1]
     dims = cfg.layer_dims(d)
@@ -251,12 +253,12 @@ def descend(
                 fit.reweigh(ws, grad)
             step += 1
             adam_update(params, m, v, grad, step, cfg.beta, tmp, tmp2)
-    finite = np.isfinite(params).all(axis=1)
+    finite = np.isfinite(params).all(axis=1) & np.isfinite(v).all(axis=1)
     if not finite.all():
         seed = row_seeds[int(np.argmin(finite))]
         raise NumericError(
-            f"training diverged: the fitted parameters of the fit with seed {seed} "
-            "are not all finite"
+            f"training diverged: the parameters or Adam second moments of the fit with "
+            f"seed {seed} are not all finite"
         )
     params.setflags(write=False)
     return [MlpModel(dims, params[row], cfg.rep_layer_index) for row in firsts]

@@ -20,10 +20,10 @@ import pytest
 from conftest import domain_of_rows, fd_input_grad, fd_param_grads, one_row_bce, one_row_rep, rel_err
 
 import gradframe as gf
-from gradframe.core import AscentConfig, PenaltyParams, generate_fictitious_set, pretrain_domain_models, train_gradframe
+from gradframe.core import AscentConfig, PenaltyParams, _objective_grad, generate_fictitious_set, pretrain_domain_models, train_gradframe
 from gradframe.data import Domain, DomainSet, simulation_source, simulation_target
 from gradframe.evaluation import auroc, evaluate, lodo_cv_search
-from gradframe.nn import grad_input_batch, grad_params_batch, init_mlp, param_views, probs_batch
+from gradframe.nn import grad_params_batch, init_mlp, param_views, probs_batch
 from gradframe.rng import rng_for
 from gradframe.shift import concept_shift_delta, covariate_shift_ratio, ks_two_sample, shapley_attribution
 from gradframe.training import TrainConfig, fit_stack
@@ -188,8 +188,8 @@ class TestCriterion6:
             fw, fb = fd_param_grads(lambda m: one_row_bce(m, x, y), mi)
             for k in range(mi.n_layers):
                 worst = max(worst, rel_err(gw[k], fw[k]), rel_err(gb[k], fb[k]))
-            anchor_row = (anchor[None, :], g1)
-            gi = grad_input_batch(mi, x[None, :], [y], anchor=anchor_row, concept=(mj, g2))[0]
+            gammas = PenaltyParams(g1, g2)
+            gi = _objective_grad(x[None, :], np.array([float(y)]), anchor[None, :], mi, mj, gammas)[0]
 
             def objective(q):
                 z = one_row_rep(mi, q)

@@ -716,6 +716,31 @@ output.dir = {out}
         assert 0.0 <= payload["report"]["auroc"] <= 1.0
 
 
+    def test_rerun_leaves_no_file_of_an_earlier_run(self, tmp_path):
+        """A standardized gradframe run, then an unstandardized ERM run into the same
+        directory: ``evaluate`` reads only what the second run wrote."""
+        sim_out = tmp_path / "data"
+        sim_cfg = write_cfg(tmp_path / "s.cfg", f"dataset.kind = simulate\noutput.dir = {sim_out}\n")
+        assert main(["simulate", "--config", str(sim_cfg)]) == 0
+        body = TINY_TRAIN.format(method="{method}", out="{out}").replace(
+            "dataset.kind = simulate",
+            f"dataset.kind = csv\ndata.source_csv = {sim_out}/source.csv\n"
+            f"data.target_csv = {sim_out}/target.csv",
+        )
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        first = write_cfg(tmp_path / "a.cfg", body.format(method="gradframe", out=reused))
+        assert main(["train", "--config", str(first)]) == 0
+        assert (reused / "scaler.txt").exists() and (reused / "fictitious.csv").exists()
+        reports = []
+        for out in (reused, fresh):
+            second = body.format(method="erm", out=out) + "data.standardize = false\n"
+            assert main(["train", "--config", str(write_cfg(tmp_path / "b.cfg", second))]) == 0
+            assert main(["evaluate", "--config", str(tmp_path / "b.cfg")]) == 0
+            reports.append(json.loads((out / "eval_report.json").read_text())["report"])
+        assert reports[0] == reports[1]
+        assert not (reused / "scaler.txt").exists() and not (reused / "fictitious.csv").exists()
+
+
 # `evaluate` on a hand-made CSV without a domain column
 EVAL_ONE_DOMAIN = "dataset.kind = csv\ndata.target_csv = {tgt}\ncsv.domain_column =\noutput.dir = {out}\n"
 
@@ -815,6 +840,32 @@ output.dir = {out}
         assert main(["train", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert f"tgt.csv: {width} features, the source has 2" in err
+        assert "Traceback" not in err
+        assert not (out / "model.txt").exists()
+
+    @pytest.mark.parametrize("header", ["a,b", "x1,x0"], ids=["renamed", "reordered"])
+    def test_target_feature_names_must_be_the_sources(self, tmp_path, capsys, header):
+        src = tmp_path / "src.csv"
+        src.write_text("x0,x1,label\n0,0,0\n1,1,1\n0,1,0\n1,0,1\n")
+        tgt = tmp_path / "tgt.csv"
+        tgt.write_text(f"{header},label\n0.5,0.5,1\n-0.5,-0.5,0\n")
+        out = tmp_path / "o"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = csv
+data.source_csv = {src}
+data.target_csv = {tgt}
+csv.domain_column =
+method = erm
+train.epochs = 3
+train.batch_size = 4
+output.dir = {out}
+""",
+        )
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert str(header.split(",")) in err and "['x0', 'x1']" in err
         assert "Traceback" not in err
         assert not (out / "model.txt").exists()
 
@@ -943,6 +994,33 @@ output.dir = {tmp_path}/o
         with np.errstate(all="ignore"):
             assert main(["train", "--config", str(cfg)]) == 4
         assert "diverged" in capsys.readouterr().err
+        assert not (out / "model.txt").exists()
+
+    def test_overflowing_adam_moment_is_numeric_failure(self, tmp_path, capsys):
+        """Unstandardized features near 1e300 overflow Adam's squared gradient; the fit
+        is reported as diverged, not saved with its second moments at inf."""
+        data = tmp_path / "big.csv"
+        rows = [f"{1e300 * (1 + 0.1 * i) if i % 2 else 0.5e300},{i % 3},{i % 2}" for i in range(16)]
+        data.write_text("x0,x1,label\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = csv
+data.source_csv = {data}
+data.standardize = false
+csv.domain_column =
+method = erm
+train.epochs = 5
+train.batch_size = 8
+output.dir = {out}
+""",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["train", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "diverged" in err and "RuntimeWarning" not in err
         assert not (out / "model.txt").exists()
 
     def test_groupdro_weight_overflow_is_numeric_failure(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from gradframe.core import (
     FictitiousSet,
     PenaltyParams,
     _ascend,
+    _objective_grad,
     _objective_rows,
     generate_fictitious_set,
     pretrain_domain_models,
@@ -21,7 +22,7 @@ from gradframe.core import (
 from gradframe.config import SIM_ASCENT, SIM_TRAIN
 from gradframe.data import Domain, DomainSet, simulation_source
 from gradframe.errors import ConfigError, ShapeError
-from gradframe.nn import grad_input_batch, init_mlp, probs_batch, representations_batch
+from gradframe.nn import init_mlp, probs_batch, representations_batch
 from gradframe.rng import derive_seed, rng_for
 from gradframe.training import TrainConfig, fit_stack
 
@@ -151,7 +152,8 @@ class TestInnerMaximize:
         alpha = 1e-3
         cfg = AscentConfig(alpha=alpha, max_steps=1, min_steps=0, rel_tolerance=0.0)
         x_star, _, _ = _ascend_one(origin, 0, mi, mj, PenaltyParams(0.0, 0.0), cfg)
-        g = grad_input_batch(mi, *_one_row(origin, 0))[0]
+        anchor = representations_batch(mi, origin[None, :])
+        g = _objective_grad(*_one_row(origin, 0), anchor, mi, mj, PenaltyParams(0.0, 0.0))[0]
         assert np.allclose(x_star, origin + alpha * g, atol=1e-15)
 
     def test_trace_monotone_and_label_preserved(self):
@@ -432,8 +434,9 @@ class TestTrainGradframe:
 # ---------------------------------------------------------------------------
 # Oracle: the one-point-at-a-time ascent loop that the batched kernel in
 # gradframe.core replaced.  The body is unchanged; only the names, the type
-# annotations, the inlined 1e-12 relative-improvement floor and the return
-# value (a tuple per point) differ.
+# annotations, the inlined 1e-12 relative-improvement floor, the return
+# value (a tuple per point) and the gradient's entry point (``_objective_grad``,
+# once ``nn.grad_input_batch``) differ.
 
 
 def _scalar_objective(x, y, z_anchor, model_i, model_j, gammas):
@@ -459,12 +462,7 @@ def _scalar_inner_maximize(
     trace = [_scalar_objective(x, y, z_anchor, model_i, model_j, gammas)]
     aborted = False
     for step_no in range(1, cfg.max_steps + 1):
-        g = grad_input_batch(
-            model_i,
-            *_one_row(x, y),
-            anchor=(z_anchor[None, :], gammas.gamma1),
-            concept=(model_j, gammas.gamma2),
-        )[0]
+        g = _objective_grad(*_one_row(x, y), z_anchor[None, :], model_i, model_j, gammas)[0]
         step = cfg.alpha
         accepted = False
         for _ in range(4):  # initial step plus up to three halvings

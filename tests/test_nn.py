@@ -19,6 +19,7 @@ from conftest import (
     zero_model,
 )
 
+from gradframe.core import AscentConfig, PenaltyParams, _ascend, _objective_grad
 from gradframe.errors import ConfigError, DataError, ShapeError
 from gradframe.model_io import load_model, save_model
 from gradframe.nn import (
@@ -27,7 +28,6 @@ from gradframe.nn import (
     Workspace,
     adam_update,
     bce_loss_batch,
-    grad_input_batch,
     grad_params_batch,
     init_mlp,
     param_count,
@@ -46,15 +46,20 @@ def one_row_grad_params(model, x, y) -> np.ndarray:
     return grad_params_batch(model, np.asarray(x, dtype=np.float64)[None, :], [y])
 
 
-def one_row_grad_input(model, x, y, anchor=None, concept=None) -> np.ndarray:
-    if anchor is not None:
-        anchor = (np.asarray(anchor[0])[None, :], anchor[1])
-    return grad_input_batch(model, np.asarray(x)[None, :], [y], anchor, concept)[0]
+def one_row_objective_grad(model_i, x, y, anchor, model_j, gammas) -> np.ndarray:
+    """``core._objective_grad`` of one row."""
+    x, anchor = (np.asarray(a, dtype=np.float64)[None, :] for a in (x, anchor))
+    return _objective_grad(x, np.array([float(y)]), anchor, model_i, model_j, gammas)[0]
 
 
 def fit_stack_of_one(model, x, y):
     """``fit_stack`` of one fit; it takes no model, so ``model`` is not used."""
     return fit_stack([x], [y], [TrainConfig(epochs=1)])[0]
+
+
+def ascend(model, x, y):
+    """``core._ascend`` of the rows of ``x`` against ``model`` as its own partner."""
+    return _ascend(x, y, model, model, PenaltyParams(1.0, 1.0), AscentConfig())
 
 
 # Every entry that runs ``check_input``, as ``fn(model, x, y)``.
@@ -63,7 +68,7 @@ INPUT_ENTRIES = {
     "representations_batch": lambda model, x, y: representations_batch(model, x),
     "bce_loss_batch": bce_loss_batch,
     "grad_params_batch": grad_params_batch,
-    "grad_input_batch": grad_input_batch,
+    "ascend": ascend,
     "fit_stack": fit_stack_of_one,
 }
 
@@ -222,7 +227,7 @@ class TestBceLoss:
             one_row_bce(m, np.array([0.0, 0.0]), 2)
 
     @pytest.mark.parametrize(
-        "fn", [bce_loss_batch, grad_params_batch, grad_input_batch, fit_stack_of_one]
+        "fn", [bce_loss_batch, grad_params_batch, ascend, fit_stack_of_one]
     )
     @pytest.mark.parametrize(
         "y, error",
@@ -365,10 +370,12 @@ class TestStepKernelBitsGuard:
 
 
 class TestGradInput:
+    """``core._objective_grad``, the ascent objective's per-row input gradient."""
+
     def test_plain_matches_fd(self, rng):
         m = init_mlp([3, 6, 2], 1, seed=21)
         x = rng.normal(size=3)
-        g = one_row_grad_input(m, x, 1)
+        g = one_row_objective_grad(m, x, 1, one_row_rep(m, x), m, PenaltyParams(0.0, 0.0))
         fd = fd_input_grad(lambda q: one_row_bce(m, q, 1), x)
         assert rel_err(g, fd) < 1e-5
 
@@ -376,8 +383,8 @@ class TestGradInput:
         m = init_mlp([3, 5, 2], 1, seed=22)
         x = np.array([0.2, -0.4, 1.0])
         z = one_row_rep(m, x)
-        with_anchor = one_row_grad_input(m, x, 0, anchor=(z, 3.5))
-        without = one_row_grad_input(m, x, 0)
+        with_anchor = one_row_objective_grad(m, x, 0, z, m, PenaltyParams(3.5, 0.0))
+        without = one_row_objective_grad(m, x, 0, z, m, PenaltyParams(0.0, 0.0))
         assert np.allclose(with_anchor, without, atol=1e-14)
 
     def test_three_term_matches_fd(self, rng):
@@ -385,30 +392,26 @@ class TestGradInput:
         mj = init_mlp([3, 6, 2], 1, seed=24)
         x = rng.normal(size=3)
         anchor = one_row_rep(mi, rng.normal(size=3))
-        g1, g2 = 1.3, 4.2
-        g = one_row_grad_input(mi, x, 1, anchor=(anchor, g1), concept=(mj, g2))
+        # the zero-weight pairs keep their terms in the gradient, at weight 0
+        for g1, g2 in [(1.3, 4.2), (0.0, 4.2), (1.3, 0.0), (0.0, 0.0)]:
+            g = one_row_objective_grad(mi, x, 1, anchor, mj, PenaltyParams(g1, g2))
 
-        def objective(q):
-            z = one_row_rep(mi, q)
-            return (
-                one_row_bce(mi, q, 1)
-                - g1 * 0.5 * float(np.sum((z - anchor) ** 2))
-                - g2 * one_row_bce(mj, q, 1)
-            )
+            def objective(q):
+                z = one_row_rep(mi, q)
+                return (
+                    one_row_bce(mi, q, 1)
+                    - g1 * 0.5 * float(np.sum((z - anchor) ** 2))
+                    - g2 * one_row_bce(mj, q, 1)
+                )
 
-        fd = fd_input_grad(objective, x)
-        assert rel_err(g, fd) < 1e-5
+            fd = fd_input_grad(objective, x)
+            assert rel_err(g, fd) < 1e-5, (g1, g2)
 
     def test_dimension_mismatch(self):
         mi = init_mlp([3, 4, 2], 1, seed=0)
         mj = init_mlp([2, 4, 2], 1, seed=0)
         with pytest.raises(ShapeError):
-            one_row_grad_input(mi, np.zeros(3), 0, concept=(mj, 1.0))
-
-    def test_anchor_shape_mismatch(self):
-        m = init_mlp([3, 4, 2], 1, seed=0)
-        with pytest.raises(ShapeError):
-            grad_input_batch(m, np.zeros((2, 3)), [0, 1], anchor=(np.zeros((1, 4)), 1.0))
+            _ascend(np.zeros((1, 3)), [0.0], mi, mj, PenaltyParams(0.0, 1.0), AscentConfig())
 
     def test_rows_match_one_row_calls(self, rng):
         mi = init_mlp([3, 5, 2], 1, seed=25)
@@ -416,9 +419,10 @@ class TestGradInput:
         x = rng.normal(size=(6, 3))
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
         z = rng.normal(size=(6, 5))
-        rows = grad_input_batch(mi, x, y, anchor=(z, 0.7), concept=(mj, 2.0))
+        gammas = PenaltyParams(0.7, 2.0)
+        rows = _objective_grad(x, y, z, mi, mj, gammas)
         for r in range(6):
-            one = one_row_grad_input(mi, x[r], y[r], anchor=(z[r], 0.7), concept=(mj, 2.0))
+            one = one_row_objective_grad(mi, x[r], y[r], z[r], mj, gammas)
             assert np.allclose(rows[r], one, rtol=0.0, atol=1e-15)
 
 
