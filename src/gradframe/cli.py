@@ -86,9 +86,13 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | No
             targets = load_csv_dataset(cfg.target_csv, cfg.csv_schema)
             # a model reads its inputs by position, so the columns must be the same, in order
             if targets.feature_names != source.feature_names:
+                differ = (
+                    f"{targets.feature_dim} features, the source has {source.feature_dim}"
+                    if targets.feature_dim != source.feature_dim
+                    else "the feature columns differ from the source's, by name or order"
+                )
                 raise DataError(
-                    f"{cfg.target_csv}: {targets.feature_dim} features, the source has "
-                    f"{source.feature_dim}: {list(targets.feature_names)} against "
+                    f"{cfg.target_csv}: {differ}: {list(targets.feature_names)} against "
                     f"{list(source.feature_names)}"
                 )
             target = targets.pooled("target")
@@ -166,12 +170,12 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
+    # a file an earlier run left in ``out`` would be read as this run's, failed or not
+    for name in ("model.txt", "scaler.txt", "fictitious.csv", "train_report.json"):
+        (out / name).unlink(missing_ok=True)
     source, target = _load_data(cfg, cfg.seed)
     [(model, fict)] = _train_cells(cfg, [(cfg.method, cfg.seed, source)])
     save_model(model, out / "model.txt")
-    # a file an earlier run left in ``out`` would be read as this run's
-    (out / "scaler.txt").unlink(missing_ok=True)
-    (out / "fictitious.csv").unlink(missing_ok=True)
     _save_scaler(source.standardization, out)
     if fict is not None:
         fict.write_csv(out / "fictitious.csv")

@@ -1,28 +1,16 @@
-"""Minimal dense feed-forward network with hand-coded reverse-mode gradients.
+"""Dense ReLU networks with a 2-unit softmax output and hand-coded gradients.
 
-The topology is fixed: ReLU hidden layers and a 2-unit output layer whose
-scores are normalized by the two-class exponential rule; the class-1
-component is the predicted probability.  One hidden layer is designated as
-the representation layer; its post-activation output is the vector ``z``
-used by the covariate-shift machinery.
+The class-1 softmax component is the predicted probability; the activation
+of the hidden layer ``rep_layer_index`` is the representation ``z``.
+Parameters live in one flat float64 vector, ``W0`` (row-major), ``b0``,
+``W1``, ``b1`` and so on; weight and bias views, gradients and Adam moments
+share that layout.  The ``*_batch`` functions take an ``(n, d)`` matrix and
+run ``check_input``, the one model-input rule.  The ascent's objective is
+written in ``core`` on ``_forward`` and the ``Workspace`` passes.
 
-Parameters live in one flat float64 vector, layer by layer: ``W0`` row-major
-(``layer_dims[0] x layer_dims[1]``), then ``b0``, then ``W1``, ``b1`` and so
-on.  ``weights`` and ``biases`` are read-only views into it, parameter
-gradients and Adam moments use the same layout, and an Adam step updates the
-whole vector at once.
-
-Models are immutable values.  The public ``*_batch`` functions take an
-``(n, d)`` input matrix, return new arrays and run ``check_input``, the one
-model-input rule, as ``training.fit_stack`` does.  ``check_architecture`` is
-the one architecture rule, run on every ``MlpModel`` and on ``TrainConfig``'s
-fields.  The module knows networks only: the ascent's objective and its input
-gradient are written in ``core`` on ``_forward`` and the ``Workspace`` steps.
-
-The arithmetic runs in place on a ``Workspace``'s buffers and in
-``adam_update``, the one Adam step; only ``training.descend`` keeps them for
-a whole fit.  Both take a leading stack axis, so ``descend`` runs M rows of
-one shape through one kernel call per step.
+The arithmetic runs in place, with an optional leading stack axis, on a
+``Workspace``'s buffers and in ``bind_adam``'s step.  ``training.descend``
+binds both once per block shape, so a step re-derives no view.
 """
 
 from __future__ import annotations
@@ -61,11 +49,8 @@ def param_count(layer_dims: tuple[int, ...]) -> int:
 def param_views(
     layer_dims: tuple[int, ...], flat: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer weight and bias views into flat vectors in the model layout.
-
-    ``flat`` is one vector or a stack of them along leading axes; the views
-    keep those axes, so ``(M, P)`` gives ``(M, fan_in, fan_out)`` weights.
-    """
+    """Per-layer weight and bias views into flat vectors in the model layout; a
+    stack ``(M, P)`` gives ``(M, fan_in, fan_out)`` weights."""
     lead = flat.shape[:-1]
     weights, biases, pos = [], [], 0
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
@@ -98,15 +83,9 @@ def flatten_params(weights, biases) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Feed-forward network parameters.
-
-    ``params`` is the flat parameter vector; the model keeps a read-only copy
-    of it, or the array itself when it is already read-only.  ``weights[k]`` has shape
-    ``(layer_dims[k], layer_dims[k+1])`` and maps the layer-k activation to
-    layer k+1 pre-activations; ``rep_layer_index`` addresses a hidden layer
-    (1-based over weight layers) whose activation is the representation z.
-    Every model passes ``check_architecture`` when it is built.
-    """
+    """An immutable network: a read-only flat ``params`` vector and its per-layer views,
+    ``weights[k]`` of shape ``(layer_dims[k], layer_dims[k+1])``.  ``rep_layer_index``
+    (1-based over weight layers) addresses the representation's hidden layer."""
 
     layer_dims: tuple[int, ...]
     params: np.ndarray
@@ -153,9 +132,9 @@ def init_mlp(layer_dims: list[int] | tuple[int, ...], rep_layer_index: int, seed
 
 
 def check_input(model: MlpModel | None, x, y=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """``x`` and ``y`` as float64 arrays, checked: ``x`` an ``(n, d)`` matrix (d the input
-    width of ``model``, or any d >= 1 without one) and ``y``, if given, n targets, else
-    ``ShapeError``; a non-finite input or a target outside [0, 1] raises ``DataError``."""
+    """``x`` as a float64 ``(n, d)`` matrix (d the model's input width, any d >= 1
+    without a model) and ``y``, if given, as n targets, else ``ShapeError``; a
+    non-finite input or a target outside [0, 1] is a ``DataError``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0 or (model is not None and x.shape[1] != model.input_dim):
         want = "d >= 1" if model is None else f"d = {model.input_dim}"
@@ -186,16 +165,17 @@ _ROWS_FIRST_MAX_WIDTH = 2
 class Workspace:
     """Forward and backward buffers for a batch of inputs to a network of ``layer_dims``.
 
-    ``shape`` is the batch's leading shape: ``(rows,)`` for one network, or
-    ``(M, rows)`` for a stack of M row blocks, one per network of the same
-    dims, each with its own ``(M, fan_in, fan_out)`` weight slice.  Every
-    buffer has that leading shape.  ``acts[0]`` is the input and ``acts[k]``
-    the layer-k activation; ``y`` holds the targets and ``p1`` the raw
-    class-1 probabilities.  After
-    ``score_grads``, ``deltas[n_layers]`` holds the gradient at the output
-    scores; ``backward`` fills ``deltas[k]`` with the gradient at the layer-k
-    activation on its way down (``deltas[0]`` is unused).  A caller may hand
-    over its own ``x`` and ``y``, which are only read.
+    ``shape`` is ``(rows,)`` for one network or ``(M, rows)`` for a stack of
+    M row blocks, one per network, and leads every buffer.  ``acts[k]`` is the
+    layer-k activation (``acts[0]`` the input), ``p1`` the raw class-1
+    probability and ``deltas[k]`` the gradient at ``acts[k]`` (at the scores
+    for ``k = n_layers``).  A caller's own ``x`` and ``y`` are only read.
+
+    Each pass is written once, in a ``_bind_*`` method that resolves its views
+    and returns a zero-argument call.  ``bind`` binds a descent's whole step
+    once; ``forward``, ``score_grads`` and ``backward`` bind a pass per call.
+    The calls pass ``out`` by position and constants as 0-d arrays: on arrays
+    this small, numpy's argument handling is much of each call's cost.
 
     The bias steps are the costly part of a step on a narrow layer: numpy
     walks a ``(rows, width)`` broadcast or row sum with the last axis
@@ -219,22 +199,6 @@ class Workspace:
         self.exp = np.empty((*shape, 2))
         self.p1 = np.empty(shape)
         self._shape, self._dims = shape, layer_dims
-        # Views the step reuses, made once.  The per-row steps run on 1-D views:
-        # numpy's fast path for strided operands covers 1-D arrays only.
-        self._score_cols = _columns(self.scores)
-        self._exp_cols = _columns(self.exp)
-        self._row_max_flat = self.row_max.reshape(-1)
-        self._p1_flat = self.p1.reshape(-1)
-        self._y_flat = self.y.reshape(-1)
-        # Per layer: the view the bias add runs on, its iteration order and
-        # whether a stack's biases swap to rows-first with it.
-        self._bias_adds = []
-        for out in (*self.acts[1:], self.scores):
-            narrow = out.shape[-1] <= _ROWS_FIRST_MAX_WIDTH
-            swap = narrow and len(shape) == 2
-            view = out.swapaxes(0, 1) if swap else out
-            self._bias_adds.append((view, "F" if narrow else "K", swap))
-        self._sum_pairwise = [width == 1 for width in layer_dims[1:]]
 
     # The backward buffers are made on first use, so forward-only calls skip them.
     @cached_property
@@ -245,87 +209,118 @@ class Workspace:
     def masks(self) -> list[np.ndarray]:
         return [np.empty((*self._shape, width), dtype=bool) for width in self._dims[1:-1]]
 
-    @cached_property
-    def _delta_cols(self) -> tuple[np.ndarray, np.ndarray]:
-        return _columns(self.deltas[-1])
-
-    @cached_property
-    def _acts_t(self) -> list[np.ndarray]:
-        return [a.swapaxes(-1, -2) for a in self.acts]
-
     @property
     def x(self) -> np.ndarray:
         return self.acts[0]
 
     def gather(self, x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> None:
-        """Copy ``x[rows]`` and ``y[rows]`` into the input and target buffers.
-
-        ``rows`` must index within ``x``; mode "clip" then never acts, and it
-        spares the temporary copy that mode "raise" makes with ``out``.
-        """
+        """Copy ``x[rows]`` and ``y[rows]`` into the buffers; ``rows`` must index within
+        ``x``, so mode "clip" never acts (it spares the copy "raise" makes with ``out``)."""
         x.take(rows, axis=0, out=self.acts[0], mode="clip")
         y.take(rows, out=self.y, mode="clip")
 
-    def _add_bias(self, k: int, b: np.ndarray) -> None:
-        """Add ``b`` to the pre-activations of layer ``k`` (the scores for -1)."""
-        view, order, swap = self._bias_adds[k]
-        np.add(view, b.swapaxes(0, 1) if swap else b, out=view, order=order)
-
-    def forward(self, weights, biases) -> None:
+    def _bind_forward(self, weights, biases):
         """Activations and raw class-1 probabilities of ``x``; ``biases`` are a model's
         own ``(width,)`` vectors or a stack's ``(M, 1, width)`` views."""
-        h = self.acts[0]
-        for k, (w, b, out) in enumerate(zip(weights, biases, self.acts[1:])):
-            np.matmul(h, w, out=out)
-            self._add_bias(k, b)
-            np.maximum(out, 0.0, out=out)
+        layers, h = [], self.acts[0]
+        for w, b, out in zip(weights, biases, (*self.acts[1:], self.scores)):
+            narrow = out.shape[-1] <= _ROWS_FIRST_MAX_WIDTH
+            swap = narrow and len(self._shape) == 2  # a stack: rows-first is (rows, M, width)
+            view, b = (out.swapaxes(0, 1), b.swapaxes(0, 1)) if swap else (out, b)
+            layers.append((h, w, out, view, b, "F" if narrow else "K", out is not self.scores))
             h = out
-        np.matmul(h, weights[-1], out=self.scores)
-        self._add_bias(-1, biases[-1])
-        s0, s1 = self._score_cols
-        np.maximum(s0, s1, out=self._row_max_flat)
-        np.subtract(s0, self._row_max_flat, out=s0)
-        np.subtract(s1, self._row_max_flat, out=s1)
-        # out of place, as in the plain expression, so numpy picks the same exp loop
-        np.exp(self.scores, out=self.exp)
-        e0, e1 = self._exp_cols
-        np.add(e0, e1, out=self._p1_flat)
-        np.divide(e1, self._p1_flat, out=self._p1_flat)
+        # The per-row steps run on 1-D views: numpy's fast path for strided
+        # operands covers 1-D arrays only.
+        s0, s1 = _columns(self.scores)
+        e0, e1 = _columns(self.exp)
+        scores, exp = self.scores, self.exp
+        row_max, p1 = self.row_max.reshape(-1), self.p1.reshape(-1)
 
-    def score_grads(self, mean: bool) -> None:
+        def forward() -> None:
+            for h, w, out, view, b, order, relu in layers:
+                np.matmul(h, w, out)
+                np.add(view, b, view, order=order)
+                if relu:
+                    np.maximum(out, 0.0, out=out)
+            np.maximum(s0, s1, out=row_max)
+            np.subtract(s0, row_max, s0)
+            np.subtract(s1, row_max, s1)
+            # out of place, as in the plain expression, so numpy picks the same exp loop
+            np.exp(scores, exp)
+            np.add(e0, e1, p1)
+            np.divide(e1, p1, p1)
+
+        return forward
+
+    def _bind_score_grads(self, mean: bool):
         """Gradient of the BCE w.r.t. the two output scores, per row or of the mean BCE:
         ``p - y``, which is bounded at saturation and needs no clamp."""
-        d0, d1 = self._delta_cols
-        np.subtract(self._p1_flat, self._y_flat, out=d1)
-        np.negative(d1, out=d0)
-        if mean:
-            d = self.deltas[-1]
-            d /= self._shape[-1]
+        d = self.deltas[-1]
+        d0, d1 = _columns(d)
+        p1, y = self.p1.reshape(-1), self.y.reshape(-1)
+        rows = np.array(float(self._shape[-1])) if mean else None
+
+        def score_grads() -> None:
+            np.subtract(p1, y, d1)
+            np.negative(d1, d0)
+            if mean:
+                np.divide(d, rows, d)
+
+        return score_grads
+
+    def _bind_backward(self, weights, top: int, grads):
+        """Backprop ``deltas[top]`` down to ``deltas[1]``, and into ``grads`` (weight and
+        bias views of a flat gradient) if given."""
+        layers = []
+        for k in range(top - 1, -1, -1):
+            relu = (self.acts[k + 1], self.masks[k]) if k < len(weights) - 1 else (None, None)
+            grad = (self.acts[k].swapaxes(-1, -2), grads[0][k], grads[1][k]) if grads else (None,) * 3
+            down = (weights[k].swapaxes(-1, -2), self.deltas[k]) if k > 0 else (None, None)
+            layers.append((self.deltas[k + 1], *relu, *grad, self._dims[k + 1] == 1, *down))
+
+        def backward() -> None:
+            for d, act, mask, act_t, gw, gb, pairwise, w_t, below in layers:
+                if act is not None:
+                    np.greater(act, 0.0, mask)
+                    np.multiply(d, mask, d)
+                if gw is not None:
+                    np.matmul(act_t, d, gw)
+                    if pairwise:
+                        d.sum(axis=-2, out=gb)
+                    else:
+                        np.einsum("...ij->...j", d, out=gb)
+                if w_t is not None:
+                    np.matmul(d, w_t, below)
+
+        return backward
+
+    def bind(self, weights, biases, grads):
+        """A descent's step on these parameter views as one zero-argument call: the
+        gradient of the mean BCE of ``x`` against ``y``, written into ``grads``."""
+        passes = (
+            self._bind_forward(weights, biases),
+            self._bind_score_grads(mean=True),
+            self._bind_backward(weights, len(weights), grads),
+        )
+
+        def step() -> None:
+            for run in passes:
+                run()
+
+        return step
+
+    def forward(self, weights, biases) -> None:
+        """``_bind_forward``'s pass, run once."""
+        self._bind_forward(weights, biases)()
+
+    def score_grads(self, mean: bool) -> None:
+        """``_bind_score_grads``'s pass, run once."""
+        self._bind_score_grads(mean)()
 
     def backward(self, weights, top: int, grads=None) -> np.ndarray | None:
-        """Backprop ``deltas[top]`` down to the input: into ``grads`` (weight and bias
-        views of a flat gradient) if given, else returning the input gradient."""
-        n_layers = len(weights)
-        for k in range(top - 1, -1, -1):
-            d = self.deltas[k + 1]
-            if k < n_layers - 1:
-                np.greater(self.acts[k + 1], 0.0, out=self.masks[k])
-                d *= self.masks[k]
-            if grads is not None:
-                np.matmul(self._acts_t[k], d, out=grads[0][k])
-                if self._sum_pairwise[k]:
-                    d.sum(axis=-2, out=grads[1][k])
-                else:
-                    np.einsum("...ij->...j", d, out=grads[1][k])
-            if k > 0:
-                np.matmul(d, weights[k].swapaxes(-1, -2), out=self.deltas[k])
-        return None if grads is not None else d @ weights[0].swapaxes(-1, -2)
-
-    def mean_bce_grad(self, weights, biases, grads) -> None:
-        """Gradient of the mean BCE of ``x`` against ``y``, written into ``grads``."""
-        self.forward(weights, biases)
-        self.score_grads(mean=True)
-        self.backward(weights, len(weights), grads)
+        """Backprop ``deltas[top]`` into ``grads`` if given, else return the input gradient."""
+        self._bind_backward(weights, top, grads)()
+        return None if grads is not None else self.deltas[1] @ weights[0].swapaxes(-1, -2)
 
     def mean_bce(self, blocks: slice) -> np.ndarray:
         """Mean BCE of the last ``forward``, one per row block of ``blocks``."""
@@ -365,24 +360,35 @@ def grad_params_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarr
     x, y = check_input(model, x, y)
     ws = Workspace(model.layer_dims, x.shape[:1], x, y)
     grad = np.empty(model.params.shape)
-    ws.mean_bce_grad(model.weights, model.biases, param_views(model.layer_dims, grad))
+    ws.bind(model.weights, model.biases, param_views(model.layer_dims, grad))()
     return grad
 
 
-def adam_update(params, m, v, grads, step: int, lr: float, tmp, tmp2) -> None:
-    """Adam update number ``step`` (from 1), with bias correction, in place on ``params``,
-    ``m`` and ``v``; ``tmp`` and ``tmp2`` are scratch arrays of their shape."""
-    np.multiply(m, ADAM_BETA1, out=m)
-    np.multiply(grads, 1.0 - ADAM_BETA1, out=tmp)
-    m += tmp
-    np.multiply(v, ADAM_BETA2, out=v)
-    np.multiply(grads, grads, out=tmp)
-    tmp *= 1.0 - ADAM_BETA2
-    v += tmp
-    np.divide(m, 1.0 - ADAM_BETA1**step, out=tmp)
-    tmp *= lr
-    np.divide(v, 1.0 - ADAM_BETA2**step, out=tmp2)
-    np.sqrt(tmp2, out=tmp2)
-    tmp2 += ADAM_EPSILON
-    tmp /= tmp2
-    params -= tmp
+def bind_adam(params, m, v, grads, lr: float):
+    """Adam with bias correction as ``step(t)``, update number t (from 1), in place on
+    ``params``, ``m`` and ``v`` from ``grads``; constants are 0-d arrays, as in ``Workspace``."""
+    tmp, tmp2 = np.empty_like(params), np.empty_like(params)
+    beta1, beta2, eps, rate = (np.array(c) for c in (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, lr))
+    decay1, decay2 = np.array(1.0 - ADAM_BETA1), np.array(1.0 - ADAM_BETA2)
+
+    def step(t: int) -> None:
+        np.multiply(m, beta1, m)
+        np.multiply(grads, decay1, tmp)
+        np.add(m, tmp, m)
+        np.multiply(v, beta2, v)
+        np.multiply(grads, grads, tmp)
+        np.multiply(tmp, decay2, tmp)
+        np.add(v, tmp, v)
+        correction = 1.0 - ADAM_BETA1**t
+        if correction == 1.0:  # from t = 356 on, and m / 1.0 is m bit for bit
+            np.multiply(m, rate, tmp)
+        else:
+            np.divide(m, correction, tmp)
+            np.multiply(tmp, rate, tmp)
+        np.divide(v, 1.0 - ADAM_BETA2**t, tmp2)
+        np.sqrt(tmp2, tmp2)
+        np.add(tmp2, eps, tmp2)
+        np.divide(tmp, tmp2, tmp)
+        np.subtract(params, tmp, params)
+
+    return step

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .nn import MlpModel, Workspace, adam_update, check_architecture, check_input, init_mlp, param_views
+from .nn import MlpModel, Workspace, bind_adam, check_architecture, check_input, init_mlp, param_views
 from .rng import derive_seed, rng_for
 
 
@@ -181,11 +181,12 @@ def descend(
     weighted gradient into all of them and Adam is element-wise.  A mixup fit
     mixes its block in place after each step's gather, with partners, then
     ratios, from its own ``rng_for(mixup.seed, "mixup")`` stream.  Each epoch's
-    index matrix is built once; each step is one forward, backward and Adam
-    step of the whole stack, row by row that of a fit alone, so every model is
-    bit for bit the one a stack of one gives.  Overflow and invalid-value
-    warnings are off; a non-finite parameter or Adam second moment at the end
-    raises ``NumericError`` naming the first diverged fit's seed.
+    index matrix is built once, and each block shape's step is bound once: a
+    step is one kernel and one Adam call for the whole stack, row by row that
+    of a fit alone, so every model is bit for bit the one a stack of one
+    gives.  Overflow and invalid-value warnings are off; a non-finite
+    parameter or Adam second moment at the end raises ``NumericError`` naming
+    the first diverged fit's seed.
     """
     d = data[0][0].shape[1]
     dims = cfg.layer_dims(d)
@@ -201,11 +202,10 @@ def descend(
         [init_mlp(dims, cfg.rep_layer_index, derive_seed(seed, "init")).params for seed in row_seeds]
     )
     grad = np.empty_like(params)
-    m, v, tmp, tmp2 = (np.zeros_like(params) for _ in range(4))
+    m, v = np.zeros_like(params), np.zeros_like(params)
     weights, biases = param_views(dims, params)
     biases = tuple(b[:, None, :] for b in biases)  # broadcast over a batch's rows
     grads = param_views(dims, grad)
-    workspaces: dict[int, Workspace] = {}
     rows = np.zeros((len(row_seeds), length), dtype=np.intp)  # each plain fit's rows in x_all
     order = np.empty_like(rows)
     plain, mixing, reweighting = [], [], []
@@ -222,6 +222,15 @@ def descend(
             if rule is not None:
                 mixing.append((row, base, rule, rng_for(rule.seed, "mixup")))
         base += len(x)
+    bound = {}  # a workspace and its bound step per block shape
+    epoch_blocks = []  # (view of ``order``, workspace, bound step) of each block of an epoch
+    for start in range(0, length, batch):
+        idx = order[:, start : start + batch]
+        if idx.shape[1] not in bound:
+            ws = Workspace(dims, idx.shape)
+            bound[idx.shape[1]] = ws, ws.bind(weights, biases, grads)
+        epoch_blocks.append((idx, *bound[idx.shape[1]]))
+    adam = bind_adam(params, m, v, grad, cfg.beta)
     most = min(batch, length)  # the rows of the largest block
     x_partner, y_partner, rest = np.empty((most, d)), np.empty(most), np.empty(most)
     step = 0
@@ -231,14 +240,10 @@ def descend(
             shuffle.shuffle(order[row])
         for fit in reweighting:
             fit.draw(order)
-        for start in range(0, length, batch):
-            idx = order[:, start : start + batch]
-            size = idx.shape[1]
-            ws = workspaces.get(size)
-            if ws is None:
-                ws = workspaces[size] = Workspace(dims, idx.shape)
+        for idx, ws, kernel in epoch_blocks:
             ws.gather(x_all, y_all, idx)
             for row, base, mixup, rng in mixing:
+                size = idx.shape[1]
                 partners = rng.integers(0, length, size=size)
                 lam = draw_lambdas(mixup, rng, size)
                 partners += base  # the fit's own rows in x_all
@@ -248,11 +253,11 @@ def descend(
                 _mix_rows(ws.y[row], y_all, partners, lam, fit_rest, y_partner[:size])
                 if not np.isfinite(ws.x[row]).all():
                     raise DataError("non-finite value in model input")
-            ws.mean_bce_grad(weights, biases, grads)
+            kernel()
             for fit in reweighting:
                 fit.reweigh(ws, grad)
             step += 1
-            adam_update(params, m, v, grad, step, cfg.beta, tmp, tmp2)
+            adam(step)
     finite = np.isfinite(params).all(axis=1) & np.isfinite(v).all(axis=1)
     if not finite.all():
         seed = row_seeds[int(np.argmin(finite))]

@@ -865,9 +865,35 @@ output.dir = {out}
         )
         assert main(["train", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
+        assert "tgt.csv: the feature columns differ from the source's, by name or order" in err
         assert str(header.split(",")) in err and "['x0', 'x1']" in err
         assert "Traceback" not in err
         assert not (out / "model.txt").exists()
+
+    def test_failed_train_leaves_no_outputs_of_an_earlier_run(self, tmp_path):
+        src = tmp_path / "src.csv"
+        rows = "0,0,0,A\n1,1,1,A\n0,1,0,A\n1,0,1,A\n0,0,1,B\n1,1,0,B\n0,1,1,B\n1,0,0,B\n"
+        src.write_text("x0,x1,label,domain\n" + rows)  # two domains, for the default gradframe
+        good, renamed = tmp_path / "good.csv", tmp_path / "renamed.csv"
+        good.write_text("x0,x1,label,domain\n0.5,0.5,1,T\n-0.5,-0.5,0,T\n")
+        renamed.write_text("a,b,label,domain\n0.5,0.5,1,T\n-0.5,-0.5,0,T\n")
+        out = tmp_path / "o"
+        outputs = ("model.txt", "scaler.txt", "fictitious.csv", "train_report.json")
+        for target, code in ((good, 0), (renamed, 3)):
+            cfg = write_cfg(
+                tmp_path / "c.cfg",
+                f"""
+dataset.kind = csv
+data.source_csv = {src}
+data.target_csv = {target}
+train.epochs = 3
+train.batch_size = 4
+output.dir = {out}
+""",
+            )
+            assert main(["train", "--config", str(cfg)]) == code
+            assert [(out / name).exists() for name in outputs] == [code == 0] * 4
+        assert (out / "effective_config.txt").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         out = tmp_path / "s"

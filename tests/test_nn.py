@@ -26,8 +26,8 @@ from gradframe.nn import (
     P_MIN,
     MlpModel,
     Workspace,
-    adam_update,
     bce_loss_batch,
+    bind_adam,
     grad_params_batch,
     init_mlp,
     param_count,
@@ -368,6 +368,21 @@ class TestStepKernelBitsGuard:
             scores -= scores.max(axis=-1, keepdims=True)
             assert ws.scores.tobytes() == scores.tobytes(), (width, rows)
 
+    @pytest.mark.parametrize("lead, param_lead", list(GUARD_LEADS.values()), ids=list(GUARD_LEADS))
+    def test_bound_step_is_the_unbound_passes(self, lead, param_lead):
+        """``bind``'s step gives the bytes of ``forward``, ``score_grads(mean=True)`` and
+        ``backward`` run one by one."""
+        rng = np.random.default_rng(0)
+        for width, rows in itertools.product(range(1, 9), GUARD_ROWS):
+            ws, weights, biases, grads = self._kernel(lead, param_lead, width, rows, rng)
+            ws.y[...] = rng.uniform(size=ws.y.shape)
+            ws.bind(weights, biases, grads)()
+            bound = [g.tobytes() for views in grads for g in views]
+            ws.forward(weights, biases)
+            ws.score_grads(mean=True)
+            ws.backward(weights, len(weights), grads)
+            assert [g.tobytes() for views in grads for g in views] == bound, (width, rows)
+
 
 class TestGradInput:
     """``core._objective_grad``, the ascent objective's per-row input gradient."""
@@ -427,11 +442,13 @@ class TestGradInput:
 
 
 def run_adam(params, grad, lr, steps=1) -> np.ndarray:
-    """``steps`` calls of ``adam_update`` from zero moments; ``grad(params)`` gives each gradient."""
+    """``steps`` Adam updates from zero moments; ``grad(params)`` gives each gradient."""
     params = np.array(params)
-    m, v, tmp, tmp2 = (np.zeros_like(params) for _ in range(4))
+    m, v, g = (np.zeros_like(params) for _ in range(3))
+    adam = bind_adam(params, m, v, g, lr)
     for step in range(1, steps + 1):
-        adam_update(params, m, v, grad(params), step, lr, tmp, tmp2)
+        g[...] = grad(params)
+        adam(step)
     return params
 
 

@@ -157,6 +157,26 @@ def _assert_same_bytes(model, ref):
         assert got.tobytes() == want.tobytes()
 
 
+def _watch_steps(monkeypatch, seen) -> list:
+    """Make every bound descent step call ``seen(workspace)`` before it runs; returns
+    the list of workspaces that ``Workspace.bind`` is called on, in call order."""
+    bind = nn.Workspace.bind
+    binds = []
+
+    def watched(self, *args):
+        binds.append(self)
+        step = bind(self, *args)
+
+        def run():
+            seen(self)
+            step()
+
+        return run
+
+    monkeypatch.setattr(nn.Workspace, "bind", watched)
+    return binds
+
+
 def _noisy_domain(domain_id, n, seed):
     """Overlapping classes, so gradients stay alive for the whole run."""
     rng = np.random.default_rng(seed)
@@ -200,6 +220,24 @@ class TestFitMinibatchOracle:
                 beta=0.05, epochs=40, batch_size=batch_size, seed=4, hidden_dims=hidden, rep_layer_index=rep
             )
             _assert_same_bytes(fit_stack([x], [y], [cfg])[0], ref_fit_minibatch(x, y, cfg))
+
+    def test_bit_identical_past_the_bias_correction_of_the_first_moment(self):
+        """From step 356 on, ``1 - beta1**t`` is 1.0 and the descent's Adam step skips
+        its division; 200 epochs of two blocks run past it."""
+        dom = _noisy_domain("train", 800, 7)
+        cfg = TrainConfig(beta=0.05, epochs=200, batch_size=400, seed=4)
+        assert 1.0 - ADAM_BETA1**356 == 1.0 != 1.0 - ADAM_BETA1**355
+        _assert_same_bytes(fit_stack([dom.x], [dom.y], [cfg])[0], ref_fit_minibatch(dom.x, dom.y, cfg))
+
+    def test_each_block_shape_is_bound_once_per_descent(self, monkeypatch):
+        """800 rows at batch 300 are blocks of 300, 300 and 200 rows: two shapes, so
+        two binds over all epochs, and one bound step per block."""
+        dom = _noisy_domain("train", 800, 7)
+        steps = []
+        binds = _watch_steps(monkeypatch, lambda ws: steps.append(ws.x.shape[1]))
+        fit_stack([dom.x], [dom.y], [TrainConfig(epochs=4, batch_size=300)])
+        assert [ws.x.shape[1] for ws in binds] == [300, 200]
+        assert steps == [300, 300, 200] * 4
 
     @pytest.mark.parametrize(
         "x, y, error",
@@ -351,14 +389,8 @@ class TestFitStack:
             return descend(data, cfg, seeds, *args)
 
         heights = set()
-        forward = nn.Workspace.forward
-
-        def measuring(self, *args):
-            heights.add(self.acts[0].shape[0])
-            return forward(self, *args)
-
         monkeypatch.setattr(training, "descend", recording)
-        monkeypatch.setattr(nn.Workspace, "forward", measuring)
+        _watch_steps(monkeypatch, lambda ws: heights.add(ws.x.shape[0]))
         models = fit_stack(xs, ys, cfgs, rules)
         assert stacks == [[2, 5, 2, 5, 5], [2], [2]]
         assert heights == {1 + 1 + 3 + 2 + 3, 1, 2}  # stack rows: a GroupDRO fit has one per domain
@@ -454,13 +486,7 @@ class TestTrainGroupDroOracle:
     def test_one_forward_per_step_whatever_k(self, monkeypatch, k):
         """Every step runs the K domains' batches through one kernel call."""
         forwards = []
-        forward = nn.Workspace.forward
-
-        def counting(self, *args):
-            forwards.append(self.acts[0].shape[0])
-            return forward(self, *args)
-
-        monkeypatch.setattr(nn.Workspace, "forward", counting)
+        _watch_steps(monkeypatch, lambda ws: forwards.append(ws.x.shape[0]))
         ds = DomainSet(_three_domains().domains[:k])
         cfg = TrainConfig(beta=0.05, epochs=3, batch_size=16, seed=3)
         steps = []
