@@ -34,7 +34,6 @@ from .data import (
     Standardization,
     apply_standardization,
     load_csv_dataset,
-    read_ordinal_column,
     read_text,
     save_csv_dataset,
     simulation_source,
@@ -276,9 +275,12 @@ def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
         raise ConfigError(
             f"select_k.key_column {cfg.select_k_key_column!r} is also csv.label_column"
         )
-    # one domain in file order, so row i stays paired with key i
-    source = load_csv_dataset(src_path, replace(cfg.csv_schema, domain_column=None)).pooled("all")
-    keys = read_ordinal_column(src_path, cfg.select_k_key_column)
+    # one domain in file order, the key as its last column, so row i stays paired with key i
+    schema = replace(
+        cfg.csv_schema, domain_column=None, feature_columns=(*features, cfg.select_k_key_column)
+    )
+    rows = load_csv_dataset(src_path, schema).domain("all")
+    source, keys = Domain("all", rows.x[:, :-1], rows.y), rows.x[:, -1]
     result = select_domain_count(
         source, cfg.select_k_candidates, keys, cfg.train, m_samples=cfg.select_k_m_samples
     )

@@ -242,13 +242,6 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def _check_unique(path: Path, header: list[str], names) -> None:
-    """``DataError`` if one of the ``names`` a load reads appears more than once in ``header``."""
-    for name in names:
-        if header.count(name) > 1:
-            raise DataError(f"{path}: column {name!r} appears more than once in the header")
-
-
 def _feature_cell(path: Path, row_no: int, column: str, text: str) -> float:
     try:
         value = float(text)
@@ -287,7 +280,9 @@ def load_csv_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Domai
                 raise DataError(f"{path}: missing feature column {name!r}")
     if not feature_names:
         raise DataError(f"{path}: no feature columns")
-    _check_unique(path, header, [schema.label_column, schema.domain_column, *feature_names])
+    for name in (schema.label_column, schema.domain_column, *feature_names):
+        if header.count(name) > 1:
+            raise DataError(f"{path}: column {name!r} appears more than once in the header")
     feat_idx = [col_index[name] for name in feature_names]
     label_idx = col_index[schema.label_column]
 
@@ -354,17 +349,33 @@ def apply_standardization(domain: Domain, stats: Standardization) -> Domain:
     return Domain(domain.id, np.where(keep, (domain.x - stats.mean) / scale, 0.0), domain.y)
 
 
+def whole_keys(keys, n: int) -> np.ndarray:
+    """``keys``, one per point of n, each converted by ``int()``.  A key that is not a
+    whole number (``1.7``, NaN) is a ``DataError`` naming its 1-based row and value,
+    as is a count other than n."""
+    values = []
+    for row_no, key in enumerate(keys, start=1):
+        try:
+            value = int(key)
+        except (ValueError, OverflowError, TypeError):
+            value = None
+        if value is None or value != key:
+            raise DataError(f"row {row_no}: key {key} is not a whole number")
+        values.append(value)
+    if len(values) != n:
+        raise DataError(f"got {len(values)} keys for {n} points")
+    return np.array(values)
+
+
 def split_into_k_domains(domain: Domain, k: int, keys) -> DomainSet:
     """Partition points into k groups of contiguous, near-equal key spans.
 
-    ``keys`` is one ordinal per point.  Distinct keys are split into k
-    contiguous chunks; any remainder widens the last chunks by one key each.
+    ``keys`` holds one whole number per point (``whole_keys``).  Distinct keys are
+    split into k contiguous chunks; any remainder widens the last chunks by one key each.
     """
     if k < 2:
         raise ConfigError(f"need k >= 2, got {k}")
-    keys = np.array([int(v) for v in keys])
-    if len(keys) != len(domain):
-        raise DataError(f"got {len(keys)} keys for {len(domain)} points")
+    keys = whole_keys(keys, len(domain))
     # np.unique would do, but on this path it loads numpy.ma, which nothing else needs
     ordered = np.sort(keys)
     distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
@@ -379,30 +390,3 @@ def split_into_k_domains(domain: Domain, k: int, keys) -> DomainSet:
             for g in range(k)
         )
     )
-
-
-def read_ordinal_column(path: str | Path, column: str) -> list[int]:
-    """Read one integer column from a CSV file, e.g. a month index for grouping.
-
-    A cell such as ``2.0`` reads as 2; one that is not a whole number, such as
-    ``1.7``, is a ``DataError`` naming its row and column.
-    """
-    path = Path(path)
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    if reader.fieldnames is None or column not in reader.fieldnames:
-        raise DataError(f"{path}: missing column {column!r}")
-    _check_unique(path, reader.fieldnames, [column])
-    values: list[int] = []
-    for row_no, row in enumerate(reader, start=1):
-        cell = row[column]
-        try:
-            value = float(cell)
-            key = int(value)
-        except (ValueError, OverflowError, TypeError):
-            raise DataError(
-                f"{path}: row {row_no}, column {column!r}: not a finite number: {cell!r}"
-            ) from None
-        if key != value:
-            raise DataError(f"{path}: row {row_no}, column {column!r}: not an integer: {cell!r}")
-        values.append(key)
-    return values

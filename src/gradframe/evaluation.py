@@ -11,7 +11,7 @@ import numpy as np
 from .core import AscentConfig, PenaltyParams, train_gradframe
 from .data import Domain, DomainSet, write_csv
 from .errors import ConfigError, DataError, NumericError
-from .nn import MlpModel, bce_loss_batch, probs_batch
+from .nn import MlpModel, _bce, probs_batch
 from .rng import derive_seed
 from .training import TrainConfig
 
@@ -69,16 +69,16 @@ def auroc(scores, labels) -> float:
 
 def evaluate(model: MlpModel, domain: Domain) -> EvalReport:
     """AUROC (when both classes appear), mean BCE, and per-class mean BCE."""
-    x = domain.feature_matrix()
     y = domain.label_vector()
-    losses = bce_loss_batch(model, x, y)
+    p = probs_batch(model, domain.feature_matrix())
+    losses = _bce(p, y)  # p is clamped already, so _bce's clamp changes nothing
     per_class = []
     for cls in (0.0, 1.0):
         mask = y == cls
         per_class.append(float(losses[mask].mean()) if mask.any() else math.nan)
     score = None
     if (y == 0).any() and (y == 1).any():
-        score = auroc(probs_batch(model, x), y)
+        score = auroc(p, y)
     return EvalReport(
         auroc=score,
         mean_loss=float(losses.mean()),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import FictitiousSet
-from .data import Domain, DomainSet, split_into_k_domains
+from .data import Domain, DomainSet, split_into_k_domains, whole_keys
 from .errors import ConfigError, DataError, ShapeError
 from .nn import MlpModel, probs_batch, representations_batch
 from .rng import derive_seed, rng_for
@@ -359,6 +359,8 @@ def select_domain_count(
     """
     if len(candidate_ks) < 2:
         raise ConfigError("need at least two candidate values of k")
+    # the loop records a split error as a skipped k, so a bad key is raised here
+    keys = whole_keys(keys, len(domain))
     table: dict[int, float] = {}
     skipped: dict[int, str] = {}
     for k in sorted(candidate_ks):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import shutil
 import subprocess
 import sys
 import warnings
@@ -332,6 +335,67 @@ class TestSelectK:
         assert main(["select-k", "--config", str(cfg)]) == 2
         assert "'label' is also csv.label_column" in capsys.readouterr().err
         assert not (out / "k_table.csv").exists()
+
+    def test_source_file_is_read_once(self, tmp_path, monkeypatch):
+        import gradframe.data as data
+
+        data_path = keyed_csv(tmp_path / "keyed.csv")
+        reads = []
+        read_text = data.read_text
+
+        def counting(path, *rest):
+            reads.append(Path(path))
+            return read_text(path, *rest)
+
+        monkeypatch.setattr(data, "read_text", counting)
+        body = TINY_SELECT_K.format(data=data_path, out=tmp_path / "selk")
+        assert main(["select-k", "--config", str(write_cfg(tmp_path / "c.cfg", body))]) == 0
+        assert reads.count(data_path) == 1
+
+    @staticmethod
+    def _run_small(tmp_path, text: str, name: str = "keys") -> int:
+        """``select-k`` on a one-feature ``x0,label,month`` file holding ``text``."""
+        data = tmp_path / f"{name}.csv"
+        data.write_text(text)
+        body = TINY_SELECT_K.replace("x0,x1", "x0").format(data=data, out=tmp_path / name)
+        return main(["select-k", "--config", str(write_cfg(tmp_path / f"{name}.cfg", body))])
+
+    def test_whole_number_key_cell_reads_as_its_integer(self, tmp_path):
+        rows = "x0,label,month\n1,0,3\n2,1,1\n3,0,{}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # three rows give a flat table
+            assert self._run_small(tmp_path, rows.format("2.0"), "float") == 0
+            assert self._run_small(tmp_path, rows.format("2"), "int") == 0
+        table = (tmp_path / "int" / "k_table.csv").read_bytes()
+        assert (tmp_path / "float" / "k_table.csv").read_bytes() == table
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,1,1.7", "row 2: key 1.7 is not a whole number"),
+            ("2,1,-0.5", "row 2: key -0.5 is not a whole number"),
+            ("2,1,3.000001", "row 2: key 3.000001 is not a whole number"),
+            ("2,1,abc", "row 2, column 'month': non-numeric value 'abc'"),
+            ("2,1,", "row 2, column 'month': non-numeric value ''"),
+            ("2,1,nan", "row 2, column 'month': non-finite value 'nan'"),
+            ("2,1", "row 2 has 2 cells, expected 3"),
+        ],
+        ids=["1.7", "-0.5", "3.000001", "abc", "empty", "nan", "short-row"],
+    )
+    def test_bad_key_cell_is_data_error_before_training(
+        self, tmp_path, capsys, monkeypatch, row, message
+    ):
+        # truncating would group a month of 1.7 with month 1
+        stacks = record_descents(monkeypatch)
+        assert self._run_small(tmp_path, f"x0,label,month\n1,0,3\n{row}\n") == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert stacks == []
+
+    def test_repeated_key_header_is_data_error(self, tmp_path, capsys):
+        assert self._run_small(tmp_path, "month,x0,month,label\n3,1,4,0\n") == 3
+        err = capsys.readouterr().err
+        assert "column 'month' appears more than once" in err and "Traceback" not in err
 
 
 # Small enough that each command runs in well under a second.  Three of them stop
@@ -1167,3 +1231,65 @@ def test_any_scaler_text_loads_or_is_data_error(scaler_dir, text, input_dim):
     except DataError:
         return
     assert loaded.mean.shape == loaded.std.shape == (input_dim,)
+
+
+# Cells that break a key, label or feature column: negative, fractional, empty,
+# non-finite and overflowing values, and a whole number that is not a label.
+BAD_CELLS = ["2", "-1", "0.5", "1.7", "", "nan", "1e300"]
+FUZZ_CELL = st.integers(-3, 3).map(str) | st.floats(-3, 3).map(repr)
+
+
+@st.composite
+def fuzz_csv(draw) -> tuple[str, list[str]]:
+    """A source CSV and its config's feature list: 1-3 features and 1-30 rows of
+    valid cells, then up to three bad cells or cut rows. Header names may repeat."""
+    distinct = st.lists(st.sampled_from(["x0", "x1", "x2"]), min_size=1, max_size=3, unique=True)
+    features = draw(distinct | st.lists(st.sampled_from(["x0", "x1", "month"]), min_size=1, max_size=3))
+    label, key = draw(st.sampled_from(["label"] * 3 + ["x0"])), draw(st.sampled_from(["month"] * 3 + ["x1"]))
+    header = [*features, label, key]
+    n = draw(st.integers(1, 30))
+    rows = [
+        [*(draw(FUZZ_CELL) for _ in features), draw(st.sampled_from("01")), str(draw(st.integers(1, 4)))]
+        for _ in range(n)
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        row = rows[draw(st.integers(0, n - 1))]
+        col = draw(st.integers(0, len(header)))
+        if col == len(header):
+            row.pop()
+        elif col < len(row):
+            row[col] = draw(st.sampled_from(BAD_CELLS))
+    text = "\n".join(",".join(r) for r in [header, *rows]) + "\n"
+    return text, list(dict.fromkeys(features))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=fuzz_csv(), epochs=st.integers(1, 5), standardize=st.booleans())
+def test_drawn_csv_runs_end_in_a_documented_exit(fuzz_dir, source, epochs, standardize):
+    text, features = source
+    run = fuzz_dir / "run"
+    shutil.rmtree(run, ignore_errors=True)
+    out = run / "out"
+    (data := run / "source.csv").parent.mkdir()
+    data.write_text(text)
+    cfg = write_cfg(
+        run / "c.cfg",
+        f"dataset.kind = csv\ndata.source_csv = {data}\ndata.standardize = {str(standardize).lower()}\n"
+        f"csv.feature_columns = {','.join(features)}\ncsv.domain_column =\nmethod = erm\n"
+        f"train.epochs = {epochs}\ntrain.batch_size = 8\nselect_k.candidates = 2,3\n"
+        f"select_k.key_column = month\nselect_k.m_samples = 4\noutput.dir = {out}\n",
+    )
+    for command in ("train", "evaluate", "select-k"):
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", str(cfg)])
+        assert code in (0, 2, 3, 4), (command, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if command == "train" and code != 0:
+            assert not (out / "model.txt").exists()

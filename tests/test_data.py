@@ -22,7 +22,6 @@ from gradframe.data import (
     generate_gaussian_domain,
     label_by_boundary,
     load_csv_dataset,
-    read_ordinal_column,
     save_csv_dataset,
     simulation_source,
     simulation_target,
@@ -239,25 +238,6 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError):
             CsvSchema(**fields)
 
-    def test_read_ordinal_column_rejects_repeated_key(self, tmp_path):
-        path = tmp_path / "keys.csv"
-        path.write_text("month,x0,month,label\n3,1,4,0\n")
-        with pytest.raises(DataError, match="column 'month' appears more than once"):
-            read_ordinal_column(path, "month")
-
-    def test_read_ordinal_column(self, tmp_path):
-        path = tmp_path / "keys.csv"
-        path.write_text("x0,label,month\n1,0,3\n2,1,1\n3,0,2.0\n")
-        assert read_ordinal_column(path, "month") == [3, 1, 2]
-
-    @pytest.mark.parametrize("cell", ["1.7", "-0.5", "3.000001"])
-    def test_read_ordinal_column_rejects_a_non_integer_key(self, tmp_path, cell):
-        # truncating would group a month of 1.7 with month 1
-        path = tmp_path / "keys.csv"
-        path.write_text(f"x0,label,month\n1,0,3\n2,1,{cell}\n")
-        with pytest.raises(DataError, match=r"row 2, column 'month': not an integer"):
-            read_ordinal_column(path, "month")
-
 
 class TestWriteJson:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -436,6 +416,17 @@ class TestSplitIntoKDomains:
         dom, ks = self._domain_with_keys([1, 2, 3])
         with pytest.raises(ConfigError):
             split_into_k_domains(dom, 1, ks)
+
+    def test_non_whole_key_is_data_error_naming_row_and_value(self):
+        # truncating would group a key of 1.7 with key 1
+        dom, _ = self._domain_with_keys([1, 1, 2, 2])
+        with pytest.raises(DataError, match=r"row 2: key 1\.7 is not a whole number"):
+            split_into_k_domains(dom, 2, [1, 1.7, 2, 2.2])
+
+    def test_1e300_key_groups_as_the_largest(self):
+        dom = Domain("base", [[float(i), 0.0] for i in range(5)], [0, 1, 0, 1, 0])
+        groups = split_into_k_domains(dom, 3, np.array([1e300, 1.0, 2.0, 1.0, 2.0]))
+        assert [g.x[:, 0].tolist() for g in groups.domains] == [[1.0, 3.0], [2.0, 4.0], [0.0]]
 
 
 class TestDomainTypes:

@@ -691,6 +691,19 @@ class TestSelectDomainCount:
         with pytest.raises(ConfigError):
             select_domain_count(dom, [2], keys, TrainConfig(), m_samples=4)
 
+    # a bad key fails every split, so the candidate loop would skip every k and
+    # report only that all were infeasible
+    def test_short_key_list_is_its_own_data_error(self):
+        dom, keys = self._keyed_domain([False, True])
+        with pytest.raises(DataError, match=f"got {len(dom) - 1} keys for {len(dom)} points"):
+            select_domain_count(dom, [2, 3], keys[:-1], TrainConfig(), m_samples=4)
+
+    def test_non_whole_key_is_its_own_data_error(self):
+        dom, keys = self._keyed_domain([False, True])
+        keys[3] = 1.5
+        with pytest.raises(DataError, match=r"row 4: key 1\.5 is not a whole number"):
+            select_domain_count(dom, [2, 3], keys, TrainConfig(), m_samples=4)
+
     def _planted_feature_switch(self, seed, n_per_key=10):
         """Twelve keys; the middle third predicts from the other feature."""
         from gradframe.rng import rng_for
