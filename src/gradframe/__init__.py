@@ -11,8 +11,8 @@ from .core import (
     AscentConfig,
     FictitiousSet,
     PenaltyParams,
+    fictitious_sets,
     generate_fictitious_set,
-    pretrain_domain_models,
     train_gradframe,
 )
 from .data import (
@@ -85,6 +85,7 @@ __all__ = [
     "concept_shift_delta",
     "covariate_shift_ratio",
     "evaluate",
+    "fictitious_sets",
     "generate_fictitious_set",
     "generate_gaussian_domain",
     "grad_params_batch",
@@ -96,7 +97,6 @@ __all__ = [
     "likelihood_difference",
     "load_csv_dataset",
     "lodo_cv_search",
-    "pretrain_domain_models",
     "probs_batch",
     "representations_batch",
     "save_csv_dataset",

@@ -21,13 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, render_config
-from .core import (
-    FictitiousSet,
-    PenaltyParams,
-    generate_fictitious_set,
-    pretrain_domain_models,
-    train_gradframe,
-)
+from .core import FictitiousSet, PenaltyParams, fictitious_sets, train_gradframe
 from .data import (
     Domain,
     DomainSet,
@@ -117,7 +111,7 @@ def _train_cells(
         pools.append(source.pooled())
         cfgs.append(train_cfg)
         if method == "mixup":
-            rules.append(replace(cfg.mixup, seed=seed))
+            rules.append(cfg.mixup)
         elif method == "groupdro":
             rules.append(GroupDroRule(tuple(len(d) for d in source.domains), cfg.groupdro_eta))
         else:
@@ -222,14 +216,10 @@ def _shift_run(
 def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
     source, _ = _load_data(cfg, cfg.seed)
     train_cfg = cfg.train
-    # the pretrained models, the train_erm model and the concept source model do
-    # not depend on the penalties, so a sweep trains them once; every fit below
-    # has one row per source row, so they all train as one stack
-    pretrained = pretrain_domain_models(source, train_cfg)
-    ficts = [
-        generate_fictitious_set(source, gammas, cfg.ascent, train_cfg, models=pretrained)
-        for gammas in cfg.shift_runs
-    ]
+    # a sweep's runs share the source and config, so one plan pretrains once; the
+    # train_erm model and the concept source model do not depend on the penalties
+    # either, and every fit below has one row per source row, so they are one stack
+    ficts = fictitious_sets([(source, gammas, train_cfg) for gammas in cfg.shift_runs], cfg.ascent)
     pooled = source.pooled()
     concept_cfg = concept_config(train_cfg)
     fict_cfg = replace(train_cfg, seed=derive_seed(train_cfg.seed, "shift", "fict-model"))

@@ -276,7 +276,7 @@ class ExperimentConfig:
             penalties=penalties,
             ascent=_build("ascent.*", AscentConfig, **_section(p, "ascent.")),
             train=train,
-            mixup=_build("mixup.*", MixupConfig, seed=p["seed"], **_section(p, "mixup.")),
+            mixup=_build("mixup.*", MixupConfig, **_section(p, "mixup.")),
             groupdro_eta=p["groupdro.eta"],
             grid_pairs=grid_pairs,
             select_k_candidates=p["select_k.candidates"],

@@ -190,7 +190,8 @@ def _ascend(
 
 def _pretrain(sets: list[tuple[DomainSet, TrainConfig]]) -> list[dict[str, MlpModel]]:
     """The per-domain models of every ``(ds, cfg)`` as one ``fit_stack``: each domain
-    trains alone under ``cfg`` with its own seed and ``pretrain_epochs``."""
+    trains only on its own rows under ``cfg`` with its own seed and ``pretrain_epochs``,
+    bit for bit the model it gives alone."""
     for ds, _ in sets:
         if ds.k < 2:
             raise ConfigError(
@@ -206,12 +207,6 @@ def _pretrain(sets: list[tuple[DomainSet, TrainConfig]]) -> list[dict[str, MlpMo
     return [{dom.id: next(models) for dom in ds.domains} for ds, _ in sets]
 
 
-def pretrain_domain_models(ds: DomainSet, cfg: TrainConfig) -> dict[str, MlpModel]:
-    """One model per domain, each trained only on its own domain; domains of equal
-    size share one stacked descent, each model bit for bit the one it gives alone."""
-    return _pretrain([(ds, cfg)])[0]
-
-
 def generate_fictitious_set(
     ds: DomainSet,
     gammas: PenaltyParams,
@@ -219,8 +214,8 @@ def generate_fictitious_set(
     train_cfg: TrainConfig,
     models: dict[str, MlpModel],
 ) -> FictitiousSet:
-    """One fictitious point per training point, in origin order, from the
-    per-domain ``models`` of ``pretrain_domain_models``.
+    """One fictitious point per training point, in origin order, from ``models``,
+    one pretrained model per domain id.
 
     Partner domains rotate round-robin over the other domains with a seeded
     starting offset per origin domain.  The points of one origin domain that
@@ -255,22 +250,35 @@ def generate_fictitious_set(
     return FictitiousSet(x_star, pooled.y, origin, origin_index, partner, trace, length, aborted)
 
 
+def fictitious_sets(
+    runs: list[tuple[DomainSet, PenaltyParams, TrainConfig]], ascent_cfg: AscentConfig
+) -> list[FictitiousSet]:
+    """The fictitious set of each ``(source, penalties, config)`` run, in input order:
+    one ``fit_stack`` pretrains every run's domain models, and each run ascends
+    against its own.  Runs that pass the same ``DomainSet`` object (by identity) under
+    equal configs share one set of models, bit for bit those each would train alone.
+    """
+    shared = {(id(ds), cfg): (ds, cfg) for ds, _, cfg in runs}
+    models = dict(zip(shared, _pretrain(list(shared.values()))))
+    return [
+        generate_fictitious_set(ds, gammas, ascent_cfg, cfg, models[id(ds), cfg])
+        for ds, gammas, cfg in runs
+    ]
+
+
 def train_gradframe(
     runs: list[tuple[DomainSet, PenaltyParams, TrainConfig]], ascent_cfg: AscentConfig
 ) -> list[tuple[MlpModel, FictitiousSet]]:
     """Full pipeline, one ``(model, fictitious set)`` per ``(source, penalties, config)``
-    run, in input order: one ``fit_stack`` pretrains every run's domain models, each
-    run ascends against its own models, and one ``fit_stack`` retrains every final
-    model from a fresh seeded init on the run's points followed by its fictitious
-    points.  Every result is bit for bit the one its run gives alone.
+    run, in input order: ``fictitious_sets``, then one ``fit_stack`` that retrains
+    every final model from a fresh seeded init on the run's points followed by its
+    fictitious points.  Every result is bit for bit the one its run gives alone.
     """
-    pretrained = _pretrain([(ds, cfg) for ds, _, cfg in runs])
-    ficts, xs, ys = [], [], []
-    for (ds, gammas, cfg), models in zip(runs, pretrained):
-        fict = generate_fictitious_set(ds, gammas, ascent_cfg, cfg, models)
-        pooled = ds.pooled()
-        ficts.append(fict)
-        xs.append(np.vstack([pooled.x, fict.x_star]))
-        ys.append(np.concatenate([pooled.y, fict.y_star]))
-    finals = fit_stack(xs, ys, [cfg for _, _, cfg in runs])
+    ficts = fictitious_sets(runs, ascent_cfg)
+    pools = [ds.pooled() for ds, _, _ in runs]
+    finals = fit_stack(
+        [np.vstack([pooled.x, fict.x_star]) for pooled, fict in zip(pools, ficts)],
+        [np.concatenate([pooled.y, fict.y_star]) for pooled, fict in zip(pools, ficts)],
+        [cfg for _, _, cfg in runs],
+    )
     return list(zip(finals, ficts))

@@ -52,7 +52,6 @@ class MixupConfig:
     """Beta-distribution shape for the mixing ratio, plus an optional fixed override."""
 
     beta_shape: tuple[float, float] = (2.0, 2.0)
-    seed: int = 0
     fixed_lambda: float | None = None
 
     def __post_init__(self):
@@ -180,7 +179,7 @@ def descend(
     domain, replicas that start equal and stay equal, as each step writes one
     weighted gradient into all of them and Adam is element-wise.  A mixup fit
     mixes its block in place after each step's gather, with partners, then
-    ratios, from its own ``rng_for(mixup.seed, "mixup")`` stream.  Each epoch's
+    ratios, from its own ``rng_for(<fit seed>, "mixup")`` stream.  Each epoch's
     index matrix is built once, and each block shape's step is bound once: a
     step is one kernel and one Adam call for the whole stack, row by row that
     of a fit alone, so every model is bit for bit the one a stack of one
@@ -220,7 +219,7 @@ def descend(
             rows[row] = fit_rows
             plain.append((row, shuffle))
             if rule is not None:
-                mixing.append((row, base, rule, rng_for(rule.seed, "mixup")))
+                mixing.append((row, base, rule, rng_for(seed, "mixup")))
         base += len(x)
     bound = {}  # a workspace and its bound step per block shape
     epoch_blocks = []  # (view of ``order``, workspace, bound step) of each block of an epoch

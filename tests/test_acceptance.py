@@ -20,7 +20,7 @@ import pytest
 from conftest import domain_of_rows, fd_input_grad, fd_param_grads, one_row_bce, one_row_rep, rel_err
 
 import gradframe as gf
-from gradframe.core import AscentConfig, PenaltyParams, _objective_grad, generate_fictitious_set, pretrain_domain_models, train_gradframe
+from gradframe.core import AscentConfig, PenaltyParams, _objective_grad, fictitious_sets, train_gradframe
 from gradframe.data import Domain, DomainSet, simulation_source, simulation_target
 from gradframe.evaluation import auroc, evaluate, lodo_cv_search
 from gradframe.nn import grad_params_batch, init_mlp, param_views, probs_batch
@@ -135,17 +135,16 @@ def sweep_runs():
     for seed in range(5):
         src = simulation_source(seed)
         cfg = TrainConfig(seed=seed, beta=0.01, epochs=400, batch_size=400, pretrain_epochs=50)
-        models = pretrain_domain_models(src, cfg)
         f_model = gf.train_erm(src, cfg)
-        means = []
-        for g1 in (0.1, 1.0, 10.0):
-            fict = generate_fictitious_set(src, PenaltyParams(g1, 1.0), SIM_ASCENT, cfg, models=models)
-            means.append(float(np.mean(covariate_shift_ratio(src, fict, f_model))))
+        # one plan: the six runs share the source and config, so they share one pretraining
+        ficts = fictitious_sets(
+            [(src, PenaltyParams(g1, 1.0), cfg) for g1 in (0.1, 1.0, 10.0)]
+            + [(src, PenaltyParams(1.0, g2), cfg) for g2 in (0.1, 1.0, 10.0)],
+            SIM_ASCENT,
+        )
+        means = [float(np.mean(covariate_shift_ratio(src, fict, f_model))) for fict in ficts[:3]]
         ratio_mono += means[0] <= means[1] <= means[2]
-        deltas = []
-        for g2 in (0.1, 1.0, 10.0):
-            fict = generate_fictitious_set(src, PenaltyParams(1.0, g2), SIM_ASCENT, cfg, models=models)
-            deltas.append(float(np.mean(concept_shift_delta(src, fict, cfg))))
+        deltas = [float(np.mean(concept_shift_delta(src, fict, cfg))) for fict in ficts[3:]]
         delta_mono += deltas[0] <= deltas[1] <= deltas[2]
     return ratio_mono, delta_mono
 

@@ -57,7 +57,7 @@ def train_alone(cfg: ExperimentConfig, method: str, source, seed: int):
     if method == "gradframe":
         return train_gradframe([(source, cfg.penalties, train_cfg)], cfg.ascent)[0][0]
     if method == "mixup":
-        return train_mixup(source, train_cfg, replace(cfg.mixup, seed=seed))
+        return train_mixup(source, train_cfg, cfg.mixup)
     if method == "groupdro":
         return train_groupdro(source, train_cfg, cfg.groupdro_eta)
     return train_erm(source, train_cfg)

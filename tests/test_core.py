@@ -15,8 +15,9 @@ from gradframe.core import (
     _ascend,
     _objective_grad,
     _objective_rows,
+    _pretrain,
+    fictitious_sets,
     generate_fictitious_set,
-    pretrain_domain_models,
     train_gradframe,
 )
 from gradframe.config import SIM_ASCENT, SIM_TRAIN
@@ -159,7 +160,7 @@ class TestInnerMaximize:
     def test_trace_monotone_and_label_preserved(self):
         src = simulation_source(0)
         cfg = TrainConfig(seed=0, beta=0.01, epochs=100, batch_size=400, pretrain_epochs=50)
-        models = pretrain_domain_models(src, cfg)
+        models = _pretrain([(src, cfg)])[0]
         asc = AscentConfig(alpha=0.05, max_steps=15)
         gammas = PenaltyParams(1.0, 10.0)
         checked = 0
@@ -207,7 +208,7 @@ class TestPretrain:
     def test_separable_domains_reach_high_accuracy(self):
         ds = self._two_domain_set()
         cfg = TrainConfig(seed=0, beta=0.01, epochs=100, batch_size=32, pretrain_epochs=80)
-        models = pretrain_domain_models(ds, cfg)
+        models = _pretrain([(ds, cfg)])[0]
         for dom in ds.domains:
             p = probs_batch(models[dom.id], dom.feature_matrix())
             acc = np.mean((p > 0.5) == (dom.label_vector() == 1))
@@ -216,8 +217,8 @@ class TestPretrain:
     def test_determinism(self):
         ds = self._two_domain_set()
         cfg = TrainConfig(seed=3, beta=0.01, epochs=50, batch_size=32, pretrain_epochs=20)
-        a = pretrain_domain_models(ds, cfg)
-        b = pretrain_domain_models(ds, cfg)
+        a = _pretrain([(ds, cfg)])[0]
+        b = _pretrain([(ds, cfg)])[0]
         for key in a:
             for wa, wb in zip(a[key].weights, b[key].weights):
                 assert wa.tobytes() == wb.tobytes()
@@ -227,9 +228,8 @@ class TestPretrain:
         ds = DomainSet(
             tuple(separable_blobs(name, i, n // 2) for i, (name, n) in enumerate(zip("ABC", sizes)))
         )
-        models = pretrain_domain_models(
-            ds, TrainConfig(seed=5, beta=0.05, epochs=9, batch_size=16, pretrain_epochs=12)
-        )
+        cfg = TrainConfig(seed=5, beta=0.05, epochs=9, batch_size=16, pretrain_epochs=12)
+        models = _pretrain([(ds, cfg)])[0]
         assert list(models) == ["A", "B", "C"]
         for dom in ds.domains:
             seed = derive_seed(5, "pretrain", dom.id)
@@ -241,7 +241,7 @@ class TestPretrain:
         ds = DomainSet((separable_blobs("only", seed=1),))
         cfg = TrainConfig(seed=0)
         with pytest.raises(ConfigError):
-            pretrain_domain_models(ds, cfg)
+            _pretrain([(ds, cfg)])
 
 
 def _traces(fict):
@@ -253,7 +253,7 @@ class TestGenerateFictitiousSet:
     def test_simulation_partner_assignment(self):
         src = simulation_source(1)
         cfg = TrainConfig(seed=1, beta=0.01, epochs=50, batch_size=400, pretrain_epochs=20)
-        models = pretrain_domain_models(src, cfg)
+        models = _pretrain([(src, cfg)])[0]
         fict = generate_fictitious_set(src, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), cfg, models)
         assert len(fict) == 400
         for origin, partner in zip(fict.origin_domain, fict.partner_domain):
@@ -262,7 +262,7 @@ class TestGenerateFictitiousSet:
     def test_zero_steps_reproduces_inputs(self):
         src = simulation_source(2)
         cfg = TrainConfig(seed=2, beta=0.01, epochs=50, batch_size=400, pretrain_epochs=20)
-        models = pretrain_domain_models(src, cfg)
+        models = _pretrain([(src, cfg)])[0]
         fict = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg, models)
         assert np.array_equal(fict.x_star, src.pooled().feature_matrix())
         assert np.array_equal(fict.y_star, src.pooled().label_vector())
@@ -271,8 +271,8 @@ class TestGenerateFictitiousSet:
         src = DomainSet((separable_blobs("A", seed=5, n_per_blob=20), separable_blobs("B", seed=6, n_per_blob=20)))
         cfg = TrainConfig(seed=4, beta=0.01, epochs=30, batch_size=32, pretrain_epochs=15)
         asc = AscentConfig(alpha=0.1, max_steps=5)
-        first = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg, pretrain_domain_models(src, cfg))
-        second = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg, pretrain_domain_models(src, cfg))
+        first = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg, _pretrain([(src, cfg)])[0])
+        second = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg, _pretrain([(src, cfg)])[0])
         assert first.x_star.tobytes() == second.x_star.tobytes()
         assert _traces(first) == _traces(second)
         assert list(zip(first.origin_domain.tolist(), first.origin_index.tolist())) == [
@@ -291,7 +291,7 @@ class TestGenerateFictitiousSet:
     def test_csv_export_columns(self, tmp_path):
         src = simulation_source(3)
         cfg = TrainConfig(seed=3, beta=0.01, epochs=30, batch_size=400, pretrain_epochs=10)
-        models = pretrain_domain_models(src, cfg)
+        models = _pretrain([(src, cfg)])[0]
         fict = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg, models)
         path = tmp_path / "fict.csv"
         fict.write_csv(path)
@@ -304,11 +304,10 @@ class TestPenaltyMonotonicity:
     def test_representation_drift_non_increasing_in_gamma1(self):
         src = simulation_source(0)
         cfg = TrainConfig(seed=0, beta=0.01, epochs=100, batch_size=400, pretrain_epochs=50)
-        models = pretrain_domain_models(src, cfg)
-        asc = AscentConfig(alpha=1.0, max_steps=15)
+        models = _pretrain([(src, cfg)])[0]
+        runs = [(src, PenaltyParams(g1, 1.0), cfg) for g1 in (0.1, 1.0, 10.0)]
         drifts = []
-        for g1 in (0.1, 1.0, 10.0):
-            fict = generate_fictitious_set(src, PenaltyParams(g1, 1.0), asc, cfg, models=models)
+        for fict in fictitious_sets(runs, AscentConfig(alpha=1.0, max_steps=15)):
             total = 0.0
             for origin_domain, origin_index, x_star in zip(
                 fict.origin_domain, fict.origin_index, fict.x_star
@@ -323,17 +322,73 @@ class TestPenaltyMonotonicity:
     def test_partner_loss_non_increasing_in_gamma2(self):
         src = simulation_source(0)
         cfg = TrainConfig(seed=0, beta=0.01, epochs=100, batch_size=400, pretrain_epochs=50)
-        models = pretrain_domain_models(src, cfg)
-        asc = AscentConfig(alpha=1.0, max_steps=15)
+        models = _pretrain([(src, cfg)])[0]
+        runs = [(src, PenaltyParams(1.0, g2), cfg) for g2 in (0.1, 1.0, 10.0)]
         losses = []
-        for g2 in (0.1, 1.0, 10.0):
-            fict = generate_fictitious_set(src, PenaltyParams(1.0, g2), asc, cfg, models=models)
+        for fict in fictitious_sets(runs, AscentConfig(alpha=1.0, max_steps=15)):
             vals = [
                 c_conc(x_star, y_star, models[partner])
                 for x_star, y_star, partner in zip(fict.x_star, fict.y_star, fict.partner_domain)
             ]
             losses.append(float(np.mean(vals)))
         assert losses[0] >= losses[1] >= losses[2]
+
+
+def _assert_same_sets(got: FictitiousSet, want: FictitiousSet) -> None:
+    for field in fields(FictitiousSet):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestFictitiousSetsSharing:
+    """Runs that pass one ``DomainSet`` object under equal configs pretrain once."""
+
+    CFG = TrainConfig(seed=1, beta=0.05, epochs=9, batch_size=16, pretrain_epochs=12)
+    ASC = AscentConfig(alpha=0.3, max_steps=4)
+
+    @staticmethod
+    def _source():
+        return DomainSet(tuple(separable_blobs(d, seed, 20) for seed, d in enumerate("ABC")))
+
+    def _plan(self, monkeypatch, runs):
+        """``fictitious_sets(runs)`` and the fit count of each descent it made."""
+        import gradframe.training as training
+
+        stacks = []
+        descend = training.descend
+
+        def recording(data, cfg, seeds, *rest):
+            stacks.append(len(seeds))
+            return descend(data, cfg, seeds, *rest)
+
+        monkeypatch.setattr(training, "descend", recording)
+        ficts = fictitious_sets(runs, self.ASC)
+        monkeypatch.setattr(training, "descend", descend)
+        return ficts, stacks
+
+    def test_one_source_and_config_share_one_pretraining(self, monkeypatch):
+        src = self._source()
+        runs = [(src, PenaltyParams(g1, 1.0), self.CFG) for g1 in (0.1, 10.0)]
+        ficts, stacks = self._plan(monkeypatch, runs)
+        assert stacks == [src.k]
+        for run, fict in zip(runs, ficts):
+            _assert_same_sets(fict, fictitious_sets([run], self.ASC)[0])
+        assert ficts[0].x_star.tobytes() != ficts[1].x_star.tobytes()
+
+    @pytest.mark.parametrize("second", ["equal-copy", "other-seed"])
+    def test_distinct_source_or_config_pretrain_apart(self, monkeypatch, second):
+        src = self._source()
+        if second == "equal-copy":
+            other, cfg = self._source(), self.CFG
+            assert other is not src
+            assert all(np.array_equal(a.x, b.x) for a, b in zip(src.domains, other.domains))
+        else:
+            other, cfg = src, replace(self.CFG, seed=2)
+        runs = [(src, PenaltyParams(0.1, 1.0), self.CFG), (other, PenaltyParams(10.0, 1.0), cfg)]
+        ficts, stacks = self._plan(monkeypatch, runs)
+        assert stacks == [2 * src.k]
+        for run, fict in zip(runs, ficts):
+            _assert_same_sets(fict, fictitious_sets([run], self.ASC)[0])
 
 
 class TestTrainGradframe:
@@ -403,14 +458,12 @@ class TestTrainGradframe:
         assert stacks == [6, 1, 2, 1]
         assert len(results) == len(runs)
         for (ds, gammas, cfg), (model, fict) in zip(runs, results):
-            ref_fict = generate_fictitious_set(ds, gammas, asc, cfg, pretrain_domain_models(ds, cfg))
+            ref_fict = generate_fictitious_set(ds, gammas, asc, cfg, _pretrain([(ds, cfg)])[0])
             pooled = ds.pooled()
             x = np.vstack([pooled.x, ref_fict.x_star])
             y = np.concatenate([pooled.y, ref_fict.y_star])
             assert model.params.tobytes() == fit_stack([x], [y], [cfg])[0].params.tobytes()
-            for field in fields(FictitiousSet):
-                got, want = getattr(fict, field.name), getattr(ref_fict, field.name)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            _assert_same_sets(fict, ref_fict)
 
     def test_no_op_ascent_behaves_like_plain_erm(self):
         from gradframe.baselines import train_erm
@@ -537,7 +590,7 @@ class TestBatchedAscentOracle:
     def sim(self):
         src = simulation_source(0)
         cfg = TrainConfig(seed=0, **SIM_TRAIN)
-        return src, pretrain_domain_models(src, cfg)
+        return src, _pretrain([(src, cfg)])[0]
 
     def test_canonical_simulation_defaults(self, sim):
         src, models = sim
@@ -549,7 +602,7 @@ class TestBatchedAscentOracle:
             tuple(separable_blobs(d, seed=s, n_per_blob=15) for d, s in (("A", 1), ("B", 2), ("C", 3)))
         )
         cfg = TrainConfig(seed=2, beta=0.01, epochs=30, batch_size=32, pretrain_epochs=15)
-        models = pretrain_domain_models(src, cfg)
+        models = _pretrain([(src, cfg)])[0]
         got = _compare_with_oracle(src, models, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5), 2)
         for dom in src.domains:
             partners = set(got.partner_domain[got.origin_domain == dom.id].tolist())

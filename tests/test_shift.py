@@ -17,7 +17,7 @@ from conftest import (
 )
 
 import gradframe.shift as shift
-from gradframe.core import AscentConfig, PenaltyParams, generate_fictitious_set, pretrain_domain_models
+from gradframe.core import AscentConfig, PenaltyParams, fictitious_sets
 from gradframe.data import (
     Domain,
     DomainSet,
@@ -294,10 +294,7 @@ class TestCovariateShiftRatio:
     def test_identity_augmentation_gives_zero(self):
         src = simulation_source(0)
         cfg = TrainConfig(seed=0, beta=0.01, epochs=30, batch_size=400, pretrain_epochs=10)
-        fict = generate_fictitious_set(
-            src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg,
-            pretrain_domain_models(src, cfg),
-        )
+        [fict] = fictitious_sets([(src, PenaltyParams(1.0, 1.0), cfg)], AscentConfig(max_steps=0, min_steps=0))
         model = init_mlp([2, 2, 2], 1, seed=0)
         ratios = covariate_shift_ratio(src, fict, model)
         assert np.all(ratios == 0.0)
@@ -370,30 +367,21 @@ class TestConceptShiftDelta:
     def test_identity_augmentation_gives_small_deltas(self):
         src = simulation_source(1)
         cfg = TrainConfig(seed=1, beta=0.01, epochs=60, batch_size=400, pretrain_epochs=10)
-        fict = generate_fictitious_set(
-            src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg,
-            pretrain_domain_models(src, cfg),
-        )
+        [fict] = fictitious_sets([(src, PenaltyParams(1.0, 1.0), cfg)], AscentConfig(max_steps=0, min_steps=0))
         deltas = concept_shift_delta(src, fict, cfg)
         assert float(np.mean(deltas)) < 0.02
 
     def test_deltas_bounded_in_unit_interval(self):
         src = simulation_source(2)
         cfg = TrainConfig(seed=2, beta=0.01, epochs=30, batch_size=400, pretrain_epochs=10)
-        fict = generate_fictitious_set(
-            src, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5, max_steps=5), cfg,
-            pretrain_domain_models(src, cfg),
-        )
+        [fict] = fictitious_sets([(src, PenaltyParams(1.0, 1.0), cfg)], AscentConfig(alpha=0.5, max_steps=5))
         deltas = concept_shift_delta(src, fict, cfg)
         assert np.all((deltas >= 0.0) & (deltas <= 1.0))
 
     def test_fitted_models_give_the_default_path_bit_for_bit(self):
         src = simulation_source(4)
         cfg = TrainConfig(seed=4, beta=0.01, epochs=30, batch_size=64, pretrain_epochs=10)
-        fict = generate_fictitious_set(
-            src, PenaltyParams(1.0, 1.0), AscentConfig(alpha=0.5, max_steps=5), cfg,
-            pretrain_domain_models(src, cfg),
-        )
+        [fict] = fictitious_sets([(src, PenaltyParams(1.0, 1.0), cfg)], AscentConfig(alpha=0.5, max_steps=5))
         model_cfg = replace(cfg, seed=derive_seed(cfg.seed, "concept"))
         pooled = src.pooled()
         models = (

@@ -109,7 +109,7 @@ def ref_train_mixup(ds, cfg, mixup):
     y = pooled.label_vector()
     n = x.shape[0]
     weights, biases, adam, shuffle = _ref_start(x.shape[1], cfg)
-    mix_rng = rng_for(mixup.seed, "mixup")
+    mix_rng = rng_for(cfg.seed, "mixup")
     for _ in range(cfg.epochs):
         order = shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -319,8 +319,8 @@ class TestFitStack:
         mixups = [
             None,
             None,
-            MixupConfig(seed=2, fixed_lambda=0.3),
-            MixupConfig(beta_shape=(0.5, 3.0), seed=5),
+            MixupConfig(fixed_lambda=0.3),
+            MixupConfig(beta_shape=(0.5, 3.0)),
         ]
         stacks = []
         descend = training.descend
@@ -361,7 +361,7 @@ class TestFitStack:
         # a domains key is GroupDRO over those domains at that eta
         fits = [
             (2, rows64, None),
-            (5, rows64, MixupConfig(beta_shape=(0.5, 3.0), seed=5)),
+            (5, rows64, MixupConfig(beta_shape=(0.5, 3.0))),
             (2, "three", 0.5),
             (5, "two", 0.01),
             (5, "three", 0.01),
@@ -441,7 +441,7 @@ class TestTrainMixupOracle:
     def test_bit_identical(self, fixed_lambda, batch_size):
         ds = _three_domains()
         cfg = TrainConfig(beta=0.05, epochs=15, batch_size=batch_size, seed=2)
-        mixup = MixupConfig(beta_shape=(2.0, 2.0), seed=5, fixed_lambda=fixed_lambda)
+        mixup = MixupConfig(beta_shape=(2.0, 2.0), fixed_lambda=fixed_lambda)
         _assert_same_bytes(train_mixup(ds, cfg, mixup), ref_train_mixup(ds, cfg, mixup))
 
 
