@@ -88,7 +88,7 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | No
                     f"{cfg.target_csv}: {differ}: {list(targets.feature_names)} against "
                     f"{list(source.feature_names)}"
                 )
-            target = targets.pooled("target")
+            target = targets.pooled()
     if cfg.standardize:
         source = standardize(source)
         if target is not None:
@@ -195,10 +195,8 @@ def _shift_run(
     """The shift metrics of one penalty pair, from its fictitious set and the fitted models."""
     ratios = covariate_shift_ratio(source, fict, source_model)
     deltas = concept_shift_delta(source, fict, cfg.train, models=concept_models)
-    likelihood = likelihood_difference(
-        source_model, fict_model, Domain("fictitious", fict.x_star, fict.y_star)
-    )
-    source_x = source.pooled().feature_matrix()
+    likelihood = likelihood_difference(source_model, fict_model, fict.x_star)
+    source_x = source.pooled().x
     ks_table = {}
     for j in range(source_x.shape[1]):
         ks = ks_two_sample(source_x[:, j], fict.x_star[:, j])
@@ -360,7 +358,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     eval_path = cfg.target_csv or cfg.source_csv
     if not eval_path:
         raise ConfigError("evaluate requires data.target_csv or data.source_csv")
-    domain = load_csv_dataset(eval_path, cfg.csv_schema).pooled("eval")
+    domain = load_csv_dataset(eval_path, cfg.csv_schema).pooled()
     if domain.feature_dim != model.input_dim:
         raise ShapeError(
             f"{eval_path}: {domain.feature_dim} features, the model takes {model.input_dim} inputs"

@@ -255,13 +255,13 @@ def fictitious_sets(
 ) -> list[FictitiousSet]:
     """The fictitious set of each ``(source, penalties, config)`` run, in input order:
     one ``fit_stack`` pretrains every run's domain models, and each run ascends
-    against its own.  Runs that pass the same ``DomainSet`` object (by identity) under
-    equal configs share one set of models, bit for bit those each would train alone.
+    against its own.  Runs that pass the same ``DomainSet`` object under equal
+    configs share one set of models, bit for bit those each would train alone.
     """
-    shared = {(id(ds), cfg): (ds, cfg) for ds, _, cfg in runs}
-    models = dict(zip(shared, _pretrain(list(shared.values()))))
+    shared = list(dict.fromkeys((ds, cfg) for ds, _, cfg in runs))
+    models = dict(zip(shared, _pretrain(shared)))
     return [
-        generate_fictitious_set(ds, gammas, ascent_cfg, cfg, models[id(ds), cfg])
+        generate_fictitious_set(ds, gammas, ascent_cfg, cfg, models[ds, cfg])
         for ds, gammas, cfg in runs
     ]
 

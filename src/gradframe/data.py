@@ -53,10 +53,7 @@ class Domain:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def feature_matrix(self) -> np.ndarray:
-        return self.x
-
-    def label_vector(self) -> np.ndarray:
+    def label_vector(self) -> np.ndarray:  # perfbench/workloads.py's train check reads it
         return self.y
 
 
@@ -66,8 +63,10 @@ class Standardization:
     std: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainSet:
+    """Domains with distinct ids and one feature width; equal only to itself, hashed by identity."""
+
     domains: tuple[Domain, ...]
     standardization: Standardization | None = None
     feature_names: tuple[str, ...] | None = None  # the CSV columns; only load_csv_dataset sets them
@@ -98,10 +97,10 @@ class DomainSet:
                 return d
         raise DataError(f"no domain with id {domain_id!r}")
 
-    def pooled(self, pooled_id: str = "pooled") -> Domain:
+    def pooled(self) -> Domain:
         """All points of all domains concatenated in domain order."""
         return Domain(
-            pooled_id,
+            "pooled",
             np.concatenate([d.x for d in self.domains]),
             np.concatenate([d.y for d in self.domains]),
         )
@@ -326,7 +325,7 @@ def standardize(ds: DomainSet) -> DomainSet:
     The fitted stats ride along on the returned set for held-out data.  A
     feature whose pooled mean or std overflows is a ``DataError``.
     """
-    x = np.vstack([d.x for d in ds.domains])
+    x = ds.pooled().x
     with np.errstate(over="ignore", invalid="ignore"):
         stats = Standardization(mean=x.mean(axis=0), std=x.std(axis=0))
     bad = ~(np.isfinite(stats.mean) & np.isfinite(stats.std))

@@ -69,8 +69,8 @@ def auroc(scores, labels) -> float:
 
 def evaluate(model: MlpModel, domain: Domain) -> EvalReport:
     """AUROC (when both classes appear), mean BCE, and per-class mean BCE."""
-    y = domain.label_vector()
-    p = probs_batch(model, domain.feature_matrix())
+    y = domain.y
+    p = probs_batch(model, domain.x)
     losses = _bce(p, y)  # p is clamped already, so _bce's clamp changes nothing
     per_class = []
     for cls in (0.0, 1.0):
@@ -133,6 +133,7 @@ def lodo_cv_search(
 
     Each (pair, fold) cell is one run of a ``train_gradframe`` plan on the other
     K-1 domains, scored by AUROC on the held-out one (both classes checked first).
+    Every pair of a fold trains on that fold's one ``DomainSet``, under its own seed.
     The winner maximizes mean held-out AUROC; ties break toward the
     lexicographically smaller pair.
     """
@@ -144,11 +145,11 @@ def lodo_cv_search(
     if not pairs:
         raise ConfigError("empty penalty grid")
     for fold in ds.domains:
-        _class_counts(fold.label_vector())
+        _class_counts(fold.y)
+    rests = {fold: DomainSet(tuple(d for d in ds.domains if d.id != fold.id)) for fold in ds.domains}
     cells, runs = [], []
     for pair_idx, (g1, g2) in enumerate(pairs):
-        for fold in ds.domains:
-            rest = DomainSet(tuple(d for d in ds.domains if d.id != fold.id))
+        for fold, rest in rests.items():
             fold_cfg = replace(
                 train_cfg, seed=derive_seed(train_cfg.seed, "lodo", pair_idx, fold.id)
             )
@@ -157,7 +158,7 @@ def lodo_cv_search(
     rows: list[LodoRow] = []
     scores: dict[tuple[float, float], list[float]] = {}
     for (g1, g2, fold), (model, _) in zip(cells, train_gradframe(runs, ascent_cfg)):
-        score = auroc(probs_batch(model, fold.feature_matrix()), fold.label_vector())
+        score = auroc(probs_batch(model, fold.x), fold.y)
         rows.append(LodoRow(gamma1=g1, gamma2=g2, fold_domain=fold.id, auroc=score))
         scores.setdefault((g1, g2), []).append(score)
     means = {pair: float(np.mean(v)) for pair, v in scores.items()}

@@ -194,7 +194,7 @@ def covariate_shift_ratio(source: DomainSet, fict: FictitiousSet, model: MlpMode
     source representations of ``model``, floored to avoid blow-ups when the
     representations coincide.
     """
-    source_x = np.vstack([d.x for d in source.domains])
+    source_x = source.pooled().x
     fict_x = fict.x_star
     p_source = kde_fit(source_x)
     p_fict = kde_fit(fict_x)
@@ -242,11 +242,10 @@ def concept_shift_delta(
     return np.abs(cond_fict - cond_source)
 
 
-def likelihood_difference(model_a: MlpModel, model_b: MlpModel, eval_domain: Domain) -> float:
-    """Mean absolute gap between the two models' class-1 probabilities."""
+def likelihood_difference(model_a: MlpModel, model_b: MlpModel, x: np.ndarray) -> float:
+    """Mean absolute gap between the two models' class-1 probabilities over the rows of ``x``."""
     if model_a.input_dim != model_b.input_dim:
         raise ShapeError("models disagree on input dimension")
-    x = eval_domain.feature_matrix()
     return float(np.abs(probs_batch(model_a, x) - probs_batch(model_b, x)).mean())
 
 
@@ -295,7 +294,7 @@ def shapley_attribution(
     back too, for standard-error estimates.
     """
     x = np.asarray(point, dtype=np.float64)
-    baseline = background.feature_matrix().mean(axis=0)
+    baseline = background.x.mean(axis=0)
     if x.shape != baseline.shape:
         raise ShapeError(f"point shape {x.shape} does not match background dim {baseline.shape}")
     attr, samples = _shapley_batch(model, x[None, :], baseline, m_samples, [seed], return_samples)
@@ -377,7 +376,7 @@ def select_domain_count(
         )
         shap_per_group = []
         for g_idx, (group, model) in enumerate(zip(groups.domains, models)):
-            x = group.feature_matrix()
+            x = group.x
             seeds = [derive_seed(cfg.seed, "selectk-shap", k, g_idx, i) for i in range(len(x))]
             shap_per_group.append(_shapley_batch(model, x, x.mean(axis=0), m_samples, seeds)[0])
         p_values = [

@@ -288,7 +288,7 @@ class TestCriterion9:
             attr, samples = shapley_attribution(
                 model, background, x, m_samples=32, seed=case, return_samples=True
             )
-            baseline = background.feature_matrix().mean(axis=0)
+            baseline = background.x.mean(axis=0)
             gap = probs_batch(model, x[None, :])[0] - probs_batch(model, baseline[None, :])[0]
             se_sum = samples.sum(axis=1).std(ddof=1) / math.sqrt(samples.shape[0])
             if abs(attr.sum() - gap) <= 3.0 * se_sum + 1e-9:
@@ -374,7 +374,7 @@ class TestCriterion11:
                 matches = matches and wa.tobytes() == wb.tobytes()
             for ba, bb in zip(model.biases, erm_doubled.biases):
                 matches = matches and ba.tobytes() == bb.tobytes()
-            matches = matches and np.array_equal(fict.x_star, pooled.feature_matrix())
+            matches = matches and np.array_equal(fict.x_star, pooled.x)
         preserved = 0
         total = 0
         for seed in SEEDS:

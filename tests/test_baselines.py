@@ -22,8 +22,8 @@ class TestTrainErm:
         cfg = TrainConfig(seed=0, beta=0.01, epochs=100, batch_size=32)
         model = train_erm(src, cfg)
         pooled = src.pooled()
-        p = probs_batch(model, pooled.feature_matrix())
-        acc = np.mean((p > 0.5) == (pooled.label_vector() == 1))
+        p = probs_batch(model, pooled.x)
+        acc = np.mean((p > 0.5) == (pooled.y == 1))
         assert acc >= 0.99
 
     def test_duplicated_dataset_full_batch_equivalence(self):
@@ -74,7 +74,7 @@ class TestTrainMixup:
         tgt = simulation_target(3)
         cfg = TrainConfig(seed=3, beta=0.01, epochs=60, batch_size=64)
         model = train_mixup(src, cfg, MixupConfig())
-        score = auroc(probs_batch(model, tgt.feature_matrix()), tgt.label_vector())
+        score = auroc(probs_batch(model, tgt.x), tgt.y)
         assert 0.5 <= score <= 1.0
 
     def test_bad_config(self):

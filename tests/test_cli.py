@@ -1268,6 +1268,20 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _assert_documented_exits(cfg: Path, out: Path, commands) -> None:
+    """Run each command in turn: it exits 0, 2, 3 or 4 with no traceback, and a failed
+    ``train`` leaves no ``model.txt``."""
+    for command in commands:
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", str(cfg)])
+        assert code in (0, 2, 3, 4), (command, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if command == "train" and code != 0:
+            assert not (out / "model.txt").exists()
+
+
 @settings(max_examples=60, deadline=None)
 @given(source=fuzz_csv(), epochs=st.integers(1, 5), standardize=st.booleans())
 def test_drawn_csv_runs_end_in_a_documented_exit(fuzz_dir, source, epochs, standardize):
@@ -1284,12 +1298,69 @@ def test_drawn_csv_runs_end_in_a_documented_exit(fuzz_dir, source, epochs, stand
         f"train.epochs = {epochs}\ntrain.batch_size = 8\nselect_k.candidates = 2,3\n"
         f"select_k.key_column = month\nselect_k.m_samples = 4\noutput.dir = {out}\n",
     )
-    for command in ("train", "evaluate", "select-k"):
-        err = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-            warnings.simplefilter("ignore")
-            code = main([command, "--config", str(cfg)])
-        assert code in (0, 2, 3, 4), (command, code, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        if command == "train" and code != 0:
-            assert not (out / "model.txt").exists()
+    _assert_documented_exits(cfg, out, ("train", "evaluate", "select-k"))
+
+
+def _fuzz_rows(draw, width: int, n: int, domains: str) -> list[list[str]]:
+    """n rows of ``width`` valid feature cells, a label and a domain drawn from ``domains``,
+    then up to two cells replaced by a bad or huge value, or a row cut short."""
+    rows = [
+        [*(draw(FUZZ_CELL) for _ in range(width)), draw(st.sampled_from("01")), draw(st.sampled_from(domains))]
+        for _ in range(n)
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        row = rows[draw(st.integers(0, n - 1))]
+        col = draw(st.integers(0, width + 2))
+        if col == width + 2:
+            row.pop()
+        elif col < len(row):
+            row[col] = draw(st.sampled_from([*BAD_CELLS, "1e308", "-1.7e308"]))
+    return rows
+
+
+@st.composite
+def fuzz_domain_csvs(draw) -> tuple[str, str, list[str]]:
+    """A source CSV of 1-30 rows over 1-4 domains, a target CSV of 1-10 rows with the
+    same or another header, and the config's feature list: 1-4 features whose header
+    names may repeat."""
+    names = ["x0", "x1", "x2", "x3"]
+    distinct = st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)
+    features = draw(distinct | st.lists(st.sampled_from(names), min_size=1, max_size=4))
+    domains = "abcd"[: draw(st.integers(1, 4))]
+    target_features = draw(st.just(features) | distinct)
+    files = []
+    for cols, n in ((features, draw(st.integers(1, 30))), (target_features, draw(st.integers(1, 10)))):
+        rows = [[*cols, "label", "domain"], *_fuzz_rows(draw, len(cols), n, domains)]
+        files.append("\n".join(",".join(r) for r in rows) + "\n")
+    return files[0], files[1], list(dict.fromkeys(features))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=fuzz_domain_csvs(),
+    epochs=st.integers(1, 5),
+    max_steps=st.integers(0, 3),
+    standardize=st.booleans(),
+    sweep=st.sampled_from(["", "gamma1", "gamma2"]),
+)
+def test_drawn_domain_csv_runs_end_in_a_documented_exit(fuzz_dir, data, epochs, max_steps, standardize, sweep):
+    """``train`` with gradframe, a two-seed ``compare``, ``shift-report`` and ``lodo`` on
+    drawn source and target files and overrides: each exits 0, 2, 3 or 4 with no traceback,
+    and a failed ``train`` leaves no model."""
+    source, target, features = data
+    run = fuzz_dir / "domains"
+    shutil.rmtree(run, ignore_errors=True)
+    out = run / "out"
+    (src := run / "source.csv").parent.mkdir()
+    src.write_text(source)
+    (tgt := run / "target.csv").write_text(target)
+    cfg = write_cfg(
+        run / "c.cfg",
+        f"dataset.kind = csv\ndata.source_csv = {src}\ndata.target_csv = {tgt}\n"
+        f"data.standardize = {str(standardize).lower()}\ncsv.feature_columns = {','.join(features)}\n"
+        f"method = gradframe\ntrain.epochs = {epochs}\ntrain.pretrain_epochs = {epochs}\n"
+        f"train.batch_size = 8\nascent.max_steps = {max_steps}\nascent.min_steps = 0\n"
+        f"shift.sweep = {sweep}\nshift.sweep_values = 0.1,1\ncompare.methods = erm,gradframe\n"
+        f"seeds = 0,1\noutput.dir = {out}\n",
+    )
+    _assert_documented_exits(cfg, out, ("train", "compare", "shift-report", "lodo"))

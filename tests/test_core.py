@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_model, one_row_bce, one_row_rep, separable_blobs, zero_model
 
@@ -21,7 +24,7 @@ from gradframe.core import (
     train_gradframe,
 )
 from gradframe.config import SIM_ASCENT, SIM_TRAIN
-from gradframe.data import Domain, DomainSet, simulation_source
+from gradframe.data import Domain, DomainSet, simulation_source, standardize
 from gradframe.errors import ConfigError, ShapeError
 from gradframe.nn import init_mlp, probs_batch, representations_batch
 from gradframe.rng import derive_seed, rng_for
@@ -210,8 +213,8 @@ class TestPretrain:
         cfg = TrainConfig(seed=0, beta=0.01, epochs=100, batch_size=32, pretrain_epochs=80)
         models = _pretrain([(ds, cfg)])[0]
         for dom in ds.domains:
-            p = probs_batch(models[dom.id], dom.feature_matrix())
-            acc = np.mean((p > 0.5) == (dom.label_vector() == 1))
+            p = probs_batch(models[dom.id], dom.x)
+            acc = np.mean((p > 0.5) == (dom.y == 1))
             assert acc >= 0.99
 
     def test_determinism(self):
@@ -264,8 +267,8 @@ class TestGenerateFictitiousSet:
         cfg = TrainConfig(seed=2, beta=0.01, epochs=50, batch_size=400, pretrain_epochs=20)
         models = _pretrain([(src, cfg)])[0]
         fict = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg, models)
-        assert np.array_equal(fict.x_star, src.pooled().feature_matrix())
-        assert np.array_equal(fict.y_star, src.pooled().label_vector())
+        assert np.array_equal(fict.x_star, src.pooled().x)
+        assert np.array_equal(fict.y_star, src.pooled().y)
 
     def test_order_deterministic_and_run_to_run_identical(self):
         src = DomainSet((separable_blobs("A", seed=5, n_per_blob=20), separable_blobs("B", seed=6, n_per_blob=20)))
@@ -391,6 +394,46 @@ class TestFictitiousSetsSharing:
             _assert_same_sets(fict, fictitious_sets([run], self.ASC)[0])
 
 
+SHARING_CFG = TrainConfig(seed=1, beta=0.05, epochs=3, batch_size=8, pretrain_epochs=6)
+SHARING_ASC = AscentConfig(alpha=0.3, max_steps=3)
+
+
+@st.composite
+def sharing_plans(draw):
+    """1-4 runs over 1-2 source objects, each of 2-3 domains of 6-16 rows, some
+    standardized; drawn penalties, and configs that are equal or differ in seed.
+    Two sources of the same sizes and scaling are equal copies."""
+    sources = []
+    for _ in range(draw(st.integers(1, 2))):
+        sizes = draw(st.lists(st.integers(3, 8), min_size=2, max_size=3))
+        ds = DomainSet(tuple(separable_blobs("ABC"[i], i, n) for i, n in enumerate(sizes)))
+        sources.append(standardize(ds) if draw(st.booleans()) else ds)
+    gamma = st.sampled_from([0.0, 0.1, 1.0, 10.0])
+    return [
+        (
+            draw(st.sampled_from(sources)),
+            PenaltyParams(draw(gamma), draw(gamma)),
+            replace(SHARING_CFG, seed=draw(st.integers(1, 2))),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(runs=sharing_plans())
+def test_drawn_plans_pretrain_once_per_source_object_and_config(runs):
+    """Pretraining trains K fits per distinct (source object, config) pair, and every
+    set is the one its run gives when planned alone."""
+    import gradframe.training as training
+
+    with mock.patch.object(training, "descend", wraps=training.descend) as descend:
+        ficts = fictitious_sets(runs, SHARING_ASC)
+    distinct = {(id(ds), cfg): ds.k for ds, _, cfg in runs}
+    assert sum(len(call.args[2]) for call in descend.call_args_list) == sum(distinct.values())
+    for run, fict in zip(runs, ficts):
+        _assert_same_sets(fict, fictitious_sets([run], SHARING_ASC)[0])
+
+
 class TestTrainGradframe:
     def test_degenerate_equivalence_with_doubled_erm(self):
         src = simulation_source(4)
@@ -405,7 +448,7 @@ class TestTrainGradframe:
             assert wa.tobytes() == wb.tobytes()
         for ba, bb in zip(model.biases, erm_doubled.biases):
             assert ba.tobytes() == bb.tobytes()
-        assert np.array_equal(fict.x_star, pooled.feature_matrix())
+        assert np.array_equal(fict.x_star, pooled.x)
 
     def test_label_preservation_everywhere(self):
         src = simulation_source(5)
@@ -478,9 +521,9 @@ class TestTrainGradframe:
             [(src, PenaltyParams(1.0, 10.0), cfg)], AscentConfig(max_steps=0, min_steps=0)
         )
         erm = train_erm(src, cfg)
-        y = tgt.label_vector()
-        score_aug = auroc(probs_batch(model, tgt.feature_matrix()), y)
-        score_erm = auroc(probs_batch(erm, tgt.feature_matrix()), y)
+        y = tgt.y
+        score_aug = auroc(probs_batch(model, tgt.x), y)
+        score_erm = auroc(probs_batch(erm, tgt.x), y)
         assert abs(score_aug - score_erm) <= 0.02
 
 

@@ -18,6 +18,7 @@ from gradframe.data import (
     CsvSchema,
     Domain,
     DomainSet,
+    Standardization,
     apply_standardization,
     generate_gaussian_domain,
     label_by_boundary,
@@ -63,13 +64,13 @@ class TestGaussianGeneration:
     def test_sample_mean_converges(self):
         mean = np.array([1.0, -2.0])
         dom = generate_gaussian_domain("g", [(mean, 0.25)], 4000, BOUNDARY, seed=7)
-        sample_mean = dom.feature_matrix().mean(axis=0)
+        sample_mean = dom.x.mean(axis=0)
         tol = 4.0 * 0.5 / np.sqrt(4000)
         assert np.all(np.abs(sample_mean - mean) < tol)
 
     def test_zero_covariance_degenerates_to_mean(self):
         dom = generate_gaussian_domain("d", [((1.5, 1.5), 0.0)], 20, BOUNDARY, seed=1)
-        assert np.array_equal(dom.feature_matrix(), np.full((20, 2), 1.5))
+        assert np.array_equal(dom.x, np.full((20, 2), 1.5))
         assert len(set(dom.y.tolist())) == 1
 
     @pytest.mark.parametrize("count", [0, -3])
@@ -91,7 +92,7 @@ class TestGaussianGeneration:
         blobs = [((0.0, 0.0), 1.0)]
         a = generate_gaussian_domain("a", blobs, 50, BOUNDARY, seed=3)
         b = generate_gaussian_domain("a", blobs, 50, BOUNDARY, seed=3)
-        assert np.array_equal(a.feature_matrix(), b.feature_matrix())
+        assert np.array_equal(a.x, b.x)
 
 
 def cholesky_blobs(blobs, count: int, seed: int) -> np.ndarray:
@@ -128,7 +129,7 @@ class TestSimulationPresets:
     def test_target_composition(self):
         tgt = simulation_target(0)
         assert len(tgt) == 100
-        labels = tgt.label_vector()
+        labels = tgt.y
         assert set(labels.tolist()) == {0.0, 1.0}
 
 
@@ -140,8 +141,8 @@ class TestCsvRoundTrip:
         loaded = load_csv_dataset(path)
         assert [d.id for d in loaded.domains] == [d.id for d in ds.domains]
         for da, db in zip(ds.domains, loaded.domains):
-            assert np.array_equal(da.feature_matrix(), db.feature_matrix())
-            assert np.array_equal(da.label_vector(), db.label_vector())
+            assert np.array_equal(da.x, db.x)
+            assert np.array_equal(da.y, db.y)
 
     def test_domains_grouped(self, tmp_path):
         path = tmp_path / "two.csv"
@@ -152,7 +153,7 @@ class TestCsvRoundTrip:
         assert ds.k == 2
         assert len(ds.domain("A")) == 2
         assert len(ds.domain("B")) == 2
-        assert np.array_equal(ds.domain("A").feature_matrix(), [[1, 2], [5, 6]])
+        assert np.array_equal(ds.domain("A").x, [[1, 2], [5, 6]])
 
     def test_without_domain_column(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -330,18 +331,18 @@ class TestStandardize:
 
     def test_constant_feature_maps_to_zero(self):
         ds = standardize(self._ds([[5.0, 1.0], [5.0, 3.0]]))
-        x = ds.pooled().feature_matrix()
+        x = ds.pooled().x
         assert np.all(x[:, 0] == 0.0)
 
     def test_two_point_feature_maps_to_unit(self):
         ds = standardize(self._ds([[0.0, 0.0], [2.0, 2.0]]))
-        x = ds.pooled().feature_matrix()
+        x = ds.pooled().x
         assert np.allclose(sorted(x[:, 0]), [-1.0, 1.0])
 
     def test_moments_after_transform(self):
         raw = simulation_source(3)
         ds = standardize(raw)
-        x = ds.pooled().feature_matrix()
+        x = ds.pooled().x
         assert np.allclose(x.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(x.std(axis=0), 1.0, atol=1e-12)
 
@@ -350,8 +351,8 @@ class TestStandardize:
         ds = standardize(raw)
         held_out = simulation_target(3)
         transformed = apply_standardization(held_out, ds.standardization)
-        expected = (held_out.feature_matrix() - ds.standardization.mean) / ds.standardization.std
-        assert np.allclose(transformed.feature_matrix(), expected)
+        expected = (held_out.x - ds.standardization.mean) / ds.standardization.std
+        assert np.allclose(transformed.x, expected)
 
 
     @pytest.mark.parametrize("width", [1, 3])
@@ -404,7 +405,7 @@ class TestSplitIntoKDomains:
         groups = split_into_k_domains(dom, 3, ks)
         total = sum(len(g) for g in groups.domains)
         assert total == len(dom)
-        all_rows = np.concatenate([g.feature_matrix()[:, 0] for g in groups.domains])
+        all_rows = np.concatenate([g.x[:, 0] for g in groups.domains])
         assert sorted(all_rows.tolist()) == sorted(float(k) for k in keys)
 
     def test_k_exceeding_distinct_keys(self):
@@ -446,6 +447,18 @@ class TestDomainTypes:
         with pytest.raises(DataError):
             Domain("a", [[np.inf]], [0])
 
+    def test_standardized_set_hashes_by_identity(self):
+        ds = standardize(simulation_source(3))
+        assert {ds: 1}[ds] == 1
+        assert len({ds, standardize(simulation_source(3))}) == 2
+
+    def test_set_equals_only_itself(self):
+        ds = standardize(simulation_source(3))
+        stats = Standardization(ds.standardization.mean.copy(), ds.standardization.std.copy())
+        twin = DomainSet(ds.domains, standardization=stats)
+        assert ds == ds
+        assert (twin == ds) is False and (twin != ds) is True
+
 
 class TestDomain:
     @pytest.mark.parametrize(
@@ -467,8 +480,8 @@ class TestDomain:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         dom = Domain("d", x, [0, 1])
         x[0, 0] = 99.0
-        assert dom.feature_matrix()[0, 0] == 1.0
+        assert dom.x[0, 0] == 1.0
         with pytest.raises(ValueError):
-            dom.feature_matrix()[0, 0] = 5.0
+            dom.x[0, 0] = 5.0
         with pytest.raises(ValueError):
-            dom.label_vector()[0] = 1.0
+            dom.y[0] = 1.0

@@ -1,21 +1,25 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import domain_of_rows, separable_blobs, zero_model
 
-from gradframe.core import AscentConfig
+from gradframe.core import AscentConfig, PenaltyParams
 from gradframe.data import Domain, DomainSet
 from gradframe.errors import ConfigError, DataError, NumericError
 from gradframe.evaluation import (
+    LodoRow,
     auroc,
     evaluate,
     lodo_cv_search,
     welch_t_one_tailed,
 )
+from gradframe.nn import probs_batch
+from gradframe.rng import derive_seed
 from gradframe.training import TrainConfig
 
 
@@ -186,6 +190,35 @@ class TestLodo:
         best_pair = (result.best.gamma1, result.best.gamma2)
         best = [r.auroc for r in result.rows if (r.gamma1, r.gamma2) == best_pair]
         assert result.mean_auroc == float(np.mean(best))
+
+    def test_each_fold_is_one_set_and_each_cell_scores_as_trained_alone(self, monkeypatch):
+        """The 4 pairs of the config's default grid on 3 folds: the plan gets one
+        training set per fold, and every row is its cell's plan run alone on a set of
+        its own, as when each cell built its own set."""
+        import gradframe.evaluation as evaluation
+
+        ds = _three_domain_set(seed=4)
+        cfg = TrainConfig(seed=4, beta=0.02, epochs=10, batch_size=50, pretrain_epochs=5)
+        asc = AscentConfig(max_steps=2, min_steps=0)
+        pairs = [(0.1, 0.1), (0.1, 10.0), (1.0, 0.1), (1.0, 10.0)]
+        sets = []
+        plan = evaluation.train_gradframe
+
+        def recording(runs, ascent_cfg):
+            sets.extend(source for source, _, _ in runs)
+            return plan(runs, ascent_cfg)
+
+        monkeypatch.setattr(evaluation, "train_gradframe", recording)
+        result = lodo_cv_search(ds, pairs, asc, cfg)
+        assert len(sets) == 12 and len({id(s) for s in sets}) == 3
+        want = []
+        for pair_idx, (g1, g2) in enumerate(pairs):
+            for fold in ds.domains:
+                rest = DomainSet(tuple(d for d in ds.domains if d is not fold))
+                cell_cfg = replace(cfg, seed=derive_seed(cfg.seed, "lodo", pair_idx, fold.id))
+                [(model, _)] = plan([(rest, PenaltyParams(g1, g2), cell_cfg)], asc)
+                want.append(LodoRow(g1, g2, fold.id, auroc(probs_batch(model, fold.x), fold.y)))
+        assert result.rows == tuple(want)
 
     def test_csv_export(self, tmp_path):
         ds = _three_domain_set(seed=6)

@@ -346,7 +346,7 @@ class TestCovariateShiftRatio:
             n, d = samples.shape
             return np.maximum(n ** (-1.0 / (d + 4)) * samples.std(axis=0), 1e-3)
 
-        src_x = src.pooled().feature_matrix()
+        src_x = src.pooled().x
         fict_x = np.stack(moved)
         h_src = scott(src_x)
         h_fic = scott(fict_x)
@@ -406,13 +406,13 @@ class TestLikelihoodDifference:
     def test_identical_models_give_zero(self):
         m = init_mlp([2, 3, 2], 1, seed=0)
         dom = separable_blobs("e", seed=1, n_per_blob=10)
-        assert likelihood_difference(m, m, dom) == 0.0
+        assert likelihood_difference(m, m, dom.x) == 0.0
 
     def test_complementary_constant_models(self):
         a = constant_prob_model(0.9)
         b = constant_prob_model(0.1)
         dom = separable_blobs("e", seed=2, n_per_blob=10)
-        assert abs(likelihood_difference(a, b, dom) - 0.8) < 1e-9
+        assert abs(likelihood_difference(a, b, dom.x) - 0.8) < 1e-9
 
     def test_within_domain_gap_below_cross_domain_gap(self):
         src = simulation_source(3).pooled()
@@ -427,8 +427,8 @@ class TestLikelihoodDifference:
         m_a = fit_stack([src.x[half_a]], [src.y[half_a]], [cfg])[0]
         m_b = fit_stack([src.x[half_b]], [src.y[half_b]], [replace(cfg, seed=301)])[0]
         m_t = fit_stack([tgt.x], [tgt.y], [replace(cfg, seed=302)])[0]
-        within = likelihood_difference(m_a, m_b, src)
-        cross = likelihood_difference(m_a, m_t, src)
+        within = likelihood_difference(m_a, m_b, src.x)
+        cross = likelihood_difference(m_a, m_t, src.x)
         assert within < cross
 
 
@@ -438,7 +438,7 @@ class TestShapley:
         background = domain_of_rows("bg", ((np.array([float(v)]), v % 2) for v in range(5)))
         x = np.array([3.0])
         attr = shapley_attribution(m, background, x, m_samples=8, seed=0)
-        baseline = background.feature_matrix().mean(axis=0)
+        baseline = background.x.mean(axis=0)
         expected = probs_batch(m, x[None, :])[0] - probs_batch(m, baseline[None, :])[0]
         assert abs(attr[0] - expected) < 1e-12
 
@@ -449,7 +449,7 @@ class TestShapley:
         )
         x = rng.normal(size=4)
         attr = shapley_attribution(m, background, x, m_samples=16, seed=1)
-        baseline = background.feature_matrix().mean(axis=0)
+        baseline = background.x.mean(axis=0)
         gap = probs_batch(m, x[None, :])[0] - probs_batch(m, baseline[None, :])[0]
         assert abs(attr.sum() - gap) < 1e-10
 
@@ -487,7 +487,7 @@ class TestShapleyBatchOracle:
         attr, samples = shapley_attribution(
             m, background, x, m_samples=m_samples, seed=3, return_samples=True
         )
-        baseline = background.feature_matrix().mean(axis=0)
+        baseline = background.x.mean(axis=0)
         ref_attr, ref_samples = loop_shapley(m, baseline, x, m_samples, 3)
         assert samples.shape == (m_samples, d)
         assert np.max(np.abs(samples - ref_samples)) <= 1e-12
@@ -521,7 +521,7 @@ class TestShapleyBatchOracle:
             for g_idx, group in enumerate(split_into_k_domains(dom, k, keys).domains):
                 group_cfg = replace(cfg, seed=derive_seed(cfg.seed, "selectk", k))
                 model = fit_stack([group.x], [group.y], [group_cfg])[0]
-                baseline = group.feature_matrix().mean(axis=0)
+                baseline = group.x.mean(axis=0)
                 seeds = [
                     derive_seed(cfg.seed, "selectk-shap", k, g_idx, i) for i in range(len(group))
                 ]

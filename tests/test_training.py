@@ -105,8 +105,8 @@ def ref_fit_minibatch(x, y, cfg):
 
 def ref_train_mixup(ds, cfg, mixup):
     pooled = ds.pooled()
-    x = pooled.feature_matrix()
-    y = pooled.label_vector()
+    x = pooled.x
+    y = pooled.y
     n = x.shape[0]
     weights, biases, adam, shuffle = _ref_start(x.shape[1], cfg)
     mix_rng = rng_for(cfg.seed, "mixup")
@@ -124,8 +124,8 @@ def ref_train_mixup(ds, cfg, mixup):
 
 
 def ref_train_groupdro(ds, cfg, eta, on_step):
-    xs = [d.feature_matrix() for d in ds.domains]
-    ys = [d.label_vector() for d in ds.domains]
+    xs = [d.x for d in ds.domains]
+    ys = [d.y for d in ds.domains]
     weights, biases, adam, shuffle = _ref_start(ds.feature_dim, cfg)
     q = np.full(ds.k, 1.0 / ds.k)
     steps_per_epoch = max(int(np.ceil(max(len(x) for x in xs) / cfg.batch_size)), 1)
@@ -215,7 +215,7 @@ class TestFitMinibatchOracle:
     def test_bit_identical(self, fits):
         for rows, hidden, rep, batch_size in fits:
             dom = _noisy_domain("train", rows, 7)
-            x, y = dom.feature_matrix(), dom.label_vector()
+            x, y = dom.x, dom.y
             cfg = TrainConfig(
                 beta=0.05, epochs=40, batch_size=batch_size, seed=4, hidden_dims=hidden, rep_layer_index=rep
             )
