@@ -44,7 +44,7 @@ from .rng import derive_seed
 from .shift import (
     concept_config,
     concept_shift_delta,
-    covariate_shift_ratio,
+    covariate_shift_ratios,
     ks_two_sample,
     likelihood_difference,
     select_domain_count,
@@ -188,12 +188,13 @@ def _shift_run(
     source: DomainSet,
     gammas: PenaltyParams,
     fict: FictitiousSet,
+    ratios: np.ndarray,
     source_model: MlpModel,
     concept_models: tuple[MlpModel, MlpModel],
     fict_model: MlpModel,
 ) -> dict:
-    """The shift metrics of one penalty pair, from its fictitious set and the fitted models."""
-    ratios = covariate_shift_ratio(source, fict, source_model)
+    """The shift metrics of one penalty pair, from its fictitious set, its covariate
+    ratios and the fitted models."""
     deltas = concept_shift_delta(source, fict, cfg.train, models=concept_models)
     likelihood = likelihood_difference(source_model, fict_model, fict.x_star)
     source_x = source.pooled().x
@@ -227,10 +228,14 @@ def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
         ys += [fict.y_star] * 2
         cfgs += [concept_cfg, fict_cfg]
     source_model, concept_source, *fict_side = fit_stack(xs, ys, cfgs)
+    # the source side of the covariate ratio is the same for every run, so it is computed once
+    ratios = covariate_shift_ratios(source, ficts, source_model)
     runs = [
-        _shift_run(cfg, source, gammas, fict, source_model, (concept_source, concept_fict), fict_model)
-        for gammas, fict, concept_fict, fict_model in zip(
-            cfg.shift_runs, ficts, fict_side[::2], fict_side[1::2]
+        _shift_run(
+            cfg, source, gammas, fict, fict_ratios, source_model, (concept_source, concept_fict), fict_model
+        )
+        for gammas, fict, fict_ratios, concept_fict, fict_model in zip(
+            cfg.shift_runs, ficts, ratios, fict_side[::2], fict_side[1::2]
         )
     ]
     payload = {k: v for k, v in runs[0].items() if k not in ("gamma1", "gamma2")}

@@ -29,6 +29,14 @@ SIM_ASCENT = dict(alpha=1.0, max_steps=15, rel_tolerance=1e-4, min_steps=3)
 
 METHODS = ("erm", "mixup", "groupdro", "gradframe")
 
+# Largest accepted counts, far past any useful value, so that a mistyped count is a
+# config error before any work instead of a failed allocation part-way through.
+# 10,000 permutations put an attribution's Monte-Carlo error at 1 % of one
+# permutation's spread.  Each ascent row keeps a trace of max_steps + 1 floats,
+# 8 KB at 1,000 steps, and the step rule stops rows long before (the default is 15).
+MAX_M_SAMPLES = 10_000
+MAX_ASCENT_STEPS = 1_000
+
 # Each parser takes a stripped value and returns it typed, or raises a
 # ValueError saying what it expected; ``ExperimentConfig.load`` names the key.
 
@@ -55,6 +63,16 @@ def _positive_integer(raw: str) -> int:
     if value < 1:
         raise ValueError("expected an integer >= 1")
     return value
+
+
+def _at_most(parse: Callable[[str], int], maximum: int) -> Callable[[str], int]:
+    def bounded(raw: str) -> int:
+        value = parse(raw)
+        if value > maximum:
+            raise ValueError(f"expected at most {maximum}")
+        return value
+
+    return bounded
 
 
 def _flag(raw: str) -> bool:
@@ -134,7 +152,7 @@ KEYS: dict[str, tuple[str, Callable]] = {
     "penalty.gamma1": ("1", _number),
     "penalty.gamma2": ("10", _number),
     "ascent.alpha": (str(SIM_ASCENT["alpha"]), _number),
-    "ascent.max_steps": (str(SIM_ASCENT["max_steps"]), _integer),
+    "ascent.max_steps": (str(SIM_ASCENT["max_steps"]), _at_most(_integer, MAX_ASCENT_STEPS)),
     "ascent.rel_tolerance": (str(SIM_ASCENT["rel_tolerance"]), _number),
     "ascent.min_steps": (str(SIM_ASCENT["min_steps"]), _integer),
     "train.beta": (str(SIM_TRAIN["beta"]), _number),
@@ -151,7 +169,7 @@ KEYS: dict[str, tuple[str, Callable]] = {
     "grid.pairs": ("", _pairs),
     "select_k.candidates": ("2,3,4", _list(_integer, at_least=2, distinct=True)),
     "select_k.key_column": ("key", _name),
-    "select_k.m_samples": ("64", _positive_integer),
+    "select_k.m_samples": ("64", _at_most(_positive_integer, MAX_M_SAMPLES)),
     "shift.sweep": ("", _choice("", "gamma1", "gamma2")),
     "shift.sweep_values": ("0.1,1,10", _list(_number, at_least=1)),
     "compare.methods": ("erm,gradframe", _list(_choice(*METHODS), at_least=1, distinct=True)),

@@ -28,9 +28,11 @@ BANDWIDTH_FLOOR = 1e-3
 RATIO_DENOM_FLOOR = 1e-6
 
 # Work-array sizes, which bound memory and leave results unchanged: kernel values per KDE
-# query block (128 KB stays in cache; larger ran slower), coalition rows per Shapley chunk.
+# query block (128 KB stays in cache; larger ran slower); per Shapley chunk, model rows
+# and the permutations' coalitions, m(d + 1) per point.
 KDE_BLOCK_ELEMENTS = 1 << 14
 SHAPLEY_CHUNK_ROWS = 2048
+SHAPLEY_CHUNK_COALITIONS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,32 @@ def _origin_rows(domains: tuple[Domain, ...], fict: FictitiousSet) -> np.ndarray
     return offset + fict.origin_index
 
 
+def covariate_shift_ratios(source: DomainSet, ficts, model: MlpModel) -> list[np.ndarray]:
+    """``covariate_shift_ratio`` of each fictitious set of ``source``, under one ``model``.
+
+    The source side is computed once for all sets: its input KDE, its
+    representations, their KDE, and that KDE's log density at every source
+    row, from which each set takes its origins' densities.  A row's density
+    does not depend on the rows queried with it, so each set's ratios have the
+    bits they have alone.
+    """
+    source_x = source.pooled().x
+    p_source = kde_fit(source_x)
+    z_source = representations_batch(model, source_x)
+    p_rep = kde_fit(z_source)
+    log_p_rep_source = kde_log_density(p_rep, z_source)
+    ratios = []
+    for fict in ficts:
+        fict_x = fict.x_star
+        p_fict = kde_fit(fict_x)
+        numer = np.abs(kde_log_density(p_fict, fict_x) - kde_log_density(p_source, fict_x))
+        log_p_origin = log_p_rep_source[_origin_rows(source.domains, fict)]
+        z_star = representations_batch(model, fict_x)
+        denom = np.abs(log_p_origin - kde_log_density(p_rep, z_star))
+        ratios.append(numer / np.maximum(denom, RATIO_DENOM_FLOOR))
+    return ratios
+
+
 def covariate_shift_ratio(source: DomainSet, fict: FictitiousSet, model: MlpModel) -> np.ndarray:
     """Per-point ratio of input-density change to representation-density change.
 
@@ -194,18 +222,7 @@ def covariate_shift_ratio(source: DomainSet, fict: FictitiousSet, model: MlpMode
     source representations of ``model``, floored to avoid blow-ups when the
     representations coincide.
     """
-    source_x = source.pooled().x
-    fict_x = fict.x_star
-    p_source = kde_fit(source_x)
-    p_fict = kde_fit(fict_x)
-    z_source = representations_batch(model, source_x)
-    p_rep = kde_fit(z_source)
-
-    numer = np.abs(kde_log_density(p_fict, fict_x) - kde_log_density(p_source, fict_x))
-    z_origin = z_source[_origin_rows(source.domains, fict)]
-    z_star = representations_batch(model, fict_x)
-    denom = np.abs(kde_log_density(p_rep, z_origin) - kde_log_density(p_rep, z_star))
-    return numer / np.maximum(denom, RATIO_DENOM_FLOOR)
+    return covariate_shift_ratios(source, [fict], model)[0]
 
 
 def concept_config(cfg: TrainConfig) -> TrainConfig:
@@ -254,6 +271,11 @@ def _shapley_batch(model: MlpModel, x, baseline, m_samples: int, seeds, return_s
 
     Row p draws its m permutations from ``rng_for(seeds[p], "shapley")``; with
     ``return_samples`` the per-permutation contributions (P, m, d) come back too.
+    A point's m(d + 1) coalitions have at most 2^d distinct feature subsets.
+    When 2^d is no more than m(d + 1), the model runs once on each subset's row,
+    bit j of a subset's code standing for feature j, and each coalition reads
+    its payoff at its code; otherwise it runs once per coalition.  A row's
+    payoff bits depend on that row alone, so both give the same attributions.
     """
     if m_samples < 1:
         raise ConfigError(f"m_samples must be >= 1, got {m_samples}")
@@ -261,16 +283,29 @@ def _shapley_batch(model: MlpModel, x, baseline, m_samples: int, seeds, return_s
     order = np.tile(np.arange(d), (m_samples, 1))
     attributions = np.empty((n_points, d))
     samples = np.empty((n_points, m_samples, d)) if return_samples else None
-    per_chunk = max(1, SHAPLEY_CHUNK_ROWS // (m_samples * (d + 1)))
+    coalitions = m_samples * (d + 1)
+    table = 2**d <= coalitions
+    subsets = (np.arange(2**d)[:, None] >> np.arange(d) & 1).astype(bool) if table else None
+    per_point = min(2**d, coalitions)
+    per_chunk = max(1, min(SHAPLEY_CHUNK_ROWS // per_point, SHAPLEY_CHUNK_COALITIONS // coalitions))
     for start in range(0, n_points, per_chunk):
         chunk = slice(start, start + per_chunk)
         # row-wise `permuted` makes the same draws as m calls of `rng.permutation(d)`
-        perms = [rng_for(seed, "shapley").permuted(order, axis=1) for seed in seeds[chunk]]
-        ranks = np.argsort(np.stack(perms), axis=2)
+        perms = np.stack([rng_for(seed, "shapley").permuted(order, axis=1) for seed in seeds[chunk]])
+        ranks = np.argsort(perms, axis=2)
         # coalition `step` holds the features ranked below it; feature j adds diff[ranks[j]]
-        joined = ranks[:, :, None, :] < np.arange(d + 1)[:, None]
-        rows = np.where(joined, x[chunk, None, None, :], baseline)
-        values = probs_batch(model, rows.reshape(-1, d)).reshape(-1, m_samples, d + 1)
+        if table:
+            # coalition `step`'s code sums 1 << f over the permutation's first `step` features
+            rows = np.where(subsets, x[chunk, None, :], baseline)
+            payoffs = probs_batch(model, rows.reshape(-1, d)).reshape(len(perms), -1)
+            codes = np.zeros((*perms.shape[:2], d + 1), dtype=np.intp)
+            np.cumsum(1 << perms, axis=2, out=codes[:, :, 1:])
+            values = np.take_along_axis(payoffs, codes.reshape(len(perms), -1), axis=1)
+            values = values.reshape(codes.shape)
+        else:
+            joined = ranks[:, :, None, :] < np.arange(d + 1)[:, None]
+            rows = np.where(joined, x[chunk, None, None, :], baseline)
+            values = probs_batch(model, rows.reshape(-1, d)).reshape(-1, m_samples, d + 1)
         contrib = np.take_along_axis(np.diff(values, axis=2), ranks, axis=2)
         attributions[chunk] = contrib.mean(axis=1)
         if return_samples:

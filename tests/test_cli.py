@@ -21,7 +21,7 @@ from conftest import model_text
 import gradframe
 from gradframe.baselines import train_erm, train_groupdro, train_mixup
 from gradframe.cli import COMMANDS, _load_data, _load_scaler, _save_scaler, main
-from gradframe.config import ExperimentConfig, render_config
+from gradframe.config import MAX_ASCENT_STEPS, MAX_M_SAMPLES, ExperimentConfig, render_config
 from gradframe.core import PenaltyParams, train_gradframe
 from gradframe.data import Boundary, DomainSet, Standardization, label_by_boundary, load_csv_dataset
 from gradframe.errors import DataError
@@ -1009,6 +1009,31 @@ output.dir = {tmp_path}/o
         assert main(["select-k", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "select_k.m_samples" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("at_max_plus_one", [True, False], ids=["max+1", "1e12"])
+    @pytest.mark.parametrize(
+        "command, key, maximum",
+        [("select-k", "select_k.m_samples", MAX_M_SAMPLES), ("train", "ascent.max_steps", MAX_ASCENT_STEPS)],
+    )
+    def test_count_past_its_maximum_is_config_error_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, key, maximum, at_max_plus_one
+    ):
+        """A count past its maximum would size work arrays by the count (Shapley
+        permutations, ascent traces): it fails before any data is read."""
+        cfg = write_cfg(tmp_path / "c.cfg", TINY_TRAIN.format(method="gradframe", out=tmp_path / "o"))
+        assert ExperimentConfig.load(cfg, {key: str(maximum)}).values[key] == str(maximum)
+
+        def no_work(*args):
+            raise AssertionError("data was read before the config was checked")
+
+        monkeypatch.setattr("gradframe.cli._load_data", no_work)
+        monkeypatch.setattr("gradframe.cli.load_csv_dataset", no_work)
+        value = maximum + 1 if at_max_plus_one else 10**12
+        cfg.write_text(cfg.read_text() + f"{key} = {value}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key '{key}': expected at most {maximum}, got '{value}'" in err
         assert "Traceback" not in err
 
     def test_bad_fixed_lambda_is_config_error(self, tmp_path, capsys):

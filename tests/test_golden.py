@@ -46,6 +46,12 @@ data.source_csv = keyed.csv
 csv.feature_columns = x0,x1
 """
 
+SELECT_K = (
+    KEYED
+    + "csv.domain_column =\nselect_k.key_column = month\nselect_k.candidates = 2,3\n"
+    + "train.epochs = 10\ntrain.batch_size = 16\nseed = 6\n"
+)
+
 # (output dir, command, config body); each run's ``output.dir`` is its name
 RUNS = [
     ("simulate", "simulate", "dataset.kind = simulate\nseed = 1\n"),
@@ -58,13 +64,10 @@ RUNS = [
         "shift-report",
         KEYED + FAST + "shift.sweep = gamma1\nshift.sweep_values = 0.5,5\nseed = 5\n",
     ),
-    (
-        "select-k",
-        "select-k",
-        KEYED
-        + "csv.domain_column =\nselect_k.key_column = month\nselect_k.candidates = 2,3\n"
-        + "select_k.m_samples = 8\ntrain.epochs = 10\ntrain.batch_size = 16\nseed = 6\n",
-    ),
+    ("select-k", "select-k", SELECT_K + "select_k.m_samples = 8\n"),
+    # one permutation per point: 2^2 subsets outnumber m(d + 1) = 3 coalition rows,
+    # so the Shapley step takes its per-permutation side
+    ("select-k-one-permutation", "select-k", SELECT_K + "select_k.m_samples = 1\n"),
     ("lodo", "lodo", KEYED + FAST + "grid.pairs = 0.1:0.1;1:10\nseed = 7\n"),
     (
         "compare",

@@ -3,9 +3,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import kolmogorov, logsumexp
 
 from conftest import (
@@ -363,6 +366,37 @@ class TestCovariateShiftRatio:
             assert abs(got - expected) / max(abs(expected), 1.0) < 1e-9
 
 
+    def test_sets_of_one_source_share_its_densities_bit_for_bit(self, rng, monkeypatch):
+        """Three sets of one source, the last with its origins permuted: the source's
+        KDEs and its representation density run once, and each set's ratios have the
+        bytes of ``covariate_shift_ratio`` on it alone."""
+        dom = separable_blobs("a", 1, 20)
+        src = DomainSet((dom,))
+        model = init_mlp([2, 4, 2], 1, seed=3)
+        ficts = [
+            fictitious_set("a", dom.x + rng.normal(scale=scale, size=dom.x.shape), dom.y)
+            for scale in (0.1, 1.0, 0.5)
+        ]
+        perm = rng.permutation(len(dom))
+        ficts[2] = replace(
+            ficts[2],
+            x_star=ficts[2].x_star[perm],
+            y_star=ficts[2].y_star[perm],
+            origin_index=ficts[2].origin_index[perm],
+        )
+        alone = [covariate_shift_ratio(src, f, model) for f in ficts]
+        fits, densities = [], []
+        kde_fit, kde_log_density = shift.kde_fit, shift.kde_log_density
+        monkeypatch.setattr(shift, "kde_fit", lambda s: fits.append(len(s)) or kde_fit(s))
+        monkeypatch.setattr(
+            shift, "kde_log_density", lambda m, q: densities.append(len(q)) or kde_log_density(m, q)
+        )
+        together = shift.covariate_shift_ratios(src, ficts, model)
+        assert len(fits) == 2 + 3  # the source's inputs and representations, then each set's
+        assert len(densities) == 1 + 3 * 3
+        assert [r.tobytes() for r in together] == [r.tobytes() for r in alone]
+
+
 class TestConceptShiftDelta:
     def test_identity_augmentation_gives_small_deltas(self):
         src = simulation_source(1)
@@ -494,20 +528,61 @@ class TestShapleyBatchOracle:
         assert np.max(np.abs(attr - ref_attr)) <= 1e-12
 
     def test_group_with_chunk_boundaries_mid_group(self, rng, monkeypatch):
-        # chunks of 3 points (168 coalition rows) split the 7-point group as 3 + 3 + 1
-        d, m_samples = 6, 8
-        monkeypatch.setattr(shift, "SHAPLEY_CHUNK_ROWS", 3 * m_samples * (d + 1))
+        # d = 6: 2^6 = 64 subsets against m(d + 1) = 56 coalitions at m = 8, which
+        # run as rows, and 112 at m = 16, which read the subsets' table; chunks of
+        # 3 points' model rows split the 7-point group as 3 + 3 + 1
+        d = 6
         m = init_mlp([d, 4, 2], 1, seed=1)
         x = rng.normal(size=(7, d))
         baseline = x.mean(axis=0)
         seeds = [derive_seed(4, "g", i) for i in range(len(x))]
-        attr, samples = shift._shapley_batch(m, x, baseline, m_samples, seeds, return_samples=True)
-        assert attr.shape == (7, d) and samples.shape == (7, m_samples, d)
-        for i in range(len(x)):
-            ref_attr, ref = loop_shapley(m, baseline, x[i], m_samples, seeds[i])
-            assert np.max(np.abs(samples[i] - ref)) <= 1e-12
-            assert np.max(np.abs(attr[i] - ref_attr)) <= 1e-12
-        assert np.array_equal(shift._shapley_batch(m, x, baseline, m_samples, seeds)[0], attr)
+        calls = []
+
+        def counted(model, rows):
+            calls.append(len(rows))
+            return probs_batch(model, rows)
+
+        monkeypatch.setattr(shift, "probs_batch", counted)
+        for m_samples, per_point in ((8, 56), (16, 64)):
+            monkeypatch.setattr(shift, "SHAPLEY_CHUNK_ROWS", 3 * per_point)
+            calls.clear()
+            attr, samples = shift._shapley_batch(m, x, baseline, m_samples, seeds, return_samples=True)
+            assert calls == [3 * per_point, 3 * per_point, per_point]
+            assert attr.shape == (7, d) and samples.shape == (7, m_samples, d)
+            for i in range(len(x)):
+                ref_attr, ref = loop_shapley(m, baseline, x[i], m_samples, seeds[i])
+                assert np.max(np.abs(samples[i] - ref)) <= 1e-12
+                assert np.max(np.abs(attr[i] - ref_attr)) <= 1e-12
+            assert np.array_equal(shift._shapley_batch(m, x, baseline, m_samples, seeds)[0], attr)
+
+    @pytest.mark.parametrize(
+        "d, m_samples, per_point", [(6, 64, 64), (10, 8, 88), (1, 10_000, 2)]
+    )
+    def test_select_domain_count_runs_one_model_row_per_distinct_coalition(
+        self, monkeypatch, d, m_samples, per_point
+    ):
+        """2^6 = 64 subsets stand for a point's 64 * 7 = 448 coalitions; at d = 10 the
+        2^10 = 1024 subsets outnumber the 8 * 11 = 88 coalitions, which run as rows.
+        A chunk also bounds its points' coalitions: at m = 10,000 one point's 20,000
+        fill a chunk, though its 2 model rows would leave room for 1023 more points."""
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(40, d))
+        dom = Domain("keyed", x, (x[:, 0] > 0).astype(int))
+        keys = np.repeat([1, 2, 3, 4], 10)
+        calls = []
+
+        def counted(model, rows):
+            calls.append(len(rows))
+            return probs_batch(model, rows)
+
+        monkeypatch.setattr(shift, "probs_batch", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            select_domain_count(dom, [2, 4], keys, TrainConfig(epochs=2, batch_size=10), m_samples)
+        # every point is in one group of each of the two candidates
+        assert sum(calls) == 2 * len(x) * per_point
+        points = max(1, shift.SHAPLEY_CHUNK_COALITIONS // (m_samples * (d + 1)))
+        assert all(n % per_point == 0 and n <= min(shift.SHAPLEY_CHUNK_ROWS, points * per_point) for n in calls)
 
     def test_select_domain_count_matches_per_point_oracle(self):
         dom, keys = TestSelectDomainCount()._keyed_domain([False, True, False, True], n_per_key=9)
@@ -541,6 +616,41 @@ class TestShapleyBatchOracle:
             ]
             expected[k] = float(np.mean(p_values))
         assert result.table == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 10),
+    m_samples=st.integers(1, 130),
+    n_points=st.integers(1, 40),
+    return_samples=st.booleans(),
+    chunk=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    at_baseline=st.lists(st.booleans(), min_size=10, max_size=10),
+    seed=st.integers(0, 2**31),
+)
+def test_drawn_batches_match_the_per_permutation_loop_bit_for_bit(
+    d, m_samples, n_points, return_samples, chunk, at_baseline, seed
+):
+    """Both sides of 2^d <= m(d + 1): d = 1..10 and m = 1..130, with chunks of model
+    rows that end part-way through the points and features equal to the baseline.
+    Every attribution and sample has the bytes of ``loop_shapley``'s."""
+    rng = np.random.default_rng(seed)
+    model = init_mlp([d, 3, 2], 1, seed=seed)
+    baseline = rng.normal(size=d)
+    x = rng.normal(size=(n_points, d))
+    x[:, at_baseline[:d]] = baseline[at_baseline[:d]]
+    seeds = [derive_seed(seed, "p", i) for i in range(n_points)]
+    per_point = min(2**d, m_samples * (d + 1))
+    chunk_points, part = chunk
+    chunk_rows = (1 + int(chunk_points * (n_points - 1))) * per_point + int(part * (per_point - 1))
+    with mock.patch.object(shift, "SHAPLEY_CHUNK_ROWS", chunk_rows):
+        attr, samples = shift._shapley_batch(model, x, baseline, m_samples, seeds, return_samples)
+    refs = [loop_shapley(model, baseline, row, m_samples, s) for row, s in zip(x, seeds)]
+    assert attr.tobytes() == np.stack([a for a, _ in refs]).tobytes()
+    if return_samples:
+        assert samples.tobytes() == np.stack([r for _, r in refs]).tobytes()
+    else:
+        assert samples is None
 
 
 class TestKsTwoSample:

@@ -292,6 +292,76 @@ def test_stack_matches_separate_fits(m, rows, arch, batch_size, shared_seed, sha
         _assert_same_bytes(model, ref_fit_minibatch(dom.x, dom.y, cfg))
 
 
+_FIT = st.tuples(
+    st.sampled_from(["plain", "mixup-fixed", "mixup-beta", "groupdro"]),
+    st.integers(0, 1),  # which of the drawn configs
+    st.integers(0, 3),  # seed
+    st.floats(0.0, 1.0),  # fixed mixing ratio, or GroupDRO's eta
+    st.tuples(st.floats(0.2, 4.0), st.floats(0.2, 4.0)),  # Beta shape
+    st.one_of(st.none(), st.integers(3, 60)),  # rows of a plain or mixup fit
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(3, 24), min_size=2, max_size=4),
+    configs=st.lists(
+        st.tuples(
+            st.sampled_from([((2,), 1), ((8, 4), 2), ((1,), 1), ((4, 1), 2)]),
+            st.integers(2, 20),  # batch size
+            st.integers(1, 3),  # epochs
+        ),
+        min_size=2,
+        max_size=2,
+    ),
+    fits=st.lists(_FIT, min_size=2, max_size=6),
+)
+def test_drawn_plain_mixup_and_groupdro_fits_stack_as_each_alone(sizes, configs, fits):
+    """One ``fit_stack`` call over drawn plain, mixup (fixed ratio or Beta) and GroupDRO
+    fits, each under one of two drawn configs and one of four seeds.  GroupDRO runs
+    over a ragged set of 2-4 domains; a plain or mixup fit has its own rows, drawn or
+    as many as make GroupDRO's blocks under its config, so that fits of every kind
+    share descents and some do not.  Every model, and every GroupDRO fit's (step, q,
+    losses), has the bytes of its reference trained alone."""
+    ds = DomainSet(tuple(_noisy_domain(f"d{i}", n, 20 + i) for i, n in enumerate(sizes)))
+    data, cfgs, rules, steps = [], [], [], []
+    for kind, which, seed, ratio, shape, rows in fits:
+        (hidden, rep), batch_size, epochs = configs[which]
+        cfgs.append(
+            TrainConfig(
+                beta=0.05, epochs=epochs, batch_size=batch_size, seed=seed,
+                hidden_dims=hidden, rep_layer_index=rep,
+            )
+        )
+        steps.append([])
+        if kind == "groupdro":
+            data.append(ds)
+            rules.append(
+                training.GroupDroRule(tuple(sizes), ratio, lambda *a, seen=steps[-1]: seen.append(a))
+            )
+            continue
+        if rows is None:
+            rows = -(-max(sizes) // batch_size) * batch_size
+        data.append(DomainSet((_noisy_domain("p", rows, rows),)))
+        rules.append(None if kind == "plain" else MixupConfig(shape, ratio if kind == "mixup-fixed" else None))
+    pools = [d.pooled() for d in data]
+    models = fit_stack([p.x for p in pools], [p.y for p in pools], cfgs, rules)
+    for model, cfg, rule, d, pooled, got in zip(models, cfgs, rules, data, pools, steps):
+        want = []
+        if isinstance(rule, training.GroupDroRule):
+            ref = ref_train_groupdro(d, cfg, rule.eta, lambda *a: want.append(a))
+        elif rule is None:
+            ref = ref_fit_minibatch(pooled.x, pooled.y, cfg)
+        else:
+            ref = ref_train_mixup(d, cfg, rule)
+        _assert_same_bytes(model, ref)
+        assert len(got) == len(want)
+        for (s, q, losses), (s_ref, q_ref, losses_ref) in zip(got, want):
+            assert s == s_ref
+            assert q.tobytes() == q_ref.tobytes()
+            assert losses.tobytes() == losses_ref.tobytes()
+
+
 class TestFitStack:
     def test_mixed_keys_come_back_in_input_order(self):
         # rows 30, 40, 30, 30 (other epochs), 40: three stacks, interleaved
