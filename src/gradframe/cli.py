@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, render_config
-from .core import FictitiousSet, PenaltyParams, fictitious_sets, train_gradframe
+from .core import FictitiousSet, fictitious_sets, train_gradframe
 from .data import (
     Domain,
     DomainSet,
@@ -40,15 +40,7 @@ from .errors import ConfigError, DataError, GradframeError, NumericError, ShapeE
 from .evaluation import evaluate, lodo_cv_search, welch_t_one_tailed
 from .model_io import load_model, save_model
 from .nn import MlpModel
-from .rng import derive_seed
-from .shift import (
-    concept_config,
-    concept_shift_delta,
-    covariate_shift_ratios,
-    ks_two_sample,
-    likelihood_difference,
-    select_domain_count,
-)
+from .shift import select_domain_count, shift_metrics
 from .training import GroupDroRule, fit_stack
 
 
@@ -183,63 +175,13 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _shift_run(
-    cfg: ExperimentConfig,
-    source: DomainSet,
-    gammas: PenaltyParams,
-    fict: FictitiousSet,
-    ratios: np.ndarray,
-    source_model: MlpModel,
-    concept_models: tuple[MlpModel, MlpModel],
-    fict_model: MlpModel,
-) -> dict:
-    """The shift metrics of one penalty pair, from its fictitious set, its covariate
-    ratios and the fitted models."""
-    deltas = concept_shift_delta(source, fict, cfg.train, models=concept_models)
-    likelihood = likelihood_difference(source_model, fict_model, fict.x_star)
-    source_x = source.pooled().x
-    ks_table = {}
-    for j in range(source_x.shape[1]):
-        ks = ks_two_sample(source_x[:, j], fict.x_star[:, j])
-        ks_table[f"x{j}"] = {"statistic": ks.statistic, "p_value": ks.p_value}
-    return {
-        "gamma1": gammas.gamma1,
-        "gamma2": gammas.gamma2,
-        "covariate_ratios": [float(v) for v in ratios],
-        "concept_deltas": [float(v) for v in deltas],
-        "likelihood_difference": float(likelihood),
-        "ks_table": ks_table,
-    }
-
-
 def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
     source, _ = _load_data(cfg, cfg.seed)
-    train_cfg = cfg.train
-    # a sweep's runs share the source and config, so one plan pretrains once; the
-    # train_erm model and the concept source model do not depend on the penalties
-    # either, and every fit below has one row per source row, so they are one stack
-    ficts = fictitious_sets([(source, gammas, train_cfg) for gammas in cfg.shift_runs], cfg.ascent)
-    pooled = source.pooled()
-    concept_cfg = concept_config(train_cfg)
-    fict_cfg = replace(train_cfg, seed=derive_seed(train_cfg.seed, "shift", "fict-model"))
-    xs, ys, cfgs = [pooled.x, pooled.x], [pooled.y, pooled.y], [train_cfg, concept_cfg]
-    for fict in ficts:
-        xs += [fict.x_star] * 2
-        ys += [fict.y_star] * 2
-        cfgs += [concept_cfg, fict_cfg]
-    source_model, concept_source, *fict_side = fit_stack(xs, ys, cfgs)
-    # the source side of the covariate ratio is the same for every run, so it is computed once
-    ratios = covariate_shift_ratios(source, ficts, source_model)
-    runs = [
-        _shift_run(
-            cfg, source, gammas, fict, fict_ratios, source_model, (concept_source, concept_fict), fict_model
-        )
-        for gammas, fict, fict_ratios, concept_fict, fict_model in zip(
-            cfg.shift_runs, ficts, ratios, fict_side[::2], fict_side[1::2]
-        )
-    ]
-    payload = {k: v for k, v in runs[0].items() if k not in ("gamma1", "gamma2")}
-    payload.update(config=dict(cfg.values), metadata=_metadata(cfg, "shift-report"))
+    # a sweep's runs share the source and config, so one plan pretrains once
+    ficts = fictitious_sets([(source, gammas, cfg.train) for gammas in cfg.shift_runs], cfg.ascent)
+    metrics = shift_metrics(source, ficts, cfg.train)
+    runs = [{"gamma1": g.gamma1, "gamma2": g.gamma2, **m} for g, m in zip(cfg.shift_runs, metrics)]
+    payload = {**metrics[0], "config": dict(cfg.values), "metadata": _metadata(cfg, "shift-report")}
     if len(runs) > 1:
         payload["sweep"] = runs
     write_json(out / "shift_report.json", payload)

@@ -34,8 +34,12 @@ METHODS = ("erm", "mixup", "groupdro", "gradframe")
 # 10,000 permutations put an attribution's Monte-Carlo error at 1 % of one
 # permutation's spread.  Each ascent row keeps a trace of max_steps + 1 floats,
 # 8 KB at 1,000 steps, and the step rule stops rows long before (the default is 15).
+# A simulated domain of a million points per blob, or a hidden layer 1,000 wide, is
+# far past the 2-unit network and 100-point blobs of the paper's protocol.
 MAX_M_SAMPLES = 10_000
 MAX_ASCENT_STEPS = 1_000
+MAX_POINTS_PER_BLOB = 1_000_000
+MAX_HIDDEN_WIDTH = 1_000
 
 # Each parser takes a stripped value and returns it typed, or raises a
 # ValueError saying what it expected; ``ExperimentConfig.load`` names the key.
@@ -142,8 +146,8 @@ KEYS: dict[str, tuple[str, Callable]] = {
     "csv.label_column": ("label", _name),
     "csv.domain_column": ("domain", _optional(str)),
     "csv.feature_columns": ("", _optional(_list(_name))),
-    "simulate.points_per_blob": ("100", _positive_integer),
-    "simulate.target.points_per_blob": ("50", _positive_integer),
+    "simulate.points_per_blob": ("100", _at_most(_positive_integer, MAX_POINTS_PER_BLOB)),
+    "simulate.target.points_per_blob": ("50", _at_most(_positive_integer, MAX_POINTS_PER_BLOB)),
     "simulate.boundary.a": ("-1", _number),
     "simulate.boundary.b": ("0", _number),
     "simulate.target.boundary.a": ("-2", _number),
@@ -159,7 +163,7 @@ KEYS: dict[str, tuple[str, Callable]] = {
     "train.epochs": (str(SIM_TRAIN["epochs"]), _integer),
     "train.batch_size": (str(SIM_TRAIN["batch_size"]), _integer),
     "train.pretrain_epochs": (str(SIM_TRAIN["pretrain_epochs"]), _integer),
-    "train.hidden_dims": ("2", _list(_integer)),
+    "train.hidden_dims": ("2", _list(_at_most(_integer, MAX_HIDDEN_WIDTH))),
     "train.rep_layer_index": ("1", _integer),
     "mixup.beta_shape": ("2,2", _two_numbers),
     "mixup.fixed_lambda": ("", _optional(_number)),

@@ -119,6 +119,7 @@ def _objective_grad(x, y, z_anchor, model_i: MlpModel, model_j: MlpModel, gammas
     return g - gammas.gamma2 * partner.backward(model_j.weights, model_j.n_layers)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite row is screened and aborted instead
 def _ascend(
     x0: np.ndarray,
     y: np.ndarray,

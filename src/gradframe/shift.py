@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -230,33 +230,29 @@ def concept_config(cfg: TrainConfig) -> TrainConfig:
     return replace(cfg, seed=derive_seed(cfg.seed, "concept"))
 
 
-def concept_shift_delta(
-    source: DomainSet,
-    fict: FictitiousSet,
-    cfg: TrainConfig,
-    models: tuple[MlpModel, MlpModel] | None = None,
-) -> np.ndarray:
-    """Per-point |P_fict(y*|x*) - P_source(y*|x*)| from independently trained models.
-
-    Both models share the seed of ``concept_config(cfg)``, so the divergence
-    they exhibit comes from the data, not from the draw of initial weights.
-    By default they train here as one ``fit_stack``: the source model on the
-    pooled source, the fictitious one on ``(fict.x_star, fict.y_star)``.
-    ``models`` hands over that (source, fictitious) pair already trained, so
-    a caller can stack the fits with others; the result is the same.
-    """
+def _concept_delta(fict: FictitiousSet, f_source: MlpModel, f_fict: MlpModel) -> np.ndarray:
+    """Per-point |P_fict(y*|x*) - P_source(y*|x*)| under the two concept models."""
     x_star, labels = fict.x_star, fict.y_star
     if len(set(labels.tolist())) < 2:
         warnings.warn("fictitious set is single-class; concept model may be degenerate")
-    if models is None:
-        pooled = source.pooled()
-        models = fit_stack([pooled.x, x_star], [pooled.y, labels], [concept_config(cfg)] * 2)
-    f_source, f_fict = models
     p_source = probs_batch(f_source, x_star)
     p_fict = probs_batch(f_fict, x_star)
     cond_source = np.where(labels == 1.0, p_source, 1.0 - p_source)
     cond_fict = np.where(labels == 1.0, p_fict, 1.0 - p_fict)
     return np.abs(cond_fict - cond_source)
+
+
+def concept_shift_delta(source: DomainSet, fict: FictitiousSet, cfg: TrainConfig) -> np.ndarray:
+    """Per-point |P_fict(y*|x*) - P_source(y*|x*)| from independently trained models.
+
+    Both models share the seed of ``concept_config(cfg)``, so the divergence
+    they exhibit comes from the data, not from the draw of initial weights.
+    They train as one ``fit_stack``: the source model on the pooled source,
+    the fictitious one on ``(fict.x_star, fict.y_star)``.
+    """
+    pooled = source.pooled()
+    models = fit_stack([pooled.x, fict.x_star], [pooled.y, fict.y_star], [concept_config(cfg)] * 2)
+    return _concept_delta(fict, *models)
 
 
 def likelihood_difference(model_a: MlpModel, model_b: MlpModel, x: np.ndarray) -> float:
@@ -427,6 +423,39 @@ def select_domain_count(
     if spread_flat:
         warnings.warn("domain-count table is flat; no granularity stands out")
     return KSelectionResult(best_k=best_k, table=table, flat=spread_flat, skipped=skipped)
+
+
+def shift_metrics(source: DomainSet, ficts, cfg: TrainConfig) -> list[dict]:
+    """The shift report's metrics of each fictitious set of ``source``: one dict per set,
+    with the four per-run keys of ``SHIFT_REPORT_SCHEMA``.
+
+    One ``fit_stack`` trains every model, each as it trains alone: the source
+    model under ``cfg`` and the concept source model, then each set's concept
+    model and its "fict-model", the likelihood difference's second model.  All
+    sets share the covariate ratio's source side (``covariate_shift_ratios``).
+    """
+    pooled = source.pooled()
+    concept_cfg = concept_config(cfg)
+    fict_cfg = replace(cfg, seed=derive_seed(cfg.seed, "shift", "fict-model"))
+    xs, ys, cfgs = [pooled.x, pooled.x], [pooled.y, pooled.y], [cfg, concept_cfg]
+    for fict in ficts:
+        xs += [fict.x_star] * 2
+        ys += [fict.y_star] * 2
+        cfgs += [concept_cfg, fict_cfg]
+    source_model, concept_source, *fict_side = fit_stack(xs, ys, cfgs)
+    ratios = covariate_shift_ratios(source, ficts, source_model)
+    return [
+        {
+            "covariate_ratios": ratio.tolist(),
+            "concept_deltas": _concept_delta(fict, concept_source, concept_fict).tolist(),
+            "likelihood_difference": likelihood_difference(source_model, fict_model, fict.x_star),
+            "ks_table": {
+                f"x{j}": asdict(ks_two_sample(pooled.x[:, j], fict.x_star[:, j]))
+                for j in range(pooled.feature_dim)
+            },
+        }
+        for fict, ratio, concept_fict, fict_model in zip(ficts, ratios, fict_side[::2], fict_side[1::2])
+    ]
 
 
 SHIFT_REPORT_SCHEMA = {

@@ -21,7 +21,14 @@ from conftest import model_text
 import gradframe
 from gradframe.baselines import train_erm, train_groupdro, train_mixup
 from gradframe.cli import COMMANDS, _load_data, _load_scaler, _save_scaler, main
-from gradframe.config import MAX_ASCENT_STEPS, MAX_M_SAMPLES, ExperimentConfig, render_config
+from gradframe.config import (
+    MAX_ASCENT_STEPS,
+    MAX_HIDDEN_WIDTH,
+    MAX_M_SAMPLES,
+    MAX_POINTS_PER_BLOB,
+    ExperimentConfig,
+    render_config,
+)
 from gradframe.core import PenaltyParams, train_gradframe
 from gradframe.data import Boundary, DomainSet, Standardization, label_by_boundary, load_csv_dataset
 from gradframe.errors import DataError
@@ -1014,13 +1021,20 @@ output.dir = {tmp_path}/o
     @pytest.mark.parametrize("at_max_plus_one", [True, False], ids=["max+1", "1e12"])
     @pytest.mark.parametrize(
         "command, key, maximum",
-        [("select-k", "select_k.m_samples", MAX_M_SAMPLES), ("train", "ascent.max_steps", MAX_ASCENT_STEPS)],
+        [
+            ("select-k", "select_k.m_samples", MAX_M_SAMPLES),
+            ("train", "ascent.max_steps", MAX_ASCENT_STEPS),
+            ("train", "simulate.points_per_blob", MAX_POINTS_PER_BLOB),
+            ("simulate", "simulate.target.points_per_blob", MAX_POINTS_PER_BLOB),
+            ("train", "train.hidden_dims", MAX_HIDDEN_WIDTH),
+        ],
     )
     def test_count_past_its_maximum_is_config_error_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, key, maximum, at_max_plus_one
     ):
         """A count past its maximum would size work arrays by the count (Shapley
-        permutations, ascent traces): it fails before any data is read."""
+        permutations, ascent traces, simulated points, weight matrices): it fails
+        before any data is read or made."""
         cfg = write_cfg(tmp_path / "c.cfg", TINY_TRAIN.format(method="gradframe", out=tmp_path / "o"))
         assert ExperimentConfig.load(cfg, {key: str(maximum)}).values[key] == str(maximum)
 
@@ -1360,6 +1374,10 @@ def fuzz_domain_csvs(draw) -> tuple[str, str, list[str]]:
     return files[0], files[1], list(dict.fromkeys(features))
 
 
+# a step size or penalty weight on its usual scale, or anywhere up to the edge of overflow
+FUZZ_WEIGHT = st.sampled_from([0.01, 1.0, 10.0]) | st.floats(0.0, 1e308)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=fuzz_domain_csvs(),
@@ -1367,12 +1385,18 @@ def fuzz_domain_csvs(draw) -> tuple[str, str, list[str]]:
     max_steps=st.integers(0, 3),
     standardize=st.booleans(),
     sweep=st.sampled_from(["", "gamma1", "gamma2"]),
+    baseline=st.sampled_from(["erm", "groupdro"]),
+    weights=st.tuples(FUZZ_WEIGHT, FUZZ_WEIGHT, FUZZ_WEIGHT),
 )
-def test_drawn_domain_csv_runs_end_in_a_documented_exit(fuzz_dir, data, epochs, max_steps, standardize, sweep):
-    """``train`` with gradframe, a two-seed ``compare``, ``shift-report`` and ``lodo`` on
-    drawn source and target files and overrides: each exits 0, 2, 3 or 4 with no traceback,
-    and a failed ``train`` leaves no model."""
+def test_drawn_domain_csv_runs_end_in_a_documented_exit(
+    fuzz_dir, data, epochs, max_steps, standardize, sweep, baseline, weights
+):
+    """``train`` with gradframe, a two-seed ``compare`` against ERM or GroupDRO,
+    ``shift-report`` and ``lodo`` on drawn source and target files and overrides, with
+    ``ascent.alpha``, ``penalty.gamma2`` and ``groupdro.eta`` drawn up to 1e308: each
+    exits 0, 2, 3 or 4 with no traceback, and a failed ``train`` leaves no model."""
     source, target, features = data
+    alpha, gamma2, eta = weights
     run = fuzz_dir / "domains"
     shutil.rmtree(run, ignore_errors=True)
     out = run / "out"
@@ -1385,7 +1409,8 @@ def test_drawn_domain_csv_runs_end_in_a_documented_exit(fuzz_dir, data, epochs, 
         f"data.standardize = {str(standardize).lower()}\ncsv.feature_columns = {','.join(features)}\n"
         f"method = gradframe\ntrain.epochs = {epochs}\ntrain.pretrain_epochs = {epochs}\n"
         f"train.batch_size = 8\nascent.max_steps = {max_steps}\nascent.min_steps = 0\n"
-        f"shift.sweep = {sweep}\nshift.sweep_values = 0.1,1\ncompare.methods = erm,gradframe\n"
+        f"shift.sweep = {sweep}\nshift.sweep_values = 0.1,1\ncompare.methods = {baseline},gradframe\n"
+        f"ascent.alpha = {alpha!r}\npenalty.gamma2 = {gamma2!r}\ngroupdro.eta = {eta!r}\n"
         f"seeds = 0,1\noutput.dir = {out}\n",
     )
     _assert_documented_exits(cfg, out, ("train", "compare", "shift-report", "lodo"))

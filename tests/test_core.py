@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -186,6 +187,20 @@ class TestInnerMaximize:
             x_star, _, aborted = _ascend_one(origin, 0, mi, mj, PenaltyParams(1.0, 0.0), cfg)
         assert aborted
         assert np.all(np.isfinite(x_star))
+
+    def test_overflowing_ascent_aborts_its_rows_without_a_warning(self):
+        """At gamma2 = 1e308 every first candidate overflows: each row stops at its
+        start, flagged, and numpy's overflow and invalid-value warnings stay off."""
+        dom = simulation_source(0).domain("S1")
+        mi, mj = init_mlp([2, 2, 2], 1, seed=1), init_mlp([2, 2, 2], 1, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, _, length, aborted = _ascend(
+                dom.x[:40], dom.y[:40], mi, mj, PenaltyParams(1.0, 1e308), AscentConfig(**SIM_ASCENT)
+            )
+        assert aborted.all()
+        assert np.array_equal(x, dom.x[:40])
+        assert (length == 1).all()
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -20,6 +20,7 @@ from conftest import (
 )
 
 import gradframe.shift as shift
+from gradframe.baselines import train_erm
 from gradframe.core import AscentConfig, PenaltyParams, fictitious_sets
 from gradframe.data import (
     Domain,
@@ -412,19 +413,6 @@ class TestConceptShiftDelta:
         deltas = concept_shift_delta(src, fict, cfg)
         assert np.all((deltas >= 0.0) & (deltas <= 1.0))
 
-    def test_fitted_models_give_the_default_path_bit_for_bit(self):
-        src = simulation_source(4)
-        cfg = TrainConfig(seed=4, beta=0.01, epochs=30, batch_size=64, pretrain_epochs=10)
-        [fict] = fictitious_sets([(src, PenaltyParams(1.0, 1.0), cfg)], AscentConfig(alpha=0.5, max_steps=5))
-        model_cfg = replace(cfg, seed=derive_seed(cfg.seed, "concept"))
-        pooled = src.pooled()
-        models = (
-            fit_stack([pooled.x], [pooled.y], [model_cfg])[0],
-            fit_stack([fict.x_star], [fict.y_star], [model_cfg])[0],
-        )
-        given = concept_shift_delta(src, fict, cfg, models=models)
-        assert given.tobytes() == concept_shift_delta(src, fict, cfg).tobytes()
-
     def test_single_class_fictitious_warns(self):
         src = DomainSet((separable_blobs("A", seed=2, n_per_blob=15),))
         x = src.pooled().x
@@ -434,6 +422,38 @@ class TestConceptShiftDelta:
             warnings.simplefilter("always")
             concept_shift_delta(src, fict, cfg)
         assert any("single-class" in str(w.message) for w in caught)
+
+
+class TestShiftMetrics:
+    @pytest.mark.parametrize("n_sets", [1, 3])
+    def test_one_stack_gives_each_set_the_metrics_it_has_alone(self, monkeypatch, n_sets):
+        """One ``fit_stack`` of 2 + 2 fits per set trains every model, and each set's
+        metrics have the bytes of the per-set functions run on it alone."""
+        src = simulation_source(4)
+        cfg = TrainConfig(seed=4, beta=0.01, epochs=20, batch_size=64, pretrain_epochs=10)
+        runs = [(src, PenaltyParams(g1, 1.0), cfg) for g1 in (1.0, 0.1, 10.0)[:n_sets]]
+        ficts = fictitious_sets(runs, AscentConfig(alpha=0.5, max_steps=5))
+        source_model = train_erm(src, cfg)
+        fict_cfg = replace(cfg, seed=derive_seed(cfg.seed, "shift", "fict-model"))
+        source_x = src.pooled().x
+        calls = []
+        stack = shift.fit_stack
+        monkeypatch.setattr(shift, "fit_stack", lambda xs, ys, cfgs: calls.append(len(xs)) or stack(xs, ys, cfgs))
+        metrics = shift.shift_metrics(src, ficts, cfg)
+        monkeypatch.undo()
+        assert calls == [2 + 2 * n_sets]
+        assert len(metrics) == n_sets
+        for fict, got in zip(ficts, metrics):
+            ratios = covariate_shift_ratio(src, fict, source_model)
+            assert np.array(got["covariate_ratios"]).tobytes() == ratios.tobytes()
+            deltas = concept_shift_delta(src, fict, cfg)
+            assert np.array(got["concept_deltas"]).tobytes() == deltas.tobytes()
+            fict_model = fit_stack([fict.x_star], [fict.y_star], [fict_cfg])[0]
+            assert got["likelihood_difference"] == likelihood_difference(source_model, fict_model, fict.x_star)
+            ks = [ks_two_sample(source_x[:, j], fict.x_star[:, j]) for j in range(source_x.shape[1])]
+            assert got["ks_table"] == {
+                f"x{j}": {"statistic": r.statistic, "p_value": r.p_value} for j, r in enumerate(ks)
+            }
 
 
 class TestLikelihoodDifference:
