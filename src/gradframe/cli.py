@@ -372,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     except GradframeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # inputs are read through ``read_text``, so this is an output path
+        print(f"config error: cannot write the output {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import DomainSet, write_csv
 from .errors import ConfigError, ShapeError
-from .nn import MlpModel, _bce, _forward, check_input
+from .nn import MlpModel, Workspace, _bce, _forward, check_input, param_views
 from .rng import derive_seed, rng_for
 from .training import TrainConfig, fit_stack
 
@@ -90,74 +90,134 @@ class FictitiousSet:
         write_csv(path, header, ([o, i, p, y, *x, f] for o, i, p, y, x, f in rows))
 
 
-def _objective_rows(x, y, z_anchor, model_i: MlpModel, model_j: MlpModel, gammas) -> np.ndarray:
-    """Ascent objective of each row: the origin model's loss, minus gamma1 times half the
-    squared distance of its representation to ``z_anchor``, minus gamma2 times the
-    partner model's loss.  A zero-weight penalty term is skipped."""
-    ws = _forward(model_i, x)
+def _forward_stack(models: list[MlpModel], x, y=None, live=None) -> tuple[Workspace, tuple]:
+    """A fresh ``(M, rows)`` workspace holding the forward pass of each row block of ``x``
+    (targets ``y``, if given; ``live`` rows, if ragged) through its one of M ``models``
+    of one architecture, and their stacked weights."""
+    dims = models[0].layer_dims
+    weights, biases = param_views(dims, np.stack([m.params for m in models]))
+    ws = Workspace(dims, x.shape[:-1], x, y, live)
+    ws.forward(weights, tuple(b[:, None, :] for b in biases))
+    return ws, weights
+
+
+def _stack_objective(x, y, z_anchor, models_i, models_j, gammas, live=None) -> np.ndarray:
+    """Ascent objective of each row of each member's ``(M, rows)`` block: the origin
+    model's loss, minus gamma1 times half the squared distance of its representation
+    to ``z_anchor``, minus gamma2 times the partner model's loss (``gammas`` holds the
+    members' ``(gamma1, gamma2)`` rows).  A zero-weight term is skipped per member."""
+    gamma1, gamma2 = gammas[:, :1], gammas[:, 1:]
+    ws, _ = _forward_stack(models_i, x, live=live)
     value = _bce(ws.p1, y)
-    if gammas.gamma1 != 0.0:
-        z = ws.acts[model_i.rep_layer_index]
-        value = value - gammas.gamma1 * (0.5 * np.sum((z - z_anchor) ** 2, axis=1))
-    if gammas.gamma2 != 0.0:
-        value = value - gammas.gamma2 * _bce(_forward(model_j, x).p1, y)
-    return value
+    anchor_term = 0.5 * np.sum((ws.acts[models_i[0].rep_layer_index] - z_anchor) ** 2, axis=-1)
+    value = np.where(gamma1 != 0.0, value - gamma1 * anchor_term, value)
+    partner, _ = _forward_stack(models_j, x, live=live)
+    return np.where(gamma2 != 0.0, value - gamma2 * _bce(partner.p1, y), value)
+
+
+def _stack_grad(x, y, z_anchor, models_i, models_j, gammas, live=None) -> np.ndarray:
+    """Per-row input gradient of ``_stack_objective``, every term kept whatever its
+    weight: the origin model's loss gradient, then the anchor term's backprop from the
+    representation layer, then the partner model's loss gradient."""
+    ws, weights = _forward_stack(models_i, x, y, live)
+    ws.score_grads(mean=False)
+    g = ws.backward(weights, len(weights))
+    rep = models_i[0].rep_layer_index
+    np.subtract(ws.acts[rep], z_anchor, out=ws.deltas[rep])
+    g = g - gammas[:, :1, None] * ws.backward(weights, rep)
+    partner, weights = _forward_stack(models_j, x, y, live)
+    partner.score_grads(mean=False)
+    return g - gammas[:, 1:, None] * partner.backward(weights, len(weights))
+
+
+def _objective_rows(x, y, z_anchor, model_i: MlpModel, model_j: MlpModel, gammas) -> np.ndarray:
+    """``_stack_objective`` of the rows ``x`` against one model pair."""
+    penalty = np.array([[gammas.gamma1, gammas.gamma2]])
+    return _stack_objective(x[None], y[None], z_anchor[None], [model_i], [model_j], penalty)[0]
 
 
 def _objective_grad(x, y, z_anchor, model_i: MlpModel, model_j: MlpModel, gammas) -> np.ndarray:
-    """Per-row input gradient of ``_objective_rows``, every term kept whatever its weight:
-    the origin model's loss gradient, then the anchor term's backprop from the
-    representation layer, then the partner model's loss gradient."""
-    ws = _forward(model_i, x, y)
-    ws.score_grads(mean=False)
-    g = ws.backward(model_i.weights, model_i.n_layers)
-    rep = model_i.rep_layer_index
-    np.subtract(ws.acts[rep], z_anchor, out=ws.deltas[rep])
-    g = g - gammas.gamma1 * ws.backward(model_i.weights, rep)
-    partner = _forward(model_j, x, y)
-    partner.score_grads(mean=False)
-    return g - gammas.gamma2 * partner.backward(model_j.weights, model_j.n_layers)
+    """``_stack_grad`` of the rows ``x`` against one model pair."""
+    penalty = np.array([[gammas.gamma1, gammas.gamma2]])
+    return _stack_grad(x[None], y[None], z_anchor[None], [model_i], [model_j], penalty)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite row is screened and aborted instead
-def _ascend(
-    x0: np.ndarray,
-    y: np.ndarray,
-    model_i: MlpModel,
-    model_j: MlpModel,
-    gammas: PenaltyParams,
-    cfg: AscentConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient ascent of the penalized objective from every row of ``x0``, labels kept.
+def _ascend(members: list, cfg: AscentConfig) -> list[tuple[np.ndarray, ...]]:
+    """Gradient ascent of the penalized objective from every start row of every member,
+    labels kept, as one loop over the stack of members.
+
+    A member is ``(x0, y, model_i, model_j, gammas)``: start rows and their labels, an
+    origin and a partner model, and the penalty weights.  The origin models share one
+    architecture, and so do the partner models.
 
     A step that would lower a row's objective is retried with a halved step
     size up to three times, then that row stops; after ``min_steps`` accepted
     steps a row also stops once its relative improvement falls under
     ``rel_tolerance``.  A non-finite candidate or objective stops the row at
-    its last finite iterate, flagged as aborted.  Rows share the models but
-    not their fate: each leaves the active set when it stops.
+    its last finite iterate, flagged as aborted.  Rows share the loop and
+    nothing else: each leaves the active set when it stops.
 
-    The outside input is checked once: ``check_input`` and the partner's width.
-    The iterates, screened for non-finite values, are not checked again.
+    Each objective or gradient evaluation runs each member's rows in it as one
+    block of an ``(M, rows)`` stack, padded to the largest count with copies of
+    one of its own rows, whose results are dropped.  Every matmul of a ragged
+    stack runs block by block on the block's own rows (``Workspace``'s
+    ``live``): a BLAS kernel's bits for a row can depend on the row count, so
+    a padded matmul would change them, a one-row block's most of all (numpy's
+    ``gemv`` path; see the ``gemv`` FOUND line in CHANGES.md).  Everything
+    else is row by row.  So each member's results are bit for bit those it
+    gives alone.
 
-    Returns the final iterates, the NaN-padded (n, max_steps + 1) objective
-    traces, the trace lengths and the abort flags.
+    The outside input is checked once per member: ``check_input`` and the
+    partner's width.  The iterates, screened for non-finite values, are not
+    checked again.
+
+    Returns per member the final iterates, the NaN-padded (n, max_steps + 1)
+    objective traces, the trace lengths and the abort flags.
     """
-    x0, y = check_input(model_i, x0, y)
-    if model_j.input_dim != model_i.input_dim:
-        raise ShapeError(f"partner model takes {model_j.input_dim} inputs, origin {model_i.input_dim}")
-    z_anchor = _forward(model_i, x0).acts[model_i.rep_layer_index]
+    checked = []
+    for x0, y, model_i, model_j, _ in members:
+        checked.append(check_input(model_i, x0, y))
+        if model_j.input_dim != model_i.input_dim:
+            raise ShapeError(f"partner model takes {model_j.input_dim} inputs, origin {model_i.input_dim}")
+    starts, labels = zip(*checked)
+    _, _, models_i, models_j, gammas = zip(*members)
+    gammas = np.array([(g.gamma1, g.gamma2) for g in gammas])
+    sizes = [x0.shape[0] for x0 in starts]
+    member_of = np.repeat(np.arange(len(members)), sizes)
+    x0, y = np.concatenate(starts), np.concatenate(labels)
     n = x0.shape[0]
+    everything = np.arange(n)
+    z_anchor = np.concatenate([_forward(mi, x).acts[mi.rep_layer_index] for x, mi in zip(starts, models_i)])
+
+    def stacked(kernel, rows, xs, out):
+        """``kernel(x, y, z_anchor, models_i, models_j, gammas, live)`` on the member
+        blocks of the sorted ``rows`` at the inputs ``xs``, one per row, written into
+        ``out``; ``live`` holds the blocks' row counts when they differ."""
+        counts = np.bincount(member_of[rows], minlength=len(members))
+        ms = np.flatnonzero(counts)
+        if ms.size:
+            live = counts[ms]
+            rank = np.arange(live.max())
+            idx = (np.cumsum(live) - live)[:, None] + np.minimum(rank, live[:, None] - 1)
+            at = rows[idx]
+            pairs = [models_i[k] for k in ms], [models_j[k] for k in ms], gammas[ms]
+            ragged = live if live.min() < rank.size else None
+            got = kernel(xs[idx], y[at], z_anchor[at], *pairs, ragged)
+            valid = rank < live[:, None]
+            out[idx[valid]] = got[valid]
+        return out
+
     x = x0.copy()
     values = np.full((n, cfg.max_steps + 1), np.nan)
-    values[:, 0] = _objective_rows(x, y, z_anchor, model_i, model_j, gammas)
+    values[:, 0] = stacked(_stack_objective, everything, x, np.empty(n))
     lengths = np.ones(n, dtype=np.intp)
     aborted = np.zeros(n, dtype=bool)
-    live = np.arange(n)
+    live = everything
     for step_no in range(1, cfg.max_steps + 1):
         if live.size == 0:
             break
-        g = _objective_grad(x[live], y[live], z_anchor[live], model_i, model_j, gammas)
+        g = stacked(_stack_grad, live, x[live], np.empty((live.size, x.shape[1])))
         accepted = np.zeros(live.size, dtype=bool)
         trying = np.arange(live.size)  # positions in ``live`` still halving
         step = cfg.alpha
@@ -166,9 +226,8 @@ def _ascend(
             candidate = x[rows] + step * g[trying]
             value = np.full(rows.size, np.nan)
             finite = np.all(np.isfinite(candidate), axis=1)
-            value[finite] = _objective_rows(
-                candidate[finite], y[rows[finite]], z_anchor[rows[finite]], model_i, model_j, gammas
-            )
+            held = rows[finite]
+            value[finite] = stacked(_stack_objective, held, candidate[finite], np.empty(held.size))
             bad = ~np.isfinite(value)
             up = ~bad & (value >= values[rows, step_no - 1])
             aborted[rows[bad]] = True
@@ -186,7 +245,8 @@ def _ascend(
             rel = (values[moved, step_no] - prev) / np.maximum(np.abs(prev), _REL_FLOOR)
             accepted[accepted] = ~(rel < cfg.rel_tolerance)
         live = live[accepted]
-    return x, values, lengths, aborted
+    bounds = np.cumsum(sizes)[:-1]
+    return list(zip(*(np.split(a, bounds) for a in (x, values, lengths, aborted))))
 
 
 def _pretrain(sets: list[tuple[DomainSet, TrainConfig]]) -> list[dict[str, MlpModel]]:
@@ -208,6 +268,52 @@ def _pretrain(sets: list[tuple[DomainSet, TrainConfig]]) -> list[dict[str, MlpMo
     return [{dom.id: next(models) for dom in ds.domains} for ds, _ in sets]
 
 
+def _ascend_runs(runs: list, ascent_cfg: AscentConfig) -> list[FictitiousSet]:
+    """The fictitious set of each ``(source, penalties, train config, models)`` run, in
+    input order, from ``models``, one pretrained model per domain id.
+
+    Partner domains rotate round-robin over the other domains with a seeded
+    starting offset per origin domain.  The points of one origin domain that
+    share a partner are one batch, and the batches of all runs whose models
+    share an architecture are one ``_ascend`` stack.
+    """
+    sets, stacks = [], {}
+    for ds, gammas, train_cfg, models in runs:
+        if ds.k < 2:
+            raise ConfigError(f"need at least 2 domains, got K={ds.k}")
+        ids = [d.id for d in ds.domains]
+        pooled = ds.pooled()
+        n = len(pooled)
+        origin = np.repeat(ids, [len(d) for d in ds.domains])
+        origin_index = np.concatenate([np.arange(len(d)) for d in ds.domains])
+        trace = np.empty((n, ascent_cfg.max_steps + 1))
+        fict = FictitiousSet(
+            np.empty_like(pooled.x), pooled.y, origin, origin_index, np.empty_like(origin), trace,
+            np.empty(n, dtype=np.intp), np.empty(n, dtype=bool),
+        )
+        start = 0
+        for dom in ds.domains:
+            others = [i for i in ids if i != dom.id]
+            offset = int(rng_for(train_cfg.seed, "partner", dom.id).integers(len(others)))
+            slots = (offset + np.arange(len(dom))) % len(others)
+            fict.partner_domain[start : start + len(dom)] = np.array(others)[slots]
+            for slot, partner_id in enumerate(others):
+                rows = start + np.flatnonzero(slots == slot)
+                if rows.size:
+                    mi, mj = models[dom.id], models[partner_id]
+                    member = (pooled.x[rows], pooled.y[rows], mi, mj, gammas)
+                    key = (mi.layer_dims, mi.rep_layer_index, mj.layer_dims)
+                    stacks.setdefault(key, []).append((fict, rows, member))
+            start += len(dom)
+        sets.append(fict)
+    for batches in stacks.values():
+        results = _ascend([member for _, _, member in batches], ascent_cfg)
+        for (fict, rows, _), (x, trace, length, aborted) in zip(batches, results):
+            fict.x_star[rows], fict.objective_trace[rows] = x, trace
+            fict.trace_length[rows], fict.aborted[rows] = length, aborted
+    return sets
+
+
 def generate_fictitious_set(
     ds: DomainSet,
     gammas: PenaltyParams,
@@ -216,55 +322,23 @@ def generate_fictitious_set(
     models: dict[str, MlpModel],
 ) -> FictitiousSet:
     """One fictitious point per training point, in origin order, from ``models``,
-    one pretrained model per domain id.
-
-    Partner domains rotate round-robin over the other domains with a seeded
-    starting offset per origin domain.  The points of one origin domain that
-    share a partner ascend together as one batch (``_ascend``); the results
-    are put back in origin order.
-    """
-    if ds.k < 2:
-        raise ConfigError(f"need at least 2 domains, got K={ds.k}")
-    ids = [d.id for d in ds.domains]
-    pooled = ds.pooled()
-    n = len(pooled)
-    x_star = np.empty_like(pooled.x)
-    trace = np.empty((n, ascent_cfg.max_steps + 1))
-    length = np.empty(n, dtype=np.intp)
-    aborted = np.empty(n, dtype=bool)
-    origin = np.repeat(ids, [len(d) for d in ds.domains])
-    partner = np.empty_like(origin)
-    start = 0
-    for dom in ds.domains:
-        others = [i for i in ids if i != dom.id]
-        offset = int(rng_for(train_cfg.seed, "partner", dom.id).integers(len(others)))
-        slots = (offset + np.arange(len(dom))) % len(others)
-        partner[start : start + len(dom)] = np.array(others)[slots]
-        for slot, partner_id in enumerate(others):
-            rows = start + np.flatnonzero(slots == slot)
-            if rows.size:
-                x_star[rows], trace[rows], length[rows], aborted[rows] = _ascend(
-                    pooled.x[rows], pooled.y[rows], models[dom.id], models[partner_id], gammas, ascent_cfg
-                )
-        start += len(dom)
-    origin_index = np.concatenate([np.arange(len(d)) for d in ds.domains])
-    return FictitiousSet(x_star, pooled.y, origin, origin_index, partner, trace, length, aborted)
+    one pretrained model per domain id: the one-run case of ``fictitious_sets``'
+    ascent (``_ascend_runs``)."""
+    return _ascend_runs([(ds, gammas, train_cfg, models)], ascent_cfg)[0]
 
 
 def fictitious_sets(
     runs: list[tuple[DomainSet, PenaltyParams, TrainConfig]], ascent_cfg: AscentConfig
 ) -> list[FictitiousSet]:
     """The fictitious set of each ``(source, penalties, config)`` run, in input order:
-    one ``fit_stack`` pretrains every run's domain models, and each run ascends
-    against its own.  Runs that pass the same ``DomainSet`` object under equal
-    configs share one set of models, bit for bit those each would train alone.
+    one ``fit_stack`` pretrains every run's domain models, and one ascent stack per
+    architecture ascends every run's batches against its own (``_ascend_runs``).
+    Runs that pass the same ``DomainSet`` object under equal configs share one set
+    of models, bit for bit those each would train alone.
     """
     shared = list(dict.fromkeys((ds, cfg) for ds, _, cfg in runs))
     models = dict(zip(shared, _pretrain(shared)))
-    return [
-        generate_fictitious_set(ds, gammas, ascent_cfg, cfg, models[ds, cfg])
-        for ds, gammas, cfg in runs
-    ]
+    return _ascend_runs([(ds, gammas, cfg, models[ds, cfg]) for ds, gammas, cfg in runs], ascent_cfg)
 
 
 def train_gradframe(

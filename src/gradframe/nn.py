@@ -16,7 +16,7 @@ binds both once per block shape, so a step re-derives no view.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -156,6 +156,13 @@ def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[:, 0], a[:, 1]
 
 
+def _matmul_blocks(live, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b, out)`` over a stack, block by block on each block's first ``live`` rows."""
+    for block, rows in enumerate(live):
+        np.matmul(a[block, :rows], b[block], out[block, :rows])
+    return out
+
+
 # Layers up to this width add their bias with rows innermost.  From width 4
 # that is slower than the plain add (2-7x at width 8-64, timeit, numpy 2.4),
 # and at width 3 it is faster on one network but not on a stack.
@@ -170,6 +177,13 @@ class Workspace:
     layer-k activation (``acts[0]`` the input), ``p1`` the raw class-1
     probability and ``deltas[k]`` the gradient at ``acts[k]`` (at the scores
     for ``k = n_layers``).  A caller's own ``x`` and ``y`` are only read.
+
+    A stack's blocks may be ragged: ``live`` then holds each block's count of
+    live rows, its first ones, and every matmul runs block by block on those
+    rows alone.  A BLAS kernel's bits for a row can depend on the row count
+    of its matrix (a one-row matmul takes numpy's ``gemv`` path), so each
+    block keeps the bits it has alone.  The matmul outputs start at zero, so
+    the other rows hold finite values, which no caller reads.
 
     Each pass is written once, in a ``_bind_*`` method that resolves its views
     and returns a zero-argument call.  ``bind`` binds a descent's whole step
@@ -190,20 +204,22 @@ class Workspace:
     does not reproduce.
     """
 
-    def __init__(self, layer_dims: tuple[int, ...], shape: tuple[int, ...], x=None, y=None):
+    def __init__(self, layer_dims: tuple[int, ...], shape: tuple[int, ...], x=None, y=None, live=None):
         self.acts = [np.empty((*shape, layer_dims[0])) if x is None else x]
-        self.acts += [np.empty((*shape, width)) for width in layer_dims[1:-1]]
+        self.acts += [np.zeros((*shape, width)) for width in layer_dims[1:-1]]
         self.y = np.empty(shape) if y is None else y
-        self.scores = np.empty((*shape, 2))
+        self.scores = np.zeros((*shape, 2))
         self.row_max = np.empty(shape)
         self.exp = np.empty((*shape, 2))
         self.p1 = np.empty(shape)
         self._shape, self._dims = shape, layer_dims
+        # a bound method here would make a reference cycle, which refcounting cannot free
+        self._matmul = np.matmul if live is None else partial(_matmul_blocks, live)
 
     # The backward buffers are made on first use, so forward-only calls skip them.
     @cached_property
     def deltas(self) -> list[np.ndarray | None]:
-        return [None] + [np.empty((*self._shape, width)) for width in self._dims[1:]]
+        return [None] + [np.zeros((*self._shape, width)) for width in self._dims[1:]]
 
     @cached_property
     def masks(self) -> list[np.ndarray]:
@@ -235,10 +251,11 @@ class Workspace:
         e0, e1 = _columns(self.exp)
         scores, exp = self.scores, self.exp
         row_max, p1 = self.row_max.reshape(-1), self.p1.reshape(-1)
+        matmul = self._matmul
 
         def forward() -> None:
             for h, w, out, view, b, order, relu in layers:
-                np.matmul(h, w, out)
+                matmul(h, w, out)
                 np.add(view, b, view, order=order)
                 if relu:
                     np.maximum(out, 0.0, out=out)
@@ -277,6 +294,7 @@ class Workspace:
             grad = (self.acts[k].swapaxes(-1, -2), grads[0][k], grads[1][k]) if grads else (None,) * 3
             down = (weights[k].swapaxes(-1, -2), self.deltas[k]) if k > 0 else (None, None)
             layers.append((self.deltas[k + 1], *relu, *grad, self._dims[k + 1] == 1, *down))
+        matmul = self._matmul
 
         def backward() -> None:
             for d, act, mask, act_t, gw, gb, pairwise, w_t, below in layers:
@@ -290,7 +308,7 @@ class Workspace:
                     else:
                         np.einsum("...ij->...j", d, out=gb)
                 if w_t is not None:
-                    np.matmul(d, w_t, below)
+                    matmul(d, w_t, below)
 
         return backward
 
@@ -320,7 +338,9 @@ class Workspace:
     def backward(self, weights, top: int, grads=None) -> np.ndarray | None:
         """Backprop ``deltas[top]`` into ``grads`` if given, else return the input gradient."""
         self._bind_backward(weights, top, grads)()
-        return None if grads is not None else self.deltas[1] @ weights[0].swapaxes(-1, -2)
+        if grads is not None:
+            return None
+        return self._matmul(self.deltas[1], weights[0].swapaxes(-1, -2), np.zeros(self.acts[0].shape))
 
     def mean_bce(self, blocks: slice) -> np.ndarray:
         """Mean BCE of the last ``forward``, one per row block of ``blocks``."""

@@ -835,6 +835,49 @@ class TestExitCodes:
         )
         assert main(["train", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "command, out, where",
+        [
+            ("train", "afile", "out"),
+            ("train", "afile/sub", "out"),
+            pytest.param(
+                "train",
+                "/proc/nope",
+                "out",
+                marks=pytest.mark.skipif(not Path("/proc/self").is_dir(), reason="needs /proc"),
+            ),
+            ("train", "o", "o/model.txt"),
+            ("simulate", "o", "o/simulate.json"),
+            ("simulate", "o", "o/effective_config.txt"),
+        ],
+        ids=[
+            "dir-is-a-file",
+            "dir-under-a-file",
+            "dir-not-creatable",
+            "model-is-a-dir",
+            "report-is-a-dir",
+            "echo-is-a-dir",
+        ],
+    )
+    def test_unusable_output_location_is_config_error(
+        self, tmp_path, capsys, monkeypatch, command, out, where
+    ):
+        """An output directory that is a file, lies under one or cannot be made, or an
+        output file that is a directory, exits 2 naming the path; ``train`` stops before
+        it trains anything."""
+        monkeypatch.chdir(tmp_path)
+        Path("afile").touch()
+        if where != "out":
+            Path(where).mkdir(parents=True)
+        cfg = write_cfg(tmp_path / "c.cfg", "train.epochs = 2\n")
+        stacks = record_descents(monkeypatch)
+        assert main([command, "--config", str(cfg), "--out", out]) == 2
+        err = capsys.readouterr().err
+        [line] = [line for line in err.splitlines() if line.startswith("config error:")]
+        assert (out if where == "out" else where) in line
+        assert "Traceback" not in err
+        assert stacks == []
+
     def test_misnamed_domain_column_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "regions.csv"
         data.write_text("x0,x1,region,label\n0,0,1,0\n1,1,1,1\n0,1,2,0\n1,0,2,1\n")
@@ -1386,17 +1429,18 @@ FUZZ_WEIGHT = st.sampled_from([0.01, 1.0, 10.0]) | st.floats(0.0, 1e308)
     standardize=st.booleans(),
     sweep=st.sampled_from(["", "gamma1", "gamma2"]),
     baseline=st.sampled_from(["erm", "groupdro"]),
-    weights=st.tuples(FUZZ_WEIGHT, FUZZ_WEIGHT, FUZZ_WEIGHT),
+    weights=st.tuples(FUZZ_WEIGHT, FUZZ_WEIGHT, FUZZ_WEIGHT, FUZZ_WEIGHT),
 )
 def test_drawn_domain_csv_runs_end_in_a_documented_exit(
     fuzz_dir, data, epochs, max_steps, standardize, sweep, baseline, weights
 ):
     """``train`` with gradframe, a two-seed ``compare`` against ERM or GroupDRO,
     ``shift-report`` and ``lodo`` on drawn source and target files and overrides, with
-    ``ascent.alpha``, ``penalty.gamma2`` and ``groupdro.eta`` drawn up to 1e308: each
-    exits 0, 2, 3 or 4 with no traceback, and a failed ``train`` leaves no model."""
+    ``ascent.alpha``, ``penalty.gamma2``, ``groupdro.eta`` and ``train.beta`` drawn up to
+    1e308: each exits 0, 2, 3 or 4 with no traceback, and a failed ``train`` leaves no
+    model."""
     source, target, features = data
-    alpha, gamma2, eta = weights
+    alpha, gamma2, eta, beta = weights
     run = fuzz_dir / "domains"
     shutil.rmtree(run, ignore_errors=True)
     out = run / "out"
@@ -1411,6 +1455,6 @@ def test_drawn_domain_csv_runs_end_in_a_documented_exit(
         f"train.batch_size = 8\nascent.max_steps = {max_steps}\nascent.min_steps = 0\n"
         f"shift.sweep = {sweep}\nshift.sweep_values = 0.1,1\ncompare.methods = {baseline},gradframe\n"
         f"ascent.alpha = {alpha!r}\npenalty.gamma2 = {gamma2!r}\ngroupdro.eta = {eta!r}\n"
-        f"seeds = 0,1\noutput.dir = {out}\n",
+        f"train.beta = {beta!r}\nseeds = 0,1\noutput.dir = {out}\n",
     )
     _assert_documented_exits(cfg, out, ("train", "compare", "shift-report", "lodo"))

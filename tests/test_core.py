@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import build_model, one_row_bce, one_row_rep, separable_blobs, zero_model
 
+import gradframe.core as core
 from gradframe.core import (
     AscentConfig,
     FictitiousSet,
@@ -27,7 +28,8 @@ from gradframe.core import (
 from gradframe.config import SIM_ASCENT, SIM_TRAIN
 from gradframe.data import Domain, DomainSet, simulation_source, standardize
 from gradframe.errors import ConfigError, ShapeError
-from gradframe.nn import init_mlp, probs_batch, representations_batch
+from gradframe.evaluation import lodo_cv_search
+from gradframe.nn import _bce, _forward, check_input, init_mlp, probs_batch, representations_batch
 from gradframe.rng import derive_seed, rng_for
 from gradframe.training import TrainConfig, fit_stack
 
@@ -135,7 +137,7 @@ class TestSurrogate:
 
 def _ascend_one(features, label, model_i, model_j, gammas, cfg):
     """``_ascend`` on one row: its final iterate, its objective trace and its abort flag."""
-    x, trace, length, aborted = _ascend(*_one_row(features, label), model_i, model_j, gammas, cfg)
+    [(x, trace, length, aborted)] = _ascend([(*_one_row(features, label), model_i, model_j, gammas)], cfg)
     return x[0], trace[0, : length[0]], bool(aborted[0])
 
 
@@ -195,8 +197,8 @@ class TestInnerMaximize:
         mi, mj = init_mlp([2, 2, 2], 1, seed=1), init_mlp([2, 2, 2], 1, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, _, length, aborted = _ascend(
-                dom.x[:40], dom.y[:40], mi, mj, PenaltyParams(1.0, 1e308), AscentConfig(**SIM_ASCENT)
+            [(x, _, length, aborted)] = _ascend(
+                [(dom.x[:40], dom.y[:40], mi, mj, PenaltyParams(1.0, 1e308))], AscentConfig(**SIM_ASCENT)
             )
         assert aborted.all()
         assert np.array_equal(x, dom.x[:40])
@@ -696,3 +698,151 @@ class TestBatchedAscentOracle:
             src, models, PenaltyParams(1.0, 1.0), AscentConfig(alpha=1e308, max_steps=5, min_steps=0), 0
         )
         assert got.aborted.tolist() == [False, True, False, True, False, False]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-batch ascent that the stacked one in gradframe.core
+# replaced, one ``_ascend`` loop per (origin, partner) batch, with the
+# objective and its gradient on one model pair each.  The bodies are
+# unchanged; only the names differ.
+
+
+def ref_objective_rows(x, y, z_anchor, model_i, model_j, gammas) -> np.ndarray:
+    ws = _forward(model_i, x)
+    value = _bce(ws.p1, y)
+    if gammas.gamma1 != 0.0:
+        z = ws.acts[model_i.rep_layer_index]
+        value = value - gammas.gamma1 * (0.5 * np.sum((z - z_anchor) ** 2, axis=1))
+    if gammas.gamma2 != 0.0:
+        value = value - gammas.gamma2 * _bce(_forward(model_j, x).p1, y)
+    return value
+
+
+def ref_objective_grad(x, y, z_anchor, model_i, model_j, gammas) -> np.ndarray:
+    ws = _forward(model_i, x, y)
+    ws.score_grads(mean=False)
+    g = ws.backward(model_i.weights, model_i.n_layers)
+    rep = model_i.rep_layer_index
+    np.subtract(ws.acts[rep], z_anchor, out=ws.deltas[rep])
+    g = g - gammas.gamma1 * ws.backward(model_i.weights, rep)
+    partner = _forward(model_j, x, y)
+    partner.score_grads(mean=False)
+    return g - gammas.gamma2 * partner.backward(model_j.weights, model_j.n_layers)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def ref_ascend(x0, y, model_i, model_j, gammas, cfg):
+    x0, y = check_input(model_i, x0, y)
+    if model_j.input_dim != model_i.input_dim:
+        raise ShapeError(f"partner model takes {model_j.input_dim} inputs, origin {model_i.input_dim}")
+    z_anchor = _forward(model_i, x0).acts[model_i.rep_layer_index]
+    n = x0.shape[0]
+    x = x0.copy()
+    values = np.full((n, cfg.max_steps + 1), np.nan)
+    values[:, 0] = ref_objective_rows(x, y, z_anchor, model_i, model_j, gammas)
+    lengths = np.ones(n, dtype=np.intp)
+    aborted = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    for step_no in range(1, cfg.max_steps + 1):
+        if live.size == 0:
+            break
+        g = ref_objective_grad(x[live], y[live], z_anchor[live], model_i, model_j, gammas)
+        accepted = np.zeros(live.size, dtype=bool)
+        trying = np.arange(live.size)  # positions in ``live`` still halving
+        step = cfg.alpha
+        for _ in range(4):  # initial step plus up to three halvings
+            rows = live[trying]
+            candidate = x[rows] + step * g[trying]
+            value = np.full(rows.size, np.nan)
+            finite = np.all(np.isfinite(candidate), axis=1)
+            value[finite] = ref_objective_rows(
+                candidate[finite], y[rows[finite]], z_anchor[rows[finite]], model_i, model_j, gammas
+            )
+            bad = ~np.isfinite(value)
+            up = ~bad & (value >= values[rows, step_no - 1])
+            aborted[rows[bad]] = True
+            x[rows[up]] = candidate[up]
+            values[rows[up], step_no] = value[up]
+            accepted[trying[up]] = True
+            trying = trying[~bad & ~up]
+            if trying.size == 0:
+                break
+            step *= 0.5
+        lengths[live[accepted]] = step_no + 1
+        if step_no >= cfg.min_steps:
+            moved = live[accepted]
+            prev = values[moved, step_no - 1]
+            rel = (values[moved, step_no] - prev) / np.maximum(np.abs(prev), 1e-12)
+            accepted[accepted] = ~(rel < cfg.rel_tolerance)
+        live = live[accepted]
+    return x, values, lengths, aborted
+
+
+@st.composite
+def ascent_stacks(draw):
+    """1-6 members of 1-30 rows over one drawn architecture (input width 1-6, hidden
+    (2,), (3, 2) or (16, 3)), seeded models, per-member penalties, a shared step size
+    (1e308 aborts rows) and a step budget of 0-15.  A 16-wide layer feeding 2 or 3
+    units is a matmul whose bits change with the row count, so padding shows there."""
+    d = draw(st.integers(1, 6))
+    hidden = draw(st.sampled_from([(2,), (3, 2), (16, 3)]))
+    rep = draw(st.integers(1, len(hidden)))
+    gamma = st.sampled_from([0.0, 0.1, 1.0, 10.0])
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 30))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=(n, d)) * draw(st.sampled_from([0.5, 3.0]))
+        y = rng.integers(0, 2, size=n).astype(float)
+        model_i, model_j = (init_mlp((d, *hidden, 2), rep, seed=draw(st.integers(0, 99))) for _ in "ij")
+        members.append((x, y, model_i, model_j, PenaltyParams(draw(gamma), draw(gamma))))
+    max_steps = draw(st.integers(0, 15))
+    cfg = AscentConfig(
+        alpha=draw(st.sampled_from([0.05, 1.0, 1e308])),
+        max_steps=max_steps,
+        min_steps=draw(st.integers(0, max_steps)),
+    )
+    return members, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=ascent_stacks())
+def test_stacked_ascent_matches_each_member_alone(stack):
+    """Every member's iterates, traces, trace lengths and abort flags are bit for bit
+    those of the per-batch ascent on that member alone."""
+    members, cfg = stack
+    for got, member in zip(_ascend(members, cfg), members):
+        for a, b in zip(got, ref_ascend(*member, cfg)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOneAscentLoopPerPlan:
+    CFG = TrainConfig(seed=3, beta=0.05, epochs=4, batch_size=16, pretrain_epochs=6)
+    ASC = AscentConfig(alpha=0.3, max_steps=6, min_steps=1)
+
+    def test_lodo_plan_ascends_in_one_stack(self):
+        """4 pairs on 3 equal domains are 12 runs of 2 batches each.  The per-batch
+        ascent made up to 24 gradient calls per step; the stack makes one for the
+        members with two or more live rows and at most one for those with one."""
+        ds = DomainSet(tuple(separable_blobs(d, seed, 6) for seed, d in enumerate("ABC")))
+        pairs = [(0.1, 0.1), (1.0, 1.0), (1.0, 10.0), (10.0, 0.0)]
+        with mock.patch.object(core, "_stack_grad", wraps=core._stack_grad) as grad, mock.patch.object(
+            core, "_ascend", wraps=core._ascend
+        ) as ascend:
+            lodo_cv_search(ds, pairs, self.ASC, self.CFG)
+        [call] = ascend.call_args_list
+        assert len(call.args[0]) == 24
+        assert 0 < grad.call_count <= 2 * self.ASC.max_steps
+
+    def test_two_architectures_ascend_in_two_stacks(self):
+        ds = DomainSet(tuple(separable_blobs(d, seed, 5) for seed, d in enumerate("ABC")))
+        runs = [
+            (ds, PenaltyParams(1.0, 1.0), self.CFG),
+            (ds, PenaltyParams(0.0, 10.0), replace(self.CFG, hidden_dims=(3,))),
+            (ds, PenaltyParams(10.0, 0.1), replace(self.CFG, seed=4)),
+        ]
+        with mock.patch.object(core, "_ascend", wraps=core._ascend) as ascend:
+            ficts = fictitious_sets(runs, self.ASC)
+        assert sorted(len(call.args[0]) for call in ascend.call_args_list) == [6, 12]
+        for run, fict in zip(runs, ficts):
+            _assert_same_sets(fict, fictitious_sets([run], self.ASC)[0])

@@ -64,6 +64,15 @@ RUNS = [
         "shift-report",
         KEYED + FAST + "shift.sweep = gamma1\nshift.sweep_values = 0.5,5\nseed = 5\n",
     ),
+    # the default ascent (15 steps) over a gamma2 sweep reaches the ascent's edge
+    # cases: one-row batches, one-row tails of live rows, and a gamma2 = 0 run
+    (
+        "shift-sweep-gamma2",
+        "shift-report",
+        KEYED
+        + "train.epochs = 12\ntrain.pretrain_epochs = 6\ntrain.batch_size = 64\n"
+        + "shift.sweep = gamma2\nshift.sweep_values = 0,1,10\nseed = 8\n",
+    ),
     ("select-k", "select-k", SELECT_K + "select_k.m_samples = 8\n"),
     # one permutation per point: 2^2 subsets outnumber m(d + 1) = 3 coalition rows,
     # so the Shapley step takes its per-permutation side

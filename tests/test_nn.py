@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -59,7 +61,7 @@ def fit_stack_of_one(model, x, y):
 
 def ascend(model, x, y):
     """``core._ascend`` of the rows of ``x`` against ``model`` as its own partner."""
-    return _ascend(x, y, model, model, PenaltyParams(1.0, 1.0), AscentConfig())
+    return _ascend([(x, y, model, model, PenaltyParams(1.0, 1.0))], AscentConfig())[0]
 
 
 # Every entry that runs ``check_input``, as ``fn(model, x, y)``.
@@ -384,6 +386,19 @@ class TestStepKernelBitsGuard:
             assert [g.tobytes() for views in grads for g in views] == bound, (width, rows)
 
 
+def test_ragged_workspace_is_freed_without_the_cycle_collector():
+    """A workspace of ragged blocks holds no reference to itself: the ascent makes
+    one per evaluation, and a cycle would keep each alive until a collection."""
+    gc.disable()
+    try:
+        ws = Workspace((3, 2, 2), (2, 5), live=np.array([5, 1]))
+        ref = weakref.ref(ws)
+        del ws
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 class TestGradInput:
     """``core._objective_grad``, the ascent objective's per-row input gradient."""
 
@@ -426,7 +441,7 @@ class TestGradInput:
         mi = init_mlp([3, 4, 2], 1, seed=0)
         mj = init_mlp([2, 4, 2], 1, seed=0)
         with pytest.raises(ShapeError):
-            _ascend(np.zeros((1, 3)), [0.0], mi, mj, PenaltyParams(0.0, 1.0), AscentConfig())
+            _ascend([(np.zeros((1, 3)), [0.0], mi, mj, PenaltyParams(0.0, 1.0))], AscentConfig())
 
     def test_rows_match_one_row_calls(self, rng):
         mi = init_mlp([3, 5, 2], 1, seed=25)
