@@ -160,10 +160,6 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
         (out / name).unlink(missing_ok=True)
     source, target = _load_data(cfg, cfg.seed)
     [(model, fict)] = _train_cells(cfg, [(cfg.method, cfg.seed, source)])
-    save_model(model, out / "model.txt")
-    _save_scaler(source.standardization, out)
-    if fict is not None:
-        fict.write_csv(out / "fictitious.csv")
     payload = {
         "method": cfg.method,
         "eval_source": evaluate(model, source.pooled()).to_payload(),
@@ -171,7 +167,12 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     }
     if target is not None:
         payload["eval_target"] = evaluate(model, target).to_payload()
+    # the report is checked first, so a model that predicts NaN is not saved
     write_json(out / "train_report.json", payload)
+    save_model(model, out / "model.txt")
+    _save_scaler(source.standardization, out)
+    if fict is not None:
+        fict.write_csv(out / "fictitious.csv")
     return 0
 
 

@@ -35,11 +35,15 @@ METHODS = ("erm", "mixup", "groupdro", "gradframe")
 # permutation's spread.  Each ascent row keeps a trace of max_steps + 1 floats,
 # 8 KB at 1,000 steps, and the step rule stops rows long before (the default is 15).
 # A simulated domain of a million points per blob, or a hidden layer 1,000 wide, is
-# far past the 2-unit network and 100-point blobs of the paper's protocol.
+# far past the 2-unit network and 100-point blobs of the paper's protocol.  100,000
+# epochs is 20 times the protocol's 5,000, and each seed of a comparison trains one
+# model per method.
 MAX_M_SAMPLES = 10_000
 MAX_ASCENT_STEPS = 1_000
 MAX_POINTS_PER_BLOB = 1_000_000
 MAX_HIDDEN_WIDTH = 1_000
+MAX_EPOCHS = 100_000
+MAX_SEEDS = 1_000
 
 # Each parser takes a stripped value and returns it typed, or raises a
 # ValueError saying what it expected; ``ExperimentConfig.load`` names the key.
@@ -106,13 +110,17 @@ def _optional(parse: Callable) -> Callable:
     return lambda raw: parse(raw) if raw else None
 
 
-def _list(item: Callable, at_least: int = 0, distinct: bool = False) -> Callable[[str], tuple]:
+def _list(
+    item: Callable, at_least: int = 0, distinct: bool = False, at_most: int | None = None
+) -> Callable[[str], tuple]:
     """Comma-separated values, each through ``item``; empty is the empty tuple."""
 
     def parse(raw: str) -> tuple:
         values = tuple(item(v.strip()) for v in raw.split(",")) if raw else ()
         if len(values) < at_least:
             raise ValueError(f"expected at least {at_least} comma-separated values")
+        if at_most is not None and len(values) > at_most:
+            raise ValueError(f"expected at most {at_most} comma-separated values")
         if distinct and len(set(values)) < len(values):
             raise ValueError("expected distinct values")
         return values
@@ -160,9 +168,9 @@ KEYS: dict[str, tuple[str, Callable]] = {
     "ascent.rel_tolerance": (str(SIM_ASCENT["rel_tolerance"]), _number),
     "ascent.min_steps": (str(SIM_ASCENT["min_steps"]), _integer),
     "train.beta": (str(SIM_TRAIN["beta"]), _number),
-    "train.epochs": (str(SIM_TRAIN["epochs"]), _integer),
+    "train.epochs": (str(SIM_TRAIN["epochs"]), _at_most(_integer, MAX_EPOCHS)),
     "train.batch_size": (str(SIM_TRAIN["batch_size"]), _integer),
-    "train.pretrain_epochs": (str(SIM_TRAIN["pretrain_epochs"]), _integer),
+    "train.pretrain_epochs": (str(SIM_TRAIN["pretrain_epochs"]), _at_most(_integer, MAX_EPOCHS)),
     "train.hidden_dims": ("2", _list(_at_most(_integer, MAX_HIDDEN_WIDTH))),
     "train.rep_layer_index": ("1", _integer),
     "mixup.beta_shape": ("2,2", _two_numbers),
@@ -178,7 +186,7 @@ KEYS: dict[str, tuple[str, Callable]] = {
     "shift.sweep_values": ("0.1,1,10", _list(_number, at_least=1)),
     "compare.methods": ("erm,gradframe", _list(_choice(*METHODS), at_least=1, distinct=True)),
     "seed": ("0", _integer),
-    "seeds": ("0,1,2,3,4,5,6,7,8,9", _list(_integer, at_least=1, distinct=True)),
+    "seeds": ("0,1,2,3,4,5,6,7,8,9", _list(_integer, at_least=1, distinct=True, at_most=MAX_SEEDS)),
     "output.dir": ("out", Path),
 }
 

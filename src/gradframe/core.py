@@ -130,18 +130,6 @@ def _stack_grad(x, y, z_anchor, models_i, models_j, gammas, live=None) -> np.nda
     return g - gammas[:, 1:, None] * partner.backward(weights, len(weights))
 
 
-def _objective_rows(x, y, z_anchor, model_i: MlpModel, model_j: MlpModel, gammas) -> np.ndarray:
-    """``_stack_objective`` of the rows ``x`` against one model pair."""
-    penalty = np.array([[gammas.gamma1, gammas.gamma2]])
-    return _stack_objective(x[None], y[None], z_anchor[None], [model_i], [model_j], penalty)[0]
-
-
-def _objective_grad(x, y, z_anchor, model_i: MlpModel, model_j: MlpModel, gammas) -> np.ndarray:
-    """``_stack_grad`` of the rows ``x`` against one model pair."""
-    penalty = np.array([[gammas.gamma1, gammas.gamma2]])
-    return _stack_grad(x[None], y[None], z_anchor[None], [model_i], [model_j], penalty)[0]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite row is screened and aborted instead
 def _ascend(members: list, cfg: AscentConfig) -> list[tuple[np.ndarray, ...]]:
     """Gradient ascent of the penalized objective from every start row of every member,

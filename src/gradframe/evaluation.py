@@ -55,11 +55,15 @@ def _class_counts(labels: np.ndarray) -> tuple[int, int]:
 
 
 def auroc(scores, labels) -> float:
-    """Mann-Whitney AUROC with midrank tie handling."""
+    """Mann-Whitney AUROC with midrank tie handling; a NaN or infinite score is a
+    ``NumericError``."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise DataError("scores and labels must have equal length")
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise NumericError(f"{bad} of {scores.size} scores are not finite; AUROC undefined")
     n_pos, n_neg = _class_counts(labels)
     ranks = _midranks(scores)
     rank_sum = float(ranks[labels == 1].sum())

@@ -342,10 +342,6 @@ class Workspace:
             return None
         return self._matmul(self.deltas[1], weights[0].swapaxes(-1, -2), np.zeros(self.acts[0].shape))
 
-    def mean_bce(self, blocks: slice) -> np.ndarray:
-        """Mean BCE of the last ``forward``, one per row block of ``blocks``."""
-        return _bce(self.p1[blocks], self.y[blocks]).mean(axis=-1)
-
 
 def _forward(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> Workspace:
     """A fresh workspace holding the forward pass of ``x`` (targets ``y``, if given)."""
@@ -354,8 +350,9 @@ def _forward(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> Wor
     return ws
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a row that overflows the network gives NaN
 def probs_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Clamped class-1 probability of each row."""
+    """Clamped class-1 probability of each row; NaN for a row the network overflows on."""
     return np.clip(_forward(model, check_input(model, x)[0]).p1, P_MIN, P_MAX)
 
 

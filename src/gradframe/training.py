@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
+from .nn import _ROWS_FIRST_MAX_WIDTH, P_MAX, P_MIN
 from .nn import MlpModel, Workspace, bind_adam, check_architecture, check_input, init_mlp, param_views
 from .rng import derive_seed, rng_for
 
@@ -96,13 +97,39 @@ class GroupDroRule:
         check_groupdro_eta(self.eta)
 
 
-def _mix_rows(out, a, partners, lam, rest, partner_buf) -> None:
-    """``lam * out + rest * a[partners]`` into ``out``, which holds a batch's rows of
-    ``a``: the expression's operations, on buffers the caller keeps."""
-    out *= lam
-    a.take(partners, axis=0, out=partner_buf, mode="clip")
-    partner_buf *= rest
-    out += partner_buf
+def _bind_mix(mixup: MixupConfig, rng: np.random.Generator, x, y, x_rows, y_rows):
+    """A mixup fit's step work on one block shape as one zero-argument call.
+
+    ``x_rows`` and ``y_rows`` are the fit's row of a workspace's ``x`` and
+    ``y``, which hold the step's gathered batch; ``x`` and ``y`` are the fit's
+    own rows.  The call draws partners, then ratios, and writes
+    ``lam * batch + (1 - lam) * x[partners]`` into the batch, operation by
+    operation on buffers it keeps; a non-finite mixed input is a ``DataError``.
+    A narrow ``x`` scales its rows with rows innermost, as ``Workspace`` adds a
+    narrow layer's bias: the products are the same, the loop is faster.
+    """
+    size, n = len(y_rows), len(y)
+    x_partner, y_partner, rest = np.empty_like(x_rows), np.empty_like(y_rows), np.empty_like(y_rows)
+    rest_col, one = rest[:, None], np.array(1.0)
+    order = "F" if x.shape[1] <= _ROWS_FIRST_MAX_WIDTH else "K"
+    finite = np.empty(x_rows.shape, dtype=bool)
+
+    def mix() -> None:
+        partners = rng.integers(0, n, size=size)
+        lam = draw_lambdas(mixup, rng, size)
+        np.subtract(one, lam, rest)
+        np.multiply(x_rows, lam[:, None], x_rows, order=order)
+        x.take(partners, axis=0, out=x_partner, mode="clip")
+        np.multiply(x_partner, rest_col, x_partner, order=order)
+        np.add(x_rows, x_partner, x_rows)
+        np.multiply(y_rows, lam, y_rows)
+        y.take(partners, out=y_partner, mode="clip")
+        np.multiply(y_partner, rest, y_partner)
+        np.add(y_rows, y_partner, y_rows)
+        if not np.isfinite(x_rows, finite).all():
+            raise DataError("non-finite value in model input")
+
+    return mix
 
 
 class _Reweighting:
@@ -111,18 +138,17 @@ class _Reweighting:
     Each epoch shuffles every domain's block of the fit's rows in place with
     the fit's stream, in domain order (shuffling ``start + arange(n)`` draws
     ``start + permutation(n)``); row j of step s then takes positions
-    ``start_j + (s * batch + c) % n_j`` of that order.
+    ``start_j + (s * batch + c) % n_j`` of that order.  ``bind`` binds the
+    step's reweighting once per block shape, on buffers it keeps.
     """
 
-    def __init__(self, rule: GroupDroRule, rows: slice, fit_rows, length: int, shuffle, n_params: int):
+    def __init__(self, rule: GroupDroRule, rows: slice, fit_rows, length: int, shuffle):
         self.rule, self.rows, self.fit_rows, self.shuffle = rule, rows, fit_rows, shuffle
         starts = np.cumsum([0, *rule.sizes[:-1]])
         self.table = starts[:, None] + np.arange(length) % np.array(rule.sizes)[:, None]
         self.shuffled = np.empty_like(fit_rows)
         self.blocks = [self.shuffled[start : start + n] for start, n in zip(starts, rule.sizes)]
         self.q = np.full(len(rule.sizes), 1.0 / len(rule.sizes))
-        self.step = 0
-        self.total = np.empty(n_params)
 
     def draw(self, order: np.ndarray) -> None:
         """Write the fit's rows of an epoch's index matrix."""
@@ -131,28 +157,56 @@ class _Reweighting:
             self.shuffle.shuffle(block)
         self.shuffled.take(self.table, out=order[self.rows], mode="clip")
 
-    def reweigh(self, ws: Workspace, grad: np.ndarray) -> None:
-        """Update ``q`` from the step's domain losses; write the q-weighted gradient
-        sum into every row of the fit."""
-        eta = self.rule.eta
-        losses = ws.mean_bce(self.rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = self.q * np.exp(eta * losses)
-            q = q / q.sum()
-        self.step += 1
-        if not np.isfinite(q).all():
-            raise NumericError(
-                f"GroupDRO group weights are not finite at step {self.step} "
-                f"(eta {eta}, domain losses {losses.tolist()})"
-            )
-        self.q = q
-        if self.rule.on_step is not None:
-            self.rule.on_step(self.step, q.copy(), losses.copy())
-        g = grad[self.rows]
-        # sums from +0.0 in domain order, as filling with 0.0 and adding each would
-        np.multiply(g, q[:, None], out=g)
-        np.add.reduce(g, axis=0, out=self.total)
-        g[...] = self.total
+    def bind(self, ws: Workspace, grad: np.ndarray):
+        """The step's reweighting on ``ws``'s last forward as ``reweigh(step)``: update
+        ``q`` from the domains' mean BCE, then write the q-weighted gradient sum into
+        every row of the fit in ``grad``.
+
+        The losses take ``_bce``'s operations in its order (``maximum`` then
+        ``minimum`` are ``clip``'s bits, each ``log`` is out of place as in its
+        expression) and ``mean``'s sum and divide.  The weighted sum starts from
+        +0.0 in domain order, as filling with 0.0 and adding each domain's term
+        would.
+        """
+        eta, on_step, q = self.rule.eta, self.rule.on_step, self.q
+        p1, y = ws.p1[self.rows], ws.y[self.rows]
+        p, log_p, log_rest = np.empty_like(p1), np.empty_like(p1), np.empty_like(p1)
+        losses, scaled, factors, q_sum = np.empty_like(q), np.empty_like(q), np.empty_like(q), np.empty(())
+        finite = np.empty(q.shape, dtype=bool)
+        p_min, p_max, one, rate = (np.array(c) for c in (P_MIN, P_MAX, 1.0, eta))
+        count = np.array(float(p1.shape[-1]))
+        g, q_col, total = grad[self.rows], q[:, None], np.empty(grad.shape[1])
+
+        def reweigh(step: int) -> None:
+            np.maximum(p1, p_min, out=p)
+            np.minimum(p, p_max, out=p)
+            np.log(p, log_p)
+            np.multiply(y, log_p, log_p)
+            np.subtract(one, p, p)
+            np.log(p, log_rest)
+            np.subtract(one, y, p)
+            np.multiply(p, log_rest, log_rest)
+            np.add(log_p, log_rest, log_p)
+            np.negative(log_p, log_p)
+            np.add.reduce(log_p, -1, None, losses)
+            np.divide(losses, count, losses)
+            np.multiply(rate, losses, scaled)
+            np.exp(scaled, factors)
+            np.multiply(q, factors, q)
+            np.add.reduce(q, 0, None, q_sum)
+            np.divide(q, q_sum, q)
+            if not np.isfinite(q, finite).all():
+                raise NumericError(
+                    f"GroupDRO group weights are not finite at step {step} "
+                    f"(eta {eta}, domain losses {losses.tolist()})"
+                )
+            if on_step is not None:
+                on_step(step, q.copy(), losses.copy())
+            np.multiply(g, q_col, g)
+            np.add.reduce(g, 0, None, total)
+            np.copyto(g, total)
+
+        return reweigh
 
 
 def _blocks(n: int, rule, batch_size: int) -> tuple[int, int]:
@@ -180,12 +234,13 @@ def descend(
     weighted gradient into all of them and Adam is element-wise.  A mixup fit
     mixes its block in place after each step's gather, with partners, then
     ratios, from its own ``rng_for(<fit seed>, "mixup")`` stream.  Each epoch's
-    index matrix is built once, and each block shape's step is bound once: a
-    step is one kernel and one Adam call for the whole stack, row by row that
-    of a fit alone, so every model is bit for bit the one a stack of one
-    gives.  Overflow and invalid-value warnings are off; a non-finite
-    parameter or Adam second moment at the end raises ``NumericError`` naming
-    the first diverged fit's seed.
+    index matrix is built once, and each block shape's step is bound once,
+    each GroupDRO and mixup fit's step work with it (``_Reweighting.bind``,
+    ``_bind_mix``): a step is one kernel and one Adam call for the whole
+    stack, row by row that of a fit alone, so every model is bit for bit the
+    one a stack of one gives.  Overflow and invalid-value warnings are off; a
+    non-finite parameter or Adam second moment at the end raises
+    ``NumericError`` naming the first diverged fit's seed.
     """
     d = data[0][0].shape[1]
     dims = cfg.layer_dims(d)
@@ -214,24 +269,27 @@ def descend(
         shuffle = rng_for(seed, "batch")
         if isinstance(rule, GroupDroRule):
             fit = slice(row, row + len(rule.sizes))
-            reweighting.append(_Reweighting(rule, fit, fit_rows, length, shuffle, params.shape[1]))
+            reweighting.append(_Reweighting(rule, fit, fit_rows, length, shuffle))
         else:
             rows[row] = fit_rows
             plain.append((row, shuffle))
             if rule is not None:
-                mixing.append((row, base, rule, rng_for(seed, "mixup")))
+                own = slice(base, base + len(x))
+                mixing.append((row, rule, rng_for(seed, "mixup"), x_all[own], y_all[own]))
         base += len(x)
-    bound = {}  # a workspace and its bound step per block shape
-    epoch_blocks = []  # (view of ``order``, workspace, bound step) of each block of an epoch
+    bound = {}  # a workspace and its bound step, mixes and reweighs per block shape
+    epoch_blocks = []  # (view of ``order``, workspace, bound step work) of each block of an epoch
     for start in range(0, length, batch):
         idx = order[:, start : start + batch]
         if idx.shape[1] not in bound:
             ws = Workspace(dims, idx.shape)
-            bound[idx.shape[1]] = ws, ws.bind(weights, biases, grads)
+            mixes = [
+                _bind_mix(mixup, rng, x, y, ws.x[row], ws.y[row]) for row, mixup, rng, x, y in mixing
+            ]
+            reweighs = [fit.bind(ws, grad) for fit in reweighting]
+            bound[idx.shape[1]] = ws, ws.bind(weights, biases, grads), mixes, reweighs
         epoch_blocks.append((idx, *bound[idx.shape[1]]))
     adam = bind_adam(params, m, v, grad, cfg.beta)
-    most = min(batch, length)  # the rows of the largest block
-    x_partner, y_partner, rest = np.empty((most, d)), np.empty(most), np.empty(most)
     step = 0
     for _ in range(cfg.epochs):
         np.copyto(order, rows)
@@ -239,23 +297,14 @@ def descend(
             shuffle.shuffle(order[row])
         for fit in reweighting:
             fit.draw(order)
-        for idx, ws, kernel in epoch_blocks:
+        for idx, ws, kernel, mixes, reweighs in epoch_blocks:
             ws.gather(x_all, y_all, idx)
-            for row, base, mixup, rng in mixing:
-                size = idx.shape[1]
-                partners = rng.integers(0, length, size=size)
-                lam = draw_lambdas(mixup, rng, size)
-                partners += base  # the fit's own rows in x_all
-                fit_rest = rest[:size]
-                np.subtract(1.0, lam, out=fit_rest)
-                _mix_rows(ws.x[row], x_all, partners, lam[:, None], fit_rest[:, None], x_partner[:size])
-                _mix_rows(ws.y[row], y_all, partners, lam, fit_rest, y_partner[:size])
-                if not np.isfinite(ws.x[row]).all():
-                    raise DataError("non-finite value in model input")
+            for mix in mixes:
+                mix()
             kernel()
-            for fit in reweighting:
-                fit.reweigh(ws, grad)
             step += 1
+            for reweigh in reweighs:
+                reweigh(step)
             adam(step)
     finite = np.isfinite(params).all(axis=1) & np.isfinite(v).all(axis=1)
     if not finite.all():

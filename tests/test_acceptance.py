@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from conftest import domain_of_rows, fd_input_grad, fd_param_grads, one_row_bce, one_row_rep, rel_err
+from test_core import objective_grad
 
 import gradframe as gf
-from gradframe.core import AscentConfig, PenaltyParams, _objective_grad, fictitious_sets, train_gradframe
+from gradframe.core import AscentConfig, PenaltyParams, fictitious_sets, train_gradframe
 from gradframe.data import Domain, DomainSet, simulation_source, simulation_target
 from gradframe.evaluation import auroc, evaluate, lodo_cv_search
 from gradframe.nn import grad_params_batch, init_mlp, param_views, probs_batch
@@ -188,7 +189,7 @@ class TestCriterion6:
             for k in range(mi.n_layers):
                 worst = max(worst, rel_err(gw[k], fw[k]), rel_err(gb[k], fb[k]))
             gammas = PenaltyParams(g1, g2)
-            gi = _objective_grad(x[None, :], np.array([float(y)]), anchor[None, :], mi, mj, gammas)[0]
+            gi = objective_grad(x[None, :], np.array([float(y)]), anchor[None, :], mi, mj, gammas)[0]
 
             def objective(q):
                 z = one_row_rep(mi, q)

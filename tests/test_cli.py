@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,9 +23,11 @@ from gradframe.baselines import train_erm, train_groupdro, train_mixup
 from gradframe.cli import COMMANDS, _load_data, _load_scaler, _save_scaler, main
 from gradframe.config import (
     MAX_ASCENT_STEPS,
+    MAX_EPOCHS,
     MAX_HIDDEN_WIDTH,
     MAX_M_SAMPLES,
     MAX_POINTS_PER_BLOB,
+    MAX_SEEDS,
     ExperimentConfig,
     render_config,
 )
@@ -743,6 +745,39 @@ output.dir = {out}
             "erm_vs_groupdro: t-test skipped, both samples have zero variance; the test is degenerate"
         ]
 
+    def test_target_that_overflows_the_model_is_numeric_failure_with_nothing_written(
+        self, tmp_path, capsys
+    ):
+        """A finite target row of 1.7e308 overflows the trained network, so its score is
+        NaN: exit 4, no matrix or report, and no numpy warning."""
+        (src := tmp_path / "source.csv").write_text(
+            "x0,x1,label\n0,0,0\n0.2,0.1,0\n-0.3,0.2,0\n1,1,1\n1.2,0.8,1\n0.9,1.3,1\n"
+        )
+        (tgt := tmp_path / "target.csv").write_text(
+            "x0,x1,label\n1.7e308,1.7e308,0\n0,0,0\n1,1,1\n0.1,0.2,0\n1.1,0.9,1\n"
+        )
+        out = tmp_path / "out"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"""
+dataset.kind = csv
+data.source_csv = {src}
+data.target_csv = {tgt}
+data.standardize = false
+csv.domain_column =
+compare.methods = erm
+train.epochs = 5
+train.batch_size = 8
+seeds = 0
+output.dir = {out}
+""",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--config", str(cfg)]) == 4
+        assert "1 of 5 scores are not finite" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
+
     def test_precision_loss_goes_to_diagnostics(self, tmp_path, capfd):
         # AUROCs 1, 1 against 0.9996, 1: scipy warns about catastrophic cancellation
         out = tmp_path / "close"
@@ -1070,6 +1105,8 @@ output.dir = {tmp_path}/o
             ("train", "simulate.points_per_blob", MAX_POINTS_PER_BLOB),
             ("simulate", "simulate.target.points_per_blob", MAX_POINTS_PER_BLOB),
             ("train", "train.hidden_dims", MAX_HIDDEN_WIDTH),
+            ("train", "train.epochs", MAX_EPOCHS),
+            ("train", "train.pretrain_epochs", MAX_EPOCHS),
         ],
     )
     def test_count_past_its_maximum_is_config_error_before_any_work(
@@ -1091,6 +1128,25 @@ output.dir = {tmp_path}/o
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"config key '{key}': expected at most {maximum}, got '{value}'" in err
+        assert "Traceback" not in err
+
+    def test_seed_count_past_its_maximum_is_config_error_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``compare`` trains one model per method and seed: more seeds than the
+        maximum fail before any data is read or made."""
+        cfg = write_cfg(tmp_path / "c.cfg", TINY_TRAIN.format(method="erm", out=tmp_path / "o"))
+        at_max = ",".join(map(str, range(MAX_SEEDS)))
+        assert len(ExperimentConfig.load(cfg, {"seeds": at_max}).seeds) == MAX_SEEDS
+
+        def no_work(*args):
+            raise AssertionError("data was read before the config was checked")
+
+        monkeypatch.setattr("gradframe.cli._load_data", no_work)
+        cfg.write_text(cfg.read_text() + f"seeds = {at_max},{MAX_SEEDS}\n")
+        assert main(["compare", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key 'seeds': expected at most {MAX_SEEDS} comma-separated values" in err
         assert "Traceback" not in err
 
     def test_bad_fixed_lambda_is_config_error(self, tmp_path, capsys):
@@ -1421,7 +1477,25 @@ def fuzz_domain_csvs(draw) -> tuple[str, str, list[str]]:
 FUZZ_WEIGHT = st.sampled_from([0.01, 1.0, 10.0]) | st.floats(0.0, 1e308)
 
 
+# A failed ``train`` once left its model behind: the target's finite cell 1e308
+# overflows the trained network, and the NaN target loss fails the report.
+DOMAIN_CSV_EXAMPLE = dict(
+    data=(
+        "x0,label,domain\n" + "0,0,a\n" * 22 + "1.0,0,b\n",
+        "x0,label,domain\n1e308,0,a\n" + "0,0,a\n" * 9,
+        ["x0"],
+    ),
+    epochs=1,
+    max_steps=0,
+    standardize=False,
+    sweep="",
+    baseline="erm",
+    weights=(0.01, 0.01, 0.01, 1.0),
+)
+
+
 @settings(max_examples=40, deadline=None)
+@example(**DOMAIN_CSV_EXAMPLE)
 @given(
     data=fuzz_domain_csvs(),
     epochs=st.integers(1, 5),

@@ -18,9 +18,9 @@ from gradframe.core import (
     FictitiousSet,
     PenaltyParams,
     _ascend,
-    _objective_grad,
-    _objective_rows,
     _pretrain,
+    _stack_grad,
+    _stack_objective,
     fictitious_sets,
     generate_fictitious_set,
     train_gradframe,
@@ -47,10 +47,10 @@ def _one_row(features, label):
 
 
 def _objective(star, origin, label, model_i, model_j, gammas):
-    """``_objective_rows`` for one row, anchored at the origin's representation."""
+    """``objective_rows`` for one row, anchored at the origin's representation."""
     x, y = _one_row(star, label)
     anchor = representations_batch(model_i, np.asarray(origin, dtype=np.float64)[None, :])
-    return float(_objective_rows(x, y, anchor, model_i, model_j, gammas)[0])
+    return float(objective_rows(x, y, anchor, model_i, model_j, gammas)[0])
 
 
 def _penalty(star, origin, label, model_i, model_j, gammas):
@@ -160,7 +160,7 @@ class TestInnerMaximize:
         cfg = AscentConfig(alpha=alpha, max_steps=1, min_steps=0, rel_tolerance=0.0)
         x_star, _, _ = _ascend_one(origin, 0, mi, mj, PenaltyParams(0.0, 0.0), cfg)
         anchor = representations_batch(mi, origin[None, :])
-        g = _objective_grad(*_one_row(origin, 0), anchor, mi, mj, PenaltyParams(0.0, 0.0))[0]
+        g = objective_grad(*_one_row(origin, 0), anchor, mi, mj, PenaltyParams(0.0, 0.0))[0]
         assert np.allclose(x_star, origin + alpha * g, atol=1e-15)
 
     def test_trace_monotone_and_label_preserved(self):
@@ -548,7 +548,7 @@ class TestTrainGradframe:
 # Oracle: the one-point-at-a-time ascent loop that the batched kernel in
 # gradframe.core replaced.  The body is unchanged; only the names, the type
 # annotations, the inlined 1e-12 relative-improvement floor, the return
-# value (a tuple per point) and the gradient's entry point (``_objective_grad``,
+# value (a tuple per point) and the gradient's entry point (``objective_grad``,
 # once ``nn.grad_input_batch``) differ.
 
 
@@ -575,7 +575,7 @@ def _scalar_inner_maximize(
     trace = [_scalar_objective(x, y, z_anchor, model_i, model_j, gammas)]
     aborted = False
     for step_no in range(1, cfg.max_steps + 1):
-        g = _objective_grad(*_one_row(x, y), z_anchor[None, :], model_i, model_j, gammas)[0]
+        g = objective_grad(*_one_row(x, y), z_anchor[None, :], model_i, model_j, gammas)[0]
         step = cfg.alpha
         accepted = False
         for _ in range(4):  # initial step plus up to three halvings
@@ -698,6 +698,21 @@ class TestBatchedAscentOracle:
             src, models, PenaltyParams(1.0, 1.0), AscentConfig(alpha=1e308, max_steps=5, min_steps=0), 0
         )
         assert got.aborted.tolist() == [False, True, False, True, False, False]
+
+
+# The objective and its gradient on one model pair: a stack of one.
+
+
+def objective_rows(x, y, z_anchor, model_i, model_j, gammas) -> np.ndarray:
+    """``core._stack_objective`` of the rows ``x`` against one model pair."""
+    penalty = np.array([[gammas.gamma1, gammas.gamma2]])
+    return _stack_objective(x[None], y[None], z_anchor[None], [model_i], [model_j], penalty)[0]
+
+
+def objective_grad(x, y, z_anchor, model_i, model_j, gammas) -> np.ndarray:
+    """``core._stack_grad`` of the rows ``x`` against one model pair."""
+    penalty = np.array([[gammas.gamma1, gammas.gamma2]])
+    return _stack_grad(x[None], y[None], z_anchor[None], [model_i], [model_j], penalty)[0]
 
 
 # ---------------------------------------------------------------------------

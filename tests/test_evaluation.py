@@ -73,6 +73,13 @@ class TestAuroc:
         with pytest.raises(NumericError):
             auroc([0.1, 0.9], [1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_is_numeric_error_with_its_count(self, bad):
+        # the scores of a model that overflows on its first row; a NaN used to rank
+        # last, as the highest score, and give 0.25
+        with pytest.raises(NumericError, match="1 of 4 scores are not finite"):
+            auroc([bad, 1e-7, 1e-7, 1e-7], [0, 1, 0, 1])
+
 
 class TestEvaluate:
     def test_zero_weight_model(self):

@@ -21,7 +21,9 @@ from conftest import (
     zero_model,
 )
 
-from gradframe.core import AscentConfig, PenaltyParams, _ascend, _objective_grad
+from test_core import objective_grad
+
+from gradframe.core import AscentConfig, PenaltyParams, _ascend
 from gradframe.errors import ConfigError, DataError, ShapeError
 from gradframe.model_io import load_model, save_model
 from gradframe.nn import (
@@ -49,9 +51,9 @@ def one_row_grad_params(model, x, y) -> np.ndarray:
 
 
 def one_row_objective_grad(model_i, x, y, anchor, model_j, gammas) -> np.ndarray:
-    """``core._objective_grad`` of one row."""
+    """``objective_grad`` of one row."""
     x, anchor = (np.asarray(a, dtype=np.float64)[None, :] for a in (x, anchor))
-    return _objective_grad(x, np.array([float(y)]), anchor, model_i, model_j, gammas)[0]
+    return objective_grad(x, np.array([float(y)]), anchor, model_i, model_j, gammas)[0]
 
 
 def fit_stack_of_one(model, x, y):
@@ -400,7 +402,7 @@ def test_ragged_workspace_is_freed_without_the_cycle_collector():
 
 
 class TestGradInput:
-    """``core._objective_grad``, the ascent objective's per-row input gradient."""
+    """``core._stack_grad`` on one model pair, the ascent objective's per-row input gradient."""
 
     def test_plain_matches_fd(self, rng):
         m = init_mlp([3, 6, 2], 1, seed=21)
@@ -450,7 +452,7 @@ class TestGradInput:
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
         z = rng.normal(size=(6, 5))
         gammas = PenaltyParams(0.7, 2.0)
-        rows = _objective_grad(x, y, z, mi, mj, gammas)
+        rows = objective_grad(x, y, z, mi, mj, gammas)
         for r in range(6):
             one = one_row_objective_grad(mi, x[r], y[r], z[r], mj, gammas)
             assert np.allclose(rows[r], one, rtol=0.0, atol=1e-15)

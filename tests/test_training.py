@@ -514,6 +514,27 @@ class TestTrainMixupOracle:
         mixup = MixupConfig(beta_shape=(2.0, 2.0), fixed_lambda=fixed_lambda)
         _assert_same_bytes(train_mixup(ds, cfg, mixup), ref_train_mixup(ds, cfg, mixup))
 
+    def test_non_finite_mixed_batch_is_data_error(self, monkeypatch):
+        """A mixed batch is checked before its step: a non-finite one is a ``DataError``
+        and no model comes back.  Ratios in [0, 1] do not make rows of finite values
+        overflow: a search over two million random ratios, and ratios whose ``1 - lam``
+        rounds up, on rows at the float maximum found none.  So the draw is replaced by
+        ratios of 3, past the range, on rows near the maximum with one sign."""
+        draws = []
+
+        def past_one(mixup, rng, n):
+            draws.append(n)
+            return np.full(n, 3.0)
+
+        monkeypatch.setattr(training, "draw_lambdas", past_one)
+        x, y = np.full((20, 2), 1e308), np.arange(20) % 2
+        cfg = TrainConfig(epochs=2, batch_size=8)
+        models = None
+        with pytest.raises(DataError, match="non-finite value in model input"):
+            models = fit_stack([x], [y], [cfg], [MixupConfig(fixed_lambda=0.1)])
+        assert models is None
+        assert draws == [8]  # the first step's batch
+
 
 # (domain count, hidden_dims, rep_layer_index, batch_size, steps per epoch, eta) of
 # GroupDRO runs on the first K of the 37-, 52- and 21-row domains.
