@@ -73,6 +73,16 @@ RUNS = [
         + "train.epochs = 12\ntrain.pretrain_epochs = 6\ntrain.batch_size = 64\n"
         + "shift.sweep = gamma2\nshift.sweep_values = 0,1,10\nseed = 8\n",
     ),
+    # every other KDE here is 2-D: this one runs at d = 3 on the inputs and
+    # d = 16 on the representation
+    (
+        "shift-report-wide",
+        "shift-report",
+        KEYED
+        + "csv.feature_columns = x0,x1,month\n"
+        + FAST
+        + "train.hidden_dims = 16,3\nseed = 9\n",
+    ),
     ("select-k", "select-k", SELECT_K + "select_k.m_samples = 8\n"),
     # one permutation per point: 2^2 subsets outnumber m(d + 1) = 3 coalition rows,
     # so the Shapley step takes its per-permutation side

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -154,13 +155,15 @@ class TestKde:
         assert got.shape == (310,)
         assert np.max(np.abs(got - broadcast_kde_log_density(model, query))) <= 1e-12
 
-    @pytest.mark.parametrize("block", [shift.KDE_BLOCK_ELEMENTS, 7 * 50])
+    @pytest.mark.parametrize("block", [shift.KDE_BLOCK_ELEMENTS, 7 * 50, 1])
     @pytest.mark.parametrize(
-        "case", ["self-6", "cross-6", "self-2", "far-in-last-block", "no-features"]
+        "case",
+        ["self-6", "cross-6", "self-2", "far-in-last-block", "no-features", "zeros-subnormals"],
     )
     def test_matches_plain_loop_bit_for_bit(self, rng, monkeypatch, block, case):
         # at 7 * 50 the 50-sample case runs 7-row blocks and a ragged last one of 2,
-        # which works in slices of the buffers the full blocks used
+        # which works in slices of the buffers the full blocks used; at 1 every block
+        # is one query row, so each difference matmul takes numpy's one-row gemv path
         monkeypatch.setattr(shift, "KDE_BLOCK_ELEMENTS", block)
         loc, scale = [0.0, 3.0, -1.0, 0.5, 2.0, 0.0], [1.0, 2.0, 0.5, 1.0, 3.0, 0.1]
         x = rng.normal(loc=loc, scale=scale, size=(1500, 6))
@@ -174,6 +177,18 @@ class TestKde:
         elif case == "no-features":
             # no feature writes the sum: every kernel term is exp(0), the empty product
             model, query = kde_fit(x[:50, :0]), x[50:360, :0]
+        elif case == "zeros-subnormals":
+            # exact +0.0 and -0.0 rows, subnormal entries and duplicated rows; the last
+            # query's difference from the 1e307 sample overflows
+            s = x[:40, :3].copy()
+            s[0], s[1] = 0.0, -0.0
+            s[2] = [5e-324, -5e-324, 1e-310]
+            s[3] = [-1e-310, -0.0, 0.0]
+            s[4] = [1e307, 0.0, 5e-324]
+            s = np.vstack([s, s[:6]])
+            # the 1e307 sample would overflow Scott's rule, so the bandwidths are set
+            model = KdeModel(samples=s, bandwidth=np.array([0.5, 1e-3, 2.0]))
+            query = np.vstack([s, -s[:6], [[-1.7e308, 0.0, 0.0]]])
         else:
             model = kde_fit(x[:50])
             # a far query, a row of -inf kernel terms, after finite blocks
@@ -185,6 +200,8 @@ class TestKde:
         assert np.array_equal(got, ref)
         if case == "far-in-last-block":
             assert got[-1] == -np.inf and np.isfinite(got[:-1]).all()
+        if case == "zeros-subnormals":
+            assert got[-1] == -np.inf
 
     def test_far_query_matches_oracle(self, rng):
         model = kde_fit(rng.normal(size=(10, 2)))
@@ -207,13 +224,48 @@ class TestKde:
             tracemalloc.stop()
         assert np.all(np.isfinite(out))
         # the (m, n, d) broadcast would need 5000 * 5000 * 10 * 8 B = 2 GB
-        # about 0.75 MB: the feature-major samples and the block buffers; a (block, n, d)
+        # about 1.4 MB: the samples' [s; 1] tables and the block buffers; a (block, n, d)
         # cube of differences per block peaks at 3.5 MB
         assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_scott_bandwidth_floor(self):
         model = kde_fit(np.array([[1.0], [1.0], [1.0]]))
         assert model.bandwidth[0] == 1e-3
+
+
+class TestKdeKernelBitsGuard:
+    """The KDE's two-term matmul gives the bits of the plain difference.
+
+    ``kde_log_density`` takes each feature's ``s - q`` as ``[1, -q] @ [s; 1]``.
+    Both products are exact, so whatever the BLAS path (gemv for one left row,
+    gemm otherwise) and its order of the two terms, the sum is the one rounding
+    of ``s - q``; only a zero's sign may differ, and the square erases it.  If a
+    numpy or BLAS upgrade breaks this, this fails before any density does.
+    """
+
+    @staticmethod
+    def doubles(rng, size):
+        """Log-uniform magnitudes from 1e-320 (subnormal) to 1e308 of either sign,
+        with a tenth of them +0.0 or -0.0."""
+        v = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-320.0, 308.0, size=size)
+        zeros = rng.uniform(size=size) < 0.1
+        v[zeros] = rng.choice([0.0, -0.0], size=np.count_nonzero(zeros))
+        return v
+
+    def test_two_term_matmul_is_the_difference(self):
+        rng = np.random.default_rng(0)
+        for rows, width, _ in itertools.product(range(1, 18), range(1, 41), range(6)):
+            q, s = self.doubles(rng, rows), self.doubles(rng, width)
+            q[rows // 2] = s[width // 2]  # an exact zero difference
+            pair = np.ones((rows, 2))
+            pair[:, 1] = -q
+            table = np.ones((2, width))
+            table[0] = s
+            with np.errstate(over="ignore"):
+                got = np.matmul(pair, table, out=np.empty((rows, width)))
+                want = s - q[:, None]
+                assert np.array_equal(got, want), (rows, width)
+                assert (got * got).tobytes() == (want * want).tobytes(), (rows, width)
 
 
 class TestLogsumexpRows:
