@@ -27,10 +27,11 @@ from .training import TrainConfig, fit_stack
 BANDWIDTH_FLOOR = 1e-3
 RATIO_DENOM_FLOOR = 1e-6
 
-# Work-array sizes, which bound memory and leave results unchanged: kernel values per KDE
-# query block (256 KB per buffer; at 1,500 samples half this ran 5-20 % slower and twice
-# it 2-5 % faster, for twice the memory); per Shapley chunk, model rows and the
-# permutations' coalitions, m(d + 1) per point.
+# Work-array sizes, which bound memory: kernel values per KDE query block (256 KB per
+# buffer; at 1,500 samples and d = 2, 6 and 16, half this ran 15-25 % slower and twice it
+# 5 % faster to 1 % slower, for twice the memory); per Shapley chunk, model rows and the
+# permutations' coalitions, m(d + 1) per point.  The Shapley sizes leave results
+# unchanged; the KDE's can change a row's last bits (see ``kde_log_density``).
 KDE_BLOCK_ELEMENTS = 1 << 15
 SHAPLEY_CHUNK_ROWS = 2048
 SHAPLEY_CHUNK_COALITIONS = 1 << 14
@@ -38,7 +39,11 @@ SHAPLEY_CHUNK_COALITIONS = 1 << 14
 
 @dataclass(frozen=True)
 class KdeModel:
-    """Product-Gaussian kernel density estimate with per-dimension bandwidths."""
+    """Product-Gaussian kernel density estimate with per-dimension bandwidths.
+
+    A hand-set bandwidth far below the samples' spread costs ``kde_log_density``
+    accuracy, or raises ``DataError`` there.
+    """
 
     samples: np.ndarray
     bandwidth: np.ndarray
@@ -140,7 +145,19 @@ def _kolmogorov_sf(x: float) -> float:
 def kde_log_density(model: KdeModel, query: np.ndarray) -> float | np.ndarray:
     """Log of the mean of Gaussian kernels centered at the samples, in O(block·n) memory.
 
-    Each block's log-sum-exp is ``_logsumexp_rows``, bit for bit scipy's.
+    With samples and queries centred on the samples' mean and scaled by the
+    bandwidths, ``v = (s - mu) / h`` and ``u = (q - mu) / h``, a kernel's
+    exponent is ``u·v - |v|²/2 - |u|²/2``.  Each query block takes the first two
+    terms as one matmul, ``[u, 1] @ [vᵀ; -|v|²/2]``; ``|u|²/2`` cancels in the
+    log-sum-exp (``_logsumexp_rows``) and is taken off after.  Rounding costs
+    about eps·(|u|² + max |v|²)/2, which the tests hold to 1e-12·max(1, |exact|)
+    under Scott's bandwidths; uncentred, data at a mean of 1e5 would lose 1e-5.
+
+    A query whose ``|u|²`` overflows gets -inf, as in the direct kernel;
+    samples whose ``|v|²`` overflows (only a hand-set bandwidth far below their
+    spread makes one) raise ``DataError``.  A row's last bits can change with
+    its block's row count, and a one-row block takes numpy's gemv path, so a
+    row queried alone can differ from it in a block.
     """
     query = np.asarray(query, dtype=np.float64)
     single = query.ndim == 1
@@ -148,37 +165,34 @@ def kde_log_density(model: KdeModel, query: np.ndarray) -> float | np.ndarray:
     n, d = model.samples.shape
     if q.shape[1] != d:
         raise ShapeError(f"query dimension {q.shape[1]} does not match samples dimension {d}")
-    # The broadcast's squared scaled differences, summed one feature at a time
-    # over (block, n) buffers made once per call instead of an (m, n, d) tensor.
-    # Each feature's differences s - q are one matmul, the block's [1, -q] rows
-    # times the feature's [s; 1] table, which numpy runs faster than the broadcast
-    # s - q[:, None] with its stride-0 operand.  Both products are exact, so the
-    # sum is the one rounding of s - q, whatever the BLAS path and order.  Only a
-    # zero's sign can differ, and the square erases it, as it does the sign of
-    # s - q against q - s.  The first square goes straight into the sum, as
-    # 0.0 + x is x for every x >= +0.
-    table = np.ones((d, 2, n))
-    table[:, 0] = model.samples.T
     h = model.bandwidth
+    mu = model.samples.mean(axis=0)
+    table = np.empty((d + 1, n))
+    v = table[:d]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(model.samples.T, mu[:, None], out=v)
+        np.divide(v, h[:, None], out=v)
+        np.einsum("ij,ij->j", v, v, out=table[d])
+    table[d] *= -0.5
+    # with |u|² and |v|² finite, |u·v| <= |u||v| is too, so no block sum is +inf or NaN
+    if not np.isfinite(table[d]).all():
+        raise DataError("KDE samples' scaled squared distances from their mean are not finite")
     out = np.empty(q.shape[0])
     rows = max(1, KDE_BLOCK_ELEMENTS // n)
     size = (min(rows, q.shape[0]), n)
-    # zeros for d = 0 only, where no feature writes the sum
-    quad, diff, mask = np.zeros(size), np.empty(size), np.empty(size, dtype=bool)
-    pairs = np.ones((size[0], 2))
+    terms, work, mask = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    u1 = np.ones((size[0], d + 1))  # each block's [u, 1] rows
     for start in range(0, q.shape[0], rows):
         block = q[start : start + rows]
-        acc, work, pair = quad[: len(block)], diff[: len(block)], pairs[: len(block)]
-        for j in range(d):
-            dst = acc if j == 0 else work
-            np.negative(block[:, j], out=pair[:, 1])
-            np.matmul(pair, table[j], out=dst)
-            np.divide(dst, h[j], out=dst)
-            np.multiply(dst, dst, out=dst)
-            if j:
-                np.add(acc, work, out=acc)
-        acc *= -0.5
-        out[start : start + rows] = _logsumexp_rows(acc, work, mask[: len(block)])
+        k = len(block)
+        u = u1[:k, :d]
+        np.subtract(block, mu, out=u)
+        np.divide(u, h, out=u)
+        half_u = 0.5 * np.einsum("ij,ij->i", u, u)
+        # a row whose |u|² overflows ends at -inf; a zero u keeps its u·v finite
+        u[np.isinf(half_u)] = 0.0
+        np.matmul(u1[:k], table, out=terms[:k])
+        out[start : start + k] = _logsumexp_rows(terms[:k], work[:k], mask[:k]) - half_u
     log_norm = -np.sum(np.log(h)) - 0.5 * d * np.log(2.0 * np.pi)
     out = out + log_norm - np.log(n)
     return float(out[0]) if single else out
@@ -201,9 +215,10 @@ def covariate_shift_ratios(source: DomainSet, ficts, model: MlpModel) -> list[np
 
     The source side is computed once for all sets: its input KDE, its
     representations, their KDE, and that KDE's log density at every source
-    row, from which each set takes its origins' densities.  A row's density
-    does not depend on the rows queried with it, so each set's ratios have the
-    bits they have alone.
+    row, from which each set takes its origins' densities.  Each set's own
+    densities are queried as they are alone, so each set's ratios have the
+    bits they have alone.  An origin's density may differ in its last bits
+    from its row queried alone (see ``kde_log_density``).
     """
     source_x = source.pooled().x
     p_source = kde_fit(source_x)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -77,6 +76,40 @@ def plain_loop_kde_log_density(model, query):
         out[start : start + rows] = logsumexp(quad, axis=1)
     log_norm = -np.sum(np.log(model.bandwidth)) - 0.5 * d * np.log(2.0 * np.pi)
     return out + log_norm - np.log(n)
+
+
+def long_double_kde_log_density(model, query):
+    """Reference KDE: the direct kernel in long double, rounded to doubles at the end.
+
+    Where long double is x87's 80-bit format, the differences, squares and sums
+    round at about 1e-19 and no square overflows; a log density beyond the
+    doubles' range rounds to -inf, as the double kernel's overflowing squares
+    give it.
+    """
+    q = np.atleast_2d(np.asarray(query, dtype=np.float64)).astype(np.longdouble)
+    s = model.samples.astype(np.longdouble)
+    h = model.bandwidth.astype(np.longdouble)
+    n, d = s.shape
+    out = np.empty(len(q), dtype=np.longdouble)
+    for start in range(0, len(q), 64):
+        diff = (q[start : start + 64, None, :] - s) / h
+        quad = -0.5 * np.sum(diff * diff, axis=2)
+        top = quad.max(axis=1)
+        out[start : start + 64] = top + np.log(np.sum(np.exp(quad - top[:, None]), axis=1))
+    log_norm = -np.sum(np.log(h)) - 0.5 * d * np.log(2 * np.longdouble(np.pi))
+    with np.errstate(over="ignore"):
+        return (out + log_norm - np.log(np.longdouble(n))).astype(np.float64)
+
+
+def assert_within_kde_tolerance(got, ref):
+    """The KDE's stated tolerance: |got - ref| <= 1e-12 max(1, |ref|) where ``ref`` is
+    finite, never NaN there, and the same infinity where ``ref`` is infinite."""
+    inf = np.isinf(ref)
+    assert np.array_equal(got[inf], ref[inf])
+    assert not np.isnan(got[~inf]).any()
+    err = np.abs(got[~inf] - ref[~inf])
+    bound = 1e-12 * np.maximum(1.0, np.abs(ref[~inf]))
+    assert np.all(err <= bound), f"worst {np.max(err / bound):.3g} times the tolerance"
 
 
 def loop_shapley(model, baseline, x, m_samples, seed):
@@ -158,12 +191,20 @@ class TestKde:
     @pytest.mark.parametrize("block", [shift.KDE_BLOCK_ELEMENTS, 7 * 50, 1])
     @pytest.mark.parametrize(
         "case",
-        ["self-6", "cross-6", "self-2", "far-in-last-block", "no-features", "zeros-subnormals"],
+        [
+            "self-6",
+            "cross-6",
+            "self-2",
+            "far-in-last-block",
+            "no-features",
+            "zeros-subnormals",
+            "mean-1e5",
+        ],
     )
-    def test_matches_plain_loop_bit_for_bit(self, rng, monkeypatch, block, case):
+    def test_matches_long_double_kernel(self, rng, monkeypatch, block, case):
         # at 7 * 50 the 50-sample case runs 7-row blocks and a ragged last one of 2,
         # which works in slices of the buffers the full blocks used; at 1 every block
-        # is one query row, so each difference matmul takes numpy's one-row gemv path
+        # is one query row, so each block's matmul takes numpy's one-row gemv path
         monkeypatch.setattr(shift, "KDE_BLOCK_ELEMENTS", block)
         loc, scale = [0.0, 3.0, -1.0, 0.5, 2.0, 0.0], [1.0, 2.0, 0.5, 1.0, 3.0, 0.1]
         x = rng.normal(loc=loc, scale=scale, size=(1500, 6))
@@ -179,29 +220,56 @@ class TestKde:
             model, query = kde_fit(x[:50, :0]), x[50:360, :0]
         elif case == "zeros-subnormals":
             # exact +0.0 and -0.0 rows, subnormal entries and duplicated rows; the last
-            # query's difference from the 1e307 sample overflows
+            # query's |u|^2 overflows
             s = x[:40, :3].copy()
             s[0], s[1] = 0.0, -0.0
             s[2] = [5e-324, -5e-324, 1e-310]
             s[3] = [-1e-310, -0.0, 0.0]
-            s[4] = [1e307, 0.0, 5e-324]
             s = np.vstack([s, s[:6]])
-            # the 1e307 sample would overflow Scott's rule, so the bandwidths are set
-            model = KdeModel(samples=s, bandwidth=np.array([0.5, 1e-3, 2.0]))
+            model = kde_fit(s)
             query = np.vstack([s, -s[:6], [[-1.7e308, 0.0, 0.0]]])
+        elif case == "mean-1e5":
+            # far from the origin: uncentred, the expansion's terms are near 1e10
+            # and lose about 1e-5 to cancellation
+            model = kde_fit(rng.normal(1e5, 1.0, size=(1500, 3)))
+            query = rng.normal(1e5, 1.5, size=(1503, 3))
         else:
             model = kde_fit(x[:50])
             # a far query, a row of -inf kernel terms, after finite blocks
             query = np.vstack([x[50:359], [1e200, 0.0, 0.0, 0.0, 0.0, 0.0]])
         with np.errstate(over="ignore"):
             got = kde_log_density(model, query)
-            ref = plain_loop_kde_log_density(model, query)
+            ref = long_double_kde_log_density(model, query)
+            plain = plain_loop_kde_log_density(model, query)
         assert got.shape == (len(query),)
-        assert np.array_equal(got, ref)
+        assert_within_kde_tolerance(plain, ref)  # the two references agree
+        assert_within_kde_tolerance(got, ref)
         if case == "far-in-last-block":
             assert got[-1] == -np.inf and np.isfinite(got[:-1]).all()
         if case == "zeros-subnormals":
-            assert got[-1] == -np.inf
+            assert got[-1] == -np.inf and np.isfinite(got[:-1]).all()
+
+    def test_samples_too_far_apart_for_their_bandwidth_are_a_data_error(self, rng):
+        # a 1e307 sample on a set bandwidth of 0.5: its |v|^2 overflows
+        s = rng.normal(size=(40, 3))
+        s[4] = [1e307, 0.0, 5e-324]
+        model = KdeModel(samples=s, bandwidth=np.array([0.5, 1e-3, 2.0]))
+        with pytest.raises(DataError, match="not finite"):
+            kde_log_density(model, s)
+
+    def test_bandwidth_far_below_the_spread_costs_accuracy_as_stated(self, rng):
+        # a set bandwidth of 1e-3 on a spread of 2 puts |v|^2 / 2 near 1e7, and the
+        # error follows it: about eps * (|u|^2 / 2 + max |v|^2 / 2), not 1e-12
+        s = rng.normal(loc=[0.0, 3.0, -1.0], scale=[1.0, 2.0, 0.5], size=(46, 3))
+        s[0], s[1], s[2] = 0.0, -0.0, [5e-324, -5e-324, 1e-310]
+        model = KdeModel(samples=s, bandwidth=np.array([0.5, 1e-3, 2.0]))
+        query = np.vstack([s, -s[:6]])
+        got = kde_log_density(model, query)
+        ref = long_double_kde_log_density(model, query)
+        u = (query - s.mean(axis=0)) / model.bandwidth
+        v = (s - s.mean(axis=0)) / model.bandwidth
+        scale = 0.5 * np.sum(u * u, axis=1) + 0.5 * np.max(np.sum(v * v, axis=1))
+        assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
 
     def test_far_query_matches_oracle(self, rng):
         model = kde_fit(rng.normal(size=(10, 2)))
@@ -224,48 +292,13 @@ class TestKde:
             tracemalloc.stop()
         assert np.all(np.isfinite(out))
         # the (m, n, d) broadcast would need 5000 * 5000 * 10 * 8 B = 2 GB
-        # about 1.4 MB: the samples' [s; 1] tables and the block buffers; a (block, n, d)
-        # cube of differences per block peaks at 3.5 MB
+        # about 1.0 MB: the samples' [v; -|v|^2 / 2] table and the block buffers; a
+        # (block, n, d) cube of differences per block peaks at 3.5 MB
         assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_scott_bandwidth_floor(self):
         model = kde_fit(np.array([[1.0], [1.0], [1.0]]))
         assert model.bandwidth[0] == 1e-3
-
-
-class TestKdeKernelBitsGuard:
-    """The KDE's two-term matmul gives the bits of the plain difference.
-
-    ``kde_log_density`` takes each feature's ``s - q`` as ``[1, -q] @ [s; 1]``.
-    Both products are exact, so whatever the BLAS path (gemv for one left row,
-    gemm otherwise) and its order of the two terms, the sum is the one rounding
-    of ``s - q``; only a zero's sign may differ, and the square erases it.  If a
-    numpy or BLAS upgrade breaks this, this fails before any density does.
-    """
-
-    @staticmethod
-    def doubles(rng, size):
-        """Log-uniform magnitudes from 1e-320 (subnormal) to 1e308 of either sign,
-        with a tenth of them +0.0 or -0.0."""
-        v = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-320.0, 308.0, size=size)
-        zeros = rng.uniform(size=size) < 0.1
-        v[zeros] = rng.choice([0.0, -0.0], size=np.count_nonzero(zeros))
-        return v
-
-    def test_two_term_matmul_is_the_difference(self):
-        rng = np.random.default_rng(0)
-        for rows, width, _ in itertools.product(range(1, 18), range(1, 41), range(6)):
-            q, s = self.doubles(rng, rows), self.doubles(rng, width)
-            q[rows // 2] = s[width // 2]  # an exact zero difference
-            pair = np.ones((rows, 2))
-            pair[:, 1] = -q
-            table = np.ones((2, width))
-            table[0] = s
-            with np.errstate(over="ignore"):
-                got = np.matmul(pair, table, out=np.empty((rows, width)))
-                want = s - q[:, None]
-                assert np.array_equal(got, want), (rows, width)
-                assert (got * got).tobytes() == (want * want).tobytes(), (rows, width)
 
 
 class TestLogsumexpRows:
