@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import DomainSet, write_csv
 from .errors import ConfigError, ShapeError
-from .nn import MlpModel, Workspace, _bce, _forward, check_input, param_views
+from .nn import MlpModel, Workspace, _bce, check_input, param_views
 from .rng import derive_seed, rng_for
 from .training import TrainConfig, fit_stack
 
@@ -90,44 +91,56 @@ class FictitiousSet:
         write_csv(path, header, ([o, i, p, y, *x, f] for o, i, p, y, x, f in rows))
 
 
-def _forward_stack(models: list[MlpModel], x, y=None, live=None) -> tuple[Workspace, tuple]:
-    """A fresh ``(M, rows)`` workspace holding the forward pass of each row block of ``x``
-    (targets ``y``, if given; ``live`` rows, if ragged) through its one of M ``models``
-    of one architecture, and their stacked weights."""
-    dims = models[0].layer_dims
-    weights, biases = param_views(dims, np.stack([m.params for m in models]))
-    ws = Workspace(dims, x.shape[:-1], x, y, live)
-    ws.forward(weights, tuple(b[:, None, :] for b in biases))
-    return ws, weights
+class _Stack(NamedTuple):
+    """Models of one architecture, stacked once per ascent: layer widths, representation
+    layer, and ``(M, fan_in, fan_out)`` weight and ``(M, width)`` bias views."""
+
+    dims: tuple[int, ...]
+    rep: int
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, models: list[MlpModel]) -> _Stack:
+        dims = models[0].layer_dims
+        return cls(dims, models[0].rep_layer_index, *param_views(dims, np.stack([m.params for m in models])))
+
+    def forward(self, x, member, y=None) -> Workspace:
+        """A fresh flat workspace holding the forward pass of each row of ``x`` (targets
+        ``y``, if given) through the model of its ``member``, sorted."""
+        stops = np.cumsum(np.bincount(member)).tolist()
+        segments = [(k, a, b) for k, (a, b) in enumerate(zip([0, *stops], stops)) if a < b]
+        ws = Workspace(self.dims, x.shape[:1], x, y, segments)
+        ws.forward(self.weights, tuple(b.take(member, 0) for b in self.biases))  # 10x b[member]'s speed
+        return ws
 
 
-def _stack_objective(x, y, z_anchor, models_i, models_j, gammas, live=None) -> np.ndarray:
-    """Ascent objective of each row of each member's ``(M, rows)`` block: the origin
-    model's loss, minus gamma1 times half the squared distance of its representation
-    to ``z_anchor``, minus gamma2 times the partner model's loss (``gammas`` holds the
-    members' ``(gamma1, gamma2)`` rows).  A zero-weight term is skipped per member."""
-    gamma1, gamma2 = gammas[:, :1], gammas[:, 1:]
-    ws, _ = _forward_stack(models_i, x, live=live)
+def _stack_objective(x, y, z_anchor, origin: _Stack, partner: _Stack, gammas, member) -> np.ndarray:
+    """Ascent objective of each row, the rows sorted by ``member``: its origin model's
+    loss, minus gamma1 times half the squared distance of its representation to
+    ``z_anchor``, minus gamma2 times its partner model's loss (``gammas`` holds the
+    members' ``(gamma1, gamma2)`` rows).  A zero-weight term is skipped per row."""
+    gamma1, gamma2 = gammas.take(member, 0).T
+    ws = origin.forward(x, member)
     value = _bce(ws.p1, y)
-    anchor_term = 0.5 * np.sum((ws.acts[models_i[0].rep_layer_index] - z_anchor) ** 2, axis=-1)
+    anchor_term = 0.5 * np.sum((ws.acts[origin.rep] - z_anchor) ** 2, axis=-1)
     value = np.where(gamma1 != 0.0, value - gamma1 * anchor_term, value)
-    partner, _ = _forward_stack(models_j, x, live=live)
-    return np.where(gamma2 != 0.0, value - gamma2 * _bce(partner.p1, y), value)
+    return np.where(gamma2 != 0.0, value - gamma2 * _bce(partner.forward(x, member).p1, y), value)
 
 
-def _stack_grad(x, y, z_anchor, models_i, models_j, gammas, live=None) -> np.ndarray:
+def _stack_grad(x, y, z_anchor, origin: _Stack, partner: _Stack, gammas, member) -> np.ndarray:
     """Per-row input gradient of ``_stack_objective``, every term kept whatever its
     weight: the origin model's loss gradient, then the anchor term's backprop from the
     representation layer, then the partner model's loss gradient."""
-    ws, weights = _forward_stack(models_i, x, y, live)
+    gamma1, gamma2 = gammas.take(member, 0).T
+    ws = origin.forward(x, member, y)
     ws.score_grads(mean=False)
-    g = ws.backward(weights, len(weights))
-    rep = models_i[0].rep_layer_index
-    np.subtract(ws.acts[rep], z_anchor, out=ws.deltas[rep])
-    g = g - gammas[:, :1, None] * ws.backward(weights, rep)
-    partner, weights = _forward_stack(models_j, x, y, live)
-    partner.score_grads(mean=False)
-    return g - gammas[:, 1:, None] * partner.backward(weights, len(weights))
+    g = ws.backward(origin.weights, len(origin.weights))
+    np.subtract(ws.acts[origin.rep], z_anchor, out=ws.deltas[origin.rep])
+    g = g - gamma1[:, None] * ws.backward(origin.weights, origin.rep)
+    ws = partner.forward(x, member, y)
+    ws.score_grads(mean=False)
+    return g - gamma2[:, None] * ws.backward(partner.weights, len(partner.weights))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite row is screened and aborted instead
@@ -146,15 +159,15 @@ def _ascend(members: list, cfg: AscentConfig) -> list[tuple[np.ndarray, ...]]:
     its last finite iterate, flagged as aborted.  Rows share the loop and
     nothing else: each leaves the active set when it stops.
 
-    Each objective or gradient evaluation runs each member's rows in it as one
-    block of an ``(M, rows)`` stack, padded to the largest count with copies of
-    one of its own rows, whose results are dropped.  Every matmul of a ragged
-    stack runs block by block on the block's own rows (``Workspace``'s
-    ``live``): a BLAS kernel's bits for a row can depend on the row count, so
-    a padded matmul would change them, a one-row block's most of all (numpy's
-    ``gemv`` path; see the ``gemv`` FOUND line in CHANGES.md).  Everything
-    else is row by row.  So each member's results are bit for bit those it
-    gives alone.
+    The rows lie flat, sorted by member, and every subset of them an
+    evaluation takes keeps that order, so each member's rows in it are one
+    segment.  Each matmul runs once per segment against that member's
+    weights (``Workspace``'s ``segments``), and everything else runs row by
+    row on the rows given, with per-row biases and penalty weights.  A BLAS
+    kernel's bits for a row can depend on the row count, a one-row matmul's
+    most of all (numpy's ``gemv`` path; see the ``gemv`` FOUND line in
+    CHANGES.md), and each segment's matmuls are those its member makes
+    alone.  So each member's results are bit for bit those it gives alone.
 
     The outside input is checked once per member: ``check_input`` and the
     partner's width.  The iterates, screened for non-finite values, are not
@@ -170,42 +183,28 @@ def _ascend(members: list, cfg: AscentConfig) -> list[tuple[np.ndarray, ...]]:
             raise ShapeError(f"partner model takes {model_j.input_dim} inputs, origin {model_i.input_dim}")
     starts, labels = zip(*checked)
     _, _, models_i, models_j, gammas = zip(*members)
+    origin, partner = _Stack.of(models_i), _Stack.of(models_j)
     gammas = np.array([(g.gamma1, g.gamma2) for g in gammas])
     sizes = [x0.shape[0] for x0 in starts]
     member_of = np.repeat(np.arange(len(members)), sizes)
     x0, y = np.concatenate(starts), np.concatenate(labels)
     n = x0.shape[0]
-    everything = np.arange(n)
-    z_anchor = np.concatenate([_forward(mi, x).acts[mi.rep_layer_index] for x, mi in zip(starts, models_i)])
+    z_anchor = origin.forward(x0, member_of).acts[origin.rep]
 
-    def stacked(kernel, rows, xs, out):
-        """``kernel(x, y, z_anchor, models_i, models_j, gammas, live)`` on the member
-        blocks of the sorted ``rows`` at the inputs ``xs``, one per row, written into
-        ``out``; ``live`` holds the blocks' row counts when they differ."""
-        counts = np.bincount(member_of[rows], minlength=len(members))
-        ms = np.flatnonzero(counts)
-        if ms.size:
-            live = counts[ms]
-            rank = np.arange(live.max())
-            idx = (np.cumsum(live) - live)[:, None] + np.minimum(rank, live[:, None] - 1)
-            at = rows[idx]
-            pairs = [models_i[k] for k in ms], [models_j[k] for k in ms], gammas[ms]
-            ragged = live if live.min() < rank.size else None
-            got = kernel(xs[idx], y[at], z_anchor[at], *pairs, ragged)
-            valid = rank < live[:, None]
-            out[idx[valid]] = got[valid]
-        return out
+    def evaluate(kernel, rows, xs):
+        """``kernel`` on the sorted ``rows`` at the inputs ``xs``, one per row."""
+        return kernel(xs, y[rows], z_anchor.take(rows, 0), origin, partner, gammas, member_of[rows])
 
     x = x0.copy()
     values = np.full((n, cfg.max_steps + 1), np.nan)
-    values[:, 0] = stacked(_stack_objective, everything, x, np.empty(n))
+    live = np.arange(n)
+    values[:, 0] = evaluate(_stack_objective, live, x)
     lengths = np.ones(n, dtype=np.intp)
     aborted = np.zeros(n, dtype=bool)
-    live = everything
     for step_no in range(1, cfg.max_steps + 1):
         if live.size == 0:
             break
-        g = stacked(_stack_grad, live, x[live], np.empty((live.size, x.shape[1])))
+        g = evaluate(_stack_grad, live, x[live])
         accepted = np.zeros(live.size, dtype=bool)
         trying = np.arange(live.size)  # positions in ``live`` still halving
         step = cfg.alpha
@@ -214,8 +213,7 @@ def _ascend(members: list, cfg: AscentConfig) -> list[tuple[np.ndarray, ...]]:
             candidate = x[rows] + step * g[trying]
             value = np.full(rows.size, np.nan)
             finite = np.all(np.isfinite(candidate), axis=1)
-            held = rows[finite]
-            value[finite] = stacked(_stack_objective, held, candidate[finite], np.empty(held.size))
+            value[finite] = evaluate(_stack_objective, rows[finite], candidate[finite])
             bad = ~np.isfinite(value)
             up = ~bad & (value >= values[rows, step_no - 1])
             aborted[rows[bad]] = True

@@ -6,7 +6,7 @@ Parameters live in one flat float64 vector, ``W0`` (row-major), ``b0``,
 ``W1``, ``b1`` and so on; weight and bias views, gradients and Adam moments
 share that layout.  The ``*_batch`` functions take an ``(n, d)`` matrix and
 run ``check_input``, the one model-input rule.  The ascent's objective is
-written in ``core`` on ``_forward`` and the ``Workspace`` passes.
+written in ``core`` on the ``Workspace`` passes.
 
 The arithmetic runs in place, with an optional leading stack axis, on a
 ``Workspace``'s buffers and in ``bind_adam``'s step.  ``training.descend``
@@ -156,10 +156,10 @@ def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[:, 0], a[:, 1]
 
 
-def _matmul_blocks(live, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.matmul(a, b, out)`` over a stack, block by block on each block's first ``live`` rows."""
-    for block, rows in enumerate(live):
-        np.matmul(a[block, :rows], b[block], out[block, :rows])
+def _matmul_segments(segments, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b, out)`` on each ``(k, start, stop)`` segment of rows, against ``b[k]``."""
+    for k, start, stop in segments:
+        np.matmul(a[start:stop], b[k], out[start:stop])
     return out
 
 
@@ -178,12 +178,13 @@ class Workspace:
     probability and ``deltas[k]`` the gradient at ``acts[k]`` (at the scores
     for ``k = n_layers``).  A caller's own ``x`` and ``y`` are only read.
 
-    A stack's blocks may be ragged: ``live`` then holds each block's count of
-    live rows, its first ones, and every matmul runs block by block on those
-    rows alone.  A BLAS kernel's bits for a row can depend on the row count
-    of its matrix (a one-row matmul takes numpy's ``gemv`` path), so each
-    block keeps the bits it has alone.  The matmul outputs start at zero, so
-    the other rows hold finite values, which no caller reads.
+    The rows of M networks may also lie flat, ``(rows,)`` with ``segments``:
+    each ``(k, start, stop)`` gives network k the rows ``start:stop`` of an
+    ``(M, fan_in, fan_out)`` weight stack, and biases come one row each.  Each
+    matmul runs once per segment and all else row by row.  A BLAS kernel's
+    bits for a row can depend on the row count of its matrix (a one-row
+    matmul takes numpy's ``gemv`` path), so each network's rows keep the bits
+    they have alone: its segment's matmuls are those it makes alone.
 
     Each pass is written once, in a ``_bind_*`` method that resolves its views
     and returns a zero-argument call.  ``bind`` binds a descent's whole step
@@ -194,32 +195,32 @@ class Workspace:
     The bias steps are the costly part of a step on a narrow layer: numpy
     walks a ``(rows, width)`` broadcast or row sum with the last axis
     innermost, one short inner loop per row.  So a layer of width up to
-    ``_ROWS_FIRST_MAX_WIDTH`` adds its bias on a rows-first view with
-    ``order="F"`` (a stack is swapped to ``(rows, M, width)`` first), and
-    every layer wider than 1 sums its bias gradient with
-    ``einsum("...ij->...j")``.  Both keep each element's operations and
+    ``_ROWS_FIRST_MAX_WIDTH`` adds a bias broadcast over the rows on a
+    rows-first view with ``order="F"`` (a stack is swapped to ``(rows, M,
+    width)`` first), and every layer wider than 1 sums its bias gradient
+    with ``einsum("...ij->...j")``.  Both keep each element's operations and
     their order, so the bits are those of ``out + b`` and
     ``d.sum(axis=-2)``.  A width-1 layer keeps ``d.sum(axis=-2)``: there
     numpy coalesces the axes and sums each block pairwise, an order einsum
     does not reproduce.
     """
 
-    def __init__(self, layer_dims: tuple[int, ...], shape: tuple[int, ...], x=None, y=None, live=None):
+    def __init__(self, layer_dims: tuple[int, ...], shape: tuple[int, ...], x=None, y=None, segments=None):
         self.acts = [np.empty((*shape, layer_dims[0])) if x is None else x]
-        self.acts += [np.zeros((*shape, width)) for width in layer_dims[1:-1]]
+        self.acts += [np.empty((*shape, width)) for width in layer_dims[1:-1]]
         self.y = np.empty(shape) if y is None else y
-        self.scores = np.zeros((*shape, 2))
+        self.scores = np.empty((*shape, 2))
         self.row_max = np.empty(shape)
         self.exp = np.empty((*shape, 2))
         self.p1 = np.empty(shape)
         self._shape, self._dims = shape, layer_dims
         # a bound method here would make a reference cycle, which refcounting cannot free
-        self._matmul = np.matmul if live is None else partial(_matmul_blocks, live)
+        self._matmul = np.matmul if segments is None else partial(_matmul_segments, segments)
 
     # The backward buffers are made on first use, so forward-only calls skip them.
     @cached_property
     def deltas(self) -> list[np.ndarray | None]:
-        return [None] + [np.zeros((*self._shape, width)) for width in self._dims[1:]]
+        return [None] + [np.empty((*self._shape, width)) for width in self._dims[1:]]
 
     @cached_property
     def masks(self) -> list[np.ndarray]:
@@ -237,10 +238,10 @@ class Workspace:
 
     def _bind_forward(self, weights, biases):
         """Activations and raw class-1 probabilities of ``x``; ``biases`` are a model's
-        own ``(width,)`` vectors or a stack's ``(M, 1, width)`` views."""
+        own ``(width,)`` vectors, a stack's ``(M, 1, width)`` views or flat segments' rows."""
         layers, h = [], self.acts[0]
         for w, b, out in zip(weights, biases, (*self.acts[1:], self.scores)):
-            narrow = out.shape[-1] <= _ROWS_FIRST_MAX_WIDTH
+            narrow = out.shape[-1] <= _ROWS_FIRST_MAX_WIDTH and b.shape[:-1] != out.shape[:-1]
             swap = narrow and len(self._shape) == 2  # a stack: rows-first is (rows, M, width)
             view, b = (out.swapaxes(0, 1), b.swapaxes(0, 1)) if swap else (out, b)
             layers.append((h, w, out, view, b, "F" if narrow else "K", out is not self.scores))
@@ -340,7 +341,7 @@ class Workspace:
         self._bind_backward(weights, top, grads)()
         if grads is not None:
             return None
-        return self._matmul(self.deltas[1], weights[0].swapaxes(-1, -2), np.zeros(self.acts[0].shape))
+        return self._matmul(self.deltas[1], weights[0].swapaxes(-1, -2), np.empty(self.acts[0].shape))
 
 
 def _forward(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> Workspace:

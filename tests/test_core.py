@@ -17,6 +17,7 @@ from gradframe.core import (
     AscentConfig,
     FictitiousSet,
     PenaltyParams,
+    _Stack,
     _ascend,
     _pretrain,
     _stack_grad,
@@ -203,6 +204,28 @@ class TestInnerMaximize:
         assert aborted.all()
         assert np.array_equal(x, dom.x[:40])
         assert (length == 1).all()
+
+    def test_first_candidates_that_all_overflow_leave_no_row_to_evaluate(self):
+        """At alpha = 1e308 every first candidate of two members overflows to inf, so no
+        row is held and the objective gets zero rows: each row stops at its start,
+        flagged, with a trace of length 1 and no warning."""
+        mi = identity_rep_model()
+        x = np.random.default_rng(0).uniform(0.5, 2.0, size=(9, 2))
+        members = [
+            (x[:5], np.ones(5), mi, mi, PenaltyParams(0.0, 10.0)),
+            (x[5:], np.ones(4), mi, mi, PenaltyParams(1.0, 5.0)),
+        ]
+        with warnings.catch_warnings(), mock.patch.object(
+            core, "_stack_objective", wraps=core._stack_objective
+        ) as objective:
+            warnings.simplefilter("error")
+            got = _ascend(members, AscentConfig(alpha=1e308, max_steps=5, min_steps=0))
+        assert sum(len(call.args[0]) for call in objective.call_args_list[1:]) == 0
+        for (x_star, trace, length, aborted), (x0, *_) in zip(got, members):
+            assert aborted.all()
+            assert np.array_equal(x_star, x0)
+            assert (length == 1).all()
+            assert np.isfinite(trace[:, 0]).all() and np.isnan(trace[:, 1:]).all()
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -703,16 +726,20 @@ class TestBatchedAscentOracle:
 # The objective and its gradient on one model pair: a stack of one.
 
 
+def _one_pair(x, model_i, model_j, gammas) -> tuple:
+    """The kernels' stack arguments for the rows ``x``, all of one member."""
+    penalty = np.array([[gammas.gamma1, gammas.gamma2]])
+    return _Stack.of([model_i]), _Stack.of([model_j]), penalty, np.zeros(x.shape[0], dtype=np.intp)
+
+
 def objective_rows(x, y, z_anchor, model_i, model_j, gammas) -> np.ndarray:
     """``core._stack_objective`` of the rows ``x`` against one model pair."""
-    penalty = np.array([[gammas.gamma1, gammas.gamma2]])
-    return _stack_objective(x[None], y[None], z_anchor[None], [model_i], [model_j], penalty)[0]
+    return _stack_objective(x, y, z_anchor, *_one_pair(x, model_i, model_j, gammas))
 
 
 def objective_grad(x, y, z_anchor, model_i, model_j, gammas) -> np.ndarray:
     """``core._stack_grad`` of the rows ``x`` against one model pair."""
-    penalty = np.array([[gammas.gamma1, gammas.gamma2]])
-    return _stack_grad(x[None], y[None], z_anchor[None], [model_i], [model_j], penalty)[0]
+    return _stack_grad(x, y, z_anchor, *_one_pair(x, model_i, model_j, gammas))
 
 
 # ---------------------------------------------------------------------------
@@ -796,11 +823,11 @@ def ref_ascend(x0, y, model_i, model_j, gammas, cfg):
 @st.composite
 def ascent_stacks(draw):
     """1-6 members of 1-30 rows over one drawn architecture (input width 1-6, hidden
-    (2,), (3, 2) or (16, 3)), seeded models, per-member penalties, a shared step size
-    (1e308 aborts rows) and a step budget of 0-15.  A 16-wide layer feeding 2 or 3
-    units is a matmul whose bits change with the row count, so padding shows there."""
+    (2,), (3, 2), (16, 3) or (32,)), seeded models, per-member penalties, a shared step
+    size (1e308 aborts rows) and a step budget of 0-15.  A 16- or 32-wide layer feeding
+    2 or 3 units is a matmul whose bits for a row depend on its row count."""
     d = draw(st.integers(1, 6))
-    hidden = draw(st.sampled_from([(2,), (3, 2), (16, 3)]))
+    hidden = draw(st.sampled_from([(2,), (3, 2), (16, 3), (32,)]))
     rep = draw(st.integers(1, len(hidden)))
     gamma = st.sampled_from([0.0, 0.1, 1.0, 10.0])
     members = []
@@ -835,10 +862,8 @@ class TestOneAscentLoopPerPlan:
     CFG = TrainConfig(seed=3, beta=0.05, epochs=4, batch_size=16, pretrain_epochs=6)
     ASC = AscentConfig(alpha=0.3, max_steps=6, min_steps=1)
 
-    def test_lodo_plan_ascends_in_one_stack(self):
-        """4 pairs on 3 equal domains are 12 runs of 2 batches each.  The per-batch
-        ascent made up to 24 gradient calls per step; the stack makes one for the
-        members with two or more live rows and at most one for those with one."""
+    def _lodo_plan(self):
+        """The one ``_ascend`` call's members of a ``lodo`` plan, and its gradient call count."""
         ds = DomainSet(tuple(separable_blobs(d, seed, 6) for seed, d in enumerate("ABC")))
         pairs = [(0.1, 0.1), (1.0, 1.0), (1.0, 10.0), (10.0, 0.0)]
         with mock.patch.object(core, "_stack_grad", wraps=core._stack_grad) as grad, mock.patch.object(
@@ -846,8 +871,38 @@ class TestOneAscentLoopPerPlan:
         ) as ascend:
             lodo_cv_search(ds, pairs, self.ASC, self.CFG)
         [call] = ascend.call_args_list
-        assert len(call.args[0]) == 24
-        assert 0 < grad.call_count <= 2 * self.ASC.max_steps
+        return call.args[0], grad.call_count
+
+    def test_lodo_plan_ascends_in_one_stack(self):
+        """4 pairs on 3 equal domains are 12 runs of 2 batches each.  The per-batch
+        ascent made up to 24 gradient calls per step; the stack makes one for the
+        members with two or more live rows and at most one for those with one."""
+        members, grad_calls = self._lodo_plan()
+        assert len(members) == 24
+        assert 0 < grad_calls <= 2 * self.ASC.max_steps
+
+    def test_stack_computes_no_row_its_members_do_not_compute_alone(self):
+        """No padded row is computed: over the plan's ragged stack, the rows that reach
+        the objective and its gradient are in sum those of each member ascending alone."""
+
+        def computed(members) -> int:
+            rows = []
+
+            def counted(kernel):
+                def run(x, *args):
+                    rows.append(x.size // x.shape[-1])
+                    return kernel(x, *args)
+
+                return run
+
+            with mock.patch.object(core, "_stack_objective", counted(core._stack_objective)), mock.patch.object(
+                core, "_stack_grad", counted(core._stack_grad)
+            ):
+                _ascend(members, self.ASC)
+            return sum(rows)
+
+        members, _ = self._lodo_plan()
+        assert computed(members) == sum(computed([member]) for member in members)
 
     def test_two_architectures_ascend_in_two_stacks(self):
         ds = DomainSet(tuple(separable_blobs(d, seed, 5) for seed, d in enumerate("ABC")))

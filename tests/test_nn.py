@@ -389,11 +389,11 @@ class TestStepKernelBitsGuard:
 
 
 def test_ragged_workspace_is_freed_without_the_cycle_collector():
-    """A workspace of ragged blocks holds no reference to itself: the ascent makes
+    """A workspace of ragged segments holds no reference to itself: the ascent makes
     one per evaluation, and a cycle would keep each alive until a collection."""
     gc.disable()
     try:
-        ws = Workspace((3, 2, 2), (2, 5), live=np.array([5, 1]))
+        ws = Workspace((3, 2, 2), (6,), segments=[(0, 0, 5), (1, 5, 6)])
         ref = weakref.ref(ws)
         del ws
         assert ref() is None
