@@ -351,12 +351,17 @@ def _forward(model: MlpModel, x: np.ndarray, y: np.ndarray | None = None) -> Wor
     return ws
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a row that overflows the network gives NaN
+# a row that overflows the network gives non-finite outputs, with no numpy warning
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def probs_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Clamped class-1 probability of each row; NaN for a row the network overflows on."""
     return np.clip(_forward(model, check_input(model, x)[0]).p1, P_MIN, P_MAX)
 
 
+@_quiet_overflow
 def representations_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """The designated hidden-layer activation z of each row."""
     return _forward(model, check_input(model, x)[0]).acts[model.rep_layer_index]
@@ -367,12 +372,14 @@ def _bce(p1_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1))
 
 
+@_quiet_overflow
 def bce_loss_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row binary cross-entropy; accepts soft targets in [0, 1]."""
     x, y = check_input(model, x, y)
     return _bce(_forward(model, x).p1, y)
 
 
+@_quiet_overflow
 def grad_params_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean BCE over the rows, laid out like ``model.params``."""
     x, y = check_input(model, x, y)

@@ -27,12 +27,13 @@ from .training import TrainConfig, fit_stack
 BANDWIDTH_FLOOR = 1e-3
 RATIO_DENOM_FLOOR = 1e-6
 
-# Work-array sizes, which bound memory: kernel values per KDE query block (256 KB per
-# buffer; at 1,500 samples and d = 2, 6 and 16, half this ran 15-25 % slower and twice it
-# 5 % faster to 1 % slower, for twice the memory); per Shapley chunk, model rows and the
-# permutations' coalitions, m(d + 1) per point.  The Shapley sizes leave results
-# unchanged; the KDE's can change a row's last bits (see ``kde_log_density``).
-KDE_BLOCK_ELEMENTS = 1 << 15
+# Work-array sizes, which bound memory: kernel values per KDE query block (its one
+# buffer, 512 KB; at 1,500 samples, half this ran 12-16 % slower at d = 2 and 6 and
+# 8-19 % slower on the shift-csv benchmark's calls, but 20 % faster at d = 16); per
+# Shapley chunk, model rows and the permutations' coalitions, m(d + 1) per point.  The
+# Shapley sizes leave results unchanged; the KDE's can change a row's last bits (see
+# ``kde_log_density``).
+KDE_BLOCK_ELEMENTS = 1 << 16
 SHAPLEY_CHUNK_ROWS = 2048
 SHAPLEY_CHUNK_COALITIONS = 1 << 14
 
@@ -57,46 +58,6 @@ def kde_fit(samples: np.ndarray) -> KdeModel:
         raise DataError("cannot fit a density to zero samples")
     h = n ** (-1.0 / (d + 4)) * samples.std(axis=0)
     return KdeModel(samples=samples, bandwidth=np.maximum(h, BANDWIDTH_FLOOR))
-
-
-def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``scipy.special.logsumexp(a, axis=1)`` of a real (m, n) array, bit for bit.
-
-    The same operations on the same values as scipy 1.17's real case, in
-    fewer passes: ``exp(a - a_max)`` with the tied maxima's terms set to 0,
-    which is scipy's ``exp(-inf - a_max)`` there while ``a_max`` is finite;
-    their count ``m``; then ``log1p(s / m) + log(m) + a_max``.  A tie is a
-    zero of ``a - a_max``, which for finite values is exactly ``a == a_max``.
-    When every ``a_max`` is finite and the block holds one tie per row, every
-    ``m`` is 1, and ``s / 1`` and ``+ log(1)`` change no bit, so they are
-    skipped.  A row whose ``a_max`` is not finite (all of it -inf, or a NaN
-    or +inf in it) ends non-finite and falls back to ``log(sum(exp(a)))``,
-    as scipy's does, computed on those rows only.
-
-    ``scratch`` (float) and ``mask`` (bool), both shaped like ``a``, are work
-    buffers, so a caller can reuse them from call to call.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=1, keepdims=True)
-        np.subtract(a, a_max, out=scratch)
-        np.equal(scratch, 0.0, out=mask)
-        np.exp(scratch, out=scratch)
-        np.copyto(scratch, 0.0, where=mask)
-        s = scratch.sum(axis=1)
-        a_max = a_max[:, 0]
-        finite = np.isfinite(a_max)
-        # a finite row has at least its maximum as a tie, so the count says
-        # whether each has exactly one; an all -inf row has none
-        if np.count_nonzero(mask) == len(a_max) and finite.all():
-            out = np.log1p(s) + a_max
-        else:
-            m = np.count_nonzero(mask, axis=1)
-            # scipy skips the division where s == 0, but there 0 / m is that same +0
-            out = np.log1p(s / m) + np.log(m) + a_max
-        bad = ~finite
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
-    return out
 
 
 # scipy's ``kolmogorov`` constants: up to pi / sqrt(-8 MIN_LOG) (about 0.0417) the
@@ -142,22 +103,36 @@ def _kolmogorov_sf(x: float) -> float:
     return min(max(sf, 0.0), 1.0)
 
 
+# ``kde_log_density``'s floor on the kernel exponents of a block that can reach below it,
+# which keeps ``exp`` off its slow underflowing lanes, and the log row sum below which a
+# row is recomputed shifted by its largest exponent
+_EXP_FLOOR = -600.0
+_FAR_ROW_LOG = -500.0
+
+
+@np.errstate(over="ignore", invalid="ignore")  # no warning for any query
 def kde_log_density(model: KdeModel, query: np.ndarray) -> float | np.ndarray:
     """Log of the mean of Gaussian kernels centered at the samples, in O(block·n) memory.
 
     With samples and queries centred on the samples' mean and scaled by the
     bandwidths, ``v = (s - mu) / h`` and ``u = (q - mu) / h``, a kernel's
-    exponent is ``u·v - |v|²/2 - |u|²/2``.  Each query block takes the first two
-    terms as one matmul, ``[u, 1] @ [vᵀ; -|v|²/2]``; ``|u|²/2`` cancels in the
-    log-sum-exp (``_logsumexp_rows``) and is taken off after.  Rounding costs
-    about eps·(|u|² + max |v|²)/2, which the tests hold to 1e-12·max(1, |exact|)
-    under Scott's bandwidths; uncentred, data at a mean of 1e5 would lose 1e-5.
+    exponent ``-|u - v|²/2`` is ``u·v - |v|²/2 - |u|²/2``.  Each query block
+    takes all of it as one matmul, ``[u, 1, |u|²/2] @ [vᵀ; -|v|²/2; -1]``, then
+    one in-place ``exp``, a row sum and its ``log``.  Rounding costs about
+    eps·(|u|² + max |v|²)/2 per exponent, which the tests hold to
+    1e-12·max(1, |exact|) under Scott's bandwidths; uncentred, data at a mean of
+    1e5 would lose 1e-5.  A block whose exponents can fall below -600, by the
+    bound ``-|u - v|²/2 >= -(|u| + max |v|)²/2``, clips them to [-600, 0] first:
+    below about -708 ``exp`` is 20 to 100 times slower per term, and none is above
+    0 but by rounding.  The clip moves a row's sum by at most n·e^-600, so a row
+    whose sum is below e^-500, a query far from every sample, is recomputed
+    shifted by its largest exponent; every other row keeps all but n·e^-100.
 
-    A query whose ``|u|²`` overflows gets -inf, as in the direct kernel;
-    samples whose ``|v|²`` overflows (only a hand-set bandwidth far below their
-    spread makes one) raise ``DataError``.  A row's last bits can change with
-    its block's row count, and a one-row block takes numpy's gemv path, so a
-    row queried alone can differ from it in a block.
+    A query whose ``|u|²`` overflows gets -inf, as in the direct kernel, and a
+    NaN query gets NaN; samples whose ``|v|²`` overflows (only a hand-set
+    bandwidth far below their spread makes one) raise ``DataError``.  A row's
+    last bits can change with its block's row count, and a one-row block takes
+    numpy's gemv path, so a row queried alone can differ from it in a block.
     """
     query = np.asarray(query, dtype=np.float64)
     single = query.ndim == 1
@@ -167,32 +142,40 @@ def kde_log_density(model: KdeModel, query: np.ndarray) -> float | np.ndarray:
         raise ShapeError(f"query dimension {q.shape[1]} does not match samples dimension {d}")
     h = model.bandwidth
     mu = model.samples.mean(axis=0)
-    table = np.empty((d + 1, n))
+    table = np.full((d + 2, n), -1.0)
     v = table[:d]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(model.samples.T, mu[:, None], out=v)
-        np.divide(v, h[:, None], out=v)
-        np.einsum("ij,ij->j", v, v, out=table[d])
+    np.subtract(model.samples.T, mu[:, None], out=v)
+    np.divide(v, h[:, None], out=v)
+    np.einsum("ij,ij->j", v, v, out=table[d])
     table[d] *= -0.5
-    # with |u|² and |v|² finite, |u·v| <= |u||v| is too, so no block sum is +inf or NaN
+    # with |u|² and |v|² finite, |u·v| <= |u||v| is too, so no exponent is +inf or NaN
     if not np.isfinite(table[d]).all():
         raise DataError("KDE samples' scaled squared distances from their mean are not finite")
+    v_max = np.sqrt(-2.0 * table[d].min())
     out = np.empty(q.shape[0])
     rows = max(1, KDE_BLOCK_ELEMENTS // n)
-    size = (min(rows, q.shape[0]), n)
-    terms, work, mask = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    u1 = np.ones((size[0], d + 1))  # each block's [u, 1] rows
+    terms = np.empty((min(rows, q.shape[0]), n))
+    u1 = np.ones((len(terms), d + 2))  # each block's [u, 1, |u|²/2] rows
     for start in range(0, q.shape[0], rows):
         block = q[start : start + rows]
         k = len(block)
-        u = u1[:k, :d]
+        u, half_u, o = u1[:k, :d], u1[:k, d + 1], out[start : start + k]
         np.subtract(block, mu, out=u)
         np.divide(u, h, out=u)
-        half_u = 0.5 * np.einsum("ij,ij->i", u, u)
-        # a row whose |u|² overflows ends at -inf; a zero u keeps its u·v finite
-        u[np.isinf(half_u)] = 0.0
-        np.matmul(u1[:k], table, out=terms[:k])
-        out[start : start + k] = _logsumexp_rows(terms[:k], work[:k], mask[:k]) - half_u
+        np.einsum("ij,ij->i", u, u, out=half_u)
+        half_u *= 0.5
+        a = np.matmul(u1[:k], table, out=terms[:k])
+        # clip unless the bound keeps every exponent above the floor (a NaN bound clips)
+        if not (np.sqrt(2.0 * half_u.max()) + v_max) ** 2 / 2 <= -_EXP_FLOOR:
+            np.clip(a, _EXP_FLOOR, 0.0, out=a)
+        np.log(np.exp(a, out=a).sum(axis=1), out=o)
+        far = np.flatnonzero(o < _FAR_ROW_LOG)
+        if far.size:
+            a = np.matmul(u1[far], table, out=terms[: far.size])
+            top = a.max(axis=1, keepdims=True)
+            np.maximum(np.subtract(a, top, out=a), _EXP_FLOOR, out=a)
+            o[far] = np.log(np.exp(a, out=a).sum(axis=1)) + top[:, 0]
+        o[np.isinf(half_u)] = -np.inf  # |u|² overflowed, whatever its terms gave
     log_norm = -np.sum(np.log(h)) - 0.5 * d * np.log(2.0 * np.pi)
     out = out + log_norm - np.log(n)
     return float(out[0]) if single else out

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -170,6 +171,19 @@ class TestForward:
         m = init_mlp([2, 2, 2], 1, seed=0)
         with pytest.raises(DataError):
             representations_batch(m, np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize(
+        "entry", ["probs_batch", "representations_batch", "bce_loss_batch", "grad_params_batch"]
+    )
+    def test_rows_that_overflow_the_network_warn_nothing(self, entry):
+        # rows of +-1.7e308 overflow a matmul or a bias add under five of these six
+        # seeds' weights; their outputs may be NaN, but no numpy warning gets out
+        x = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308], [0.5, 0.1]])
+        y = np.array([1.0, 0.0, 1.0])
+        for seed in range(6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                INPUT_ENTRIES[entry](init_mlp([2, 4, 3, 2], 1, seed), x, y)
 
     def test_probability_sanity_after_clamp(self, rng):
         for trial in range(20):

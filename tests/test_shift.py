@@ -101,6 +101,34 @@ def long_double_kde_log_density(model, query):
         return (out + log_norm - np.log(np.longdouble(n))).astype(np.float64)
 
 
+def log_kernel_sums(model, log_density):
+    """The log of each row's sum of kernel terms, exp(-|u - v|^2 / 2), from its log density."""
+    n, d = model.samples.shape
+    log_norm = -np.sum(np.log(model.bandwidth)) - 0.5 * d * np.log(2.0 * np.pi)
+    return log_density - log_norm + np.log(n)
+
+
+def kernel_exponents(model, query):
+    """The direct kernel's exponents -|u - v|^2 / 2, one row per query."""
+    diff = (query[:, None, :] - model.samples) / model.bandwidth
+    return -0.5 * np.sum(diff * diff, axis=2)
+
+
+def row_at_log_sum(model, target):
+    """A query on the first axis out from the samples' mean whose long-double log kernel
+    sum is within 0.01 of ``target``, found by bisection."""
+    mu = model.samples.mean(axis=0)
+    lo, hi = 0.0, 1e3 * model.bandwidth[0]
+    for _ in range(100):
+        row = mu.copy()
+        row[0] += (lo + hi) / 2
+        got = log_kernel_sums(model, long_double_kde_log_density(model, row))[0]
+        if abs(got - target) < 0.01:
+            return row
+        lo, hi = ((lo + hi) / 2, hi) if got > target else (lo, (lo + hi) / 2)
+    raise AssertionError(f"no row found at a log kernel sum of {target}")
+
+
 def assert_within_kde_tolerance(got, ref):
     """The KDE's stated tolerance: |got - ref| <= 1e-12 max(1, |ref|) where ``ref`` is
     finite, never NaN there, and the same infinity where ``ref`` is infinite."""
@@ -199,6 +227,7 @@ class TestKde:
             "no-features",
             "zeros-subnormals",
             "mean-1e5",
+            "far-cross",
         ],
     )
     def test_matches_long_double_kernel(self, rng, monkeypatch, block, case):
@@ -233,6 +262,15 @@ class TestKde:
             # and lose about 1e-5 to cancellation
             model = kde_fit(rng.normal(1e5, 1.0, size=(1500, 3)))
             query = rng.normal(1e5, 1.5, size=(1503, 3))
+        elif case == "far-cross":
+            # queries out to 12 spreads: many kernel terms underflow, and many rows sum
+            # below the far-row bound and are recomputed; the last two rows sit just
+            # above and just below it
+            model = kde_fit(x[:50])
+            near = rng.normal(scale=2.0, size=(300, 6))
+            far = rng.normal(scale=12.0, size=(300, 6))
+            edge = [row_at_log_sum(model, shift._FAR_ROW_LOG + t) for t in (1, -1)]
+            query = np.vstack([near, far, edge])
         else:
             model = kde_fit(x[:50])
             # a far query, a row of -inf kernel terms, after finite blocks
@@ -248,6 +286,11 @@ class TestKde:
             assert got[-1] == -np.inf and np.isfinite(got[:-1]).all()
         if case == "zeros-subnormals":
             assert got[-1] == -np.inf and np.isfinite(got[:-1]).all()
+        if case == "far-cross":
+            log_sum = log_kernel_sums(model, ref)
+            assert log_sum[-2] > shift._FAR_ROW_LOG > log_sum[-1]
+            assert np.count_nonzero(log_sum < shift._FAR_ROW_LOG) > 100
+            assert np.mean(kernel_exponents(model, query) < -745.2) > 0.3  # below 2^-1075
 
     def test_samples_too_far_apart_for_their_bandwidth_are_a_data_error(self, rng):
         # a 1e307 sample on a set bandwidth of 0.5: its |v|^2 overflows
@@ -271,6 +314,15 @@ class TestKde:
         scale = 0.5 * np.sum(u * u, axis=1) + 0.5 * np.max(np.sum(v * v, axis=1))
         assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
 
+    def test_rounding_past_the_range_of_exp_stays_finite(self, rng):
+        # a spread of 1e10 on a set bandwidth of 1: |v|^2 near 1e20 rounds some near
+        # pairs' exponents up past 709, where exp overflows, unless the block clips them
+        s = rng.normal(size=(40, 3)) * 1e10
+        u = s - s.mean(axis=0)
+        half = 0.5 * np.sum(u * u, axis=1)
+        assert np.max(u @ u.T - half - half[:, None]) > 709
+        assert np.isfinite(kde_log_density(KdeModel(samples=s, bandwidth=np.ones(3)), s)).all()
+
     def test_far_query_matches_oracle(self, rng):
         model = kde_fit(rng.normal(size=(10, 2)))
         far = np.array([1e3, -1e3])
@@ -292,81 +344,10 @@ class TestKde:
             tracemalloc.stop()
         assert np.all(np.isfinite(out))
         # the (m, n, d) broadcast would need 5000 * 5000 * 10 * 8 B = 2 GB
-        # about 1.0 MB: the samples' [v; -|v|^2 / 2] table and the block buffers; a
-        # (block, n, d) cube of differences per block peaks at 3.5 MB
+        # about 1.0 MB: the samples' [v; -|v|^2 / 2; -1] table and the one block buffer,
+        # 0.5 MB each, which the far-row path reuses; a (block, n, d) cube of
+        # differences per block peaks at 3.5 MB
         assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
-
-    def test_scott_bandwidth_floor(self):
-        model = kde_fit(np.array([[1.0], [1.0], [1.0]]))
-        assert model.bandwidth[0] == 1e-3
-
-
-class TestLogsumexpRows:
-    """``_logsumexp_rows`` against scipy's ``logsumexp(a, axis=1)``, the reference, bit for bit."""
-
-    @staticmethod
-    def logsumexp_rows(a):
-        return shift._logsumexp_rows(a, np.empty_like(a), np.empty(a.shape, dtype=bool))
-
-    def assert_matches_scipy(self, a):
-        got = self.logsumexp_rows(a)
-        assert got.shape == (a.shape[0],)
-        assert np.array_equal(got, logsumexp(a, axis=1))
-
-    def test_random_kde_blocks(self, rng):
-        # the shapes and ranges of kde_log_density's blocks: -0.5 * scaled squared distances
-        for scale in (0.01, 1.0, 40.0):
-            self.assert_matches_scipy(-0.5 * scale * rng.chisquare(6, size=(10, 1500)))
-
-    def test_random_signed_blocks(self, rng):
-        self.assert_matches_scipy(rng.normal(scale=50.0, size=(10, 1500)))
-
-    def test_tied_maxima(self, rng):
-        a = rng.normal(size=(4, 40))
-        a[:, [3, 17, 39]] = a.max(axis=1, keepdims=True) + 1.0  # three-way ties
-        a[3] = -2.5  # every entry tied
-        self.assert_matches_scipy(a)
-
-    def test_every_other_term_underflows(self):
-        # exp(a - a_max) is 0 off the maximum, so s == 0 and s / m is skipped
-        a = np.full((3, 25), -1e4)
-        a[0, 4] = 0.0
-        a[1, 0] = -3.0
-        a[2, :2] = 5.0  # a tie whose other terms all underflow
-        self.assert_matches_scipy(a)
-        assert np.array_equal(self.logsumexp_rows(a), [0.0, -3.0, 5.0 + np.log(2.0)])
-
-    def test_rows_of_minus_infinity(self, rng):
-        a = rng.normal(size=(4, 30))
-        a[1] = -np.inf
-        a[2, ::2] = -np.inf
-        a[3] = -np.inf
-        self.assert_matches_scipy(a)
-        got = self.logsumexp_rows(a)
-        assert got[1] == got[3] == -np.inf and np.isfinite(got[[0, 2]]).all()
-
-    def test_tied_row_next_to_a_row_of_minus_infinity(self, rng):
-        # two ties in row 0 and none in the -inf row: the block's tie count equals
-        # its row count, yet row 0 needs m = 2
-        a = rng.normal(size=(2, 30))
-        a[0, [3, 17]] = a[0].max() + 1.0
-        a[1] = -np.inf
-        self.assert_matches_scipy(a)
-
-    def test_reused_buffers(self, rng):
-        # finite rows first, then rows of -inf, NaN and +inf in the same buffers
-        finite = -0.5 * rng.chisquare(6, size=(5, 300))
-        finite[2, [4, 90]] = finite[2].max() + 1.0
-        special = rng.normal(scale=20.0, size=(5, 300))
-        special[0] = -np.inf
-        special[1, 7] = np.nan
-        special[2, 11] = np.inf
-        special[3, ::2] = -np.inf
-        special[4, [0, 5]] = [np.inf, np.nan]
-        scratch, mask = np.empty_like(finite), np.empty(finite.shape, dtype=bool)
-        for a in (finite, special):
-            got = shift._logsumexp_rows(a, scratch, mask)
-            assert np.array_equal(got, logsumexp(a, axis=1), equal_nan=True)
 
     def test_overflowing_query_is_minus_infinity_as_in_the_oracle(self, rng):
         # every squared difference overflows to inf, so every kernel term is -inf
@@ -377,6 +358,16 @@ class TestLogsumexpRows:
             ref = broadcast_kde_log_density(model, query)[0]
         assert ref == -np.inf
         assert got == ref
+
+    def test_nan_query_is_nan_among_finite_and_overflowing_rows(self, rng):
+        model = kde_fit(rng.normal(size=(30, 2)))
+        query = np.array([[np.nan, 0.0], [0.5, -0.5], [1.7e308, 1.7e308], [40.0, 0.0]])
+        got = kde_log_density(model, query)
+        assert np.isnan(got[0]) and np.isfinite(got[[1, 3]]).all() and got[2] == -np.inf
+
+    def test_scott_bandwidth_floor(self):
+        model = kde_fit(np.array([[1.0], [1.0], [1.0]]))
+        assert model.bandwidth[0] == 1e-3
 
 
 class TestCovariateShiftRatio:
