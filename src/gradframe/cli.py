@@ -3,7 +3,9 @@
 Subcommands: simulate | train | shift-report | select-k | lodo | compare |
 evaluate.  Every command reads a flat key-value config, echoes the resolved
 config into the output directory, and writes deterministic CSV/JSON outputs;
-the run timestamp is isolated in each report's metadata block.
+the run timestamp is isolated in each report's metadata block.  Before a command
+runs, ``main`` removes the outputs its ``COMMANDS`` entry names, so a failed run
+leaves its echo and none of them.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -36,7 +38,7 @@ from .data import (
     write_csv,
     write_json,
 )
-from .errors import ConfigError, DataError, GradframeError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluation import evaluate, lodo_cv_search, welch_t_one_tailed
 from .model_io import load_model, save_model
 from .nn import MlpModel
@@ -155,9 +157,6 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
-    # a file an earlier run left in ``out`` would be read as this run's, failed or not
-    for name in ("model.txt", "scaler.txt", "fictitious.csv", "train_report.json"):
-        (out / name).unlink(missing_ok=True)
     source, target = _load_data(cfg, cfg.seed)
     [(model, fict)] = _train_cells(cfg, [(cfg.method, cfg.seed, source)])
     payload = {
@@ -326,13 +325,13 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "train": cmd_train,
-    "shift-report": cmd_shift_report,
-    "select-k": cmd_select_k,
-    "lodo": cmd_lodo,
-    "compare": cmd_compare,
-    "evaluate": cmd_evaluate,
+    "simulate": (cmd_simulate, ("source.csv", "target.csv", "simulate.json")),
+    "train": (cmd_train, ("model.txt", "scaler.txt", "fictitious.csv", "train_report.json")),
+    "shift-report": (cmd_shift_report, ("shift_report.json", "shift_series.csv")),
+    "select-k": (cmd_select_k, ("k_table.csv", "selection.json")),
+    "lodo": (cmd_lodo, ("lodo_table.csv", "lodo_choice.json")),
+    "compare": (cmd_compare, ("compare_matrix.csv", "compare_report.json")),
+    "evaluate": (cmd_evaluate, ("eval_report.json",)),  # model.txt and scaler.txt are inputs
 }
 
 
@@ -360,19 +359,19 @@ def main(argv: list[str] | None = None) -> int:
         out = cfg.output_dir
         out.mkdir(parents=True, exist_ok=True)
         (out / "effective_config.txt").write_text(render_config(cfg.values), encoding="utf-8")
-        return COMMANDS[args.command](cfg, out)
+        command, outputs = COMMANDS[args.command]
+        for name in outputs:  # a file an earlier run left would be read as this run's
+            (out / name).unlink(missing_ok=True)
+        return command(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, FloatingPointError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except GradframeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:  # inputs are read through ``read_text``, so this is an output path
         print(f"config error: cannot write the output {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -66,21 +66,16 @@ def _integer(raw: str) -> int:
         raise ValueError("expected an integer") from None
 
 
-def _positive_integer(raw: str) -> int:
-    value = _integer(raw)
-    if value < 1:
-        raise ValueError("expected an integer >= 1")
-    return value
-
-
-def _at_most(parse: Callable[[str], int], maximum: int) -> Callable[[str], int]:
-    def bounded(raw: str) -> int:
-        value = parse(raw)
-        if value > maximum:
-            raise ValueError(f"expected at most {maximum}")
+def _integer_in(low: float = -math.inf, high: float = math.inf) -> Callable[[str], int]:
+    def parse(raw: str) -> int:
+        value = _integer(raw)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}")
+        if value > high:
+            raise ValueError(f"expected at most {high}")
         return value
 
-    return bounded
+    return parse
 
 
 def _flag(raw: str) -> bool:
@@ -154,8 +149,8 @@ KEYS: dict[str, tuple[str, Callable]] = {
     "csv.label_column": ("label", _name),
     "csv.domain_column": ("domain", _optional(str)),
     "csv.feature_columns": ("", _optional(_list(_name))),
-    "simulate.points_per_blob": ("100", _at_most(_positive_integer, MAX_POINTS_PER_BLOB)),
-    "simulate.target.points_per_blob": ("50", _at_most(_positive_integer, MAX_POINTS_PER_BLOB)),
+    "simulate.points_per_blob": ("100", _integer_in(1, MAX_POINTS_PER_BLOB)),
+    "simulate.target.points_per_blob": ("50", _integer_in(1, MAX_POINTS_PER_BLOB)),
     "simulate.boundary.a": ("-1", _number),
     "simulate.boundary.b": ("0", _number),
     "simulate.target.boundary.a": ("-2", _number),
@@ -164,14 +159,14 @@ KEYS: dict[str, tuple[str, Callable]] = {
     "penalty.gamma1": ("1", _number),
     "penalty.gamma2": ("10", _number),
     "ascent.alpha": (str(SIM_ASCENT["alpha"]), _number),
-    "ascent.max_steps": (str(SIM_ASCENT["max_steps"]), _at_most(_integer, MAX_ASCENT_STEPS)),
+    "ascent.max_steps": (str(SIM_ASCENT["max_steps"]), _integer_in(high=MAX_ASCENT_STEPS)),
     "ascent.rel_tolerance": (str(SIM_ASCENT["rel_tolerance"]), _number),
     "ascent.min_steps": (str(SIM_ASCENT["min_steps"]), _integer),
     "train.beta": (str(SIM_TRAIN["beta"]), _number),
-    "train.epochs": (str(SIM_TRAIN["epochs"]), _at_most(_integer, MAX_EPOCHS)),
+    "train.epochs": (str(SIM_TRAIN["epochs"]), _integer_in(high=MAX_EPOCHS)),
     "train.batch_size": (str(SIM_TRAIN["batch_size"]), _integer),
-    "train.pretrain_epochs": (str(SIM_TRAIN["pretrain_epochs"]), _at_most(_integer, MAX_EPOCHS)),
-    "train.hidden_dims": ("2", _list(_at_most(_integer, MAX_HIDDEN_WIDTH))),
+    "train.pretrain_epochs": (str(SIM_TRAIN["pretrain_epochs"]), _integer_in(high=MAX_EPOCHS)),
+    "train.hidden_dims": ("2", _list(_integer_in(high=MAX_HIDDEN_WIDTH))),
     "train.rep_layer_index": ("1", _integer),
     "mixup.beta_shape": ("2,2", _two_numbers),
     "mixup.fixed_lambda": ("", _optional(_number)),
@@ -179,9 +174,9 @@ KEYS: dict[str, tuple[str, Callable]] = {
     "grid.gamma1_values": ("0.1,1", _list(_number)),
     "grid.gamma2_values": ("0.1,10", _list(_number)),
     "grid.pairs": ("", _pairs),
-    "select_k.candidates": ("2,3,4", _list(_integer, at_least=2, distinct=True)),
+    "select_k.candidates": ("2,3,4", _list(_integer_in(2), at_least=2, distinct=True)),
     "select_k.key_column": ("key", _name),
-    "select_k.m_samples": ("64", _at_most(_positive_integer, MAX_M_SAMPLES)),
+    "select_k.m_samples": ("64", _integer_in(1, MAX_M_SAMPLES)),
     "shift.sweep": ("", _choice("", "gamma1", "gamma2")),
     "shift.sweep_values": ("0.1,1,10", _list(_number, at_least=1)),
     "compare.methods": ("erm,gradframe", _list(_choice(*METHODS), at_least=1, distinct=True)),

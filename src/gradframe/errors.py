@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, NumericError -> 4.
+DataError -> 3, NumericError -> 4.  Nothing raises a bare GradframeError.
 """
 
 

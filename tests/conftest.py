@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gradframe.core import FictitiousSet
 from gradframe.data import Boundary, Domain, generate_gaussian_domain
@@ -14,6 +15,10 @@ from gradframe.nn import (
     param_count,
     representations_batch,
 )
+
+# a failed draw prints the ``@reproduce_failure`` blob that replays it
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 
 def build_model(weights, biases, rep_layer_index=1) -> MlpModel:

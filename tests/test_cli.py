@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import model_text
+from conftest import build_model, model_text
 
 import gradframe
 from gradframe.baselines import train_erm, train_groupdro, train_mixup
@@ -112,6 +112,8 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg2)]) == 0
         assert (tmp_path / "b" / "source.csv").read_bytes() == first_src
         assert (tmp_path / "b" / "target.csv").read_bytes() == first_tgt
+        written = {p.name for p in (tmp_path / "b").iterdir()}
+        assert written == {"effective_config.txt", *COMMANDS["simulate"][1]}
 
     def test_boundary_override_relabels(self, tmp_path):
         cfg = write_cfg(
@@ -1019,30 +1021,77 @@ output.dir = {out}
         assert "Traceback" not in err
         assert not (out / "model.txt").exists()
 
-    def test_failed_train_leaves_no_outputs_of_an_earlier_run(self, tmp_path):
-        src = tmp_path / "src.csv"
-        rows = "0,0,0,A\n1,1,1,A\n0,1,0,A\n1,0,1,A\n0,0,1,B\n1,1,0,B\n0,1,1,B\n1,0,0,B\n"
-        src.write_text("x0,x1,label,domain\n" + rows)  # two domains, for the default gradframe
-        good, renamed = tmp_path / "good.csv", tmp_path / "renamed.csv"
-        good.write_text("x0,x1,label,domain\n0.5,0.5,1,T\n-0.5,-0.5,0,T\n")
-        renamed.write_text("a,b,label,domain\n0.5,0.5,1,T\n-0.5,-0.5,0,T\n")
-        out = tmp_path / "o"
-        outputs = ("model.txt", "scaler.txt", "fictitious.csv", "train_report.json")
-        for target, code in ((good, 0), (renamed, 3)):
-            cfg = write_cfg(
-                tmp_path / "c.cfg",
-                f"""
+    # one CSV that every command reads: three domains, a month key and explicit features
+    EVERY_COMMAND = """
 dataset.kind = csv
-data.source_csv = {src}
-data.target_csv = {target}
+data.source_csv = {data}
+data.target_csv = {data}
+csv.feature_columns = x0,x1
+select_k.candidates = 2,3
+select_k.key_column = month
+select_k.m_samples = 8
+grid.pairs = 0.1:0.1
+compare.methods = erm
+seeds = 0
 train.epochs = 3
-train.batch_size = 4
+train.pretrain_epochs = 2
+train.batch_size = 16
+ascent.max_steps = 1
+ascent.min_steps = 0
 output.dir = {out}
-""",
-            )
-            assert main(["train", "--config", str(cfg)]) == code
-            assert [(out / name).exists() for name in outputs] == [code == 0] * 4
-        assert (out / "effective_config.txt").exists()
+"""
+
+    @pytest.mark.parametrize(
+        "command", ["train", "shift-report", "select-k", "lodo", "compare", "evaluate"]
+    )
+    def test_failed_train_leaves_no_outputs_of_an_earlier_run(self, tmp_path, capsys, command):
+        """A run writes only its echo and the outputs its ``COMMANDS`` entry declares.  A
+        second run into the same directory that fails after the load, on an ``abc``
+        feature cell, leaves its own echo and none of those outputs; files it does not
+        declare, such as ``evaluate``'s ``model.txt`` and ``scaler.txt``, stay."""
+        header, *rows = keyed_csv(tmp_path / "keyed.csv").read_text().splitlines()
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(f"{header},domain\n" + "".join(f"{r},{'ABC'[i % 3]}\n" for i, r in enumerate(rows)))
+        bad.write_text(good.read_text().replace("\n", "\nabc", 1))
+        out = tmp_path / "o"
+        cfgs = [
+            write_cfg(tmp_path / f"{data.stem}.cfg", self.EVERY_COMMAND.format(data=data, out=out))
+            for data in (good, bad)
+        ]
+        if command == "evaluate":
+            assert main(["train", "--config", str(cfgs[0])]) == 0
+        before = {p.name for p in out.iterdir()} if out.exists() else set()
+        assert main([command, "--config", str(cfgs[0])]) == 0
+        written = {p.name for p in out.iterdir()} - before - {"effective_config.txt"}
+        assert written == set(COMMANDS[command][1])
+        assert main([command, "--config", str(cfgs[1])]) == 3
+        err = capsys.readouterr().err
+        assert "non-numeric value 'abc" in err and "Traceback" not in err
+        assert {p.name for p in out.iterdir()} == before | {"effective_config.txt"}
+        echo = (out / "effective_config.txt").read_text(encoding="utf-8")
+        assert echo == render_config(ExperimentConfig.load(cfgs[1]).values)
+
+    def test_lodo_fold_that_overflows_the_model_is_numeric_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Every cell's model is a hand-set one that is finite on every row but the
+        1e300 row of fold C, where its first layer overflows: ``auroc`` rejects the
+        fold's NaN score, so the run exits 4 and writes no table and no choice."""
+        import gradframe.evaluation as evaluation
+
+        model = build_model([[[1e10, 0.0], [0.0, 1.0]], np.eye(2)], [np.zeros(2), np.zeros(2)])
+        monkeypatch.setattr(evaluation, "train_gradframe", lambda runs, _: [(model, None)] * len(runs))
+        rows = [f"{x},{x},{int(x > 0)},{dom}" for dom in "ABC" for x in (-1.0, -0.5, 0.5, 1.0)]
+        rows[-1] = "1e300,1,1,C"
+        (data := tmp_path / "doms.csv").write_text("x0,x1,label,domain\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        body = f"dataset.kind = csv\ndata.source_csv = {data}\ndata.standardize = false\noutput.dir = {out}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lodo", "--config", str(write_cfg(tmp_path / "c.cfg", body))]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: 1 of 4 scores are not finite" in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
 
     def test_seed_flag_overrides(self, tmp_path):
         out = tmp_path / "s"

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradframe.cli import main
+from gradframe.cli import COMMANDS, main
 from gradframe.config import KEYS, METHODS, ExperimentConfig, parse_config_file, render_config
 from gradframe.errors import ConfigError
 
@@ -126,6 +126,9 @@ class TestLoadTimeErrors:
             ("csv.feature_columns = x0,label\n", "csv.*"),
             ("csv.domain_column = label\n", "csv.*"),
             ("csv.feature_columns = x0,x1,x0\n", "csv.*"),
+            ("select_k.candidates = 1,2\n", "'select_k.candidates'"),
+            ("select_k.candidates = 0,3\n", "'select_k.candidates'"),
+            ("select_k.candidates = -4,2\n", "'select_k.candidates'"),
         ],
     )
     def test_library_range_checks_run_at_load(self, tmp_path, body, named):
@@ -151,6 +154,18 @@ def test_readme_lists_the_table():
     lines = [line.split("#")[0].split("=", 1) for line in block.splitlines()]
     listed = [(key.strip(), default.strip()) for key, default in lines]
     assert listed == [(key, default) for key, (default, _) in KEYS.items()]
+
+
+def test_readme_lists_each_commands_outputs():
+    """The "main outputs" cell of each row of the README's command table names the
+    files ``main`` clears for that command."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"\| command \| what it does \| main outputs \|\n\|.*?\n(.*?)\n\n", readme, re.S)
+    listed = {}
+    for row in block.group(1).splitlines():
+        command, _, outputs = row.strip("|").split("|")
+        listed[command.strip().strip("`")] = set(re.findall(r"`([^`]+)`", outputs))
+    assert listed == {command: set(outputs) for command, (_, outputs) in COMMANDS.items()}
 
 
 def _rejected(key: str, value: str) -> bool:

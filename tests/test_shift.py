@@ -216,7 +216,7 @@ class TestKde:
         assert got.shape == (310,)
         assert np.max(np.abs(got - broadcast_kde_log_density(model, query))) <= 1e-12
 
-    @pytest.mark.parametrize("block", [shift.KDE_BLOCK_ELEMENTS, 7 * 50, 1])
+    @pytest.mark.parametrize("block_rows", [None, 7, 1])
     @pytest.mark.parametrize(
         "case",
         [
@@ -230,11 +230,11 @@ class TestKde:
             "far-cross",
         ],
     )
-    def test_matches_long_double_kernel(self, rng, monkeypatch, block, case):
-        # at 7 * 50 the 50-sample case runs 7-row blocks and a ragged last one of 2,
-        # which works in slices of the buffers the full blocks used; at 1 every block
-        # is one query row, so each block's matmul takes numpy's one-row gemv path
-        monkeypatch.setattr(shift, "KDE_BLOCK_ELEMENTS", block)
+    def test_matches_long_double_kernel(self, rng, monkeypatch, block_rows, case):
+        # None keeps the default block; 7 sets the block to 7 rows of the case's own
+        # samples, so every case runs 7-row blocks, and all but far-cross (602 queries)
+        # a ragged last one, which works in slices of the buffers the full blocks used;
+        # at 1 every block is one query row, so each matmul takes numpy's one-row gemv path
         loc, scale = [0.0, 3.0, -1.0, 0.5, 2.0, 0.0], [1.0, 2.0, 0.5, 1.0, 3.0, 0.1]
         x = rng.normal(loc=loc, scale=scale, size=(1500, 6))
         if case == "self-6":
@@ -275,6 +275,8 @@ class TestKde:
             model = kde_fit(x[:50])
             # a far query, a row of -inf kernel terms, after finite blocks
             query = np.vstack([x[50:359], [1e200, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        if block_rows is not None:
+            monkeypatch.setattr(shift, "KDE_BLOCK_ELEMENTS", block_rows * len(model.samples))
         with np.errstate(over="ignore"):
             got = kde_log_density(model, query)
             ref = long_double_kde_log_density(model, query)
