@@ -1,20 +1,12 @@
 """Distributionally robust training via worst-case fictitious data.
 
 Library surface: network substrate (``nn``), dataset handling (``data``),
-the core augmentation method (``core``), reference trainers (``baselines``),
-shift quantification (``shift``), evaluation and penalty search
-(``evaluation``), and a CLI (``cli``).
+the training loop and the reference trainers (``training``), the core
+augmentation method (``core``), shift quantification (``shift``), evaluation
+and penalty search (``evaluation``), and a CLI (``cli``).
 """
 
-from .baselines import MixupConfig, train_erm, train_groupdro, train_mixup
-from .core import (
-    AscentConfig,
-    FictitiousSet,
-    PenaltyParams,
-    fictitious_sets,
-    generate_fictitious_set,
-    train_gradframe,
-)
+from .core import AscentConfig, FictitiousSet, PenaltyParams, fictitious_sets, train_gradframe
 from .data import (
     Boundary,
     CsvSchema,
@@ -57,7 +49,7 @@ from .shift import (
     select_domain_count,
     shapley_attribution,
 )
-from .training import TrainConfig
+from .training import MixupConfig, TrainConfig, train_erm, train_groupdro, train_mixup
 
 __version__ = "0.1.0"
 
@@ -86,7 +78,6 @@ __all__ = [
     "covariate_shift_ratio",
     "evaluate",
     "fictitious_sets",
-    "generate_fictitious_set",
     "generate_gaussian_domain",
     "grad_params_batch",
     "init_mlp",

@@ -49,28 +49,29 @@ from .training import GroupDroRule, fit_stack
 def _metadata(cfg: ExperimentConfig, command: str) -> dict:
     return {
         "command": command,
-        "seed": cfg.seed,
+        "seed": cfg["seed"],
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
     }
 
 
 def _source_path(cfg: ExperimentConfig) -> str:
-    if not cfg.source_csv:
+    path = cfg["data.source_csv"]
+    if not path:
         raise ConfigError("config key 'data.source_csv' is required for dataset.kind=csv")
-    return cfg.source_csv
+    return path
 
 
 def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | None]:
     """Source domains plus the optional evaluation target, standardized if configured."""
-    if cfg.dataset_kind == "simulate":
-        source = simulation_source(seed, cfg.sim_points_per_blob, cfg.source_boundary)
-        target = simulation_target(seed, cfg.sim_target_points_per_blob, cfg.target_boundary)
+    if cfg["dataset.kind"] == "simulate":
+        source = simulation_source(seed, cfg["simulate.points_per_blob"], cfg.source_boundary)
+        target = simulation_target(seed, cfg["simulate.target.points_per_blob"], cfg.target_boundary)
     else:
         source = load_csv_dataset(_source_path(cfg), cfg.csv_schema)
-        target = None
-        if cfg.target_csv:
-            targets = load_csv_dataset(cfg.target_csv, cfg.csv_schema)
+        target, target_csv = None, cfg["data.target_csv"]
+        if target_csv:
+            targets = load_csv_dataset(target_csv, cfg.csv_schema)
             # a model reads its inputs by position, so the columns must be the same, in order
             if targets.feature_names != source.feature_names:
                 differ = (
@@ -79,11 +80,11 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, Domain | No
                     else "the feature columns differ from the source's, by name or order"
                 )
                 raise DataError(
-                    f"{cfg.target_csv}: {differ}: {list(targets.feature_names)} against "
+                    f"{target_csv}: {differ}: {list(targets.feature_names)} against "
                     f"{list(source.feature_names)}"
                 )
             target = targets.pooled()
-    if cfg.standardize:
+    if cfg["data.standardize"]:
         source = standardize(source)
         if target is not None:
             target = apply_standardization(target, source.standardization)
@@ -107,7 +108,7 @@ def _train_cells(
         if method == "mixup":
             rules.append(cfg.mixup)
         elif method == "groupdro":
-            rules.append(GroupDroRule(tuple(len(d) for d in source.domains), cfg.groupdro_eta))
+            rules.append(GroupDroRule(tuple(len(d) for d in source.domains), cfg["groupdro.eta"]))
         else:
             rules.append(None)
     baselines = iter(fit_stack([p.x for p in pools], [p.y for p in pools], cfgs, rules))
@@ -126,7 +127,8 @@ def _save_scaler(stats: Standardization | None, out: Path) -> None:
 
 
 def _load_scaler(path: Path, input_dim: int) -> Standardization:
-    """The mean and std rows ``_save_scaler`` wrote, one value per model input."""
+    """The mean and std rows ``_save_scaler`` wrote, one value per model input: every
+    value finite and every std >= 0, as ``standardize`` fits them."""
     lines = read_text(path).splitlines()
     try:
         mean, std = (np.array([float(v) for v in line.split()]) for line in lines[:2])
@@ -136,12 +138,14 @@ def _load_scaler(path: Path, input_dim: int) -> Standardization:
         raise DataError(
             f"{path}: mean has {mean.size} and std {std.size} values, the model takes {input_dim} inputs"
         )
+    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std >= 0).all()):
+        raise DataError(f"{path}: every mean and std must be finite, and every std >= 0")
     return Standardization(mean=mean, std=std)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    source = simulation_source(cfg.seed, cfg.sim_points_per_blob, cfg.source_boundary)
-    target = simulation_target(cfg.seed, cfg.sim_target_points_per_blob, cfg.target_boundary)
+    source = simulation_source(cfg["seed"], cfg["simulate.points_per_blob"], cfg.source_boundary)
+    target = simulation_target(cfg["seed"], cfg["simulate.target.points_per_blob"], cfg.target_boundary)
     save_csv_dataset(source, out / "source.csv")
     save_csv_dataset(DomainSet((target,)), out / "target.csv")
     write_json(
@@ -157,10 +161,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
-    source, target = _load_data(cfg, cfg.seed)
-    [(model, fict)] = _train_cells(cfg, [(cfg.method, cfg.seed, source)])
+    source, target = _load_data(cfg, cfg["seed"])
+    [(model, fict)] = _train_cells(cfg, [(cfg["method"], cfg["seed"], source)])
     payload = {
-        "method": cfg.method,
+        "method": cfg["method"],
         "eval_source": evaluate(model, source.pooled()).to_payload(),
         "metadata": _metadata(cfg, "train"),
     }
@@ -176,7 +180,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
-    source, _ = _load_data(cfg, cfg.seed)
+    source, _ = _load_data(cfg, cfg["seed"])
     # a sweep's runs share the source and config, so one plan pretrains once
     ficts = fictitious_sets([(source, gammas, cfg.train) for gammas in cfg.shift_runs], cfg.ascent)
     metrics = shift_metrics(source, ficts, cfg.train)
@@ -198,26 +202,23 @@ def cmd_shift_report(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.dataset_kind != "csv":
+    if cfg["dataset.kind"] != "csv":
         raise ConfigError("select-k requires dataset.kind=csv with a key column")
     src_path = _source_path(cfg)
     features = cfg.csv_schema.feature_columns
-    if features is None or cfg.select_k_key_column in features:
+    key = cfg["select_k.key_column"]
+    if features is None or key in features:
         # keep the grouping key out of the feature matrix
         raise ConfigError("select-k requires explicit csv.feature_columns (excluding the key column)")
-    if cfg.select_k_key_column == cfg.csv_schema.label_column:
+    if key == cfg.csv_schema.label_column:
         # grouping by the label would split the rows by class
-        raise ConfigError(
-            f"select_k.key_column {cfg.select_k_key_column!r} is also csv.label_column"
-        )
+        raise ConfigError(f"select_k.key_column {key!r} is also csv.label_column")
     # one domain in file order, the key as its last column, so row i stays paired with key i
-    schema = replace(
-        cfg.csv_schema, domain_column=None, feature_columns=(*features, cfg.select_k_key_column)
-    )
+    schema = replace(cfg.csv_schema, domain_column=None, feature_columns=(*features, key))
     rows = load_csv_dataset(src_path, schema).domain("all")
     source, keys = Domain("all", rows.x[:, :-1], rows.y), rows.x[:, -1]
     result = select_domain_count(
-        source, cfg.select_k_candidates, keys, cfg.train, m_samples=cfg.select_k_m_samples
+        source, cfg["select_k.candidates"], keys, cfg.train, m_samples=cfg["select_k.m_samples"]
     )
     table = [[k, result.table[k]] for k in sorted(result.table)]
     write_csv(out / "k_table.csv", ["k", "avg_p_value"], table)
@@ -235,7 +236,7 @@ def cmd_select_k(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_lodo(cfg: ExperimentConfig, out: Path) -> int:
-    source, _ = _load_data(cfg, cfg.seed)
+    source, _ = _load_data(cfg, cfg["seed"])
     result = lodo_cv_search(source, cfg.grid_pairs, cfg.ascent, cfg.train)
     result.write_csv(out / "lodo_table.csv")
     write_json(
@@ -251,9 +252,9 @@ def cmd_lodo(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
-    methods, seeds = cfg.compare_methods, cfg.seeds
+    methods, seeds = cfg["compare.methods"], cfg["seeds"]
     # a CSV run reads the same files whatever the seed, so it loads them once
-    simulated = cfg.dataset_kind == "simulate"
+    simulated = cfg["dataset.kind"] == "simulate"
     runs = [_load_data(cfg, seed) for seed in (seeds if simulated else seeds[:1])]
     if any(target is None for _, target in runs):
         raise DataError("compare requires a target dataset")
@@ -302,7 +303,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     model = load_model(out / "model.txt")
-    eval_path = cfg.target_csv or cfg.source_csv
+    eval_path = cfg["data.target_csv"] or cfg["data.source_csv"]
     if not eval_path:
         raise ConfigError("evaluate requires data.target_csv or data.source_csv")
     domain = load_csv_dataset(eval_path, cfg.csv_schema).pooled()
@@ -356,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             overrides["output.dir"] = args.out
         cfg = ExperimentConfig.load(args.config, overrides)
-        out = cfg.output_dir
+        out = cfg["output.dir"]
         out.mkdir(parents=True, exist_ok=True)
         (out / "effective_config.txt").write_text(render_config(cfg.values), encoding="utf-8")
         command, outputs = COMMANDS[args.command]

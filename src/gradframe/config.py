@@ -5,8 +5,9 @@ dotted section keys (e.g. ``ascent.alpha``).  Unknown keys are rejected so
 typos fail fast.  ``KEYS`` gives every key its default string and its parser;
 ``ExperimentConfig.load`` parses every key once and builds the library config
 types from them, so a bad value is a ``ConfigError`` at load, whatever the
-command.  ``render_config`` writes the fully-resolved form back out;
-re-running from that echo reproduces the run.
+command.  A value is read by its key, ``cfg["data.source_csv"]``, or, under a
+built section, through its type, ``cfg.train.epochs``.  ``render_config`` writes
+the fully-resolved form back out; re-running from that echo reproduces the run.
 """
 
 from __future__ import annotations
@@ -123,13 +124,6 @@ def _list(
     return parse
 
 
-def _two_numbers(raw: str) -> tuple[float, float]:
-    values = _list(_number)(raw)
-    if len(values) != 2:
-        raise ValueError("expected two comma-separated numbers")
-    return values
-
-
 def _pairs(raw: str) -> tuple[tuple[float, float], ...]:
     pairs = [part.split(":") for part in raw.split(";")] if raw else []
     if any(len(pair) != 2 for pair in pairs):
@@ -168,7 +162,7 @@ KEYS: dict[str, tuple[str, Callable]] = {
     "train.pretrain_epochs": (str(SIM_TRAIN["pretrain_epochs"]), _integer_in(high=MAX_EPOCHS)),
     "train.hidden_dims": ("2", _list(_integer_in(high=MAX_HIDDEN_WIDTH))),
     "train.rep_layer_index": ("1", _integer),
-    "mixup.beta_shape": ("2,2", _two_numbers),
+    "mixup.beta_shape": ("2,2", _list(_number, at_least=2, at_most=2)),
     "mixup.fixed_lambda": ("", _optional(_number)),
     "groupdro.eta": ("0.01", _number),
     "grid.gamma1_values": ("0.1,1", _list(_number)),
@@ -225,36 +219,28 @@ def _build(keys: str, factory: Callable, *args, **fields):
 class ExperimentConfig:
     """Every config key parsed, checked and typed, plus the raw strings it came from.
 
-    ``values`` is the resolved key -> string mapping, kept only to be echoed.
+    ``values`` is the resolved key -> string mapping, kept only to be echoed, and
+    ``parsed`` the typed value of every key, read as ``cfg[key]``.  The other
+    fields are the values ``load`` builds or cross-checks; a key under a built
+    section is read through its type (``cfg.train.epochs``), never by its name.
     ``shift_runs`` holds the penalties of each ``shift-report`` run: the
     configured pair, or one pair per sweep value.
     """
 
     values: dict[str, str]
-    dataset_kind: str
-    source_csv: str
-    target_csv: str
-    standardize: bool
+    parsed: dict[str, object]
     csv_schema: CsvSchema
-    sim_points_per_blob: int
-    sim_target_points_per_blob: int
     source_boundary: Boundary
     target_boundary: Boundary
-    method: str
     penalties: PenaltyParams
     ascent: AscentConfig
     train: TrainConfig
     mixup: MixupConfig
-    groupdro_eta: float
     grid_pairs: tuple[tuple[float, float], ...]
-    select_k_candidates: tuple[int, ...]
-    select_k_key_column: str
-    select_k_m_samples: int
     shift_runs: tuple[PenaltyParams, ...]
-    compare_methods: tuple[str, ...]
-    seed: int
-    seeds: tuple[int, ...]
-    output_dir: Path
+
+    def __getitem__(self, key: str):
+        return self.parsed[key]
 
     @classmethod
     def load(cls, path: str | Path, overrides: dict[str, str] | None = None) -> "ExperimentConfig":
@@ -288,28 +274,14 @@ class ExperimentConfig:
         _build("groupdro.eta", check_groupdro_eta, p["groupdro.eta"])
         return cls(
             values=values,
-            dataset_kind=p["dataset.kind"],
-            source_csv=p["data.source_csv"],
-            target_csv=p["data.target_csv"],
-            standardize=p["data.standardize"],
+            parsed=p,
             csv_schema=_build("csv.*", CsvSchema, **_section(p, "csv.")),
-            sim_points_per_blob=p["simulate.points_per_blob"],
-            sim_target_points_per_blob=p["simulate.target.points_per_blob"],
             source_boundary=Boundary(**_section(p, "simulate.boundary.")),
             target_boundary=Boundary(**_section(p, "simulate.target.boundary.")),
-            method=p["method"],
             penalties=penalties,
             ascent=_build("ascent.*", AscentConfig, **_section(p, "ascent.")),
             train=train,
             mixup=_build("mixup.*", MixupConfig, **_section(p, "mixup.")),
-            groupdro_eta=p["groupdro.eta"],
             grid_pairs=grid_pairs,
-            select_k_candidates=p["select_k.candidates"],
-            select_k_key_column=p["select_k.key_column"],
-            select_k_m_samples=p["select_k.m_samples"],
             shift_runs=shift_runs,
-            compare_methods=p["compare.methods"],
-            seed=p["seed"],
-            seeds=p["seeds"],
-            output_dir=p["output.dir"],
         )

@@ -256,7 +256,8 @@ def _pretrain(sets: list[tuple[DomainSet, TrainConfig]]) -> list[dict[str, MlpMo
 
 def _ascend_runs(runs: list, ascent_cfg: AscentConfig) -> list[FictitiousSet]:
     """The fictitious set of each ``(source, penalties, train config, models)`` run, in
-    input order, from ``models``, one pretrained model per domain id.
+    input order, from ``models``, one pretrained model per domain id.  Each source
+    has at least two domains, as ``_pretrain`` checks.
 
     Partner domains rotate round-robin over the other domains with a seeded
     starting offset per origin domain.  The points of one origin domain that
@@ -265,8 +266,6 @@ def _ascend_runs(runs: list, ascent_cfg: AscentConfig) -> list[FictitiousSet]:
     """
     sets, stacks = [], {}
     for ds, gammas, train_cfg, models in runs:
-        if ds.k < 2:
-            raise ConfigError(f"need at least 2 domains, got K={ds.k}")
         ids = [d.id for d in ds.domains]
         pooled = ds.pooled()
         n = len(pooled)
@@ -298,19 +297,6 @@ def _ascend_runs(runs: list, ascent_cfg: AscentConfig) -> list[FictitiousSet]:
             fict.x_star[rows], fict.objective_trace[rows] = x, trace
             fict.trace_length[rows], fict.aborted[rows] = length, aborted
     return sets
-
-
-def generate_fictitious_set(
-    ds: DomainSet,
-    gammas: PenaltyParams,
-    ascent_cfg: AscentConfig,
-    train_cfg: TrainConfig,
-    models: dict[str, MlpModel],
-) -> FictitiousSet:
-    """One fictitious point per training point, in origin order, from ``models``,
-    one pretrained model per domain id: the one-run case of ``fictitious_sets``'
-    ascent (``_ascend_runs``)."""
-    return _ascend_runs([(ds, gammas, train_cfg, models)], ascent_cfg)[0]
 
 
 def fictitious_sets(

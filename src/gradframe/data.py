@@ -69,7 +69,7 @@ class DomainSet:
 
     domains: tuple[Domain, ...]
     standardization: Standardization | None = None
-    feature_names: tuple[str, ...] | None = None  # the CSV columns; only load_csv_dataset sets them
+    feature_names: tuple[str, ...] | None = None  # the CSV columns, set by load_csv_dataset, kept by standardize
 
     def __post_init__(self):
         doms = tuple(self.domains)
@@ -334,6 +334,7 @@ def standardize(ds: DomainSet) -> DomainSet:
     return DomainSet(
         tuple(apply_standardization(d, stats) for d in ds.domains),
         standardization=stats,
+        feature_names=ds.feature_names,
     )
 
 

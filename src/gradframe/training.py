@@ -1,8 +1,10 @@
-"""The one training loop behind every model in the package, and its configuration.
+"""The one training loop behind every model in the package, its configuration, and
+the reference trainers.
 
 ``descend`` trains a stack of M fits at once; a single fit is a stack of one.
 ``fit_stack`` groups fits that can share a descent, plain, mixup and GroupDRO
-fits alike.
+fits alike.  The baselines ``train_erm``, ``train_mixup`` and ``train_groupdro``
+are each one such fit on the pooled source.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import DomainSet
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nn import _ROWS_FIRST_MAX_WIDTH, P_MAX, P_MIN
 from .nn import MlpModel, Workspace, bind_adam, check_architecture, check_input, init_mlp, param_views
@@ -356,3 +359,34 @@ def fit_stack(
         for i, model in zip(members, fitted):
             models[i] = model
     return models
+
+
+def train_erm(ds: DomainSet, cfg: TrainConfig) -> MlpModel:
+    """Minibatch training on all source domains pooled: ``fit_stack`` of one plain fit."""
+    pooled = ds.pooled()
+    return fit_stack([pooled.x], [pooled.y], [cfg])[0]
+
+
+def train_mixup(ds: DomainSet, cfg: TrainConfig, mixup: MixupConfig) -> MlpModel:
+    """Pooled minibatch training on convex combinations of random pairs: ``fit_stack``
+    of one mixup fit."""
+    pooled = ds.pooled()
+    return fit_stack([pooled.x], [pooled.y], [cfg], [mixup])[0]
+
+
+def train_groupdro(
+    ds: DomainSet,
+    cfg: TrainConfig,
+    eta: float = 0.01,
+    on_step: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+) -> MlpModel:
+    """Exponentiated-gradient reweighting of per-domain losses: ``fit_stack`` of one
+    fit under ``GroupDroRule``, which ``on_step`` observes as (step, q, losses).
+
+    A bad ``eta`` is a ``ConfigError`` before any step, and a step whose
+    reweighting is not finite (``exp`` overflows for a large ``eta``) raises
+    ``NumericError``.
+    """
+    rule = GroupDroRule(tuple(len(d) for d in ds.domains), eta, on_step)
+    pooled = ds.pooled()
+    return fit_stack([pooled.x], [pooled.y], [cfg], [rule])[0]

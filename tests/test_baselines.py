@@ -7,13 +7,12 @@ import pytest
 
 from conftest import separable_blobs
 
-from gradframe.baselines import MixupConfig, train_erm, train_groupdro, train_mixup
 from gradframe.data import Domain, DomainSet, simulation_source, simulation_target
 from gradframe.errors import ConfigError, NumericError
 from gradframe.evaluation import auroc
 from gradframe.nn import probs_batch
 from gradframe.rng import rng_for
-from gradframe.training import TrainConfig, draw_lambdas
+from gradframe.training import MixupConfig, TrainConfig, draw_lambdas, train_erm, train_groupdro, train_mixup
 
 
 class TestTrainErm:

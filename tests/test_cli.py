@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import arrays
 from conftest import build_model, model_text
 
 import gradframe
-from gradframe.baselines import train_erm, train_groupdro, train_mixup
 from gradframe.cli import COMMANDS, _load_data, _load_scaler, _save_scaler, main
 from gradframe.config import (
     MAX_ASCENT_STEPS,
@@ -38,6 +37,7 @@ from gradframe.evaluation import auroc, evaluate
 from gradframe.nn import probs_batch
 from gradframe.rng import derive_seed
 from gradframe.shift import SHIFT_REPORT_SCHEMA
+from gradframe.training import train_erm, train_groupdro, train_mixup
 
 
 def write_cfg(path: Path, body: str) -> Path:
@@ -68,7 +68,7 @@ def train_alone(cfg: ExperimentConfig, method: str, source, seed: int):
     if method == "mixup":
         return train_mixup(source, train_cfg, cfg.mixup)
     if method == "groupdro":
-        return train_groupdro(source, train_cfg, cfg.groupdro_eta)
+        return train_groupdro(source, train_cfg, cfg["groupdro.eta"])
     return train_erm(source, train_cfg)
 
 
@@ -556,7 +556,7 @@ output.dir = {out}
         assert main(["lodo", "--config", str(cfg_path)]) == 0
         assert [len(s) for s in seeds] == stacks
         cfg = ExperimentConfig.load(cfg_path)
-        source, _ = _load_data(cfg, cfg.seed)
+        source, _ = _load_data(cfg, cfg["seed"])
         want = ["gamma1,gamma2,fold_domain,auroc"]
         for i, (g1, g2) in enumerate(cfg.grid_pairs):
             for fold in source.domains:
@@ -915,6 +915,29 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert stacks == []
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("train", "need at least 2 domains"),
+            ("shift-report", "need at least 2 domains"),
+            ("lodo", "LODO-CV needs at least 3 domains"),
+        ],
+    )
+    def test_one_domain_csv_is_config_error(self, tmp_path, capsys, monkeypatch, command, message):
+        """A CSV read as one domain stops ``train`` and ``shift-report`` at the two-domain
+        rule and ``lodo`` at its own three-domain one, before any fit, leaving only the
+        config echo."""
+        data = tmp_path / "one.csv"
+        data.write_text("x0,x1,label\n0,0,0\n1,1,1\n0,1,0\n1,0,1\n")
+        out = tmp_path / "o"
+        body = f"dataset.kind = csv\ndata.source_csv = {data}\ncsv.domain_column =\noutput.dir = {out}\n"
+        stacks = record_descents(monkeypatch)
+        assert main([command, "--config", str(write_cfg(tmp_path / "c.cfg", body))]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
+        assert stacks == []
+
     def test_misnamed_domain_column_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "regions.csv"
         data.write_text("x0,x1,region,label\n0,0,1,0\n1,1,1,1\n0,1,2,0\n1,0,2,1\n")
@@ -1110,8 +1133,11 @@ output.dir = {out}
 
     @pytest.mark.parametrize(
         "scaler",
-        ["0 0\n", "0 x\n1 1\n", "0 0\n1\n", "0 0 0\n1 1 1\n"],
-        ids=["missing-line", "non-numeric", "length-mismatch", "wrong-dimension"],
+        ["0 0\n", "0 x\n1 1\n", "0 0\n1\n", "0 0 0\n1 1 1\n", "0 0\n-1 -1\n", "0 0\ninf 1\n", "nan 0\n1 1\n"],
+        ids=[
+            "missing-line", "non-numeric", "length-mismatch", "wrong-dimension",
+            "negative-std", "infinite-std", "nan-mean",
+        ],
     )
     def test_malformed_scaler_is_data_error(self, tmp_path, capsys, scaler):
         out = tmp_path / "run"
@@ -1123,6 +1149,7 @@ output.dir = {out}
         eval_cfg = write_cfg(tmp_path / "e.cfg", EVAL_ONE_DOMAIN.format(tgt=tgt, out=out))
         assert main(["evaluate", "--config", str(eval_cfg)]) == 3
         assert "scaler.txt" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_m_samples_is_config_error(self, tmp_path, capsys, value):
@@ -1186,7 +1213,7 @@ output.dir = {tmp_path}/o
         maximum fail before any data is read or made."""
         cfg = write_cfg(tmp_path / "c.cfg", TINY_TRAIN.format(method="erm", out=tmp_path / "o"))
         at_max = ",".join(map(str, range(MAX_SEEDS)))
-        assert len(ExperimentConfig.load(cfg, {"seeds": at_max}).seeds) == MAX_SEEDS
+        assert len(ExperimentConfig.load(cfg, {"seeds": at_max})["seeds"]) == MAX_SEEDS
 
         def no_work(*args):
             raise AssertionError("data was read before the config was checked")
@@ -1385,12 +1412,17 @@ def scaler_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("scaler")
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    stats=arrays(
-        np.float64, st.tuples(st.just(2), st.integers(1, 6)), elements=st.floats(allow_nan=False)
+# the files ``standardize`` can write: finite means, finite stds >= 0
+SCALER_STATS = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        arrays(np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False)),
+        arrays(np.float64, n, elements=st.floats(min_value=0, allow_infinity=False)),
     )
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(stats=SCALER_STATS)
 def test_scaler_round_trip_is_bit_exact(scaler_dir, stats):
     mean, std = stats
     _save_scaler(Standardization(mean=mean, std=std), scaler_dir)
@@ -1418,6 +1450,7 @@ def test_any_scaler_text_loads_or_is_data_error(scaler_dir, text, input_dim):
     except DataError:
         return
     assert loaded.mean.shape == loaded.std.shape == (input_dim,)
+    assert np.isfinite(loaded.mean).all() and np.isfinite(loaded.std).all() and (loaded.std >= 0).all()
 
 
 # Cells that break a key, label or feature column: negative, fractional, empty,

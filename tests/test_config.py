@@ -120,6 +120,8 @@ class TestLoadTimeErrors:
             ("ascent.min_steps = 5\nascent.max_steps = 3\n", "ascent.*"),
             ("penalty.gamma1 = -1\n", "penalty.*"),
             ("mixup.fixed_lambda = 2\n", "mixup.*"),
+            ("mixup.beta_shape = 1\n", "'mixup.beta_shape'"),
+            ("mixup.beta_shape = 1,2,3\n", "'mixup.beta_shape'"),
             ("grid.pairs = -1:1\n", "grid.*"),
             ("grid.gamma1_values =\n", "grid.gamma1_values"),
             ("shift.sweep = gamma2\nshift.sweep_values = 1,-1\n", "shift.sweep_values"),

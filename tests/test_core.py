@@ -22,8 +22,8 @@ from gradframe.core import (
     _pretrain,
     _stack_grad,
     _stack_objective,
+    _ascend_runs,
     fictitious_sets,
-    generate_fictitious_set,
     train_gradframe,
 )
 from gradframe.config import SIM_ASCENT, SIM_TRAIN
@@ -286,18 +286,29 @@ class TestPretrain:
         with pytest.raises(ConfigError):
             _pretrain([(ds, cfg)])
 
+    @pytest.mark.parametrize("entry", [fictitious_sets, train_gradframe])
+    def test_single_domain_rejected_before_any_fit(self, monkeypatch, entry):
+        """The public paths reach ``_pretrain``'s two-domain rule before any descent."""
+        import gradframe.training as training
+
+        calls = []
+        monkeypatch.setattr(training, "descend", lambda *args: calls.append(args))
+        ds = DomainSet((separable_blobs("only", seed=1),))
+        with pytest.raises(ConfigError, match="need at least 2 domains"):
+            entry([(ds, PenaltyParams(1.0, 1.0), TrainConfig(seed=0))], AscentConfig())
+        assert calls == []
+
 
 def _traces(fict):
     """Each row's objective trace without the padding."""
     return [tuple(t[:n].tolist()) for t, n in zip(fict.objective_trace, fict.trace_length)]
 
 
-class TestGenerateFictitiousSet:
+class TestFictitiousSet:
     def test_simulation_partner_assignment(self):
         src = simulation_source(1)
         cfg = TrainConfig(seed=1, beta=0.01, epochs=50, batch_size=400, pretrain_epochs=20)
-        models = _pretrain([(src, cfg)])[0]
-        fict = generate_fictitious_set(src, PenaltyParams(1.0, 10.0), AscentConfig(max_steps=0, min_steps=0), cfg, models)
+        fict = fictitious_sets([(src, PenaltyParams(1.0, 10.0), cfg)], AscentConfig(max_steps=0, min_steps=0))[0]
         assert len(fict) == 400
         for origin, partner in zip(fict.origin_domain, fict.partner_domain):
             assert partner == ("S2" if origin == "S1" else "S1")
@@ -305,8 +316,7 @@ class TestGenerateFictitiousSet:
     def test_zero_steps_reproduces_inputs(self):
         src = simulation_source(2)
         cfg = TrainConfig(seed=2, beta=0.01, epochs=50, batch_size=400, pretrain_epochs=20)
-        models = _pretrain([(src, cfg)])[0]
-        fict = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg, models)
+        fict = fictitious_sets([(src, PenaltyParams(1.0, 1.0), cfg)], AscentConfig(max_steps=0, min_steps=0))[0]
         assert np.array_equal(fict.x_star, src.pooled().x)
         assert np.array_equal(fict.y_star, src.pooled().y)
 
@@ -314,8 +324,8 @@ class TestGenerateFictitiousSet:
         src = DomainSet((separable_blobs("A", seed=5, n_per_blob=20), separable_blobs("B", seed=6, n_per_blob=20)))
         cfg = TrainConfig(seed=4, beta=0.01, epochs=30, batch_size=32, pretrain_epochs=15)
         asc = AscentConfig(alpha=0.1, max_steps=5)
-        first = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg, _pretrain([(src, cfg)])[0])
-        second = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), asc, cfg, _pretrain([(src, cfg)])[0])
+        first = fictitious_sets([(src, PenaltyParams(1.0, 1.0), cfg)], asc)[0]
+        second = fictitious_sets([(src, PenaltyParams(1.0, 1.0), cfg)], asc)[0]
         assert first.x_star.tobytes() == second.x_star.tobytes()
         assert _traces(first) == _traces(second)
         assert list(zip(first.origin_domain.tolist(), first.origin_index.tolist())) == [
@@ -329,13 +339,12 @@ class TestGenerateFictitiousSet:
         src = DomainSet((separable_blobs("A", seed=5, n_per_blob=5), separable_blobs("B", seed=6, n_per_blob=5)))
         models = {d: init_mlp((3 if d == wide else 2, 2, 2), 1, seed=0) for d in ("A", "B")}
         with pytest.raises(ShapeError):
-            generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(), TrainConfig(), models=models)
+            _ascend_runs([(src, PenaltyParams(1.0, 1.0), TrainConfig(), models)], AscentConfig())
 
     def test_csv_export_columns(self, tmp_path):
         src = simulation_source(3)
         cfg = TrainConfig(seed=3, beta=0.01, epochs=30, batch_size=400, pretrain_epochs=10)
-        models = _pretrain([(src, cfg)])[0]
-        fict = generate_fictitious_set(src, PenaltyParams(1.0, 1.0), AscentConfig(max_steps=0, min_steps=0), cfg, models)
+        fict = fictitious_sets([(src, PenaltyParams(1.0, 1.0), cfg)], AscentConfig(max_steps=0, min_steps=0))[0]
         path = tmp_path / "fict.csv"
         fict.write_csv(path)
         lines = path.read_text().splitlines()
@@ -541,7 +550,7 @@ class TestTrainGradframe:
         assert stacks == [6, 1, 2, 1]
         assert len(results) == len(runs)
         for (ds, gammas, cfg), (model, fict) in zip(runs, results):
-            ref_fict = generate_fictitious_set(ds, gammas, asc, cfg, _pretrain([(ds, cfg)])[0])
+            ref_fict = fictitious_sets([(ds, gammas, cfg)], asc)[0]
             pooled = ds.pooled()
             x = np.vstack([pooled.x, ref_fict.x_star])
             y = np.concatenate([pooled.y, ref_fict.y_star])
@@ -549,7 +558,7 @@ class TestTrainGradframe:
             _assert_same_sets(fict, ref_fict)
 
     def test_no_op_ascent_behaves_like_plain_erm(self):
-        from gradframe.baselines import train_erm
+        from gradframe.training import train_erm
         from gradframe.data import simulation_target
         from gradframe.evaluation import auroc
         from gradframe.nn import probs_batch
@@ -645,7 +654,7 @@ def _scalar_generate(ds, models, gammas, asc, seed):
 def _compare_with_oracle(ds, models, gammas, asc, seed):
     """Assert identical provenance and stop decisions, and return (max |dx*|, max |dtrace|)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        got = generate_fictitious_set(ds, gammas, asc, TrainConfig(seed=seed), models=models)
+        got = _ascend_runs([(ds, gammas, TrainConfig(seed=seed), models)], asc)[0]
         want = _scalar_generate(ds, models, gammas, asc, seed)
     assert len(got) == len(want)
     dx = dt = 0.0

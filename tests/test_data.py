@@ -354,6 +354,10 @@ class TestStandardize:
         expected = (held_out.x - ds.standardization.mean) / ds.standardization.std
         assert np.allclose(transformed.x, expected)
 
+    def test_feature_names_ride_along(self, tmp_path):
+        path = tmp_path / "named.csv"
+        path.write_text("a,b,label,domain\n0,1,0,A\n2,3,1,A\n4,5,0,B\n6,8,1,B\n")
+        assert standardize(load_csv_dataset(path)).feature_names == ("a", "b")
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_held_out_of_another_width_is_shape_error(self, width):

@@ -20,7 +20,6 @@ from conftest import (
 )
 
 import gradframe.shift as shift
-from gradframe.baselines import train_erm
 from gradframe.core import AscentConfig, PenaltyParams, fictitious_sets
 from gradframe.data import (
     Domain,
@@ -43,7 +42,7 @@ from gradframe.shift import (
     shapley_attribution,
 )
 from gradframe.rng import derive_seed, rng_for
-from gradframe.training import TrainConfig, fit_stack
+from gradframe.training import TrainConfig, fit_stack, train_erm
 
 
 def broadcast_kde_log_density(model, query):

@@ -14,13 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradframe.baselines import MixupConfig, train_groupdro, train_mixup
 from gradframe import nn, training
 from gradframe.data import Domain, DomainSet
 from gradframe.errors import ConfigError, DataError, NumericError, ShapeError
 from gradframe.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, P_MAX, P_MIN
 from gradframe.rng import derive_seed, rng_for
-from gradframe.training import TrainConfig, draw_lambdas, fit_stack
+from gradframe.training import MixupConfig, TrainConfig, draw_lambdas, fit_stack, train_groupdro, train_mixup
 
 
 def _ref_init(dims, seed):
