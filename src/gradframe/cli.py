@@ -97,21 +97,18 @@ def _train_cells(
     """Each ``(method, seed, source)`` cell's model and fictitious set (None for a
     baseline), in cell order: the baselines on the pooled source as one ``fit_stack``,
     the gradframe cells as one ``train_gradframe`` plan, each as it trains alone."""
-    pools, cfgs, rules, plan = [], [], [], []
+    fits, plan = [], []
     for method, seed, source in cells:
         train_cfg = replace(cfg.train, seed=seed)
         if method == "gradframe":
             plan.append((source, cfg.penalties, train_cfg))
             continue
-        pools.append(source.pooled())
-        cfgs.append(train_cfg)
-        if method == "mixup":
-            rules.append(cfg.mixup)
-        elif method == "groupdro":
-            rules.append(GroupDroRule(tuple(len(d) for d in source.domains), cfg["groupdro.eta"]))
-        else:
-            rules.append(None)
-    baselines = iter(fit_stack([p.x for p in pools], [p.y for p in pools], cfgs, rules))
+        rule = cfg.mixup if method == "mixup" else None
+        if method == "groupdro":
+            rule = GroupDroRule(tuple(len(d) for d in source.domains), cfg["groupdro.eta"])
+        pooled = source.pooled()
+        fits.append((pooled.x, pooled.y, train_cfg, rule))
+    baselines = iter(fit_stack(fits))
     ours = iter(train_gradframe(plan, cfg.ascent))
     return [next(ours) if method == "gradframe" else (next(baselines), None) for method, _, _ in cells]
 
@@ -255,9 +252,9 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
     methods, seeds = cfg["compare.methods"], cfg["seeds"]
     # a CSV run reads the same files whatever the seed, so it loads them once
     simulated = cfg["dataset.kind"] == "simulate"
+    if not (simulated or cfg["data.target_csv"]):
+        raise ConfigError("config key 'data.target_csv' is required for compare with dataset.kind=csv")
     runs = [_load_data(cfg, seed) for seed in (seeds if simulated else seeds[:1])]
-    if any(target is None for _, target in runs):
-        raise DataError("compare requires a target dataset")
     if not all((target.y == 0).any() and (target.y == 1).any() for _, target in runs):
         raise NumericError("target domain has a single class; AUROC undefined")
     if not simulated:

@@ -21,7 +21,7 @@ from typing import Callable
 from .core import AscentConfig, PenaltyParams
 from .data import Boundary, CsvSchema, read_text
 from .errors import ConfigError
-from .training import MixupConfig, TrainConfig, check_groupdro_eta
+from .training import GroupDroRule, MixupConfig, TrainConfig
 
 # Canonical two-domain simulation protocol: full-batch training to a
 # saturated fit, light pretraining so ascent gradients stay alive.
@@ -271,7 +271,7 @@ class ExperimentConfig:
         for pair in grid_pairs:
             _build("grid.*", PenaltyParams, *pair)
         train = _build("train.*", TrainConfig, seed=p["seed"], **_section(p, "train."))
-        _build("groupdro.eta", check_groupdro_eta, p["groupdro.eta"])
+        _build("groupdro.eta", GroupDroRule, (), p["groupdro.eta"])
         return cls(
             values=values,
             parsed=p,

@@ -239,18 +239,16 @@ def _pretrain(sets: list[tuple[DomainSet, TrainConfig]]) -> list[dict[str, MlpMo
     """The per-domain models of every ``(ds, cfg)`` as one ``fit_stack``: each domain
     trains only on its own rows under ``cfg`` with its own seed and ``pretrain_epochs``,
     bit for bit the model it gives alone."""
-    for ds, _ in sets:
+    fits = []
+    for ds, cfg in sets:
         if ds.k < 2:
             raise ConfigError(
                 f"need at least 2 domains so every domain has a concept partner, got K={ds.k}"
             )
-    domains = [dom for ds, _ in sets for dom in ds.domains]
-    cfgs = [
-        replace(cfg, seed=derive_seed(cfg.seed, "pretrain", dom.id), epochs=cfg.pretrain_epochs)
-        for ds, cfg in sets
-        for dom in ds.domains
-    ]
-    models = iter(fit_stack([dom.x for dom in domains], [dom.y for dom in domains], cfgs))
+        for dom in ds.domains:
+            seed = derive_seed(cfg.seed, "pretrain", dom.id)
+            fits.append((dom.x, dom.y, replace(cfg, seed=seed, epochs=cfg.pretrain_epochs), None))
+    models = iter(fit_stack(fits))
     return [{dom.id: next(models) for dom in ds.domains} for ds, _ in sets]
 
 
@@ -322,10 +320,10 @@ def train_gradframe(
     fictitious points.  Every result is bit for bit the one its run gives alone.
     """
     ficts = fictitious_sets(runs, ascent_cfg)
-    pools = [ds.pooled() for ds, _, _ in runs]
-    finals = fit_stack(
-        [np.vstack([pooled.x, fict.x_star]) for pooled, fict in zip(pools, ficts)],
-        [np.concatenate([pooled.y, fict.y_star]) for pooled, fict in zip(pools, ficts)],
-        [cfg for _, _, cfg in runs],
-    )
+    fits = []
+    for (ds, _, cfg), fict in zip(runs, ficts):
+        pooled = ds.pooled()
+        x, y = np.vstack([pooled.x, fict.x_star]), np.concatenate([pooled.y, fict.y_star])
+        fits.append((x, y, cfg, None))
+    finals = fit_stack(fits)
     return list(zip(finals, ficts))

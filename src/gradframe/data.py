@@ -205,12 +205,13 @@ class CsvSchema:
 
 
 def read_text(path: str | Path, error: type[GradframeError] = DataError) -> str:
-    """The text of a UTF-8 file; a missing, unreadable or non-UTF-8 file raises ``error``."""
+    """The text of a UTF-8 file, less a leading byte-order mark; a missing, unreadable
+    or non-UTF-8 file raises ``error``."""
     path = Path(path)
     if not path.is_file():
         raise error(f"file not found or not a regular file: {path}")
     try:
-        return path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{path}: cannot read as UTF-8 text ({exc})") from None
 

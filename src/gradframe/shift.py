@@ -256,8 +256,10 @@ def concept_shift_delta(source: DomainSet, fict: FictitiousSet, cfg: TrainConfig
     They train as one ``fit_stack``: the source model on the pooled source,
     the fictitious one on ``(fict.x_star, fict.y_star)``.
     """
-    pooled = source.pooled()
-    models = fit_stack([pooled.x, fict.x_star], [pooled.y, fict.y_star], [concept_config(cfg)] * 2)
+    pooled, concept_cfg = source.pooled(), concept_config(cfg)
+    models = fit_stack(
+        [(pooled.x, pooled.y, concept_cfg, None), (fict.x_star, fict.y_star, concept_cfg, None)]
+    )
     return _concept_delta(fict, *models)
 
 
@@ -408,9 +410,7 @@ def select_domain_count(
         # one shared seed per candidate k: group models then differ only
         # through their data, not through the init/shuffle draw
         group_cfg = replace(cfg, seed=derive_seed(cfg.seed, "selectk", k))
-        models = fit_stack(
-            [g.x for g in groups.domains], [g.y for g in groups.domains], [group_cfg] * groups.k
-        )
+        models = fit_stack([(g.x, g.y, group_cfg, None) for g in groups.domains])
         shap_per_group = []
         for g_idx, (group, model) in enumerate(zip(groups.domains, models)):
             x = group.x
@@ -443,12 +443,10 @@ def shift_metrics(source: DomainSet, ficts, cfg: TrainConfig) -> list[dict]:
     pooled = source.pooled()
     concept_cfg = concept_config(cfg)
     fict_cfg = replace(cfg, seed=derive_seed(cfg.seed, "shift", "fict-model"))
-    xs, ys, cfgs = [pooled.x, pooled.x], [pooled.y, pooled.y], [cfg, concept_cfg]
+    fits = [(pooled.x, pooled.y, cfg, None), (pooled.x, pooled.y, concept_cfg, None)]
     for fict in ficts:
-        xs += [fict.x_star] * 2
-        ys += [fict.y_star] * 2
-        cfgs += [concept_cfg, fict_cfg]
-    source_model, concept_source, *fict_side = fit_stack(xs, ys, cfgs)
+        fits += [(fict.x_star, fict.y_star, fit_cfg, None) for fit_cfg in (concept_cfg, fict_cfg)]
+    source_model, concept_source, *fict_side = fit_stack(fits)
     ratios = covariate_shift_ratios(source, ficts, source_model)
     return [
         {

@@ -1,10 +1,12 @@
 """The one training loop behind every model in the package, its configuration, and
 the reference trainers.
 
-``descend`` trains a stack of M fits at once; a single fit is a stack of one.
-``fit_stack`` groups fits that can share a descent, plain, mixup and GroupDRO
-fits alike.  The baselines ``train_erm``, ``train_mixup`` and ``train_groupdro``
-are each one such fit on the pooled source.
+A fit is one ``(x, y, cfg, rule)`` tuple, ``rule`` ``None`` for a plain fit, a
+``MixupConfig`` or a ``GroupDroRule``.  ``descend`` trains a stack of M fits at
+once; a single fit is a stack of one.  ``fit_stack`` takes a list of fits and
+groups those that can share a descent, plain, mixup and GroupDRO fits alike.
+The baselines ``train_erm``, ``train_mixup`` and ``train_groupdro`` are each one
+such fit on the pooled source.
 """
 
 from __future__ import annotations
@@ -76,12 +78,6 @@ def draw_lambdas(mixup: MixupConfig, rng: np.random.Generator, n: int) -> np.nda
     return rng.beta(a, b, size=n)
 
 
-def check_groupdro_eta(eta: float) -> None:
-    """GroupDRO's step-size rule: ``eta`` finite and >= 0, else ``ConfigError``."""
-    if not (np.isfinite(eta) and eta >= 0):
-        raise ConfigError(f"eta must be finite and >= 0, got {eta}")
-
-
 @dataclass(frozen=True)
 class GroupDroRule:
     """GroupDRO's batch rule for a fit whose rows are its domains' rows, domain by domain.
@@ -97,7 +93,8 @@ class GroupDroRule:
     on_step: Callable[[int, np.ndarray, np.ndarray], None] | None = None
 
     def __post_init__(self):
-        check_groupdro_eta(self.eta)
+        if not (np.isfinite(self.eta) and self.eta >= 0):
+            raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
 
 
 def _bind_mix(mixup: MixupConfig, rng: np.random.Generator, x, y, x_rows, y_rows):
@@ -222,39 +219,35 @@ def _blocks(n: int, rule, batch_size: int) -> tuple[int, int]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a divergence is caught at the end instead
-def descend(
-    data: list[tuple[np.ndarray, np.ndarray]],
-    cfg: TrainConfig,
-    seeds: list[int],
-    rules: list,
-    blocks: tuple[int, int],
-) -> list[MlpModel]:
-    """One stacked descent under ``cfg`` over ``(x, y)`` fits of one width and ``_blocks``.
+def descend(fits: list[tuple]) -> list[MlpModel]:
+    """One stacked descent over checked ``(x, y, cfg, rule)`` fits of one width, one
+    config but for ``seed``, and one ``_blocks``.
 
-    Fit i draws its init and shuffle stream from ``seeds[i]`` (``cfg.seed`` is
-    not read) and takes one row of the stack; a GroupDRO fit takes one per
-    domain, replicas that start equal and stay equal, as each step writes one
-    weighted gradient into all of them and Adam is element-wise.  A mixup fit
-    mixes its block in place after each step's gather, with partners, then
-    ratios, from its own ``rng_for(<fit seed>, "mixup")`` stream.  Each epoch's
-    index matrix is built once, and each block shape's step is bound once,
-    each GroupDRO and mixup fit's step work with it (``_Reweighting.bind``,
-    ``_bind_mix``): a step is one kernel and one Adam call for the whole
-    stack, row by row that of a fit alone, so every model is bit for bit the
-    one a stack of one gives.  Overflow and invalid-value warnings are off; a
-    non-finite parameter or Adam second moment at the end raises
-    ``NumericError`` naming the first diverged fit's seed.
+    Each fit draws its init and shuffle stream from its own ``cfg.seed``; the
+    stack's other knobs are the first fit's.  A fit takes one row of the stack;
+    a GroupDRO fit takes one per domain, replicas that start equal and stay
+    equal, as each step writes one weighted gradient into all of them and Adam
+    is element-wise.  A mixup fit mixes its block in place after each step's
+    gather, with partners, then ratios, from its own ``rng_for(<fit seed>,
+    "mixup")`` stream.  Each epoch's index matrix is built once, and each block
+    shape's step is bound once, each GroupDRO and mixup fit's step work with
+    it (``_Reweighting.bind``, ``_bind_mix``): a step is one kernel and one
+    Adam call for the whole stack, row by row that of a fit alone, so every
+    model is bit for bit the one a stack of one gives.  Overflow and
+    invalid-value warnings are off; a non-finite parameter or Adam second
+    moment at the end raises ``NumericError`` naming the first diverged fit's
+    seed.
     """
-    d = data[0][0].shape[1]
-    dims = cfg.layer_dims(d)
-    steps, last = blocks
+    x, _, cfg, rule = fits[0]
+    dims = cfg.layer_dims(x.shape[1])
+    steps, last = _blocks(len(x), rule, cfg.batch_size)
     batch = cfg.batch_size
     length = (steps - 1) * batch + last  # index columns of a stack row per epoch
-    x_all = np.concatenate([x for x, _ in data])
-    y_all = np.concatenate([y for _, y in data])
-    widths = [len(rule.sizes) if isinstance(rule, GroupDroRule) else 1 for rule in rules]
+    x_all = np.concatenate([x for x, _, _, _ in fits])
+    y_all = np.concatenate([y for _, y, _, _ in fits])
+    widths = [len(rule.sizes) if isinstance(rule, GroupDroRule) else 1 for *_, rule in fits]
     firsts = np.cumsum([0, *widths[:-1]]).tolist()  # each fit's first stack row
-    row_seeds = [seed for seed, width in zip(seeds, widths) for _ in range(width)]
+    row_seeds = [fit[2].seed for fit, width in zip(fits, widths) for _ in range(width)]
     params = np.stack(
         [init_mlp(dims, cfg.rep_layer_index, derive_seed(seed, "init")).params for seed in row_seeds]
     )
@@ -267,9 +260,9 @@ def descend(
     order = np.empty_like(rows)
     plain, mixing, reweighting = [], [], []
     base = 0  # the fit's first row in x_all
-    for (x, _), row, seed, rule in zip(data, firsts, seeds, rules):
+    for (x, _, fit_cfg, rule), row in zip(fits, firsts):
         fit_rows = np.arange(base, base + len(x))
-        shuffle = rng_for(seed, "batch")
+        shuffle = rng_for(fit_cfg.seed, "batch")
         if isinstance(rule, GroupDroRule):
             fit = slice(row, row + len(rule.sizes))
             reweighting.append(_Reweighting(rule, fit, fit_rows, length, shuffle))
@@ -278,7 +271,7 @@ def descend(
             plain.append((row, shuffle))
             if rule is not None:
                 own = slice(base, base + len(x))
-                mixing.append((row, rule, rng_for(seed, "mixup"), x_all[own], y_all[own]))
+                mixing.append((row, rule, rng_for(fit_cfg.seed, "mixup"), x_all[own], y_all[own]))
         base += len(x)
     bound = {}  # a workspace and its bound step, mixes and reweighs per block shape
     epoch_blocks = []  # (view of ``order``, workspace, bound step work) of each block of an epoch
@@ -320,43 +313,30 @@ def descend(
     return [MlpModel(dims, params[row], cfg.rep_layer_index) for row in firsts]
 
 
-def fit_stack(
-    xs: Sequence,
-    ys: Sequence,
-    cfgs: Sequence[TrainConfig],
-    rules: Sequence[MixupConfig | GroupDroRule | None] | None = None,
-) -> list[MlpModel]:
-    """Train one fresh model per ``(x, y, cfg)``, stacking the fits that can share a descent.
+def fit_stack(fits: Sequence[tuple]) -> list[MlpModel]:
+    """Train one fresh model per ``(x, y, cfg, rule)`` fit, stacking the fits that can
+    share a descent.
 
-    ``rules`` holds each fit's batch rule: ``None`` (plain; all plain when
-    omitted), a ``MixupConfig``, or a ``GroupDroRule`` over the domains whose
-    rows make up ``x``, in order.  Fits stack when they share input width,
-    config but for ``seed``, and the row count of every step's blocks: n rows
-    give ``batch_size``-row blocks and a short last one, GroupDRO gives
-    ``ceil(max(sizes) / batch_size)`` blocks of ``batch_size`` rows per
-    domain.  Each fit keeps its own seeded streams, state and rows, so every
-    model is bit for bit the one its fit alone gives.  Every ``(x, y)``
-    passes ``check_input`` first; the models come back in input order.
+    ``rule`` is the fit's batch rule: ``None`` (plain), a ``MixupConfig``, or a
+    ``GroupDroRule`` over the domains whose rows make up ``x``, in order.  Fits
+    stack when they share input width, config but for ``seed``, and the row
+    count of every step's blocks: n rows give ``batch_size``-row blocks and a
+    short last one, GroupDRO gives ``ceil(max(sizes) / batch_size)`` blocks of
+    ``batch_size`` rows per domain.  Each fit keeps its own seeded streams,
+    state and rows, so every model is bit for bit the one its fit alone gives.
+    Every fit's ``(x, y)`` passes ``check_input`` first; the models come back
+    in input order.
     """
-    if rules is None:
-        rules = [None] * len(cfgs)
-    if not len(xs) == len(ys) == len(cfgs) == len(rules):
-        raise ShapeError(
-            f"got {len(xs)} inputs, {len(ys)} label vectors, {len(cfgs)} configs "
-            f"and {len(rules)} batch rules"
-        )
-    data = [check_input(None, x, y) for x, y in zip(xs, ys)]
+    fits = [(*check_input(None, x, y), cfg, rule) for x, y, cfg, rule in fits]
     stacks: dict[tuple, list[int]] = {}
-    for i, ((x, _), cfg, rule) in enumerate(zip(data, cfgs, rules)):
+    for i, (x, _, cfg, rule) in enumerate(fits):
         if isinstance(rule, GroupDroRule) and (sum(rule.sizes) != len(x) or min(rule.sizes) < 1):
             raise ShapeError(f"GroupDRO domain sizes {rule.sizes} do not split {len(x)} rows")
         key = (x.shape[1], _blocks(len(x), rule, cfg.batch_size), replace(cfg, seed=0))
         stacks.setdefault(key, []).append(i)
-    models: list[MlpModel | None] = [None] * len(cfgs)
-    for (_, blocks, cfg), members in stacks.items():
-        seeds = [cfgs[i].seed for i in members]
-        fitted = descend([data[i] for i in members], cfg, seeds, [rules[i] for i in members], blocks)
-        for i, model in zip(members, fitted):
+    models: list[MlpModel | None] = [None] * len(fits)
+    for members in stacks.values():
+        for i, model in zip(members, descend([fits[i] for i in members])):
             models[i] = model
     return models
 
@@ -364,14 +344,14 @@ def fit_stack(
 def train_erm(ds: DomainSet, cfg: TrainConfig) -> MlpModel:
     """Minibatch training on all source domains pooled: ``fit_stack`` of one plain fit."""
     pooled = ds.pooled()
-    return fit_stack([pooled.x], [pooled.y], [cfg])[0]
+    return fit_stack([(pooled.x, pooled.y, cfg, None)])[0]
 
 
 def train_mixup(ds: DomainSet, cfg: TrainConfig, mixup: MixupConfig) -> MlpModel:
     """Pooled minibatch training on convex combinations of random pairs: ``fit_stack``
     of one mixup fit."""
     pooled = ds.pooled()
-    return fit_stack([pooled.x], [pooled.y], [cfg], [mixup])[0]
+    return fit_stack([(pooled.x, pooled.y, cfg, mixup)])[0]
 
 
 def train_groupdro(
@@ -389,4 +369,4 @@ def train_groupdro(
     """
     rule = GroupDroRule(tuple(len(d) for d in ds.domains), eta, on_step)
     pooled = ds.pooled()
-    return fit_stack([pooled.x], [pooled.y], [cfg], [rule])[0]
+    return fit_stack([(pooled.x, pooled.y, cfg, rule)])[0]

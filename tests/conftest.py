@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from gradframe import training
 from gradframe.core import FictitiousSet
 from gradframe.data import Boundary, Domain, generate_gaussian_domain
 from gradframe.nn import (
@@ -152,3 +153,17 @@ def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def descents(monkeypatch) -> list[list[int]]:
+    """``training.descend`` patched to record each call's fit seeds, in call order."""
+    seeds = []
+    descend = training.descend
+
+    def recording(fits):
+        seeds.append([cfg.seed for _, _, cfg, _ in fits])
+        return descend(fits)
+
+    monkeypatch.setattr(training, "descend", recording)
+    return seeds

@@ -54,7 +54,7 @@ def sim_runs():
     cfgs = [sim_cfg(seed) for seed in SEEDS]
     pools = [src.pooled() for src in sources]
     t0 = time.time()
-    erms = fit_stack([p.x for p in pools], [p.y for p in pools], cfgs)
+    erms = fit_stack([(p.x, p.y, cfg, None) for p, cfg in zip(pools, cfgs)])
     t_erm = time.time() - t0
     t0 = time.time()
     strong = train_gradframe(

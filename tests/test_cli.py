@@ -45,21 +45,6 @@ def write_cfg(path: Path, body: str) -> Path:
     return path
 
 
-def record_descents(monkeypatch) -> list[list[int]]:
-    """Patch ``training.descend`` to record each call's fit seeds, in call order."""
-    import gradframe.training as training
-
-    stacks = []
-    descend = training.descend
-
-    def recording(data, cfg, seeds, *rest):
-        stacks.append(list(seeds))
-        return descend(data, cfg, seeds, *rest)
-
-    monkeypatch.setattr(training, "descend", recording)
-    return stacks
-
-
 def train_alone(cfg: ExperimentConfig, method: str, source, seed: int):
     """The model that ``method`` trains on ``source`` under ``cfg`` with ``seed``, by itself."""
     train_cfg = replace(cfg.train, seed=seed)
@@ -242,23 +227,13 @@ output.dir = {out}
         [("", [2, 4]), ("shift.sweep = gamma1\nshift.sweep_values = 0.5,1,5\n", [2, 8])],
         ids=["single", "three-value-sweep"],
     )
-    def test_fits_train_in_two_descents(self, tmp_path, monkeypatch, sweep, stacks):
+    def test_fits_train_in_two_descents(self, tmp_path, descents, sweep, stacks):
         """Pretraining is one stack; train_erm, the concept source fit and each sweep
         value's two fictitious-side fits are the other, and no final model trains."""
-        import gradframe.training as training
-
-        sizes = []
-        descend = training.descend
-
-        def counting(data, cfg, seeds, *rest):
-            sizes.append(len(seeds))
-            return descend(data, cfg, seeds, *rest)
-
-        monkeypatch.setattr(training, "descend", counting)
         out = tmp_path / "o"
         body = TINY_TRAIN.format(method="gradframe", out=out) + sweep
         assert main(["shift-report", "--config", str(write_cfg(tmp_path / "c.cfg", body))]) == 0
-        assert sizes == stacks
+        assert [len(seeds) for seeds in descents] == stacks
 
     @pytest.mark.parametrize(
         "sweep, extra",
@@ -394,14 +369,13 @@ class TestSelectK:
         ids=["1.7", "-0.5", "3.000001", "abc", "empty", "nan", "short-row"],
     )
     def test_bad_key_cell_is_data_error_before_training(
-        self, tmp_path, capsys, monkeypatch, row, message
+        self, tmp_path, capsys, descents, row, message
     ):
         # truncating would group a month of 1.7 with month 1
-        stacks = record_descents(monkeypatch)
         assert self._run_small(tmp_path, f"x0,label,month\n1,0,3\n{row}\n") == 3
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
-        assert stacks == []
+        assert descents == []
 
     def test_repeated_key_header_is_data_error(self, tmp_path, capsys):
         assert self._run_small(tmp_path, "month,x0,month,label\n3,1,4,0\n") == 3
@@ -545,16 +519,15 @@ output.dir = {out}
         [((500, 500, 500), [24, 12]), ((500, 300, 420), [8, 8, 8, 4, 4, 4])],
         ids=["equal", "unequal"],
     )
-    def test_cells_train_as_one_plan(self, tmp_path, monkeypatch, sizes, stacks):
+    def test_cells_train_as_one_plan(self, tmp_path, descents, sizes, stacks):
         """Four pairs over three domains: one pretraining descent per domain size and
         one final descent per fold size, and every row scores the model its cell
         trains alone."""
         data, out = tmp_path / "doms.csv", tmp_path / "lodo"
         self._write_domains(data, sizes)
         cfg_path = write_cfg(tmp_path / "c.cfg", self.GRID_LODO.format(data=data, out=out))
-        seeds = record_descents(monkeypatch)
         assert main(["lodo", "--config", str(cfg_path)]) == 0
-        assert [len(s) for s in seeds] == stacks
+        assert [len(s) for s in descents] == stacks
         cfg = ExperimentConfig.load(cfg_path)
         source, _ = _load_data(cfg, cfg["seed"])
         want = ["gamma1,gamma2,fold_domain,auroc"]
@@ -594,7 +567,7 @@ output.dir = {out}
                 want.append(f"{method},{seed},{evaluate(model, target).auroc:.17g}")
         assert (out / "compare_matrix.csv").read_text().splitlines() == want
 
-    def test_three_methods_train_as_one_stack_at_batch_400(self, tmp_path, monkeypatch):
+    def test_three_methods_train_as_one_stack_at_batch_400(self, tmp_path, descents):
         """At batch 400 the simulation's 400 pooled rows and GroupDRO's two 200-row
         domains both take one 400-row block per step, so ERM, mixup and GroupDRO of
         both seeds are one descent, GroupDRO with one row per domain; every score is
@@ -611,9 +584,8 @@ train.batch_size = 400
 output.dir = {out}
 """,
         )
-        stacks = record_descents(monkeypatch)
         assert main(["compare", "--config", str(cfg_path)]) == 0
-        assert stacks == [[0, 1, 0, 1, 0, 1]]
+        assert descents == [[0, 1, 0, 1, 0, 1]]
         cfg = ExperimentConfig.load(cfg_path)
         want = ["method,seed,auroc"]
         for method in ("groupdro", "erm", "mixup"):
@@ -623,7 +595,7 @@ output.dir = {out}
                 want.append(f"{method},{seed},{evaluate(model, target).auroc:.17g}")
         assert (out / "compare_matrix.csv").read_text().splitlines() == want
 
-    def test_gradframe_and_erm_train_in_three_descents(self, tmp_path, monkeypatch):
+    def test_gradframe_and_erm_train_in_three_descents(self, tmp_path, descents):
         """A gradframe,erm compare on two seeds: the ERM fits are one descent, the four
         domain models one, and the two final fits one; every score is that of the
         model its method trains alone."""
@@ -641,9 +613,8 @@ ascent.max_steps = 3
 output.dir = {out}
 """,
         )
-        stacks = record_descents(monkeypatch)
         assert main(["compare", "--config", str(cfg_path)]) == 0
-        assert [len(seeds) for seeds in stacks] == [2, 4, 2]
+        assert [len(seeds) for seeds in descents] == [2, 4, 2]
         cfg = ExperimentConfig.load(cfg_path)
         want = ["method,seed,auroc"]
         for method in ("gradframe", "erm"):
@@ -897,7 +868,7 @@ class TestExitCodes:
         ],
     )
     def test_unusable_output_location_is_config_error(
-        self, tmp_path, capsys, monkeypatch, command, out, where
+        self, tmp_path, capsys, monkeypatch, descents, command, out, where
     ):
         """An output directory that is a file, lies under one or cannot be made, or an
         output file that is a directory, exits 2 naming the path; ``train`` stops before
@@ -907,13 +878,12 @@ class TestExitCodes:
         if where != "out":
             Path(where).mkdir(parents=True)
         cfg = write_cfg(tmp_path / "c.cfg", "train.epochs = 2\n")
-        stacks = record_descents(monkeypatch)
         assert main([command, "--config", str(cfg), "--out", out]) == 2
         err = capsys.readouterr().err
         [line] = [line for line in err.splitlines() if line.startswith("config error:")]
         assert (out if where == "out" else where) in line
         assert "Traceback" not in err
-        assert stacks == []
+        assert descents == []
 
     @pytest.mark.parametrize(
         "command, message",
@@ -923,7 +893,7 @@ class TestExitCodes:
             ("lodo", "LODO-CV needs at least 3 domains"),
         ],
     )
-    def test_one_domain_csv_is_config_error(self, tmp_path, capsys, monkeypatch, command, message):
+    def test_one_domain_csv_is_config_error(self, tmp_path, capsys, descents, command, message):
         """A CSV read as one domain stops ``train`` and ``shift-report`` at the two-domain
         rule and ``lodo`` at its own three-domain one, before any fit, leaving only the
         config echo."""
@@ -931,12 +901,11 @@ class TestExitCodes:
         data.write_text("x0,x1,label\n0,0,0\n1,1,1\n0,1,0\n1,0,1\n")
         out = tmp_path / "o"
         body = f"dataset.kind = csv\ndata.source_csv = {data}\ncsv.domain_column =\noutput.dir = {out}\n"
-        stacks = record_descents(monkeypatch)
         assert main([command, "--config", str(write_cfg(tmp_path / "c.cfg", body))]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert sorted(p.name for p in out.iterdir()) == ["effective_config.txt"]
-        assert stacks == []
+        assert descents == []
 
     def test_misnamed_domain_column_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "regions.csv"
@@ -959,7 +928,7 @@ output.dir = {out}
         assert "'regoin'" in err and "one domain" in err and "Traceback" not in err
         assert not (out / "model.txt").exists()
 
-    def test_single_class_target_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+    def test_single_class_target_is_numeric_failure(self, tmp_path, capsys, descents):
         """Every seed's target is checked before any fit, so nothing trains."""
         src = tmp_path / "src.csv"
         src.write_text("x0,x1,label,domain\n0,0,0,A\n1,1,1,A\n0,1,0,B\n1,0,1,B\n" * 1)
@@ -978,10 +947,9 @@ train.batch_size = 4
 output.dir = {tmp_path}/o
 """,
         )
-        stacks = record_descents(monkeypatch)
         assert main(["compare", "--config", str(cfg)]) == 4
         assert "target domain has a single class; AUROC undefined" in capsys.readouterr().err
-        assert stacks == []
+        assert descents == []
 
     @pytest.mark.parametrize(
         "width, standardize",
@@ -1043,6 +1011,45 @@ output.dir = {out}
         assert str(header.split(",")) in err and "['x0', 'x1']" in err
         assert "Traceback" not in err
         assert not (out / "model.txt").exists()
+
+    @pytest.mark.parametrize("marked", ["source", "target"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, capsys, marked):
+        """A CSV that starts with a UTF-8 byte-order mark, as spreadsheet "CSV UTF-8"
+        exports do, trains and scores as the same file without it."""
+        rows = "a,b,label\n0,0,0\n1,1,1\n0,1,0\n1,0,1\n"
+        outputs = []
+        for mark in (marked, None):
+            for name in ("source", "target"):
+                bom = "\ufeff" if name == mark else ""
+                (tmp_path / f"{name}.csv").write_text(bom + rows, encoding="utf-8")
+            out = tmp_path / f"o-{mark}"
+            cfg = write_cfg(
+                tmp_path / "c.cfg",
+                f"""
+dataset.kind = csv
+data.source_csv = {tmp_path / "source.csv"}
+data.target_csv = {tmp_path / "target.csv"}
+csv.domain_column =
+method = erm
+train.epochs = 3
+train.batch_size = 4
+output.dir = {out}
+""",
+            )
+            assert main(["train", "--config", str(cfg)]) == 0, capsys.readouterr().err
+            report = json.loads((out / "train_report.json").read_text())
+            outputs.append(((out / "model.txt").read_bytes(), report["eval_target"]))
+        assert outputs[0] == outputs[1]
+
+    def test_csv_compare_without_target_is_config_error_before_any_read(self, tmp_path, capsys):
+        """A CSV ``compare`` with no ``data.target_csv`` exits 2 naming the key before
+        it reads the source, whose ``abc`` feature cell would be a data error."""
+        data = tmp_path / "src.csv"
+        data.write_text("x0,x1,label\n0,0,0\nabc,1,1\n0,1,0\n1,0,1\n")
+        body = f"dataset.kind = csv\ndata.source_csv = {data}\ncsv.domain_column =\noutput.dir = {tmp_path / 'o'}\n"
+        assert main(["compare", "--config", str(write_cfg(tmp_path / "c.cfg", body))]) == 2
+        err = capsys.readouterr().err
+        assert "'data.target_csv' is required for compare" in err and "Traceback" not in err
 
     # one CSV that every command reads: three domains, a month key and explicit features
     EVERY_COMMAND = """

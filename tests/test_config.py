@@ -69,6 +69,14 @@ def assert_load_error(tmp_path: Path, command: str, body: str, named: str) -> No
     assert not (tmp_path / "o").exists()
 
 
+def test_byte_order_mark_is_not_part_of_the_first_key(tmp_path):
+    """A config file saved with a leading UTF-8 byte-order mark reads as the file without it."""
+    path = tmp_path / "c.cfg"
+    path.write_text("\ufefftrain.epochs = 7\n", encoding="utf-8")
+    assert parse_config_file(path) == {"train.epochs": "7"}
+    assert ExperimentConfig.load(path).train.epochs == 7
+
+
 class TestLoadTimeErrors:
     @pytest.mark.parametrize("command", ["train", "simulate"])
     @pytest.mark.parametrize("value", ["abc", "1,,2"])

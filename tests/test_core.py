@@ -277,7 +277,7 @@ class TestPretrain:
         for dom in ds.domains:
             seed = derive_seed(5, "pretrain", dom.id)
             cfg = TrainConfig(seed=seed, beta=0.05, epochs=12, batch_size=16)
-            alone = fit_stack([dom.x], [dom.y], [cfg])[0]
+            alone = fit_stack([(dom.x, dom.y, cfg, None)])[0]
             assert models[dom.id].params.tobytes() == alone.params.tobytes()
 
     def test_single_domain_rejected(self):
@@ -402,33 +402,22 @@ class TestFictitiousSetsSharing:
     def _source():
         return DomainSet(tuple(separable_blobs(d, seed, 20) for seed, d in enumerate("ABC")))
 
-    def _plan(self, monkeypatch, runs):
+    def _plan(self, descents, runs):
         """``fictitious_sets(runs)`` and the fit count of each descent it made."""
-        import gradframe.training as training
-
-        stacks = []
-        descend = training.descend
-
-        def recording(data, cfg, seeds, *rest):
-            stacks.append(len(seeds))
-            return descend(data, cfg, seeds, *rest)
-
-        monkeypatch.setattr(training, "descend", recording)
         ficts = fictitious_sets(runs, self.ASC)
-        monkeypatch.setattr(training, "descend", descend)
-        return ficts, stacks
+        return ficts, [len(seeds) for seeds in descents]
 
-    def test_one_source_and_config_share_one_pretraining(self, monkeypatch):
+    def test_one_source_and_config_share_one_pretraining(self, descents):
         src = self._source()
         runs = [(src, PenaltyParams(g1, 1.0), self.CFG) for g1 in (0.1, 10.0)]
-        ficts, stacks = self._plan(monkeypatch, runs)
+        ficts, stacks = self._plan(descents, runs)
         assert stacks == [src.k]
         for run, fict in zip(runs, ficts):
             _assert_same_sets(fict, fictitious_sets([run], self.ASC)[0])
         assert ficts[0].x_star.tobytes() != ficts[1].x_star.tobytes()
 
     @pytest.mark.parametrize("second", ["equal-copy", "other-seed"])
-    def test_distinct_source_or_config_pretrain_apart(self, monkeypatch, second):
+    def test_distinct_source_or_config_pretrain_apart(self, descents, second):
         src = self._source()
         if second == "equal-copy":
             other, cfg = self._source(), self.CFG
@@ -437,7 +426,7 @@ class TestFictitiousSetsSharing:
         else:
             other, cfg = src, replace(self.CFG, seed=2)
         runs = [(src, PenaltyParams(0.1, 1.0), self.CFG), (other, PenaltyParams(10.0, 1.0), cfg)]
-        ficts, stacks = self._plan(monkeypatch, runs)
+        ficts, stacks = self._plan(descents, runs)
         assert stacks == [2 * src.k]
         for run, fict in zip(runs, ficts):
             _assert_same_sets(fict, fictitious_sets([run], self.ASC)[0])
@@ -478,7 +467,7 @@ def test_drawn_plans_pretrain_once_per_source_object_and_config(runs):
     with mock.patch.object(training, "descend", wraps=training.descend) as descend:
         ficts = fictitious_sets(runs, SHARING_ASC)
     distinct = {(id(ds), cfg): ds.k for ds, _, cfg in runs}
-    assert sum(len(call.args[2]) for call in descend.call_args_list) == sum(distinct.values())
+    assert sum(len(call.args[0]) for call in descend.call_args_list) == sum(distinct.values())
     for run, fict in zip(runs, ficts):
         _assert_same_sets(fict, fictitious_sets([run], SHARING_ASC)[0])
 
@@ -492,7 +481,7 @@ class TestTrainGradframe:
         )
         pooled = src.pooled()
         doubled = Domain("doubled", np.vstack([pooled.x] * 2), np.tile(pooled.y, 2))
-        erm_doubled = fit_stack([doubled.x], [doubled.y], [cfg])[0]
+        erm_doubled = fit_stack([(doubled.x, doubled.y, cfg, None)])[0]
         for wa, wb in zip(model.weights, erm_doubled.weights):
             assert wa.tobytes() == wb.tobytes()
         for ba, bb in zip(model.biases, erm_doubled.biases):
@@ -520,13 +509,11 @@ class TestTrainGradframe:
             assert wa.tobytes() == wb.tobytes()
         assert np.array_equal(fa.x_star, fb.x_star)
 
-    def test_plan_matches_each_run_trained_alone(self, monkeypatch):
+    def test_plan_matches_each_run_trained_alone(self, descents):
         """One call over runs of two and three domains, of unequal sizes, penalties and
         seeds: the domain models are two descents (40- and 26-row domains), the final
         fits two (160- and 212-row unions), and every run's model and fictitious set
         are those of the pipeline by hand, run by run."""
-        import gradframe.training as training
-
         two = DomainSet((separable_blobs("A", 1, 20), separable_blobs("B", 2, 20)))
         three = DomainSet(
             (separable_blobs("A", 3, 20), separable_blobs("B", 4, 13), separable_blobs("C", 5, 20))
@@ -538,23 +525,15 @@ class TestTrainGradframe:
             (three, PenaltyParams(0.1, 0.5), replace(base, seed=2)),
             (two, PenaltyParams(0.0, 1.0), replace(base, seed=3)),
         ]
-        stacks = []
-        descend = training.descend
-
-        def recording(data, cfg, seeds, *rest):
-            stacks.append(len(seeds))
-            return descend(data, cfg, seeds, *rest)
-
-        monkeypatch.setattr(training, "descend", recording)
         results = train_gradframe(runs, asc)
-        assert stacks == [6, 1, 2, 1]
+        assert [len(seeds) for seeds in descents] == [6, 1, 2, 1]
         assert len(results) == len(runs)
         for (ds, gammas, cfg), (model, fict) in zip(runs, results):
             ref_fict = fictitious_sets([(ds, gammas, cfg)], asc)[0]
             pooled = ds.pooled()
             x = np.vstack([pooled.x, ref_fict.x_star])
             y = np.concatenate([pooled.y, ref_fict.y_star])
-            assert model.params.tobytes() == fit_stack([x], [y], [cfg])[0].params.tobytes()
+            assert model.params.tobytes() == fit_stack([(x, y, cfg, None)])[0].params.tobytes()
             _assert_same_sets(fict, ref_fict)
 
     def test_no_op_ascent_behaves_like_plain_erm(self):

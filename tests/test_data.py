@@ -155,6 +155,13 @@ class TestCsvRoundTrip:
         assert len(ds.domain("B")) == 2
         assert np.array_equal(ds.domain("A").x, [[1, 2], [5, 6]])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        """A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write,
+        is not read into the first column's name."""
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffa,b,label\n1,2,0\n3,4,1\n", encoding="utf-8")
+        assert load_csv_dataset(path, CsvSchema(domain_column=None)).feature_names == ("a", "b")
+
     def test_without_domain_column(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("x0,x1,label\n1,2,0\n3,4,1\n")

@@ -59,7 +59,7 @@ def one_row_objective_grad(model_i, x, y, anchor, model_j, gammas) -> np.ndarray
 
 def fit_stack_of_one(model, x, y):
     """``fit_stack`` of one fit; it takes no model, so ``model`` is not used."""
-    return fit_stack([x], [y], [TrainConfig(epochs=1)])[0]
+    return fit_stack([(x, y, TrainConfig(epochs=1), None)])[0]
 
 
 def ascend(model, x, y):

@@ -515,7 +515,7 @@ class TestShiftMetrics:
         source_x = src.pooled().x
         calls = []
         stack = shift.fit_stack
-        monkeypatch.setattr(shift, "fit_stack", lambda xs, ys, cfgs: calls.append(len(xs)) or stack(xs, ys, cfgs))
+        monkeypatch.setattr(shift, "fit_stack", lambda fits: calls.append(len(fits)) or stack(fits))
         metrics = shift.shift_metrics(src, ficts, cfg)
         monkeypatch.undo()
         assert calls == [2 + 2 * n_sets]
@@ -525,7 +525,7 @@ class TestShiftMetrics:
             assert np.array(got["covariate_ratios"]).tobytes() == ratios.tobytes()
             deltas = concept_shift_delta(src, fict, cfg)
             assert np.array(got["concept_deltas"]).tobytes() == deltas.tobytes()
-            fict_model = fit_stack([fict.x_star], [fict.y_star], [fict_cfg])[0]
+            fict_model = fit_stack([(fict.x_star, fict.y_star, fict_cfg, None)])[0]
             assert got["likelihood_difference"] == likelihood_difference(source_model, fict_model, fict.x_star)
             ks = [ks_two_sample(source_x[:, j], fict.x_star[:, j]) for j in range(source_x.shape[1])]
             assert got["ks_table"] == {
@@ -555,9 +555,9 @@ class TestLikelihoodDifference:
         cfg = TrainConfig(seed=3, beta=0.01, epochs=80, batch_size=64)
         from dataclasses import replace
 
-        m_a = fit_stack([src.x[half_a]], [src.y[half_a]], [cfg])[0]
-        m_b = fit_stack([src.x[half_b]], [src.y[half_b]], [replace(cfg, seed=301)])[0]
-        m_t = fit_stack([tgt.x], [tgt.y], [replace(cfg, seed=302)])[0]
+        m_a = fit_stack([(src.x[half_a], src.y[half_a], cfg, None)])[0]
+        m_b = fit_stack([(src.x[half_b], src.y[half_b], replace(cfg, seed=301), None)])[0]
+        m_t = fit_stack([(tgt.x, tgt.y, replace(cfg, seed=302), None)])[0]
         within = likelihood_difference(m_a, m_b, src.x)
         cross = likelihood_difference(m_a, m_t, src.x)
         assert within < cross
@@ -692,7 +692,7 @@ class TestShapleyBatchOracle:
             per_group = []
             for g_idx, group in enumerate(split_into_k_domains(dom, k, keys).domains):
                 group_cfg = replace(cfg, seed=derive_seed(cfg.seed, "selectk", k))
-                model = fit_stack([group.x], [group.y], [group_cfg])[0]
+                model = fit_stack([(group.x, group.y, group_cfg, None)])[0]
                 baseline = group.x.mean(axis=0)
                 seeds = [
                     derive_seed(cfg.seed, "selectk-shap", k, g_idx, i) for i in range(len(group))

@@ -218,7 +218,7 @@ class TestFitMinibatchOracle:
             cfg = TrainConfig(
                 beta=0.05, epochs=40, batch_size=batch_size, seed=4, hidden_dims=hidden, rep_layer_index=rep
             )
-            _assert_same_bytes(fit_stack([x], [y], [cfg])[0], ref_fit_minibatch(x, y, cfg))
+            _assert_same_bytes(fit_stack([(x, y, cfg, None)])[0], ref_fit_minibatch(x, y, cfg))
 
     def test_bit_identical_past_the_bias_correction_of_the_first_moment(self):
         """From step 356 on, ``1 - beta1**t`` is 1.0 and the descent's Adam step skips
@@ -226,7 +226,7 @@ class TestFitMinibatchOracle:
         dom = _noisy_domain("train", 800, 7)
         cfg = TrainConfig(beta=0.05, epochs=200, batch_size=400, seed=4)
         assert 1.0 - ADAM_BETA1**356 == 1.0 != 1.0 - ADAM_BETA1**355
-        _assert_same_bytes(fit_stack([dom.x], [dom.y], [cfg])[0], ref_fit_minibatch(dom.x, dom.y, cfg))
+        _assert_same_bytes(fit_stack([(dom.x, dom.y, cfg, None)])[0], ref_fit_minibatch(dom.x, dom.y, cfg))
 
     def test_each_block_shape_is_bound_once_per_descent(self, monkeypatch):
         """800 rows at batch 300 are blocks of 300, 300 and 200 rows: two shapes, so
@@ -234,7 +234,7 @@ class TestFitMinibatchOracle:
         dom = _noisy_domain("train", 800, 7)
         steps = []
         binds = _watch_steps(monkeypatch, lambda ws: steps.append(ws.x.shape[1]))
-        fit_stack([dom.x], [dom.y], [TrainConfig(epochs=4, batch_size=300)])
+        fit_stack([(dom.x, dom.y, TrainConfig(epochs=4, batch_size=300), None)])
         assert [ws.x.shape[1] for ws in binds] == [300, 200]
         assert steps == [300, 300, 200] * 4
 
@@ -260,7 +260,7 @@ class TestFitMinibatchOracle:
 
         monkeypatch.setattr(training, "descend", no_descent)
         with pytest.raises(error):
-            fit_stack([np.asarray(x)], [np.asarray(y)], [TrainConfig(epochs=2, batch_size=2)])
+            fit_stack([(np.asarray(x), np.asarray(y), TrainConfig(epochs=2, batch_size=2), None)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,7 +285,7 @@ def test_stack_matches_separate_fits(m, rows, arch, batch_size, shared_seed, sha
         )
         for i in range(m)
     ]
-    models = fit_stack([d.x for d in doms], [d.y for d in doms], cfgs)
+    models = fit_stack([(d.x, d.y, cfg, None) for d, cfg in zip(doms, cfgs)])
     assert len(models) == m
     for model, dom, cfg in zip(models, doms, cfgs):
         _assert_same_bytes(model, ref_fit_minibatch(dom.x, dom.y, cfg))
@@ -344,7 +344,7 @@ def test_drawn_plain_mixup_and_groupdro_fits_stack_as_each_alone(sizes, configs,
         data.append(DomainSet((_noisy_domain("p", rows, rows),)))
         rules.append(None if kind == "plain" else MixupConfig(shape, ratio if kind == "mixup-fixed" else None))
     pools = [d.pooled() for d in data]
-    models = fit_stack([p.x for p in pools], [p.y for p in pools], cfgs, rules)
+    models = fit_stack([(p.x, p.y, cfg, rule) for p, cfg, rule in zip(pools, cfgs, rules)])
     for model, cfg, rule, d, pooled, got in zip(models, cfgs, rules, data, pools, steps):
         want = []
         if isinstance(rule, training.GroupDroRule):
@@ -367,7 +367,7 @@ class TestFitStack:
         shapes = [(30, 5, 1), (40, 5, 2), (30, 5, 3), (30, 7, 4), (40, 5, 5)]
         doms = [_noisy_domain("d", rows, seed) for rows, _, seed in shapes]
         cfgs = [TrainConfig(beta=0.05, epochs=e, batch_size=16, seed=s) for _, e, s in shapes]
-        models = fit_stack([d.x for d in doms], [d.y for d in doms], cfgs)
+        models = fit_stack([(d.x, d.y, cfg, None) for d, cfg in zip(doms, cfgs)])
         for model, dom, cfg in zip(models, doms, cfgs):
             _assert_same_bytes(model, ref_fit_minibatch(dom.x, dom.y, cfg))
 
@@ -378,9 +378,9 @@ class TestFitStack:
         y = np.arange(20) % 2
         cfgs = [TrainConfig(epochs=3, batch_size=8, seed=s) for s in (17, 23, 31)]
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="with seed 23 "):
-            fit_stack([ok, huge, ok], [y, y, y], cfgs)
+            fit_stack([(x, y, cfg, None) for x, cfg in zip([ok, huge, ok], cfgs)])
 
-    def test_plain_and_mixup_fits_share_one_stack(self, monkeypatch):
+    def test_plain_and_mixup_fits_share_one_stack(self, descents):
         """Two seeds, each with a plain fit and a mixup fit (one with a fixed ratio, one
         drawing from a Beta), train as one descent; each model is its fit alone."""
         pooled = _three_domains().pooled()  # 110 rows: a short last batch of 14
@@ -391,27 +391,18 @@ class TestFitStack:
             MixupConfig(fixed_lambda=0.3),
             MixupConfig(beta_shape=(0.5, 3.0)),
         ]
-        stacks = []
-        descend = training.descend
-
-        def recording(data, cfg, seeds, *args):
-            stacks.append(list(seeds))
-            return descend(data, cfg, seeds, *args)
-
-        monkeypatch.setattr(training, "descend", recording)
-        models = fit_stack([pooled.x] * 4, [pooled.y] * 4, cfgs, mixups)
-        assert stacks == [[2, 5, 2, 5]]
-        monkeypatch.setattr(training, "descend", descend)
+        models = fit_stack([(pooled.x, pooled.y, cfg, mixup) for cfg, mixup in zip(cfgs, mixups)])
+        assert descents == [[2, 5, 2, 5]]
         ds = DomainSet((pooled,))
         for model, cfg, mixup in zip(models, cfgs, mixups):
             if mixup is None:
-                alone = fit_stack([pooled.x], [pooled.y], [cfg])[0]
+                alone = fit_stack([(pooled.x, pooled.y, cfg, None)])[0]
             else:
                 alone = train_mixup(ds, cfg, mixup)
             assert np.array_equal(model.params, alone.params)
         assert not np.array_equal(models[0].params, models[2].params)
 
-    def test_plain_mixup_and_groupdro_fits_stack_by_step_blocks(self, monkeypatch):
+    def test_plain_mixup_and_groupdro_fits_stack_by_step_blocks(self, monkeypatch, descents):
         """One call of plain, mixup and GroupDRO fits over two seeds.  At batch 16 a
         64-row fit and GroupDRO over the 37/52/21 or 37/52 domains both take four
         16-row blocks per epoch, so they share one descent, each GroupDRO fit one
@@ -437,8 +428,7 @@ class TestFitStack:
             (2, pooled, None),
             (2, "uneven-pair", 1.0),
         ]
-        cfgs = [TrainConfig(beta=0.05, epochs=8, batch_size=16, seed=seed) for seed, _, _ in fits]
-        xs, ys, rules, steps = [], [], [], []
+        stacked, steps = [], []
         for seed, data, rule in fits:
             if isinstance(data, str):
                 ds = domains[data]
@@ -447,24 +437,14 @@ class TestFitStack:
                     tuple(len(d) for d in ds.domains), rule, lambda *a, seen=steps[-1]: seen.append(a)
                 )
                 data = ds.pooled()
-            xs.append(data.x)
-            ys.append(data.y)
-            rules.append(rule)
-        stacks = []
-        descend = training.descend
-
-        def recording(data, cfg, seeds, *args):
-            stacks.append(list(seeds))
-            return descend(data, cfg, seeds, *args)
-
+            stacked.append((data.x, data.y, TrainConfig(beta=0.05, epochs=8, batch_size=16, seed=seed), rule))
         heights = set()
-        monkeypatch.setattr(training, "descend", recording)
         _watch_steps(monkeypatch, lambda ws: heights.add(ws.x.shape[0]))
-        models = fit_stack(xs, ys, cfgs, rules)
-        assert stacks == [[2, 5, 2, 5, 5], [2], [2]]
+        models = fit_stack(stacked)
+        assert descents == [[2, 5, 2, 5, 5], [2], [2]]
         assert heights == {1 + 1 + 3 + 2 + 3, 1, 2}  # stack rows: a GroupDRO fit has one per domain
         dro_steps = iter(steps)
-        for model, cfg, (_, data, rule), x, y in zip(models, cfgs, fits, xs, ys):
+        for model, (_, data, rule), (x, y, cfg, _) in zip(models, fits, stacked):
             if isinstance(data, str):
                 want = []
                 ref = ref_train_groupdro(domains[data], cfg, rule, lambda *a: want.append(a))
@@ -483,14 +463,7 @@ class TestFitStack:
     def test_groupdro_sizes_must_split_the_rows(self):
         pooled = _three_domains().pooled()
         with pytest.raises(ShapeError, match="do not split 110 rows"):
-            fit_stack([pooled.x], [pooled.y], [TrainConfig()], [training.GroupDroRule((37, 52))])
-
-    def test_mismatched_lengths_rejected(self):
-        dom = _noisy_domain("d", 10, 1)
-        with pytest.raises(ShapeError):
-            fit_stack([dom.x, dom.x], [dom.y], [TrainConfig(), TrainConfig(seed=1)])
-        with pytest.raises(ShapeError):
-            fit_stack([dom.x], [dom.y], [TrainConfig()], [None, MixupConfig()])
+            fit_stack([(pooled.x, pooled.y, TrainConfig(), training.GroupDroRule((37, 52)))])
 
 
 # (fixed_lambda, batch_size) of mixup runs on the 110 pooled rows of the three
@@ -530,7 +503,7 @@ class TestTrainMixupOracle:
         cfg = TrainConfig(epochs=2, batch_size=8)
         models = None
         with pytest.raises(DataError, match="non-finite value in model input"):
-            models = fit_stack([x], [y], [cfg], [MixupConfig(fixed_lambda=0.1)])
+            models = fit_stack([(x, y, cfg, MixupConfig(fixed_lambda=0.1))])
         assert models is None
         assert draws == [8]  # the first step's batch
 
