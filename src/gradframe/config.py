@@ -38,12 +38,14 @@ METHODS = ("erm", "mixup", "groupdro", "gradframe")
 # A simulated domain of a million points per blob, or a hidden layer 1,000 wide, is
 # far past the 2-unit network and 100-point blobs of the paper's protocol.  100,000
 # epochs is 20 times the protocol's 5,000, and each seed of a comparison trains one
-# model per method.
+# model per method.  A GroupDRO step takes batch_size rows of every domain, however
+# few it has, so a batch of a million rows is 2,500 times the protocol's full 400.
 MAX_M_SAMPLES = 10_000
 MAX_ASCENT_STEPS = 1_000
 MAX_POINTS_PER_BLOB = 1_000_000
 MAX_HIDDEN_WIDTH = 1_000
 MAX_EPOCHS = 100_000
+MAX_BATCH_SIZE = 1_000_000
 MAX_SEEDS = 1_000
 
 # Each parser takes a stripped value and returns it typed, or raises a
@@ -128,7 +130,10 @@ def _pairs(raw: str) -> tuple[tuple[float, float], ...]:
     pairs = [part.split(":") for part in raw.split(";")] if raw else []
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError("expected 'g1:g2;g1:g2;...'")
-    return tuple((_number(g1), _number(g2)) for g1, g2 in pairs)
+    typed = tuple((_number(g1), _number(g2)) for g1, g2 in pairs)
+    if len(set(typed)) < len(typed):
+        raise ValueError("expected distinct pairs")
+    return typed
 
 
 # key -> (default string, parser).  The keys of a section named after a
@@ -158,15 +163,15 @@ KEYS: dict[str, tuple[str, Callable]] = {
     "ascent.min_steps": (str(SIM_ASCENT["min_steps"]), _integer),
     "train.beta": (str(SIM_TRAIN["beta"]), _number),
     "train.epochs": (str(SIM_TRAIN["epochs"]), _integer_in(high=MAX_EPOCHS)),
-    "train.batch_size": (str(SIM_TRAIN["batch_size"]), _integer),
+    "train.batch_size": (str(SIM_TRAIN["batch_size"]), _integer_in(high=MAX_BATCH_SIZE)),
     "train.pretrain_epochs": (str(SIM_TRAIN["pretrain_epochs"]), _integer_in(high=MAX_EPOCHS)),
     "train.hidden_dims": ("2", _list(_integer_in(high=MAX_HIDDEN_WIDTH))),
     "train.rep_layer_index": ("1", _integer),
     "mixup.beta_shape": ("2,2", _list(_number, at_least=2, at_most=2)),
     "mixup.fixed_lambda": ("", _optional(_number)),
     "groupdro.eta": ("0.01", _number),
-    "grid.gamma1_values": ("0.1,1", _list(_number)),
-    "grid.gamma2_values": ("0.1,10", _list(_number)),
+    "grid.gamma1_values": ("0.1,1", _list(_number, distinct=True)),
+    "grid.gamma2_values": ("0.1,10", _list(_number, distinct=True)),
     "grid.pairs": ("", _pairs),
     "select_k.candidates": ("2,3,4", _list(_integer_in(2), at_least=2, distinct=True)),
     "select_k.key_column": ("key", _name),

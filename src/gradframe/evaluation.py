@@ -148,6 +148,8 @@ def lodo_cv_search(
         )
     if not pairs:
         raise ConfigError("empty penalty grid")
+    if len(set(map(tuple, pairs))) < len(pairs):
+        raise ConfigError(f"repeated penalty pair in the grid {list(pairs)}")
     for fold in ds.domains:
         _class_counts(fold.y)
     rests = {fold: DomainSet(tuple(d for d in ds.domains if d.id != fold.id)) for fold in ds.domains}

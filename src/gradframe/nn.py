@@ -25,6 +25,7 @@ from .errors import ConfigError, DataError, ShapeError
 # Probability clamp applied before any log; bounds the loss and its gradient.
 P_MIN = 1e-7
 P_MAX = 1.0 - P_MIN
+_P_MIN, _P_MAX, _ONE = np.array(P_MIN), np.array(P_MAX), np.array(1.0)  # for ``_bce``'s calls
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -176,7 +177,8 @@ class Workspace:
     M row blocks, one per network, and leads every buffer.  ``acts[k]`` is the
     layer-k activation (``acts[0]`` the input), ``p1`` the raw class-1
     probability and ``deltas[k]`` the gradient at ``acts[k]`` (at the scores
-    for ``k = n_layers``).  A caller's own ``x`` and ``y`` are only read.
+    for ``k = n_layers``).  A caller's own ``x`` and ``y`` are only read; a
+    descent ``take``s each step's batch into the workspace's own.
 
     The rows of M networks may also lie flat, ``(rows,)`` with ``segments``:
     each ``(k, start, stop)`` gives network k the rows ``start:stop`` of an
@@ -229,12 +231,6 @@ class Workspace:
     @property
     def x(self) -> np.ndarray:
         return self.acts[0]
-
-    def gather(self, x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> None:
-        """Copy ``x[rows]`` and ``y[rows]`` into the buffers; ``rows`` must index within
-        ``x``, so mode "clip" never acts (it spares the copy "raise" makes with ``out``)."""
-        x.take(rows, axis=0, out=self.acts[0], mode="clip")
-        y.take(rows, out=self.y, mode="clip")
 
     def _bind_forward(self, weights, biases):
         """Activations and raw class-1 probabilities of ``x``; ``biases`` are a model's
@@ -367,9 +363,24 @@ def representations_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _forward(model, check_input(model, x)[0]).acts[model.rep_layer_index]
 
 
-def _bce(p1_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
-    p1 = np.clip(p1_raw, P_MIN, P_MAX)
-    return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1))
+def _bce(p1_raw: np.ndarray, y: np.ndarray, work=None) -> np.ndarray:
+    """Per-row BCE ``-(y * log(p) + (1 - y) * log(1 - p))`` of raw class-1 probabilities
+    clamped to ``p`` in ``[P_MIN, P_MAX]`` (``maximum`` then ``minimum``, ``clip``'s bits),
+    operation by operation with each ``log`` out of place, into the first of the three
+    ``work`` buffers of the broadcast shape, made if not given."""
+    if work is None:
+        work = [np.empty(np.broadcast_shapes(np.shape(p1_raw), np.shape(y))) for _ in range(3)]
+    loss, p, log_rest = work
+    np.maximum(p1_raw, _P_MIN, out=p)
+    np.minimum(p, _P_MAX, out=p)
+    np.log(p, loss)
+    np.multiply(y, loss, loss)
+    np.subtract(_ONE, p, p)
+    np.log(p, log_rest)
+    np.subtract(_ONE, y, p)
+    np.multiply(p, log_rest, log_rest)
+    np.add(loss, log_rest, loss)
+    return np.negative(loss, loss)
 
 
 @_quiet_overflow

@@ -18,8 +18,8 @@ import numpy as np
 
 from .data import DomainSet
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .nn import _ROWS_FIRST_MAX_WIDTH, P_MAX, P_MIN
-from .nn import MlpModel, Workspace, bind_adam, check_architecture, check_input, init_mlp, param_views
+from .nn import _ROWS_FIRST_MAX_WIDTH, MlpModel, Workspace, _bce, bind_adam, check_architecture, check_input
+from .nn import init_mlp, param_views
 from .rng import derive_seed, rng_for
 
 
@@ -101,8 +101,8 @@ def _bind_mix(mixup: MixupConfig, rng: np.random.Generator, x, y, x_rows, y_rows
     """A mixup fit's step work on one block shape as one zero-argument call.
 
     ``x_rows`` and ``y_rows`` are the fit's row of a workspace's ``x`` and
-    ``y``, which hold the step's gathered batch; ``x`` and ``y`` are the fit's
-    own rows.  The call draws partners, then ratios, and writes
+    ``y``, which the descent's ``take``s fill with the step's batch; ``x`` and
+    ``y`` are the fit's own rows.  The call draws partners, then ratios, and writes
     ``lam * batch + (1 - lam) * x[partners]`` into the batch, operation by
     operation on buffers it keeps; a non-finite mixed input is a ``DataError``.
     A narrow ``x`` scales its rows with rows innermost, as ``Workspace`` adds a
@@ -132,122 +132,98 @@ def _bind_mix(mixup: MixupConfig, rng: np.random.Generator, x, y, x_rows, y_rows
     return mix
 
 
-class _Reweighting:
-    """A GroupDRO fit in a descent: its stack rows, one per domain, and its group weights.
+def _bind_reweigh(rule: GroupDroRule, q: np.ndarray, p1, y, g):
+    """A GroupDRO fit's step work on one block shape as ``reweigh(step)``, on buffers it
+    keeps: ``p1``, ``y`` and ``g`` are the fit's rows (one per domain) of a workspace
+    and of the stack's gradient.  It updates the group weights ``q`` from the domains'
+    mean ``_bce``, then writes the q-weighted gradient sum into every row of ``g``,
+    summed from +0.0 in domain order as filling with 0.0 and adding each term would."""
+    eta, on_step = rule.eta, rule.on_step
+    work = [np.empty_like(p1) for _ in range(3)]
+    losses, scaled, factors, q_sum = np.empty_like(q), np.empty_like(q), np.empty_like(q), np.empty(())
+    finite = np.empty(q.shape, dtype=bool)
+    rate, count = np.array(eta), np.array(float(p1.shape[-1]))
+    q_col, total = q[:, None], np.empty(g.shape[1])
 
-    Each epoch shuffles every domain's block of the fit's rows in place with
-    the fit's stream, in domain order (shuffling ``start + arange(n)`` draws
-    ``start + permutation(n)``); row j of step s then takes positions
-    ``start_j + (s * batch + c) % n_j`` of that order.  ``bind`` binds the
-    step's reweighting once per block shape, on buffers it keeps.
-    """
+    def reweigh(step: int) -> None:
+        np.add.reduce(_bce(p1, y, work), -1, None, losses)
+        np.divide(losses, count, losses)
+        np.multiply(rate, losses, scaled)
+        np.exp(scaled, factors)
+        np.multiply(q, factors, q)
+        np.add.reduce(q, 0, None, q_sum)
+        np.divide(q, q_sum, q)
+        if not np.isfinite(q, finite).all():
+            raise NumericError(
+                f"GroupDRO group weights are not finite at step {step} "
+                f"(eta {eta}, domain losses {losses.tolist()})"
+            )
+        if on_step is not None:
+            on_step(step, q.copy(), losses.copy())
+        np.multiply(g, q_col, g)
+        np.add.reduce(g, 0, None, total)
+        np.copyto(g, total)
 
-    def __init__(self, rule: GroupDroRule, rows: slice, fit_rows, length: int, shuffle):
-        self.rule, self.rows, self.fit_rows, self.shuffle = rule, rows, fit_rows, shuffle
-        starts = np.cumsum([0, *rule.sizes[:-1]])
-        self.table = starts[:, None] + np.arange(length) % np.array(rule.sizes)[:, None]
-        self.shuffled = np.empty_like(fit_rows)
-        self.blocks = [self.shuffled[start : start + n] for start, n in zip(starts, rule.sizes)]
-        self.q = np.full(len(rule.sizes), 1.0 / len(rule.sizes))
-
-    def draw(self, order: np.ndarray) -> None:
-        """Write the fit's rows of an epoch's index matrix."""
-        np.copyto(self.shuffled, self.fit_rows)
-        for block in self.blocks:
-            self.shuffle.shuffle(block)
-        self.shuffled.take(self.table, out=order[self.rows], mode="clip")
-
-    def bind(self, ws: Workspace, grad: np.ndarray):
-        """The step's reweighting on ``ws``'s last forward as ``reweigh(step)``: update
-        ``q`` from the domains' mean BCE, then write the q-weighted gradient sum into
-        every row of the fit in ``grad``.
-
-        The losses take ``_bce``'s operations in its order (``maximum`` then
-        ``minimum`` are ``clip``'s bits, each ``log`` is out of place as in its
-        expression) and ``mean``'s sum and divide.  The weighted sum starts from
-        +0.0 in domain order, as filling with 0.0 and adding each domain's term
-        would.
-        """
-        eta, on_step, q = self.rule.eta, self.rule.on_step, self.q
-        p1, y = ws.p1[self.rows], ws.y[self.rows]
-        p, log_p, log_rest = np.empty_like(p1), np.empty_like(p1), np.empty_like(p1)
-        losses, scaled, factors, q_sum = np.empty_like(q), np.empty_like(q), np.empty_like(q), np.empty(())
-        finite = np.empty(q.shape, dtype=bool)
-        p_min, p_max, one, rate = (np.array(c) for c in (P_MIN, P_MAX, 1.0, eta))
-        count = np.array(float(p1.shape[-1]))
-        g, q_col, total = grad[self.rows], q[:, None], np.empty(grad.shape[1])
-
-        def reweigh(step: int) -> None:
-            np.maximum(p1, p_min, out=p)
-            np.minimum(p, p_max, out=p)
-            np.log(p, log_p)
-            np.multiply(y, log_p, log_p)
-            np.subtract(one, p, p)
-            np.log(p, log_rest)
-            np.subtract(one, y, p)
-            np.multiply(p, log_rest, log_rest)
-            np.add(log_p, log_rest, log_p)
-            np.negative(log_p, log_p)
-            np.add.reduce(log_p, -1, None, losses)
-            np.divide(losses, count, losses)
-            np.multiply(rate, losses, scaled)
-            np.exp(scaled, factors)
-            np.multiply(q, factors, q)
-            np.add.reduce(q, 0, None, q_sum)
-            np.divide(q, q_sum, q)
-            if not np.isfinite(q, finite).all():
-                raise NumericError(
-                    f"GroupDRO group weights are not finite at step {step} "
-                    f"(eta {eta}, domain losses {losses.tolist()})"
-                )
-            if on_step is not None:
-                on_step(step, q.copy(), losses.copy())
-            np.multiply(g, q_col, g)
-            np.add.reduce(g, 0, None, total)
-            np.copyto(g, total)
-
-        return reweigh
+    return reweigh
 
 
-def _blocks(n: int, rule, batch_size: int) -> tuple[int, int]:
-    """Steps per epoch, and the rows of the last step's block, of a fit of ``n`` rows
-    under ``rule``; every other block has ``batch_size`` rows."""
-    if isinstance(rule, GroupDroRule):  # a full batch per domain, wrapping round it
-        return -(-max(rule.sizes) // batch_size), batch_size
-    steps = -(-n // batch_size)
-    return steps, n - (steps - 1) * batch_size
+def _bind_order(sizes: tuple[int, ...], rng: np.random.Generator, base: int, out: np.ndarray):
+    """A fit's epoch order as one zero-argument call: the fit's rows, ``base +
+    arange(sum(sizes))``, are copied, each block of ``sizes`` shuffled in place with
+    ``rng`` in block order, and one ``take`` writes position ``start_j + c % n_j`` to
+    column c of ``out``'s row j, so a block wraps round when ``out`` is wider."""
+    starts = np.cumsum([0, *sizes[:-1]])
+    table = starts[:, None] + np.arange(out.shape[1]) % np.array(sizes)[:, None]
+    rows = np.arange(base, base + sum(sizes))
+    shuffled = np.empty_like(rows)
+    blocks = [shuffled[start : start + n] for start, n in zip(starts, sizes)]
+
+    def draw() -> None:
+        np.copyto(shuffled, rows)
+        for block in blocks:
+            rng.shuffle(block)
+        shuffled.take(table, out=out, mode="clip")
+
+    return draw
+
+
+def _row_blocks(n: int, rule, batch_size: int) -> tuple[tuple[int, ...], int]:
+    """A fit's row blocks, one per stack row, and the rows each takes per epoch: all n,
+    or a GroupDRO fit's domains, each taking ``batch_size`` rows on every step."""
+    if isinstance(rule, GroupDroRule):
+        return rule.sizes, -(-max(rule.sizes) // batch_size) * batch_size
+    return (n,), n
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a divergence is caught at the end instead
 def descend(fits: list[tuple]) -> list[MlpModel]:
     """One stacked descent over checked ``(x, y, cfg, rule)`` fits of one width, one
-    config but for ``seed``, and one ``_blocks``.
+    config but for ``seed``, and one count of rows per stack row per epoch.
 
     Each fit draws its init and shuffle stream from its own ``cfg.seed``; the
-    stack's other knobs are the first fit's.  A fit takes one row of the stack;
-    a GroupDRO fit takes one per domain, replicas that start equal and stay
-    equal, as each step writes one weighted gradient into all of them and Adam
-    is element-wise.  A mixup fit mixes its block in place after each step's
-    gather, with partners, then ratios, from its own ``rng_for(<fit seed>,
-    "mixup")`` stream.  Each epoch's index matrix is built once, and each block
-    shape's step is bound once, each GroupDRO and mixup fit's step work with
-    it (``_Reweighting.bind``, ``_bind_mix``): a step is one kernel and one
-    Adam call for the whole stack, row by row that of a fit alone, so every
-    model is bit for bit the one a stack of one gives.  Overflow and
-    invalid-value warnings are off; a non-finite parameter or Adam second
-    moment at the end raises ``NumericError`` naming the first diverged fit's
-    seed.
+    stack's other knobs are the first fit's.  A fit is a list of row blocks
+    (``_row_blocks``), each one row of the stack: a plain or mixup fit has one,
+    a GroupDRO fit one per domain, replicas that start equal and stay equal, as
+    each step writes one weighted gradient into all of them and Adam is
+    element-wise.  Every fit draws its rows of each epoch's index matrix with
+    one bound call (``_bind_order``).  A mixup fit mixes its block in place
+    after each step's gather, with partners, then ratios, from its own
+    ``rng_for(<fit seed>, "mixup")`` stream.  Each block shape's step is bound
+    once, each GroupDRO and mixup fit's step work with it (``_bind_reweigh``,
+    ``_bind_mix``): a step is two ``take``s, one kernel and one Adam call for
+    the whole stack, row by row that of a fit alone, so every model is bit for
+    bit the one a stack of one gives.  Overflow and invalid-value warnings are
+    off; a non-finite parameter or Adam second moment at the end raises
+    ``NumericError`` naming the first diverged fit's seed.
     """
     x, _, cfg, rule = fits[0]
-    dims = cfg.layer_dims(x.shape[1])
-    steps, last = _blocks(len(x), rule, cfg.batch_size)
-    batch = cfg.batch_size
-    length = (steps - 1) * batch + last  # index columns of a stack row per epoch
+    dims, batch = cfg.layer_dims(x.shape[1]), cfg.batch_size
+    length = _row_blocks(len(x), rule, batch)[1]  # index columns of a stack row per epoch
     x_all = np.concatenate([x for x, _, _, _ in fits])
     y_all = np.concatenate([y for _, y, _, _ in fits])
-    widths = [len(rule.sizes) if isinstance(rule, GroupDroRule) else 1 for *_, rule in fits]
-    firsts = np.cumsum([0, *widths[:-1]]).tolist()  # each fit's first stack row
-    row_seeds = [fit[2].seed for fit, width in zip(fits, widths) for _ in range(width)]
+    blocks = [_row_blocks(len(x), rule, batch)[0] for x, _, _, rule in fits]
+    firsts = np.cumsum([0, *map(len, blocks[:-1])]).tolist()  # each fit's first stack row
+    row_seeds = [fit[2].seed for fit, sizes in zip(fits, blocks) for _ in sizes]
     params = np.stack(
         [init_mlp(dims, cfg.rep_layer_index, derive_seed(seed, "init")).params for seed in row_seeds]
     )
@@ -256,25 +232,19 @@ def descend(fits: list[tuple]) -> list[MlpModel]:
     weights, biases = param_views(dims, params)
     biases = tuple(b[:, None, :] for b in biases)  # broadcast over a batch's rows
     grads = param_views(dims, grad)
-    rows = np.zeros((len(row_seeds), length), dtype=np.intp)  # each plain fit's rows in x_all
-    order = np.empty_like(rows)
-    plain, mixing, reweighting = [], [], []
+    order = np.empty((len(row_seeds), length), dtype=np.intp)
+    draws, mixing, reweighting = [], [], []
     base = 0  # the fit's first row in x_all
-    for (x, _, fit_cfg, rule), row in zip(fits, firsts):
-        fit_rows = np.arange(base, base + len(x))
-        shuffle = rng_for(fit_cfg.seed, "batch")
+    for (x, y, fit_cfg, rule), sizes, row in zip(fits, blocks, firsts):
+        rows = slice(row, row + len(sizes))
+        draws.append(_bind_order(sizes, rng_for(fit_cfg.seed, "batch"), base, order[rows]))
         if isinstance(rule, GroupDroRule):
-            fit = slice(row, row + len(rule.sizes))
-            reweighting.append(_Reweighting(rule, fit, fit_rows, length, shuffle))
-        else:
-            rows[row] = fit_rows
-            plain.append((row, shuffle))
-            if rule is not None:
-                own = slice(base, base + len(x))
-                mixing.append((row, rule, rng_for(fit_cfg.seed, "mixup"), x_all[own], y_all[own]))
+            reweighting.append((rule, np.full(len(sizes), 1.0 / len(sizes)), rows))
+        elif rule is not None:
+            mixing.append((row, rule, rng_for(fit_cfg.seed, "mixup"), x, y))
         base += len(x)
-    bound = {}  # a workspace and its bound step, mixes and reweighs per block shape
-    epoch_blocks = []  # (view of ``order``, workspace, bound step work) of each block of an epoch
+    bound = {}  # the gather buffers and bound step, mixes and reweighs per block shape
+    epoch_blocks = []  # (view of ``order``, gather buffers, bound step work) of each block of an epoch
     for start in range(0, length, batch):
         idx = order[:, start : start + batch]
         if idx.shape[1] not in bound:
@@ -282,19 +252,20 @@ def descend(fits: list[tuple]) -> list[MlpModel]:
             mixes = [
                 _bind_mix(mixup, rng, x, y, ws.x[row], ws.y[row]) for row, mixup, rng, x, y in mixing
             ]
-            reweighs = [fit.bind(ws, grad) for fit in reweighting]
-            bound[idx.shape[1]] = ws, ws.bind(weights, biases, grads), mixes, reweighs
+            reweighs = [
+                _bind_reweigh(rule, q, ws.p1[rows], ws.y[rows], grad[rows]) for rule, q, rows in reweighting
+            ]
+            bound[idx.shape[1]] = ws.x, ws.y, ws.bind(weights, biases, grads), mixes, reweighs
         epoch_blocks.append((idx, *bound[idx.shape[1]]))
     adam = bind_adam(params, m, v, grad, cfg.beta)
     step = 0
     for _ in range(cfg.epochs):
-        np.copyto(order, rows)
-        for row, shuffle in plain:
-            shuffle.shuffle(order[row])
-        for fit in reweighting:
-            fit.draw(order)
-        for idx, ws, kernel, mixes, reweighs in epoch_blocks:
-            ws.gather(x_all, y_all, idx)
+        for draw in draws:
+            draw()
+        for idx, x_rows, y_rows, kernel, mixes, reweighs in epoch_blocks:
+            # idx indexes within x_all, so "clip" never acts; it spares the copy "raise" makes with out
+            x_all.take(idx, axis=0, out=x_rows, mode="clip")
+            y_all.take(idx, out=y_rows, mode="clip")
             for mix in mixes:
                 mix()
             kernel()
@@ -319,20 +290,20 @@ def fit_stack(fits: Sequence[tuple]) -> list[MlpModel]:
 
     ``rule`` is the fit's batch rule: ``None`` (plain), a ``MixupConfig``, or a
     ``GroupDroRule`` over the domains whose rows make up ``x``, in order.  Fits
-    stack when they share input width, config but for ``seed``, and the row
-    count of every step's blocks: n rows give ``batch_size``-row blocks and a
-    short last one, GroupDRO gives ``ceil(max(sizes) / batch_size)`` blocks of
-    ``batch_size`` rows per domain.  Each fit keeps its own seeded streams,
-    state and rows, so every model is bit for bit the one its fit alone gives.
-    Every fit's ``(x, y)`` passes ``check_input`` first; the models come back
-    in input order.
+    stack when they share input width, config but for ``seed``, and the rows
+    each stack row takes per epoch (``_row_blocks``): n for a fit of n rows, in
+    ``batch_size``-row blocks and a short last one, and for GroupDRO
+    ``ceil(max(sizes) / batch_size) * batch_size`` of every domain.  Each fit
+    keeps its own seeded streams, state and rows, so every model is bit for bit
+    the one its fit alone gives.  Every fit's ``(x, y)`` passes ``check_input``
+    first; the models come back in input order.
     """
     fits = [(*check_input(None, x, y), cfg, rule) for x, y, cfg, rule in fits]
     stacks: dict[tuple, list[int]] = {}
     for i, (x, _, cfg, rule) in enumerate(fits):
         if isinstance(rule, GroupDroRule) and (sum(rule.sizes) != len(x) or min(rule.sizes) < 1):
             raise ShapeError(f"GroupDRO domain sizes {rule.sizes} do not split {len(x)} rows")
-        key = (x.shape[1], _blocks(len(x), rule, cfg.batch_size), replace(cfg, seed=0))
+        key = (x.shape[1], _row_blocks(len(x), rule, cfg.batch_size)[1], replace(cfg, seed=0))
         stacks.setdefault(key, []).append(i)
     models: list[MlpModel | None] = [None] * len(fits)
     for members in stacks.values():

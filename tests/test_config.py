@@ -112,6 +112,10 @@ class TestLoadTimeErrors:
             ("compare", "compare.methods", "erm,erm"),
             ("compare", "seeds", "0,00"),
             ("select-k", "select_k.candidates", "2,2,3"),
+            ("lodo", "grid.gamma1_values", "0.1,0.1"),
+            ("lodo", "grid.gamma2_values", "1,10,1.0"),
+            ("lodo", "grid.pairs", "0.1:0.1;0.1:0.1"),
+            ("lodo", "grid.pairs", "1:10;0.1:0.1;1.0:10"),
         ],
     )
     def test_duplicate_entries_exit_at_load(self, tmp_path, command, key, value):
@@ -122,6 +126,8 @@ class TestLoadTimeErrors:
         [
             ("train.beta = -1\n", "train.*"),
             ("train.epochs = 0\n", "train.*"),
+            ("train.batch_size = 1000001\n", "'train.batch_size'"),
+            ("train.batch_size = 1000000000000\n", "'train.batch_size'"),
             ("train.hidden_dims = 4,0\n", "train.*"),
             ("train.rep_layer_index = 2\n", "train.*"),
             ("groupdro.eta = -1\n", "groupdro.eta"),
@@ -210,9 +216,11 @@ def test_junk_value_exits_2_naming_the_key(workdir, data):
     assert not (workdir / "o").exists()
 
 
-def _numbers(low: float, high: float, at_least: int = 1, at_most: int = 3):
-    floats = st.floats(low, high, allow_nan=False).map(repr)
-    return st.lists(floats, min_size=at_least, max_size=at_most).map(",".join)
+def _numbers(low: float, high: float, at_least: int = 1, at_most: int = 3, unique: bool = False):
+    floats = st.floats(low, high, allow_nan=False)
+    return st.lists(floats, min_size=at_least, max_size=at_most, unique=unique).map(
+        lambda values: ",".join(map(repr, values))
+    )
 
 
 NAME = st.text("abcdefxyz_0123456789", min_size=1, max_size=6)
@@ -247,11 +255,11 @@ VALID = {
     "mixup.beta_shape": _numbers(0.1, 10, 2, 2),
     "mixup.fixed_lambda": _numbers(0, 1, 1, 1) | st.just(""),
     "groupdro.eta": _numbers(0, 1, 1, 1),
-    "grid.gamma1_values": _numbers(0, 100),
-    "grid.gamma2_values": _numbers(0, 100),
-    "grid.pairs": st.lists(
-        st.tuples(_numbers(0, 100, 1, 1), _numbers(0, 100, 1, 1)).map(":".join), max_size=3
-    ).map(";".join),
+    "grid.gamma1_values": _numbers(0, 100, unique=True),
+    "grid.gamma2_values": _numbers(0, 100, unique=True),
+    "grid.pairs": st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)), max_size=3, unique=True).map(
+        lambda pairs: ";".join(f"{g1!r}:{g2!r}" for g1, g2 in pairs)
+    ),
     "select_k.candidates": st.lists(st.integers(2, 12), min_size=2, max_size=4, unique=True).map(
         lambda ks: ",".join(map(str, ks))
     ),

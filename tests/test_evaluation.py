@@ -188,6 +188,14 @@ class TestLodo:
             lodo_cv_search(ds, [(1.0, 1.0)], AscentConfig(max_steps=1, min_steps=0), cfg)
         assert calls == []
 
+    @pytest.mark.parametrize("pairs", [[(0.1, 0.1), (0.1, 0.1)], [(1.0, 10.0), (0.5, 0.5), [1.0, 10.0]]])
+    def test_repeated_pair_rejected_before_any_fit(self, descents, pairs):
+        """A pair listed twice would train twice under two seeds and average both cells."""
+        ds = _three_domain_set()
+        with pytest.raises(ConfigError, match="repeated penalty pair"):
+            lodo_cv_search(ds, pairs, AscentConfig(max_steps=1, min_steps=0), TrainConfig(epochs=5))
+        assert descents == []
+
     def test_table_shape_grid_times_k(self):
         ds = _three_domain_set(seed=5)
         cfg = TrainConfig(seed=5, beta=0.02, epochs=10, batch_size=50, pretrain_epochs=5)

@@ -28,9 +28,11 @@ from gradframe.core import AscentConfig, PenaltyParams, _ascend
 from gradframe.errors import ConfigError, DataError, ShapeError
 from gradframe.model_io import load_model, save_model
 from gradframe.nn import (
+    P_MAX,
     P_MIN,
     MlpModel,
     Workspace,
+    _bce,
     bce_loss_batch,
     bind_adam,
     grad_params_batch,
@@ -287,6 +289,24 @@ class TestBceLoss:
         m = zero_model((2, 2, 2))
         losses = bce_loss_batch(m, np.zeros((3, 2)), [0.0, 0.25, 1.0])
         assert np.allclose(losses, math.log(2.0), atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["rows", "stack"])
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_bce_is_the_plain_expression(self, lead, soft):
+        """``_bce``, with and without work buffers, gives the bytes of the plain
+        expression, NaN matching NaN, at the clamp's edges and between them."""
+        rng = np.random.default_rng(0)
+        edges = [0.0, P_MIN, 0.5, P_MAX, 1.0, np.nan, P_MIN / 2, 1.0 - P_MIN / 2]
+        p1 = np.concatenate([np.tile(edges, 2), rng.uniform(size=48)])
+        p1 = np.stack([rng.permutation(p1) for _ in range(lead[0])]) if lead else p1
+        y = rng.uniform(size=p1.shape) if soft else rng.integers(0, 2, size=p1.shape).astype(float)
+        p = np.clip(p1, P_MIN, P_MAX)
+        want = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+        nan = np.isnan(want)
+        assert np.array_equal(nan, np.isnan(p1))
+        for got in (_bce(p1, y), _bce(p1, y, [np.empty(p1.shape) for _ in range(3)])):
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestGradParams:
